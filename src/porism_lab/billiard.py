@@ -13,13 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CircularBilliard, InvalidRatio
-from .geom import Point, Triangle
+import numpy as np
+
+from .errors import CircularBilliard, InvalidRatio, PassLog
+from .geom import Point, Triangle, triangle_batch
 from .poristic import (
+    FamilyBatch,
     FamilySample,
     PoristicConfig,
     theta_closed_form,
+    theta_closed_form_batch,
     x9_closed_form,
+    x9_closed_form_batch,
 )
 
 
@@ -122,6 +127,18 @@ def normalize_sample(cfg: PoristicConfig, s: FamilySample) -> Triangle:
     return Triangle(tuple(out))
 
 
+def normalize_sample_batch(cfg: PoristicConfig, fam: FamilyBatch, log: PassLog) -> np.ndarray:
+    """``normalize_sample`` over a sweep: the normalized (n, 3, 2) vertex
+    stack."""
+    angle = theta_closed_form_batch(cfg, fam.t)
+    x9 = x9_closed_form_batch(cfg, fam.t)
+    ct, st = np.cos(-angle)[:, None], np.sin(-angle)[:, None]
+    inv_l = (1.0 / fam.perimeter)[:, None]
+    dx = (fam.triangle[..., 0] - x9[:, None, 0]) * inv_l
+    dy = (fam.triangle[..., 1] - x9[:, None, 1]) * inv_l
+    return triangle_batch(np.stack([ct * dx - st * dy, st * dx + ct * dy], axis=-1), log)
+
+
 def foci_locus_check(cfg: PoristicConfig) -> tuple[Point, float]:
     """Predicted circle traced by the circumbilliard foci: center
     ((R - d)d/(3R + d) + d, 0) and radius
@@ -188,6 +205,27 @@ def reflection_law_residual(tri: Triangle, a: float, b: float) -> float:
         rx, ry = d1x - 2 * dot * nx, d1y - 2 * dot * ny
         ang = math.atan2(abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)
         worst = max(worst, abs(ang))
+    return worst
+
+
+def reflection_law_residual_batch(v: np.ndarray, a: float, b: float) -> np.ndarray:
+    """``reflection_law_residual`` over a (n, 3, 2) vertex stack."""
+    worst = np.zeros(len(v))
+    for i in range(3):
+        p_prev, p, p_next = v[:, (i - 1) % 3], v[:, i], v[:, (i + 1) % 3]
+        nx, ny = 2 * p[:, 0] / (a * a), 2 * p[:, 1] / (b * b)
+        nn = np.hypot(nx, ny)
+        nx, ny = nx / nn, ny / nn
+        d1x, d1y = p[:, 0] - p_prev[:, 0], p[:, 1] - p_prev[:, 1]
+        n1 = np.hypot(d1x, d1y)
+        d1x, d1y = d1x / n1, d1y / n1
+        d2x, d2y = p_next[:, 0] - p[:, 0], p_next[:, 1] - p[:, 1]
+        n2 = np.hypot(d2x, d2y)
+        d2x, d2y = d2x / n2, d2y / n2
+        dot = d1x * nx + d1y * ny
+        rx, ry = d1x - 2 * dot * nx, d1y - 2 * dot * ny
+        ang = np.arctan2(np.abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)
+        worst = np.maximum(worst, np.abs(ang))
     return worst
 
 

@@ -4,6 +4,9 @@ and excentral derived triangles.
 The registry is closed: exactly the centers the downstream family machinery
 needs, each with an explicit trilinear or constructive definition so that
 every one can be cross-checked against an independent construction.
+
+The ``_batch`` functions are the array twins used by the measurement pass
+(see ``geom``): triangles are (n, 3, 2) vertex stacks, points (n, 2) arrays.
 """
 
 from __future__ import annotations
@@ -11,13 +14,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateTriangle,
     IsoscelesDegeneracy,
+    PassLog,
     PointAtInfinity,
     UnsupportedCenter,
 )
-from .geom import Line, Point, Triangle, line_intersection, line_through, midpoint
+from .geom import (
+    Line,
+    Point,
+    Triangle,
+    distance_batch,
+    line_intersection,
+    line_through,
+    midpoint,
+    triangle_batch,
+)
 
 SUPPORTED_CENTERS = frozenset({1, 3, 4, 5, 6, 7, 9, 10, 11, 40, 100, 1155})
 
@@ -77,6 +92,16 @@ def side_lengths(t: Triangle) -> SideLengths:
     return SideLengths(distance(p2, p3), distance(p1, p3), distance(p1, p2))
 
 
+def side_lengths_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
+    """Side lengths (n, 3) opposite each vertex."""
+    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
+    s = np.stack([distance_batch(p2, p3), distance_batch(p1, p3), distance_batch(p1, p2)], axis=-1)
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
+    log.check((s.min(axis=1) <= 0.0) | (s1 + s2 <= s3) | (s2 + s3 <= s1) | (s3 + s1 <= s2),
+              DegenerateTriangle, "side lengths violate triangle inequality")
+    return s
+
+
 def angles(t: Triangle) -> tuple[float, float, float]:
     """Interior angles at vertices 1, 2, 3 via the law of cosines."""
     s1, s2, s3 = side_lengths(t).as_tuple()
@@ -84,6 +109,14 @@ def angles(t: Triangle) -> tuple[float, float, float]:
     def ang(a, b, c):
         return math.acos(max(-1.0, min(1.0, (b * b + c * c - a * a) / (2.0 * b * c))))
 
+    return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
+
+
+def _angles_batch(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ang(a, b, c):
+        return np.arccos(np.clip((b * b + c * c - a * a) / (2.0 * b * c), -1.0, 1.0))
+
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
     return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
 
 
@@ -96,6 +129,16 @@ def _barycentric_point(t: Triangle, w: tuple[float, float, float]) -> Point:
     x = (w[0] * p1.x + w[1] * p2.x + w[2] * p3.x) / total
     y = (w[0] * p1.y + w[1] * p2.y + w[2] * p3.y) / total
     return Point(x, y)
+
+
+def _barycentric_batch(v: np.ndarray, w: np.ndarray, log: PassLog) -> np.ndarray:
+    w1, w2, w3 = w[:, 0], w[:, 1], w[:, 2]
+    total = w1 + w2 + w3
+    scale = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3))
+    log.check(np.abs(total) < 1e-14 * scale, PointAtInfinity, "barycentric weights sum to zero")
+    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
+    return np.stack([(w1 * p1[:, 0] + w2 * p2[:, 0] + w3 * p3[:, 0]) / total,
+                     (w1 * p1[:, 1] + w2 * p2[:, 1] + w3 * p3[:, 1]) / total], axis=-1)
 
 
 def trilinear_to_point(t: Triangle, f: TrilinearTriple | tuple[float, float, float]) -> Point:
@@ -113,6 +156,10 @@ def medial(t: Triangle) -> Triangle:
     return Triangle((midpoint(p2, p3), midpoint(p1, p3), midpoint(p1, p2)))
 
 
+def medial_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
+    return triangle_batch(0.5 * (v[:, [1, 0, 0]] + v[:, [2, 2, 1]]), log)
+
+
 def excentral(t: Triangle) -> Triangle:
     """Triangle of the three excenters (barycentrics (-s1 : s2 : s3) cyclic)."""
     s = side_lengths(t).as_tuple()
@@ -124,10 +171,27 @@ def excentral(t: Triangle) -> Triangle:
     return Triangle(tuple(ex))
 
 
+def excentral_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
+    s = side_lengths_batch(v, log)
+    ex = []
+    for i in range(3):
+        w = s.copy()
+        w[:, i] = -w[:, i]
+        ex.append(_barycentric_batch(v, w, log))
+    return triangle_batch(np.stack(ex, axis=1), log)
+
+
 def _require_scalene(s: tuple[float, float, float], what: str) -> None:
     gap = min(abs(s[0] - s[1]), abs(s[1] - s[2]), abs(s[2] - s[0]))
     if gap < ISOSCELES_EPS * (s[0] + s[1] + s[2]):
         raise IsoscelesDegeneracy(f"{what} is ill-conditioned on isosceles input")
+
+
+def scalene_batch(s: np.ndarray) -> np.ndarray:
+    """Rows of side lengths (n, 3) on which ``_require_scalene`` passes."""
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
+    gap = np.minimum(np.minimum(np.abs(s1 - s2), np.abs(s2 - s3)), np.abs(s3 - s1))
+    return ~(gap < ISOSCELES_EPS * (s1 + s2 + s3))
 
 
 def antiorthic_axis_of(t: Triangle) -> Line:
@@ -195,3 +259,36 @@ def center(t: Triangle, k: int) -> Point:
     _require_scalene(s, "X_1155")
     return line_intersection(line_through(center(t, 1), center(t, 3)),
                              antiorthic_axis_of(t))
+
+
+#: Centers with a batched twin: the ones the measurement pass needs.
+BATCH_CENTERS = frozenset({1, 3, 9, 10, 11, 40, 100})
+
+
+def center_batch(v: np.ndarray, k: int, log: PassLog, s: np.ndarray | None = None) -> np.ndarray:
+    """``center`` over a triangle stack, for k in ``BATCH_CENTERS``; ``s``
+    passes side lengths already computed for ``v``."""
+    if k not in BATCH_CENTERS:
+        raise UnsupportedCenter(f"center X_{k} has no batched form; batched: {sorted(BATCH_CENTERS)}")
+    if s is None:
+        s = side_lengths_batch(v, log)
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
+    if k == 1:
+        f = np.ones_like(s)
+    elif k == 3:
+        f = np.stack([np.cos(a) for a in _angles_batch(s)], axis=-1)
+    elif k == 9:
+        f = np.stack([s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3], axis=-1)
+    elif k == 10:
+        return center_batch(medial_batch(v, log), 1, log)
+    elif k == 11:
+        A, B, C = _angles_batch(s)
+        f = np.stack([1.0 - np.cos(B - C), 1.0 - np.cos(C - A), 1.0 - np.cos(A - B)], axis=-1)
+        # Numerically equilateral rows fall back to the centroid, as in ``center``.
+        f = np.where((f.max(axis=1) < 1e-13)[:, None], 1.0, f)
+    elif k == 40:
+        return 2 * center_batch(v, 3, log, s) - center_batch(v, 1, log, s)
+    else:  # k == 100
+        log.check(~scalene_batch(s), IsoscelesDegeneracy, "X_100 is ill-conditioned on isosceles input")
+        f = np.stack([1.0 / (s2 - s3), 1.0 / (s3 - s1), 1.0 / (s1 - s2)], axis=-1)
+    return _barycentric_batch(v, f * s, log)

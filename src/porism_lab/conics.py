@@ -4,6 +4,13 @@ Circumconics through three vertices with a prescribed center are solved as
 the null space of a 5x6 linear system (three incidences plus two
 vanishing-gradient conditions).  Inconics come from the closed-form
 coefficients of the origin-centered conic tangent to three given lines.
+
+The ``_batch`` functions are the array twins used by the measurement pass
+(see ``geom``).  The one step that does not vectorize as written is the
+``math.fsum`` of the 3x3 minors; the batched twin evaluates them with the
+compensated dot product Dot2 of Ogita, Rump and Oishi, "Accurate Sum and Dot
+Product" (SIAM J. Sci. Comput. 26(6), 2005), which is as accurate as
+evaluating in twice the working precision.
 """
 
 from __future__ import annotations
@@ -20,16 +27,21 @@ from .errors import (
     DegenerateConic,
     NotAHyperbola,
     ParallelTangents,
+    PassLog,
     PerspectorAtInfinity,
 )
-from .geom import (
-    CanonicalConic,
+# canonicalize stays importable from this module: the benchmark's tracer
+# self-test (perfbench/test_perfbench.py) resolves it here.
+from .geom import (  # noqa: F401
+    ConicBatch,
     ConicMatrix,
     Line,
     Point,
     Triangle,
     canonicalize,
     line_through,
+    line_through_batch,
+    singular_values_batch,
 )
 
 BarycentricFn = Callable[[float, float, float], float]
@@ -67,6 +79,52 @@ def _det3(rows: list[list[float]], skip: int) -> float:
     return math.fsum([a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g])
 
 
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp split into two 26-bit halves
+
+
+def _two_sum(a, b):
+    """a + b = x + y exactly."""
+    x = a + b
+    z = x - a
+    return x, (a - (x - z)) + (b - z)
+
+
+def _two_product(a, b):
+    """a * b = x + y exactly (Dekker's product on Veltkamp splits)."""
+    x = a * b
+    c = _SPLITTER * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    c = _SPLITTER * b
+    b1 = c - (c - b)
+    b2 = b - b1
+    return x, a2 * b2 - (((x - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _dot2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Compensated dot product over the last axis (Dot2)."""
+    p, s = _two_product(x[..., 0], y[..., 0])
+    for k in range(1, x.shape[-1]):
+        h, r = _two_product(x[..., k], y[..., k])
+        p, q = _two_sum(p, h)
+        s = s + (q + r)
+    return p + s
+
+
+#: Columns kept by each of the four 3x3 minors of a 3x4 system.
+_MINOR_COLS = np.array([[j for j in range(4) if j != skip] for skip in range(4)])
+
+
+def _det3_batch(rows: np.ndarray) -> np.ndarray:
+    """The four signed 3x3 minors (n, 4) of a (n, 3, 4) row stack: the
+    terms of ``_det3`` summed with Dot2."""
+    m = np.moveaxis(rows[:, :, _MINOR_COLS], 1, 2)  # (n, minor, row, col)
+    (a, b, c), (d, e, f), (g, h, i) = ((m[..., r, 0], m[..., r, 1], m[..., r, 2]) for r in range(3))
+    x = np.stack([a * e, -a * f, -b * d, b * f, c * d, -c * e], axis=-1)
+    y = np.stack([i, h, i, g, h, g], axis=-1)
+    return _dot2(x, y)
+
+
 def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float, float]:
     """Coefficients (A, B, C, F) of A u^2 + 2B uv + C v^2 + F = 0 through the
     vertices in the frame translated so the prescribed center is the origin,
@@ -94,6 +152,37 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     return A, B, C, F, cond
 
 
+def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog):
+    """``_centered_circumconic`` over a stack: (A, B, C, F, cond) arrays."""
+    u = v[:, :, 0] - center[:, None, 0]
+    w = v[:, :, 1] - center[:, None, 1]
+    rows = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
+    sv = singular_values_batch(rows)
+    log.check(sv[:, -1] < 1e-12 * sv[:, 0], DegenerateConic,
+              "centered circumconic is not unique for this center")
+    minors = _det3_batch(rows)
+    vec = minors * np.array([1.0, -1.0, 1.0, -1.0])
+    top = np.abs(vec).max(axis=1)
+    log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
+    vec = vec / top[:, None]
+    return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], sv[:, 0] / sv[:, -1]
+
+
+def _origin_conic_batch(A, B, C, F) -> np.ndarray:
+    """Stack of [[A, B, 0], [B, C, 0], [0, 0, F]]."""
+    m = np.zeros((len(A), 3, 3))
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], m[:, 2, 2] = A, B, B, C, F
+    return m
+
+
+def _shift_batch(m0: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Congruence back to the original frame, x -> x - center."""
+    shift = np.tile(np.eye(3), (len(center), 1, 1))
+    shift[:, 0, 2] = -center[:, 0]
+    shift[:, 1, 2] = -center[:, 1]
+    return np.swapaxes(shift, 1, 2) @ m0 @ shift
+
+
 def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     """Unique conic through the three vertices with the given quadratic-form
     center (the null vector of three incidences in the center-origin frame)."""
@@ -107,6 +196,33 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     if sv[-1] < 1e-12 * sv[0]:
         raise DegenerateConic("centered circumconic degenerates for this center")
     return conic
+
+
+def circumconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
+    """``circumconic_centered`` over a stack.  Its rank test is the SVD that
+    ``canonicalize_batch`` reuses from the returned stack."""
+    A, B, C, F, cond = _centered_circumconic_batch(v, center, log)
+    conic = ConicBatch(_shift_batch(_origin_conic_batch(A, B, C, F), center), cond)
+    log.check(conic.sv[:, -1] < 1e-12 * conic.sv[:, 0], DegenerateConic,
+              "centered circumconic degenerates for this center")
+    return conic
+
+
+def _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23):
+    """Closed-form (A, B, C, D) of the origin-centered conic tangent to three
+    lines with cross terms d_ij = a_i b_j - a_j b_i; arithmetic only, for
+    floats and arrays."""
+    A = a2 * a3 * c1 * c1 * d23 - a1 * a3 * c2 * c2 * d13 + a1 * a2 * c3 * c3 * d12
+    B = 0.5 * ((a2 * b3 + a3 * b2) * c1 * c1 * d23
+               - (a1 * b3 + a3 * b1) * c2 * c2 * d13
+               + (a1 * b2 + a2 * b1) * c3 * c3 * d12)
+    C = b2 * b3 * c1 * c1 * d23 - b1 * b3 * c2 * c2 * d13 + b1 * b2 * c3 * c3 * d12
+    D = (0.25 / (d12 * d13 * d23)
+         * (d23 * c1 + d13 * c2 - d12 * c3)
+         * (d23 * c1 - d13 * c2 - d12 * c3)
+         * (d23 * c1 - d13 * c2 + d12 * c3)
+         * (d23 * c1 + d13 * c2 + d12 * c3))
+    return A, B, C, D
 
 
 def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
@@ -126,16 +242,7 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
     if min(abs(d12), abs(d13), abs(d23)) < 1e-12:
         raise ParallelTangents(f"tangent lines are (nearly) parallel: deltas=({d12:.2e}, {d13:.2e}, {d23:.2e})")
 
-    A = a2 * a3 * c1 * c1 * d23 - a1 * a3 * c2 * c2 * d13 + a1 * a2 * c3 * c3 * d12
-    B = 0.5 * ((a2 * b3 + a3 * b2) * c1 * c1 * d23
-               - (a1 * b3 + a3 * b1) * c2 * c2 * d13
-               + (a1 * b2 + a2 * b1) * c3 * c3 * d12)
-    C = b2 * b3 * c1 * c1 * d23 - b1 * b3 * c2 * c2 * d13 + b1 * b2 * c3 * c3 * d12
-    D = (0.25 / (d12 * d13 * d23)
-         * (d23 * c1 + d13 * c2 - d12 * c3)
-         * (d23 * c1 - d13 * c2 - d12 * c3)
-         * (d23 * c1 - d13 * c2 + d12 * c3)
-         * (d23 * c1 + d13 * c2 + d12 * c3))
+    A, B, C, D = _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23)
 
     det2 = A * C - B * B
     solved = []
@@ -151,6 +258,38 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
         )
         D = d_ref
     return InconicCoefficients(A, B, C, D)
+
+
+def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
+                                log: PassLog) -> ConicBatch:
+    """``inconic_from_tangents(...).to_conic()`` over stacks of lines (n, 3).
+
+    The D cross-check is made per sample; the fallbacks are counted in
+    ``log`` rather than warned one by one.
+    """
+    a1, b1, c1 = l1[:, 0], l1[:, 1], l1[:, 2]
+    a2, b2, c2 = l2[:, 0], l2[:, 1], l2[:, 2]
+    a3, b3, c3 = l3[:, 0], l3[:, 1], l3[:, 2]
+    d12 = a1 * b2 - a2 * b1
+    d13 = a1 * b3 - a3 * b1
+    d23 = a2 * b3 - a3 * b2
+    log.check(np.minimum(np.minimum(np.abs(d12), np.abs(d13)), np.abs(d23)) < 1e-12,
+              ParallelTangents, "tangent lines are (nearly) parallel")
+
+    A, B, C, D = _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23)
+
+    det2 = A * C - B * B
+    solved = []
+    for (a, b, c) in ((a1, b1, c1), (a2, b2, c2), (a3, b3, c3)):
+        denom = A * b * b - 2 * B * a * b + C * a * a
+        # Unusable lines sort last, so the k usable values come first.
+        solved.append(np.where(np.abs(denom) > 1e-300, -det2 * c * c / denom, np.inf))
+    solved = np.sort(np.stack(solved, axis=-1), axis=-1)
+    usable = np.count_nonzero(np.isfinite(solved), axis=-1)
+    d_ref = np.take_along_axis(solved, (usable // 2)[:, None], axis=-1)[:, 0]
+    fallback = np.abs(D - d_ref) > 1e-9 * np.maximum(np.abs(D), np.abs(d_ref))
+    log.fallback(fallback)
+    return ConicBatch(_origin_conic_batch(A, B, C, np.where(fallback, d_ref, D)))
 
 
 def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
@@ -173,6 +312,15 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
                       [0.0, 1.0, -center.y],
                       [0.0, 0.0, 1.0]])
     return ConicMatrix(shift.T @ m0 @ shift)
+
+
+def inconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
+    """``inconic_centered`` over a stack."""
+    s = v - center[:, None, :]
+    co = inconic_from_tangents_batch(line_through_batch(s[:, 1], s[:, 2]),
+                                     line_through_batch(s[:, 0], s[:, 2]),
+                                     line_through_batch(s[:, 0], s[:, 1]), log)
+    return ConicBatch(_shift_batch(co.m, center))
 
 
 def brianchon_point(t: Triangle, g: BarycentricFn) -> Point:
@@ -224,11 +372,15 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
     return 2.0 * math.sqrt(abs(F) * (abs(lam1) + abs(lam2)) / abs(lam1 * lam2))
 
 
-def circumconic_canonical(t: Triangle, center: Point) -> CanonicalConic:
-    """Convenience: canonicalized centered circumconic."""
-    return canonicalize(circumconic_centered(t, center))
-
-
-def inconic_canonical(t: Triangle, center: Point) -> CanonicalConic:
-    """Convenience: canonicalized centered inconic."""
-    return canonicalize(inconic_centered(t, center))
+def hyperbola_focal_length_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
+    """``hyperbola_focal_length`` over a stack."""
+    A, B, C, F, _ = _centered_circumconic_batch(v, center, log)
+    tr = A + C
+    disc = np.hypot(A - C, 2.0 * B)
+    lam1 = 0.5 * (tr - disc)
+    lam2 = 0.5 * (tr + disc)
+    not_hyperbola = lam1 * lam2 >= 0.0
+    log.check(not_hyperbola & (lam1 * F < 0), NotAHyperbola, "centered circumconic is an ellipse")
+    log.check(not_hyperbola & ~(lam1 * F < 0), NotAHyperbola,
+              "centered circumconic is an empty conic")
+    return 2.0 * np.sqrt(np.abs(F) * (np.abs(lam1) + np.abs(lam2)) / np.abs(lam1 * lam2))

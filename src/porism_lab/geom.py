@@ -4,10 +4,18 @@ and canonicalization of central conics.
 Conics are stored as symmetric 3x3 quadratic forms M with
 [x y 1] M [x y 1]^T = 0, normalized so the largest-magnitude entry is 1.
 All values are immutable and all operations are pure functions.
+
+Functions ending in ``_batch`` are the array twins of the scalar API, used by
+the measurement pass over a whole t-sweep: points are arrays of shape
+(..., 2), lines (..., 3) rows (a, b, c), triangles (n, 3, 2) vertex stacks
+and conics (n, 3, 3) stacks.  They evaluate the same formulas in the same
+order; where the scalar twin raises, they record the failing samples in a
+``PassLog`` instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +27,7 @@ from .errors import (
     DegenerateTriangle,
     NotCentral,
     ParallelLines,
+    PassLog,
 )
 
 # Scale-free degeneracy thresholds (see module tests for the rationale:
@@ -58,6 +67,10 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
+def distance_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+
+
 def midpoint(p: Point, q: Point) -> Point:
     return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
 
@@ -94,6 +107,20 @@ def line_through(p: Point, q: Point) -> Line:
     return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
+def line_batch(a, b, c) -> np.ndarray:
+    """Rows (a, b, c) normalized like ``Line``; the coefficients broadcast."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    n = np.hypot(a, b)
+    a, b, c = a / n, b / n, c / n
+    sign = np.where((a < 0.0) | ((a == 0.0) & (b < 0.0)), -1.0, 1.0)
+    return np.stack([a * sign, b * sign, c * sign], axis=-1)
+
+
+def line_through_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return line_batch(p[..., 1] - q[..., 1], q[..., 0] - p[..., 0],
+                      p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1])
+
+
 def line_intersection(l1: Line, l2: Line) -> Point:
     det = l1.a * l2.b - l2.a * l1.b
     if abs(det) < DEGENERACY_EPS:
@@ -101,6 +128,17 @@ def line_intersection(l1: Line, l2: Line) -> Point:
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
     return Point(x, y)
+
+
+def line_intersection_batch(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection points and the mask of the pairs that meet; the scalar
+    twin raises ParallelLines where the mask is false."""
+    a1, b1, c1 = l1[..., 0], l1[..., 1], l1[..., 2]
+    a2, b2, c2 = l2[..., 0], l2[..., 1], l2[..., 2]
+    det = a1 * b2 - a2 * b1
+    x = (b1 * c2 - b2 * c1) / det
+    y = (a2 * c1 - a1 * c2) / det
+    return np.stack([x, y], axis=-1), np.abs(det) >= DEGENERACY_EPS
 
 
 @dataclass(frozen=True)
@@ -157,10 +195,46 @@ class ConicMatrix:
         return cls(np.array([[A, B, D], [B, C, E], [D, E, F]]), cond)
 
 
+@dataclass(frozen=True, eq=False)
+class ConicBatch:
+    """Stack of quadratic forms, shape (n, 3, 3), with the max-entry
+    normalization of ``ConicMatrix``; ``cond`` optionally carries one
+    condition number per matrix."""
+
+    m: np.ndarray
+    cond: np.ndarray | None = None
+
+    def __post_init__(self):
+        m = np.asarray(self.m, dtype=float)
+        top = np.abs(m).max(axis=(1, 2))[:, None, None]
+        object.__setattr__(self, "m", 0.5 * (m + np.swapaxes(m, 1, 2)) / top)
+
+    @functools.cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of every matrix, largest first, computed once for
+        all the rank tests made on this stack."""
+        return singular_values_batch(self.m)
+
+
+def singular_values_batch(a: np.ndarray) -> np.ndarray:
+    """One stacked SVD over a (n, k, l) stack.  A row holding a non-finite
+    entry (a sample that already aborted) gets NaN instead of failing the
+    whole stack."""
+    ok = np.isfinite(a).all(axis=(1, 2))
+    sv = np.full((a.shape[0], min(a.shape[1:])), np.nan)
+    sv[ok] = np.linalg.svd(a[ok], compute_uv=False)
+    return sv
+
+
 def conic_eval(conic: ConicMatrix, p: Point) -> float:
     """[x y 1] M [x y 1]^T under the stored normalization."""
     v = np.array([p.x, p.y, 1.0])
     return float(v @ conic.m @ v)
+
+
+def conic_eval_batch(conic: ConicBatch, p: np.ndarray) -> np.ndarray:
+    v = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+    return (v[:, None, :] @ conic.m @ v[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -180,6 +254,19 @@ class CanonicalConic:
     kind: ConicKind
 
 
+@dataclass(frozen=True, eq=False)
+class CanonicalBatch:
+    """Canonical forms of a conic stack: centers (n, 2) and per-sample angle
+    and semi-axes as in ``CanonicalConic``.  ``hyperbola`` marks the
+    hyperbolas; rank-deficient and empty conics have zero semi-axes."""
+
+    center: np.ndarray
+    angle: np.ndarray
+    semi_major: np.ndarray
+    semi_minor: np.ndarray
+    hyperbola: np.ndarray
+
+
 def _wrap_half_pi(angle: float) -> float:
     """Reduce an axis direction to (-pi/2, pi/2]."""
     a = math.fmod(angle, math.pi)
@@ -188,6 +275,29 @@ def _wrap_half_pi(angle: float) -> float:
     elif a > math.pi / 2:
         a -= math.pi
     return a
+
+
+def _wrap_half_pi_batch(angle: np.ndarray) -> np.ndarray:
+    a = np.fmod(angle, math.pi)
+    return np.where(a <= -math.pi / 2, a + math.pi, np.where(a > math.pi / 2, a - math.pi, a))
+
+
+def _center_solve(A, B, C, D, E, F, det2):
+    """Center (cx, cy) of the quadratic block and the constant term f0 after
+    translating it to the origin; arithmetic only, for floats and arrays."""
+    cx = (B * E - C * D) / det2
+    cy = (B * D - A * E) / det2
+    # One refinement step keeps the center usable when the block is poorly
+    # conditioned (thin ellipses far from the origin).
+    rx = A * cx + B * cy + D
+    ry = B * cx + C * cy + E
+    cx = cx - (C * rx - B * ry) / det2
+    cy = cy - (A * ry - B * rx) / det2
+    # Constant term evaluated as the full quadratic: the gradient vanishes at
+    # the center, so this form is second-order insensitive to center error
+    # (unlike F + D cx + E cy).
+    f0 = (A * cx + 2 * B * cy) * cx + C * cy * cy + 2 * (D * cx + E * cy) + F
+    return cx, cy, f0
 
 
 def canonicalize(conic: ConicMatrix) -> CanonicalConic:
@@ -214,18 +324,7 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
             raise DegenerateConic(f"conic of rank < 3 (singular values {sv})")
         raise NotCentral("parabolic conic has no affine center")
 
-    cx = (B * E - C * D) / det2
-    cy = (B * D - A * E) / det2
-    # One refinement step keeps the center usable when the block is poorly
-    # conditioned (thin ellipses far from the origin).
-    rx = A * cx + B * cy + D
-    ry = B * cx + C * cy + E
-    cx -= (C * rx - B * ry) / det2
-    cy -= (A * ry - B * rx) / det2
-    # Constant term after translating the center to the origin, evaluated as
-    # the full quadratic: the gradient vanishes at the center, so this form
-    # is second-order insensitive to center error (unlike F + D cx + E cy).
-    f0 = (A * cx + 2 * B * cy) * cx + C * cy * cy + 2 * (D * cx + E * cy) + F
+    cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
 
     # Closed-form symmetric 2x2 eigendecomposition.  Either of the two
     # algebraically equivalent eigenvector forms can cancel to zero; take
@@ -272,6 +371,55 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
                               ConicKind.HYPERBOLA)
     # Both quotients negative: no real points.
     return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, ConicKind.EMPTY)
+
+
+def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
+    """``canonicalize`` over a stack: the same rank test (one stacked SVD),
+    center solve and refinement step, and closed-form 2x2
+    eigendecomposition."""
+    m = conic.m
+    A, B, D = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+    C, E = m[:, 1, 1], m[:, 1, 2]
+    F = m[:, 2, 2]
+    det2 = A * C - B * B
+    sv = conic.sv
+    rank3_ok = sv[:, 2] > DEGENERACY_EPS * sv[:, 0]
+    block_scale = np.maximum(np.abs(A), np.abs(C)) + np.abs(B)
+    singular = np.abs(det2) < DEGENERACY_EPS * block_scale * block_scale
+    log.check(singular & ~rank3_ok, DegenerateConic, "conic of rank < 3")
+    log.check(singular & rank3_ok, NotCentral, "parabolic conic has no affine center")
+
+    cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
+
+    tr = A + C
+    disc = np.hypot(A - C, 2.0 * B)
+    lam1 = 0.5 * (tr - disc)
+    lam2 = 0.5 * (tr + disc)
+    use_a = np.hypot(lam1 - C, B) >= np.hypot(B, lam1 - A)
+    v1x = np.where(use_a, lam1 - C, B)
+    v1y = np.where(use_a, B, lam1 - A)
+    n1 = np.hypot(v1x, v1y)
+    repeated = n1 < DEGENERACY_EPS * np.maximum(np.maximum(np.abs(A), np.abs(C)), np.abs(B))
+    v1x = np.where(repeated, 1.0, v1x / n1)
+    v1y = np.where(repeated, 0.0, v1y / n1)
+
+    q1 = -f0 / lam1
+    q2 = -f0 / lam2
+    ellipse = rank3_ok & (q1 > 0) & (q2 > 0)
+    hyperbola = rank3_ok & (q1 * q2 < 0)
+    a1, a2 = np.sqrt(np.abs(q1)), np.sqrt(np.abs(q2))
+    # Major (transverse) axis along v1, else along v2 = (-v1y, v1x).
+    along_v1 = np.where(ellipse, a1 >= a2, q1 > 0)
+    major = np.where(along_v1, a1, a2)
+    minor = np.where(along_v1, a2, a1)
+    angle = _wrap_half_pi_batch(np.arctan2(np.where(along_v1, v1y, v1x),
+                                          np.where(along_v1, v1x, -v1y)))
+    real = ellipse | hyperbola
+    circular = ellipse & (major - minor < CIRCULAR_EPS * major)
+    return CanonicalBatch(np.stack([cx, cy], axis=-1),
+                          np.where(real & ~circular, angle, 0.0),
+                          np.where(real, major, 0.0), np.where(real, minor, 0.0),
+                          hyperbola)
 
 
 def conic_from_canonical(c: CanonicalConic) -> ConicMatrix:
@@ -335,6 +483,17 @@ def foci(conic: CanonicalConic) -> tuple[Point, Point]:
     return conic.center + step, conic.center - step
 
 
+def foci_batch(conic: CanonicalBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Foci of every canonical form; rows with zero semi-axes (where the
+    scalar twin raises) give the center twice."""
+    gap = conic.semi_major ** 2 - conic.semi_minor ** 2
+    circle = gap <= (CIRCULAR_EPS * conic.semi_major) ** 2
+    c = np.where(conic.hyperbola, np.hypot(conic.semi_major, conic.semi_minor),
+                 np.sqrt(np.where(circle, 0.0, gap)))
+    step = np.stack([c * np.cos(conic.angle), c * np.sin(conic.angle)], axis=-1)
+    return conic.center + step, conic.center - step
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices in counter-clockwise order.
@@ -366,3 +525,35 @@ class Triangle:
     def perimeter(self) -> float:
         p1, p2, p3 = self.v
         return distance(p1, p2) + distance(p2, p3) + distance(p3, p1)
+
+
+def _area2_batch(v: np.ndarray) -> np.ndarray:
+    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
+    return ((p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1])
+            - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1]))
+
+
+def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
+    """``Triangle`` over a vertex stack: degenerate rows go to ``log`` and
+    clockwise rows get their last two vertices swapped."""
+    area2 = _area2_batch(v)
+    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
+    longest = np.maximum(np.maximum(distance_batch(p1, p2), distance_batch(p2, p3)),
+                         distance_batch(p3, p1))
+    log.check(np.abs(area2) < 2.0 * DEGENERACY_EPS * longest * longest,
+              DegenerateTriangle, "triangle area below threshold")
+    return np.where((area2 < 0)[:, None, None], v[:, [0, 2, 1]], v)
+
+
+def signed_area_batch(v: np.ndarray) -> np.ndarray:
+    return 0.5 * _area2_batch(v)
+
+
+def side_lines_batch(v: np.ndarray) -> np.ndarray:
+    """Lines of the sides opposite each vertex, shape (n, 3, 3)."""
+    return line_through_batch(v[:, [1, 2, 0]], v[:, [2, 0, 1]])
+
+
+def perimeter_batch(v: np.ndarray) -> np.ndarray:
+    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
+    return distance_batch(p1, p2) + distance_batch(p2, p3) + distance_batch(p3, p1)

@@ -5,6 +5,11 @@ Canonical frame (used by every function here): origin at the Bevan point
 X40, circumcenter X3 = (d, 0), incenter X1 = (2d, 0), where
 d = sqrt(R(R - 2r)) is Euler's distance.  Formulas quoted from other frames
 are shifted into this one; each shift is noted where it happens.
+
+Each closed form is written once, as a private function of cos t and sin t
+using only arithmetic and the ``sqrt`` it is given, so the scalar API (with
+``math``) and its ``_batch`` twin over an array of t (with numpy) evaluate
+the same expression.
 """
 
 from __future__ import annotations
@@ -17,8 +22,18 @@ import numpy as np
 
 from . import centers as _centers
 from . import conics as _conics
-from .errors import AxisAtInfinity, InvalidRatio
-from .geom import Circle, ConicMatrix, Line, Point, Triangle
+from .errors import AxisAtInfinity, InvalidRatio, PassLog
+from .geom import (
+    Circle,
+    ConicBatch,
+    ConicMatrix,
+    Line,
+    Point,
+    Triangle,
+    line_batch,
+    perimeter_batch,
+    triangle_batch,
+)
 
 # Family members within 1e-6 of t = 0 or t = pi are isosceles enough to make
 # the (s_i - s_j) trilinears unusable; sweeps skip them for X100-dependent
@@ -79,6 +94,18 @@ class FamilySample:
     perimeter: float
 
 
+def _vertices(cfg: PoristicConfig, ct, st, sqrt):
+    """omega and the vertices p1, p2, p3 as (x, y) pairs."""
+    R, r, d = cfg.R, cfg.r, cfg.d
+    w = sqrt(R * R - (d * ct + r) ** 2)
+    p1 = (ct * (d * ct + r) - w * st + d, (d * ct + r) * st + w * ct)
+    p2 = (ct * (d * ct + r) + w * st + d, (d * ct + r) * st - w * ct)
+    den = R * R - 2 * d * R * ct + d * d
+    p3 = (R * (2 * d * R - (R * R + d * d) * ct) / den + d,
+          R * (d * d - R * R) * st / den)
+    return w, p1, p2, p3
+
+
 def sample(cfg: PoristicConfig, t: float) -> FamilySample:
     """Vertices from the closed-form parametrization.
 
@@ -86,37 +113,68 @@ def sample(cfg: PoristicConfig, t: float) -> FamilySample:
     the t = 0 sample is isosceles with s2 = s3; the stored order is
     counter-clockwise.
     """
-    R, r, d = cfg.R, cfg.r, cfg.d
-    ct, st = math.cos(t), math.sin(t)
-    w = math.sqrt(R * R - (d * ct + r) ** 2)
-    p1 = Point(ct * (d * ct + r) - w * st + d, (d * ct + r) * st + w * ct)
-    p2 = Point(ct * (d * ct + r) + w * st + d, (d * ct + r) * st - w * ct)
-    den = R * R - 2 * d * R * ct + d * d
-    p3 = Point(R * (2 * d * R - (R * R + d * d) * ct) / den + d,
-               R * (d * d - R * R) * st / den)
-    tri = Triangle((p3, p2, p1))
+    w, p1, p2, p3 = _vertices(cfg, math.cos(t), math.sin(t), math.sqrt)
+    tri = Triangle((Point(*p3), Point(*p2), Point(*p1)))
     exc = _centers.excentral(tri)
     return FamilySample(t, tri, exc, w, tri.perimeter())
 
 
-def perimeter_closed_form(cfg: PoristicConfig, t: float) -> float:
+@dataclass(frozen=True, eq=False)
+class FamilyBatch:
+    """Family members at every t of a sweep: ``FamilySample`` with arrays
+    (triangles as (n, 3, 2) vertex stacks)."""
+
+    t: np.ndarray
+    triangle: np.ndarray
+    excentral: np.ndarray
+    omega: np.ndarray
+    perimeter: np.ndarray
+
+
+def sample_batch(cfg: PoristicConfig, ts: np.ndarray, log: PassLog) -> FamilyBatch:
+    w, p1, p2, p3 = _vertices(cfg, np.cos(ts), np.sin(ts), np.sqrt)
+    tri = triangle_batch(np.stack([np.stack(p, axis=-1) for p in (p3, p2, p1)], axis=1), log)
+    return FamilyBatch(ts, tri, _centers.excentral_batch(tri, log), w, perimeter_batch(tri))
+
+
+def _perimeter(cfg: PoristicConfig, ct, sqrt):
     R, d = cfg.R, cfg.d
-    ct = math.cos(t)
     return ((3 * R * R - 4 * d * R * ct + d * d)
-            * math.sqrt(3 * R * R + 2 * d * R * ct - d * d)
-            / (R * math.sqrt(R * R - 2 * d * R * ct + d * d)))
+            * sqrt(3 * R * R + 2 * d * R * ct - d * d)
+            / (R * sqrt(R * R - 2 * d * R * ct + d * d)))
+
+
+def perimeter_closed_form(cfg: PoristicConfig, t: float) -> float:
+    return _perimeter(cfg, math.cos(t), math.sqrt)
+
+
+def perimeter_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
+    return _perimeter(cfg, np.cos(ts), np.sqrt)
+
+
+def _x9(cfg: PoristicConfig, ct, st):
+    R, r, d = cfg.R, cfg.r, cfg.d
+    x = (d * (4 * d * ct * ct * (R * ct - d) - r * (3 * d * ct + R) - r * r)
+         / ((4 * R + r) * (d * ct - R + r)))
+    y = (4 * R * d * d * st * (R * R - (2 * R * ct - d) ** 2)
+         / ((R * R + d * d - 2 * d * R * ct) * (9 * R * R - d * d)))
+    return x + d, y
 
 
 def x9_closed_form(cfg: PoristicConfig, t: float) -> Point:
     """Mittenpunkt location; source formula lives in the X3-origin frame and
     is shifted by (+d, 0) into the canonical frame."""
-    R, r, d = cfg.R, cfg.r, cfg.d
-    ct, st = math.cos(t), math.sin(t)
-    x = (d * (4 * d * ct * ct * (R * ct - d) - r * (3 * d * ct + R) - r * r)
-         / ((4 * R + r) * (d * ct - R + r)))
-    y = (4 * R * d * d * st * (R * R - (2 * R * ct - d) ** 2)
-         / ((R * R + d * d - 2 * d * R * ct) * (9 * R * R - d * d)))
-    return Point(x + d, y)
+    return Point(*_x9(cfg, math.cos(t), math.sin(t)))
+
+
+def x9_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
+    return np.stack(_x9(cfg, np.cos(ts), np.sin(ts)), axis=-1)
+
+
+def _theta_args(cfg: PoristicConfig, ct, st):
+    """(y, x) of the atan2 that gives minus the circumbilliard axis angle."""
+    R, d = cfg.R, cfg.d
+    return (1 - ct) * (2 * R * ct + R - d), (R + d - 2 * R * ct) * st
 
 
 def theta_closed_form(cfg: PoristicConfig, t: float) -> float:
@@ -127,9 +185,7 @@ def theta_closed_form(cfg: PoristicConfig, t: float) -> float:
     assembled with atan2 so the poles of tan are harmless.  Validated against
     the canonicalized circumbilliard axis over dense sweeps.
     """
-    R, d = cfg.R, cfg.d
-    ct, st = math.cos(t), math.sin(t)
-    th = -math.atan2((1 - ct) * (2 * R * ct + R - d), (R + d - 2 * R * ct) * st)
+    th = -math.atan2(*_theta_args(cfg, math.cos(t), math.sin(t)))
     if th <= -math.pi / 2:
         th += math.pi
     elif th > math.pi / 2:
@@ -137,16 +193,41 @@ def theta_closed_form(cfg: PoristicConfig, t: float) -> float:
     return th
 
 
+def theta_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
+    th = -np.arctan2(*_theta_args(cfg, np.cos(ts), np.sin(ts)))
+    return np.where(th <= -math.pi / 2, th + math.pi, np.where(th > math.pi / 2, th - math.pi, th))
+
+
+def _excentral_lines(cfg: PoristicConfig, ct, st, sqrt):
+    """Unnormalized (a, b, c) of the three excentral side lines."""
+    R, r, d = cfg.R, cfg.r, cfg.d
+    w = sqrt(R * R - (d * ct + r) ** 2)
+    return (((d * st - w) * st - r * ct, -((d * ct + r) * st - w * ct), R * R - d * d),
+            ((d * st + w) * st - r * ct, -((d * ct + r) * st + w * ct), R * R - d * d),
+            (R * ct - d, R * st, -2 * d * R * ct + R * R + d * d))
+
+
 def excentral_side_lines(cfg: PoristicConfig, t: float) -> tuple[Line, Line, Line]:
     """Closed-form side lines of the excentral triangle (the external
     bisectors of the family member at t)."""
-    R, r, d = cfg.R, cfg.r, cfg.d
-    ct, st = math.cos(t), math.sin(t)
-    w = math.sqrt(R * R - (d * ct + r) ** 2)
-    l1 = Line((d * st - w) * st - r * ct, -((d * ct + r) * st - w * ct), R * R - d * d)
-    l2 = Line((d * st + w) * st - r * ct, -((d * ct + r) * st + w * ct), R * R - d * d)
-    l3 = Line(R * ct - d, R * st, -2 * d * R * ct + R * R + d * d)
-    return l1, l2, l3
+    l1, l2, l3 = _excentral_lines(cfg, math.cos(t), math.sin(t), math.sqrt)
+    return Line(*l1), Line(*l2), Line(*l3)
+
+
+def excentral_side_lines_batch(cfg: PoristicConfig, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three lines as (n, 3) row stacks."""
+    return tuple(line_batch(*abc) for abc in _excentral_lines(cfg, np.cos(ts), np.sin(ts), np.sqrt))
+
+
+def _i3x_entries(cfg: PoristicConfig, ct, st):
+    """(xx, xy, yy, const) of the I3x quadratic form."""
+    R, d = cfg.R, cfg.d
+    q = R * R - d * d
+    xx = q * q - 8 * d * R * R * (R * ct - d) * st * st
+    yy = q * q - 4 * d * R * ct * ((R * ct - d) ** 2 - R * R * st * st)
+    xy = 4 * d * R * st * (2 * R * ct - R - d) * (2 * R * ct + R - d)
+    const = -q * q * (R * R + d * d - 2 * d * R * ct)
+    return xx, xy, yy, const
 
 
 def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
@@ -156,16 +237,17 @@ def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
     the independent oracle for the tangent-line construction of the same
     conic.
     """
-    R, d = cfg.R, cfg.d
-    ct, st = math.cos(t), math.sin(t)
-    q = R * R - d * d
-    xx = q * q - 8 * d * R * R * (R * ct - d) * st * st
-    yy = q * q - 4 * d * R * ct * ((R * ct - d) ** 2 - R * R * st * st)
-    xy = 4 * d * R * st * (2 * R * ct - R - d) * (2 * R * ct + R - d)
-    const = -q * q * (R * R + d * d - 2 * d * R * ct)
+    xx, xy, yy, const = _i3x_entries(cfg, math.cos(t), math.sin(t))
     return ConicMatrix(np.array([[xx, 0.5 * xy, 0.0],
                                  [0.5 * xy, yy, 0.0],
                                  [0.0, 0.0, const]]))
+
+
+def i3x_implicit_matrix_batch(cfg: PoristicConfig, ts: np.ndarray) -> ConicBatch:
+    xx, xy, yy, const = _i3x_entries(cfg, np.cos(ts), np.sin(ts))
+    m = np.zeros((len(ts), 3, 3))
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], m[:, 2, 2] = xx, 0.5 * xy, 0.5 * xy, yy, const
+    return ConicBatch(m)
 
 
 def antiorthic_axis(cfg: PoristicConfig) -> Line:
@@ -234,6 +316,19 @@ def named_conic(cfg: PoristicConfig, t: float, tag: str,
     if is_circum:
         return _conics.circumconic_centered(tri, center)
     return _conics.inconic_centered(tri, center)
+
+
+def named_conic_batch(fam: FamilyBatch, tag: str, x: dict[int, np.ndarray],
+                      log: PassLog) -> ConicBatch:
+    """``named_conic`` over a sweep; ``x`` holds the reference triangle's
+    centers by index, as computed by ``centers.center_batch``."""
+    if tag not in _TAG_TABLE:
+        raise KeyError(f"unknown conic tag {tag!r}; valid: {CONIC_TAGS}")
+    on_excentral, is_circum, center_id = _TAG_TABLE[tag]
+    tri = fam.excentral if on_excentral else fam.triangle
+    if is_circum:
+        return _conics.circumconic_centered_batch(tri, x[center_id], log)
+    return _conics.inconic_centered_batch(tri, x[center_id], log)
 
 
 class FamilyAngleClass(Enum):

@@ -2,7 +2,12 @@
 
 ``run_verify`` evaluates every family invariant over a dense t-sweep and
 reports one verdict row per quantity; ``run_sweep`` dumps raw per-sample
-quantities.  A quantity is "invariant" when its relative spread over the
+quantities.  Both rest on one measurement pass that evaluates each stage on
+arrays over all t at once, through the ``_batch`` twins of the scalar
+kernel; a sample where the scalar kernel would raise makes the pass raise
+the same ``GeometryError`` subclass, for the first such t.
+
+A quantity is "invariant" when its relative spread over the
 sweep stays below tolerance; residual-style quantities (which should be
 numerically zero) pass when their maximum stays below tolerance; a few
 quantities (perimeter, billiard-view inradius and circumradius) must be
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,18 +27,25 @@ from . import billiard as _billiard
 from . import centers as _centers
 from . import conics as _conics
 from . import poristic as _poristic
-from .errors import ConfigError, IsoscelesDegeneracy, ParallelLines, UnknownQuantity
-from .geom import (
-    CanonicalConic,
+from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, UnknownQuantity
+# canonicalize, conic_eval and foci stay importable from this module: the
+# benchmark's tracer self-test (perfbench/test_perfbench.py) resolves them here.
+from .geom import (  # noqa: F401
     Point,
-    Triangle,
     canonicalize,
+    canonicalize_batch,
     conic_eval,
-    distance,
+    conic_eval_batch,
+    distance_batch,
     foci,
-    line_intersection,
-    line_through,
+    foci_batch,
+    line_intersection_batch,
+    line_through_batch,
+    perimeter_batch,
     power_of_point,
+    side_lines_batch,
+    signed_area_batch,
+    triangle_batch,
 )
 
 SCHEMA_VERSION = 1
@@ -134,238 +147,249 @@ class VerifyResult:
         }
 
 
-def _angle_gap(x: float, y: float, period: float) -> float:
+def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
     """Circular distance between two axis directions modulo period."""
-    g = math.fmod(x - y, period)
-    if g > period / 2:
-        g -= period
-    elif g < -period / 2:
-        g += period
-    return abs(g)
+    g = np.fmod(x - y, period)
+    return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
 
 
-def _canonical(conic) -> CanonicalConic:
-    return canonicalize(conic)
+def _xy(p: Point) -> np.ndarray:
+    return np.array([p.x, p.y])
 
 
-def _measure_sample(cfg: _poristic.PoristicConfig, t: float,
-                    sigma: tuple[float, float, float, float],
-                    perturb: float = 0.0,
-                    want_hyperbolas: bool = True) -> tuple[dict, list, float, np.ndarray]:
-    """All per-sample verification quantities.
+#: Named conics the pass builds, in the order their checks are made; the
+#: first five are circumconics, whose condition numbers the report carries.
+_MEASURED_TAGS = ("E1", "E9", "E10", "E5x", "E6x", "I3x", "I5x", "I9")
+_CIRCUM_TAGS = _MEASURED_TAGS[:5]
+_X100_ROWS = ("e1_x100_eval", "e9_x100_eval", "i3x_x100_eval")
 
-    Returns (values, skips, max_condition, i5x_matrix); a skipped quantity
-    appears in ``skips`` as (name, reason) and is absent from ``values``.
+
+@dataclass
+class _Measured:
+    """One batched pass: every quantity as a column over all t.  ``valid``
+    marks the samples holding a value in the partial columns; ``skips``
+    lists (quantity, samples, reason) in the order a skipped sample reports
+    them."""
+
+    t: np.ndarray
+    columns: dict[str, np.ndarray]
+    valid: dict[str, np.ndarray]
+    skips: list[tuple[str, np.ndarray, str]]
+    max_condition: float
+
+    def values(self, name: str) -> np.ndarray:
+        ok = self.valid.get(name)
+        return self.columns[name] if ok is None else self.columns[name][ok]
+
+    def skipped(self) -> list[dict]:
+        out = []
+        for i in np.flatnonzero(np.any([mask for _, mask, _ in self.skips], axis=0)):
+            for name, mask, reason in self.skips:
+                if mask[i]:
+                    out.append({"t": float(self.t[i]), "reason": f"{name}: {reason}"})
+        return out
+
+    def skip_reason(self, name: str, i: int) -> str:
+        for q, mask, reason in self.skips:
+            if q == name and mask[i]:
+                return reason
+        return "not computed"
+
+
+def _measure(cfg: _poristic.PoristicConfig, n: int, sigmas: np.ndarray,
+             perturb: float = 0.0, want_hyperbolas: bool = True) -> _Measured:
+    """Every per-sample verification quantity at t = 2 pi k / n, all k at
+    once.
+
+    Stages and checks run in the order of a sample-by-sample pass, so the
+    pass raises what the first failing sample raises (see ``PassLog``).
+    ``perturb`` shifts the first vertex of sample n // 3 along x.
     """
     R, r, d = cfg.R, cfg.r, cfg.d
-    s = _poristic.sample(cfg, t)
-    if perturb != 0.0:
-        v = list(s.triangle.v)
-        v[0] = Point(v[0].x + perturb, v[0].y)
-        tri = Triangle(tuple(v))
-        s = _poristic.FamilySample(t, tri, _centers.excentral(tri), s.omega, tri.perimeter())
-    tri = s.triangle
-    exc = s.excentral
+    t = 2 * math.pi * np.arange(n) / n
+    log = PassLog(t)
+    col: dict[str, np.ndarray] = {}
+    valid: dict[str, np.ndarray] = {}
+    skips: list[tuple[str, np.ndarray, str]] = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fam = _poristic.sample_batch(cfg, t, log)
+        if perturb != 0.0:
+            v = fam.triangle.copy()
+            v[n // 3, 0, 0] += perturb
+            tri = triangle_batch(v, log)
+            fam = _poristic.FamilyBatch(t, tri, _centers.excentral_batch(tri, log),
+                                        fam.omega, perimeter_batch(tri))
+        tri, exc = fam.triangle, fam.excentral
+        x3_pt, x1_pt, x40_pt = np.array([d, 0.0]), np.array([2 * d, 0.0]), np.zeros(2)
 
-    values: dict[str, float] = {}
-    skips: list[tuple[str, str]] = []
-    max_cond = 0.0
+        # --- Poncelet closure residuals.
+        col["circumcircle_residual"] = np.abs(distance_batch(tri, x3_pt) - R).max(axis=1)
+        sides = side_lines_batch(tri)
+        col["incircle_residual"] = np.abs(np.abs(
+            sides[..., 0] * x1_pt[0] + sides[..., 1] * x1_pt[1] + sides[..., 2]) - r).max(axis=1)
 
-    def put(name, val):
-        values[name] = float(val)
+        # --- Named conics and canonical forms.
+        s = _centers.side_lengths_batch(tri, log)
+        x = {k: _centers.center_batch(tri, k, log, s) for k in (9, 1, 3, 40, 10)}
+        conics = {tag: _poristic.named_conic_batch(fam, tag, x, log) for tag in _MEASURED_TAGS}
+        max_cond = max(float(conics[tag].cond.max()) for tag in _CIRCUM_TAGS)
+        can = {tag: canonicalize_batch(conics[tag], log) for tag in _MEASURED_TAGS}
 
-    # --- Poncelet closure residuals.
-    cc, ic = cfg.circumcircle, cfg.incircle
-    put("circumcircle_residual",
-        max(abs(distance(p, cc.center) - R) for p in tri.v))
-    put("incircle_residual",
-        max(abs(abs(tri.side_line(i).eval(ic.center)) - r) for i in range(3)))
+        col["perimeter"] = fam.perimeter
+        col["omega"] = fam.omega
+        col["x9_x"], col["x9_y"] = x[9][:, 0], x[9][:, 1]
+        col["theta"] = can["E9"].angle
+        for tag in _MEASURED_TAGS:
+            name = f"ratio_{tag.lower()}"
+            log.check(can[tag].semi_minor == 0.0, DegenerateConic,
+                      f"{name}: conic {tag} has a zero semi-minor axis")
+            col[name] = can[tag].semi_major / can[tag].semi_minor
+        for tag in ("E1", "I3x", "I5x"):
+            col[f"eta_{tag.lower()}"] = can[tag].semi_major
+            col[f"zeta_{tag.lower()}"] = can[tag].semi_minor
+        for tag in ("E1", "E9", "I3x", "E10", "E5x", "E6x"):
+            col[f"angle_{tag.lower()}"] = can[tag].angle
 
-    # --- Named conics and canonical forms.
-    x9 = _centers.center(tri, 9)
-    x1 = _centers.center(tri, 1)
-    x3 = _centers.center(tri, 3)
-    x40 = _centers.center(tri, 40)
-    x10 = _centers.center(tri, 10)
+        # --- Stationary excentral caustic: center X3, foci X40 and X1.
+        col["i5x_center_gap"] = distance_batch(can["I5x"].center, x3_pt)
+        f1, f2 = foci_batch(can["I5x"])
+        col["i5x_foci_gap"] = np.minimum(
+            np.maximum(distance_batch(f1, x40_pt), distance_batch(f2, x1_pt)),
+            np.maximum(distance_batch(f2, x40_pt), distance_batch(f1, x1_pt)))
+        m5 = conics["I5x"].m
+        col["i5x_stationarity"] = np.minimum(np.abs(m5 - m5[0]).max(axis=(1, 2)),
+                                             np.abs(m5 + m5[0]).max(axis=(1, 2)))
 
-    conic_e1 = _conics.circumconic_centered(tri, x1)
-    conic_e9 = _conics.circumconic_centered(tri, x9)
-    conic_e10 = _conics.circumconic_centered(tri, x10)
-    conic_e5x = _conics.circumconic_centered(exc, x3)
-    conic_e6x = _conics.circumconic_centered(exc, x9)
-    conic_i3x = _conics.inconic_centered(exc, x40)
-    conic_i5x = _conics.inconic_centered(exc, x3)
-    conic_i9 = _conics.inconic_centered(tri, x9)
-    for c in (conic_e1, conic_e9, conic_e10, conic_e5x, conic_e6x):
-        if c.cond is not None:
-            max_cond = max(max_cond, c.cond)
+        # --- Closed forms vs constructive values.
+        col["perimeter_closed_rel_err"] = (
+            np.abs(_poristic.perimeter_closed_form_batch(cfg, t) - fam.perimeter) / fam.perimeter)
+        col["x9_closed_gap"] = distance_batch(_poristic.x9_closed_form_batch(cfg, t), x[9])
+        col["theta_closed_gap"] = _angle_gap(_poristic.theta_closed_form_batch(cfg, t),
+                                             can["E9"].angle, math.pi)
+        locus = log.call(_poristic.mittenpunkt_locus_circle, cfg)
+        col["x9_locus_gap"] = np.abs(distance_batch(x[9], _xy(locus.center)) - locus.radius)
 
-    can_e1 = _canonical(conic_e1)
-    can_e9 = _canonical(conic_e9)
-    can_e10 = _canonical(conic_e10)
-    can_e5x = _canonical(conic_e5x)
-    can_e6x = _canonical(conic_e6x)
-    can_i3x = _canonical(conic_i3x)
-    can_i5x = _canonical(conic_i5x)
-    can_i9 = _canonical(conic_i9)
+        # --- Weaver power identities (P0 = antiorthic axis on the x-axis);
+        # per-configuration values, one per sample as in every column.
+        axis = log.call(_poristic.antiorthic_axis, cfg)
+        p0 = Point(-axis.c / axis.a, 0.0)
+        w_inc, w_circ = log.call(_poristic.weaver_circles, cfg)
+        for name, circle, other in (("weaver_incircle_power_gap", w_inc, cfg.incircle),
+                                    ("weaver_circumcircle_power_gap", w_circ, cfg.circumcircle),
+                                    ("weaver_excentral_power_gap", w_circ, cfg.excentral_circle)):
+            col[name] = np.full(n, abs(power_of_point(p0, circle) - power_of_point(p0, other)))
 
-    put("perimeter", s.perimeter)
-    put("omega", s.omega)
-    put("x9_x", x9.x)
-    put("x9_y", x9.y)
-    put("theta", can_e9.angle)
+        # --- Antiorthic axis from side-line intersections (degenerate at
+        # t = 0, pi where an external bisector parallels its opposite side).
+        pts, meets = line_intersection_batch(sides, side_lines_batch(exc))
+        has_axis = np.count_nonzero(meets, axis=1) >= 2
+        for name in ("antiorthic_axis_gap", "antiorthic_intercept"):
+            skips.append((name, ~has_axis, "isosceles member: bisector parallel to side"))
+            valid[name] = has_axis
+        col["antiorthic_axis_gap"] = np.where(
+            meets, np.abs(axis.a * pts[..., 0] + axis.b * pts[..., 1] + axis.c), 0.0).max(axis=1)
+        first_two = np.argsort(~meets, axis=1, kind="stable")[:, :2, None]
+        q = np.take_along_axis(pts, first_two, axis=1)
+        constructed = line_through_batch(q[:, 0], q[:, 1])
+        col["antiorthic_intercept"] = -constructed[:, 2] / constructed[:, 0]
 
-    put("ratio_e1", can_e1.semi_major / can_e1.semi_minor)
-    put("ratio_e9", can_e9.semi_major / can_e9.semi_minor)
-    put("ratio_e10", can_e10.semi_major / can_e10.semi_minor)
-    put("ratio_e5x", can_e5x.semi_major / can_e5x.semi_minor)
-    put("ratio_e6x", can_e6x.semi_major / can_e6x.semi_minor)
-    put("ratio_i3x", can_i3x.semi_major / can_i3x.semi_minor)
-    put("ratio_i5x", can_i5x.semi_major / can_i5x.semi_minor)
-    put("ratio_i9", can_i9.semi_major / can_i9.semi_minor)
-    put("eta_e1", can_e1.semi_major)
-    put("zeta_e1", can_e1.semi_minor)
-    put("eta_i3x", can_i3x.semi_major)
-    put("zeta_i3x", can_i3x.semi_minor)
-    put("eta_i5x", can_i5x.semi_major)
-    put("zeta_i5x", can_i5x.semi_minor)
-    put("angle_e1", can_e1.angle)
-    put("angle_e9", can_e9.angle)
-    put("angle_i3x", can_i3x.angle)
-    put("angle_e10", can_e10.angle)
-    put("angle_e5x", can_e5x.angle)
-    put("angle_e6x", can_e6x.angle)
+        # --- Excentral-inconic dual route: tangent-line coefficients vs the
+        # implicit closed form.
+        m_lemma = _conics.inconic_from_tangents_batch(
+            *_poristic.excentral_side_lines_batch(cfg, t), log).m
+        m_impl = _poristic.i3x_implicit_matrix_batch(cfg, t).m
+        col["i3x_implicit_gap"] = np.minimum(np.abs(m_lemma - m_impl).max(axis=(1, 2)),
+                                             np.abs(m_lemma + m_impl).max(axis=(1, 2)))
 
-    # --- Stationary excentral caustic.
-    put("i5x_center_gap", distance(can_i5x.center, Point(d, 0.0)))
-    f1, f2 = foci(can_i5x)
-    gap_a = max(distance(f1, Point(0.0, 0.0)), distance(f2, Point(2 * d, 0.0)))
-    gap_b = max(distance(f2, Point(0.0, 0.0)), distance(f1, Point(2 * d, 0.0)))
-    put("i5x_foci_gap", min(gap_a, gap_b))
+        # --- X100 incidences (scalene members only; the family is isosceles
+        # at t = 0 and pi, excluded with a fixed parameter radius).
+        # math.remainder is exact (numpy has no IEEE remainder), so the radius
+        # test decides exactly as the scalar pass does.
+        near = np.array([abs(math.remainder(ti, math.pi)) < _poristic.ISOSCELES_T_RADIUS
+                         for ti in t.tolist()])
+        isosceles = ~near & ~_centers.scalene_batch(s)
+        has_x100 = ~(near | isosceles)
+        skips += [(name, near, "isosceles member: X100 undefined") for name in _X100_ROWS]
+        skips += [(name, isosceles, "X_100 is ill-conditioned on isosceles input")
+                  for name in _X100_ROWS]
+        x100 = _centers.center_batch(tri, 100, log.where(has_x100), s)
+        for name, tag in zip(_X100_ROWS, ("E1", "E9", "I3x")):
+            col[name] = np.abs(conic_eval_batch(conics[tag], x100))
+            valid[name] = has_x100
 
-    # --- Closed forms vs constructive values.
-    put("perimeter_closed_rel_err",
-        abs(_poristic.perimeter_closed_form(cfg, t) - s.perimeter) / s.perimeter)
-    put("x9_closed_gap", distance(_poristic.x9_closed_form(cfg, t), x9))
-    put("theta_closed_gap",
-        _angle_gap(_poristic.theta_closed_form(cfg, t), can_e9.angle, math.pi))
-    locus = _poristic.mittenpunkt_locus_circle(cfg)
-    put("x9_locus_gap", abs(distance(x9, locus.center) - locus.radius))
+        # --- Similarity normalization onto the fixed billiard.
+        a9, b9, _c9 = log.call(_billiard.cb_axes_normalized, cfg.rho)
+        norm = _billiard.normalize_sample_batch(cfg, fam, log)
+        col["billiard_ellipse_residual"] = np.abs(
+            (norm[..., 0] / a9) ** 2 + (norm[..., 1] / b9) ** 2 - 1.0).max(axis=1)
+        col["reflection_law_gap"] = _billiard.reflection_law_residual_batch(norm, a9, b9)
+        # Inradius/circumradius of the normalized member, recomputed from its
+        # geometry: both vary over the billiard-view family, their ratio does not.
+        ns = _centers.side_lengths_batch(norm, log)
+        n_area = signed_area_batch(norm)
+        r_norm = 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2])
+        R_norm = ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area)
+        col["r_billiard"], col["R_billiard"], col["rho_billiard"] = r_norm, R_norm, r_norm / R_norm
 
-    # --- Weaver power identities (P0 = antiorthic axis on the x-axis).
-    axis = _poristic.antiorthic_axis(cfg)
-    p0 = Point(-axis.c / axis.a, 0.0)
-    w_inc, w_circ = _poristic.weaver_circles(cfg)
-    put("weaver_incircle_power_gap",
-        abs(power_of_point(p0, w_inc) - power_of_point(p0, ic)))
-    put("weaver_circumcircle_power_gap",
-        abs(power_of_point(p0, w_circ) - power_of_point(p0, cc)))
-    put("weaver_excentral_power_gap",
-        abs(power_of_point(p0, w_circ) - power_of_point(p0, cfg.excentral_circle)))
+        # --- Circumbilliard foci on the predicted circle.
+        fc_center, fc_radius = _billiard.foci_locus_check(cfg)
+        g1, g2 = foci_batch(can["E9"])
+        col["cb_foci_circle_gap"] = np.maximum(
+            np.abs(distance_batch(g1, _xy(fc_center)) - fc_radius),
+            np.abs(distance_batch(g2, _xy(fc_center)) - fc_radius))
 
-    # --- Antiorthic axis from side-line intersections (degenerate at
-    # t = 0, pi where an external bisector parallels its opposite side).
-    pts = []
-    for i in range(3):
-        try:
-            pts.append(line_intersection(tri.side_line(i), exc.side_line(i)))
-        except ParallelLines:
-            pass
-    if len(pts) >= 2:
-        put("antiorthic_axis_gap", max(abs(axis.eval(q)) for q in pts))
-        constructed = line_through(pts[0], pts[1])
-        put("antiorthic_intercept", -constructed.c / constructed.a)
-    else:
-        skips.append(("antiorthic_axis_gap", "isosceles member: bisector parallel to side"))
-        skips.append(("antiorthic_intercept", "isosceles member: bisector parallel to side"))
+        # --- Axis relations.
+        col["e6x_e9_center_gap"] = distance_batch(can["E6x"].center, can["E9"].center)
+        col["e6x_e9_axis_gap"] = _angle_gap(can["E6x"].angle, can["E9"].angle, math.pi / 2)
+        col["e1_i3x_axis_gap"] = np.abs(
+            _angle_gap(can["E1"].angle, can["I3x"].angle, math.pi) - math.pi / 2)
+        fam_axes = [can[tag].angle for tag in ("E9", "E10", "E5x", "E6x", "I3x")]
+        col["parallel_axes_gap"] = np.max([_angle_gap(a, b, math.pi / 2)
+                                           for i, a in enumerate(fam_axes)
+                                           for b in fam_axes[i + 1:]], axis=0)
 
-    # --- Excentral-inconic dual route: tangent-line coefficients vs the
-    # implicit closed form.
-    lines = _poristic.excentral_side_lines(cfg, t)
-    co = _conics.inconic_from_tangents(*lines)
-    m_lemma = co.to_conic().m
-    m_impl = _poristic.i3x_implicit_matrix(cfg, t).m
-    put("i3x_implicit_gap",
-        min(np.abs(m_lemma - m_impl).max(), np.abs(m_lemma + m_impl).max()))
+        # --- Focal-length ratio of the two circumhyperbolas.
+        if want_hyperbolas:
+            skips.append(("gamma_ratio", ~has_x100, "isosceles-degenerate X100"))
+            hyp_log = log.where(has_x100)
+            x11 = _centers.center_batch(tri, 11, hyp_log, s)
+            g_feu = _conics.hyperbola_focal_length_batch(tri, x11, hyp_log)
+            g_jer = _conics.hyperbola_focal_length_batch(exc, x100, hyp_log)
+            col["gamma_feuerbach"], col["gamma_jerabek"] = g_feu, g_jer
+            col["gamma_ratio"] = g_jer / g_feu
+            for name in ("gamma_feuerbach", "gamma_jerabek", "gamma_ratio"):
+                valid[name] = has_x100
 
-    # --- X100 incidences (scalene members only; the family is isosceles at
-    # t = 0 and pi, excluded with a fixed parameter radius).
-    x100 = None
-    if abs(math.remainder(t, math.pi)) < _poristic.ISOSCELES_T_RADIUS:
-        for name in ("e1_x100_eval", "e9_x100_eval", "i3x_x100_eval"):
-            skips.append((name, "isosceles member: X100 undefined"))
-    else:
-        try:
-            x100 = _centers.center(tri, 100)
-            put("e1_x100_eval", abs(conic_eval(conic_e1, x100)))
-            put("e9_x100_eval", abs(conic_eval(conic_e9, x100)))
-            put("i3x_x100_eval", abs(conic_eval(conic_i3x, x100)))
-        except IsoscelesDegeneracy as exc_info:
-            for name in ("e1_x100_eval", "e9_x100_eval", "i3x_x100_eval"):
-                skips.append((name, str(exc_info)))
+        # --- Similarity equivariance of the center registry (seeded transform).
+        ang, scale, tx, ty = (a[:, None] for a in sigmas.T)
+        ca, sa = np.cos(ang), np.sin(ang)
 
-    # --- Similarity normalization onto the fixed billiard.
-    a9, b9, _c9 = _billiard.cb_axes_normalized(cfg.rho)
-    norm_tri = _billiard.normalize_sample(cfg, s)
-    put("billiard_ellipse_residual",
-        max(abs((p.x / a9) ** 2 + (p.y / b9) ** 2 - 1.0) for p in norm_tri.v))
-    put("reflection_law_gap",
-        _billiard.reflection_law_residual(norm_tri, a9, b9))
-    # Inradius/circumradius of the normalized member, recomputed from its
-    # geometry: both vary over the billiard-view family, their ratio does not.
-    ns = _centers.side_lengths(norm_tri).as_tuple()
-    n_area = norm_tri.signed_area
-    r_norm = 2.0 * n_area / (ns[0] + ns[1] + ns[2])
-    R_norm = ns[0] * ns[1] * ns[2] / (4.0 * n_area)
-    put("r_billiard", r_norm)
-    put("R_billiard", R_norm)
-    put("rho_billiard", r_norm / R_norm)
+        def apply_sigma(p: np.ndarray) -> np.ndarray:
+            return np.stack([scale * (ca * p[..., 0] - sa * p[..., 1]) + tx,
+                             scale * (sa * p[..., 0] + ca * p[..., 1]) + ty], axis=-1)
 
-    # --- Circumbilliard foci on the predicted circle.
-    fc_center, fc_radius = _billiard.foci_locus_check(cfg)
-    g1, g2 = foci(can_e9)
-    put("cb_foci_circle_gap",
-        max(abs(distance(g1, fc_center) - fc_radius),
-            abs(distance(g2, fc_center) - fc_radius)))
+        tri_sigma = triangle_batch(apply_sigma(tri), log)
+        s_sigma = _centers.side_lengths_batch(tri_sigma, log)
+        gap = np.zeros(n)
+        for k in (1, 9, 10, 11):
+            direct = _centers.center_batch(tri_sigma, k, log, s_sigma)
+            here = x[k] if k in x else _centers.center_batch(tri, k, log, s)
+            mapped = apply_sigma(here[:, None, :])[:, 0]
+            gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * R))
+        col["center_equivariance_gap"] = gap
 
-    # --- Axis relations.
-    put("e6x_e9_center_gap", distance(can_e6x.center, can_e9.center))
-    put("e6x_e9_axis_gap", _angle_gap(can_e6x.angle, can_e9.angle, math.pi / 2))
-    put("e1_i3x_axis_gap",
-        abs(_angle_gap(can_e1.angle, can_i3x.angle, math.pi) - math.pi / 2))
-    fam = [can_e9.angle, can_e10.angle, can_e5x.angle, can_e6x.angle, can_i3x.angle]
-    put("parallel_axes_gap",
-        max(_angle_gap(a, b, math.pi / 2) for i, a in enumerate(fam) for b in fam[i + 1:]))
-
-    # --- Focal-length ratio of the two circumhyperbolas.
-    if want_hyperbolas:
-        if x100 is None:
-            skips.append(("gamma_ratio", "isosceles-degenerate X100"))
-        else:
-            x11 = _centers.center(tri, 11)
-            g_feu = _conics.hyperbola_focal_length(tri, x11)
-            g_jer = _conics.hyperbola_focal_length(exc, x100)
-            put("gamma_feuerbach", g_feu)
-            put("gamma_jerabek", g_jer)
-            put("gamma_ratio", g_jer / g_feu)
-
-    # --- Similarity equivariance of the center registry (seeded transform).
-    ang, scale, tx, ty = sigma
-    ca, sa = math.cos(ang), math.sin(ang)
-
-    def apply_sigma(p: Point) -> Point:
-        return Point(scale * (ca * p.x - sa * p.y) + tx,
-                     scale * (sa * p.x + ca * p.y) + ty)
-
-    tri_sigma = Triangle(tuple(apply_sigma(p) for p in tri.v))
-    gap = 0.0
-    for k in (1, 9, 10, 11):
-        direct = _centers.center(tri_sigma, k)
-        mapped = apply_sigma(_centers.center(tri, k))
-        gap = max(gap, distance(direct, mapped) / (scale * R))
-    put("center_equivariance_gap", gap)
-
-    return values, skips, max_cond, conic_i5x.m
+    if log.fallbacks:
+        warnings.warn(f"closed-form inconic D disagreed with the tangency-solved D in "
+                      f"{log.fallbacks} cases; the solved values were used",
+                      _conics.InconicCoefficientWarning)
+    log.raise_first()
+    for name, values in col.items():
+        bad = ~np.isfinite(values)
+        if name in valid:
+            bad &= valid[name]
+        if bad.any():
+            raise GeometryError(f"{name} is not finite at t = {float(t[np.argmax(bad)])!r}")
+    return _Measured(t, col, valid, skips, max_cond)
 
 
 def _row_defs(cfg: _poristic.PoristicConfig, lab: LabConfig) -> list[dict]:
@@ -438,68 +462,36 @@ def _row_defs(cfg: _poristic.PoristicConfig, lab: LabConfig) -> list[dict]:
     return rows
 
 
-def _sigma_stream(seed: int, n: int) -> list[tuple[float, float, float, float]]:
+def _sigma_stream(seed: int, n: int) -> np.ndarray:
+    """Seeded similarity per sample: rows (angle, scale, tx, ty)."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        out.append((float(rng.uniform(0, 2 * math.pi)),
-                    float(rng.uniform(0.5, 2.0)),
-                    float(rng.uniform(-3, 3)),
-                    float(rng.uniform(-3, 3))))
-    return out
+    return rng.uniform([0.0, 0.5, -3.0, -3.0], [2 * math.pi, 2.0, 3.0, 3.0], size=(n, 4))
 
 
 def run_verify(lab: LabConfig) -> VerifyResult:
     lab = lab.validated()
     cfg = lab.poristic()
     n = lab.t_samples
-    ts = [2 * math.pi * k / n for k in range(n)]
-    sigmas = _sigma_stream(lab.seed, n)
-    perturb_at = n // 3
-
-    series: dict[str, list[float]] = {}
-    skipped: list[dict] = []
-    max_cond = 0.0
-    i5x_matrices = []
-    for idx, t in enumerate(ts):
-        eps = lab.perturb if idx == perturb_at else 0.0
-        vals, skips, cond, i5x_m = _measure_sample(cfg, t, sigmas[idx], perturb=eps)
-        max_cond = max(max_cond, cond)
-        for name, val in vals.items():
-            series.setdefault(name, []).append(val)
-        for name, reason in skips:
-            skipped.append({"t": t, "reason": f"{name}: {reason}"})
-        i5x_matrices.append(i5x_m)
-
-    # Stationarity of the excentral caustic: max-entry drift of the
-    # normalized matrix against the first sample.
-    ref = i5x_matrices[0]
-    series["i5x_stationarity"] = [
-        float(min(np.abs(m - ref).max(), np.abs(m + ref).max())) for m in i5x_matrices
-    ]
-
-    reports = []
-    for spec in _row_defs(cfg, lab):
-        name = spec["name"]
-        vals = series.get(name, [])
-        reports.append(_aggregate(name, vals, spec))
-    return VerifyResult(lab, reports, skipped, max_cond)
+    measured = _measure(cfg, n, _sigma_stream(lab.seed, n), perturb=lab.perturb)
+    reports = [_aggregate(spec["name"], measured.values(spec["name"]), spec)
+               for spec in _row_defs(cfg, lab)]
+    return VerifyResult(lab, reports, measured.skipped(), measured.max_condition)
 
 
-def _aggregate(name: str, vals: list[float], spec: dict) -> SweepReport:
+def _aggregate(name: str, vals: np.ndarray, spec: dict) -> SweepReport:
     tol = spec["tol"]
     check = spec["check"]
     expected = spec.get("expected")
-    if not vals:
+    if not len(vals):
         return SweepReport(name, 0, math.nan, math.nan, math.nan, math.nan,
                            "skipped", tol, check, expected,
                            expected_verdict="invariant", status="fail")
-    lo, hi = min(vals), max(vals)
-    mean = sum(vals) / len(vals)
+    lo, hi = float(vals.min()), float(vals.max())
+    mean = sum(vals.tolist()) / len(vals)
     spread = (hi - lo) / abs(mean) if mean != 0.0 else math.inf
 
     if check == "residual":
-        worst = max(abs(v) for v in vals)
+        worst = float(np.abs(vals).max())
         verdict = "invariant" if worst < tol else "varying"
         status = "pass" if verdict == "invariant" else "fail"
         return SweepReport(name, len(vals), lo, hi, mean, spread, verdict,
@@ -554,25 +546,19 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
     cfg = lab.poristic()
     n = lab.t_samples
-    ts = [2 * math.pi * k / n for k in range(n)]
-    sigmas = _sigma_stream(lab.seed, n)
-    want_hyp = any(q.startswith("gamma") for q in quantities)
-
-    header = ["t"] + list(quantities)
-    rows = []
-    skip_log: list[dict] = []
-    for idx, t in enumerate(ts):
-        vals, skips, _, _ = _measure_sample(cfg, t, sigmas[idx], want_hyperbolas=want_hyp)
-        row: list = [t]
-        skip_reasons = dict((name, reason) for name, reason in skips)
-        for q in quantities:
-            if q in vals:
-                row.append(vals[q])
-            else:
-                row.append(None)
-                skip_log.append({"t": t, "reason": f"{q}: {skip_reasons.get(q, 'not computed')}"})
-        rows.append(row)
-    return header, rows, skip_log
+    measured = _measure(cfg, n, _sigma_stream(lab.seed, n),
+                        want_hyperbolas=any(q.startswith("gamma") for q in quantities))
+    columns = []
+    for q in quantities:
+        values = measured.columns[q].tolist()
+        ok = measured.valid.get(q)
+        columns.append(values if ok is None else
+                       [v if keep else None for v, keep in zip(values, ok.tolist())])
+    rows = [[t, *cells] for t, *cells in zip(measured.t.tolist(), *columns)]
+    skip_log = [{"t": row[0], "reason": f"{q}: {measured.skip_reason(q, i)}"}
+                for i, row in enumerate(rows)
+                for q, cell in zip(quantities, row[1:]) if cell is None]
+    return ["t"] + list(quantities), rows, skip_log
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:
