@@ -13,6 +13,7 @@ explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from . import report as _report
 from .errors import GeometryError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="porism-lab",
@@ -49,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="write per-sample quantities as CSV")
     add_common(p_sweep)
     p_sweep.add_argument("--quantities", default="",
-                         help="comma-separated quantity names (see docs); empty for header only")
+                         help="comma-separated quantity names, from: "
+                              f"{', '.join(_report.SWEEP_QUANTITIES)}; empty for header only")
 
     p_figure = sub.add_parser("figure", help="render one SVG figure")
     add_common(p_figure)
@@ -178,10 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(lab, args.quantities)
         return _cmd_figure(lab, args.figure)
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

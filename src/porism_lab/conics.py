@@ -192,8 +192,7 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
                       [0.0, 1.0, -center.y],
                       [0.0, 0.0, 1.0]])
     conic = ConicMatrix(shift.T @ m0 @ shift, cond=cond)
-    sv = np.linalg.svd(conic.m, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
+    if conic.sv[-1] < 1e-12 * conic.sv[0]:
         raise DegenerateConic("centered circumconic degenerates for this center")
     return conic
 

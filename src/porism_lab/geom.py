@@ -194,6 +194,11 @@ class ConicMatrix:
         """Build from A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0."""
         return cls(np.array([[A, B, D], [B, C, E], [D, E, F]]), cond)
 
+    @functools.cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values, largest first, computed once for all rank tests."""
+        return np.linalg.svd(self.m, compute_uv=False)
+
 
 @dataclass(frozen=True, eq=False)
 class ConicBatch:
@@ -316,7 +321,7 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     # Degeneracy and centrality are judged on singular-value ratios: a plain
     # |det| threshold under max-entry normalization would misclassify thin
     # conics far from the origin, whose determinant is legitimately tiny.
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = conic.sv
     rank3_ok = sv[2] > DEGENERACY_EPS * sv[0]
     block_scale = max(abs(A), abs(C)) + abs(B)
     if abs(det2) < DEGENERACY_EPS * block_scale * block_scale:

@@ -30,6 +30,8 @@ from .geom import (
     Line,
     Point,
     Triangle,
+    _wrap_half_pi,
+    _wrap_half_pi_batch,
     line_batch,
     perimeter_batch,
     triangle_batch,
@@ -185,17 +187,11 @@ def theta_closed_form(cfg: PoristicConfig, t: float) -> float:
     assembled with atan2 so the poles of tan are harmless.  Validated against
     the canonicalized circumbilliard axis over dense sweeps.
     """
-    th = -math.atan2(*_theta_args(cfg, math.cos(t), math.sin(t)))
-    if th <= -math.pi / 2:
-        th += math.pi
-    elif th > math.pi / 2:
-        th -= math.pi
-    return th
+    return _wrap_half_pi(-math.atan2(*_theta_args(cfg, math.cos(t), math.sin(t))))
 
 
 def theta_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
-    th = -np.arctan2(*_theta_args(cfg, np.cos(ts), np.sin(ts)))
-    return np.where(th <= -math.pi / 2, th + math.pi, np.where(th > math.pi / 2, th - math.pi, th))
+    return _wrap_half_pi_batch(-np.arctan2(*_theta_args(cfg, np.cos(ts), np.sin(ts))))
 
 
 def _excentral_lines(cfg: PoristicConfig, ct, st, sqrt):

@@ -2,10 +2,11 @@
 
 ``run_verify`` evaluates every family invariant over a dense t-sweep and
 reports one verdict row per quantity; ``run_sweep`` dumps raw per-sample
-quantities.  Both rest on one measurement pass that evaluates each stage on
-arrays over all t at once, through the ``_batch`` twins of the scalar
-kernel; a sample where the scalar kernel would raise makes the pass raise
-the same ``GeometryError`` subclass, for the first such t.
+quantities.  Both read one table, ``QUANTITIES``, and one measurement pass
+whose stages run on arrays over all t, through the ``_batch`` twins of the
+scalar kernel, and only when a requested quantity needs them.  A sample
+where the scalar kernel would raise makes the pass raise the same
+``GeometryError`` subclass, for the first such t.
 
 A quantity is "invariant" when its relative spread over the
 sweep stays below tolerance; residual-style quantities (which should be
@@ -16,10 +17,13 @@ detected as varying.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -80,15 +84,7 @@ class LabConfig:
             raise ConfigError(str(exc)) from exc
 
     def as_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "r": self.r,
-            "t_samples": self.t_samples,
-            "tolerance": self.tolerance,
-            "angle_tolerance": self.angle_tolerance,
-            "seed": self.seed,
-            "perturb": self.perturb,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "output_dir"}
 
 
 @dataclass
@@ -109,20 +105,7 @@ class SweepReport:
     status: str = "pass"
 
     def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "samples": self.samples,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "spread_rel": self.spread_rel,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "check": self.check,
-            "expected": self.expected,
-            "expected_verdict": self.expected_verdict,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -153,214 +136,143 @@ def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
     return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
 
 
-def _xy(p: Point) -> np.ndarray:
-    return np.array([p.x, p.y])
-
-
 #: Named conics the pass builds, in the order their checks are made; the
 #: first five are circumconics, whose condition numbers the report carries.
 _MEASURED_TAGS = ("E1", "E9", "E10", "E5x", "E6x", "I3x", "I5x", "I9")
-_CIRCUM_TAGS = _MEASURED_TAGS[:5]
-_X100_ROWS = ("e1_x100_eval", "e9_x100_eval", "i3x_x100_eval")
 
 
-@dataclass
-class _Measured:
-    """One batched pass: every quantity as a column over all t.  ``valid``
-    marks the samples holding a value in the partial columns; ``skips``
-    lists (quantity, samples, reason) in the order a skipped sample reports
-    them."""
+class _Lazy(dict):
+    """Mapping that computes a missing key on first use."""
 
-    t: np.ndarray
-    columns: dict[str, np.ndarray]
-    valid: dict[str, np.ndarray]
-    skips: list[tuple[str, np.ndarray, str]]
-    max_condition: float
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
 
-    def values(self, name: str) -> np.ndarray:
-        ok = self.valid.get(name)
-        return self.columns[name] if ok is None else self.columns[name][ok]
-
-    def skipped(self) -> list[dict]:
-        out = []
-        for i in np.flatnonzero(np.any([mask for _, mask, _ in self.skips], axis=0)):
-            for name, mask, reason in self.skips:
-                if mask[i]:
-                    out.append({"t": float(self.t[i]), "reason": f"{name}: {reason}"})
-        return out
-
-    def skip_reason(self, name: str, i: int) -> str:
-        for q, mask, reason in self.skips:
-            if q == name and mask[i]:
-                return reason
-        return "not computed"
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
-def _measure(cfg: _poristic.PoristicConfig, n: int, sigmas: np.ndarray,
-             perturb: float = 0.0, want_hyperbolas: bool = True) -> _Measured:
-    """Every per-sample verification quantity at t = 2 pi k / n, all k at
-    once.
+class _Pass:
+    """The measurement pass at t = 2 pi k / n, all k at once.  Its stages
+    are lazy: each runs at most once, when a quantity first needs it.  Their
+    checks go to ``log``, which raises what the first failing sample raises
+    (see ``PassLog``); ``run_pipeline`` runs every stage in the order a
+    sample-by-sample pass makes its checks.  A partial stage returns the mask
+    of the samples it holds and the (mask, reason) pairs, also recorded in
+    ``skips``, that explain the others.  ``perturb`` shifts the first vertex
+    of sample n // 3 along x."""
 
-    Stages and checks run in the order of a sample-by-sample pass, so the
-    pass raises what the first failing sample raises (see ``PassLog``).
-    ``perturb`` shifts the first vertex of sample n // 3 along x.
-    """
-    R, r, d = cfg.R, cfg.r, cfg.d
-    t = 2 * math.pi * np.arange(n) / n
-    log = PassLog(t)
-    col: dict[str, np.ndarray] = {}
-    valid: dict[str, np.ndarray] = {}
-    skips: list[tuple[str, np.ndarray, str]] = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fam = _poristic.sample_batch(cfg, t, log)
-        if perturb != 0.0:
+    def __init__(self, cfg: _poristic.PoristicConfig, n: int, seed: int, perturb: float = 0.0):
+        self.cfg, self.seed, self.perturb = cfg, seed, perturb
+        self.t = 2 * math.pi * np.arange(n) / n
+        self.log = PassLog(self.t)
+        self.skips: list[tuple[np.ndarray, str]] = []  # in the order the stages ran
+        me = weakref.proxy(self)  # stage maps that do not keep the pass alive
+        self.x = _Lazy(lambda k: _centers.center_batch(me.fam.triangle, k, me.log, me.s))
+        self.conic = _Lazy(lambda k: _poristic.named_conic_batch(me.fam, k, me.x, me.log))
+        self.can = _Lazy(lambda tag: canonicalize_batch(me.conic[tag], me.log))
+        self.ratio = _Lazy(lambda tag: me._ratio(tag))
+
+    def run_pipeline(self) -> None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for stage, keys in ((self.x, (9, 1, 3, 40, 10)), (self.conic, _MEASURED_TAGS),
+                                (self.can, _MEASURED_TAGS), (self.ratio, _MEASURED_TAGS)):
+                for key in keys:
+                    stage[key]
+            for name in ("loci", "antiorthic", "i3x_tangent", "x100", "billiard",
+                         "hyperbolas", "equivariance"):
+                getattr(self, name)
+
+    @functools.cached_property
+    def fam(self) -> _poristic.FamilyBatch:
+        fam = _poristic.sample_batch(self.cfg, self.t, self.log)
+        if self.perturb != 0.0:
             v = fam.triangle.copy()
-            v[n // 3, 0, 0] += perturb
-            tri = triangle_batch(v, log)
-            fam = _poristic.FamilyBatch(t, tri, _centers.excentral_batch(tri, log),
+            v[len(self.t) // 3, 0, 0] += self.perturb
+            tri = triangle_batch(v, self.log)
+            fam = _poristic.FamilyBatch(self.t, tri, _centers.excentral_batch(tri, self.log),
                                         fam.omega, perimeter_batch(tri))
-        tri, exc = fam.triangle, fam.excentral
-        x3_pt, x1_pt, x40_pt = np.array([d, 0.0]), np.array([2 * d, 0.0]), np.zeros(2)
+        return fam
 
-        # --- Poncelet closure residuals.
-        col["circumcircle_residual"] = np.abs(distance_batch(tri, x3_pt) - R).max(axis=1)
-        sides = side_lines_batch(tri)
-        col["incircle_residual"] = np.abs(np.abs(
-            sides[..., 0] * x1_pt[0] + sides[..., 1] * x1_pt[1] + sides[..., 2]) - r).max(axis=1)
+    @functools.cached_property
+    def s(self) -> np.ndarray:
+        return _centers.side_lengths_batch(self.fam.triangle, self.log)
 
-        # --- Named conics and canonical forms.
-        s = _centers.side_lengths_batch(tri, log)
-        x = {k: _centers.center_batch(tri, k, log, s) for k in (9, 1, 3, 40, 10)}
-        conics = {tag: _poristic.named_conic_batch(fam, tag, x, log) for tag in _MEASURED_TAGS}
-        max_cond = max(float(conics[tag].cond.max()) for tag in _CIRCUM_TAGS)
-        can = {tag: canonicalize_batch(conics[tag], log) for tag in _MEASURED_TAGS}
+    def _ratio(self, tag: str) -> np.ndarray:
+        can = self.can[tag]
+        self.log.check(can.semi_minor == 0.0, DegenerateConic,
+                       f"ratio_{tag.lower()}: conic {tag} has a zero semi-minor axis")
+        return can.semi_major / can.semi_minor
 
-        col["perimeter"] = fam.perimeter
-        col["omega"] = fam.omega
-        col["x9_x"], col["x9_y"] = x[9][:, 0], x[9][:, 1]
-        col["theta"] = can["E9"].angle
-        for tag in _MEASURED_TAGS:
-            name = f"ratio_{tag.lower()}"
-            log.check(can[tag].semi_minor == 0.0, DegenerateConic,
-                      f"{name}: conic {tag} has a zero semi-minor axis")
-            col[name] = can[tag].semi_major / can[tag].semi_minor
-        for tag in ("E1", "I3x", "I5x"):
-            col[f"eta_{tag.lower()}"] = can[tag].semi_major
-            col[f"zeta_{tag.lower()}"] = can[tag].semi_minor
-        for tag in ("E1", "E9", "I3x", "E10", "E5x", "E6x"):
-            col[f"angle_{tag.lower()}"] = can[tag].angle
-
-        # --- Stationary excentral caustic: center X3, foci X40 and X1.
-        col["i5x_center_gap"] = distance_batch(can["I5x"].center, x3_pt)
-        f1, f2 = foci_batch(can["I5x"])
-        col["i5x_foci_gap"] = np.minimum(
-            np.maximum(distance_batch(f1, x40_pt), distance_batch(f2, x1_pt)),
-            np.maximum(distance_batch(f2, x40_pt), distance_batch(f1, x1_pt)))
-        m5 = conics["I5x"].m
-        col["i5x_stationarity"] = np.minimum(np.abs(m5 - m5[0]).max(axis=(1, 2)),
-                                             np.abs(m5 + m5[0]).max(axis=(1, 2)))
-
-        # --- Closed forms vs constructive values.
-        col["perimeter_closed_rel_err"] = (
-            np.abs(_poristic.perimeter_closed_form_batch(cfg, t) - fam.perimeter) / fam.perimeter)
-        col["x9_closed_gap"] = distance_batch(_poristic.x9_closed_form_batch(cfg, t), x[9])
-        col["theta_closed_gap"] = _angle_gap(_poristic.theta_closed_form_batch(cfg, t),
-                                             can["E9"].angle, math.pi)
-        locus = log.call(_poristic.mittenpunkt_locus_circle, cfg)
-        col["x9_locus_gap"] = np.abs(distance_batch(x[9], _xy(locus.center)) - locus.radius)
-
-        # --- Weaver power identities (P0 = antiorthic axis on the x-axis);
-        # per-configuration values, one per sample as in every column.
-        axis = log.call(_poristic.antiorthic_axis, cfg)
+    @functools.cached_property
+    def loci(self):
+        """X9 locus, antiorthic axis, and the Weaver power gaps at P0, the axis
+        on the x-axis, per sample (all at infinity for d = 0)."""
+        cfg = self.cfg
+        locus = self.log.call(_poristic.mittenpunkt_locus_circle, cfg)
+        axis = self.log.call(_poristic.antiorthic_axis, cfg)
+        w_inc, w_circ = self.log.call(_poristic.weaver_circles, cfg)
         p0 = Point(-axis.c / axis.a, 0.0)
-        w_inc, w_circ = log.call(_poristic.weaver_circles, cfg)
-        for name, circle, other in (("weaver_incircle_power_gap", w_inc, cfg.incircle),
-                                    ("weaver_circumcircle_power_gap", w_circ, cfg.circumcircle),
-                                    ("weaver_excentral_power_gap", w_circ, cfg.excentral_circle)):
-            col[name] = np.full(n, abs(power_of_point(p0, circle) - power_of_point(p0, other)))
+        pairs = ((w_inc, cfg.incircle), (w_circ, cfg.circumcircle), (w_circ, cfg.excentral_circle))
+        gaps = [abs(power_of_point(p0, w) - power_of_point(p0, c)) for w, c in pairs]
+        return locus, axis, [np.full(len(self.t), gap) for gap in gaps]
 
-        # --- Antiorthic axis from side-line intersections (degenerate at
-        # t = 0, pi where an external bisector parallels its opposite side).
-        pts, meets = line_intersection_batch(sides, side_lines_batch(exc))
+    @functools.cached_property
+    def antiorthic(self):
+        """Side-line intersections; t = 0, pi have a bisector parallel to a side."""
+        pts, meets = line_intersection_batch(side_lines_batch(self.fam.triangle),
+                                             side_lines_batch(self.fam.excentral))
         has_axis = np.count_nonzero(meets, axis=1) >= 2
-        for name in ("antiorthic_axis_gap", "antiorthic_intercept"):
-            skips.append((name, ~has_axis, "isosceles member: bisector parallel to side"))
-            valid[name] = has_axis
-        col["antiorthic_axis_gap"] = np.where(
-            meets, np.abs(axis.a * pts[..., 0] + axis.b * pts[..., 1] + axis.c), 0.0).max(axis=1)
-        first_two = np.argsort(~meets, axis=1, kind="stable")[:, :2, None]
-        q = np.take_along_axis(pts, first_two, axis=1)
-        constructed = line_through_batch(q[:, 0], q[:, 1])
-        col["antiorthic_intercept"] = -constructed[:, 2] / constructed[:, 0]
+        self.skips.append((~has_axis, "isosceles member: bisector parallel to side"))
+        return pts, meets, (has_axis, self.skips[-1:])
 
-        # --- Excentral-inconic dual route: tangent-line coefficients vs the
-        # implicit closed form.
-        m_lemma = _conics.inconic_from_tangents_batch(
-            *_poristic.excentral_side_lines_batch(cfg, t), log).m
-        m_impl = _poristic.i3x_implicit_matrix_batch(cfg, t).m
-        col["i3x_implicit_gap"] = np.minimum(np.abs(m_lemma - m_impl).max(axis=(1, 2)),
-                                             np.abs(m_lemma + m_impl).max(axis=(1, 2)))
+    @functools.cached_property
+    def i3x_tangent(self) -> np.ndarray:
+        """I3x from the tangent-line coefficients of the excentral sides."""
+        return _conics.inconic_from_tangents_batch(
+            *_poristic.excentral_side_lines_batch(self.cfg, self.t), self.log).m
 
-        # --- X100 incidences (scalene members only; the family is isosceles
-        # at t = 0 and pi, excluded with a fixed parameter radius).
-        # math.remainder is exact (numpy has no IEEE remainder), so the radius
-        # test decides exactly as the scalar pass does.
+    @functools.cached_property
+    def x100(self):
+        """X100, partial: the family is isosceles at t = 0 and pi, excluded
+        with a fixed parameter radius.  math.remainder is exact (numpy has no
+        IEEE remainder), so the radius test decides as the scalar kernel."""
         near = np.array([abs(math.remainder(ti, math.pi)) < _poristic.ISOSCELES_T_RADIUS
-                         for ti in t.tolist()])
-        isosceles = ~near & ~_centers.scalene_batch(s)
+                         for ti in self.t.tolist()])
+        isosceles = ~near & ~_centers.scalene_batch(self.s)
         has_x100 = ~(near | isosceles)
-        skips += [(name, near, "isosceles member: X100 undefined") for name in _X100_ROWS]
-        skips += [(name, isosceles, "X_100 is ill-conditioned on isosceles input")
-                  for name in _X100_ROWS]
-        x100 = _centers.center_batch(tri, 100, log.where(has_x100), s)
-        for name, tag in zip(_X100_ROWS, ("E1", "E9", "I3x")):
-            col[name] = np.abs(conic_eval_batch(conics[tag], x100))
-            valid[name] = has_x100
+        self.skips += [(near, "isosceles member: X100 undefined"),
+                       (isosceles, "X_100 is ill-conditioned on isosceles input")]
+        x100 = _centers.center_batch(self.fam.triangle, 100, self.log.where(has_x100), self.s)
+        return x100, (has_x100, self.skips[-2:])
 
-        # --- Similarity normalization onto the fixed billiard.
-        a9, b9, _c9 = log.call(_billiard.cb_axes_normalized, cfg.rho)
-        norm = _billiard.normalize_sample_batch(cfg, fam, log)
-        col["billiard_ellipse_residual"] = np.abs(
-            (norm[..., 0] / a9) ** 2 + (norm[..., 1] / b9) ** 2 - 1.0).max(axis=1)
-        col["reflection_law_gap"] = _billiard.reflection_law_residual_batch(norm, a9, b9)
-        # Inradius/circumradius of the normalized member, recomputed from its
-        # geometry: both vary over the billiard-view family, their ratio does not.
-        ns = _centers.side_lengths_batch(norm, log)
+    @functools.cached_property
+    def billiard(self):
+        """Billiard semi-axes, normalized members, their inradius, circumradius."""
+        a9, b9, _c9 = self.log.call(_billiard.cb_axes_normalized, self.cfg.rho)
+        norm = _billiard.normalize_sample_batch(self.cfg, self.fam, self.log)
+        ns = _centers.side_lengths_batch(norm, self.log)
         n_area = signed_area_batch(norm)
-        r_norm = 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2])
-        R_norm = ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area)
-        col["r_billiard"], col["R_billiard"], col["rho_billiard"] = r_norm, R_norm, r_norm / R_norm
+        return (a9, b9, norm, 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2]),
+                ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area))
 
-        # --- Circumbilliard foci on the predicted circle.
-        fc_center, fc_radius = _billiard.foci_locus_check(cfg)
-        g1, g2 = foci_batch(can["E9"])
-        col["cb_foci_circle_gap"] = np.maximum(
-            np.abs(distance_batch(g1, _xy(fc_center)) - fc_radius),
-            np.abs(distance_batch(g2, _xy(fc_center)) - fc_radius))
+    @functools.cached_property
+    def hyperbolas(self):
+        """Focal lengths of the Feuerbach and Jerabek circumhyperbolas."""
+        x100, (has_x100, _) = self.x100
+        self.skips.append((~has_x100, "isosceles-degenerate X100"))
+        hyp_log = self.log.where(has_x100)
+        x11 = _centers.center_batch(self.fam.triangle, 11, hyp_log, self.s)
+        return (_conics.hyperbola_focal_length_batch(self.fam.triangle, x11, hyp_log),
+                _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log),
+                (has_x100, self.skips[-1:]))
 
-        # --- Axis relations.
-        col["e6x_e9_center_gap"] = distance_batch(can["E6x"].center, can["E9"].center)
-        col["e6x_e9_axis_gap"] = _angle_gap(can["E6x"].angle, can["E9"].angle, math.pi / 2)
-        col["e1_i3x_axis_gap"] = np.abs(
-            _angle_gap(can["E1"].angle, can["I3x"].angle, math.pi) - math.pi / 2)
-        fam_axes = [can[tag].angle for tag in ("E9", "E10", "E5x", "E6x", "I3x")]
-        col["parallel_axes_gap"] = np.max([_angle_gap(a, b, math.pi / 2)
-                                           for i, a in enumerate(fam_axes)
-                                           for b in fam_axes[i + 1:]], axis=0)
-
-        # --- Focal-length ratio of the two circumhyperbolas.
-        if want_hyperbolas:
-            skips.append(("gamma_ratio", ~has_x100, "isosceles-degenerate X100"))
-            hyp_log = log.where(has_x100)
-            x11 = _centers.center_batch(tri, 11, hyp_log, s)
-            g_feu = _conics.hyperbola_focal_length_batch(tri, x11, hyp_log)
-            g_jer = _conics.hyperbola_focal_length_batch(exc, x100, hyp_log)
-            col["gamma_feuerbach"], col["gamma_jerabek"] = g_feu, g_jer
-            col["gamma_ratio"] = g_jer / g_feu
-            for name in ("gamma_feuerbach", "gamma_jerabek", "gamma_ratio"):
-                valid[name] = has_x100
-
-        # --- Similarity equivariance of the center registry (seeded transform).
+    @functools.cached_property
+    def equivariance(self) -> np.ndarray:
+        """Similarity equivariance of the center registry (seeded transform)."""
+        sigmas = np.random.default_rng(self.seed).uniform(  # rows (angle, scale, tx, ty)
+            [0.0, 0.5, -3.0, -3.0], [2 * math.pi, 2.0, 3.0, 3.0], size=(len(self.t), 4))
         ang, scale, tx, ty = (a[:, None] for a in sigmas.T)
         ca, sa = np.cos(ang), np.sin(ang)
 
@@ -368,197 +280,285 @@ def _measure(cfg: _poristic.PoristicConfig, n: int, sigmas: np.ndarray,
             return np.stack([scale * (ca * p[..., 0] - sa * p[..., 1]) + tx,
                              scale * (sa * p[..., 0] + ca * p[..., 1]) + ty], axis=-1)
 
-        tri_sigma = triangle_batch(apply_sigma(tri), log)
-        s_sigma = _centers.side_lengths_batch(tri_sigma, log)
-        gap = np.zeros(n)
+        tri_sigma = triangle_batch(apply_sigma(self.fam.triangle), self.log)
+        s_sigma = _centers.side_lengths_batch(tri_sigma, self.log)
+        gap = np.zeros(len(self.t))
         for k in (1, 9, 10, 11):
-            direct = _centers.center_batch(tri_sigma, k, log, s_sigma)
-            here = x[k] if k in x else _centers.center_batch(tri, k, log, s)
-            mapped = apply_sigma(here[:, None, :])[:, 0]
-            gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * R))
-        col["center_equivariance_gap"] = gap
+            direct = _centers.center_batch(tri_sigma, k, self.log, s_sigma)
+            mapped = apply_sigma(self.x[k][:, None, :])[:, 0]
+            gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * self.cfg.R))
+        return gap
 
-    if log.fallbacks:
-        warnings.warn(f"closed-form inconic D disagreed with the tangency-solved D in "
-                      f"{log.fallbacks} cases; the solved values were used",
-                      _conics.InconicCoefficientWarning)
-    log.raise_first()
-    for name, values in col.items():
-        bad = ~np.isfinite(values)
-        if name in valid:
-            bad &= valid[name]
-        if bad.any():
-            raise GeometryError(f"{name} is not finite at t = {float(t[np.argmax(bad)])!r}")
-    return _Measured(t, col, valid, skips, max_cond)
+    def measure(self, rows) -> dict[str, np.ndarray]:
+        """The columns of ``rows``, from the stages they need.  Raises what
+        the first failing sample raises; no kept value is non-finite."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            columns = {q.name: q.compute(self) for q in rows}
+        if self.log.fallbacks:
+            warnings.warn(f"closed-form inconic D disagreed with the tangency-solved D in "
+                          f"{self.log.fallbacks} cases; the solved values were used",
+                          _conics.InconicCoefficientWarning)
+        self.log.raise_first()
+        for q in rows:
+            bad = ~np.isfinite(columns[q.name]) & (q.partial(self)[0] if q.partial else True)
+            if bad.any():
+                t = float(self.t[np.argmax(bad)])
+                raise GeometryError(f"{q.name} is not finite at t = {t!r}")
+        return columns
 
-
-def _row_defs(cfg: _poristic.PoristicConfig, lab: LabConfig) -> list[dict]:
-    """Verification rows: (name, check kind, tolerance, expected value)."""
-    R, r, d, rho = cfg.R, cfg.r, cfg.d, cfg.rho
-    tol = lab.tolerance
-    atol = lab.angle_tolerance
-    rows: list[dict] = []
-
-    def residual(name, tolerance):
-        rows.append({"name": name, "check": "residual", "tol": tolerance})
-
-    def invariant(name, expected=None, tolerance=tol):
-        rows.append({"name": name, "check": "spread", "tol": tolerance, "expected": expected})
-
-    def varying(name):
-        rows.append({"name": name, "check": "varying", "tol": tol})
-
-    residual("circumcircle_residual", 1e-10)
-    residual("incircle_residual", 1e-10)
-    residual("i5x_stationarity", 1e-10)
-    residual("i5x_center_gap", tol)
-    residual("i5x_foci_gap", tol)
-    residual("antiorthic_axis_gap", tol)
-    residual("weaver_incircle_power_gap", 1e-10)
-    residual("weaver_circumcircle_power_gap", 1e-10)
-    residual("weaver_excentral_power_gap", 1e-10)
-    residual("perimeter_closed_rel_err", 1e-12)
-    residual("x9_closed_gap", tol)
-    residual("theta_closed_gap", atol)
-    residual("x9_locus_gap", tol)
-    residual("e1_x100_eval", tol)
-    residual("e9_x100_eval", tol)
-    residual("i3x_x100_eval", tol)
-    residual("i3x_implicit_gap", tol)
-    residual("billiard_ellipse_residual", 1e-8)
-    residual("reflection_law_gap", atol)
-    residual("cb_foci_circle_gap", tol)
-    residual("e6x_e9_center_gap", tol)
-    residual("e6x_e9_axis_gap", atol)
-    residual("e1_i3x_axis_gap", atol)
-    residual("parallel_axes_gap", atol)
-    residual("center_equivariance_gap", tol)
-
-    ratio_13 = (R + d) / (R - d)
-    ratio_sqrt = math.sqrt((R + d) / (R - d))
-    invariant("antiorthic_intercept", (3 * R * R + d * d) / (2 * d), tolerance=1e-10)
-    invariant("ratio_i5x", 1.0 / math.sqrt(2.0 * rho))
-    invariant("eta_i5x", R)
-    invariant("zeta_i5x", math.sqrt(R * R - d * d))
-    invariant("ratio_i3x", ratio_13)
-    invariant("eta_i3x", R + d)
-    invariant("zeta_i3x", R - d)
-    invariant("ratio_e1", ratio_13)
-    invariant("eta_e1", R + d)
-    invariant("zeta_e1", R - d)
-    invariant("ratio_e10", ratio_sqrt)
-    invariant("ratio_e5x", ratio_sqrt)
-    invariant("ratio_e6x",
-              math.sqrt((R + d) * (3 * R + d) / ((3 * R - d) * (R - d))))
-    invariant("ratio_e9",
-              math.sqrt((R + d) * (3 * R - d) / ((R - d) * (3 * R + d))))
-    invariant("ratio_i9")
-    invariant("gamma_ratio", math.sqrt(2.0 / rho), tolerance=1e-7)
-    invariant("rho_billiard", rho)
-
-    varying("perimeter")
-    varying("r_billiard")
-    varying("R_billiard")
-    return rows
+    def skipped(self, rows) -> list[dict]:
+        """Skip log of ``rows``: per sample, the reasons in the order the
+        stages recorded them, each for the rows it explains."""
+        users = [(skip, [q.name for q in rows if q.partial
+                         and any(s is skip for s in q.partial(self)[1])]) for skip in self.skips]
+        return [{"t": float(self.t[i]), "reason": f"{name}: {reason}"}
+                for i in np.flatnonzero(np.any([mask for mask, _ in self.skips], axis=0))
+                for (mask, reason), names in users if mask[i] for name in names]
 
 
-def _sigma_stream(seed: int, n: int) -> np.ndarray:
-    """Seeded similarity per sample: rows (angle, scale, tx, ty)."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform([0.0, 0.5, -3.0, -3.0], [2 * math.pi, 2.0, 3.0, 3.0], size=(n, 4))
+# --- The quantity table ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Quantity:
+    """One quantity: ``compute`` gives its column over all t from the pass's
+    stages, and ``partial``, for a column that skips samples, its partial
+    stage's (mask, skips).  A row with a ``check`` ("residual" | "spread" |
+    "varying") is a verify row: ``tol`` is a number or the ``LabConfig``
+    field holding it, ``expected`` a spread row's closed form.  ``sweep`` is
+    the column's position in ``SWEEP_QUANTITIES``."""
+
+    name: str
+    compute: Callable[[_Pass], np.ndarray]
+    check: str | None = None
+    expected: Callable[[_poristic.PoristicConfig], float] | None = None
+    sweep: int | None = None
+    tol: float | str = "tolerance"
+    partial: Callable[[_Pass], tuple] | None = None
+
+
+def _incircle_residual(p: _Pass) -> np.ndarray:
+    sides, x1 = side_lines_batch(p.fam.triangle), np.array([2 * p.cfg.d, 0.0])
+    return np.abs(np.abs(sides[..., 0] * x1[0] + sides[..., 1] * x1[1] + sides[..., 2])
+                  - p.cfg.r).max(axis=1)
+
+
+def _i5x_foci_gap(p: _Pass) -> np.ndarray:
+    """Foci of the stationary excentral caustic against X40 and X1."""
+    f1, f2 = foci_batch(p.can["I5x"])
+    x40, x1 = np.zeros(2), np.array([2 * p.cfg.d, 0.0])
+    return np.minimum(np.maximum(distance_batch(f1, x40), distance_batch(f2, x1)),
+                      np.maximum(distance_batch(f2, x40), distance_batch(f1, x1)))
+
+
+def _antiorthic_axis_gap(p: _Pass) -> np.ndarray:
+    axis = p.loci[1]
+    pts, meets, _ = p.antiorthic
+    return np.where(meets, np.abs(axis.a * pts[..., 0] + axis.b * pts[..., 1] + axis.c),
+                    0.0).max(axis=1)
+
+
+def _antiorthic_intercept(p: _Pass) -> np.ndarray:
+    pts, meets, _ = p.antiorthic
+    q = np.take_along_axis(pts, np.argsort(~meets, axis=1, kind="stable")[:, :2, None], axis=1)
+    constructed = line_through_batch(q[:, 0], q[:, 1])
+    return -constructed[:, 2] / constructed[:, 0]
+
+
+def _cb_foci_circle_gap(p: _Pass) -> np.ndarray:
+    """Circumbilliard foci against the circle they are predicted on."""
+    center, radius = _billiard.foci_locus_check(p.cfg)
+    return np.maximum(*(np.abs(distance_batch(f, center.as_array()) - radius)
+                        for f in foci_batch(p.can["E9"])))
+
+
+def _parallel_axes_gap(p: _Pass) -> np.ndarray:
+    axes = [p.can[tag].angle for tag in ("E9", "E10", "E5x", "E6x", "I3x")]
+    return np.max([_angle_gap(a, b, math.pi / 2)
+                   for i, a in enumerate(axes) for b in axes[i + 1:]], axis=0)
+
+
+def _sign_free_gap(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Largest entry gap between matrix stacks, up to the sign of ``ref``."""
+    return np.minimum(np.abs(m - ref).max(axis=(1, 2)), np.abs(m + ref).max(axis=(1, 2)))
+
+
+_ATOL = "angle_tolerance"
+
+#: Every quantity.  ``run_verify`` reports the rows with a check, in this
+#: order; ``porism-lab sweep`` offers the rows with a sweep position.
+QUANTITIES = (
+    Quantity("circumcircle_residual", lambda p: np.abs(
+        distance_batch(p.fam.triangle, np.array([p.cfg.d, 0.0])) - p.cfg.R).max(axis=1),
+        "residual", sweep=32, tol=1e-10),
+    Quantity("incircle_residual", _incircle_residual, "residual", sweep=33, tol=1e-10),
+    Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic["I5x"].m, p.conic["I5x"].m[0]),
+             "residual", tol=1e-10),
+    Quantity("i5x_center_gap", lambda p: distance_batch(p.can["I5x"].center,
+                                                        np.array([p.cfg.d, 0.0])), "residual"),
+    Quantity("i5x_foci_gap", _i5x_foci_gap, "residual"),
+    Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual",
+             partial=lambda p: p.antiorthic[2]),
+    Quantity("weaver_incircle_power_gap", lambda p: p.loci[2][0], "residual", tol=1e-10),
+    Quantity("weaver_circumcircle_power_gap", lambda p: p.loci[2][1], "residual", tol=1e-10),
+    Quantity("weaver_excentral_power_gap", lambda p: p.loci[2][2], "residual", tol=1e-10),
+    Quantity("perimeter_closed_rel_err", lambda p: np.abs(
+        _poristic.perimeter_closed_form_batch(p.cfg, p.t) - p.fam.perimeter) / p.fam.perimeter,
+        "residual", tol=1e-12),
+    Quantity("x9_closed_gap", lambda p: distance_batch(
+        _poristic.x9_closed_form_batch(p.cfg, p.t), p.x[9]), "residual"),
+    Quantity("theta_closed_gap", lambda p: _angle_gap(
+        _poristic.theta_closed_form_batch(p.cfg, p.t), p.can["E9"].angle, math.pi),
+        "residual", tol=_ATOL),
+    Quantity("x9_locus_gap", lambda p: np.abs(
+        distance_batch(p.x[9], p.loci[0].center.as_array()) - p.loci[0].radius), "residual"),
+    Quantity("e1_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic["E1"], p.x100[0])),
+             "residual", partial=lambda p: p.x100[1]),
+    Quantity("e9_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic["E9"], p.x100[0])),
+             "residual", partial=lambda p: p.x100[1]),
+    Quantity("i3x_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic["I3x"], p.x100[0])),
+             "residual", partial=lambda p: p.x100[1]),
+    Quantity("i3x_implicit_gap", lambda p: _sign_free_gap(
+        p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).m), "residual"),
+    Quantity("billiard_ellipse_residual", lambda p: np.abs(
+        (p.billiard[2][..., 0] / p.billiard[0]) ** 2
+        + (p.billiard[2][..., 1] / p.billiard[1]) ** 2 - 1.0).max(axis=1),
+        "residual", sweep=34, tol=1e-8),
+    Quantity("reflection_law_gap", lambda p: _billiard.reflection_law_residual_batch(
+        p.billiard[2], p.billiard[0], p.billiard[1]), "residual", sweep=35, tol=_ATOL),
+    Quantity("cb_foci_circle_gap", _cb_foci_circle_gap, "residual"),
+    Quantity("e6x_e9_center_gap", lambda p: distance_batch(p.can["E6x"].center,
+                                                           p.can["E9"].center), "residual"),
+    Quantity("e6x_e9_axis_gap", lambda p: _angle_gap(p.can["E6x"].angle, p.can["E9"].angle,
+                                                     math.pi / 2), "residual", tol=_ATOL),
+    Quantity("e1_i3x_axis_gap", lambda p: np.abs(_angle_gap(
+        p.can["E1"].angle, p.can["I3x"].angle, math.pi) - math.pi / 2), "residual", tol=_ATOL),
+    Quantity("parallel_axes_gap", _parallel_axes_gap, "residual", tol=_ATOL),
+    Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
+
+    Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
+             lambda c: (3 * c.R * c.R + c.d * c.d) / (2 * c.d), sweep=28, tol=1e-10,
+             partial=lambda p: p.antiorthic[2]),
+    Quantity("ratio_i5x", lambda p: p.ratio["I5x"], "spread",
+             lambda c: 1.0 / math.sqrt(2.0 * c.rho), 17),
+    Quantity("eta_i5x", lambda p: p.can["I5x"].semi_major, "spread", lambda c: c.R, 9),
+    Quantity("zeta_i5x", lambda p: p.can["I5x"].semi_minor, "spread",
+             lambda c: math.sqrt(c.R * c.R - c.d * c.d), 10),
+    Quantity("ratio_i3x", lambda p: p.ratio["I3x"], "spread",
+             lambda c: (c.R + c.d) / (c.R - c.d), 16),
+    Quantity("eta_i3x", lambda p: p.can["I3x"].semi_major, "spread", lambda c: c.R + c.d, 7),
+    Quantity("zeta_i3x", lambda p: p.can["I3x"].semi_minor, "spread", lambda c: c.R - c.d, 8),
+    Quantity("ratio_e1", lambda p: p.ratio["E1"], "spread",
+             lambda c: (c.R + c.d) / (c.R - c.d), 11),
+    Quantity("eta_e1", lambda p: p.can["E1"].semi_major, "spread", lambda c: c.R + c.d, 5),
+    Quantity("zeta_e1", lambda p: p.can["E1"].semi_minor, "spread", lambda c: c.R - c.d, 6),
+    Quantity("ratio_e10", lambda p: p.ratio["E10"], "spread",
+             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 13),
+    Quantity("ratio_e5x", lambda p: p.ratio["E5x"], "spread",
+             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 14),
+    Quantity("ratio_e6x", lambda p: p.ratio["E6x"], "spread", lambda c: math.sqrt(
+        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), 15),
+    Quantity("ratio_e9", lambda p: p.ratio["E9"], "spread", lambda c: math.sqrt(
+        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), 12),
+    Quantity("ratio_i9", lambda p: p.ratio["I9"], "spread", sweep=18),
+    Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
+             lambda c: math.sqrt(2.0 / c.rho), sweep=27, tol=1e-7,
+             partial=lambda p: p.hyperbolas[2]),
+    # Inradius and circumradius of the normalized member vary over the
+    # billiard-view family; their ratio does not.
+    Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread",
+             lambda c: c.rho, 29),
+    Quantity("perimeter", lambda p: p.fam.perimeter, "varying", sweep=0),
+    Quantity("r_billiard", lambda p: p.billiard[3], "varying", sweep=30),
+    Quantity("R_billiard", lambda p: p.billiard[4], "varying", sweep=31),
+
+    # Sweep-only columns.  The focal lengths record no skip reason: their
+    # skipped cells read "not computed".
+    Quantity("omega", lambda p: p.fam.omega, sweep=1),
+    Quantity("x9_x", lambda p: p.x[9][:, 0], sweep=2),
+    Quantity("x9_y", lambda p: p.x[9][:, 1], sweep=3),
+    Quantity("theta", lambda p: p.can["E9"].angle, sweep=4),
+    Quantity("angle_e1", lambda p: p.can["E1"].angle, sweep=19),
+    Quantity("angle_e9", lambda p: p.can["E9"].angle, sweep=20),
+    Quantity("angle_i3x", lambda p: p.can["I3x"].angle, sweep=21),
+    Quantity("angle_e10", lambda p: p.can["E10"].angle, sweep=22),
+    Quantity("angle_e5x", lambda p: p.can["E5x"].angle, sweep=23),
+    Quantity("angle_e6x", lambda p: p.can["E6x"].angle, sweep=24),
+    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], sweep=25,
+             partial=lambda p: (p.hyperbolas[2][0], ())),
+    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], sweep=26,
+             partial=lambda p: (p.hyperbolas[2][0], ())),
+)
+
+_BY_NAME = {q.name: q for q in QUANTITIES}
+_VERIFY_ROWS = tuple(q for q in QUANTITIES if q.check)
+#: Quantities exposed by ``porism-lab sweep``, in their column order.
+SWEEP_QUANTITIES = tuple(q.name for q in sorted((q for q in QUANTITIES if q.sweep is not None),
+                                                key=lambda q: q.sweep))
 
 
 def run_verify(lab: LabConfig) -> VerifyResult:
     lab = lab.validated()
     cfg = lab.poristic()
-    n = lab.t_samples
-    measured = _measure(cfg, n, _sigma_stream(lab.seed, n), perturb=lab.perturb)
-    reports = [_aggregate(spec["name"], measured.values(spec["name"]), spec)
-               for spec in _row_defs(cfg, lab)]
-    return VerifyResult(lab, reports, measured.skipped(), measured.max_condition)
+    p = _Pass(cfg, lab.t_samples, lab.seed, lab.perturb)
+    p.run_pipeline()
+    columns = p.measure(_VERIFY_ROWS)
+    reports = [_aggregate(q.name, columns[q.name][q.partial(p)[0]] if q.partial else
+                          columns[q.name], q.check,
+                          getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
+                          q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
+    return VerifyResult(lab, reports, p.skipped(_VERIFY_ROWS),
+                        max(float(p.conic[tag].cond.max()) for tag in _MEASURED_TAGS[:5]))
 
 
-def _aggregate(name: str, vals: np.ndarray, spec: dict) -> SweepReport:
-    tol = spec["tol"]
-    check = spec["check"]
-    expected = spec.get("expected")
+def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
+               expected: float | None) -> SweepReport:
     if not len(vals):
         return SweepReport(name, 0, math.nan, math.nan, math.nan, math.nan,
-                           "skipped", tol, check, expected,
-                           expected_verdict="invariant", status="fail")
+                           "skipped", tol, check, expected, status="fail")
     lo, hi = float(vals.min()), float(vals.max())
     mean = sum(vals.tolist()) / len(vals)
     spread = (hi - lo) / abs(mean) if mean != 0.0 else math.inf
-
     if check == "residual":
-        worst = float(np.abs(vals).max())
-        verdict = "invariant" if worst < tol else "varying"
-        status = "pass" if verdict == "invariant" else "fail"
-        return SweepReport(name, len(vals), lo, hi, mean, spread, verdict,
-                           tol, check, None, "invariant", status)
-
-    if check == "varying":
+        verdict = "invariant" if float(np.abs(vals).max()) < tol else "varying"
+        ok = verdict == "invariant"
+    elif check == "varying":
         verdict = "invariant" if spread < tol else "varying"
-        status = "pass" if verdict == "varying" else "fail"
-        return SweepReport(name, len(vals), lo, hi, mean, spread, verdict,
-                           tol, check, None, "varying", status)
-
-    if expected is not None:
+        ok = verdict == "varying"
+    elif expected is not None:
         # Every sample must sit within tol of the predicted constant; values
         # within tol of one constant have spread at most 2 tol, which is the
         # spread tolerance the verdict uses.
-        dev_ok = max(abs(lo - expected), abs(hi - expected)) <= tol * max(1.0, abs(expected))
         verdict = "invariant" if spread < 2 * tol else "varying"
-        ok = dev_ok and verdict == "invariant"
+        ok = (max(abs(lo - expected), abs(hi - expected)) <= tol * max(1.0, abs(expected))
+              and verdict == "invariant")
     else:
         verdict = "invariant" if spread < tol else "varying"
         ok = verdict == "invariant"
-    return SweepReport(name, len(vals), lo, hi, mean, spread, verdict,
-                       tol, check, expected, "invariant",
-                       "pass" if ok else "fail")
+    return SweepReport(name, len(vals), lo, hi, mean, spread, verdict, tol, check, expected,
+                       "varying" if check == "varying" else "invariant", "pass" if ok else "fail")
 
 
 # --- Raw sweeps ------------------------------------------------------------
 
-#: Quantities exposed by ``porism-lab sweep``; all are keys produced by the
-#: per-sample measurement pass.
-SWEEP_QUANTITIES = (
-    "perimeter", "omega", "x9_x", "x9_y", "theta",
-    "eta_e1", "zeta_e1", "eta_i3x", "zeta_i3x", "eta_i5x", "zeta_i5x",
-    "ratio_e1", "ratio_e9", "ratio_e10", "ratio_e5x", "ratio_e6x",
-    "ratio_i3x", "ratio_i5x", "ratio_i9",
-    "angle_e1", "angle_e9", "angle_i3x", "angle_e10", "angle_e5x", "angle_e6x",
-    "gamma_feuerbach", "gamma_jerabek", "gamma_ratio",
-    "antiorthic_intercept",
-    "rho_billiard", "r_billiard", "R_billiard",
-    "circumcircle_residual", "incircle_residual",
-    "billiard_ellipse_residual", "reflection_law_gap",
-)
-
-
 def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[list], list[dict]]:
     """Per-sample values: returns (header, rows, skip log); a skipped cell
-    is None."""
+    is None.  Only the stages the requested columns need run."""
     lab = lab.validated()
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
-    cfg = lab.poristic()
-    n = lab.t_samples
-    measured = _measure(cfg, n, _sigma_stream(lab.seed, n),
-                        want_hyperbolas=any(q.startswith("gamma") for q in quantities))
-    columns = []
-    for q in quantities:
-        values = measured.columns[q].tolist()
-        ok = measured.valid.get(q)
-        columns.append(values if ok is None else
-                       [v if keep else None for v, keep in zip(values, ok.tolist())])
-    rows = [[t, *cells] for t, *cells in zip(measured.t.tolist(), *columns)]
-    skip_log = [{"t": row[0], "reason": f"{q}: {measured.skip_reason(q, i)}"}
-                for i, row in enumerate(rows)
-                for q, cell in zip(quantities, row[1:]) if cell is None]
-    return ["t"] + list(quantities), rows, skip_log
+    p = _Pass(lab.poristic(), lab.t_samples, lab.seed)
+    rows = [_BY_NAME[q] for q in quantities]
+    measured = p.measure(rows)
+    columns = [np.where(q.partial(p)[0], measured[q.name], None).tolist() if q.partial
+               else measured[q.name].tolist() for q in rows]
+    table = [[t, *cells] for t, *cells in zip(p.t.tolist(), *columns)]
+    skip_log = [{"t": row[0], "reason": f"{q.name}: " + next(
+                    (reason for mask, reason in q.partial(p)[1] if mask[i]), "not computed")}
+                for i, row in enumerate(table)
+                for q, cell in zip(rows, row[1:]) if cell is None]
+    return ["t"] + list(quantities), table, skip_log
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:
