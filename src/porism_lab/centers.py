@@ -6,7 +6,8 @@ needs, each with an explicit trilinear or constructive definition so that
 every one can be cross-checked against an independent construction.
 
 The ``_batch`` functions are the array twins used by the measurement pass
-(see ``geom``): triangles are (n, 3, 2) vertex stacks, points (n, 2) arrays.
+(see ``geom``): triangles are (n, 3, 2) vertex stacks, points (n, 2) arrays,
+and a failing check raises through the pass's ``PassLog``.
 """
 
 from __future__ import annotations

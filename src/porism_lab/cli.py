@@ -87,7 +87,10 @@ def _resolve_config(args) -> _report.LabConfig:
         for key, val in raw.items():
             if key not in _FILE_KEYS:
                 raise _report.ConfigError(f"unknown config key {key!r}")
-            file_vals[key] = _FILE_KEYS[key](val)
+            try:
+                file_vals[key] = _FILE_KEYS[key](val)
+            except ValueError:
+                raise _report.ConfigError(f"bad value for config key {key!r}: {val!r}") from None
 
     def pick(flag_val, key, default):
         if flag_val is not None:

@@ -1,12 +1,13 @@
 """Constructors for circumconics and inconics.
 
-Circumconics through three vertices with a prescribed center are solved as
-the null space of a 5x6 linear system (three incidences plus two
-vanishing-gradient conditions).  Inconics come from the closed-form
-coefficients of the origin-centered conic tangent to three given lines.
+Circumconics through three vertices with a prescribed center are solved in
+the frame centered there, where the two vanishing-gradient conditions hold
+by construction: the conic is the null vector of the 3x4 incidence system.
+Inconics come from the closed-form coefficients of the origin-centered
+conic tangent to three given lines.
 
 The ``_batch`` functions are the array twins used by the measurement pass
-(see ``geom``).  The one step that does not vectorize as written is the
+(see ``geom``); a failing check raises through the pass's ``PassLog``.  The one step that does not vectorize as written is the
 ``math.fsum`` of the 3x3 minors; the batched twin evaluates them with the
 compensated dot product Dot2 of Ogita, Rump and Oishi, "Accurate Sum and Dot
 Product" (SIAM J. Sci. Comput. 26(6), 2005), which is as accurate as

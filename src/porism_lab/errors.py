@@ -1,5 +1,5 @@
-"""Exception types raised by the geometry kernel, and the per-sample fault
-log of the batched measurement pass."""
+"""Exception types raised by the geometry kernel, and the check log of the
+batched measurement pass."""
 
 from __future__ import annotations
 
@@ -78,27 +78,22 @@ class ConfigError(GeometryError):
 
 
 class PassLog:
-    """Per-sample events of one batched pass over ``ts``.
+    """Checks of one batched pass over ``ts``.
 
-    The scalar kernel stops at the first check that fails.  A batched kernel
-    evaluates each check on every sample at once and records the failing
-    samples as a mask, in the order its scalar twin makes the checks.
-    ``raise_first`` then raises what a sample-by-sample pass would have
-    raised: the exception of the first recorded check that fails at the
-    lowest failing sample.  ``where`` gives a view that records only the
-    given rows (stages the scalar pass runs for some samples only).
-    Inconic D fallbacks are counted here too, so that a pass can report
-    them once.
+    A batched kernel evaluates each check on every sample at once; a check
+    that fails raises at once, naming the lowest failing sample.  ``where``
+    gives a view that checks only the given rows (stages that hold some
+    samples only).  Inconic D fallbacks are counted here too, so that a pass
+    can report them once.
     """
 
     def __init__(self, ts):
         self.ts = np.asarray(ts, dtype=float)
         self.rows: np.ndarray | None = None
-        self._aborts: list[tuple[np.ndarray, type, str]] = []
         self._fallbacks: list[np.ndarray] = []
 
     def where(self, rows: np.ndarray) -> "PassLog":
-        view = copy.copy(self)  # shares the event lists
+        view = copy.copy(self)  # shares the fallback list
         view.rows = rows if self.rows is None else self.rows & rows
         return view
 
@@ -106,20 +101,10 @@ class PassLog:
         return mask if self.rows is None else mask & self.rows
 
     def check(self, mask: np.ndarray, exc_type: type, message: str) -> None:
-        """Record that the samples in ``mask`` abort with ``exc_type``."""
+        """Raise ``exc_type`` if any sample in ``mask`` fails."""
         mask = self._restrict(np.asarray(mask, dtype=bool))
         if mask.any():
-            self._aborts.append((mask, exc_type, message))
-
-    def call(self, fn, *args):
-        """Evaluate a per-configuration function the scalar pass calls for
-        every sample; if it raises, every sample aborts at this point."""
-        try:
-            return fn(*args)
-        except GeometryError as exc:
-            self.check(np.ones(self.ts.shape, dtype=bool), type(exc), str(exc))
-            self.raise_first()
-            raise  # a pass over no samples
+            raise exc_type(f"{message} at t = {float(self.ts[np.argmax(mask)])!r}")
 
     def fallback(self, mask: np.ndarray) -> None:
         """Record inconic D fallbacks (see ``conics.inconic_from_tangents``)."""
@@ -128,11 +113,3 @@ class PassLog:
     @property
     def fallbacks(self) -> int:
         return int(sum(np.count_nonzero(m) for m in self._fallbacks))
-
-    def raise_first(self) -> None:
-        if not self._aborts:
-            return
-        first = min(int(np.argmax(mask)) for mask, _, _ in self._aborts)
-        for mask, exc_type, message in self._aborts:
-            if mask[first]:
-                raise exc_type(f"{message} at t = {float(self.ts[first])!r}")

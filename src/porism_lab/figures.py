@@ -25,9 +25,6 @@ PINK = "#d060a0"
 LIGHT_BLUE = "#60a0d0"
 OLIVE = "#808020"
 
-FIGURE_IDS = ("obtuse", "odehnal", "inconics", "circumX10",
-              "cb-focus-locus", "cb-poristic", "cb-plots", "circumhyps")
-
 
 def render_figure(figure_id: str, lab: LabConfig) -> str:
     try:
@@ -243,3 +240,4 @@ _FIGURES = {
     "cb-plots": _fig_cb_plots,
     "circumhyps": _fig_circumhyps,
 }
+FIGURE_IDS = tuple(_FIGURES)

@@ -9,8 +9,9 @@ Functions ending in ``_batch`` are the array twins of the scalar API, used by
 the measurement pass over a whole t-sweep: points are arrays of shape
 (..., 2), lines (..., 3) rows (a, b, c), triangles (n, 3, 2) vertex stacks
 and conics (n, 3, 3) stacks.  They evaluate the same formulas in the same
-order; where the scalar twin raises, they record the failing samples in a
-``PassLog`` instead.
+order; where the scalar twin raises, they make the same check on all
+samples at once through a ``PassLog``, which raises for the lowest failing
+sample.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ class ConicBatch:
 
 def singular_values_batch(a: np.ndarray) -> np.ndarray:
     """One stacked SVD over a (n, k, l) stack.  A row holding a non-finite
-    entry (a sample that already aborted) gets NaN instead of failing the
-    whole stack."""
+    entry (such as a sample outside the rows of a partial stage) gets NaN
+    instead of failing the whole stack."""
     ok = np.isfinite(a).all(axis=(1, 2))
     sv = np.full((a.shape[0], min(a.shape[1:])), np.nan)
     sv[ok] = np.linalg.svd(a[ok], compute_uv=False)
@@ -539,8 +540,8 @@ def _area2_batch(v: np.ndarray) -> np.ndarray:
 
 
 def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
-    """``Triangle`` over a vertex stack: degenerate rows go to ``log`` and
-    clockwise rows get their last two vertices swapped."""
+    """``Triangle`` over a vertex stack: a degenerate row raises through
+    ``log`` and clockwise rows get their last two vertices swapped."""
     area2 = _area2_batch(v)
     p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
     longest = np.maximum(np.maximum(distance_batch(p1, p2), distance_batch(p2, p3)),

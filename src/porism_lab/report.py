@@ -4,9 +4,9 @@
 reports one verdict row per quantity; ``run_sweep`` dumps raw per-sample
 quantities.  Both read one table, ``QUANTITIES``, and one measurement pass
 whose stages run on arrays over all t, through the ``_batch`` twins of the
-scalar kernel, and only when a requested quantity needs them.  A sample
-where the scalar kernel would raise makes the pass raise the same
-``GeometryError`` subclass, for the first such t.
+scalar kernel, and only when a requested quantity needs them.  The first
+check that fails, in the order the requested quantities are computed,
+raises its ``GeometryError`` subclass for the lowest failing t.
 
 A quantity is "invariant" when its relative spread over the
 sweep stays below tolerance; residual-style quantities (which should be
@@ -75,6 +75,8 @@ class LabConfig:
             raise ConfigError(f"tolerance must be in (0, 1e-3], got {self.tolerance}")
         if not 0 < self.angle_tolerance <= 1e-3:
             raise ConfigError(f"angle tolerance must be in (0, 1e-3], got {self.angle_tolerance}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def poristic(self) -> _poristic.PoristicConfig:
@@ -136,9 +138,8 @@ def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
     return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
 
 
-#: Named conics the pass builds, in the order their checks are made; the
-#: first five are circumconics, whose condition numbers the report carries.
-_MEASURED_TAGS = ("E1", "E9", "E10", "E5x", "E6x", "I3x", "I5x", "I9")
+#: The circumconics whose condition numbers the verify report carries.
+_CIRCUMCONIC_TAGS = ("E1", "E9", "E10", "E5x", "E6x")
 
 
 class _Lazy(dict):
@@ -156,12 +157,11 @@ class _Lazy(dict):
 class _Pass:
     """The measurement pass at t = 2 pi k / n, all k at once.  Its stages
     are lazy: each runs at most once, when a quantity first needs it.  Their
-    checks go to ``log``, which raises what the first failing sample raises
-    (see ``PassLog``); ``run_pipeline`` runs every stage in the order a
-    sample-by-sample pass makes its checks.  A partial stage returns the mask
-    of the samples it holds and the (mask, reason) pairs, also recorded in
-    ``skips``, that explain the others.  ``perturb`` shifts the first vertex
-    of sample n // 3 along x."""
+    checks go to ``log``, where the first one that fails raises (see
+    ``PassLog``).  A partial stage returns the mask of the samples it holds
+    and the (mask, reason) pairs, also recorded in ``skips``, that explain
+    the others.  ``perturb`` shifts the first vertex of sample n // 3 along
+    x."""
 
     def __init__(self, cfg: _poristic.PoristicConfig, n: int, seed: int, perturb: float = 0.0):
         self.cfg, self.seed, self.perturb = cfg, seed, perturb
@@ -173,16 +173,6 @@ class _Pass:
         self.conic = _Lazy(lambda k: _poristic.named_conic_batch(me.fam, k, me.x, me.log))
         self.can = _Lazy(lambda tag: canonicalize_batch(me.conic[tag], me.log))
         self.ratio = _Lazy(lambda tag: me._ratio(tag))
-
-    def run_pipeline(self) -> None:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for stage, keys in ((self.x, (9, 1, 3, 40, 10)), (self.conic, _MEASURED_TAGS),
-                                (self.can, _MEASURED_TAGS), (self.ratio, _MEASURED_TAGS)):
-                for key in keys:
-                    stage[key]
-            for name in ("loci", "antiorthic", "i3x_tangent", "x100", "billiard",
-                         "hyperbolas", "equivariance"):
-                getattr(self, name)
 
     @functools.cached_property
     def fam(self) -> _poristic.FamilyBatch:
@@ -210,9 +200,9 @@ class _Pass:
         """X9 locus, antiorthic axis, and the Weaver power gaps at P0, the axis
         on the x-axis, per sample (all at infinity for d = 0)."""
         cfg = self.cfg
-        locus = self.log.call(_poristic.mittenpunkt_locus_circle, cfg)
-        axis = self.log.call(_poristic.antiorthic_axis, cfg)
-        w_inc, w_circ = self.log.call(_poristic.weaver_circles, cfg)
+        locus = _poristic.mittenpunkt_locus_circle(cfg)
+        axis = _poristic.antiorthic_axis(cfg)
+        w_inc, w_circ = _poristic.weaver_circles(cfg)
         p0 = Point(-axis.c / axis.a, 0.0)
         pairs = ((w_inc, cfg.incircle), (w_circ, cfg.circumcircle), (w_circ, cfg.excentral_circle))
         gaps = [abs(power_of_point(p0, w) - power_of_point(p0, c)) for w, c in pairs]
@@ -250,7 +240,7 @@ class _Pass:
     @functools.cached_property
     def billiard(self):
         """Billiard semi-axes, normalized members, their inradius, circumradius."""
-        a9, b9, _c9 = self.log.call(_billiard.cb_axes_normalized, self.cfg.rho)
+        a9, b9, _c9 = _billiard.cb_axes_normalized(self.cfg.rho)
         norm = _billiard.normalize_sample_batch(self.cfg, self.fam, self.log)
         ns = _centers.side_lengths_batch(norm, self.log)
         n_area = signed_area_batch(norm)
@@ -290,15 +280,15 @@ class _Pass:
         return gap
 
     def measure(self, rows) -> dict[str, np.ndarray]:
-        """The columns of ``rows``, from the stages they need.  Raises what
-        the first failing sample raises; no kept value is non-finite."""
+        """The columns of ``rows``, computed in their order from the stages
+        they need.  The first failing check raises; no kept value is
+        non-finite."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             columns = {q.name: q.compute(self) for q in rows}
         if self.log.fallbacks:
             warnings.warn(f"closed-form inconic D disagreed with the tangency-solved D in "
                           f"{self.log.fallbacks} cases; the solved values were used",
                           _conics.InconicCoefficientWarning)
-        self.log.raise_first()
         for q in rows:
             bad = ~np.isfinite(columns[q.name]) & (q.partial(self)[0] if q.partial else True)
             if bad.any():
@@ -471,8 +461,7 @@ QUANTITIES = (
     Quantity("r_billiard", lambda p: p.billiard[3], "varying", sweep=30),
     Quantity("R_billiard", lambda p: p.billiard[4], "varying", sweep=31),
 
-    # Sweep-only columns.  The focal lengths record no skip reason: their
-    # skipped cells read "not computed".
+    # Sweep-only columns.
     Quantity("omega", lambda p: p.fam.omega, sweep=1),
     Quantity("x9_x", lambda p: p.x[9][:, 0], sweep=2),
     Quantity("x9_y", lambda p: p.x[9][:, 1], sweep=3),
@@ -484,9 +473,9 @@ QUANTITIES = (
     Quantity("angle_e5x", lambda p: p.can["E5x"].angle, sweep=23),
     Quantity("angle_e6x", lambda p: p.can["E6x"].angle, sweep=24),
     Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], sweep=25,
-             partial=lambda p: (p.hyperbolas[2][0], ())),
+             partial=lambda p: p.hyperbolas[2]),
     Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], sweep=26,
-             partial=lambda p: (p.hyperbolas[2][0], ())),
+             partial=lambda p: p.hyperbolas[2]),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}
@@ -500,14 +489,13 @@ def run_verify(lab: LabConfig) -> VerifyResult:
     lab = lab.validated()
     cfg = lab.poristic()
     p = _Pass(cfg, lab.t_samples, lab.seed, lab.perturb)
-    p.run_pipeline()
     columns = p.measure(_VERIFY_ROWS)
     reports = [_aggregate(q.name, columns[q.name][q.partial(p)[0]] if q.partial else
                           columns[q.name], q.check,
                           getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
                           q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
     return VerifyResult(lab, reports, p.skipped(_VERIFY_ROWS),
-                        max(float(p.conic[tag].cond.max()) for tag in _MEASURED_TAGS[:5]))
+                        max(float(p.conic[tag].cond.max()) for tag in _CIRCUMCONIC_TAGS))
 
 
 def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
@@ -554,11 +542,7 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
     columns = [np.where(q.partial(p)[0], measured[q.name], None).tolist() if q.partial
                else measured[q.name].tolist() for q in rows]
     table = [[t, *cells] for t, *cells in zip(p.t.tolist(), *columns)]
-    skip_log = [{"t": row[0], "reason": f"{q.name}: " + next(
-                    (reason for mask, reason in q.partial(p)[1] if mask[i]), "not computed")}
-                for i, row in enumerate(table)
-                for q, cell in zip(rows, row[1:]) if cell is None]
-    return ["t"] + list(quantities), table, skip_log
+    return ["t"] + list(quantities), table, p.skipped(rows)
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:

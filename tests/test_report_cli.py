@@ -66,6 +66,8 @@ class TestVerifySuite:
         with pytest.raises(ConfigError):
             run_verify(LabConfig(tolerance=0.1))
         with pytest.raises(ConfigError):
+            run_verify(LabConfig(seed=-1))
+        with pytest.raises(ConfigError):
             LabConfig(R=1.0, r=0.7).poristic()
 
     def test_json_schema_fields(self):
@@ -204,3 +206,10 @@ class TestCli:
         cfg_file.write_text("wat = 1\n")
         assert main(["verify", "--config", str(cfg_file),
                      "--out", str(tmp_path)]) == 2
+
+    def test_config_file_bad_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("seed = abc\n")
+        assert main(["verify", "--config", str(cfg_file),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: bad value for config key 'seed': 'abc'\n"
