@@ -31,21 +31,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and its billiard bridge.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    lab = _report.LabConfig  # its class attributes are the field defaults
+
     def add_common(p):
+        # Each flag's dest is the LabConfig field it sets (``rho`` sets R and r).
         p.add_argument("--config", help="key=value file with defaults for the flags below")
         p.add_argument("--rho", type=float, help="inradius/circumradius ratio in (0, 1/2]")
         p.add_argument("--R", type=float, help="circumradius (with --r)")
         p.add_argument("--r", type=float, help="inradius (with --R)")
-        p.add_argument("--t-samples", type=int, default=None, help="sweep grid size (default 720)")
-        p.add_argument("--tol", type=float, default=None, help="invariance tolerance (default 1e-9)")
-        p.add_argument("--angle-tol", type=float, default=None,
-                       help="tolerance for angle and reflection checks (default 1e-8)")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized property rows")
-        p.add_argument("--out", default=None, help="output directory (default .)")
+        p.add_argument("--t-samples", type=int,
+                       help=f"sweep grid size (default {lab.t_samples}, at most "
+                            f"{_report.MAX_T_SAMPLES})")
+        p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float,
+                       help=f"invariance tolerance (default {lab.tolerance:g})")
+        p.add_argument("--angle-tol", dest="angle_tolerance", metavar="ANGLE_TOL", type=float,
+                       help=f"tolerance for angle and reflection checks "
+                            f"(default {lab.angle_tolerance:g})")
+        p.add_argument("--seed", type=int, help="seed for randomized property rows")
+        p.add_argument("--out", dest="output_dir", metavar="OUT",
+                       help=f"output directory (default {lab.output_dir})")
 
     p_verify = sub.add_parser("verify", help="run the full invariance suite")
     add_common(p_verify)
-    p_verify.add_argument("--inject-perturbation", type=float, default=0.0,
+    p_verify.add_argument("--inject-perturbation", dest="perturb", type=float,
                           help=argparse.SUPPRESS)  # mutation sanity hook
 
     p_sweep = sub.add_parser("sweep", help="write per-sample quantities as CSV")
@@ -74,54 +82,40 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+#: Config-file keys: the flag dest each stands for, and its type.
 _FILE_KEYS = {
-    "rho": float, "R": float, "r": float, "t_samples": int, "tol": float,
-    "angle_tol": float, "seed": int, "out": str,
+    "rho": ("rho", float), "R": ("R", float), "r": ("r", float), "t_samples": ("t_samples", int),
+    "tol": ("tolerance", float), "angle_tol": ("angle_tolerance", float), "seed": ("seed", int),
+    "out": ("output_dir", str),
 }
+_DESTS = {dest for dest, _ in _FILE_KEYS.values()} | {"perturb"}
 
 
 def _resolve_config(args) -> _report.LabConfig:
-    file_vals: dict = {}
+    """The LabConfig of the values given by flag or config file; a flag
+    wins over the file, and what neither gives keeps LabConfig's default."""
+    given: dict = {}
     if args.config:
-        raw = _read_config_file(args.config)
-        for key, val in raw.items():
+        for key, val in _read_config_file(args.config).items():
             if key not in _FILE_KEYS:
                 raise _report.ConfigError(f"unknown config key {key!r}")
+            dest, kind = _FILE_KEYS[key]
             try:
-                file_vals[key] = _FILE_KEYS[key](val)
+                given[dest] = kind(val)
             except ValueError:
                 raise _report.ConfigError(f"bad value for config key {key!r}: {val!r}") from None
+    given.update((k, v) for k, v in vars(args).items() if k in _DESTS and v is not None)
 
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        return file_vals.get(key, default)
-
-    rho = pick(args.rho, "rho", None)
-    R = pick(args.R, "R", None)
-    r = pick(args.r, "r", None)
-    if rho is not None and (R is not None or r is not None):
-        raise _report.ConfigError("give either --rho or the --R/--r pair, not both")
+    rho = given.pop("rho", None)
     if rho is not None:
+        if "R" in given or "r" in given:
+            raise _report.ConfigError("give either --rho or the --R/--r pair, not both")
         if not 0 < rho <= 0.5:
             raise _report.ConfigError(f"rho = {rho} outside (0, 1/2]")
-        R, r = 1.0, rho
-    elif R is not None or r is not None:
-        if R is None or r is None:
-            raise _report.ConfigError("--R and --r must be given together")
-    else:
-        R, r = 1.0, 0.36266
-
-    lab = _report.LabConfig(
-        R=R, r=r,
-        t_samples=pick(args.t_samples, "t_samples", 720),
-        tolerance=pick(args.tol, "tol", 1e-9),
-        angle_tolerance=pick(args.angle_tol, "angle_tol", 1e-8),
-        seed=pick(args.seed, "seed", 0),
-        output_dir=pick(args.out, "out", "."),
-        perturb=getattr(args, "inject_perturbation", 0.0),
-    )
-    lab.validated()
+        given.update(R=1.0, r=rho)
+    elif ("R" in given) != ("r" in given):
+        raise _report.ConfigError("--R and --r must be given together")
+    lab = _report.LabConfig(**given).validated()
     lab.poristic()  # fail fast on an invalid circle pair
     return lab
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -314,17 +315,17 @@ def named_conic(cfg: PoristicConfig, t: float, tag: str,
     return _conics.inconic_centered(tri, center)
 
 
-def named_conic_batch(fam: FamilyBatch, tag: str, x: dict[int, np.ndarray],
+def named_conic_batch(fam: FamilyBatch, tag: str, x: Callable[[int], np.ndarray],
                       log: PassLog) -> ConicBatch:
-    """``named_conic`` over a sweep; ``x`` holds the reference triangle's
-    centers by index, as computed by ``centers.center_batch``."""
+    """``named_conic`` over a sweep; ``x(k)`` gives the reference triangle's
+    center X_k, as computed by ``centers.center_batch``."""
     if tag not in _TAG_TABLE:
         raise KeyError(f"unknown conic tag {tag!r}; valid: {CONIC_TAGS}")
     on_excentral, is_circum, center_id = _TAG_TABLE[tag]
     tri = fam.excentral if on_excentral else fam.triangle
     if is_circum:
-        return _conics.circumconic_centered_batch(tri, x[center_id], log)
-    return _conics.inconic_centered_batch(tri, x[center_id], log)
+        return _conics.circumconic_centered_batch(tri, x(center_id), log)
+    return _conics.inconic_centered_batch(tri, x(center_id), log)
 
 
 class FamilyAngleClass(Enum):

@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import warnings
-import weakref
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -53,6 +52,7 @@ from .geom import (  # noqa: F401
 )
 
 SCHEMA_VERSION = 1
+MAX_T_SAMPLES = 10**6  # a verify holds about 3 KB per sample: at most about 3 GB
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class LabConfig:
     def validated(self) -> "LabConfig":
         if self.t_samples < 3:
             raise ConfigError(f"t_samples must be >= 3, got {self.t_samples}")
+        if self.t_samples > MAX_T_SAMPLES:
+            raise ConfigError(f"t_samples must be <= {MAX_T_SAMPLES}, got {self.t_samples}")
         if not 0 < self.tolerance <= 1e-3:
             raise ConfigError(f"tolerance must be in (0, 1e-3], got {self.tolerance}")
         if not 0 < self.angle_tolerance <= 1e-3:
@@ -142,37 +144,20 @@ def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
 _CIRCUMCONIC_TAGS = ("E1", "E9", "E10", "E5x", "E6x")
 
 
-class _Lazy(dict):
-    """Mapping that computes a missing key on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
 class _Pass:
     """The measurement pass at t = 2 pi k / n, all k at once.  Its stages
-    are lazy: each runs at most once, when a quantity first needs it.  Their
-    checks go to ``log``, where the first one that fails raises (see
-    ``PassLog``).  A partial stage returns the mask of the samples it holds
-    and the (mask, reason) pairs, also recorded in ``skips``, that explain
-    the others.  ``perturb`` shifts the first vertex of sample n // 3 along
-    x."""
+    are lazy: each runs at most once, when a quantity first needs it (keyed
+    ones memoize per key).  Their checks go to ``log``, where the first one
+    that fails raises (see ``PassLog``).  A partial stage also returns its
+    gate: the mask of the samples it holds and the (mask, reason) pairs that
+    explain the others.  ``perturb`` shifts the first vertex of sample n // 3
+    along x."""
 
     def __init__(self, cfg: _poristic.PoristicConfig, n: int, seed: int, perturb: float = 0.0):
         self.cfg, self.seed, self.perturb = cfg, seed, perturb
         self.t = 2 * math.pi * np.arange(n) / n
         self.log = PassLog(self.t)
-        self.skips: list[tuple[np.ndarray, str]] = []  # in the order the stages ran
-        me = weakref.proxy(self)  # stage maps that do not keep the pass alive
-        self.x = _Lazy(lambda k: _centers.center_batch(me.fam.triangle, k, me.log, me.s))
-        self.conic = _Lazy(lambda k: _poristic.named_conic_batch(me.fam, k, me.x, me.log))
-        self.can = _Lazy(lambda tag: canonicalize_batch(me.conic[tag], me.log))
-        self.ratio = _Lazy(lambda tag: me._ratio(tag))
+        self._x, self._conic, self._can = {}, {}, {}
 
     @functools.cached_property
     def fam(self) -> _poristic.FamilyBatch:
@@ -189,8 +174,24 @@ class _Pass:
     def s(self) -> np.ndarray:
         return _centers.side_lengths_batch(self.fam.triangle, self.log)
 
-    def _ratio(self, tag: str) -> np.ndarray:
-        can = self.can[tag]
+    def x(self, k: int) -> np.ndarray:
+        if k not in self._x:
+            self._x[k] = _centers.center_batch(self.fam.triangle, k, self.log, self.s)
+        return self._x[k]
+
+    def conic(self, tag: str):
+        if tag not in self._conic:
+            self._conic[tag] = _poristic.named_conic_batch(self.fam, tag, self.x, self.log)
+        return self._conic[tag]
+
+    def can(self, tag: str):
+        if tag not in self._can:
+            self._can[tag] = canonicalize_batch(self.conic(tag), self.log)
+        return self._can[tag]
+
+    def ratio(self, tag: str) -> np.ndarray:
+        """Axis ratio of conic ``tag``; not kept, each feeds one row."""
+        can = self.can(tag)
         self.log.check(can.semi_minor == 0.0, DegenerateConic,
                        f"ratio_{tag.lower()}: conic {tag} has a zero semi-minor axis")
         return can.semi_major / can.semi_minor
@@ -214,8 +215,7 @@ class _Pass:
         pts, meets = line_intersection_batch(side_lines_batch(self.fam.triangle),
                                              side_lines_batch(self.fam.excentral))
         has_axis = np.count_nonzero(meets, axis=1) >= 2
-        self.skips.append((~has_axis, "isosceles member: bisector parallel to side"))
-        return pts, meets, (has_axis, self.skips[-1:])
+        return pts, meets, (has_axis, [(~has_axis, "isosceles member: bisector parallel to side")])
 
     @functools.cached_property
     def i3x_tangent(self) -> np.ndarray:
@@ -226,16 +226,15 @@ class _Pass:
     @functools.cached_property
     def x100(self):
         """X100, partial: the family is isosceles at t = 0 and pi, excluded
-        with a fixed parameter radius.  math.remainder is exact (numpy has no
-        IEEE remainder), so the radius test decides as the scalar kernel."""
+        with a fixed parameter radius, tested with the exact math.remainder
+        as the benchmark's sweep check and tests/test_batch.py do."""
         near = np.array([abs(math.remainder(ti, math.pi)) < _poristic.ISOSCELES_T_RADIUS
                          for ti in self.t.tolist()])
         isosceles = ~near & ~_centers.scalene_batch(self.s)
         has_x100 = ~(near | isosceles)
-        self.skips += [(near, "isosceles member: X100 undefined"),
-                       (isosceles, "X_100 is ill-conditioned on isosceles input")]
         x100 = _centers.center_batch(self.fam.triangle, 100, self.log.where(has_x100), self.s)
-        return x100, (has_x100, self.skips[-2:])
+        return x100, (has_x100, [(near, "isosceles member: X100 undefined"),
+                                 (isosceles, "X_100 is ill-conditioned on isosceles input")])
 
     @functools.cached_property
     def billiard(self):
@@ -251,12 +250,11 @@ class _Pass:
     def hyperbolas(self):
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas."""
         x100, (has_x100, _) = self.x100
-        self.skips.append((~has_x100, "isosceles-degenerate X100"))
         hyp_log = self.log.where(has_x100)
         x11 = _centers.center_batch(self.fam.triangle, 11, hyp_log, self.s)
         return (_conics.hyperbola_focal_length_batch(self.fam.triangle, x11, hyp_log),
                 _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log),
-                (has_x100, self.skips[-1:]))
+                (has_x100, [(~has_x100, "isosceles-degenerate X100")]))
 
     @functools.cached_property
     def equivariance(self) -> np.ndarray:
@@ -275,7 +273,7 @@ class _Pass:
         gap = np.zeros(len(self.t))
         for k in (1, 9, 10, 11):
             direct = _centers.center_batch(tri_sigma, k, self.log, s_sigma)
-            mapped = apply_sigma(self.x[k][:, None, :])[:, 0]
+            mapped = apply_sigma(self.x(k)[:, None, :])[:, 0]
             gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * self.cfg.R))
         return gap
 
@@ -297,13 +295,15 @@ class _Pass:
         return columns
 
     def skipped(self, rows) -> list[dict]:
-        """Skip log of ``rows``: per sample, the reasons in the order the
-        stages recorded them, each for the rows it explains."""
-        users = [(skip, [q.name for q in rows if q.partial
-                         and any(s is skip for s in q.partial(self)[1])]) for skip in self.skips]
+        """Skip log of ``rows``: per sample, the reasons of the rows' gates in
+        the order the rows first use them, each for the rows it explains."""
+        users: dict[str, tuple[np.ndarray, list]] = {}  # reason -> (mask, row names)
+        for q in (q for q in rows if q.partial):
+            for mask, reason in q.partial(self)[1]:
+                users.setdefault(reason, (mask, []))[1].append(q.name)
         return [{"t": float(self.t[i]), "reason": f"{name}: {reason}"}
-                for i in np.flatnonzero(np.any([mask for mask, _ in self.skips], axis=0))
-                for (mask, reason), names in users if mask[i] for name in names]
+                for i in np.flatnonzero(np.any([mask for mask, _ in users.values()], axis=0))
+                for reason, (mask, names) in users.items() if mask[i] for name in names]
 
 
 # --- The quantity table ------------------------------------------------------
@@ -311,11 +311,11 @@ class _Pass:
 @dataclass(frozen=True)
 class Quantity:
     """One quantity: ``compute`` gives its column over all t from the pass's
-    stages, and ``partial``, for a column that skips samples, its partial
-    stage's (mask, skips).  A row with a ``check`` ("residual" | "spread" |
-    "varying") is a verify row: ``tol`` is a number or the ``LabConfig``
-    field holding it, ``expected`` a spread row's closed form.  ``sweep`` is
-    the column's position in ``SWEEP_QUANTITIES``."""
+    stages, and ``partial``, for a column that skips samples, the gate
+    (mask, skips) its partial stage returns.  A row with a ``check``
+    ("residual" | "spread" | "varying") is a verify row: ``tol`` is a number
+    or the ``LabConfig`` field holding it, ``expected`` a spread row's closed
+    form.  ``sweep`` is the column's position in ``SWEEP_QUANTITIES``."""
 
     name: str
     compute: Callable[[_Pass], np.ndarray]
@@ -334,7 +334,7 @@ def _incircle_residual(p: _Pass) -> np.ndarray:
 
 def _i5x_foci_gap(p: _Pass) -> np.ndarray:
     """Foci of the stationary excentral caustic against X40 and X1."""
-    f1, f2 = foci_batch(p.can["I5x"])
+    f1, f2 = foci_batch(p.can("I5x"))
     x40, x1 = np.zeros(2), np.array([2 * p.cfg.d, 0.0])
     return np.minimum(np.maximum(distance_batch(f1, x40), distance_batch(f2, x1)),
                       np.maximum(distance_batch(f2, x40), distance_batch(f1, x1)))
@@ -358,11 +358,11 @@ def _cb_foci_circle_gap(p: _Pass) -> np.ndarray:
     """Circumbilliard foci against the circle they are predicted on."""
     center, radius = _billiard.foci_locus_check(p.cfg)
     return np.maximum(*(np.abs(distance_batch(f, center.as_array()) - radius)
-                        for f in foci_batch(p.can["E9"])))
+                        for f in foci_batch(p.can("E9"))))
 
 
 def _parallel_axes_gap(p: _Pass) -> np.ndarray:
-    axes = [p.can[tag].angle for tag in ("E9", "E10", "E5x", "E6x", "I3x")]
+    axes = [p.can(tag).angle for tag in ("E9", "E10", "E5x", "E6x", "I3x")]
     return np.max([_angle_gap(a, b, math.pi / 2)
                    for i, a in enumerate(axes) for b in axes[i + 1:]], axis=0)
 
@@ -381,9 +381,9 @@ QUANTITIES = (
         distance_batch(p.fam.triangle, np.array([p.cfg.d, 0.0])) - p.cfg.R).max(axis=1),
         "residual", sweep=32, tol=1e-10),
     Quantity("incircle_residual", _incircle_residual, "residual", sweep=33, tol=1e-10),
-    Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic["I5x"].m, p.conic["I5x"].m[0]),
+    Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic("I5x").m, p.conic("I5x").m[0]),
              "residual", tol=1e-10),
-    Quantity("i5x_center_gap", lambda p: distance_batch(p.can["I5x"].center,
+    Quantity("i5x_center_gap", lambda p: distance_batch(p.can("I5x").center,
                                                         np.array([p.cfg.d, 0.0])), "residual"),
     Quantity("i5x_foci_gap", _i5x_foci_gap, "residual"),
     Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual",
@@ -395,17 +395,17 @@ QUANTITIES = (
         _poristic.perimeter_closed_form_batch(p.cfg, p.t) - p.fam.perimeter) / p.fam.perimeter,
         "residual", tol=1e-12),
     Quantity("x9_closed_gap", lambda p: distance_batch(
-        _poristic.x9_closed_form_batch(p.cfg, p.t), p.x[9]), "residual"),
+        _poristic.x9_closed_form_batch(p.cfg, p.t), p.x(9)), "residual"),
     Quantity("theta_closed_gap", lambda p: _angle_gap(
-        _poristic.theta_closed_form_batch(p.cfg, p.t), p.can["E9"].angle, math.pi),
+        _poristic.theta_closed_form_batch(p.cfg, p.t), p.can("E9").angle, math.pi),
         "residual", tol=_ATOL),
     Quantity("x9_locus_gap", lambda p: np.abs(
-        distance_batch(p.x[9], p.loci[0].center.as_array()) - p.loci[0].radius), "residual"),
-    Quantity("e1_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic["E1"], p.x100[0])),
+        distance_batch(p.x(9), p.loci[0].center.as_array()) - p.loci[0].radius), "residual"),
+    Quantity("e1_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("E1"), p.x100[0])),
              "residual", partial=lambda p: p.x100[1]),
-    Quantity("e9_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic["E9"], p.x100[0])),
+    Quantity("e9_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("E9"), p.x100[0])),
              "residual", partial=lambda p: p.x100[1]),
-    Quantity("i3x_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic["I3x"], p.x100[0])),
+    Quantity("i3x_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("I3x"), p.x100[0])),
              "residual", partial=lambda p: p.x100[1]),
     Quantity("i3x_implicit_gap", lambda p: _sign_free_gap(
         p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).m), "residual"),
@@ -416,40 +416,40 @@ QUANTITIES = (
     Quantity("reflection_law_gap", lambda p: _billiard.reflection_law_residual_batch(
         p.billiard[2], p.billiard[0], p.billiard[1]), "residual", sweep=35, tol=_ATOL),
     Quantity("cb_foci_circle_gap", _cb_foci_circle_gap, "residual"),
-    Quantity("e6x_e9_center_gap", lambda p: distance_batch(p.can["E6x"].center,
-                                                           p.can["E9"].center), "residual"),
-    Quantity("e6x_e9_axis_gap", lambda p: _angle_gap(p.can["E6x"].angle, p.can["E9"].angle,
+    Quantity("e6x_e9_center_gap", lambda p: distance_batch(p.can("E6x").center,
+                                                           p.can("E9").center), "residual"),
+    Quantity("e6x_e9_axis_gap", lambda p: _angle_gap(p.can("E6x").angle, p.can("E9").angle,
                                                      math.pi / 2), "residual", tol=_ATOL),
     Quantity("e1_i3x_axis_gap", lambda p: np.abs(_angle_gap(
-        p.can["E1"].angle, p.can["I3x"].angle, math.pi) - math.pi / 2), "residual", tol=_ATOL),
+        p.can("E1").angle, p.can("I3x").angle, math.pi) - math.pi / 2), "residual", tol=_ATOL),
     Quantity("parallel_axes_gap", _parallel_axes_gap, "residual", tol=_ATOL),
     Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
 
     Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
              lambda c: (3 * c.R * c.R + c.d * c.d) / (2 * c.d), sweep=28, tol=1e-10,
              partial=lambda p: p.antiorthic[2]),
-    Quantity("ratio_i5x", lambda p: p.ratio["I5x"], "spread",
+    Quantity("ratio_i5x", lambda p: p.ratio("I5x"), "spread",
              lambda c: 1.0 / math.sqrt(2.0 * c.rho), 17),
-    Quantity("eta_i5x", lambda p: p.can["I5x"].semi_major, "spread", lambda c: c.R, 9),
-    Quantity("zeta_i5x", lambda p: p.can["I5x"].semi_minor, "spread",
+    Quantity("eta_i5x", lambda p: p.can("I5x").semi_major, "spread", lambda c: c.R, 9),
+    Quantity("zeta_i5x", lambda p: p.can("I5x").semi_minor, "spread",
              lambda c: math.sqrt(c.R * c.R - c.d * c.d), 10),
-    Quantity("ratio_i3x", lambda p: p.ratio["I3x"], "spread",
+    Quantity("ratio_i3x", lambda p: p.ratio("I3x"), "spread",
              lambda c: (c.R + c.d) / (c.R - c.d), 16),
-    Quantity("eta_i3x", lambda p: p.can["I3x"].semi_major, "spread", lambda c: c.R + c.d, 7),
-    Quantity("zeta_i3x", lambda p: p.can["I3x"].semi_minor, "spread", lambda c: c.R - c.d, 8),
-    Quantity("ratio_e1", lambda p: p.ratio["E1"], "spread",
+    Quantity("eta_i3x", lambda p: p.can("I3x").semi_major, "spread", lambda c: c.R + c.d, 7),
+    Quantity("zeta_i3x", lambda p: p.can("I3x").semi_minor, "spread", lambda c: c.R - c.d, 8),
+    Quantity("ratio_e1", lambda p: p.ratio("E1"), "spread",
              lambda c: (c.R + c.d) / (c.R - c.d), 11),
-    Quantity("eta_e1", lambda p: p.can["E1"].semi_major, "spread", lambda c: c.R + c.d, 5),
-    Quantity("zeta_e1", lambda p: p.can["E1"].semi_minor, "spread", lambda c: c.R - c.d, 6),
-    Quantity("ratio_e10", lambda p: p.ratio["E10"], "spread",
+    Quantity("eta_e1", lambda p: p.can("E1").semi_major, "spread", lambda c: c.R + c.d, 5),
+    Quantity("zeta_e1", lambda p: p.can("E1").semi_minor, "spread", lambda c: c.R - c.d, 6),
+    Quantity("ratio_e10", lambda p: p.ratio("E10"), "spread",
              lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 13),
-    Quantity("ratio_e5x", lambda p: p.ratio["E5x"], "spread",
+    Quantity("ratio_e5x", lambda p: p.ratio("E5x"), "spread",
              lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 14),
-    Quantity("ratio_e6x", lambda p: p.ratio["E6x"], "spread", lambda c: math.sqrt(
+    Quantity("ratio_e6x", lambda p: p.ratio("E6x"), "spread", lambda c: math.sqrt(
         (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), 15),
-    Quantity("ratio_e9", lambda p: p.ratio["E9"], "spread", lambda c: math.sqrt(
+    Quantity("ratio_e9", lambda p: p.ratio("E9"), "spread", lambda c: math.sqrt(
         (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), 12),
-    Quantity("ratio_i9", lambda p: p.ratio["I9"], "spread", sweep=18),
+    Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", sweep=18),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
              lambda c: math.sqrt(2.0 / c.rho), sweep=27, tol=1e-7,
              partial=lambda p: p.hyperbolas[2]),
@@ -463,15 +463,15 @@ QUANTITIES = (
 
     # Sweep-only columns.
     Quantity("omega", lambda p: p.fam.omega, sweep=1),
-    Quantity("x9_x", lambda p: p.x[9][:, 0], sweep=2),
-    Quantity("x9_y", lambda p: p.x[9][:, 1], sweep=3),
-    Quantity("theta", lambda p: p.can["E9"].angle, sweep=4),
-    Quantity("angle_e1", lambda p: p.can["E1"].angle, sweep=19),
-    Quantity("angle_e9", lambda p: p.can["E9"].angle, sweep=20),
-    Quantity("angle_i3x", lambda p: p.can["I3x"].angle, sweep=21),
-    Quantity("angle_e10", lambda p: p.can["E10"].angle, sweep=22),
-    Quantity("angle_e5x", lambda p: p.can["E5x"].angle, sweep=23),
-    Quantity("angle_e6x", lambda p: p.can["E6x"].angle, sweep=24),
+    Quantity("x9_x", lambda p: p.x(9)[:, 0], sweep=2),
+    Quantity("x9_y", lambda p: p.x(9)[:, 1], sweep=3),
+    Quantity("theta", lambda p: p.can("E9").angle, sweep=4),
+    Quantity("angle_e1", lambda p: p.can("E1").angle, sweep=19),
+    Quantity("angle_e9", lambda p: p.can("E9").angle, sweep=20),
+    Quantity("angle_i3x", lambda p: p.can("I3x").angle, sweep=21),
+    Quantity("angle_e10", lambda p: p.can("E10").angle, sweep=22),
+    Quantity("angle_e5x", lambda p: p.can("E5x").angle, sweep=23),
+    Quantity("angle_e6x", lambda p: p.can("E6x").angle, sweep=24),
     Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], sweep=25,
              partial=lambda p: p.hyperbolas[2]),
     Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], sweep=26,
@@ -495,7 +495,7 @@ def run_verify(lab: LabConfig) -> VerifyResult:
                           getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
                           q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
     return VerifyResult(lab, reports, p.skipped(_VERIFY_ROWS),
-                        max(float(p.conic[tag].cond.max()) for tag in _CIRCUMCONIC_TAGS))
+                        max(float(p.conic(tag).cond.max()) for tag in _CIRCUMCONIC_TAGS))
 
 
 def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
@@ -549,10 +549,7 @@ def format_csv(header: list[str], rows: list[list]) -> str:
     """CSV text with 17 significant digits and empty fields for skips."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            cells.append("" if v is None else f"{v:.17g}")
-        lines.append(",".join(cells))
+        lines.append(",".join("" if v is None else f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 

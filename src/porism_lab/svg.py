@@ -66,9 +66,6 @@ class SvgCanvas:
             f'<text x="{_fmt(px + dx)}" y="{_fmt(py + dy)}" font-size="{size}" '
             f'font-family="sans-serif" fill="{color}">{text}</text>')
 
-    def line(self, x1, y1, x2, y2, stroke="#000000", width=1.0, dash=None):
-        self.polyline([(x1, y1), (x2, y2)], stroke=stroke, width=width, dash=dash)
-
     def render(self, title: str) -> str:
         if not self._xs:
             self._xs, self._ys = [0.0, 1.0], [0.0, 1.0]

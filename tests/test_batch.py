@@ -1,8 +1,8 @@
 """The batched measurement pass against its oracle, the scalar API.
 
-Every ``_batch`` kernel is compared with its scalar twin on a subgrid of the
-acceptance sweep; ``run_verify`` is compared with the committed benchmark
-reference; an abort raises at once, for the lowest failing t of its check,
+Every ``_batch`` kernel, as the measurement pass runs it, is compared with
+its scalar twin on a subgrid of the acceptance sweep; ``run_verify`` is
+compared with the committed benchmark reference; an abort raises at once, for the lowest failing t of its check,
 and inconic D fallbacks give one warning per pass.
 """
 
@@ -15,9 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from porism_lab.billiard import normalize_sample, normalize_sample_batch
+from porism_lab import report
+from porism_lab.billiard import (
+    cb_axes_normalized,
+    normalize_sample,
+    reflection_law_residual,
+    reflection_law_residual_batch,
+)
 from conftest import random_triangle
-from porism_lab.centers import BATCH_CENTERS, center, center_batch, side_lengths_batch
+from porism_lab.centers import BATCH_CENTERS, center, center_batch
 from porism_lab.cli import main
 from porism_lab.conics import (
     InconicCoefficientWarning,
@@ -25,18 +31,10 @@ from porism_lab.conics import (
     _det3_batch,
     _dot2,
     hyperbola_focal_length,
-    hyperbola_focal_length_batch,
 )
 from porism_lab.errors import AxisAtInfinity, DegenerateConic, GeometryError, NotCentral, PassLog
-from porism_lab.geom import Point, Triangle, canonicalize, canonicalize_batch
-from porism_lab.poristic import (
-    ISOSCELES_T_RADIUS,
-    config_from_rR,
-    named_conic,
-    named_conic_batch,
-    sample,
-    sample_batch,
-)
+from porism_lab.geom import Point, Triangle, canonicalize, foci, foci_batch
+from porism_lab.poristic import ISOSCELES_T_RADIUS, config_from_rR, named_conic, sample
 from porism_lab.report import LabConfig, run_verify
 
 RHO_GRID = (0.05, 0.2, 0.36266, 0.49)
@@ -47,29 +45,18 @@ TAGS = ("E1", "E9", "E10", "E5x", "E6x", "I3x", "I5x", "I9")
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "verify.json"
 
 
-def _batched(cfg):
-    """Batched quantities over the full sweep, as the measurement pass
-    builds them."""
-    ts = 2 * math.pi * np.arange(T_SAMPLES) / T_SAMPLES
-    log = PassLog(ts)
-    scalene_log = log.where(np.abs(np.remainder(ts + 1.0, math.pi) - 1.0) >= 1e-3)
-    fam = sample_batch(cfg, ts, log)
-    s = side_lengths_batch(fam.triangle, log)
-    x = {k: center_batch(fam.triangle, k, log, s) for k in (1, 3, 9, 10, 11, 40)}
-    with np.errstate(divide="ignore", invalid="ignore"):  # X100 at t = 0, pi
-        x[100] = center_batch(fam.triangle, 100, scalene_log, s)
-        gammas = (hyperbola_focal_length_batch(fam.triangle, x[11], scalene_log),
-                  hyperbola_focal_length_batch(fam.excentral, x[100], scalene_log))
-    conics = {tag: named_conic_batch(fam, tag, x, log) for tag in TAGS}
-    can = {tag: canonicalize_batch(conics[tag], log) for tag in TAGS}
-    return ts, log, fam, x, conics, can, gammas, normalize_sample_batch(cfg, fam, log)
-
-
 @pytest.mark.parametrize("rho", RHO_GRID)
 def test_batched_kernels_match_scalar_oracle(rho):
     cfg = config_from_rR(R_AGREE, rho * R_AGREE)
     R = cfg.R
-    ts, log, fam, x, conics, can, gammas, norm = _batched(cfg)
+    # A verify runs every stage used below, under the pass's own np.errstate.
+    p = report._Pass(cfg, T_SAMPLES, 0)
+    columns = p.measure(report._VERIFY_ROWS)
+    ts, fam, norm = p.t, p.fam, p.billiard[2]
+    x100, (has_x100, _) = p.x100
+    a9, b9, _c9 = cb_axes_normalized(cfg.rho)
+    # Off the billiard ellipse the reflection residual is of order one, not noise.
+    off_ellipse = reflection_law_residual_batch(fam.triangle, a9, b9)
     checked = 0
 
     def close_length(got, want, what, tol=1e-12):
@@ -78,39 +65,56 @@ def test_batched_kernels_match_scalar_oracle(rho):
     def close_rel(got, want, what):
         assert abs(got - want) <= 1e-12 * abs(want), (what, got, want)
 
+    def close_point(got, want, what, tol=1e-12):
+        close_length(got[0], want.x, what, tol)
+        close_length(got[1], want.y, what, tol)
+
     for i in range(0, T_SAMPLES, STRIDE):
         t = float(ts[i])
         s = sample(cfg, t)
         tri = s.triangle
         scalene = abs(math.remainder(t, math.pi)) >= ISOSCELES_T_RADIUS
-        for j, p in enumerate(tri.v):
-            close_length(fam.triangle[i, j, 0], p.x, ("vertex", t))
-            close_length(fam.triangle[i, j, 1], p.y, ("vertex", t))
-        for k in (1, 3, 9, 10, 11, 40) + ((100,) if scalene else ()):
-            p = center(tri, k)
-            close_length(x[k][i, 0], p.x, (f"X{k}", t))
-            close_length(x[k][i, 1], p.y, (f"X{k}", t))
+        assert has_x100[i] == scalene, t
+        for j in range(3):
+            close_point(fam.triangle[i, j], tri.v[j], ("vertex", t))
+            close_point(fam.excentral[i, j], s.excentral.v[j], ("excentral vertex", t))
+        close_length(fam.perimeter[i], s.perimeter, ("perimeter", t))
+        for k in (1, 3, 9, 10, 11, 40):
+            close_point(p.x(k)[i], center(tri, k), (f"X{k}", t))
+        if scalene:
+            close_point(x100[i], center(tri, 100), ("X100", t))
         for tag in TAGS:
             conic = named_conic(cfg, t, tag, s)
             c = canonicalize(conic)
+            can = p.can(tag)
             # I9 is ill-conditioned at rho = 0.05 (condition numbers up to 2e7):
             # an ulp of difference in one matrix entry moves its canonical
             # form by ~1e-12 R.
             tol = 1e-9 if (tag == "I9" and rho == 0.05) else 1e-12
-            close_length(can[tag].center[i, 0], c.center.x, (tag, "center", t), tol)
-            close_length(can[tag].center[i, 1], c.center.y, (tag, "center", t), tol)
-            close_length(can[tag].semi_major[i], c.semi_major, (tag, "major", t), tol)
-            close_length(can[tag].semi_minor[i], c.semi_minor, (tag, "minor", t), tol)
-            assert abs(math.remainder(can[tag].angle[i] - c.angle, math.pi)) <= 1e-12, (tag, t)
+            close_point(can.center[i], c.center, (tag, "center", t), tol)
+            close_length(can.semi_major[i], c.semi_major, (tag, "major", t), tol)
+            close_length(can.semi_minor[i], c.semi_minor, (tag, "minor", t), tol)
+            assert abs(math.remainder(can.angle[i] - c.angle, math.pi)) <= 1e-12, (tag, t)
+            # The axis angles may differ by pi, which swaps the two foci.
+            (f1, f2), (g1, g2) = (f[i] for f in foci_batch(can)), (g.as_array() for g in foci(c))
+            close_length(min(max(np.abs(f1 - g1).max(), np.abs(f2 - g2).max()),
+                             max(np.abs(f1 - g2).max(), np.abs(f2 - g1).max())), 0.0,
+                         (tag, "foci", t), tol)
             if conic.cond is not None:
-                close_rel(conics[tag].cond[i], conic.cond, (tag, "cond", t))
+                close_rel(p.conic(tag).cond[i], conic.cond, (tag, "cond", t))
         if scalene:
-            close_length(gammas[0][i], hyperbola_focal_length(tri, center(tri, 11)), ("feu", t))
-            close_length(gammas[1][i], hyperbola_focal_length(s.excentral, center(tri, 100)),
-                         ("jer", t))
-        for j, p in enumerate(normalize_sample(cfg, s).v):
-            # The normalized member has perimeter 1: its lengths are already scale-free.
-            assert abs(norm[i, j, 0] - p.x) <= 1e-12 and abs(norm[i, j, 1] - p.y) <= 1e-12, t
+            close_length(p.hyperbolas[0][i], hyperbola_focal_length(tri, center(tri, 11)),
+                         ("feu", t))
+            close_length(p.hyperbolas[1][i], hyperbola_focal_length(
+                s.excentral, center(tri, 100)), ("jer", t))
+        # The normalized member has perimeter 1: its lengths are already scale-free.
+        scalar_norm = normalize_sample(cfg, s)
+        for j in range(3):
+            assert abs(norm[i, j, 0] - scalar_norm.v[j].x) <= 1e-12, t
+            assert abs(norm[i, j, 1] - scalar_norm.v[j].y) <= 1e-12, t
+        assert abs(columns["reflection_law_gap"][i]
+                   - reflection_law_residual(scalar_norm, a9, b9)) <= 1e-12, t
+        assert abs(off_ellipse[i] - reflection_law_residual(tri, a9, b9)) <= 1e-12, t
         checked += 1
     assert checked == T_SAMPLES // STRIDE
 

@@ -127,8 +127,25 @@ def test_cli_parser_is_built_once(tmp_path, capsys):
     assert [n for n in SWEEP_QUANTITIES if n not in out] == [], out
 
 
+@pytest.mark.parametrize("columns, at_zero", [
+    (["gamma_ratio", "antiorthic_intercept", "gamma_feuerbach"],
+     ["gamma_ratio", "gamma_feuerbach", "antiorthic_intercept"]),
+    (["antiorthic_intercept", "gamma_jerabek", "perimeter", "gamma_ratio"],
+     ["antiorthic_intercept", "gamma_jerabek", "gamma_ratio"]),
+])
+def test_skip_reasons_follow_the_first_use_of_their_stage(columns, at_zero):
+    # Every member of the equilateral family is isosceles: both gates skip.
+    _, _, skips = run_sweep(LabConfig(R=1.0, r=0.5, t_samples=4), columns)
+    assert [s["reason"].split(":")[0] for s in skips if s["t"] == 0.0] == at_zero
+
+
+def test_a_stage_outlives_a_dropped_pass():
+    x = report._Pass(LabConfig().poristic(), 24, 0).x
+    assert x(9).shape == (24, 2)
+
+
 def test_a_pass_is_freed_as_soon_as_it_is_dropped():
-    # Its lazy stage maps must not form a reference cycle with the pass, or
+    # Its memoized stages must not form a reference cycle with the pass, or
     # every pass would wait for the cycle collector with all its arrays.
     gc.disable()
     try:

@@ -4,10 +4,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from porism_lab import report
 from porism_lab.cli import main
 from porism_lab.errors import ConfigError, UnknownQuantity
 from porism_lab.poristic import perimeter_closed_form
 from porism_lab.report import (
+    MAX_T_SAMPLES,
     LabConfig,
     format_csv,
     run_sweep,
@@ -67,6 +69,8 @@ class TestVerifySuite:
             run_verify(LabConfig(tolerance=0.1))
         with pytest.raises(ConfigError):
             run_verify(LabConfig(seed=-1))
+        with pytest.raises(ConfigError):
+            run_verify(LabConfig(t_samples=MAX_T_SAMPLES + 1))
         with pytest.raises(ConfigError):
             LabConfig(R=1.0, r=0.7).poristic()
 
@@ -143,6 +147,16 @@ class TestCli:
     def test_bad_t_samples_exit_two(self, tmp_path):
         assert main(["verify", "--rho", "0.2", "--t-samples", "2",
                      "--out", str(tmp_path)]) == 2
+
+    def test_t_samples_above_cap_exit_two_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validation must reject the grid before a pass allocates it")
+
+        monkeypatch.setattr(report, "_Pass", forbidden)
+        assert main(["sweep", "--quantities", "perimeter", "--t-samples",
+                     str(MAX_T_SAMPLES + 1), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"error: t_samples must be <= {MAX_T_SAMPLES}, "
+                                           f"got {MAX_T_SAMPLES + 1}\n")
 
     def test_rho_and_rR_conflict(self, tmp_path):
         assert main(["verify", "--rho", "0.2", "--R", "1", "--r", "0.2",
