@@ -6,6 +6,12 @@ semi-axes depend only on rho = r/R.  This module holds that normalization,
 the rho <-> (a, b) maps, the confocal caustic, the circumbilliard foci
 locus, and the cross-check identities between the (a, b) and rho forms of
 the shared invariants.
+
+``normalize_sample`` and ``reflection_law_residual`` have ``_batch`` twins
+over (n, 3, 2) vertex stacks for the measurement pass.  The reflection-law
+pair calls one core, ``_reflection_gap``, with ``math`` or numpy functions;
+the similarity map of ``normalize_sample`` is written once per twin.  Only
+the triangle check stays per twin.
 """
 
 from __future__ import annotations
@@ -183,50 +189,40 @@ def billiard_cross_checks(cfg: BilliardConfig) -> list[dict]:
     return rows
 
 
+def _reflection_gap(xs, ys, a, b, hypot, atan2, maximum):
+    """Worst angle between the reflected incoming and the outgoing chord over
+    the vertices (xs[i], ys[i]) on the ellipse (a, b); arithmetic only, for
+    floats and arrays."""
+    worst = 0.0
+    for i in range(3):
+        x, y, j, k = xs[i], ys[i], (i - 1) % 3, (i + 1) % 3
+        nx, ny = 2 * x / (a * a), 2 * y / (b * b)
+        nn = hypot(nx, ny)
+        nx, ny = nx / nn, ny / nn
+        d1x, d1y = x - xs[j], y - ys[j]
+        n1 = hypot(d1x, d1y)
+        d1x, d1y = d1x / n1, d1y / n1
+        d2x, d2y = xs[k] - x, ys[k] - y
+        n2 = hypot(d2x, d2y)
+        d2x, d2y = d2x / n2, d2y / n2
+        dot = d1x * nx + d1y * ny
+        rx, ry = d1x - 2 * dot * nx, d1y - 2 * dot * ny
+        worst = maximum(worst, abs(atan2(abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)))
+    return worst
+
+
 def reflection_law_residual(tri: Triangle, a: float, b: float) -> float:
     """Worst angular mismatch (radians) between the reflected incoming chord
     and the outgoing chord at the vertices, for a triangle inscribed in the
     axis-aligned ellipse (a, b); the tangent comes from the implicit
     gradient."""
-    worst = 0.0
-    v = tri.v
-    for i in range(3):
-        p_prev, p, p_next = v[(i - 1) % 3], v[i], v[(i + 1) % 3]
-        nx, ny = 2 * p.x / (a * a), 2 * p.y / (b * b)
-        nn = math.hypot(nx, ny)
-        nx, ny = nx / nn, ny / nn
-        d1x, d1y = p.x - p_prev.x, p.y - p_prev.y
-        n1 = math.hypot(d1x, d1y)
-        d1x, d1y = d1x / n1, d1y / n1
-        d2x, d2y = p_next.x - p.x, p_next.y - p.y
-        n2 = math.hypot(d2x, d2y)
-        d2x, d2y = d2x / n2, d2y / n2
-        dot = d1x * nx + d1y * ny
-        rx, ry = d1x - 2 * dot * nx, d1y - 2 * dot * ny
-        ang = math.atan2(abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)
-        worst = max(worst, abs(ang))
-    return worst
+    return _reflection_gap([p.x for p in tri.v], [p.y for p in tri.v], a, b,
+                           math.hypot, math.atan2, max)
 
 
 def reflection_law_residual_batch(v: np.ndarray, a: float, b: float) -> np.ndarray:
     """``reflection_law_residual`` over a (n, 3, 2) vertex stack."""
-    worst = np.zeros(len(v))
-    for i in range(3):
-        p_prev, p, p_next = v[:, (i - 1) % 3], v[:, i], v[:, (i + 1) % 3]
-        nx, ny = 2 * p[:, 0] / (a * a), 2 * p[:, 1] / (b * b)
-        nn = np.hypot(nx, ny)
-        nx, ny = nx / nn, ny / nn
-        d1x, d1y = p[:, 0] - p_prev[:, 0], p[:, 1] - p_prev[:, 1]
-        n1 = np.hypot(d1x, d1y)
-        d1x, d1y = d1x / n1, d1y / n1
-        d2x, d2y = p_next[:, 0] - p[:, 0], p_next[:, 1] - p[:, 1]
-        n2 = np.hypot(d2x, d2y)
-        d2x, d2y = d2x / n2, d2y / n2
-        dot = d1x * nx + d1y * ny
-        rx, ry = d1x - 2 * dot * nx, d1y - 2 * dot * ny
-        ang = np.arctan2(np.abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)
-        worst = np.maximum(worst, np.abs(ang))
-    return worst
+    return _reflection_gap(v[:, :, 0].T, v[:, :, 1].T, a, b, np.hypot, np.arctan2, np.maximum)
 
 
 def three_periodic_orbit(cfg: BilliardConfig, phi0: float) -> Triangle:

@@ -7,7 +7,11 @@ every one can be cross-checked against an independent construction.
 
 The ``_batch`` functions are the array twins used by the measurement pass
 (see ``geom``): triangles are (n, 3, 2) vertex stacks, points (n, 2) arrays,
-and a failing check raises through the pass's ``PassLog``.
+and a failing check raises through the pass's ``PassLog``.  Both twins call
+the same cores: ``_angles`` (law of cosines), ``_trilinears`` (X1, X3, X9,
+X11, X100), ``_barycentric_sums`` and ``_excenter_weights``.  Each twin
+keeps its own checks, the isosceles gap of ``_require_scalene`` and
+``scalene_batch``, and the equilateral fallback of X11.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .geom import (
     Line,
     Point,
     Triangle,
+    distance,
     distance_batch,
     line_intersection,
     line_through,
@@ -87,8 +92,6 @@ class TrilinearTriple:
 
 
 def side_lengths(t: Triangle) -> SideLengths:
-    from .geom import distance
-
     p1, p2, p3 = t.v
     return SideLengths(distance(p2, p3), distance(p1, p3), distance(p1, p2))
 
@@ -103,43 +106,43 @@ def side_lengths_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
     return s
 
 
+def _angles(s1, s2, s3, acos, maximum, minimum):
+    """Interior angles at vertices 1, 2, 3 via the law of cosines, the cosine
+    clamped to [-1, 1]; arithmetic only, for floats and arrays."""
+    def ang(a, b, c):
+        return acos(maximum(-1.0, minimum(1.0, (b * b + c * c - a * a) / (2.0 * b * c))))
+
+    return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
+
+
 def angles(t: Triangle) -> tuple[float, float, float]:
     """Interior angles at vertices 1, 2, 3 via the law of cosines."""
-    s1, s2, s3 = side_lengths(t).as_tuple()
-
-    def ang(a, b, c):
-        return math.acos(max(-1.0, min(1.0, (b * b + c * c - a * a) / (2.0 * b * c))))
-
-    return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
+    return _angles(*side_lengths(t).as_tuple(), math.acos, max, min)
 
 
-def _angles_batch(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    def ang(a, b, c):
-        return np.arccos(np.clip((b * b + c * c - a * a) / (2.0 * b * c), -1.0, 1.0))
-
-    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
-    return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
+def _barycentric_sums(w, xs, ys, maximum):
+    """For weights w and vertex coordinates xs, ys: whether the weights sum
+    to zero against their largest magnitude, their total, and the weighted
+    coordinate sums (the point is the sums over the total)."""
+    total = w[0] + w[1] + w[2]
+    scale = maximum(maximum(abs(w[0]), abs(w[1])), abs(w[2]))
+    return (abs(total) < 1e-14 * scale, total,
+            w[0] * xs[0] + w[1] * xs[1] + w[2] * xs[2],
+            w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2])
 
 
 def _barycentric_point(t: Triangle, w: tuple[float, float, float]) -> Point:
-    total = w[0] + w[1] + w[2]
-    scale = max(abs(w[0]), abs(w[1]), abs(w[2]))
-    if abs(total) < 1e-14 * scale:
+    at_infinity, total, x, y = _barycentric_sums(w, [p.x for p in t.v], [p.y for p in t.v], max)
+    if at_infinity:
         raise PointAtInfinity(f"barycentric weights sum to zero: {w}")
-    p1, p2, p3 = t.v
-    x = (w[0] * p1.x + w[1] * p2.x + w[2] * p3.x) / total
-    y = (w[0] * p1.y + w[1] * p2.y + w[2] * p3.y) / total
-    return Point(x, y)
+    return Point(x / total, y / total)
 
 
-def _barycentric_batch(v: np.ndarray, w: np.ndarray, log: PassLog) -> np.ndarray:
-    w1, w2, w3 = w[:, 0], w[:, 1], w[:, 2]
-    total = w1 + w2 + w3
-    scale = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3))
-    log.check(np.abs(total) < 1e-14 * scale, PointAtInfinity, "barycentric weights sum to zero")
-    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
-    return np.stack([(w1 * p1[:, 0] + w2 * p2[:, 0] + w3 * p3[:, 0]) / total,
-                     (w1 * p1[:, 1] + w2 * p2[:, 1] + w3 * p3[:, 1]) / total], axis=-1)
+def _barycentric_batch(v: np.ndarray, w, log: PassLog) -> np.ndarray:
+    """``_barycentric_point`` for weights w = (w1, w2, w3), each an array."""
+    at_infinity, total, x, y = _barycentric_sums(w, v[:, :, 0].T, v[:, :, 1].T, np.maximum)
+    log.check(at_infinity, PointAtInfinity, "barycentric weights sum to zero")
+    return np.stack([x / total, y / total], axis=-1)
 
 
 def trilinear_to_point(t: Triangle, f: TrilinearTriple | tuple[float, float, float]) -> Point:
@@ -161,24 +164,19 @@ def medial_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
     return triangle_batch(0.5 * (v[:, [1, 0, 0]] + v[:, [2, 2, 1]]), log)
 
 
+def _excenter_weights(s1, s2, s3):
+    """Barycentrics of the three excenters: (-s1 : s2 : s3) cyclic."""
+    return (-s1, s2, s3), (s1, -s2, s3), (s1, s2, -s3)
+
+
 def excentral(t: Triangle) -> Triangle:
     """Triangle of the three excenters (barycentrics (-s1 : s2 : s3) cyclic)."""
-    s = side_lengths(t).as_tuple()
-    ex = []
-    for i in range(3):
-        w = list(s)
-        w[i] = -w[i]
-        ex.append(_barycentric_point(t, tuple(w)))
-    return Triangle(tuple(ex))
+    return Triangle(tuple(_barycentric_point(t, w)
+                          for w in _excenter_weights(*side_lengths(t).as_tuple())))
 
 
 def excentral_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
-    s = side_lengths_batch(v, log)
-    ex = []
-    for i in range(3):
-        w = s.copy()
-        w[:, i] = -w[:, i]
-        ex.append(_barycentric_batch(v, w, log))
+    ex = [_barycentric_batch(v, w, log) for w in _excenter_weights(*side_lengths_batch(v, log).T)]
     return triangle_batch(np.stack(ex, axis=1), log)
 
 
@@ -209,17 +207,40 @@ def antiorthic_axis_of(t: Triangle) -> Line:
     return line_through(pts[0], pts[1])
 
 
+_TRILINEAR = frozenset({1, 3, 9, 11, 100})
+
+
+def _trilinears(k: int, s1, s2, s3, angles, cos):
+    """Trilinears (f1, f2, f3) of X_k for k in ``_TRILINEAR`` from the side
+    lengths; ``angles()`` gives the interior angles.  Arithmetic only, for
+    floats and arrays."""
+    if k == 1:
+        return 1.0, 1.0, 1.0
+    if k == 9:
+        return s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3
+    if k == 100:
+        return 1.0 / (s2 - s3), 1.0 / (s3 - s1), 1.0 / (s1 - s2)
+    A, B, C = angles()
+    if k == 3:
+        return cos(A), cos(B), cos(C)
+    return 1.0 - cos(B - C), 1.0 - cos(C - A), 1.0 - cos(A - B)  # k == 11
+
+
 def center(t: Triangle, k: int) -> Point:
     """Cartesian location of a supported triangle center."""
     if k not in SUPPORTED_CENTERS:
         raise UnsupportedCenter(f"center X_{k} is not in the registry {sorted(SUPPORTED_CENTERS)}")
     s = side_lengths(t).as_tuple()
 
-    if k == 1:
-        return trilinear_to_point(t, (1.0, 1.0, 1.0))
-    if k == 3:
-        A, B, C = angles(t)
-        return trilinear_to_point(t, (math.cos(A), math.cos(B), math.cos(C)))
+    if k == 100:
+        _require_scalene(s, "X_100")
+    if k in _TRILINEAR:
+        f = _trilinears(k, *s, lambda: angles(t), math.cos)
+        if k == 11 and max(f) < 1e-13:
+            # Numerically equilateral: the triple vanishes identically and
+            # the symmetric limit is the centroid like every other center.
+            f = (1.0, 1.0, 1.0)
+        return trilinear_to_point(t, f)
     if k == 4:
         # Orthocenter = V1 + V2 + V3 - 2*circumcenter; avoids sec(A) blowing
         # up on right triangles.
@@ -234,28 +255,11 @@ def center(t: Triangle, k: int) -> Point:
         return _barycentric_point(t, (1.0 / (s[1] + s[2] - s[0]),
                                       1.0 / (s[2] + s[0] - s[1]),
                                       1.0 / (s[0] + s[1] - s[2])))
-    if k == 9:
-        return trilinear_to_point(t, (s[1] + s[2] - s[0],
-                                      s[2] + s[0] - s[1],
-                                      s[0] + s[1] - s[2]))
     if k == 10:
         return center(medial(t), 1)
-    if k == 11:
-        A, B, C = angles(t)
-        f = (1.0 - math.cos(B - C), 1.0 - math.cos(C - A), 1.0 - math.cos(A - B))
-        if max(f) < 1e-13:
-            # Numerically equilateral: the triple vanishes identically and
-            # the symmetric limit is the centroid like every other center.
-            return trilinear_to_point(t, (1.0, 1.0, 1.0))
-        return trilinear_to_point(t, f)
     if k == 40:
         x1, x3 = center(t, 1), center(t, 3)
         return Point(2 * x3.x - x1.x, 2 * x3.y - x1.y)
-    if k == 100:
-        _require_scalene(s, "X_100")
-        return trilinear_to_point(t, (1.0 / (s[1] - s[2]),
-                                      1.0 / (s[2] - s[0]),
-                                      1.0 / (s[0] - s[1])))
     # k == 1155: intersection of line X1-X3 with the antiorthic axis.
     _require_scalene(s, "X_1155")
     return line_intersection(line_through(center(t, 1), center(t, 3)),
@@ -273,23 +277,16 @@ def center_batch(v: np.ndarray, k: int, log: PassLog, s: np.ndarray | None = Non
         raise UnsupportedCenter(f"center X_{k} has no batched form; batched: {sorted(BATCH_CENTERS)}")
     if s is None:
         s = side_lengths_batch(v, log)
-    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
-    if k == 1:
-        f = np.ones_like(s)
-    elif k == 3:
-        f = np.stack([np.cos(a) for a in _angles_batch(s)], axis=-1)
-    elif k == 9:
-        f = np.stack([s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3], axis=-1)
-    elif k == 10:
+    if k == 10:
         return center_batch(medial_batch(v, log), 1, log)
-    elif k == 11:
-        A, B, C = _angles_batch(s)
-        f = np.stack([1.0 - np.cos(B - C), 1.0 - np.cos(C - A), 1.0 - np.cos(A - B)], axis=-1)
-        # Numerically equilateral rows fall back to the centroid, as in ``center``.
-        f = np.where((f.max(axis=1) < 1e-13)[:, None], 1.0, f)
-    elif k == 40:
+    if k == 40:
         return 2 * center_batch(v, 3, log, s) - center_batch(v, 1, log, s)
-    else:  # k == 100
+    if k == 100:
         log.check(~scalene_batch(s), IsoscelesDegeneracy, "X_100 is ill-conditioned on isosceles input")
-        f = np.stack([1.0 / (s2 - s3), 1.0 / (s3 - s1), 1.0 / (s1 - s2)], axis=-1)
-    return _barycentric_batch(v, f * s, log)
+    sides = s.T
+    f = _trilinears(k, *sides, lambda: _angles(*sides, np.arccos, np.maximum, np.minimum), np.cos)
+    if k == 11:
+        # Numerically equilateral rows fall back to the centroid, as in ``center``.
+        flat = np.maximum(np.maximum(f[0], f[1]), f[2]) < 1e-13
+        f = [np.where(flat, 1.0, x) for x in f]
+    return _barycentric_batch(v, [x * y for x, y in zip(f, sides)], log)

@@ -143,12 +143,13 @@ def _cmd_verify(lab: _report.LabConfig) -> int:
 def _cmd_sweep(lab: _report.LabConfig, quantities_arg: str) -> int:
     names = [q for q in (s.strip() for s in quantities_arg.split(",")) if q]
     out = Path(lab.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not names:
+        out.mkdir(parents=True, exist_ok=True)
         (out / "sweep.csv").write_text("t\n")
         print(f"empty quantity list: header-only CSV at {out / 'sweep.csv'}")
         return 0
     header, rows, skips = _report.run_sweep(lab, names)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(_report.format_csv(header, rows))
     if skips:
         lines = [f"t={entry['t']:.17g}: {entry['reason']}" for entry in skips]

@@ -7,11 +7,16 @@ Inconics come from the closed-form coefficients of the origin-centered
 conic tangent to three given lines.
 
 The ``_batch`` functions are the array twins used by the measurement pass
-(see ``geom``); a failing check raises through the pass's ``PassLog``.  The one step that does not vectorize as written is the
-``math.fsum`` of the 3x3 minors; the batched twin evaluates them with the
+(see ``geom``); a failing check raises through the pass's ``PassLog``.
+Both twins call the same cores: the congruence ``_shift`` of
+``_origin_conic``, the line terms ``_cross_terms`` and ``_tangent_form``
+(with the tangency-solved D candidates) and ``geom._eigenvalues``.  Each
+twin keeps its own incidence rows, checks, SVD rank tests and choice of D
+on a fallback, and its own 3x3 minors: ``_det3`` sums them with
+``math.fsum`` and is the oracle for ``_det3_batch``, which uses the
 compensated dot product Dot2 of Ogita, Rump and Oishi, "Accurate Sum and Dot
-Product" (SIAM J. Sci. Comput. 26(6), 2005), which is as accurate as
-evaluating in twice the working precision.
+Product" (SIAM J. Sci. Comput. 26(6), 2005), as accurate as evaluating in
+twice the working precision.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .centers import side_lengths
+from .centers import _barycentric_sums, side_lengths
 from .errors import (
     DegenerateConic,
     NotAHyperbola,
@@ -39,6 +44,7 @@ from .geom import (  # noqa: F401
     Line,
     Point,
     Triangle,
+    _eigenvalues,
     canonicalize,
     line_through,
     line_through_batch,
@@ -67,9 +73,7 @@ class InconicCoefficients:
             raise ValueError("quadratic part of inconic vanishes")
 
     def to_conic(self) -> ConicMatrix:
-        return ConicMatrix(np.array([[self.A, self.B, 0.0],
-                                     [self.B, self.C, 0.0],
-                                     [0.0, 0.0, self.D]]))
+        return ConicMatrix(_origin_conic(self.A, self.B, self.C, self.D))
 
 
 def _det3(rows: list[list[float]], skip: int) -> float:
@@ -137,10 +141,8 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     route loses far less precision than the raw five-constraint solve when
     the conic passes near a degenerate line pair.
     """
-    rows = []
-    for p in t.v:
-        u, v = p.x - center.x, p.y - center.y
-        rows.append([u * u, 2 * u * v, v * v, 1.0])
+    rows = [[u * u, 2 * u * v, v * v, 1.0]
+            for u, v in ((p.x - center.x, p.y - center.y) for p in t.v)]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     if sv[-1] < 1e-12 * sv[0]:
         raise DegenerateConic("centered circumconic is not unique for this center")
@@ -169,30 +171,29 @@ def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog)
     return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], sv[:, 0] / sv[:, -1]
 
 
-def _origin_conic_batch(A, B, C, F) -> np.ndarray:
-    """Stack of [[A, B, 0], [B, C, 0], [0, 0, F]]."""
-    m = np.zeros((len(A), 3, 3))
-    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], m[:, 2, 2] = A, B, B, C, F
+def _origin_conic(A, B, C, F) -> np.ndarray:
+    """[[A, B, 0], [B, C, 0], [0, 0, F]], stacked when the entries are
+    arrays."""
+    m = np.zeros(np.shape(A) + (3, 3))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1], m[..., 2, 2] = A, B, B, C, F
     return m
 
 
-def _shift_batch(m0: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Congruence back to the original frame, x -> x - center."""
-    shift = np.tile(np.eye(3), (len(center), 1, 1))
-    shift[:, 0, 2] = -center[:, 0]
-    shift[:, 1, 2] = -center[:, 1]
-    return np.swapaxes(shift, 1, 2) @ m0 @ shift
+def _shift(m0: np.ndarray, cx, cy) -> np.ndarray:
+    """Congruence of a matrix (or stack) back to the original frame,
+    x -> x - center."""
+    shift = np.zeros(m0.shape)
+    shift[..., 0, 0] = shift[..., 1, 1] = shift[..., 2, 2] = 1.0
+    shift[..., 0, 2] = -cx
+    shift[..., 1, 2] = -cy
+    return np.swapaxes(shift, -1, -2) @ m0 @ shift
 
 
 def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     """Unique conic through the three vertices with the given quadratic-form
     center (the null vector of three incidences in the center-origin frame)."""
     A, B, C, F, cond = _centered_circumconic(t, center)
-    m0 = np.array([[A, B, 0.0], [B, C, 0.0], [0.0, 0.0, F]])
-    shift = np.array([[1.0, 0.0, -center.x],
-                      [0.0, 1.0, -center.y],
-                      [0.0, 0.0, 1.0]])
-    conic = ConicMatrix(shift.T @ m0 @ shift, cond=cond)
+    conic = ConicMatrix(_shift(_origin_conic(A, B, C, F), center.x, center.y), cond=cond)
     if conic.sv[-1] < 1e-12 * conic.sv[0]:
         raise DegenerateConic("centered circumconic degenerates for this center")
     return conic
@@ -202,16 +203,25 @@ def circumconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) 
     """``circumconic_centered`` over a stack.  Its rank test is the SVD that
     ``canonicalize_batch`` reuses from the returned stack."""
     A, B, C, F, cond = _centered_circumconic_batch(v, center, log)
-    conic = ConicBatch(_shift_batch(_origin_conic_batch(A, B, C, F), center), cond)
+    conic = ConicBatch(_shift(_origin_conic(A, B, C, F), center[:, 0], center[:, 1]), cond)
     log.check(conic.sv[:, -1] < 1e-12 * conic.sv[:, 0], DegenerateConic,
               "centered circumconic degenerates for this center")
     return conic
 
 
-def _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23):
+def _cross_terms(lines):
+    """d_ij = a_i b_j - a_j b_i of three lines (a_i, b_i, c_i): d12, d13, d23."""
+    (a1, b1, _), (a2, b2, _), (a3, b3, _) = lines
+    return a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+
+
+def _tangent_form(lines, d12, d13, d23):
     """Closed-form (A, B, C, D) of the origin-centered conic tangent to three
-    lines with cross terms d_ij = a_i b_j - a_j b_i; arithmetic only, for
-    floats and arrays."""
+    lines (a_i, b_i, c_i) with cross terms d_ij from ``_cross_terms``, and per
+    line the (numerator, denominator) of the D that the tangency discriminant
+    (AC - B^2) c^2 + (A b^2 - 2B a b + C a^2) D = 0 gives; arithmetic only,
+    for floats and arrays."""
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = lines
     A = a2 * a3 * c1 * c1 * d23 - a1 * a3 * c2 * c2 * d13 + a1 * a2 * c3 * c3 * d12
     B = 0.5 * ((a2 * b3 + a3 * b2) * c1 * c1 * d23
                - (a1 * b3 + a3 * b1) * c2 * c2 * d13
@@ -222,7 +232,9 @@ def _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23):
          * (d23 * c1 - d13 * c2 - d12 * c3)
          * (d23 * c1 - d13 * c2 + d12 * c3)
          * (d23 * c1 + d13 * c2 + d12 * c3))
-    return A, B, C, D
+    det2 = A * C - B * B
+    return A, B, C, D, [(-det2 * c * c, A * b * b - 2 * B * a * b + C * a * a)
+                        for a, b, c in lines]
 
 
 def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
@@ -233,24 +245,14 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
     (AC - B^2) c_i^2 + (A b_i^2 - 2B a_i b_i + C a_i^2) D = 0 and the
     discriminant-solved D is preferred when they disagree.
     """
-    a1, b1, c1 = l1.a, l1.b, l1.c
-    a2, b2, c2 = l2.a, l2.b, l2.c
-    a3, b3, c3 = l3.a, l3.b, l3.c
-    d12 = a1 * b2 - a2 * b1
-    d13 = a1 * b3 - a3 * b1
-    d23 = a2 * b3 - a3 * b2
+    lines = [(line.a, line.b, line.c) for line in (l1, l2, l3)]
+    d12, d13, d23 = _cross_terms(lines)
     if min(abs(d12), abs(d13), abs(d23)) < 1e-12:
         raise ParallelTangents(f"tangent lines are (nearly) parallel: deltas=({d12:.2e}, {d13:.2e}, {d23:.2e})")
 
-    A, B, C, D = _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23)
-
-    det2 = A * C - B * B
-    solved = []
-    for (a, b, c) in ((a1, b1, c1), (a2, b2, c2), (a3, b3, c3)):
-        denom = A * b * b - 2 * B * a * b + C * a * a
-        if abs(denom) > 1e-300:
-            solved.append(-det2 * c * c / denom)
-    d_ref = sorted(solved)[len(solved) // 2]
+    A, B, C, D, cands = _tangent_form(lines, d12, d13, d23)
+    solved = sorted(num / denom for num, denom in cands if abs(denom) > 1e-300)
+    d_ref = solved[len(solved) // 2]
     if abs(D - d_ref) > 1e-9 * max(abs(D), abs(d_ref)):
         warnings.warn(
             f"closed-form D={D:.6e} disagrees with tangency-solved D={d_ref:.6e}; using the solved value",
@@ -267,29 +269,20 @@ def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
     The D cross-check is made per sample; the fallbacks are counted in
     ``log`` rather than warned one by one.
     """
-    a1, b1, c1 = l1[:, 0], l1[:, 1], l1[:, 2]
-    a2, b2, c2 = l2[:, 0], l2[:, 1], l2[:, 2]
-    a3, b3, c3 = l3[:, 0], l3[:, 1], l3[:, 2]
-    d12 = a1 * b2 - a2 * b1
-    d13 = a1 * b3 - a3 * b1
-    d23 = a2 * b3 - a3 * b2
+    lines = [line.T for line in (l1, l2, l3)]
+    d12, d13, d23 = _cross_terms(lines)
     log.check(np.minimum(np.minimum(np.abs(d12), np.abs(d13)), np.abs(d23)) < 1e-12,
               ParallelTangents, "tangent lines are (nearly) parallel")
 
-    A, B, C, D = _tangent_form(a1, b1, c1, a2, b2, c2, a3, b3, c3, d12, d13, d23)
-
-    det2 = A * C - B * B
-    solved = []
-    for (a, b, c) in ((a1, b1, c1), (a2, b2, c2), (a3, b3, c3)):
-        denom = A * b * b - 2 * B * a * b + C * a * a
-        # Unusable lines sort last, so the k usable values come first.
-        solved.append(np.where(np.abs(denom) > 1e-300, -det2 * c * c / denom, np.inf))
-    solved = np.sort(np.stack(solved, axis=-1), axis=-1)
+    A, B, C, D, cands = _tangent_form(lines, d12, d13, d23)
+    # Unusable lines sort last, so the k usable values come first.
+    solved = np.sort(np.stack([np.where(np.abs(denom) > 1e-300, num / denom, np.inf)
+                               for num, denom in cands], axis=-1), axis=-1)
     usable = np.count_nonzero(np.isfinite(solved), axis=-1)
     d_ref = np.take_along_axis(solved, (usable // 2)[:, None], axis=-1)[:, 0]
     fallback = np.abs(D - d_ref) > 1e-9 * np.maximum(np.abs(D), np.abs(d_ref))
     log.fallback(fallback)
-    return ConicBatch(_origin_conic_batch(A, B, C, np.where(fallback, d_ref, D)))
+    return ConicBatch(_origin_conic(A, B, C, np.where(fallback, d_ref, D)))
 
 
 def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
@@ -305,13 +298,7 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
         line_through(shifted[0], shifted[2]),
         line_through(shifted[0], shifted[1]),
     ]
-    co = inconic_from_tangents(*lines)
-    m0 = co.to_conic().m
-    # Congruence transform back to the original frame: x -> x - center.
-    shift = np.array([[1.0, 0.0, -center.x],
-                      [0.0, 1.0, -center.y],
-                      [0.0, 0.0, 1.0]])
-    return ConicMatrix(shift.T @ m0 @ shift)
+    return ConicMatrix(_shift(inconic_from_tangents(*lines).to_conic().m, center.x, center.y))
 
 
 def inconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
@@ -320,7 +307,7 @@ def inconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> C
     co = inconic_from_tangents_batch(line_through_batch(s[:, 1], s[:, 2]),
                                      line_through_batch(s[:, 0], s[:, 2]),
                                      line_through_batch(s[:, 0], s[:, 1]), log)
-    return ConicBatch(_shift_batch(co.m, center))
+    return ConicBatch(_shift(co.m, center[:, 0], center[:, 1]))
 
 
 def brianchon_point(t: Triangle, g: BarycentricFn) -> Point:
@@ -345,12 +332,10 @@ def brianchon_point(t: Triangle, g: BarycentricFn) -> Point:
         if abs(denom) < 1e-14 * scale:
             raise PerspectorAtInfinity(f"perspector denominator vanishes for coordinate {i + 1}")
         w.append(1.0 / denom)
-    total = w[0] + w[1] + w[2]
-    if abs(total) < 1e-14 * max(abs(x) for x in w):
+    at_infinity, total, x, y = _barycentric_sums(w, [p.x for p in t.v], [p.y for p in t.v], max)
+    if at_infinity:
         raise PerspectorAtInfinity("perspector weights sum to zero")
-    p1, p2, p3 = t.v
-    return Point((w[0] * p1.x + w[1] * p2.x + w[2] * p3.x) / total,
-                 (w[0] * p1.y + w[1] * p2.y + w[2] * p3.y) / total)
+    return Point(x / total, y / total)
 
 
 def hyperbola_focal_length(t: Triangle, center: Point) -> float:
@@ -362,10 +347,7 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
     2c = 2 sqrt(|F| (|lam1| + |lam2|) / |lam1 lam2|).
     """
     A, B, C, F, _ = _centered_circumconic(t, center)
-    tr = A + C
-    disc = math.hypot(A - C, 2.0 * B)
-    lam1 = 0.5 * (tr - disc)
-    lam2 = 0.5 * (tr + disc)
+    lam1, lam2 = _eigenvalues(A, B, C, math.hypot)
     if lam1 * lam2 >= 0.0:
         kind = "ellipse" if lam1 * F < 0 else "empty conic"
         raise NotAHyperbola(f"centered circumconic is an {kind}")
@@ -375,10 +357,7 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
 def hyperbola_focal_length_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
     """``hyperbola_focal_length`` over a stack."""
     A, B, C, F, _ = _centered_circumconic_batch(v, center, log)
-    tr = A + C
-    disc = np.hypot(A - C, 2.0 * B)
-    lam1 = 0.5 * (tr - disc)
-    lam2 = 0.5 * (tr + disc)
+    lam1, lam2 = _eigenvalues(A, B, C, np.hypot)
     not_hyperbola = lam1 * lam2 >= 0.0
     log.check(not_hyperbola & (lam1 * F < 0), NotAHyperbola, "centered circumconic is an ellipse")
     log.check(not_hyperbola & ~(lam1 * F < 0), NotAHyperbola,

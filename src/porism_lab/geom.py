@@ -8,10 +8,16 @@ All values are immutable and all operations are pure functions.
 Functions ending in ``_batch`` are the array twins of the scalar API, used by
 the measurement pass over a whole t-sweep: points are arrays of shape
 (..., 2), lines (..., 3) rows (a, b, c), triangles (n, 3, 2) vertex stacks
-and conics (n, 3, 3) stacks.  They evaluate the same formulas in the same
-order; where the scalar twin raises, they make the same check on all
-samples at once through a ``PassLog``, which raises for the lowest failing
-sample.
+and conics (n, 3, 3) stacks.
+
+A formula both twins evaluate is written once, as a private core of
+arithmetic and the functions it is passed (``math.hypot`` by the scalar
+twin, ``np.hypot`` by the batched one): here ``_center_solve`` and
+``_eigenvalues``.  Each twin keeps its own checks (where the scalar twin
+raises, the batched one makes the same check on all samples at once through
+a ``PassLog``, which raises for the lowest failing sample), its own
+data-dependent branches (the eigenvector choice and the ellipse, hyperbola
+or empty classification of ``canonicalize``) and its own SVD rank tests.
 """
 
 from __future__ import annotations
@@ -306,6 +312,13 @@ def _center_solve(A, B, C, D, E, F, det2):
     return cx, cy, f0
 
 
+def _eigenvalues(A, B, C, hypot):
+    """Eigenvalues lam1 <= lam2 of the symmetric block [[A, B], [B, C]]."""
+    tr = A + C
+    disc = hypot(A - C, 2.0 * B)
+    return 0.5 * (tr - disc), 0.5 * (tr + disc)
+
+
 def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     """Extract center, axis rotation and semi-axes of a central conic.
 
@@ -335,10 +348,7 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     # Closed-form symmetric 2x2 eigendecomposition.  Either of the two
     # algebraically equivalent eigenvector forms can cancel to zero; take
     # the larger one.
-    tr = A + C
-    disc = math.hypot(A - C, 2.0 * B)
-    lam1 = 0.5 * (tr - disc)
-    lam2 = 0.5 * (tr + disc)
+    lam1, lam2 = _eigenvalues(A, B, C, math.hypot)
     cand_a = (lam1 - C, B)
     cand_b = (B, lam1 - A)
     v1 = cand_a if math.hypot(*cand_a) >= math.hypot(*cand_b) else cand_b
@@ -397,10 +407,7 @@ def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
 
     cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
 
-    tr = A + C
-    disc = np.hypot(A - C, 2.0 * B)
-    lam1 = 0.5 * (tr - disc)
-    lam2 = 0.5 * (tr + disc)
+    lam1, lam2 = _eigenvalues(A, B, C, np.hypot)
     use_a = np.hypot(lam1 - C, B) >= np.hypot(B, lam1 - A)
     v1x = np.where(use_a, lam1 - C, B)
     v1y = np.where(use_a, B, lam1 - A)

@@ -2,8 +2,9 @@
 
 Every ``_batch`` kernel, as the measurement pass runs it, is compared with
 its scalar twin on a subgrid of the acceptance sweep; ``run_verify`` is
-compared with the committed benchmark reference; an abort raises at once, for the lowest failing t of its check,
-and inconic D fallbacks give one warning per pass.
+compared with the committed benchmark reference; an abort raises at once,
+for the lowest failing t of its check, and inconic D fallbacks give one
+warning per pass.
 """
 
 import json
@@ -32,7 +33,14 @@ from porism_lab.conics import (
     _dot2,
     hyperbola_focal_length,
 )
-from porism_lab.errors import AxisAtInfinity, DegenerateConic, GeometryError, NotCentral, PassLog
+from porism_lab.errors import (
+    AxisAtInfinity,
+    DegenerateConic,
+    GeometryError,
+    IsoscelesDegeneracy,
+    NotCentral,
+    PassLog,
+)
 from porism_lab.geom import Point, Triangle, canonicalize, foci, foci_batch
 from porism_lab.poristic import ISOSCELES_T_RADIUS, config_from_rR, named_conic, sample
 from porism_lab.report import LabConfig, run_verify
@@ -145,6 +153,18 @@ def test_center_batch_matches_center_on_random_triangles(rng):
         for i, tri in enumerate(tris):
             want = center(tri, k)
             assert max(abs(got[i, 0] - want.x), abs(got[i, 1] - want.y)) <= 1e-12 * scale, (k, i)
+    # X100 is undefined on the equilateral row: the pass computes it on the
+    # scalene rows only, under its np.errstate.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = center_batch(v, 100, log.where(np.arange(len(tris)) < 40))
+    for i, tri in enumerate(tris[:40]):
+        want = center(tri, 100)
+        dx, dy = abs(got[i, 0] - want.x), abs(got[i, 1] - want.y)
+        assert dx <= 1e-12 * scale and dy <= 1e-12 * scale, i
+    with pytest.raises(IsoscelesDegeneracy):
+        center(tris[-1], 100)
+    with pytest.raises(IsoscelesDegeneracy, match="X_100 is ill-conditioned on isosceles input"):
+        center_batch(v, 100, log)
 
 
 def _first_zero_i9_minor(cfg, n):

@@ -179,6 +179,18 @@ class TestCli:
     def test_sweep_unknown_quantity(self, tmp_path):
         assert main(["sweep", "--quantities", "bogus", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--R", "1000", "--r", "50", "--quantities", "ratio_i9"],
+         "error: ratio_i9: conic I9 has a zero semi-minor axis at t = "),
+        (["--quantities", "bogus"], "error: unknown quantity 'bogus'; valid names: "),
+    ], ids=["geometry_error", "unknown_quantity"])
+    def test_failed_sweep_leaves_no_output_dir(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "o"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_figures_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
