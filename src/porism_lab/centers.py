@@ -122,11 +122,11 @@ def angles(t: Triangle) -> tuple[float, float, float]:
 
 def _barycentric_sums(w, xs, ys, maximum):
     """For weights w and vertex coordinates xs, ys: whether the weights sum
-    to zero against their largest magnitude, their total, and the weighted
-    coordinate sums (the point is the sums over the total)."""
+    to zero (exactly, or against their largest magnitude), their total, and
+    the weighted coordinate sums (the point is the sums over the total)."""
     total = w[0] + w[1] + w[2]
     scale = maximum(maximum(abs(w[0]), abs(w[1])), abs(w[2]))
-    return (abs(total) < 1e-14 * scale, total,
+    return ((abs(total) < 1e-14 * scale) | (total == 0), total,
             w[0] * xs[0] + w[1] * xs[1] + w[2] * xs[2],
             w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2])
 

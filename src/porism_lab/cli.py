@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # Each flag's dest is the LabConfig field it sets (``rho`` sets R and r).
         p.add_argument("--config", help="key=value file with defaults for the flags below")
         p.add_argument("--rho", type=float, help="inradius/circumradius ratio in (0, 1/2]")
-        p.add_argument("--R", type=float, help="circumradius (with --r)")
+        p.add_argument("--R", type=float, help="circumradius in [{:g}, {:g}] (with --r)"
+                       .format(*_report._R_RANGE))
         p.add_argument("--r", type=float, help="inradius (with --R)")
         p.add_argument("--t-samples", type=int,
                        help=f"sweep grid size (default {lab.t_samples}, at most "

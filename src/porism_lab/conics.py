@@ -252,6 +252,8 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
 
     A, B, C, D, cands = _tangent_form(lines, d12, d13, d23)
     solved = sorted(num / denom for num, denom in cands if abs(denom) > 1e-300)
+    if not solved:
+        raise DegenerateConic(f"no tangent line determines D: A, B, C = {A:.2e}, {B:.2e}, {C:.2e}")
     d_ref = solved[len(solved) // 2]
     if abs(D - d_ref) > 1e-9 * max(abs(D), abs(d_ref)):
         warnings.warn(

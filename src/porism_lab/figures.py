@@ -1,5 +1,9 @@
 """Figure generation: each id renders one deterministic SVG scene built from
-the family at a fixed configuration."""
+the family at a fixed configuration.
+
+Every scene but ``cb-plots`` starts from ``_scene``: the circumcircle, the
+incircle and the X1, X3 marks.  Conics are drawn at a fixed stroke width of
+1.5; only their color, dash and hyperbola reach vary."""
 
 from __future__ import annotations
 
@@ -40,33 +44,46 @@ def _draw_triangle(canvas, tri, color, width=1.8, dash=None):
                     dash=dash, close=True)
 
 
-def _draw_canonical(canvas, canon, color, width=1.5, dash=None, reach=1.6):
+def _draw_canonical(canvas, canon, color, dash=None, reach=1.6):
+    shape = (canon.center.x, canon.center.y, canon.semi_major, canon.semi_minor, canon.angle)
+    branches = []
     if canon.kind is ConicKind.ELLIPSE:
-        canvas.polyline(ellipse_polyline(canon.center.x, canon.center.y,
-                                         canon.semi_major, canon.semi_minor,
-                                         canon.angle),
-                        stroke=color, width=width, dash=dash)
+        branches = [ellipse_polyline(*shape)]
     elif canon.kind is ConicKind.HYPERBOLA:
-        for branch in hyperbola_polylines(canon.center.x, canon.center.y,
-                                          canon.semi_major, canon.semi_minor,
-                                          canon.angle, reach=reach):
-            canvas.polyline(branch, stroke=color, width=width, dash=dash)
+        branches = hyperbola_polylines(*shape, reach)
+    for branch in branches:
+        canvas.polyline(branch, stroke=color, width=1.5, dash=dash)
 
 
-def _base_scene(canvas, cfg):
-    cc, ic = cfg.circumcircle, cfg.incircle
-    canvas.circle(cc.center.x, cc.center.y, cc.radius, stroke=CIRCUM_PURPLE, width=2.0)
-    canvas.circle(ic.center.x, ic.center.y, ic.radius, stroke=INCIRCLE_GREEN, width=2.0)
-    canvas.dot(2 * cfg.d, 0.0, INCIRCLE_GREEN)
-    canvas.label(2 * cfg.d, 0.0, "X1", INCIRCLE_GREEN)
-    canvas.dot(cfg.d, 0.0, CIRCUM_PURPLE)
-    canvas.label(cfg.d, 0.0, "X3", CIRCUM_PURPLE)
+def _draw_circle(canvas, circle, color, width, dash=None):
+    canvas.circle(circle.center.x, circle.center.y, circle.radius, stroke=color,
+                  width=width, dash=dash)
+
+
+def _mark(canvas, x, y, text, color):
+    canvas.dot(x, y, color)
+    canvas.label(x, y, text, color)
+
+
+def _conic(cfg, s, tag):
+    """Canonical form of the named conic ``tag`` of the member s."""
+    return canonicalize(_poristic.named_conic(cfg, s.t, tag, s))
+
+
+def _scene(lab, scale=90.0):
+    """The family's configuration and a canvas holding its circumcircle,
+    incircle, X1 and X3."""
+    cfg = lab.poristic()
+    canvas = SvgCanvas(scale=scale)
+    _draw_circle(canvas, cfg.circumcircle, CIRCUM_PURPLE, 2.0)
+    _draw_circle(canvas, cfg.incircle, INCIRCLE_GREEN, 2.0)
+    _mark(canvas, 2 * cfg.d, 0.0, "X1", INCIRCLE_GREEN)
+    _mark(canvas, cfg.d, 0.0, "X3", CIRCUM_PURPLE)
+    return cfg, canvas
 
 
 def _fig_obtuse(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas()
-    _base_scene(canvas, cfg)
+    cfg, canvas = _scene(lab, 120.0)
     for t, dash in ((0.0, None), (1.9, "6,4"), (3.6, "2,3")):
         s = _poristic.sample(cfg, t)
         color = RED if _poristic.is_obtuse(s) else TRIANGLE_BLUE
@@ -75,72 +92,51 @@ def _fig_obtuse(lab: LabConfig) -> str:
 
 
 def _fig_odehnal(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas(scale=90.0)
-    _base_scene(canvas, cfg)
+    cfg, canvas = _scene(lab)
     s = _poristic.sample(cfg, 1.1)
     _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE)
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN)
-    exc_circle = cfg.excentral_circle
-    canvas.circle(exc_circle.center.x, exc_circle.center.y, exc_circle.radius,
-                  stroke=ORANGE, width=1.5)
-    caustic = canonicalize(_poristic.named_conic(cfg, s.t, "I5x", s))
-    _draw_canonical(canvas, caustic, ORANGE, dash="5,4")
-    canvas.dot(0.0, 0.0, BLACK)
-    canvas.label(0.0, 0.0, "X40", BLACK)
-    x9_circle = _poristic.mittenpunkt_locus_circle(cfg)
-    canvas.circle(x9_circle.center.x, x9_circle.center.y, x9_circle.radius,
-                  stroke=RED, width=1.0, dash="3,3")
+    _draw_circle(canvas, cfg.excentral_circle, ORANGE, 1.5)
+    _draw_canonical(canvas, _conic(cfg, s, "I5x"), ORANGE, dash="5,4")
+    _mark(canvas, 0.0, 0.0, "X40", BLACK)
+    _draw_circle(canvas, _poristic.mittenpunkt_locus_circle(cfg), RED, 1.0, dash="3,3")
     return canvas.render(f"excentral locus and caustic, r/R={cfg.rho:g}")
 
 
 def _fig_inconics(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas(scale=90.0)
-    _base_scene(canvas, cfg)
+    cfg, canvas = _scene(lab)
     for t, dash in ((0.9, None), (2.6, "6,4")):
         s = _poristic.sample(cfg, t)
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
-        i3 = canonicalize(_poristic.named_conic(cfg, t, "I3x", s))
-        e1 = canonicalize(_poristic.named_conic(cfg, t, "E1", s))
-        _draw_canonical(canvas, i3, RED, dash=dash)
-        _draw_canonical(canvas, e1, EXCENTRAL_GREEN, dash=dash)
-    i5 = canonicalize(_poristic.named_conic(cfg, 0.9, "I5x"))
-    _draw_canonical(canvas, i5, INCIRCLE_GREEN, dash="2,3")
-    canvas.dot(0.0, 0.0, BLACK)
-    canvas.label(0.0, 0.0, "X40", BLACK)
+        _draw_canonical(canvas, _conic(cfg, s, "I3x"), RED, dash=dash)
+        _draw_canonical(canvas, _conic(cfg, s, "E1"), EXCENTRAL_GREEN, dash=dash)
+    _draw_canonical(canvas, _conic(cfg, _poristic.sample(cfg, 0.9), "I5x"), INCIRCLE_GREEN,
+                    dash="2,3")
+    _mark(canvas, 0.0, 0.0, "X40", BLACK)
     return canvas.render(f"rigidly rotating inconics, r/R={cfg.rho:g}")
 
 
 def _fig_circumX10(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas(scale=90.0)
-    _base_scene(canvas, cfg)
+    cfg, canvas = _scene(lab)
     s = _poristic.sample(cfg, 1.2)
     _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE)
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN, width=1.0)
-    e10 = canonicalize(_poristic.named_conic(cfg, s.t, "E10", s))
-    e5x = canonicalize(_poristic.named_conic(cfg, s.t, "E5x", s))
-    _draw_canonical(canvas, e10, PINK)
-    _draw_canonical(canvas, e5x, LIGHT_BLUE)
+    _draw_canonical(canvas, _conic(cfg, s, "E10"), PINK)
+    _draw_canonical(canvas, _conic(cfg, s, "E5x"), LIGHT_BLUE)
     x10 = _centers.center(s.triangle, 10)
-    canvas.dot(x10.x, x10.y, PINK)
-    canvas.label(x10.x, x10.y, "X10", PINK)
+    _mark(canvas, x10.x, x10.y, "X10", PINK)
     return canvas.render(f"equal-aspect circumconics, r/R={cfg.rho:g}")
 
 
 def _fig_cb_focus_locus(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas(scale=90.0)
-    _base_scene(canvas, cfg)
+    cfg, canvas = _scene(lab)
     center, radius = _billiard.foci_locus_check(cfg)
     canvas.circle(center.x, center.y, radius, stroke="#00a0a0", width=1.2, dash="4,3")
-    locus = _poristic.mittenpunkt_locus_circle(cfg)
-    canvas.circle(locus.center.x, locus.center.y, locus.radius, stroke=RED, width=1.2)
+    _draw_circle(canvas, _poristic.mittenpunkt_locus_circle(cfg), RED, 1.2)
     for t, dash in ((0.8, None), (2.3, "6,4")):
         s = _poristic.sample(cfg, t)
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
-        cb = canonicalize(_poristic.named_conic(cfg, t, "E9", s))
+        cb = _conic(cfg, s, "E9")
         _draw_canonical(canvas, cb, BLACK, dash=dash)
         for f in foci(cb):
             canvas.dot(f.x, f.y, "#00a0a0")
@@ -148,20 +144,14 @@ def _fig_cb_focus_locus(lab: LabConfig) -> str:
 
 
 def _fig_cb_poristic(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas(scale=80.0)
-    _base_scene(canvas, cfg)
-    exc_circle = cfg.excentral_circle
-    canvas.circle(exc_circle.center.x, exc_circle.center.y, exc_circle.radius,
-                  stroke=ORANGE, width=1.2)
+    cfg, canvas = _scene(lab, 80.0)
+    _draw_circle(canvas, cfg.excentral_circle, ORANGE, 1.2)
     for t, dash in ((0.7, None), (2.9, "6,4")):
         s = _poristic.sample(cfg, t)
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
         _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN, width=1.0, dash=dash)
-        cb = canonicalize(_poristic.named_conic(cfg, t, "E9", s))
-        i3 = canonicalize(_poristic.named_conic(cfg, t, "I3x", s))
-        _draw_canonical(canvas, cb, BLACK, dash=dash)
-        _draw_canonical(canvas, i3, RED, dash=dash)
+        _draw_canonical(canvas, _conic(cfg, s, "E9"), BLACK, dash=dash)
+        _draw_canonical(canvas, _conic(cfg, s, "I3x"), RED, dash=dash)
     return canvas.render(f"circumbilliards and excentral inconic, r/R={cfg.rho:g}")
 
 
@@ -169,12 +159,16 @@ def _fig_cb_plots(lab: LabConfig) -> str:
     """Two data panels: perimeter vs t for several ratios, and the
     normalized circumbilliard semi-axes vs rho."""
     canvas = SvgCanvas(scale=1.0, pad=40.0)
-    # Left panel: L(t) for several rho, axes [0, 2pi] x [4.5, 6.5]-ish.
     x0, y0, w, h = 0.0, 0.0, 320.0, 240.0
-    canvas.polyline([(x0, y0), (x0 + w, y0)], stroke=BLACK, width=1.0)
-    canvas.polyline([(x0, y0), (x0, y0 + h)], stroke=BLACK, width=1.0)
-    canvas.label(x0 + w / 2, y0 - 24, "t in [0, 2pi)", BLACK)
-    canvas.label(x0 - 10, y0 + h + 8, "L(t)/R", BLACK)
+
+    def axes(px, x_label, y_label):
+        canvas.polyline([(px, y0), (px + w, y0)], stroke=BLACK, width=1.0)
+        canvas.polyline([(px, y0), (px, y0 + h)], stroke=BLACK, width=1.0)
+        canvas.label(px + w / 2, y0 - 24, x_label, BLACK)
+        canvas.label(px - 10, y0 + h + 8, y_label, BLACK)
+
+    # Left panel: L(t) for several rho, axes [0, 2pi] x [4.5, 6.5]-ish.
+    axes(x0, "t in [0, 2pi)", "L(t)/R")
     lmin, lmax = 1.5, 6.5
     colors = (TRIANGLE_BLUE, RED, EXCENTRAL_GREEN, ORANGE)
     for color, rho in zip(colors, (0.05, 0.2, 0.36266, 0.49)):
@@ -189,10 +183,7 @@ def _fig_cb_plots(lab: LabConfig) -> str:
         canvas.label(x0 + w + 4, pts[-1][1], f"rho={rho:g}", color, size=11, dx=0, dy=0)
     # Right panel: a9/L, b9/L vs rho with the sqrt(3)/9 endpoint.
     px = x0 + w + 160.0
-    canvas.polyline([(px, y0), (px + w, y0)], stroke=BLACK, width=1.0)
-    canvas.polyline([(px, y0), (px, y0 + h)], stroke=BLACK, width=1.0)
-    canvas.label(px + w / 2, y0 - 24, "rho in (0, 1/2]", BLACK)
-    canvas.label(px - 10, y0 + h + 8, "a9/L, b9/L", BLACK)
+    axes(px, "rho in (0, 1/2]", "a9/L, b9/L")
     top = 0.3
     a_pts, b_pts = [], []
     for k in range(1, 257):
@@ -210,9 +201,7 @@ def _fig_cb_plots(lab: LabConfig) -> str:
 
 
 def _fig_circumhyps(lab: LabConfig) -> str:
-    cfg = lab.poristic()
-    canvas = SvgCanvas(scale=90.0)
-    _base_scene(canvas, cfg)
+    cfg, canvas = _scene(lab)
     s = _poristic.sample(cfg, 1.0)
     _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE)
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN, width=1.0)

@@ -16,8 +16,10 @@ twin, ``np.hypot`` by the batched one): here ``_center_solve`` and
 ``_eigenvalues``.  Each twin keeps its own checks (where the scalar twin
 raises, the batched one makes the same check on all samples at once through
 a ``PassLog``, which raises for the lowest failing sample), its own
-data-dependent branches (the eigenvector choice and the ellipse, hyperbola
-or empty classification of ``canonicalize``) and its own SVD rank tests.
+data-dependent branches and its own SVD rank tests.  The ``canonicalize``
+twins share their names and their one major/transverse-axis selection; the
+scalar one branches where the batched one masks, and divides by the
+eigenvector norm only once it is known not to vanish.
 """
 
 from __future__ import annotations
@@ -349,15 +351,13 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     # algebraically equivalent eigenvector forms can cancel to zero; take
     # the larger one.
     lam1, lam2 = _eigenvalues(A, B, C, math.hypot)
-    cand_a = (lam1 - C, B)
-    cand_b = (B, lam1 - A)
-    v1 = cand_a if math.hypot(*cand_a) >= math.hypot(*cand_b) else cand_b
-    n1 = math.hypot(*v1)
+    use_a = math.hypot(lam1 - C, B) >= math.hypot(B, lam1 - A)
+    v1x, v1y = (lam1 - C, B) if use_a else (B, lam1 - A)
+    n1 = math.hypot(v1x, v1y)
     if n1 < DEGENERACY_EPS * max(abs(A), abs(C), abs(B)):
-        v1 = (1.0, 0.0)  # repeated eigenvalue: any direction serves
-        n1 = 1.0
-    v1 = np.array([v1[0] / n1, v1[1] / n1])
-    v2 = np.array([-v1[1], v1[0]])
+        v1x, v1y = 1.0, 0.0  # repeated eigenvalue: any direction serves
+    else:
+        v1x, v1y = v1x / n1, v1y / n1
 
     if not rank3_ok:
         kind = ConicKind.DEGENERATE_LINES if det2 < 0 else ConicKind.EMPTY
@@ -366,27 +366,21 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     # lam1 u^2 + lam2 v^2 + f0 = 0  ->  semi-axis^2 = -f0 / lam
     q1 = -f0 / lam1
     q2 = -f0 / lam2
-    if q1 > 0 and q2 > 0:
-        a1, a2 = math.sqrt(q1), math.sqrt(q2)
-        if a1 >= a2:
-            major, minor, vec = a1, a2, v1
-        else:
-            major, minor, vec = a2, a1, v2
-        if major - minor < CIRCULAR_EPS * major:
-            angle = 0.0
-        else:
-            angle = _wrap_half_pi(math.atan2(vec[1], vec[0]))
-        return CanonicalConic(Point(cx, cy), angle, major, minor, ConicKind.ELLIPSE)
-    if q1 * q2 < 0:
-        if q1 > 0:
-            transverse, conjugate, vec = math.sqrt(q1), math.sqrt(-q2), v1
-        else:
-            transverse, conjugate, vec = math.sqrt(q2), math.sqrt(-q1), v2
-        angle = _wrap_half_pi(math.atan2(vec[1], vec[0]))
-        return CanonicalConic(Point(cx, cy), angle, transverse, conjugate,
-                              ConicKind.HYPERBOLA)
-    # Both quotients negative: no real points.
-    return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, ConicKind.EMPTY)
+    ellipse = q1 > 0 and q2 > 0
+    hyperbola = q1 * q2 < 0
+    if not (ellipse or hyperbola):
+        # Both quotients negative: no real points.
+        return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, ConicKind.EMPTY)
+    a1, a2 = math.sqrt(abs(q1)), math.sqrt(abs(q2))
+    # Major (transverse) axis along v1, else along v2 = (-v1y, v1x).
+    along_v1 = a1 >= a2 if ellipse else q1 > 0
+    major, minor = (a1, a2) if along_v1 else (a2, a1)
+    if ellipse and major - minor < CIRCULAR_EPS * major:
+        angle = 0.0
+    else:
+        angle = _wrap_half_pi(math.atan2(v1y, v1x) if along_v1 else math.atan2(v1x, -v1y))
+    kind = ConicKind.ELLIPSE if ellipse else ConicKind.HYPERBOLA
+    return CanonicalConic(Point(cx, cy), angle, major, minor, kind)
 
 
 def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:

@@ -53,6 +53,8 @@ from .geom import (  # noqa: F401
 
 SCHEMA_VERSION = 1
 MAX_T_SAMPLES = 10**6  # a verify holds about 3 KB per sample: at most about 3 GB
+# Beyond this range of R the family's loci underflow or overflow unchecked.
+_R_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,9 @@ class LabConfig:
     perturb: float = 0.0  # vertex perturbation injected into one sample
 
     def validated(self) -> "LabConfig":
+        lo, hi = _R_RANGE
+        if not lo <= self.R <= hi:
+            raise ConfigError(f"R must be in [{lo:g}, {hi:g}], got {self.R}")
         if self.t_samples < 3:
             raise ConfigError(f"t_samples must be >= 3, got {self.t_samples}")
         if self.t_samples > MAX_T_SAMPLES:
@@ -226,10 +231,11 @@ class _Pass:
     @functools.cached_property
     def x100(self):
         """X100, partial: the family is isosceles at t = 0 and pi, excluded
-        with a fixed parameter radius, tested with the exact math.remainder
-        as the benchmark's sweep check and tests/test_batch.py do."""
-        near = np.array([abs(math.remainder(ti, math.pi)) < _poristic.ISOSCELES_T_RADIUS
-                         for ti in self.t.tolist()])
+        with a fixed parameter radius.  The distance of t to the nearer one
+        is exactly |math.remainder(t, pi)|: fmod is exact, and so is pi - r
+        for r >= pi/2 (Sterbenz)."""
+        r = np.fmod(self.t, math.pi)
+        near = np.minimum(r, math.pi - r) < _poristic.ISOSCELES_T_RADIUS
         isosceles = ~near & ~_centers.scalene_batch(self.s)
         has_x100 = ~(near | isosceles)
         x100 = _centers.center_batch(self.fam.triangle, 100, self.log.where(has_x100), self.s)

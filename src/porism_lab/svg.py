@@ -2,12 +2,15 @@
 
 Every coordinate is formatted with a fixed number of decimals so identical
 scenes serialize to identical bytes; the y-axis is flipped so mathematical
-coordinates render upright.
+coordinates render upright.  Circles are unfilled, dots have a radius of 3
+pixels and curves are sampled at ``_SEGMENTS`` segments per branch.
 """
 
 from __future__ import annotations
 
 import math
+
+_SEGMENTS = 256
 
 
 def _fmt(v: float) -> str:
@@ -34,14 +37,14 @@ class SvgCanvas:
     def _pt(self, x: float, y: float) -> tuple[float, float]:
         return x * self.scale, -y * self.scale
 
-    def circle(self, cx, cy, r, stroke="#000000", width=1.5, dash=None, fill="none"):
+    def circle(self, cx, cy, r, stroke="#000000", width=1.5, dash=None):
         for dx, dy in ((-r, -r), (r, r)):
             self._see(cx + dx, cy + dy)
         x, y = self._pt(cx, cy)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * self.scale)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
+            f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def polyline(self, pts, stroke="#000000", width=1.5, dash=None, close=False):
         for x, y in pts:
@@ -53,11 +56,11 @@ class SvgCanvas:
             f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
-    def dot(self, x, y, color="#000000", r=3.0):
+    def dot(self, x, y, color="#000000"):
         self._see(x, y)
         px, py = self._pt(x, y)
         self.elements.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r)}" fill="{color}"/>')
+            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.0000" fill="{color}"/>')
 
     def label(self, x, y, text, color="#000000", size=14, dx=6.0, dy=-6.0):
         self._see(x, y)
@@ -86,28 +89,28 @@ class SvgCanvas:
         return head + "\n".join(self.elements) + "\n</svg>\n"
 
 
-def ellipse_polyline(cx: float, cy: float, a: float, b: float, angle: float,
-                     n: int = 256) -> list[tuple[float, float]]:
+def ellipse_polyline(cx: float, cy: float, a: float, b: float,
+                     angle: float) -> list[tuple[float, float]]:
     """Closed sampled outline of a rotated ellipse."""
     ca, sa = math.cos(angle), math.sin(angle)
     pts = []
-    for k in range(n + 1):
-        ph = 2 * math.pi * k / n
+    for k in range(_SEGMENTS + 1):
+        ph = 2 * math.pi * k / _SEGMENTS
         u, v = a * math.cos(ph), b * math.sin(ph)
         pts.append((cx + ca * u - sa * v, cy + sa * u + ca * v))
     return pts
 
 
 def hyperbola_polylines(cx: float, cy: float, a: float, b: float, angle: float,
-                        reach: float = 2.0, n: int = 256) -> list[list[tuple[float, float]]]:
+                        reach: float) -> list[list[tuple[float, float]]]:
     """Both branches of a rotated hyperbola, parametrized by cosh/sinh up to
     |u| = reach."""
     ca, sa = math.cos(angle), math.sin(angle)
     branches = []
     for sign in (1.0, -1.0):
         pts = []
-        for k in range(n + 1):
-            u = -reach + 2 * reach * k / n
+        for k in range(_SEGMENTS + 1):
+            u = -reach + 2 * reach * k / _SEGMENTS
             x0, y0 = sign * a * math.cosh(u), b * math.sinh(u)
             pts.append((cx + ca * x0 - sa * y0, cy + sa * x0 + ca * y0))
         branches.append(pts)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_triangle
@@ -79,6 +80,17 @@ class TestTrilinears:
         # Weights (f_i s_i) = (1, 1, -2): the sum vanishes.
         with pytest.raises(PointAtInfinity):
             trilinear_to_point(RIGHT_345, (1 / s[0], 1 / s[1], -2 / s[2]))
+
+    def test_point_at_infinity_all_weights_zero(self):
+        # The relative zero-sum test alone reads 0 < 0 here.
+        from porism_lab.centers import _barycentric_batch
+        from porism_lab.errors import PassLog, PointAtInfinity
+
+        with pytest.raises(PointAtInfinity):
+            trilinear_to_point(RIGHT_345, (0.0, 0.0, 0.0))
+        v = np.array([[[p.x, p.y] for p in RIGHT_345.v]])
+        with pytest.raises(PointAtInfinity):
+            _barycentric_batch(v, (np.zeros(1), np.zeros(1), np.zeros(1)), PassLog([0.0]))
 
 
 class TestRegistry:

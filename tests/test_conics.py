@@ -142,6 +142,11 @@ class TestInconicFromTangents:
         with pytest.raises(ParallelTangents):
             inconic_from_tangents(Line(1, 0, -1), Line(1, 0, 1), Line(0, 1, -1))
 
+    def test_tangents_through_the_center_raise(self):
+        # Every line through the origin leaves no tangency-solved D.
+        with pytest.raises(DegenerateConic, match="no tangent line determines D"):
+            inconic_from_tangents(Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0))
+
     def test_degenerate_center_warns_and_fails_canonicalization(self):
         # A center on a medial line makes the tangent conic degenerate; the
         # closed-form D and the discriminant-solved D disagree there (both

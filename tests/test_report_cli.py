@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porism_lab import report
 from porism_lab.cli import main
-from porism_lab.errors import ConfigError, UnknownQuantity
+from porism_lab.errors import ConfigError, GeometryError, UnknownQuantity
+from porism_lab.figures import FIGURE_IDS, render_figure
 from porism_lab.poristic import perimeter_closed_form
 from porism_lab.report import (
     MAX_T_SAMPLES,
@@ -17,6 +22,9 @@ from porism_lab.report import (
     verify_report_csv,
     verify_report_json,
 )
+
+FIGURE_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+                    / "figures.json")
 
 
 class TestVerifySuite:
@@ -73,6 +81,16 @@ class TestVerifySuite:
             run_verify(LabConfig(t_samples=MAX_T_SAMPLES + 1))
         with pytest.raises(ConfigError):
             LabConfig(R=1.0, r=0.7).poristic()
+
+    @given(st.floats(-100, 100), st.floats(math.log10(1e-12), math.log10(0.5)),
+           st.integers(3, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_every_accepted_scale_gives_a_report_or_a_geometry_error(self, log_R, log_rho, n):
+        R = 10.0 ** log_R
+        try:
+            run_verify(LabConfig(R=R, r=10.0 ** log_rho * R, t_samples=n))
+        except GeometryError:
+            pass
 
     def test_json_schema_fields(self):
         result = run_verify(LabConfig(t_samples=48))
@@ -158,6 +176,14 @@ class TestCli:
         assert capsys.readouterr().err == (f"error: t_samples must be <= {MAX_T_SAMPLES}, "
                                            f"got {MAX_T_SAMPLES + 1}\n")
 
+    @pytest.mark.parametrize("R, r", (("1e-110", "2e-111"), ("1e155", "2e154")))
+    @pytest.mark.parametrize("command", ("verify", "sweep"))
+    def test_R_outside_range_exit_two(self, tmp_path, capsys, command, R, r):
+        # Beyond these scales the loci stage underflows or overflows.
+        assert main([command, "--R", R, "--r", r, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: R must be in [1e-100, 1e+100], got {float(R)}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_rho_and_rR_conflict(self, tmp_path):
         assert main(["verify", "--rho", "0.2", "--R", "1", "--r", "0.2",
                      "--out", str(tmp_path)]) == 2
@@ -211,6 +237,12 @@ class TestCli:
                     "cb-focus-locus", "cb-poristic", "cb-plots", "circumhyps"):
             assert main(["figure", "--figure", fig, "--out", str(tmp_path)]) == 0
             assert (tmp_path / f"{fig}.svg").stat().st_size > 500
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_figure_bytes_match_benchmark_reference(self, figure_id):
+        reference = json.loads(FIGURE_REFERENCE.read_text())
+        svg = render_figure(figure_id, LabConfig())
+        assert hashlib.sha256(svg.encode()).hexdigest() == reference[figure_id]
 
     def test_unknown_figure(self, tmp_path):
         assert main(["figure", "--figure", "nope", "--out", str(tmp_path)]) == 2
