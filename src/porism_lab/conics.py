@@ -11,12 +11,12 @@ The ``_batch`` functions are the array twins used by the measurement pass
 Both twins call the same cores: the congruence ``_shift`` of
 ``_origin_conic``, the line terms ``_cross_terms`` and ``_tangent_form``
 (with the tangency-solved D candidates) and ``geom._eigenvalues``.  Each
-twin keeps its own incidence rows, checks, SVD rank tests and choice of D
-on a fallback, and its own 3x3 minors: ``_det3`` sums them with
-``math.fsum`` and is the oracle for ``_det3_batch``, which uses the
-compensated dot product Dot2 of Ogita, Rump and Oishi, "Accurate Sum and Dot
-Product" (SIAM J. Sci. Comput. 26(6), 2005), as accurate as evaluating in
-twice the working precision.
+twin keeps its own incidence rows, checks, rank tests (the SVD, or
+``geom.rank_test_batch``) and choice of D on a fallback, and its own 3x3
+minors: ``_det3`` sums them with ``math.fsum`` and is the oracle for
+``_det3_batch``, which uses the compensated dot product Dot2 of Ogita, Rump
+and Oishi, "Accurate Sum and Dot Product" (SIAM J. Sci. Comput. 26(6),
+2005), as accurate as evaluating in twice the working precision.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .geom import (  # noqa: F401
     canonicalize,
     line_through,
     line_through_batch,
+    rank_test_batch,
     singular_values_batch,
 )
 
@@ -143,6 +144,10 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     """
     rows = [[u * u, 2 * u * v, v * v, 1.0]
             for u, v in ((p.x - center.x, p.y - center.y) for p in t.v)]
+    # The 3x3 minors are sums of six products of three entries.
+    top = max(abs(x) for row in rows for x in row)
+    if not 6.0 * top * top * top < math.inf:  # false for a NaN entry too
+        raise DegenerateConic("centered circumconic incidence system is not finite")
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     if sv[-1] < 1e-12 * sv[0]:
         raise DegenerateConic("centered circumconic is not unique for this center")
@@ -156,19 +161,20 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
 
 
 def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog):
-    """``_centered_circumconic`` over a stack: (A, B, C, F, cond) arrays."""
+    """``_centered_circumconic`` over a stack: (A, B, C, F) arrays and the
+    incidence rows, whose SVD only a caller that reports the condition
+    number runs."""
     u = v[:, :, 0] - center[:, None, 0]
     w = v[:, :, 1] - center[:, None, 1]
     rows = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
-    sv = singular_values_batch(rows)
-    log.check(sv[:, -1] < 1e-12 * sv[:, 0], DegenerateConic,
+    log.check(rank_test_batch(rows) < 0, DegenerateConic,
               "centered circumconic is not unique for this center")
     minors = _det3_batch(rows)
     vec = minors * np.array([1.0, -1.0, 1.0, -1.0])
     top = np.abs(vec).max(axis=1)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
     vec = vec / top[:, None]
-    return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], sv[:, 0] / sv[:, -1]
+    return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], rows
 
 
 def _origin_conic(A, B, C, F) -> np.ndarray:
@@ -200,11 +206,14 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
 
 
 def circumconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
-    """``circumconic_centered`` over a stack.  Its rank test is the SVD that
-    ``canonicalize_batch`` reuses from the returned stack."""
-    A, B, C, F, cond = _centered_circumconic_batch(v, center, log)
-    conic = ConicBatch(_shift(_origin_conic(A, B, C, F), center[:, 0], center[:, 1]), cond)
-    log.check(conic.sv[:, -1] < 1e-12 * conic.sv[:, 0], DegenerateConic,
+    """``circumconic_centered`` over a stack.  Its rank test is the one that
+    ``canonicalize_batch`` reuses from the returned stack; the condition
+    numbers come from one stacked SVD of the incidence rows."""
+    A, B, C, F, rows = _centered_circumconic_batch(v, center, log)
+    sv = singular_values_batch(rows)
+    conic = ConicBatch(_shift(_origin_conic(A, B, C, F), center[:, 0], center[:, 1]),
+                       sv[:, 0] / sv[:, -1])
+    log.check(conic.rank_test < 0, DegenerateConic,
               "centered circumconic degenerates for this center")
     return conic
 

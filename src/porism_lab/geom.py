@@ -15,16 +15,19 @@ arithmetic and the functions it is passed (``math.hypot`` by the scalar
 twin, ``np.hypot`` by the batched one): here ``_center_solve`` and
 ``_eigenvalues``.  Each twin keeps its own checks (where the scalar twin
 raises, the batched one makes the same check on all samples at once through
-a ``PassLog``, which raises for the lowest failing sample), its own
-data-dependent branches and its own SVD rank tests.  The ``canonicalize``
-twins share their names and their one major/transverse-axis selection; the
-scalar one branches where the batched one masks, and divides by the
-eigenvector norm only once it is known not to vanish.
+a ``PassLog``, which raises for the lowest failing sample) and its own
+data-dependent branches.  The scalar rank tests compare singular values;
+the batched ones call ``rank_test_batch``, a certified filter that decides
+them as the SVD does and runs it only near the threshold.  The
+``canonicalize`` twins share their names and their one major/transverse-axis
+selection; the scalar one branches where the batched one masks, and divides
+by the eigenvector norm only once it is known not to vanish.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -189,6 +192,8 @@ class ConicMatrix:
         if m.shape != (3, 3):
             raise ValueError(f"conic matrix must be 3x3, got {m.shape}")
         top = np.abs(m).max()
+        if not math.isfinite(top):
+            raise DegenerateConic("conic matrix is not finite")
         if top == 0.0:
             raise ValueError("zero conic matrix")
         if np.abs(m - m.T).max() > 1e-9 * top:
@@ -224,10 +229,10 @@ class ConicBatch:
         object.__setattr__(self, "m", 0.5 * (m + np.swapaxes(m, 1, 2)) / top)
 
     @functools.cached_property
-    def sv(self) -> np.ndarray:
-        """Singular values of every matrix, largest first, computed once for
-        all the rank tests made on this stack."""
-        return singular_values_batch(self.m)
+    def rank_test(self) -> np.ndarray:
+        """``rank_test_batch`` of the stack, computed once for all the rank
+        tests made on it."""
+        return rank_test_batch(self.m)
 
 
 def singular_values_batch(a: np.ndarray) -> np.ndarray:
@@ -236,8 +241,92 @@ def singular_values_batch(a: np.ndarray) -> np.ndarray:
     instead of failing the whole stack."""
     ok = np.isfinite(a).all(axis=(1, 2))
     sv = np.full((a.shape[0], min(a.shape[1:])), np.nan)
-    sv[ok] = np.linalg.svd(a[ok], compute_uv=False)
+    if ok.any():
+        sv[ok] = np.linalg.svd(a[ok], compute_uv=False)
     return sv
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+# Relative margin of the filter's decisions: it covers the SVD's own error,
+# |computed - exact| <= p u sigma_max with p up to about 100 (a relative
+# 100 u / 1e-12 = 1.1% at the threshold), and the relative rounding of the
+# norms and products below (a few dozen u).
+_RANK_MARGIN = 1.0 / 32
+# Products of three entries of a matrix of Frobenius norm <= 2^100 neither
+# overflow nor lose more than _UNDERFLOW to underflow, all terms together.
+_FILTER_MAX_NORM = 2.0 ** 100
+_UNDERFLOW = 2.0 ** -900
+
+
+def _minor_index(k: int):
+    """Index arrays into the entries of a 3 x k matrix, flattened row by
+    row: the products a[r, i] a[s, j] and a[r, j] a[s, i] of every 2x2 minor
+    (rows r < s, columns i < j; those of rows 0, 1 first), and for every 3x3
+    minor (columns i < j < l) its row-2 entries and the positions of the
+    row-(0, 1) minors of columns (j, l), (i, l), (i, j)."""
+    pairs = list(itertools.combinations(range(k), 2))
+    products = [(r * k + i, s * k + j, r * k + j, s * k + i)
+                for r, s in ((0, 1), (0, 2), (1, 2)) for i, j in pairs]
+    triples = list(itertools.combinations(range(k), 3))
+    pos = [(pairs.index((j, l)), pairs.index((i, l)), pairs.index((i, j))) for i, j, l in triples]
+    return np.array(products).T, 2 * k + np.array(triples), np.array(pos)
+
+
+_MINOR_INDEX = {k: _minor_index(k) for k in (3, 4)}
+
+
+def rank_test_batch(a: np.ndarray) -> np.ndarray:
+    """The rank test sigma_min > 1e-12 sigma_max of every matrix of a
+    (n, 3, k) stack, k = 3 or 4, decided as ``singular_values_batch``
+    decides it: the sign of sigma_min - 1e-12 sigma_max (int8), 0 for a row
+    with a non-finite entry.
+
+    A certified filter brackets sigma_3 / sigma_1 within a factor of 3:
+    sigma_1 sigma_2 sigma_3 is the norm D of the 3x3 minors (the determinant,
+    or Cauchy-Binet for k = 4), sigma_1 sigma_2 lies in [P/sqrt 3, P] for the
+    norm P of the 2x2 minors (the second compound), and sigma_1 in
+    [F/sqrt 3, F] for the Frobenius norm F, so that the ratio lies in
+    [D/(P F), 3 D/(P F)].  D and P are widened by rounding bounds on the
+    minors, as in Shewchuk's static filters: 3 u (|p| + |q|) per 2x2 minor
+    p - q and 6 u of the absolute Laplace terms per 3x3 minor.  The SVD runs
+    only on the rows that the widened bracket, with ``_RANK_MARGIN``, leaves
+    undecided: a ratio within about [1e-12/3, 3e-12], minors that cancel
+    to their rounding bound (nearly rank 1), F above ``_FILTER_MAX_NORM``,
+    or a non-finite entry.
+    """
+    products, row2, pos = _MINOR_INDEX[a.shape[2]]
+    x = np.ascontiguousarray(a.reshape(len(a), -1).T)  # x[e]: entry e of every matrix
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are left open
+        # Products and absolute values in place: fresh temporaries take
+        # about half the time at n = 720.
+        p = x[products[0]]
+        p *= x[products[1]]
+        q = x[products[2]]
+        q *= x[products[3]]
+        minors2 = p - q
+        x2 = x[row2]
+        laplace = x2 * minors2[pos]
+        minors3 = laplace[:, 0] - laplace[:, 1] + laplace[:, 2]
+        F = np.sqrt(np.einsum("ij,ij->j", x, x))
+        P = np.sqrt(np.einsum("ij,ij->j", minors2, minors2))
+        D = np.sqrt(np.einsum("ij,ij->j", minors3, minors3))
+        abs2 = np.abs(p, out=p)
+        abs2 += np.abs(q, out=q)
+        e_P = 3.0 * _U * abs2.sum(axis=0) + _UNDERFLOW
+        x2 = np.abs(x2, out=x2)
+        x2 *= abs2[pos]
+        e_D = 6.0 * _U * x2.sum(axis=(0, 1)) + _UNDERFLOW
+        in_range = F <= _FILTER_MAX_NORM
+        full = in_range & (D - e_D > DEGENERACY_EPS * (1.0 + _RANK_MARGIN) * (P + e_P) * F)
+        deficient = in_range & (3.0 * (D + e_D)
+                                < DEGENERACY_EPS * (1.0 - _RANK_MARGIN) * (P - e_P) * F)
+    sign = full.astype(np.int8) - deficient
+    open_rows = ~(full | deficient)
+    if open_rows.any():
+        sv = singular_values_batch(a[open_rows])
+        sign[open_rows] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
+                           - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
+    return sign
 
 
 def conic_eval(conic: ConicMatrix, p: Point) -> float:
@@ -384,16 +473,15 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
 
 
 def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
-    """``canonicalize`` over a stack: the same rank test (one stacked SVD),
-    center solve and refinement step, and closed-form 2x2
-    eigendecomposition."""
+    """``canonicalize`` over a stack: the same rank test (decided by
+    ``rank_test_batch``), center solve and refinement step, and closed-form
+    2x2 eigendecomposition."""
     m = conic.m
     A, B, D = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
     C, E = m[:, 1, 1], m[:, 1, 2]
     F = m[:, 2, 2]
     det2 = A * C - B * B
-    sv = conic.sv
-    rank3_ok = sv[:, 2] > DEGENERACY_EPS * sv[:, 0]
+    rank3_ok = conic.rank_test > 0
     block_scale = np.maximum(np.abs(A), np.abs(C)) + np.abs(B)
     singular = np.abs(det2) < DEGENERACY_EPS * block_scale * block_scale
     log.check(singular & ~rank3_ok, DegenerateConic, "conic of rank < 3")

@@ -554,8 +554,7 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
 def format_csv(header: list[str], rows: list[list]) -> str:
     """CSV text with 17 significant digits and empty fields for skips."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else f"{v:.17g}" for v in row))
+    lines += [",".join(["" if v is None else "%.17g" % v for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 

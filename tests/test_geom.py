@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porism_lab.errors import DegenerateConic, DegenerateTriangle, NotCentral
+from porism_lab import geom
+from porism_lab.conics import circumconic_centered_batch
+from porism_lab.errors import DegenerateConic, DegenerateTriangle, NotCentral, PassLog
 from porism_lab.geom import (
+    DEGENERACY_EPS,
     CanonicalConic,
     Circle,
+    ConicBatch,
     ConicKind,
     ConicMatrix,
     Line,
     Point,
     Triangle,
     canonicalize,
+    canonicalize_batch,
     conic_eval,
     conic_from_canonical,
     distance,
@@ -22,6 +27,8 @@ from porism_lab.geom import (
     line_intersection,
     line_through,
     power_of_point,
+    rank_test_batch,
+    singular_values_batch,
     tangency_residual,
 )
 from porism_lab.poristic import config_from_rR, excentral_side_lines, i3x_implicit_matrix
@@ -206,3 +213,76 @@ class TestLinesAndTriangles:
             ConicMatrix(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             ConicMatrix(np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, -1.0]]))
+
+    def test_conic_matrix_rejects_non_finite_entries(self):
+        with pytest.raises(DegenerateConic, match="conic matrix is not finite"):
+            ConicMatrix.from_coeffs(1, 0, 1, 0, 0, math.inf)
+
+
+def _svd_rank_test(a):
+    sv = singular_values_batch(a)
+    return ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
+            - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
+
+
+class TestRankFilter:
+    """``rank_test_batch`` decides sigma_min > 1e-12 sigma_max as the stacked
+    SVD does, and runs the SVD only near the threshold."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 4]), st.integers(-40, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_filter_decides_as_the_svd(self, seed, k, exponent):
+        rng = np.random.default_rng(seed)
+        n = 64
+        # U diag(1, s, rho) V^T: sigma_min / sigma_max is rho, log-uniform
+        # across the threshold; s >= 0.1 keeps sigma_2 away from rank 1.
+        rho = 10.0 ** rng.uniform(-14, -10, n)
+        sigma = np.zeros((n, 3, k))
+        sigma[:, 0, 0], sigma[:, 1, 1], sigma[:, 2, 2] = 1.0, 10.0 ** rng.uniform(-1, 0, n), rho
+        u = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, k, k)))[0]
+        a = np.ldexp(u @ sigma @ np.swapaxes(v, 1, 2), exponent)
+        bad = rng.random(n) < 0.1
+        a[bad, rng.integers(0, 3), rng.integers(0, k)] = rng.choice([np.nan, np.inf, -np.inf])
+        want = _svd_rank_test(a)
+
+        sent = []
+
+        def recorded(rows):
+            sent.extend(bytes(row) for row in rows)
+            return singular_values_batch(rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geom, "singular_values_batch", recorded)
+            got = rank_test_batch(a)
+        assert got.tolist() == want.tolist()
+        assert not want[bad].any()
+        # The band [1e-12/3, 3e-12], widened by the decision margin and the
+        # rounding bounds (at most a quarter for these matrices).
+        outside = (rho < DEGENERACY_EPS / 3 / 1.25) | (rho > 3 * DEGENERACY_EPS * 1.25)
+        assert not [i for i in np.flatnonzero(outside & ~bad) if bytes(a[i]) in sent]
+
+    @pytest.mark.parametrize("exponent", [-600, -400, -300, 300, 400, 600])
+    def test_far_from_unit_scale_the_svd_decides(self, exponent):
+        # Products of entries under- or overflow here, so the rounding
+        # bounds no longer hold: such rows must be left to the SVD.
+        rng = np.random.default_rng(exponent % 1000)
+        for k in (3, 4):
+            a = np.ldexp(rng.normal(size=(50, 3, k)), exponent)
+            a[:10, 2] = a[:10, 0] + 1e-14 * a[:10, 1]  # nearly rank 2
+            a[10:20, 0, 0] *= 2.0 ** 300  # one entry far above the others
+            with np.errstate(over="ignore"):
+                want = _svd_rank_test(a)
+            assert rank_test_batch(a).tolist() == want.tolist()
+
+    def test_non_finite_rows_keep_their_outcome(self):
+        # A row outside a partial stage is NaN: the circumconic check does not
+        # flag it, and canonicalize_batch sees it as not of full rank.
+        v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]] * 3)
+        center = np.array([[1.0, 1.0], [np.nan, np.nan], [1.2, 0.9]])
+        conic = circumconic_centered_batch(v, center, PassLog(np.arange(3.0)))
+        assert conic.rank_test.tolist() == [1, 0, 1]
+        can = canonicalize_batch(conic, PassLog(np.arange(3.0)))
+        assert can.semi_major[1] == 0.0 and can.semi_major[0] > 0.0
+        stack = ConicBatch(np.stack([UNIT_CIRCLE.m, np.full((3, 3), np.nan)]))
+        assert stack.rank_test.tolist() == [1, 0]

@@ -102,6 +102,22 @@ def test_scalar_circumconic_shares_one_svd_with_canonicalize(monkeypatch):
     assert can.semi_major > can.semi_minor > 0
 
 
+def test_verify_runs_the_svd_only_for_the_reported_condition_numbers(monkeypatch):
+    # The rank tests of the batched pass are decided by the certified
+    # filter; at the default config no row is close enough to the threshold
+    # to need the SVD.  The five circumconic condition numbers still do.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report.run_verify(LabConfig())
+    assert calls == [(720, 3, 4)] * 5
+
+
 def test_scalar_rank_tests_keep_their_messages():
     tri = Triangle((Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0)))
     with pytest.raises(DegenerateConic) as info:

@@ -143,6 +143,13 @@ class TestSweep:
         assert lines[1] == "0.5,0.33333333333333331"
         assert lines[2] == "1,"
 
+    def test_csv_cells_equal_the_format_spec_form(self):
+        header, rows, _ = run_sweep(LabConfig(r=0.2, t_samples=24), ["perimeter", "gamma_ratio"])
+        rows += [[-0.0, 1e-320], [math.inf, -math.inf], [math.nan, 2.0 ** 60]]
+        want = "".join(",".join("" if v is None else f"{v:.17g}" for v in row) + "\n"
+                       for row in rows)
+        assert format_csv(header, rows) == "t,perimeter,gamma_ratio\n" + want
+
 
 class TestCli:
     def test_verify_pass(self, tmp_path, capsys):
@@ -243,6 +250,15 @@ class TestCli:
         reference = json.loads(FIGURE_REFERENCE.read_text())
         svg = render_figure(figure_id, LabConfig())
         assert hashlib.sha256(svg.encode()).hexdigest() == reference[figure_id]
+
+    @pytest.mark.parametrize("R", (1e30, 1e60, 1e100))
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_figures_at_extreme_scale_exit_cleanly(self, tmp_path, capsys, figure_id, R):
+        code = main(["figure", "--figure", figure_id, "--R", repr(R), "--r", repr(0.2 * R),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        assert err == "" if code == 0 else err.startswith("error: ")
 
     def test_unknown_figure(self, tmp_path):
         assert main(["figure", "--figure", "nope", "--out", str(tmp_path)]) == 2
