@@ -71,8 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _report.ConfigError(f"config file {path!r} is not UTF-8: {exc.reason} "
+                                  f"at byte {exc.start}") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

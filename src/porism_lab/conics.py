@@ -13,10 +13,11 @@ Both twins call the same cores: the congruence ``_shift`` of
 (with the tangency-solved D candidates) and ``geom._eigenvalues``.  Each
 twin keeps its own incidence rows, checks, rank tests (the SVD, or
 ``geom.rank_test_batch``) and choice of D on a fallback, and its own 3x3
-minors: ``_det3`` sums them with ``math.fsum`` and is the oracle for
-``_det3_batch``, which uses the compensated dot product Dot2 of Ogita, Rump
-and Oishi, "Accurate Sum and Dot Product" (SIAM J. Sci. Comput. 26(6),
-2005), as accurate as evaluating in twice the working precision.
+minors: ``_det3`` sums them with ``math.fsum`` and is the oracle for the
+batched twin, which takes the Laplace minors that ``rank_test_batch``
+decides its rank test from.  Their terms are products of entries that are
+already rounded, so a compensated sum would remove only the smaller
+summation error (README, "How verify and sweep measure").
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
 # canonicalize stays importable from this module: the benchmark's tracer
 # self-test (perfbench/test_perfbench.py) resolves it here.
 from .geom import (  # noqa: F401
+    DEGENERACY_EPS,
     ConicBatch,
     ConicMatrix,
     Line,
@@ -85,52 +87,6 @@ def _det3(rows: list[list[float]], skip: int) -> float:
     return math.fsum([a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g])
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp split into two 26-bit halves
-
-
-def _two_sum(a, b):
-    """a + b = x + y exactly."""
-    x = a + b
-    z = x - a
-    return x, (a - (x - z)) + (b - z)
-
-
-def _two_product(a, b):
-    """a * b = x + y exactly (Dekker's product on Veltkamp splits)."""
-    x = a * b
-    c = _SPLITTER * a
-    a1 = c - (c - a)
-    a2 = a - a1
-    c = _SPLITTER * b
-    b1 = c - (c - b)
-    b2 = b - b1
-    return x, a2 * b2 - (((x - a1 * b1) - a2 * b1) - a1 * b2)
-
-
-def _dot2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Compensated dot product over the last axis (Dot2)."""
-    p, s = _two_product(x[..., 0], y[..., 0])
-    for k in range(1, x.shape[-1]):
-        h, r = _two_product(x[..., k], y[..., k])
-        p, q = _two_sum(p, h)
-        s = s + (q + r)
-    return p + s
-
-
-#: Columns kept by each of the four 3x3 minors of a 3x4 system.
-_MINOR_COLS = np.array([[j for j in range(4) if j != skip] for skip in range(4)])
-
-
-def _det3_batch(rows: np.ndarray) -> np.ndarray:
-    """The four signed 3x3 minors (n, 4) of a (n, 3, 4) row stack: the
-    terms of ``_det3`` summed with Dot2."""
-    m = np.moveaxis(rows[:, :, _MINOR_COLS], 1, 2)  # (n, minor, row, col)
-    (a, b, c), (d, e, f), (g, h, i) = ((m[..., r, 0], m[..., r, 1], m[..., r, 2]) for r in range(3))
-    x = np.stack([a * e, -a * f, -b * d, b * f, c * d, -c * e], axis=-1)
-    y = np.stack([i, h, i, g, h, g], axis=-1)
-    return _dot2(x, y)
-
-
 def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float, float]:
     """Coefficients (A, B, C, F) of A u^2 + 2B uv + C v^2 + F = 0 through the
     vertices in the frame translated so the prescribed center is the origin,
@@ -149,7 +105,7 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     if not 6.0 * top * top * top < math.inf:  # false for a NaN entry too
         raise DegenerateConic("centered circumconic incidence system is not finite")
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
+    if sv[-1] < DEGENERACY_EPS * sv[0]:
         raise DegenerateConic("centered circumconic is not unique for this center")
     cond = float(sv[0] / sv[-1])
     vec = (_det3(rows, 0), -_det3(rows, 1), _det3(rows, 2), -_det3(rows, 3))
@@ -167,10 +123,11 @@ def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog)
     u = v[:, :, 0] - center[:, None, 0]
     w = v[:, :, 1] - center[:, None, 1]
     rows = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
-    log.check(rank_test_batch(rows) < 0, DegenerateConic,
-              "centered circumconic is not unique for this center")
-    minors = _det3_batch(rows)
-    vec = minors * np.array([1.0, -1.0, 1.0, -1.0])
+    sign, minors = rank_test_batch(rows)
+    log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
+    # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
+    # column k is the one left out, as in ``_det3(rows, k)``.
+    vec = minors[:, ::-1] * np.array([1.0, -1.0, 1.0, -1.0])
     top = np.abs(vec).max(axis=1)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
     vec = vec / top[:, None]
@@ -200,7 +157,7 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     center (the null vector of three incidences in the center-origin frame)."""
     A, B, C, F, cond = _centered_circumconic(t, center)
     conic = ConicMatrix(_shift(_origin_conic(A, B, C, F), center.x, center.y), cond=cond)
-    if conic.sv[-1] < 1e-12 * conic.sv[0]:
+    if conic.sv[-1] < DEGENERACY_EPS * conic.sv[0]:
         raise DegenerateConic("centered circumconic degenerates for this center")
     return conic
 

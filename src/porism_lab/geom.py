@@ -18,10 +18,11 @@ raises, the batched one makes the same check on all samples at once through
 a ``PassLog``, which raises for the lowest failing sample) and its own
 data-dependent branches.  The scalar rank tests compare singular values;
 the batched ones call ``rank_test_batch``, a certified filter that decides
-them as the SVD does and runs it only near the threshold.  The
-``canonicalize`` twins share their names and their one major/transverse-axis
-selection; the scalar one branches where the batched one masks, and divides
-by the eigenvector norm only once it is known not to vanish.
+them as the SVD does from the 3x3 minors it returns, and runs the SVD only
+near the threshold.  The ``canonicalize`` twins share their names and their
+one major/transverse-axis selection; the scalar one branches where the
+batched one masks, and divides by the eigenvector norm only once it is
+known not to vanish.
 """
 
 from __future__ import annotations
@@ -230,9 +231,9 @@ class ConicBatch:
 
     @functools.cached_property
     def rank_test(self) -> np.ndarray:
-        """``rank_test_batch`` of the stack, computed once for all the rank
-        tests made on it."""
-        return rank_test_batch(self.m)
+        """The sign of ``rank_test_batch`` of the stack, computed once for
+        all the rank tests made on it."""
+        return rank_test_batch(self.m)[0]
 
 
 def singular_values_batch(a: np.ndarray) -> np.ndarray:
@@ -275,11 +276,13 @@ def _minor_index(k: int):
 _MINOR_INDEX = {k: _minor_index(k) for k in (3, 4)}
 
 
-def rank_test_batch(a: np.ndarray) -> np.ndarray:
+def rank_test_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rank test sigma_min > 1e-12 sigma_max of every matrix of a
     (n, 3, k) stack, k = 3 or 4, decided as ``singular_values_batch``
-    decides it: the sign of sigma_min - 1e-12 sigma_max (int8), 0 for a row
-    with a non-finite entry.
+    decides it, and the 3x3 minors it is decided from.  Returns the sign of
+    sigma_min - 1e-12 sigma_max (int8, 0 for a row with a non-finite entry)
+    and the (n, 1) determinants, or for k = 4 the (n, 4) minors of columns
+    (012, 013, 023, 123), each its Laplace expansion along row 2.
 
     A certified filter brackets sigma_3 / sigma_1 within a factor of 3:
     sigma_1 sigma_2 sigma_3 is the norm D of the 3x3 minors (the determinant,
@@ -326,7 +329,7 @@ def rank_test_batch(a: np.ndarray) -> np.ndarray:
         sv = singular_values_batch(a[open_rows])
         sign[open_rows] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
                            - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
-    return sign
+    return sign, minors3.T
 
 
 def conic_eval(conic: ConicMatrix, p: Point) -> float:

@@ -257,8 +257,7 @@ class _Pass:
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas."""
         x100, (has_x100, _) = self.x100
         hyp_log = self.log.where(has_x100)
-        x11 = _centers.center_batch(self.fam.triangle, 11, hyp_log, self.s)
-        return (_conics.hyperbola_focal_length_batch(self.fam.triangle, x11, hyp_log),
+        return (_conics.hyperbola_focal_length_batch(self.fam.triangle, self.x(11), hyp_log),
                 _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log),
                 (has_x100, [(~has_x100, "isosceles-degenerate X100")]))
 

@@ -28,9 +28,9 @@ from porism_lab.centers import BATCH_CENTERS, center, center_batch
 from porism_lab.cli import main
 from porism_lab.conics import (
     InconicCoefficientWarning,
+    _centered_circumconic,
+    _centered_circumconic_batch,
     _det3,
-    _det3_batch,
-    _dot2,
     hyperbola_focal_length,
 )
 from porism_lab.errors import (
@@ -41,8 +41,14 @@ from porism_lab.errors import (
     NotCentral,
     PassLog,
 )
-from porism_lab.geom import Point, Triangle, canonicalize, foci, foci_batch
-from porism_lab.poristic import ISOSCELES_T_RADIUS, config_from_rR, named_conic, sample
+from porism_lab.geom import Point, Triangle, canonicalize, foci, foci_batch, rank_test_batch
+from porism_lab.poristic import (
+    ISOSCELES_T_RADIUS,
+    config_from_rR,
+    named_conic,
+    sample,
+    sample_batch,
+)
 from porism_lab.report import LabConfig, run_verify
 
 RHO_GRID = (0.05, 0.2, 0.36266, 0.49)
@@ -219,16 +225,53 @@ def test_config_level_error_names_no_sample():
     assert str(info.value) == "equilateral family: X9 is stationary"
 
 
-def test_dot2_minors_are_compensated():
-    x = np.array([[1e16, 1.0, -1e16, 3.0]])
-    y = np.array([[1.0, 1.0, 1.0, 1e-16]])
-    assert _dot2(x, y)[0] == 1.0 + 3e-16
+def test_filter_minors_match_the_scalar_minors():
     rows = np.random.default_rng(7).normal(size=(50, 3, 4))
-    minors = _det3_batch(rows)
+    _, minors = rank_test_batch(rows)
     for i in range(50):
         for skip in range(4):
             want = _det3(rows[i].tolist(), skip)
-            assert abs(minors[i, skip] - want) <= 4e-16 * np.abs(rows[i]).max() ** 3
+            # Filter column k keeps columns (012, 013, 023, 123)[k].
+            assert abs(minors[i, 3 - skip] - want) <= 4e-16 * np.abs(rows[i]).max() ** 3
+
+
+def _exact_circumconic(mp, rows):
+    """(A, B, C, F) of ``_centered_circumconic`` from 80-digit minors of the
+    same float rows, with mpmath's context ``mp``."""
+    with mp.workdps(80):
+        m = [[mp.mpf(x) for x in row] for row in rows]
+        vec = []
+        for skip in range(4):
+            (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in range(4) if j != skip] for row in m)
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            vec.append(-det if skip % 2 else det)
+        top = max(abs(x) for x in vec)
+        return [float(x / top) for x in vec]
+
+
+def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
+    """The batched (A, B, C, F) of the five verified circumconics and the two
+    circumhyperbolas, against an 80-digit null vector of the same float rows:
+    at each rho, its worst error is at most twice that of the scalar route,
+    whose minors sum the rounded products with math.fsum."""
+    mp = pytest.importorskip("mpmath").mp
+    ts = 2 * math.pi * (np.arange(24) + 0.5) / 24
+    log = PassLog(ts)
+    for rho in (0.005, 0.05, 0.2):
+        worst = {"batched": 0.0, "scalar": 0.0}
+        fam = sample_batch(config_from_rR(1.0, rho), ts, log)
+        systems = [(fam.triangle, center_batch(fam.triangle, k, log)) for k in (1, 9, 10, 11)]
+        systems += [(fam.excentral, center_batch(fam.triangle, k, log)) for k in (3, 9)]
+        systems.append((fam.excentral, center_batch(fam.triangle, 100, log)))
+        for v, c in systems:
+            *batched, rows = _centered_circumconic_batch(v, c, log)
+            for i in range(len(ts)):
+                exact = _exact_circumconic(mp, rows[i])
+                tri = Triangle(tuple(Point(*map(float, p)) for p in v[i]))
+                scalar = _centered_circumconic(tri, Point(*map(float, c[i])))[:4]
+                for name, got in (("batched", [x[i] for x in batched]), ("scalar", scalar)):
+                    worst[name] = max(worst[name], *(abs(g - e) for g, e in zip(got, exact)))
+        assert 0.0 < worst["batched"] <= 2.0 * worst["scalar"], (rho, worst)
 
 
 def test_one_fallback_warning_per_pass():

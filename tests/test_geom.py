@@ -254,7 +254,7 @@ class TestRankFilter:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geom, "singular_values_batch", recorded)
-            got = rank_test_batch(a)
+            got = rank_test_batch(a)[0]
         assert got.tolist() == want.tolist()
         assert not want[bad].any()
         # The band [1e-12/3, 3e-12], widened by the decision margin and the
@@ -273,7 +273,7 @@ class TestRankFilter:
             a[10:20, 0, 0] *= 2.0 ** 300  # one entry far above the others
             with np.errstate(over="ignore"):
                 want = _svd_rank_test(a)
-            assert rank_test_batch(a).tolist() == want.tolist()
+            assert rank_test_batch(a)[0].tolist() == want.tolist()
 
     def test_non_finite_rows_keep_their_outcome(self):
         # A row outside a partial stage is NaN: the circumconic check does not

@@ -287,3 +287,11 @@ class TestCli:
         assert main(["verify", "--config", str(cfg_file),
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: bad value for config key 'seed': 'abc'\n"
+
+    def test_config_file_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_bytes(b"seed=1\n\xff\xfe=2\n")
+        assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config file {str(cfg_file)!r} is not UTF-8: "
+                       f"invalid start byte at byte 7\n")
