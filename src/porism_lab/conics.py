@@ -17,7 +17,9 @@ minors: ``_det3`` sums them with ``math.fsum`` and is the oracle for the
 batched twin, which takes the Laplace minors that ``rank_test_batch``
 decides its rank test from.  Their terms are products of entries that are
 already rounded, so a compensated sum would remove only the smaller
-summation error (README, "How verify and sweep measure").
+summation error (README, "How verify and sweep measure").  The scalar twin
+takes the condition number from its SVD; the batched one estimates it from
+the filter's norms (``geom.condition_estimate_batch``) and runs no SVD.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ from .geom import (  # noqa: F401
     Triangle,
     _eigenvalues,
     canonicalize,
+    condition_estimate_batch,
     line_through,
     line_through_batch,
     rank_test_batch,
-    singular_values_batch,
 )
 
 BarycentricFn = Callable[[float, float, float], float]
@@ -117,13 +119,12 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
 
 
 def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog):
-    """``_centered_circumconic`` over a stack: (A, B, C, F) arrays and the
-    incidence rows, whose SVD only a caller that reports the condition
-    number runs."""
+    """``_centered_circumconic`` over a stack: (A, B, C, F) arrays, the
+    incidence rows and the norms (F, P, D) their rank filter computed."""
     u = v[:, :, 0] - center[:, None, 0]
     w = v[:, :, 1] - center[:, None, 1]
     rows = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
-    sign, minors = rank_test_batch(rows)
+    sign, minors, norms = rank_test_batch(rows)
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
     # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
     # column k is the one left out, as in ``_det3(rows, k)``.
@@ -131,7 +132,7 @@ def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog)
     top = np.abs(vec).max(axis=1)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
     vec = vec / top[:, None]
-    return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], rows
+    return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], rows, norms
 
 
 def _origin_conic(A, B, C, F) -> np.ndarray:
@@ -164,12 +165,14 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
 
 def circumconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
     """``circumconic_centered`` over a stack.  Its rank test is the one that
-    ``canonicalize_batch`` reuses from the returned stack; the condition
-    numbers come from one stacked SVD of the incidence rows."""
-    A, B, C, F, rows = _centered_circumconic_batch(v, center, log)
-    sv = singular_values_batch(rows)
+    ``canonicalize_batch`` reuses from the returned stack.  The stack
+    carries the incidence rows and their condition estimates, computed from
+    the norms of the incidence rank filter without an SVD; a verify takes
+    its largest condition number from them (``geom.max_condition_batch``)
+    with one SVD of the rows that can hold it."""
+    A, B, C, F, rows, norms = _centered_circumconic_batch(v, center, log)
     conic = ConicBatch(_shift(_origin_conic(A, B, C, F), center[:, 0], center[:, 1]),
-                       sv[:, 0] / sv[:, -1])
+                       rows, condition_estimate_batch(*norms))
     log.check(conic.rank_test < 0, DegenerateConic,
               "centered circumconic degenerates for this center")
     return conic
@@ -324,7 +327,7 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
 
 def hyperbola_focal_length_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
     """``hyperbola_focal_length`` over a stack."""
-    A, B, C, F, _ = _centered_circumconic_batch(v, center, log)
+    A, B, C, F, _, _ = _centered_circumconic_batch(v, center, log)
     lam1, lam2 = _eigenvalues(A, B, C, np.hypot)
     not_hyperbola = lam1 * lam2 >= 0.0
     log.check(not_hyperbola & (lam1 * F < 0), NotAHyperbola, "centered circumconic is an ellipse")

@@ -19,10 +19,13 @@ a ``PassLog``, which raises for the lowest failing sample) and its own
 data-dependent branches.  The scalar rank tests compare singular values;
 the batched ones call ``rank_test_batch``, a certified filter that decides
 them as the SVD does from the 3x3 minors it returns, and runs the SVD only
-near the threshold.  The ``canonicalize`` twins share their names and their
-one major/transverse-axis selection; the scalar one branches where the
-batched one masks, and divides by the eigenvector norm only once it is
-known not to vanish.
+near the threshold.  The norms that filter computes also give every row a
+condition estimate (``condition_estimate_batch``), so the largest condition
+number of a set of stacks (``max_condition_batch``) needs the SVD only of
+the rows that can hold it.  The ``canonicalize`` twins share their names
+and their one major/transverse-axis selection; the scalar one branches
+where the batched one masks, and divides by the eigenvector norm only once
+it is known not to vanish.
 """
 
 from __future__ import annotations
@@ -218,11 +221,16 @@ class ConicMatrix:
 @dataclass(frozen=True, eq=False)
 class ConicBatch:
     """Stack of quadratic forms, shape (n, 3, 3), with the max-entry
-    normalization of ``ConicMatrix``; ``cond`` optionally carries one
-    condition number per matrix."""
+    normalization of ``ConicMatrix``.  A circumconic also carries the
+    (n, 3, 4) incidence rows it was solved from and their condition
+    estimates ``kappa`` (``condition_estimate_batch`` of the norms its rank
+    filter computed, NaN where not certified); ``max_condition_batch`` takes
+    the exact largest condition number from them, with an SVD of the few
+    rows that can hold it."""
 
     m: np.ndarray
-    cond: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    kappa: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
@@ -276,13 +284,15 @@ def _minor_index(k: int):
 _MINOR_INDEX = {k: _minor_index(k) for k in (3, 4)}
 
 
-def rank_test_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rank_test_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The rank test sigma_min > 1e-12 sigma_max of every matrix of a
     (n, 3, k) stack, k = 3 or 4, decided as ``singular_values_batch``
-    decides it, and the 3x3 minors it is decided from.  Returns the sign of
-    sigma_min - 1e-12 sigma_max (int8, 0 for a row with a non-finite entry)
-    and the (n, 1) determinants, or for k = 4 the (n, 4) minors of columns
-    (012, 013, 023, 123), each its Laplace expansion along row 2.
+    decides it, and the minors and norms it is decided from.  Returns the
+    sign of sigma_min - 1e-12 sigma_max (int8, 0 for a row with a
+    non-finite entry); the (n, 1) determinants, or for k = 4 the (n, 4)
+    minors of columns (012, 013, 023, 123), each its Laplace expansion along
+    row 2; and the norms (F, P, D) below, each of shape (n,), from which
+    ``condition_estimate_batch`` estimates every row's condition number.
 
     A certified filter brackets sigma_3 / sigma_1 within a factor of 3:
     sigma_1 sigma_2 sigma_3 is the norm D of the 3x3 minors (the determinant,
@@ -329,7 +339,124 @@ def rank_test_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sv = singular_values_batch(a[open_rows])
         sign[open_rows] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
                            - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
-    return sign, minors3.T
+    return sign, minors3.T, (F, P, D)
+
+
+# A certified condition estimate is within this relative error of the exact
+# condition number (see ``condition_estimate_batch``).
+_KAPPA_ERROR = 2.0 ** -12
+# Bound on how far the rounding of x^2, y^2 and of the closed form move the
+# normalized cubic near its largest root (38 u from the inputs, the rest
+# for the closed form).
+_CUBIC_ERROR = 64 * _U
+
+
+def condition_estimate_batch(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """An estimate of sigma_max / sigma_min for every row, from the norms
+    (F, P, D) that ``rank_test_batch`` returns for a (n, 3, k) stack, and
+    without an SVD.  It is NaN where it is not certified to lie within
+    ``_KAPPA_ERROR`` = 2^-12 (relative) of the exact condition number of
+    the floating-point matrix, which includes every non-finite row.
+
+    By Cauchy-Binet, F^2, P^2 and D^2 are the elementary symmetric functions
+    of sigma_1^2 >= sigma_2^2 >= sigma_3^2, the roots of
+    lam^3 - F^2 lam^2 + P^2 lam - D^2 (Horn and Johnson, *Matrix Analysis*,
+    0.8, on compound matrices).  Scaled by F^2 the roots lam_i sum to 1 and
+    the cubic is g(lam) = lam^3 - lam^2 + x^2 lam - y^2, x = P/F^2,
+    y = D/F^3.  The largest root lam_1 has a trigonometric closed form.  The
+    smallest one is found without cancellation as the smaller root of
+    mu^2 - s mu + p, where p = lam_2 lam_3 = y^2/lam_1 and
+    s = lam_2 + lam_3 = (x^2 - p)/lam_1, taken as 2p / (s + sqrt(s^2 - 4p)).
+    The estimate is sqrt(lam_1 / lam_3).
+
+    Error bound, to first order in u = 2^-53.  The filter's rounding bounds
+    give |P - P_exact| <= 12 u F^2 and |D - D_exact| <= 9.3 u F^3 (the
+    absolute Laplace terms of the 3x3 minors sum to at most (4/3)^1.5 F^3).
+    So x^2 and y^2 carry relative errors e_x <= 24u/x + 55u and
+    e_y <= 19u/y + 59u:
+
+    - lam_1: these and the closed form move g by at most 64u near lam_1,
+      and g(lam_1 + h) = g' h + g'' h^2/2 + h^3 there, so lam_1 moves by at
+      most h_1 = min(64u/g', sqrt(128u/g''), (64u)^(1/3)), a relative
+      e_1 = h_1/lam_1;
+    - p and s: relative errors d_p <= e_y + e_1 + 2u and
+      d_s <= 1.5 e_x + 0.5 e_y + 1.5 e_1 + 3u (p <= x^2/3, so x^2 - p does
+      not cancel);
+    - lam_3: s^2 - 4p moves by at most W = s^2 (2 d_s + d_p + d_s^2 + 6u),
+      its square root by at most min(sqrt W, W / sqrt(s^2 - 4p)) (a pair
+      lam_2 = lam_3 is the square-root case), and lam_3 by a relative
+      e_3 <= d_p + d_s + min(...)/s.
+
+    The estimate is therefore within beta = (e_1 + e_3)/2 + 4u of the exact
+    condition number.  It is NaN where beta > 2^-12, or where F lies outside
+    [2^-100, 2^100], where products of entries could under- or overflow.
+    Since e_y <= 2 beta, a certified row has condition number at most
+    F^3/D <= 2^42/19 = 2.3e11, below the rank threshold 1/DEGENERACY_EPS.
+    Nearly rank-1 rows and near-triple clusters are left uncertified.  On
+    random stacks with chosen singular values (clustered, nearly rank 1,
+    up to kappa = 1e11), against 60-digit mpmath, the error stays within
+    0.09 beta.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = P / (F * F)
+        y = D / (F * F * F)
+        b, c = x * x, y * y
+        t = 1.0 - 3.0 * b
+        r = np.sqrt(np.maximum(t, 0.0))
+        cos3 = np.clip((2.0 - 9.0 * b + 27.0 * c) / (2.0 * t * r), -1.0, 1.0)
+        lam1 = (1.0 + np.where(r > 0.0, 2.0 * r * np.cos(np.arccos(cos3) / 3.0), 0.0)) / 3.0
+        p = c / lam1
+        s = (b - p) / lam1
+        root = np.sqrt(np.maximum(s * s - 4.0 * p, 0.0))
+        kappa = np.sqrt(lam1 * (s + root) / (2.0 * p))
+
+        e_x = 24.0 * _U / x + 55.0 * _U
+        e_y = 19.0 * _U / y + 59.0 * _U
+        g1 = (3.0 * lam1 - 2.0) * lam1 + b
+        g2 = 6.0 * lam1 - 2.0
+        h1 = np.minimum(np.minimum(_CUBIC_ERROR / np.maximum(g1, 0.0),
+                                   np.sqrt(2.0 * _CUBIC_ERROR / np.maximum(g2, 0.0))),
+                        np.cbrt(_CUBIC_ERROR))
+        e_1 = h1 / lam1
+        d_p = e_y + e_1 + 2.0 * _U
+        d_s = 1.5 * e_x + 0.5 * e_y + 1.5 * e_1 + 3.0 * _U
+        W = s * s * (2.0 * d_s + d_p + d_s * d_s + 6.0 * _U)
+        e_3 = d_p + d_s + np.minimum(np.sqrt(W), W / root) / s
+        beta = 0.5 * (e_1 + e_3) + 4.0 * _U
+        certified = ((beta <= _KAPPA_ERROR) & (F >= 1.0 / _FILTER_MAX_NORM)
+                     & (F <= _FILTER_MAX_NORM))
+    return np.where(certified, kappa, np.nan)
+
+
+def max_condition_batch(rows: list[np.ndarray], kappa: list[np.ndarray]) -> float:
+    """The largest sigma_max / sigma_min, as ``singular_values_batch``
+    gives it, over the rows of (n_i, 3, k) stacks, with the estimates
+    ``kappa`` of ``condition_estimate_batch``.  One stacked SVD runs, over
+    the candidate rows only: those whose estimate is NaN or at least
+    (1 - m) kappa_max, with kappa_max the largest estimate and
+    m = 2^-10 + 256 u kappa_max.  The result is bit for bit the maximum over
+    every row: numpy's stacked SVD calls LAPACK once per matrix, so a row
+    gives the same singular values in any subset.  A non-finite row has a
+    NaN estimate, so its NaN ratio propagates as through ``np.max``.
+
+    The margin covers both errors.  LAPACK's singular values satisfy
+    |computed - exact| <= p u sigma_1 (*LAPACK Users' Guide*, 4.9), p up to
+    about 100 here, so a ratio r computed for a matrix of condition number
+    kappa <= 2.3e11 is within e <= 101 u (kappa + 1) of it, relative; a
+    certified estimate is within beta <= 2^-12.  Let i be a row with the
+    largest estimate and j a row with r_j >= r_i.  Then
+    kappa_j >= r_j / (1 + e_j) >= (1 - e_i) kappa_i / (1 + e_j), so
+    estimate_j / kappa_max >= 1 - 2 beta - e_i - e_j
+    >= 1 - 2^-11 - 203 u (kappa_max + 1) > 1 - m: row j is a candidate, and
+    so is the row of the largest ratio.  At ``LabConfig()`` a verify
+    sends 26 of its 3600 circumconic rows to the SVD.
+    """
+    rows, kappa = np.concatenate(rows), np.concatenate(kappa)
+    top = np.max(kappa, initial=0.0, where=np.isfinite(kappa))
+    candidate = ~(kappa < (1.0 - 2.0 ** -10 - 256 * _U * top) * top)
+    sv = singular_values_batch(rows[candidate])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(sv[:, 0] / sv[:, -1]))
 
 
 def conic_eval(conic: ConicMatrix, p: Point) -> float:

@@ -44,6 +44,7 @@ from .geom import (  # noqa: F401
     foci_batch,
     line_intersection_batch,
     line_through_batch,
+    max_condition_batch,
     perimeter_batch,
     power_of_point,
     side_lines_batch,
@@ -84,6 +85,8 @@ class LabConfig:
             raise ConfigError(f"angle tolerance must be in (0, 1e-3], got {self.angle_tolerance}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.perturb):
+            raise ConfigError(f"perturb must be finite, got {self.perturb}")
         return self
 
     def poristic(self) -> _poristic.PoristicConfig:
@@ -499,8 +502,9 @@ def run_verify(lab: LabConfig) -> VerifyResult:
                           columns[q.name], q.check,
                           getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
                           q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
+    circum = [p.conic(tag) for tag in _CIRCUMCONIC_TAGS]
     return VerifyResult(lab, reports, p.skipped(_VERIFY_ROWS),
-                        max(float(p.conic(tag).cond.max()) for tag in _CIRCUMCONIC_TAGS))
+                        max_condition_batch([c.rows for c in circum], [c.kappa for c in circum]))
 
 
 def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,

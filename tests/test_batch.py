@@ -41,7 +41,16 @@ from porism_lab.errors import (
     NotCentral,
     PassLog,
 )
-from porism_lab.geom import Point, Triangle, canonicalize, foci, foci_batch, rank_test_batch
+from porism_lab.geom import (
+    _KAPPA_ERROR,
+    Point,
+    Triangle,
+    canonicalize,
+    foci,
+    foci_batch,
+    rank_test_batch,
+    singular_values_batch,
+)
 from porism_lab.poristic import (
     ISOSCELES_T_RADIUS,
     config_from_rR,
@@ -115,7 +124,18 @@ def test_batched_kernels_match_scalar_oracle(rho):
                              max(np.abs(f1 - g2).max(), np.abs(f2 - g1).max())), 0.0,
                          (tag, "foci", t), tol)
             if conic.cond is not None:
-                close_rel(p.conic(tag).cond[i], conic.cond, (tag, "cond", t))
+                # The batched stack carries its incidence rows and condition
+                # estimates; the scalar twin takes the ratio from its SVD.
+                batch = p.conic(tag)
+                sv = singular_values_batch(batch.rows[i:i + 1])[0]
+                ratio = sv[0] / sv[-1]
+                close_rel(ratio, conic.cond, (tag, "cond", t))
+                # The estimate is certified here, within the relative error
+                # the candidate margin of max_condition_batch relies on: 2^-12
+                # for the estimate and 101 u (kappa + 1) for the SVD.
+                svd_error = 101 * 2.0 ** -53 * (ratio + 1)
+                assert abs(batch.kappa[i] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
+                    tag, "kappa", t)
         if scalene:
             close_length(p.hyperbolas[0][i], hyperbola_focal_length(tri, center(tri, 11)),
                          ("feu", t))
@@ -227,7 +247,7 @@ def test_config_level_error_names_no_sample():
 
 def test_filter_minors_match_the_scalar_minors():
     rows = np.random.default_rng(7).normal(size=(50, 3, 4))
-    _, minors = rank_test_batch(rows)
+    _, minors, _ = rank_test_batch(rows)
     for i in range(50):
         for skip in range(4):
             want = _det3(rows[i].tolist(), skip)
@@ -264,7 +284,7 @@ def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
         systems += [(fam.excentral, center_batch(fam.triangle, k, log)) for k in (3, 9)]
         systems.append((fam.excentral, center_batch(fam.triangle, 100, log)))
         for v, c in systems:
-            *batched, rows = _centered_circumconic_batch(v, c, log)
+            *batched, rows, _ = _centered_circumconic_batch(v, c, log)
             for i in range(len(ts)):
                 exact = _exact_circumconic(mp, rows[i])
                 tri = Triangle(tuple(Point(*map(float, p)) for p in v[i]))

@@ -21,11 +21,13 @@ from porism_lab.geom import (
     canonicalize,
     canonicalize_batch,
     conic_eval,
+    condition_estimate_batch,
     conic_from_canonical,
     distance,
     foci,
     line_intersection,
     line_through,
+    max_condition_batch,
     power_of_point,
     rank_test_batch,
     singular_values_batch,
@@ -286,3 +288,95 @@ class TestRankFilter:
         assert can.semi_major[1] == 0.0 and can.semi_major[0] > 0.0
         stack = ConicBatch(np.stack([UNIT_CIRCLE.m, np.full((3, 3), np.nan)]))
         assert stack.rank_test.tolist() == [1, 0]
+
+
+def _stack(rng, sigma):
+    """Rows U diag(sigma) [I 0] Q with random orthogonal U, Q: matrices of
+    the chosen singular values, one row of ``sigma`` (n, 3) each."""
+    u = np.linalg.qr(rng.normal(size=(len(sigma), 3, 3)))[0]
+    q = np.linalg.qr(rng.normal(size=(len(sigma), 4, 4)))[0]
+    return (u * sigma[:, None, :]) @ q[:, :3, :]
+
+
+class TestMaxCondition:
+    """``max_condition_batch`` gives, bit for bit, the largest
+    sigma_max / sigma_min of the full stacked SVD, from an SVD of its
+    candidate rows only."""
+
+    @staticmethod
+    def _check(stacks):
+        """The filtered maximum equals the full one bitwise, and every
+        certified estimate is within the error the candidate margin
+        relies on.  Returns the maximum and the number of rows sent to
+        the SVD."""
+        kappa = [condition_estimate_batch(*rank_test_batch(a)[2]) for a in stacks]
+        sent = []
+
+        def recorded(rows):
+            sent.append(len(rows))
+            return singular_values_batch(rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geom, "singular_values_batch", recorded)
+            got = max_condition_batch(stacks, kappa)
+        sv = singular_values_batch(np.concatenate(stacks))
+        ratio = sv[:, 0] / sv[:, -1]
+        want = np.max(ratio)
+        assert np.float64(got).tobytes() == want.tobytes(), (got, want)
+        kappa = np.concatenate(kappa)
+        est = np.isfinite(kappa)
+        svd_error = 101 * 2.0 ** -53 * (ratio[est] + 1)
+        assert (np.abs(kappa[est] - ratio[est])
+                <= (geom._KAPPA_ERROR + svd_error) * ratio[est]).all()
+        assert len(sent) == 1
+        return got, sent[0]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(-40, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_random_stacks(self, seed, count, exponent):
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for _ in range(count):
+            n = int(rng.integers(1, 60))
+            if rng.random() < 0.5:
+                a = rng.normal(size=(n, 3, 4))
+            else:
+                # Log-uniform singular values: clusters, nearly rank 1 and
+                # condition numbers up to 1e11.
+                sigma = np.sort(10.0 ** rng.uniform(-11, 0, (n, 3)), axis=1)[:, ::-1]
+                a = _stack(rng, sigma)
+            stacks.append(np.ldexp(a, exponent))
+        self._check(stacks)
+
+    @pytest.mark.parametrize("sigma", [(1.0, 1.0, 1.0), (1.0, 1.0, 1e-3), (1.0, 1e-3, 1e-3),
+                                       (1.0, 0.5, 1.2e-11), (1.0, 1.0, 0.9e-11)])
+    def test_chosen_singular_values(self, sigma):
+        # Every row has the same exact condition number, so the largest
+        # computed ratio is decided by the SVD's rounding alone; the second
+        # stack is scaled row by row.
+        rng = np.random.default_rng(11)
+        a = _stack(rng, np.tile(sigma, (40, 1)))
+        self._check([a[:20], a[20:] * rng.uniform(0.5, 2.0, (20, 1, 1))])
+
+    def test_exact_ties_across_stacks(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(30, 3, 4))
+        assert self._check([a, a.copy(), a[:5]])[1] >= 3
+
+    def test_non_finite_row_gives_nan(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(20, 3, 4)), rng.normal(size=(20, 3, 4))
+        b[7, 1, 2] = np.nan
+        for stacks in ([a, b], [b, a]):
+            assert math.isnan(self._check(stacks)[0])
+
+    def test_far_scale_rows_are_all_candidates(self):
+        # Incidence rows (u^2, 2uw, w^2, 1) at R = 1e100: the norm F is
+        # above the filter's range, so no estimate is certified.
+        rng = np.random.default_rng(14)
+        u, w = 1e100 * rng.uniform(-1.0, 1.0, (2, 25, 3))
+        far = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
+        near = rng.normal(size=(25, 3, 4))
+        assert np.abs(far).max(axis=(1, 2)).min() > geom._FILTER_MAX_NORM  # F exceeds it too
+        assert np.isnan(condition_estimate_batch(*rank_test_batch(far)[2])).all()
+        assert self._check([near, far])[1] >= 25

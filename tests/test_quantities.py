@@ -85,7 +85,7 @@ def test_every_column_alone_on_the_equilateral_family(tmp_path, capsys, name):
     assert err == "" if code == 0 else err.startswith("error: ")
 
 
-def test_scalar_circumconic_shares_one_svd_with_canonicalize(monkeypatch):
+def _counted_svd(monkeypatch) -> list:
     calls = []
     svd = np.linalg.svd
 
@@ -93,9 +93,14 @@ def test_scalar_circumconic_shares_one_svd_with_canonicalize(monkeypatch):
         calls.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_scalar_circumconic_shares_one_svd_with_canonicalize(monkeypatch):
     cfg = poristic.config_from_rR(1.0, 0.2)
     s = poristic.sample(cfg, 1.3)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = _counted_svd(monkeypatch)
     conic = poristic.named_conic(cfg, 1.3, "E9", s)
     can = canonicalize(conic)
     assert calls == [(3, 4), (3, 3)]
@@ -105,17 +110,19 @@ def test_scalar_circumconic_shares_one_svd_with_canonicalize(monkeypatch):
 def test_verify_runs_the_svd_only_for_the_reported_condition_numbers(monkeypatch):
     # The rank tests of the batched pass are decided by the certified
     # filter; at the default config no row is close enough to the threshold
-    # to need the SVD.  The five circumconic condition numbers still do.
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    # to need the SVD.  The largest circumconic condition number needs one
+    # SVD, of the rows whose estimate can hold it (26 of 3600).
+    calls = _counted_svd(monkeypatch)
     report.run_verify(LabConfig())
-    assert calls == [(720, 3, 4)] * 5
+    assert len(calls) == 1
+    n, *shape = calls[0]
+    assert shape == [3, 4] and n <= 64
+
+
+def test_sweep_of_every_column_runs_no_svd(monkeypatch):
+    calls = _counted_svd(monkeypatch)
+    report.run_sweep(LabConfig(), list(SWEEP_QUANTITIES))
+    assert calls == []
 
 
 def test_scalar_rank_tests_keep_their_messages():

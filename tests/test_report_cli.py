@@ -166,6 +166,13 @@ class TestCli:
                      "--inject-perturbation", "1e-6", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_perturbation_exit_two(self, tmp_path, capsys, value):
+        # Refused by validation, not blamed on a conic of the pass.
+        assert main(["verify", "--R", "1", "--r", "0.2", "--t-samples", "8",
+                     "--inject-perturbation", value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: perturb must be finite, got {value}\n"
+
     def test_invalid_rho_exit_two(self, tmp_path):
         assert main(["verify", "--rho", "0.6", "--out", str(tmp_path)]) == 2
 
