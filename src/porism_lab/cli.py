@@ -84,7 +84,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise _report.ConfigError(f"bad config line (expected key=value): {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise _report.ConfigError(f"config key {key!r} given twice in {path!r}")
+        values[key] = val.strip()
     return values
 
 

@@ -9,23 +9,21 @@ conic tangent to three given lines.
 The ``_batch`` functions are the array twins used by the measurement pass
 (see ``geom``); a failing check raises through the pass's ``PassLog``.
 Both twins call the same cores: the congruence ``_shift`` of
-``_origin_conic``, the line terms ``_cross_terms`` and ``_tangent_form``
-(with the tangency-solved D candidates) and ``geom._eigenvalues``.  Each
-twin keeps its own incidence rows, checks, rank tests (the SVD, or
-``geom.rank_test_batch``) and choice of D on a fallback, and its own 3x3
-minors: ``_det3`` sums them with ``math.fsum`` and is the oracle for the
-batched twin, which takes the Laplace minors that ``rank_test_batch``
-decides its rank test from.  Their terms are products of entries that are
-already rounded, so a compensated sum would remove only the smaller
-summation error (README, "How verify and sweep measure").  The scalar twin
-takes the condition number from its SVD; the batched one estimates it from
-the filter's norms (``geom.condition_estimate_batch``) and runs no SVD.
+``_origin_conic``, the line terms ``_cross_terms`` and ``_tangent_form``,
+and ``geom._eigenvalues``.  Each twin keeps its own incidence rows, checks,
+rank tests (the SVD, or ``geom.rank_test_batch``) and its own 3x3 minors:
+``_det3`` sums them with ``math.fsum`` and is the oracle for the batched
+twin, which takes the Laplace minors that ``rank_test_batch`` decides its
+rank test from.  Their terms are products of entries that are already
+rounded, so a compensated sum would remove only the smaller summation
+error (README, "How verify and sweep measure").  The scalar twin takes the
+condition number from its SVD; the batched one estimates it from the
+filter's norms (``geom.condition_estimate_batch``) and runs no SVD.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,9 +57,9 @@ from .geom import (  # noqa: F401
 BarycentricFn = Callable[[float, float, float], float]
 
 
+# Nothing emits it; kept because perfbench/tracer.py resolves it when it installs.
 class InconicCoefficientWarning(UserWarning):
-    """Closed-form D disagreed with the tangency-solved D; the solved value
-    was used."""
+    pass
 
 
 @dataclass(frozen=True)
@@ -185,11 +183,11 @@ def _cross_terms(lines):
 
 
 def _tangent_form(lines, d12, d13, d23):
-    """Closed-form (A, B, C, D) of the origin-centered conic tangent to three
-    lines (a_i, b_i, c_i) with cross terms d_ij from ``_cross_terms``, and per
-    line the (numerator, denominator) of the D that the tangency discriminant
-    (AC - B^2) c^2 + (A b^2 - 2B a b + C a^2) D = 0 gives; arithmetic only,
-    for floats and arrays."""
+    """Closed-form (A, B, C, D) of the origin-centered conic
+    A x^2 + 2B xy + C y^2 + D = 0 tangent to three lines (a_i, b_i, c_i),
+    with cross terms d_ij from ``_cross_terms``; arithmetic only, for floats
+    and arrays.  Negating a line negates two of the d_ij and all four
+    factors of D, so no coefficient depends on the lines' orientation."""
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = lines
     A = a2 * a3 * c1 * c1 * d23 - a1 * a3 * c2 * c2 * d13 + a1 * a2 * c3 * c3 * d12
     B = 0.5 * ((a2 * b3 + a3 * b2) * c1 * c1 * d23
@@ -201,59 +199,31 @@ def _tangent_form(lines, d12, d13, d23):
          * (d23 * c1 - d13 * c2 - d12 * c3)
          * (d23 * c1 - d13 * c2 + d12 * c3)
          * (d23 * c1 + d13 * c2 + d12 * c3))
-    det2 = A * C - B * B
-    return A, B, C, D, [(-det2 * c * c, A * b * b - 2 * B * a * b + C * a * a)
-                        for a, b, c in lines]
+    return A, B, C, D
 
 
 def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
-    """Coefficients of the origin-centered conic tangent to three lines.
-
-    The closed form for D is sign-sensitive to the line normalization, so the
-    result is checked against the tangency discriminant
-    (AC - B^2) c_i^2 + (A b_i^2 - 2B a_i b_i + C a_i^2) D = 0 and the
-    discriminant-solved D is preferred when they disagree.
-    """
+    """Coefficients of the origin-centered conic tangent to three lines, in
+    closed form (``_tangent_form``)."""
     lines = [(line.a, line.b, line.c) for line in (l1, l2, l3)]
     d12, d13, d23 = _cross_terms(lines)
     if min(abs(d12), abs(d13), abs(d23)) < 1e-12:
         raise ParallelTangents(f"tangent lines are (nearly) parallel: deltas=({d12:.2e}, {d13:.2e}, {d23:.2e})")
 
-    A, B, C, D, cands = _tangent_form(lines, d12, d13, d23)
-    solved = sorted(num / denom for num, denom in cands if abs(denom) > 1e-300)
-    if not solved:
-        raise DegenerateConic(f"no tangent line determines D: A, B, C = {A:.2e}, {B:.2e}, {C:.2e}")
-    d_ref = solved[len(solved) // 2]
-    if abs(D - d_ref) > 1e-9 * max(abs(D), abs(d_ref)):
-        warnings.warn(
-            f"closed-form D={D:.6e} disagrees with tangency-solved D={d_ref:.6e}; using the solved value",
-            InconicCoefficientWarning,
-        )
-        D = d_ref
+    A, B, C, D = _tangent_form(lines, d12, d13, d23)
+    if max(abs(A), abs(B), abs(C)) == 0.0:
+        raise DegenerateConic("quadratic part vanishes: the tangent lines pass through the center")
     return InconicCoefficients(A, B, C, D)
 
 
 def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
                                 log: PassLog) -> ConicBatch:
-    """``inconic_from_tangents(...).to_conic()`` over stacks of lines (n, 3).
-
-    The D cross-check is made per sample; the fallbacks are counted in
-    ``log`` rather than warned one by one.
-    """
+    """``inconic_from_tangents(...).to_conic()`` over stacks of lines (n, 3)."""
     lines = [line.T for line in (l1, l2, l3)]
     d12, d13, d23 = _cross_terms(lines)
     log.check(np.minimum(np.minimum(np.abs(d12), np.abs(d13)), np.abs(d23)) < 1e-12,
               ParallelTangents, "tangent lines are (nearly) parallel")
-
-    A, B, C, D, cands = _tangent_form(lines, d12, d13, d23)
-    # Unusable lines sort last, so the k usable values come first.
-    solved = np.sort(np.stack([np.where(np.abs(denom) > 1e-300, num / denom, np.inf)
-                               for num, denom in cands], axis=-1), axis=-1)
-    usable = np.count_nonzero(np.isfinite(solved), axis=-1)
-    d_ref = np.take_along_axis(solved, (usable // 2)[:, None], axis=-1)[:, 0]
-    fallback = np.abs(D - d_ref) > 1e-9 * np.maximum(np.abs(D), np.abs(d_ref))
-    log.fallback(fallback)
-    return ConicBatch(_origin_conic(A, B, C, np.where(fallback, d_ref, D)))
+    return ConicBatch(_origin_conic(*_tangent_form(lines, d12, d13, d23)))
 
 
 def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:

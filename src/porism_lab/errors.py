@@ -3,8 +3,6 @@ batched measurement pass."""
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 
@@ -82,34 +80,21 @@ class PassLog:
 
     A batched kernel evaluates each check on every sample at once; a check
     that fails raises at once, naming the lowest failing sample.  ``where``
-    gives a view that checks only the given rows (stages that hold some
-    samples only).  Inconic D fallbacks are counted here too, so that a pass
-    can report them once.
+    gives a log that checks only the given rows (stages that hold some
+    samples only).
     """
 
-    def __init__(self, ts):
+    def __init__(self, ts, rows: np.ndarray | None = None):
         self.ts = np.asarray(ts, dtype=float)
-        self.rows: np.ndarray | None = None
-        self._fallbacks: list[np.ndarray] = []
+        self.rows = rows
 
     def where(self, rows: np.ndarray) -> "PassLog":
-        view = copy.copy(self)  # shares the fallback list
-        view.rows = rows if self.rows is None else self.rows & rows
-        return view
-
-    def _restrict(self, mask: np.ndarray) -> np.ndarray:
-        return mask if self.rows is None else mask & self.rows
+        return PassLog(self.ts, rows if self.rows is None else self.rows & rows)
 
     def check(self, mask: np.ndarray, exc_type: type, message: str) -> None:
         """Raise ``exc_type`` if any sample in ``mask`` fails."""
-        mask = self._restrict(np.asarray(mask, dtype=bool))
+        mask = np.asarray(mask, dtype=bool)
+        if self.rows is not None:
+            mask = mask & self.rows
         if mask.any():
             raise exc_type(f"{message} at t = {float(self.ts[np.argmax(mask)])!r}")
-
-    def fallback(self, mask: np.ndarray) -> None:
-        """Record inconic D fallbacks (see ``conics.inconic_from_tangents``)."""
-        self._fallbacks.append(self._restrict(mask))
-
-    @property
-    def fallbacks(self) -> int:
-        return int(sum(np.count_nonzero(m) for m in self._fallbacks))

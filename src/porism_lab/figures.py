@@ -27,7 +27,6 @@ RED = "#d03030"
 BLACK = "#202020"
 PINK = "#d060a0"
 LIGHT_BLUE = "#60a0d0"
-OLIVE = "#808020"
 
 
 def render_figure(figure_id: str, lab: LabConfig) -> str:

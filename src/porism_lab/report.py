@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -257,12 +256,12 @@ class _Pass:
 
     @functools.cached_property
     def hyperbolas(self):
-        """Focal lengths of the Feuerbach and Jerabek circumhyperbolas."""
-        x100, (has_x100, _) = self.x100
-        hyp_log = self.log.where(has_x100)
+        """Focal lengths of the Feuerbach and Jerabek circumhyperbolas, on the
+        samples of X100's gate, which they return."""
+        x100, gate = self.x100
+        hyp_log = self.log.where(gate[0])
         return (_conics.hyperbola_focal_length_batch(self.fam.triangle, self.x(11), hyp_log),
-                _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log),
-                (has_x100, [(~has_x100, "isosceles-degenerate X100")]))
+                _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log), gate)
 
     @functools.cached_property
     def equivariance(self) -> np.ndarray:
@@ -291,10 +290,6 @@ class _Pass:
         non-finite."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             columns = {q.name: q.compute(self) for q in rows}
-        if self.log.fallbacks:
-            warnings.warn(f"closed-form inconic D disagreed with the tangency-solved D in "
-                          f"{self.log.fallbacks} cases; the solved values were used",
-                          _conics.InconicCoefficientWarning)
         for q in rows:
             bad = ~np.isfinite(columns[q.name]) & (q.partial(self)[0] if q.partial else True)
             if bad.any():
@@ -576,5 +571,17 @@ def verify_report_csv(result: VerifyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_none(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def verify_report_json(result: VerifyResult) -> str:
-    return json.dumps(result.as_dict(), indent=2) + "\n"
+    """The report as strict JSON (RFC 8259): a non-finite value is null."""
+    return json.dumps(_finite_or_none(result.as_dict()), indent=2, allow_nan=False) + "\n"

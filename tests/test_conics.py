@@ -1,4 +1,7 @@
+import itertools
 import math
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,20 +146,34 @@ class TestInconicFromTangents:
             inconic_from_tangents(Line(1, 0, -1), Line(1, 0, 1), Line(0, 1, -1))
 
     def test_tangents_through_the_center_raise(self):
-        # Every line through the origin leaves no tangency-solved D.
-        with pytest.raises(DegenerateConic, match="no tangent line determines D"):
+        # Lines through the origin (c = 0) leave no quadratic part.
+        with pytest.raises(DegenerateConic, match="quadratic part vanishes"):
             inconic_from_tangents(Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0))
 
-    def test_degenerate_center_warns_and_fails_canonicalization(self):
-        # A center on a medial line makes the tangent conic degenerate; the
-        # closed-form D and the discriminant-solved D disagree there (both
-        # are roundoff around zero) and the conic has no canonical form.
-        from porism_lab.conics import InconicCoefficientWarning
-
-        with pytest.warns(InconicCoefficientWarning):
-            conic = inconic_centered(RIGHT_345, Point(1.5, -0.5))
+    def test_degenerate_center_fails_canonicalization(self):
+        # A center on a medial line makes the tangent conic degenerate: its
+        # D is roundoff around zero and the conic has no canonical form.
+        conic = inconic_centered(RIGHT_345, Point(1.5, -0.5))
         with pytest.raises(DegenerateConic):
             canonicalize(conic)
+
+    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)),
+                    min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_do_not_depend_on_line_orientation(self, coeffs):
+        # ``Line`` stores one orientation, so the lines here are plain
+        # (a, b, c) records: the scalar twin reads only those.  Float
+        # equality is bitwise equality here, except that it lets a zero D
+        # keep the sign of the product of its four factors.
+        try:
+            want = astuple(inconic_from_tangents(*(SimpleNamespace(a=a, b=b, c=c)
+                                                   for a, b, c in coeffs)))
+        except (ParallelTangents, DegenerateConic):
+            return
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            got = inconic_from_tangents(*(SimpleNamespace(a=s * a, b=s * b, c=s * c)
+                                          for s, (a, b, c) in zip(signs, coeffs)))
+            assert astuple(got) == want, signs
 
     @given(st.tuples(st.floats(0.1, 1.5), st.floats(2.2, 3.6), st.floats(4.2, 5.8)),
            st.floats(0.2, 3.0), st.floats(0.2, 3.0))

@@ -4,6 +4,7 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,23 @@ class TestVerifySuite:
         for key in ("quantity", "samples", "min", "max", "mean", "spread_rel",
                     "verdict", "tolerance"):
             assert key in row
+
+    def test_json_writes_non_finite_values_as_null(self):
+        def strict(token):
+            raise ValueError(f"not RFC 8259 JSON: {token}")
+
+        # Every sample of this row is exactly 0, so its spread is infinite.
+        result = run_verify(LabConfig(R=1.0, r=0.05, t_samples=72))
+        rows = {r["quantity"]: r for r in json.loads(verify_report_json(result),
+                                                     parse_constant=strict)["reports"]}
+        assert rows["weaver_excentral_power_gap"]["mean"] == 0.0
+        assert rows["weaver_excentral_power_gap"]["spread_rel"] is None
+        # A row with no samples has no statistics.
+        empty = report._aggregate("empty", np.array([]), "residual", 1e-9, None)
+        result.reports.append(empty)
+        row = json.loads(verify_report_json(result), parse_constant=strict)["reports"][-1]
+        assert [row[k] for k in ("samples", "min", "max", "mean", "spread_rel")] == [
+            0, None, None, None, None]
 
 
 class TestSweep:
@@ -281,6 +299,14 @@ class TestCli:
         assert doc["config"]["t_samples"] == 96  # flag wins
         assert doc["config"]["r"] == 0.2         # file value used
         assert doc["config"]["seed"] == 3
+
+    def test_config_file_repeated_key_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("rho=0.2\nrho=0.3\n")
+        assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"error: config key 'rho' given twice in "
+                                           f"{str(cfg_file)!r}\n")
+        assert not (tmp_path / "report.json").exists()
 
     def test_config_file_bad_key(self, tmp_path):
         cfg_file = tmp_path / "lab.cfg"
