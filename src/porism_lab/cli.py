@@ -1,18 +1,20 @@
 """Command-line front end.
 
     porism-lab verify [--rho F | --R F --r F] [--t-samples N] [--tol F]
-                      [--seed N] [--out DIR]
+                      [--angle-tol F] [--seed N] [--out DIR] [--config FILE]
     porism-lab sweep  --quantities LIST [...]
     porism-lab figure --figure ID [...]
 
 Exit codes: 0 pass, 1 verdict failure, 2 usage or configuration error.
 Options may also come from a plain-text key=value file via --config;
-explicit flags win over file values.
+explicit flags win over file values, and a circle pair given by flag
+(--rho, or --R and --r) replaces the file's.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -23,6 +25,28 @@ from . import report as _report
 from .errors import GeometryError
 
 
+_lab = _report.LabConfig  # its class attributes are the field defaults
+
+#: The options every command takes: config-file key -> (the LabConfig field
+#: it sets, its type, its help).  Its flag is "--" + key with "_" as "-";
+#: ``rho`` sets R and r.
+_OPTIONS = {
+    "rho": ("rho", float, "inradius/circumradius ratio in (0, 1/2]"),
+    "R": ("R", float, "circumradius in [{:g}, {:g}] (with --r)".format(*_report._R_RANGE)),
+    "r": ("r", float, "inradius (with --R)"),
+    "t_samples": ("t_samples", int, f"sweep grid size (default {_lab.t_samples}, at most "
+                                    f"{_report.MAX_T_SAMPLES})"),
+    "tol": ("tolerance", float, f"invariance tolerance (default {_lab.tolerance:g})"),
+    "angle_tol": ("angle_tolerance", float, f"tolerance for angle and reflection checks "
+                                            f"(default {_lab.angle_tolerance:g})"),
+    "seed": ("seed", int, "seed for randomized property rows"),
+    "out": ("output_dir", str, f"output directory (default {_lab.output_dir})"),
+}
+#: The parsed arguments a LabConfig is built from (the hidden
+#: --inject-perturbation sets ``perturb``).
+_DESTS = {f.name for f in dataclasses.fields(_report.LabConfig)} | {"rho"}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -31,26 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and its billiard bridge.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lab = _report.LabConfig  # its class attributes are the field defaults
-
     def add_common(p):
-        # Each flag's dest is the LabConfig field it sets (``rho`` sets R and r).
         p.add_argument("--config", help="key=value file with defaults for the flags below")
-        p.add_argument("--rho", type=float, help="inradius/circumradius ratio in (0, 1/2]")
-        p.add_argument("--R", type=float, help="circumradius in [{:g}, {:g}] (with --r)"
-                       .format(*_report._R_RANGE))
-        p.add_argument("--r", type=float, help="inradius (with --R)")
-        p.add_argument("--t-samples", type=int,
-                       help=f"sweep grid size (default {lab.t_samples}, at most "
-                            f"{_report.MAX_T_SAMPLES})")
-        p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float,
-                       help=f"invariance tolerance (default {lab.tolerance:g})")
-        p.add_argument("--angle-tol", dest="angle_tolerance", metavar="ANGLE_TOL", type=float,
-                       help=f"tolerance for angle and reflection checks "
-                            f"(default {lab.angle_tolerance:g})")
-        p.add_argument("--seed", type=int, help="seed for randomized property rows")
-        p.add_argument("--out", dest="output_dir", metavar="OUT",
-                       help=f"output directory (default {lab.output_dir})")
+        for key, (dest, kind, text) in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=dest, metavar=key.upper(),
+                           type=kind, help=text)
 
     p_verify = sub.add_parser("verify", help="run the full invariance suite")
     add_common(p_verify)
@@ -91,29 +100,25 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-#: Config-file keys: the flag dest each stands for, and its type.
-_FILE_KEYS = {
-    "rho": ("rho", float), "R": ("R", float), "r": ("r", float), "t_samples": ("t_samples", int),
-    "tol": ("tolerance", float), "angle_tol": ("angle_tolerance", float), "seed": ("seed", int),
-    "out": ("output_dir", str),
-}
-_DESTS = {dest for dest, _ in _FILE_KEYS.values()} | {"perturb"}
-
-
 def _resolve_config(args) -> _report.LabConfig:
     """The LabConfig of the values given by flag or config file; a flag
     wins over the file, and what neither gives keeps LabConfig's default."""
     given: dict = {}
     if args.config:
         for key, val in _read_config_file(args.config).items():
-            if key not in _FILE_KEYS:
+            if key not in _OPTIONS:
                 raise _report.ConfigError(f"unknown config key {key!r}")
-            dest, kind = _FILE_KEYS[key]
+            dest, kind, _ = _OPTIONS[key]
             try:
                 given[dest] = kind(val)
             except ValueError:
                 raise _report.ConfigError(f"bad value for config key {key!r}: {val!r}") from None
-    given.update((k, v) for k, v in vars(args).items() if k in _DESTS and v is not None)
+    flags = {k: v for k, v in vars(args).items() if k in _DESTS and v is not None}
+    if "rho" in flags:  # a circle pair given by flag replaces the file's
+        given = {k: v for k, v in given.items() if k not in ("R", "r")}
+    if "R" in flags or "r" in flags:
+        given.pop("rho", None)
+    given.update(flags)
 
     rho = given.pop("rho", None)
     if rho is not None:
@@ -124,9 +129,7 @@ def _resolve_config(args) -> _report.LabConfig:
         given.update(R=1.0, r=rho)
     elif ("R" in given) != ("r" in given):
         raise _report.ConfigError("--R and --r must be given together")
-    lab = _report.LabConfig(**given).validated()
-    lab.poristic()  # fail fast on an invalid circle pair
-    return lab
+    return _report.LabConfig(**given)
 
 
 def _cmd_verify(lab: _report.LabConfig) -> int:

@@ -680,13 +680,9 @@ def tangency_residual(conic: ConicMatrix, line: Line) -> float:
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            out[j, i] = ((-1) ** (i + j)) * (minor[0, 0] * minor[1, 1]
-                                             - minor[0, 1] * minor[1, 0])
-    return out
+    """adj(M): column i holds the cofactors of row i, the cross product of
+    the other two rows."""
+    return np.stack([np.cross(m[1], m[2]), np.cross(m[2], m[0]), np.cross(m[0], m[1])], axis=1)
 
 
 def foci(conic: CanonicalConic) -> tuple[Point, Point]:

@@ -70,7 +70,8 @@ class LabConfig:
     output_dir: str = "."
     perturb: float = 0.0  # vertex perturbation injected into one sample
 
-    def validated(self) -> "LabConfig":
+    def __post_init__(self):
+        """Refuse an invalid configuration, the circle pair last, with ConfigError."""
         lo, hi = _R_RANGE
         if not lo <= self.R <= hi:
             raise ConfigError(f"R must be in [{lo:g}, {hi:g}], got {self.R}")
@@ -86,7 +87,7 @@ class LabConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.perturb):
             raise ConfigError(f"perturb must be finite, got {self.perturb}")
-        return self
+        self.poristic()
 
     def poristic(self) -> _poristic.PoristicConfig:
         try:
@@ -257,11 +258,11 @@ class _Pass:
     @functools.cached_property
     def hyperbolas(self):
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas, on the
-        samples of X100's gate, which they return."""
-        x100, gate = self.x100
-        hyp_log = self.log.where(gate[0])
+        samples of X100's gate."""
+        x100, (has_x100, _) = self.x100
+        hyp_log = self.log.where(has_x100)
         return (_conics.hyperbola_focal_length_batch(self.fam.triangle, self.x(11), hyp_log),
-                _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log), gate)
+                _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log))
 
     @functools.cached_property
     def equivariance(self) -> np.ndarray:
@@ -455,7 +456,7 @@ QUANTITIES = (
     Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", sweep=18),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
              lambda c: math.sqrt(2.0 / c.rho), sweep=27, tol=1e-7,
-             partial=lambda p: p.hyperbolas[2]),
+             partial=lambda p: p.x100[1]),
     # Inradius and circumradius of the normalized member vary over the
     # billiard-view family; their ratio does not.
     Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread",
@@ -476,9 +477,9 @@ QUANTITIES = (
     Quantity("angle_e5x", lambda p: p.can("E5x").angle, sweep=23),
     Quantity("angle_e6x", lambda p: p.can("E6x").angle, sweep=24),
     Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], sweep=25,
-             partial=lambda p: p.hyperbolas[2]),
+             partial=lambda p: p.x100[1]),
     Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], sweep=26,
-             partial=lambda p: p.hyperbolas[2]),
+             partial=lambda p: p.x100[1]),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}
@@ -489,7 +490,6 @@ SWEEP_QUANTITIES = tuple(q.name for q in sorted((q for q in QUANTITIES if q.swee
 
 
 def run_verify(lab: LabConfig) -> VerifyResult:
-    lab = lab.validated()
     cfg = lab.poristic()
     p = _Pass(cfg, lab.t_samples, lab.seed, lab.perturb)
     columns = p.measure(_VERIFY_ROWS)
@@ -535,7 +535,6 @@ def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
 def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[list], list[dict]]:
     """Per-sample values: returns (header, rows, skip log); a skipped cell
     is None.  Only the stages the requested columns need run."""
-    lab = lab.validated()
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
@@ -550,25 +549,18 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:
-    """CSV text with 17 significant digits and empty fields for skips."""
+    """CSV text: a str cell as it is, None (a skip) as an empty field, and
+    every number with 17 significant digits."""
     lines = [",".join(header)]
-    lines += [",".join(["" if v is None else "%.17g" % v for v in row]) for row in rows]
+    lines += [",".join([v if isinstance(v, str) else "" if v is None else "%.17g" % v
+                        for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def verify_report_csv(result: VerifyResult) -> str:
     header = ["quantity", "samples", "min", "max", "mean", "spread_rel",
               "tolerance", "check", "expected", "verdict", "expected_verdict", "status"]
-    lines = [",".join(header)]
-    for r in result.reports:
-        cells = [r.quantity, str(r.samples)]
-        for v in (r.min, r.max, r.mean, r.spread_rel, r.tolerance):
-            cells.append(f"{v:.17g}")
-        cells.append(r.check)
-        cells.append("" if r.expected is None else f"{r.expected:.17g}")
-        cells.extend([r.verdict, r.expected_verdict, r.status])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return format_csv(header, [[getattr(r, k) for k in header] for r in result.reports])
 
 
 def _finite_or_none(value):

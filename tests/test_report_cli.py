@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porism_lab import report
-from porism_lab.cli import main
+from porism_lab.cli import _OPTIONS, main
 from porism_lab.errors import ConfigError, GeometryError, UnknownQuantity
 from porism_lab.figures import FIGURE_IDS, render_figure
 from porism_lab.poristic import perimeter_closed_form
@@ -82,6 +82,17 @@ class TestVerifySuite:
             run_verify(LabConfig(t_samples=MAX_T_SAMPLES + 1))
         with pytest.raises(ConfigError):
             LabConfig(R=1.0, r=0.7).poristic()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(t_samples=2), "t_samples must be >= 3, got 2"),
+        (dict(R=1e200, r=2e199), "R must be in [1e-100, 1e+100], got 1e+200"),
+        (dict(r=0.6), "r = 0.6 outside (0, R/2] for R = 1.0"),
+    ], ids=["t_samples", "R_range", "circle_pair"])
+    def test_invalid_config_cannot_be_constructed(self, kwargs, message):
+        # Refused when built, so no caller (render_figure included) sees it.
+        with pytest.raises(ConfigError) as exc:
+            LabConfig(**kwargs)
+        assert str(exc.value) == message
 
     @given(st.floats(-100, 100), st.floats(math.log10(1e-12), math.log10(0.5)),
            st.integers(3, 24))
@@ -328,3 +339,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (f"error: config file {str(cfg_file)!r} is not UTF-8: "
                        f"invalid start byte at byte 7\n")
+
+    @staticmethod
+    def _verify_config(tmp_path, file_text, argv, out):
+        """Exit code and report.json config of a verify given this config file."""
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text(file_text)
+        code = main(["verify", "--config", str(cfg_file), *argv])
+        return code, json.loads((out / "report.json").read_text())["config"]
+
+    @pytest.mark.parametrize("file_text, argv, R, r", [
+        ("R = 2\nr = 0.5\n", ["--rho", "0.3"], 1.0, 0.3),
+        ("rho = 0.3\n", ["--R", "2", "--r", "0.5"], 2.0, 0.5),
+        ("R = 2\nr = 0.5\n", ["--R", "3"], 3.0, 0.5),
+    ], ids=["rho_flag_over_file_pair", "pair_flags_over_file_rho", "R_flag_over_file_R"])
+    def test_circle_pair_flags_override_the_file(self, tmp_path, file_text, argv, R, r):
+        out = tmp_path / "o"
+        code, config = self._verify_config(tmp_path, file_text,
+                                           [*argv, "--t-samples", "24", "--out", str(out)], out)
+        assert code in (0, 1)
+        assert (config["R"], config["r"]) == (R, r)
+
+    @pytest.mark.parametrize("file_text", ["rho = 0.3\nR = 2\nr = 0.5\n", "rho = 0.3\nr = 0.5\n"])
+    def test_circle_pair_conflict_in_the_file_exit_two(self, tmp_path, capsys, file_text):
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text(file_text)
+        assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: give either --rho or the --R/--r pair, not both\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", list(_OPTIONS))
+    def test_config_file_key_acts_as_its_flag(self, tmp_path, key):
+        by_file, by_flag = tmp_path / "by_file", tmp_path / "by_flag"
+        value = {"rho": "0.3", "R": "2", "r": "0.25", "t_samples": "16", "tol": "1e-08",
+                 "angle_tol": "1e-07", "seed": "7", "out": str(by_file)}[key]
+        argv = {"R": ["--r", "0.5"], "r": ["--R", "1"]}.get(key, [])
+        argv += [] if key == "t_samples" else ["--t-samples", "24"]
+        # The "out" key is checked by where each report lands.
+        flag = [] if key == "out" else ["--" + key.replace("_", "-"), value]
+        out = [] if key == "out" else ["--out", str(by_file)]
+        file_run = self._verify_config(tmp_path, f"{key} = {value}\n", argv + out, by_file)
+        flag_run = self._verify_config(tmp_path, "", argv + flag + ["--out", str(by_flag)],
+                                       by_flag)
+        assert file_run == flag_run
