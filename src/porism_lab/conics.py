@@ -8,9 +8,11 @@ conic tangent to three given lines.
 
 The ``_batch`` functions are the array twins used by the measurement pass
 (see ``geom``); a failing check raises through the pass's ``PassLog``.
-Both twins call the same cores: the congruence ``_shift`` of
-``_origin_conic``, the line terms ``_cross_terms`` and ``_tangent_form``,
-and ``geom._eigenvalues``.  Each twin keeps its own incidence rows, checks,
+``centered_conics_batch`` is the twin of both constructors at once: it
+builds a whole stack of circumconics and inconics with one call of each
+kernel.  Both twins call the same cores: the congruence ``_shift`` on
+coefficients, the line terms ``_cross_terms`` and ``_tangent_form``, and
+``geom._eigenvalues``.  Each twin keeps its own incidence rows, checks,
 rank tests (the SVD, or ``geom.rank_test_batch``) and its own 3x3 minors:
 ``_det3`` sums them with ``math.fsum`` and is the oracle for the batched
 twin, which takes the Laplace minors that ``rank_test_batch`` decides its
@@ -47,6 +49,7 @@ from .geom import (  # noqa: F401
     Point,
     Triangle,
     _eigenvalues,
+    _normalized,
     canonicalize,
     condition_estimate_batch,
     line_through,
@@ -76,7 +79,7 @@ class InconicCoefficients:
             raise ValueError("quadratic part of inconic vanishes")
 
     def to_conic(self) -> ConicMatrix:
-        return ConicMatrix(_origin_conic(self.A, self.B, self.C, self.D))
+        return ConicMatrix.from_coeffs(self.A, self.B, self.C, 0.0, 0.0, self.D)
 
 
 def _det3(rows: list[list[float]], skip: int) -> float:
@@ -116,63 +119,47 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     return A, B, C, F, cond
 
 
+# Signs of the null vector's entries, each a minor of the 3x4 system.
+_MINOR_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+
+
 def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog):
-    """``_centered_circumconic`` over a stack: (A, B, C, F) arrays, the
-    incidence rows and the norms (F, P, D) their rank filter computed."""
-    u = v[:, :, 0] - center[:, None, 0]
-    w = v[:, :, 1] - center[:, None, 1]
-    rows = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
-    sign, minors, norms = rank_test_batch(rows)
+    """``_centered_circumconic`` over a stack of N systems (N may hold k
+    systems per sample, see ``PassLog``): the (4, N) rows (A, B, C, F), the
+    (N, 3, 4) incidence rows and the norms (F, P, D) their rank filter
+    computed.  The filter takes the incidence rows entry-major as they are
+    built: row 4 r + j of ``x`` holds entry (r, j) of every system."""
+    u = v[:, :, 0].T - center[:, 0]
+    w = v[:, :, 1].T - center[:, 1]
+    x = np.empty((12, len(center)))
+    x[0::4], x[1::4], x[2::4], x[3::4] = u * u, 2 * u * w, w * w, 1.0
+    sign, minors, norms = rank_test_batch(x)
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
     # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
     # column k is the one left out, as in ``_det3(rows, k)``.
-    vec = minors[:, ::-1] * np.array([1.0, -1.0, 1.0, -1.0])
-    top = np.abs(vec).max(axis=1)
+    vec = minors[::-1] * _MINOR_SIGNS
+    top = np.abs(vec).max(axis=0)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
-    vec = vec / top[:, None]
-    return vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3], rows, norms
+    return vec / top, x.T.reshape(-1, 3, 4), norms
 
 
-def _origin_conic(A, B, C, F) -> np.ndarray:
-    """[[A, B, 0], [B, C, 0], [0, 0, F]], stacked when the entries are
+def _shift(A, B, C, F, cx, cy):
+    """Coefficients (A, B, C, D, E, F) of the conic A u^2 + 2B uv + C v^2 + F
+    = 0 in the frame of its center (cx, cy), moved back to the original
+    frame by the congruence x -> x - center; arithmetic only, for floats and
     arrays."""
-    m = np.zeros(np.shape(A) + (3, 3))
-    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1], m[..., 2, 2] = A, B, B, C, F
-    return m
-
-
-def _shift(m0: np.ndarray, cx, cy) -> np.ndarray:
-    """Congruence of a matrix (or stack) back to the original frame,
-    x -> x - center."""
-    shift = np.zeros(m0.shape)
-    shift[..., 0, 0] = shift[..., 1, 1] = shift[..., 2, 2] = 1.0
-    shift[..., 0, 2] = -cx
-    shift[..., 1, 2] = -cy
-    return np.swapaxes(shift, -1, -2) @ m0 @ shift
+    D = -(A * cx + B * cy)
+    E = -(B * cx + C * cy)
+    return A, B, C, D, E, F - (D * cx + E * cy)
 
 
 def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     """Unique conic through the three vertices with the given quadratic-form
     center (the null vector of three incidences in the center-origin frame)."""
     A, B, C, F, cond = _centered_circumconic(t, center)
-    conic = ConicMatrix(_shift(_origin_conic(A, B, C, F), center.x, center.y), cond=cond)
+    conic = ConicMatrix.from_coeffs(*_shift(A, B, C, F, center.x, center.y), cond=cond)
     if conic.sv[-1] < DEGENERACY_EPS * conic.sv[0]:
         raise DegenerateConic("centered circumconic degenerates for this center")
-    return conic
-
-
-def circumconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
-    """``circumconic_centered`` over a stack.  Its rank test is the one that
-    ``canonicalize_batch`` reuses from the returned stack.  The stack
-    carries the incidence rows and their condition estimates, computed from
-    the norms of the incidence rank filter without an SVD; a verify takes
-    its largest condition number from them (``geom.max_condition_batch``)
-    with one SVD of the rows that can hold it."""
-    A, B, C, F, rows, norms = _centered_circumconic_batch(v, center, log)
-    conic = ConicBatch(_shift(_origin_conic(A, B, C, F), center[:, 0], center[:, 1]),
-                       rows, condition_estimate_batch(*norms))
-    log.check(conic.rank_test < 0, DegenerateConic,
-              "centered circumconic degenerates for this center")
     return conic
 
 
@@ -223,7 +210,9 @@ def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
     d12, d13, d23 = _cross_terms(lines)
     log.check(np.minimum(np.minimum(np.abs(d12), np.abs(d13)), np.abs(d23)) < 1e-12,
               ParallelTangents, "tangent lines are (nearly) parallel")
-    return ConicBatch(_origin_conic(*_tangent_form(lines, d12, d13, d23)))
+    A, B, C, D = _tangent_form(lines, d12, d13, d23)
+    zero = np.zeros_like(A)
+    return ConicBatch(_normalized(np.array([A, B, C, zero, zero, D])))
 
 
 def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
@@ -239,16 +228,48 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
         line_through(shifted[0], shifted[2]),
         line_through(shifted[0], shifted[1]),
     ]
-    return ConicMatrix(_shift(inconic_from_tangents(*lines).to_conic().m, center.x, center.y))
+    m = inconic_from_tangents(*lines).to_conic().m
+    return ConicMatrix.from_coeffs(*_shift(m[0, 0], m[0, 1], m[1, 1], m[2, 2],
+                                           center.x, center.y))
 
 
-def inconic_centered_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> ConicBatch:
-    """``inconic_centered`` over a stack."""
+def _centered_inconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
+    """The (4, N) rows (A, B, C, F) of ``inconic_centered`` over a stack, in
+    the frame of each center, normalized as ``inconic_from_tangents_batch``
+    normalizes them."""
     s = v - center[:, None, :]
-    co = inconic_from_tangents_batch(line_through_batch(s[:, 1], s[:, 2]),
-                                     line_through_batch(s[:, 0], s[:, 2]),
-                                     line_through_batch(s[:, 0], s[:, 1]), log)
-    return ConicBatch(_shift(co.m, center[:, 0], center[:, 1]))
+    return inconic_from_tangents_batch(line_through_batch(s[:, 1], s[:, 2]),
+                                       line_through_batch(s[:, 0], s[:, 2]),
+                                       line_through_batch(s[:, 0], s[:, 1]), log).c[[0, 1, 2, 5]]
+
+
+def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
+                          log: PassLog) -> ConicBatch:
+    """One stack of conics with prescribed centers: ``circumconic_centered``
+    over the first ``n_circum`` systems (triangles ``v`` (N, 3, 2) and
+    centers (N, 2)) and ``inconic_centered`` over the rest.  N may hold k
+    systems per sample; ``log`` then checks k blocks (see ``PassLog``).
+
+    One call of each kernel covers the whole stack: the 3x4 rank filter
+    for the circumconics, the tangent-line closed form for the inconics,
+    the congruence ``_shift`` back from the centers, and the 3x3 rank
+    test, kept as the stack's ``rank_test`` for ``canonicalize_batch``.
+    The checks run in this order, each over all its blocks: circumconic
+    not unique, circumconic constraints collapse, tangent lines parallel,
+    circumconic degenerates.  The stack carries the incidence rows and
+    condition estimates of its circumconics, computed from the norms of
+    the rank filter without an SVD; a verify takes its largest condition
+    number from them (``geom.max_condition_batch``) with one SVD of the
+    rows that can hold it."""
+    circum, rows, norms = _centered_circumconic_batch(v[:n_circum], center[:n_circum], log)
+    origin = np.concatenate([circum, _centered_inconic_batch(v[n_circum:], center[n_circum:], log)],
+                            axis=1)
+    conic = ConicBatch(_normalized(np.array(_shift(*origin, center[:, 0], center[:, 1]))),
+                       rows, condition_estimate_batch(*norms))
+    del circum, origin  # not held through the rank test
+    log.check(conic.rank_test[:n_circum] < 0, DegenerateConic,
+              "centered circumconic degenerates for this center")
+    return conic
 
 
 def brianchon_point(t: Triangle, g: BarycentricFn) -> Point:
@@ -296,8 +317,9 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
 
 
 def hyperbola_focal_length_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
-    """``hyperbola_focal_length`` over a stack."""
-    A, B, C, F, _, _ = _centered_circumconic_batch(v, center, log)
+    """``hyperbola_focal_length`` over a stack, which may hold k systems per
+    sample (see ``PassLog``)."""
+    (A, B, C, F), _, _ = _centered_circumconic_batch(v, center, log)
     lam1, lam2 = _eigenvalues(A, B, C, np.hypot)
     not_hyperbola = lam1 * lam2 >= 0.0
     log.check(not_hyperbola & (lam1 * F < 0), NotAHyperbola, "centered circumconic is an ellipse")

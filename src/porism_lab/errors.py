@@ -79,9 +79,11 @@ class PassLog:
     """Checks of one batched pass over ``ts``.
 
     A batched kernel evaluates each check on every sample at once; a check
-    that fails raises at once, naming the lowest failing sample.  ``where``
-    gives a log that checks only the given rows (stages that hold some
-    samples only).
+    that fails raises at once, naming the lowest failing sample.  A kernel
+    that stacks k systems per sample checks masks of k n entries, block
+    after block: such a check raises for the first block that fails, at its
+    lowest failing sample.  ``where`` gives a log that checks only the given
+    rows (stages that hold some samples only).
     """
 
     def __init__(self, ts, rows: np.ndarray | None = None):
@@ -93,8 +95,9 @@ class PassLog:
 
     def check(self, mask: np.ndarray, exc_type: type, message: str) -> None:
         """Raise ``exc_type`` if any sample in ``mask`` fails."""
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool).reshape(-1, len(self.ts))
         if self.rows is not None:
             mask = mask & self.rows
         if mask.any():
-            raise exc_type(f"{message} at t = {float(self.ts[np.argmax(mask)])!r}")
+            t = self.ts[np.argmax(mask) % len(self.ts)]
+            raise exc_type(f"{message} at t = {float(t)!r}")

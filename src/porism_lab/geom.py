@@ -8,7 +8,7 @@ All values are immutable and all operations are pure functions.
 Functions ending in ``_batch`` are the array twins of the scalar API, used by
 the measurement pass over a whole t-sweep: points are arrays of shape
 (..., 2), lines (..., 3) rows (a, b, c), triangles (n, 3, 2) vertex stacks
-and conics (n, 3, 3) stacks.
+and conics ``ConicBatch`` coefficient rows.
 
 A formula both twins evaluate is written once, as a private core of
 arithmetic and the functions it is passed (``math.hypot`` by the scalar
@@ -218,30 +218,46 @@ class ConicMatrix:
         return np.linalg.svd(self.m, compute_uv=False)
 
 
+#: Coefficient row (A, B, C, D, E, F) of each entry of the 3x3 matrix,
+#: row by row.
+_MATRIX_ENTRIES = np.array([0, 1, 3, 1, 2, 4, 3, 4, 5])
+
+
+def _normalized(c: np.ndarray) -> np.ndarray:
+    """Coefficient rows (k, n) with each column divided by its largest
+    magnitude."""
+    return c / np.abs(c).max(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class ConicBatch:
-    """Stack of quadratic forms, shape (n, 3, 3), with the max-entry
-    normalization of ``ConicMatrix``.  A circumconic also carries the
-    (n, 3, 4) incidence rows it was solved from and their condition
-    estimates ``kappa`` (``condition_estimate_batch`` of the norms its rank
-    filter computed, NaN where not certified); ``max_condition_batch`` takes
-    the exact largest condition number from them, with an SVD of the few
-    rows that can hold it."""
+    """A stack of n conics A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0, held
+    as the (6, n) coefficient rows ``c`` = (A, B, C, D, E, F), one column per
+    conic.  Their makers scale each column so that its largest coefficient
+    has magnitude 1 (``_normalized``): the max-entry normalization of
+    ``ConicMatrix``, since the largest entry of the matrix is the largest
+    coefficient.  ``m`` derives the (n, 3, 3) matrix stack from them.
 
-    m: np.ndarray
+    A stack whose first conics are circumconics also carries, for those,
+    the (k, 3, 4) incidence rows they were solved from and their condition
+    estimates ``kappa`` (``condition_estimate_batch`` of the norms its rank
+    filter computed, NaN where not certified); ``max_condition_batch``
+    takes the exact largest condition number from them, with an SVD of the
+    few rows that can hold it."""
+
+    c: np.ndarray
     rows: np.ndarray | None = None
     kappa: np.ndarray | None = None
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        top = np.abs(m).max(axis=(1, 2))[:, None, None]
-        object.__setattr__(self, "m", 0.5 * (m + np.swapaxes(m, 1, 2)) / top)
+    @property
+    def m(self) -> np.ndarray:
+        return np.take(self.c, _MATRIX_ENTRIES, axis=0).T.reshape(-1, 3, 3)
 
     @functools.cached_property
     def rank_test(self) -> np.ndarray:
-        """The sign of ``rank_test_batch`` of the stack, computed once for
-        all the rank tests made on it."""
-        return rank_test_batch(self.m)[0]
+        """The sign of ``rank_test_batch`` of the matrices, computed once
+        for all the rank tests made on the stack."""
+        return rank_test_batch(np.take(self.c, _MATRIX_ENTRIES, axis=0))[0]
 
 
 def singular_values_batch(a: np.ndarray) -> np.ndarray:
@@ -284,15 +300,18 @@ def _minor_index(k: int):
 _MINOR_INDEX = {k: _minor_index(k) for k in (3, 4)}
 
 
-def rank_test_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+def rank_test_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The rank test sigma_min > 1e-12 sigma_max of every matrix of a
-    (n, 3, k) stack, k = 3 or 4, decided as ``singular_values_batch``
-    decides it, and the minors and norms it is decided from.  Returns the
-    sign of sigma_min - 1e-12 sigma_max (int8, 0 for a row with a
-    non-finite entry); the (n, 1) determinants, or for k = 4 the (n, 4)
-    minors of columns (012, 013, 023, 123), each its Laplace expansion along
-    row 2; and the norms (F, P, D) below, each of shape (n,), from which
-    ``condition_estimate_batch`` estimates every row's condition number.
+    stack of n 3 x k matrices, k = 3 or 4, decided as
+    ``singular_values_batch`` decides it, and the minors and norms it is
+    decided from.  The stack comes entry-major, as the (3k, n) array ``x``
+    whose row e holds entry e of every matrix, entries numbered row by row.
+    Returns the sign of sigma_min - 1e-12 sigma_max (int8, 0 for a matrix
+    with a non-finite entry); the (1, n) determinants, or for k = 4 the
+    (4, n) minors of columns (012, 013, 023, 123), each its Laplace
+    expansion along row 2; and the norms (F, P, D) below, each of shape
+    (n,), from which ``condition_estimate_batch`` estimates every matrix's
+    condition number.
 
     A certified filter brackets sigma_3 / sigma_1 within a factor of 3:
     sigma_1 sigma_2 sigma_3 is the norm D of the 3x3 minors (the determinant,
@@ -305,41 +324,67 @@ def rank_test_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     only on the rows that the widened bracket, with ``_RANK_MARGIN``, leaves
     undecided: a ratio within about [1e-12/3, 3e-12], minors that cancel
     to their rounding bound (nearly rank 1), F above ``_FILTER_MAX_NORM``,
-    or a non-finite entry.
+    or a non-finite entry.  The filter runs in passes over blocks of
+    columns (``_FILTER_ENTRIES``), which decide each column as one pass
+    would; the SVD runs once, on the open rows of every pass.
     """
-    products, row2, pos = _MINOR_INDEX[a.shape[2]]
-    x = np.ascontiguousarray(a.reshape(len(a), -1).T)  # x[e]: entry e of every matrix
+    k = len(x) // 3
+    step = _FILTER_ENTRIES // _MINOR_INDEX[k][0].shape[1]  # columns per pass
+    passes = [_filter(np.ascontiguousarray(x[:, i:i + step]), k)
+              for i in range(0, max(x.shape[1], 1), step)]
+    full, deficient, minors3, F, P, D = (np.concatenate(part, axis=-1) for part in zip(*passes))
+    sign = full.astype(np.int8) - deficient
+    open_rows = ~(full | deficient)
+    if open_rows.any():
+        sv = singular_values_batch(x[:, open_rows].T.reshape(-1, 3, k))
+        sign[open_rows] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
+                           - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
+    return sign, minors3, (F, P, D)
+
+
+# Entries per 2x2-minor temporary of one pass of the filter, which splits a
+# long stack into passes over as many columns, so that its temporaries stay
+# small.  Of 2^13 to 2^15, 2^14 gave the fastest 720-sample verify; one pass
+# per stack made it about 10% slower.
+_FILTER_ENTRIES = 2 ** 14
+
+
+def _filter(x: np.ndarray, k: int) -> tuple:
+    """The filter of ``rank_test_batch`` on the columns of ``x``: its full-rank
+    and rank-deficient decisions, 3x3 minors and norms (F, P, D)."""
+    products, row2, pos = _MINOR_INDEX[k]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are left open
-        # Products and absolute values in place: fresh temporaries take
-        # about half the time at n = 720.
-        p = x[products[0]]
-        p *= x[products[1]]
-        q = x[products[2]]
-        q *= x[products[3]]
+        # Gathers by np.take, of a contiguous x, a few times faster here than
+        # indexing with an array; products and absolute values in place, each temporary
+        # dropped once used: fresh temporaries take about half the time at
+        # n = 720, and the peak memory of a stack of several systems per
+        # sample grows with each one kept.
+        p = np.take(x, products[0], axis=0)
+        p *= np.take(x, products[1], axis=0)
+        q = np.take(x, products[2], axis=0)
+        q *= np.take(x, products[3], axis=0)
         minors2 = p - q
-        x2 = x[row2]
-        laplace = x2 * minors2[pos]
+        abs2 = np.abs(p, out=p)
+        abs2 += np.abs(q, out=q)
+        del q
+        x2 = np.take(x, row2, axis=0)
+        laplace = np.take(minors2, pos, axis=0)
+        laplace *= x2
         minors3 = laplace[:, 0] - laplace[:, 1] + laplace[:, 2]
+        del laplace
         F = np.sqrt(np.einsum("ij,ij->j", x, x))
         P = np.sqrt(np.einsum("ij,ij->j", minors2, minors2))
         D = np.sqrt(np.einsum("ij,ij->j", minors3, minors3))
-        abs2 = np.abs(p, out=p)
-        abs2 += np.abs(q, out=q)
+        del minors2
         e_P = 3.0 * _U * abs2.sum(axis=0) + _UNDERFLOW
         x2 = np.abs(x2, out=x2)
-        x2 *= abs2[pos]
+        x2 *= np.take(abs2, pos, axis=0)
         e_D = 6.0 * _U * x2.sum(axis=(0, 1)) + _UNDERFLOW
         in_range = F <= _FILTER_MAX_NORM
         full = in_range & (D - e_D > DEGENERACY_EPS * (1.0 + _RANK_MARGIN) * (P + e_P) * F)
         deficient = in_range & (3.0 * (D + e_D)
                                 < DEGENERACY_EPS * (1.0 - _RANK_MARGIN) * (P - e_P) * F)
-    sign = full.astype(np.int8) - deficient
-    open_rows = ~(full | deficient)
-    if open_rows.any():
-        sv = singular_values_batch(a[open_rows])
-        sign[open_rows] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
-                           - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
-    return sign, minors3.T, (F, P, D)
+    return full, deficient, minors3, F, P, D
 
 
 # A certified condition estimate is within this relative error of the exact
@@ -353,7 +398,8 @@ _CUBIC_ERROR = 64 * _U
 
 def condition_estimate_batch(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """An estimate of sigma_max / sigma_min for every row, from the norms
-    (F, P, D) that ``rank_test_batch`` returns for a (n, 3, k) stack, and
+    (F, P, D) that ``rank_test_batch`` returns for a stack of 3 x k
+    matrices, and
     without an SVD.  It is NaN where it is not certified to lie within
     ``_KAPPA_ERROR`` = 2^-12 (relative) of the exact condition number of
     the floating-point matrix, which includes every non-finite row.
@@ -466,8 +512,11 @@ def conic_eval(conic: ConicMatrix, p: Point) -> float:
 
 
 def conic_eval_batch(conic: ConicBatch, p: np.ndarray) -> np.ndarray:
-    v = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
-    return (v[:, None, :] @ conic.m @ v[:, :, None])[:, 0, 0]
+    """[x y 1] M [x y 1]^T of every conic at its point, summed as the
+    product (v M) v."""
+    A, B, C, D, E, F = conic.c
+    x, y = p[:, 0], p[:, 1]
+    return ((x * A + y * B + D) * x + (x * B + y * C + E) * y) + (x * D + y * E + F)
 
 
 @dataclass(frozen=True)
@@ -498,6 +547,11 @@ class CanonicalBatch:
     semi_major: np.ndarray
     semi_minor: np.ndarray
     hyperbola: np.ndarray
+
+    def __getitem__(self, s: slice) -> "CanonicalBatch":
+        """The canonical forms of the conics ``s`` of the stack, as views."""
+        return CanonicalBatch(self.center[s], self.angle[s], self.semi_major[s],
+                              self.semi_minor[s], self.hyperbola[s])
 
 
 def _wrap_half_pi(angle: float) -> float:
@@ -606,10 +660,7 @@ def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
     """``canonicalize`` over a stack: the same rank test (decided by
     ``rank_test_batch``), center solve and refinement step, and closed-form
     2x2 eigendecomposition."""
-    m = conic.m
-    A, B, D = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
-    C, E = m[:, 1, 1], m[:, 1, 2]
-    F = m[:, 2, 2]
+    A, B, C, D, E, F = conic.c
     det2 = A * C - B * B
     rank3_ok = conic.rank_test > 0
     block_scale = np.maximum(np.abs(A), np.abs(C)) + np.abs(B)

@@ -25,14 +25,17 @@ from . import centers as _centers
 from . import conics as _conics
 from .errors import AxisAtInfinity, InvalidRatio, PassLog
 from .geom import (
+    CanonicalBatch,
     Circle,
     ConicBatch,
     ConicMatrix,
     Line,
     Point,
     Triangle,
+    _normalized,
     _wrap_half_pi,
     _wrap_half_pi_batch,
+    canonicalize_batch,
     line_batch,
     perimeter_batch,
     triangle_batch,
@@ -242,9 +245,8 @@ def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
 
 def i3x_implicit_matrix_batch(cfg: PoristicConfig, ts: np.ndarray) -> ConicBatch:
     xx, xy, yy, const = _i3x_entries(cfg, np.cos(ts), np.sin(ts))
-    m = np.zeros((len(ts), 3, 3))
-    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], m[:, 2, 2] = xx, 0.5 * xy, 0.5 * xy, yy, const
-    return ConicBatch(m)
+    zero = np.zeros_like(xx)
+    return ConicBatch(_normalized(np.array([xx, 0.5 * xy, yy, zero, zero, const])))
 
 
 def antiorthic_axis(cfg: PoristicConfig) -> Line:
@@ -298,6 +300,7 @@ _TAG_TABLE = {
     "I3x": (True, False, 40),
     "I5x": (True, False, 3),
 }
+_STACK_ORDER = sorted(CONIC_TAGS, key=lambda tag: not _TAG_TABLE[tag][1])  # circumconics first
 
 
 def named_conic(cfg: PoristicConfig, t: float, tag: str,
@@ -315,17 +318,36 @@ def named_conic(cfg: PoristicConfig, t: float, tag: str,
     return _conics.inconic_centered(tri, center)
 
 
-def named_conic_batch(fam: FamilyBatch, tag: str, x: Callable[[int], np.ndarray],
-                      log: PassLog) -> ConicBatch:
-    """``named_conic`` over a sweep; ``x(k)`` gives the reference triangle's
-    center X_k, as computed by ``centers.center_batch``."""
-    if tag not in _TAG_TABLE:
-        raise KeyError(f"unknown conic tag {tag!r}; valid: {CONIC_TAGS}")
-    on_excentral, is_circum, center_id = _TAG_TABLE[tag]
-    tri = fam.excentral if on_excentral else fam.triangle
-    if is_circum:
-        return _conics.circumconic_centered_batch(tri, x(center_id), log)
-    return _conics.inconic_centered_batch(tri, x(center_id), log)
+def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
+                       log: PassLog) -> dict[str, tuple[ConicBatch, CanonicalBatch]]:
+    """``named_conic`` and its ``canonicalize`` for each of ``tags`` over a
+    sweep, as views of one stack; ``x(k)`` gives the reference triangle's
+    center X_k, as computed by ``centers.center_batch``.
+
+    The stack holds the circumconics, then the inconics, each in
+    ``CONIC_TAGS`` order (E1, E9, E10, E3x, E5x, E6x, I9, I3x, I5x).  One
+    ``conics.centered_conics_batch`` call builds it and one
+    ``canonicalize_batch`` call canonicalizes it.  Its centers are
+    computed first, in the same order.  Each check then runs over the
+    whole stack, so it raises for the first tag, in that order, that fails
+    it, at that tag's lowest failing t; the checks of
+    ``centered_conics_batch`` come before those of ``canonicalize_batch``."""
+    unknown = set(tags) - set(CONIC_TAGS)
+    if unknown:
+        raise KeyError(f"unknown conic tags {sorted(unknown)}; valid: {CONIC_TAGS}")
+    order = [tag for tag in _STACK_ORDER if tag in tags]
+    center = np.concatenate([x(_TAG_TABLE[tag][2]) for tag in order])
+    v = np.concatenate([fam.excentral if _TAG_TABLE[tag][0] else fam.triangle for tag in order])
+    n = len(fam.t)
+    n_circum = n * sum(_TAG_TABLE[tag][1] for tag in order)
+    stack = _conics.centered_conics_batch(v, center, n_circum, log)
+    can = canonicalize_batch(stack, log)
+    out = {}
+    for i, tag in enumerate(order):
+        s = slice(i * n, (i + 1) * n)
+        extra = (stack.rows[s], stack.kappa[s]) if i * n < n_circum else ()
+        out[tag] = ConicBatch(stack.c[:, s], *extra), can[s]
+    return out
 
 
 class FamilyAngleClass(Enum):

@@ -5,8 +5,11 @@ reports one verdict row per quantity; ``run_sweep`` dumps raw per-sample
 quantities.  Both read one table, ``QUANTITIES``, and one measurement pass
 whose stages run on arrays over all t, through the ``_batch`` twins of the
 scalar kernel, and only when a requested quantity needs them.  The first
-check that fails, in the order the requested quantities are computed,
-raises its ``GeometryError`` subclass for the lowest failing t.
+check that fails raises its ``GeometryError`` subclass for the lowest
+failing t.  The checks run in the order the requested quantities first
+need their stages; within the conic stage, which builds every named conic
+the requested quantities declare at once, in the order of
+``poristic.named_conics_batch``.
 
 A quantity is "invariant" when its relative spread over the
 sweep stays below tolerance; residual-style quantities (which should be
@@ -20,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -33,9 +37,10 @@ from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, Unknow
 # canonicalize, conic_eval and foci stay importable from this module: the
 # benchmark's tracer self-test (perfbench/test_perfbench.py) resolves them here.
 from .geom import (  # noqa: F401
+    CanonicalBatch,
+    ConicBatch,
     Point,
     canonicalize,
-    canonicalize_batch,
     conic_eval,
     conic_eval_batch,
     distance_batch,
@@ -75,6 +80,8 @@ class LabConfig:
         lo, hi = _R_RANGE
         if not lo <= self.R <= hi:
             raise ConfigError(f"R must be in [{lo:g}, {hi:g}], got {self.R}")
+        if not isinstance(self.t_samples, numbers.Integral):
+            raise ConfigError(f"t_samples must be an integer, got {self.t_samples!r}")
         if self.t_samples < 3:
             raise ConfigError(f"t_samples must be >= 3, got {self.t_samples}")
         if self.t_samples > MAX_T_SAMPLES:
@@ -83,6 +90,8 @@ class LabConfig:
             raise ConfigError(f"tolerance must be in (0, 1e-3], got {self.tolerance}")
         if not 0 < self.angle_tolerance <= 1e-3:
             raise ConfigError(f"angle tolerance must be in (0, 1e-3], got {self.angle_tolerance}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.perturb):
@@ -154,18 +163,24 @@ _CIRCUMCONIC_TAGS = ("E1", "E9", "E10", "E5x", "E6x")
 
 class _Pass:
     """The measurement pass at t = 2 pi k / n, all k at once.  Its stages
-    are lazy: each runs at most once, when a quantity first needs it (keyed
-    ones memoize per key).  Their checks go to ``log``, where the first one
-    that fails raises (see ``PassLog``).  A partial stage also returns its
-    gate: the mask of the samples it holds and the (mask, reason) pairs that
-    explain the others.  ``perturb`` shifts the first vertex of sample n // 3
-    along x."""
+    are lazy: each runs at most once, when a quantity first needs it (``x``
+    memoizes per center).  Their checks go to ``log``, where the first one
+    that fails raises (see ``PassLog``); the conic stage runs its checks in
+    the order of ``poristic.named_conics_batch``.  A partial stage also
+    returns its gate: the mask of the samples it holds and the (mask,
+    reason) pairs that explain the others.  ``perturb`` shifts the first
+    vertex of sample n // 3 along x.
+
+    ``measure`` declares the named conics of its rows as ``tags``; the
+    conic stage builds exactly those, and reading any other raises
+    ``LookupError``."""
 
     def __init__(self, cfg: _poristic.PoristicConfig, n: int, seed: int, perturb: float = 0.0):
         self.cfg, self.seed, self.perturb = cfg, seed, perturb
         self.t = 2 * math.pi * np.arange(n) / n
         self.log = PassLog(self.t)
-        self._x, self._conic, self._can = {}, {}, {}
+        self.tags: frozenset[str] = frozenset()
+        self._x = {}
 
     @functools.cached_property
     def fam(self) -> _poristic.FamilyBatch:
@@ -187,15 +202,22 @@ class _Pass:
             self._x[k] = _centers.center_batch(self.fam.triangle, k, self.log, self.s)
         return self._x[k]
 
-    def conic(self, tag: str):
-        if tag not in self._conic:
-            self._conic[tag] = _poristic.named_conic_batch(self.fam, tag, self.x, self.log)
-        return self._conic[tag]
+    @functools.cached_property
+    def conics(self) -> dict[str, tuple[ConicBatch, CanonicalBatch]]:
+        """The conic stage: each declared named conic and its canonical
+        form, built as one stack."""
+        return _poristic.named_conics_batch(self.fam, self.tags, self.x, self.log)
 
-    def can(self, tag: str):
-        if tag not in self._can:
-            self._can[tag] = canonicalize_batch(self.conic(tag), self.log)
-        return self._can[tag]
+    def conic(self, tag: str) -> ConicBatch:
+        return self._declared(tag)[0]
+
+    def can(self, tag: str) -> CanonicalBatch:
+        return self._declared(tag)[1]
+
+    def _declared(self, tag: str) -> tuple[ConicBatch, CanonicalBatch]:
+        if tag not in self.tags:
+            raise LookupError(f"conic {tag} is read but no measured row declares it")
+        return self.conics[tag]
 
     def ratio(self, tag: str) -> np.ndarray:
         """Axis ratio of conic ``tag``; not kept, each feeds one row."""
@@ -229,7 +251,7 @@ class _Pass:
     def i3x_tangent(self) -> np.ndarray:
         """I3x from the tangent-line coefficients of the excentral sides."""
         return _conics.inconic_from_tangents_batch(
-            *_poristic.excentral_side_lines_batch(self.cfg, self.t), self.log).m
+            *_poristic.excentral_side_lines_batch(self.cfg, self.t), self.log).c
 
     @functools.cached_property
     def x100(self):
@@ -258,11 +280,12 @@ class _Pass:
     @functools.cached_property
     def hyperbolas(self):
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas, on the
-        samples of X100's gate."""
+        samples of X100's gate, as one stack of both systems: each check runs
+        on the Feuerbach block, then on the Jerabek one."""
         x100, (has_x100, _) = self.x100
-        hyp_log = self.log.where(has_x100)
-        return (_conics.hyperbola_focal_length_batch(self.fam.triangle, self.x(11), hyp_log),
-                _conics.hyperbola_focal_length_batch(self.fam.excentral, x100, hyp_log))
+        return np.split(_conics.hyperbola_focal_length_batch(
+            np.concatenate([self.fam.triangle, self.fam.excentral]),
+            np.concatenate([self.x(11), x100]), self.log.where(has_x100)), 2)
 
     @functools.cached_property
     def equivariance(self) -> np.ndarray:
@@ -287,8 +310,9 @@ class _Pass:
 
     def measure(self, rows) -> dict[str, np.ndarray]:
         """The columns of ``rows``, computed in their order from the stages
-        they need.  The first failing check raises; no kept value is
-        non-finite."""
+        they need; the named conics they declare are the pass's ``tags``.
+        The first failing check raises; no kept value is non-finite."""
+        self.tags = frozenset(tag for q in rows for tag in q.conics)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             columns = {q.name: q.compute(self) for q in rows}
         for q in rows:
@@ -319,7 +343,8 @@ class Quantity:
     (mask, skips) its partial stage returns.  A row with a ``check``
     ("residual" | "spread" | "varying") is a verify row: ``tol`` is a number
     or the ``LabConfig`` field holding it, ``expected`` a spread row's closed
-    form.  ``sweep`` is the column's position in ``SWEEP_QUANTITIES``."""
+    form.  ``sweep`` is the column's position in ``SWEEP_QUANTITIES``.
+    ``conics`` names the named conics ``compute`` reads."""
 
     name: str
     compute: Callable[[_Pass], np.ndarray]
@@ -328,6 +353,7 @@ class Quantity:
     sweep: int | None = None
     tol: float | str = "tolerance"
     partial: Callable[[_Pass], tuple] | None = None
+    conics: tuple[str, ...] = ()
 
 
 def _incircle_residual(p: _Pass) -> np.ndarray:
@@ -365,15 +391,20 @@ def _cb_foci_circle_gap(p: _Pass) -> np.ndarray:
                         for f in foci_batch(p.can("E9"))))
 
 
+_PARALLEL_AXES = ("E9", "E10", "E5x", "E6x", "I3x")
+
+
 def _parallel_axes_gap(p: _Pass) -> np.ndarray:
-    axes = [p.can(tag).angle for tag in ("E9", "E10", "E5x", "E6x", "I3x")]
+    axes = [p.can(tag).angle for tag in _PARALLEL_AXES]
     return np.max([_angle_gap(a, b, math.pi / 2)
                    for i, a in enumerate(axes) for b in axes[i + 1:]], axis=0)
 
 
-def _sign_free_gap(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Largest entry gap between matrix stacks, up to the sign of ``ref``."""
-    return np.minimum(np.abs(m - ref).max(axis=(1, 2)), np.abs(m + ref).max(axis=(1, 2)))
+def _sign_free_gap(c: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Largest coefficient gap between conics given as coefficient rows
+    (``ConicBatch.c``), which is their largest matrix entry gap, up to the
+    sign of ``ref``."""
+    return np.minimum(np.abs(c - ref).max(axis=0), np.abs(c + ref).max(axis=0))
 
 
 _ATOL = "angle_tolerance"
@@ -385,11 +416,13 @@ QUANTITIES = (
         distance_batch(p.fam.triangle, np.array([p.cfg.d, 0.0])) - p.cfg.R).max(axis=1),
         "residual", sweep=32, tol=1e-10),
     Quantity("incircle_residual", _incircle_residual, "residual", sweep=33, tol=1e-10),
-    Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic("I5x").m, p.conic("I5x").m[0]),
-             "residual", tol=1e-10),
+    Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic("I5x").c,
+                                                          p.conic("I5x").c[:, :1]),
+             "residual", tol=1e-10, conics=("I5x",)),
     Quantity("i5x_center_gap", lambda p: distance_batch(p.can("I5x").center,
-                                                        np.array([p.cfg.d, 0.0])), "residual"),
-    Quantity("i5x_foci_gap", _i5x_foci_gap, "residual"),
+                                                        np.array([p.cfg.d, 0.0])), "residual",
+             conics=("I5x",)),
+    Quantity("i5x_foci_gap", _i5x_foci_gap, "residual", conics=("I5x",)),
     Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual",
              partial=lambda p: p.antiorthic[2]),
     Quantity("weaver_incircle_power_gap", lambda p: p.loci[2][0], "residual", tol=1e-10),
@@ -402,58 +435,67 @@ QUANTITIES = (
         _poristic.x9_closed_form_batch(p.cfg, p.t), p.x(9)), "residual"),
     Quantity("theta_closed_gap", lambda p: _angle_gap(
         _poristic.theta_closed_form_batch(p.cfg, p.t), p.can("E9").angle, math.pi),
-        "residual", tol=_ATOL),
+        "residual", tol=_ATOL, conics=("E9",)),
     Quantity("x9_locus_gap", lambda p: np.abs(
         distance_batch(p.x(9), p.loci[0].center.as_array()) - p.loci[0].radius), "residual"),
     Quantity("e1_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("E1"), p.x100[0])),
-             "residual", partial=lambda p: p.x100[1]),
+             "residual", partial=lambda p: p.x100[1], conics=("E1",)),
     Quantity("e9_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("E9"), p.x100[0])),
-             "residual", partial=lambda p: p.x100[1]),
+             "residual", partial=lambda p: p.x100[1], conics=("E9",)),
     Quantity("i3x_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("I3x"), p.x100[0])),
-             "residual", partial=lambda p: p.x100[1]),
+             "residual", partial=lambda p: p.x100[1], conics=("I3x",)),
     Quantity("i3x_implicit_gap", lambda p: _sign_free_gap(
-        p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).m), "residual"),
+        p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).c), "residual"),
     Quantity("billiard_ellipse_residual", lambda p: np.abs(
         (p.billiard[2][..., 0] / p.billiard[0]) ** 2
         + (p.billiard[2][..., 1] / p.billiard[1]) ** 2 - 1.0).max(axis=1),
         "residual", sweep=34, tol=1e-8),
     Quantity("reflection_law_gap", lambda p: _billiard.reflection_law_residual_batch(
         p.billiard[2], p.billiard[0], p.billiard[1]), "residual", sweep=35, tol=_ATOL),
-    Quantity("cb_foci_circle_gap", _cb_foci_circle_gap, "residual"),
+    Quantity("cb_foci_circle_gap", _cb_foci_circle_gap, "residual", conics=("E9",)),
     Quantity("e6x_e9_center_gap", lambda p: distance_batch(p.can("E6x").center,
-                                                           p.can("E9").center), "residual"),
+                                                           p.can("E9").center), "residual",
+             conics=("E6x", "E9")),
     Quantity("e6x_e9_axis_gap", lambda p: _angle_gap(p.can("E6x").angle, p.can("E9").angle,
-                                                     math.pi / 2), "residual", tol=_ATOL),
+                                                     math.pi / 2), "residual", tol=_ATOL,
+             conics=("E6x", "E9")),
     Quantity("e1_i3x_axis_gap", lambda p: np.abs(_angle_gap(
-        p.can("E1").angle, p.can("I3x").angle, math.pi) - math.pi / 2), "residual", tol=_ATOL),
-    Quantity("parallel_axes_gap", _parallel_axes_gap, "residual", tol=_ATOL),
+        p.can("E1").angle, p.can("I3x").angle, math.pi) - math.pi / 2), "residual", tol=_ATOL,
+             conics=("E1", "I3x")),
+    Quantity("parallel_axes_gap", _parallel_axes_gap, "residual", tol=_ATOL,
+             conics=_PARALLEL_AXES),
     Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
 
     Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
              lambda c: (3 * c.R * c.R + c.d * c.d) / (2 * c.d), sweep=28, tol=1e-10,
              partial=lambda p: p.antiorthic[2]),
     Quantity("ratio_i5x", lambda p: p.ratio("I5x"), "spread",
-             lambda c: 1.0 / math.sqrt(2.0 * c.rho), 17),
-    Quantity("eta_i5x", lambda p: p.can("I5x").semi_major, "spread", lambda c: c.R, 9),
+             lambda c: 1.0 / math.sqrt(2.0 * c.rho), 17, conics=("I5x",)),
+    Quantity("eta_i5x", lambda p: p.can("I5x").semi_major, "spread", lambda c: c.R, 9,
+             conics=("I5x",)),
     Quantity("zeta_i5x", lambda p: p.can("I5x").semi_minor, "spread",
-             lambda c: math.sqrt(c.R * c.R - c.d * c.d), 10),
+             lambda c: math.sqrt(c.R * c.R - c.d * c.d), 10, conics=("I5x",)),
     Quantity("ratio_i3x", lambda p: p.ratio("I3x"), "spread",
-             lambda c: (c.R + c.d) / (c.R - c.d), 16),
-    Quantity("eta_i3x", lambda p: p.can("I3x").semi_major, "spread", lambda c: c.R + c.d, 7),
-    Quantity("zeta_i3x", lambda p: p.can("I3x").semi_minor, "spread", lambda c: c.R - c.d, 8),
+             lambda c: (c.R + c.d) / (c.R - c.d), 16, conics=("I3x",)),
+    Quantity("eta_i3x", lambda p: p.can("I3x").semi_major, "spread", lambda c: c.R + c.d, 7,
+             conics=("I3x",)),
+    Quantity("zeta_i3x", lambda p: p.can("I3x").semi_minor, "spread", lambda c: c.R - c.d, 8,
+             conics=("I3x",)),
     Quantity("ratio_e1", lambda p: p.ratio("E1"), "spread",
-             lambda c: (c.R + c.d) / (c.R - c.d), 11),
-    Quantity("eta_e1", lambda p: p.can("E1").semi_major, "spread", lambda c: c.R + c.d, 5),
-    Quantity("zeta_e1", lambda p: p.can("E1").semi_minor, "spread", lambda c: c.R - c.d, 6),
+             lambda c: (c.R + c.d) / (c.R - c.d), 11, conics=("E1",)),
+    Quantity("eta_e1", lambda p: p.can("E1").semi_major, "spread", lambda c: c.R + c.d, 5,
+             conics=("E1",)),
+    Quantity("zeta_e1", lambda p: p.can("E1").semi_minor, "spread", lambda c: c.R - c.d, 6,
+             conics=("E1",)),
     Quantity("ratio_e10", lambda p: p.ratio("E10"), "spread",
-             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 13),
+             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 13, conics=("E10",)),
     Quantity("ratio_e5x", lambda p: p.ratio("E5x"), "spread",
-             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 14),
+             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 14, conics=("E5x",)),
     Quantity("ratio_e6x", lambda p: p.ratio("E6x"), "spread", lambda c: math.sqrt(
-        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), 15),
+        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), 15, conics=("E6x",)),
     Quantity("ratio_e9", lambda p: p.ratio("E9"), "spread", lambda c: math.sqrt(
-        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), 12),
-    Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", sweep=18),
+        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), 12, conics=("E9",)),
+    Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", sweep=18, conics=("I9",)),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
              lambda c: math.sqrt(2.0 / c.rho), sweep=27, tol=1e-7,
              partial=lambda p: p.x100[1]),
@@ -469,13 +511,13 @@ QUANTITIES = (
     Quantity("omega", lambda p: p.fam.omega, sweep=1),
     Quantity("x9_x", lambda p: p.x(9)[:, 0], sweep=2),
     Quantity("x9_y", lambda p: p.x(9)[:, 1], sweep=3),
-    Quantity("theta", lambda p: p.can("E9").angle, sweep=4),
-    Quantity("angle_e1", lambda p: p.can("E1").angle, sweep=19),
-    Quantity("angle_e9", lambda p: p.can("E9").angle, sweep=20),
-    Quantity("angle_i3x", lambda p: p.can("I3x").angle, sweep=21),
-    Quantity("angle_e10", lambda p: p.can("E10").angle, sweep=22),
-    Quantity("angle_e5x", lambda p: p.can("E5x").angle, sweep=23),
-    Quantity("angle_e6x", lambda p: p.can("E6x").angle, sweep=24),
+    Quantity("theta", lambda p: p.can("E9").angle, sweep=4, conics=("E9",)),
+    Quantity("angle_e1", lambda p: p.can("E1").angle, sweep=19, conics=("E1",)),
+    Quantity("angle_e9", lambda p: p.can("E9").angle, sweep=20, conics=("E9",)),
+    Quantity("angle_i3x", lambda p: p.can("I3x").angle, sweep=21, conics=("I3x",)),
+    Quantity("angle_e10", lambda p: p.can("E10").angle, sweep=22, conics=("E10",)),
+    Quantity("angle_e5x", lambda p: p.can("E5x").angle, sweep=23, conics=("E5x",)),
+    Quantity("angle_e6x", lambda p: p.can("E6x").angle, sweep=24, conics=("E6x",)),
     Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], sweep=25,
              partial=lambda p: p.x100[1]),
     Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], sweep=26,
@@ -550,10 +592,16 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
 
 def format_csv(header: list[str], rows: list[list]) -> str:
     """CSV text: a str cell as it is, None (a skip) as an empty field, and
-    every number with 17 significant digits."""
+    every number with 17 significant digits.  A row of numbers only is
+    formatted with one format string."""
+    numeric = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join([v if isinstance(v, str) else "" if v is None else "%.17g" % v
-                        for v in row]) for row in rows]
+    for row in rows:
+        try:
+            lines.append(numeric % tuple(row))
+        except TypeError:  # a None or str cell
+            lines.append(",".join([v if isinstance(v, str) else "" if v is None else "%.17g" % v
+                                   for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -247,12 +247,12 @@ def test_config_level_error_names_no_sample():
 
 def test_filter_minors_match_the_scalar_minors():
     rows = np.random.default_rng(7).normal(size=(50, 3, 4))
-    _, minors, _ = rank_test_batch(rows)
+    _, minors, _ = rank_test_batch(rows.reshape(50, 12).T)
     for i in range(50):
         for skip in range(4):
             want = _det3(rows[i].tolist(), skip)
-            # Filter column k keeps columns (012, 013, 023, 123)[k].
-            assert abs(minors[i, 3 - skip] - want) <= 4e-16 * np.abs(rows[i]).max() ** 3
+            # Filter minor k keeps columns (012, 013, 023, 123)[k].
+            assert abs(minors[3 - skip, i] - want) <= 4e-16 * np.abs(rows[i]).max() ** 3
 
 
 def _exact_circumconic(mp, rows):
@@ -284,12 +284,12 @@ def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
         systems += [(fam.excentral, center_batch(fam.triangle, k, log)) for k in (3, 9)]
         systems.append((fam.excentral, center_batch(fam.triangle, 100, log)))
         for v, c in systems:
-            *batched, rows, _ = _centered_circumconic_batch(v, c, log)
+            batched, rows, _ = _centered_circumconic_batch(v, c, log)
             for i in range(len(ts)):
                 exact = _exact_circumconic(mp, rows[i])
                 tri = Triangle(tuple(Point(*map(float, p)) for p in v[i]))
                 scalar = _centered_circumconic(tri, Point(*map(float, c[i])))[:4]
-                for name, got in (("batched", [x[i] for x in batched]), ("scalar", scalar)):
+                for name, got in (("batched", batched[:, i]), ("scalar", scalar)):
                     worst[name] = max(worst[name], *(abs(g - e) for g, e in zip(got, exact)))
         assert 0.0 < worst["batched"] <= 2.0 * worst["scalar"], (rho, worst)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porism_lab import geom
-from porism_lab.conics import circumconic_centered_batch
+from porism_lab.conics import centered_conics_batch
 from porism_lab.errors import DegenerateConic, DegenerateTriangle, NotCentral, PassLog
 from porism_lab.geom import (
     DEGENERACY_EPS,
@@ -221,6 +221,11 @@ class TestLinesAndTriangles:
             ConicMatrix.from_coeffs(1, 0, 1, 0, 0, math.inf)
 
 
+def _entries(a):
+    """A (n, 3, k) stack entry-major, as ``rank_test_batch`` takes it."""
+    return a.reshape(len(a), -1).T
+
+
 def _svd_rank_test(a):
     sv = singular_values_batch(a)
     return ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
@@ -256,7 +261,7 @@ class TestRankFilter:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geom, "singular_values_batch", recorded)
-            got = rank_test_batch(a)[0]
+            got = rank_test_batch(_entries(a))[0]
         assert got.tolist() == want.tolist()
         assert not want[bad].any()
         # The band [1e-12/3, 3e-12], widened by the decision margin and the
@@ -275,18 +280,32 @@ class TestRankFilter:
             a[10:20, 0, 0] *= 2.0 ** 300  # one entry far above the others
             with np.errstate(over="ignore"):
                 want = _svd_rank_test(a)
-            assert rank_test_batch(a)[0].tolist() == want.tolist()
+            assert rank_test_batch(_entries(a))[0].tolist() == want.tolist()
+
+    def test_a_long_stack_gives_what_its_pieces_give(self):
+        # The filter runs a long stack in several passes: the split changes
+        # no decision, minor or norm.
+        rng = np.random.default_rng(5)
+        for k in (3, 4):
+            x = _entries(rng.normal(size=(5000, 3, k)))
+            whole = rank_test_batch(x)
+            pieces = [rank_test_batch(x[:, i:i + 500]) for i in range(0, 5000, 500)]
+            assert np.concatenate([p[0] for p in pieces]).tobytes() == whole[0].tobytes()
+            assert np.concatenate([p[1] for p in pieces], axis=1).tobytes() == whole[1].tobytes()
+            for j in range(3):
+                assert (np.concatenate([p[2][j] for p in pieces]).tobytes()
+                        == whole[2][j].tobytes())
 
     def test_non_finite_rows_keep_their_outcome(self):
         # A row outside a partial stage is NaN: the circumconic check does not
         # flag it, and canonicalize_batch sees it as not of full rank.
         v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]] * 3)
         center = np.array([[1.0, 1.0], [np.nan, np.nan], [1.2, 0.9]])
-        conic = circumconic_centered_batch(v, center, PassLog(np.arange(3.0)))
+        conic = centered_conics_batch(v, center, 3, PassLog(np.arange(3.0)))
         assert conic.rank_test.tolist() == [1, 0, 1]
         can = canonicalize_batch(conic, PassLog(np.arange(3.0)))
         assert can.semi_major[1] == 0.0 and can.semi_major[0] > 0.0
-        stack = ConicBatch(np.stack([UNIT_CIRCLE.m, np.full((3, 3), np.nan)]))
+        stack = ConicBatch(np.array([[1.0, 0.0, 1.0, 0.0, 0.0, -1.0], [np.nan] * 6]).T)
         assert stack.rank_test.tolist() == [1, 0]
 
 
@@ -309,7 +328,7 @@ class TestMaxCondition:
         certified estimate is within the error the candidate margin
         relies on.  Returns the maximum and the number of rows sent to
         the SVD."""
-        kappa = [condition_estimate_batch(*rank_test_batch(a)[2]) for a in stacks]
+        kappa = [condition_estimate_batch(*rank_test_batch(_entries(a))[2]) for a in stacks]
         sent = []
 
         def recorded(rows):
@@ -378,5 +397,5 @@ class TestMaxCondition:
         far = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
         near = rng.normal(size=(25, 3, 4))
         assert np.abs(far).max(axis=(1, 2)).min() > geom._FILTER_MAX_NORM  # F exceeds it too
-        assert np.isnan(condition_estimate_batch(*rank_test_batch(far)[2])).all()
+        assert np.isnan(condition_estimate_batch(*rank_test_batch(_entries(far))[2])).all()
         assert self._check([near, far])[1] >= 25

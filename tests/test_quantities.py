@@ -39,6 +39,18 @@ def test_narrow_column_equals_full_column(rho):
         assert narrow_header == ["t", name]
         assert narrow_rows == [[row[0], row[j]] for row in rows], name
         assert narrow_skips == [s for s in skips if s["reason"].startswith(f"{name}: ")], name
+    # A verify row on a pass built for it alone, whose conic stage holds only
+    # the conics the row declares, equals its column in the full verify bit
+    # for bit; a row reading a conic it does not declare raises here.
+    cfg = lab.poristic()
+    full = report._Pass(cfg, lab.t_samples, lab.seed).measure(report._VERIFY_ROWS)
+    for q in report._VERIFY_ROWS:
+        narrow = report._Pass(cfg, lab.t_samples, lab.seed).measure([q])[q.name]
+        assert narrow.tobytes() == full[q.name].tobytes(), q.name
+    p = report._Pass(cfg, lab.t_samples, lab.seed)
+    p.measure([report._BY_NAME["perimeter"]])
+    with pytest.raises(LookupError, match="conic E9 is read but no measured row declares it"):
+        p.can("E9")
 
 
 def test_perimeter_sweep_builds_no_conic_and_no_svd(monkeypatch):
@@ -46,7 +58,7 @@ def test_perimeter_sweep_builds_no_conic_and_no_svd(monkeypatch):
         raise AssertionError("a perimeter sweep must not reach this stage")
 
     monkeypatch.setattr(np.linalg, "svd", forbidden)
-    monkeypatch.setattr(poristic, "named_conic_batch", forbidden)
+    monkeypatch.setattr(poristic, "named_conics_batch", forbidden)
     lab = LabConfig(t_samples=36)
     _, rows, skips = run_sweep(lab, ["perimeter"])
     cfg = lab.poristic()

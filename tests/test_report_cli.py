@@ -87,7 +87,9 @@ class TestVerifySuite:
         (dict(t_samples=2), "t_samples must be >= 3, got 2"),
         (dict(R=1e200, r=2e199), "R must be in [1e-100, 1e+100], got 1e+200"),
         (dict(r=0.6), "r = 0.6 outside (0, R/2] for R = 1.0"),
-    ], ids=["t_samples", "R_range", "circle_pair"])
+        (dict(t_samples=24.5), "t_samples must be an integer, got 24.5"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    ], ids=["t_samples", "R_range", "circle_pair", "t_samples_integer", "seed_integer"])
     def test_invalid_config_cannot_be_constructed(self, kwargs, message):
         # Refused when built, so no caller (render_figure included) sees it.
         with pytest.raises(ConfigError) as exc:

@@ -1,0 +1,147 @@
+"""Outcome scan: run verify and an all-column sweep over a fixed set of
+configurations and print one JSON line per configuration.
+
+    PYTHONPATH=src python3 tools/outcome_scan.py [--count N] > scan.jsonl
+    python3 tools/outcome_scan.py --compare before.jsonl after.jsonl
+
+The configurations are 155 random ones from ``default_rng(2020)``: first
+155 draws of log10 R ~ U[-3, 3], then 155 of log10 rho ~ U[-4, log10 0.5],
+then 155 of n = ``integers(3, 61)`` samples; then R in {1e-100, 1e30, 1e60,
+1e100} at rho = 0.2 with 180 samples.  ``--count N`` scans the first N.
+
+Each line gives, for ``run_verify`` and for ``run_sweep`` of every sweep
+column, the outcome ("report", or the name of the ``GeometryError``
+subclass raised) and its message; for a verify report the status, verdict,
+sample count, mean and relative spread of every row and
+``max_circumconic_condition``; and
+the SHA-256 of the report JSON and CSV, of the sweep CSV and of its skip
+log.  Any other exception is a crash: it is printed as its outcome, and the
+scan exits 1.
+
+``--compare`` reads two scans of the same configurations.  It prints every
+difference in outcome, message, status, verdict or sample count, and every
+mean of a non-residual row or ``max_circumconic_condition`` that moved by
+more than 1e-13 relative, and exits 1 if there is any.  It also lists, as
+``rounding:``, what moved within that: residual means, values within
+1e-13, and output digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import sys
+
+import numpy as np
+
+RANDOM_CONFIGS = 155
+EXTREME_R = (1e-100, 1e30, 1e60, 1e100)
+VALUE_RTOL = 1e-13
+
+
+def configs() -> list[tuple[float, float, int]]:
+    """(R, rho, n) of every scanned configuration, in scan order."""
+    rng = np.random.default_rng(2020)
+    log_R = rng.uniform(-3.0, 3.0, RANDOM_CONFIGS)
+    log_rho = rng.uniform(-4.0, math.log10(0.5), RANDOM_CONFIGS)
+    n = rng.integers(3, 61, RANDOM_CONFIGS)
+    scan = [(10.0 ** a, 10.0 ** b, int(k)) for a, b, k in zip(log_R, log_rho, n)]
+    return scan + [(R, 0.2, 180) for R in EXTREME_R]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _outcome(run) -> dict:
+    """The outcome of ``run()`` and what it returned, or its error."""
+    from porism_lab.errors import GeometryError
+
+    try:
+        return {"outcome": "report", "error": None, "value": run()}
+    except GeometryError as exc:
+        return {"outcome": type(exc).__name__, "error": str(exc), "value": None}
+    except Exception as exc:  # a crash is the finding
+        return {"outcome": f"crash: {type(exc).__name__}", "error": str(exc), "value": None}
+
+
+def scan_one(R: float, rho: float, n: int) -> dict:
+    from porism_lab import report
+
+    lab = report.LabConfig(R=R, r=rho * R, t_samples=n)
+    verify = _outcome(lambda: report.run_verify(lab))
+    result = verify.pop("value")
+    if result is not None:
+        verify["rows"] = [[r.quantity, r.status, r.verdict, r.samples, r.check, r.mean,
+                           r.spread_rel] for r in result.reports]
+        verify["max_circumconic_condition"] = result.max_condition
+        verify["json_sha256"] = _digest(report.verify_report_json(result))
+        verify["csv_sha256"] = _digest(report.verify_report_csv(result))
+    sweep = _outcome(lambda: report.run_sweep(lab, list(report.SWEEP_QUANTITIES)))
+    table = sweep.pop("value")
+    if table is not None:
+        header, rows, skips = table
+        sweep["csv_sha256"] = _digest(report.format_csv(header, rows))
+        sweep["skips_sha256"] = _digest("".join(f"{s['t']!r} {s['reason']}\n" for s in skips))
+    return {"R": R, "rho": rho, "n": n, "verify": verify, "sweep": sweep}
+
+
+def _close(a, b) -> bool:
+    if a is None or b is None or not (math.isfinite(a) and math.isfinite(b)):
+        return a == b or (a != a and b != b)
+    return abs(a - b) <= VALUE_RTOL * max(abs(a), abs(b))
+
+
+def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]]:
+    """The differences between two scans beyond the rounding of values, and
+    the values and digests that moved within it (residual means, values
+    within 1e-13, output bytes)."""
+    found, moved = [], []
+    for x, y in zip(before, after, strict=True):
+        where = f"R={x['R']!r} rho={x['rho']!r} n={x['n']}"
+        for run in ("verify", "sweep"):
+            a, b = x[run], y[run]
+            if (a["outcome"], a["error"]) != (b["outcome"], b["error"]):
+                found.append(f"{where} {run}: {a['outcome']} {a['error']!r} -> "
+                             f"{b['outcome']} {b['error']!r}")
+            moved += [f"{where} {run} {key} differs" for key in a
+                      if key.endswith("sha256") and a[key] != b.get(key)]
+        for ra, rb in zip(x["verify"].get("rows", []), y["verify"].get("rows", [])):
+            if ra[:5] != rb[:5]:
+                found.append(f"{where} verify row: {ra[:5]} -> {rb[:5]}")
+            elif ra[5] != rb[5] and not (ra[5] != ra[5] and rb[5] != rb[5]):
+                close = ra[4] == "residual" or _close(ra[5], rb[5])
+                (moved if close else found).append(f"{where} {ra[0]} mean: {ra[5]!r} -> {rb[5]!r}"
+                                                   f" (spread_rel {ra[6]:.3g})")
+        a, b = (s["verify"].get("max_circumconic_condition") for s in (x, y))
+        if a != b:
+            (moved if _close(a, b) else found).append(
+                f"{where} max_circumconic_condition: {a!r} -> {b!r}")
+    return found, moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--count", type=int, default=None, help="scan the first N configs")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two scans instead of running one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        before, after = ([json.loads(line) for line in open(path)] for path in args.compare)
+        found, moved = compare(before, after)
+        for line in found + [f"rounding: {m}" for m in moved]:
+            print(line)
+        print(f"{len(before)} configs: {len(found)} differences, {len(moved)} moved by rounding")
+        return 1 if found else 0
+    crashed = False
+    for R, rho, n in configs()[:args.count]:
+        line = scan_one(R, rho, n)
+        crashed |= any(line[run]["outcome"].startswith("crash") for run in ("verify", "sweep"))
+        print(json.dumps(line), flush=True)
+    return 1 if crashed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
