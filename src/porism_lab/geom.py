@@ -185,7 +185,9 @@ class ConicMatrix:
     """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization.
 
     ``cond`` optionally carries the condition number of the linear system the
-    matrix was solved from (surfaced in verification reports).
+    matrix was solved from.  Reports do not read it: they take the batched
+    estimate of ``max_condition_batch``, and ``cond`` is the oracle the
+    batched tests compare that estimate against.
     """
 
     m: np.ndarray

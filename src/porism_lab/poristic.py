@@ -15,7 +15,7 @@ the same expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -49,18 +49,26 @@ ISOSCELES_T_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class PoristicConfig:
-    """Fixed circle pair (R, r) with Euler's relation d^2 = R(R - 2r)."""
+    """Fixed circle pair (R, r) with 0 < r <= R/2.  It derives Euler's
+    distance d = sqrt(R(R - 2r)), so d^2 = R(R - 2r) holds by construction,
+    and rho = r / R; an invalid pair raises ``InvalidRatio``."""
 
     R: float
     r: float
-    d: float
-    rho: float
+    d: float = field(init=False)
+    rho: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.R > 0 and 0 < self.rho <= 0.5):
-            raise InvalidRatio(f"rho = {self.rho} outside (0, 1/2]")
-        if abs(self.d * self.d - self.R * (self.R - 2 * self.r)) > 1e-14 * self.R * self.R:
-            raise InvalidRatio("Euler relation d^2 = R(R - 2r) violated")
+        R, r = self.R, self.r
+        if not R > 0:
+            raise InvalidRatio(f"R must be positive, got {R}")
+        if not 0 < r <= R / 2:
+            raise InvalidRatio(f"r = {r} outside (0, R/2] for R = {R}")
+        rho = r / R  # underflows to 0 for a pair like (1e100, 1e-300)
+        if not 0 < rho <= 0.5:
+            raise InvalidRatio(f"rho = {rho} outside (0, 1/2]")
+        object.__setattr__(self, "d", math.sqrt(R * (R - 2 * r)))
+        object.__setattr__(self, "rho", rho)
 
     @property
     def circumcircle(self) -> Circle:
@@ -76,17 +84,13 @@ class PoristicConfig:
         return Circle(Point(0.0, 0.0), 2 * self.R)
 
 
-def config_from_rR(R: float, r: float) -> PoristicConfig:
-    if not R > 0:
-        raise InvalidRatio(f"R must be positive, got {R}")
-    if not 0 < r <= R / 2:
-        raise InvalidRatio(f"r = {r} outside (0, R/2] for R = {R}")
-    d = math.sqrt(R * (R - 2 * r))
-    return PoristicConfig(R, r, d, r / R)
+#: ``config_from_rR(R, r)`` is ``PoristicConfig(R, r)``.
+config_from_rR = PoristicConfig
 
 
-def config_from_rho(rho: float, R: float = 1.0) -> PoristicConfig:
-    return config_from_rR(R, rho * R)
+def config_from_rho(rho: float) -> PoristicConfig:
+    """The family of ratio rho = r / R at R = 1."""
+    return PoristicConfig(1.0, rho)
 
 
 @dataclass(frozen=True)
@@ -282,12 +286,11 @@ def mittenpunkt_locus_circle(cfg: PoristicConfig) -> Circle:
     return Circle(Point(d * (3 * R * R + d * d) / den + d, 0.0), 4 * R * d * d / den)
 
 
-#: Named conics of the family.  Suffix "x" means built on the excentral
-#: triangle; the center column is the center seen from the reference
-#: triangle (X5 of the excentral is X3 of the reference, X6 of the excentral
-#: is X9 of the reference, X3 of the excentral is X40).
-CONIC_TAGS = ("E1", "E9", "E10", "I9", "E3x", "E5x", "E6x", "I3x", "I5x")
-
+#: The named conics of the family; ``CONIC_TAGS`` is its keys, in order.
+#: Suffix "x" means built on the excentral triangle; the center column is
+#: the center seen from the reference triangle (X5 of the excentral is X3 of
+#: the reference, X6 of the excentral is X9 of the reference, X3 of the
+#: excentral is X40).
 _TAG_TABLE = {
     # tag: (use excentral triangle, circumconic?, reference center id)
     "E1": (False, True, 1),
@@ -300,6 +303,7 @@ _TAG_TABLE = {
     "I3x": (True, False, 40),
     "I5x": (True, False, 3),
 }
+CONIC_TAGS = tuple(_TAG_TABLE)
 _STACK_ORDER = sorted(CONIC_TAGS, key=lambda tag: not _TAG_TABLE[tag][1])  # circumconics first
 
 

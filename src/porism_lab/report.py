@@ -100,7 +100,7 @@ class LabConfig:
 
     def poristic(self) -> _poristic.PoristicConfig:
         try:
-            return _poristic.config_from_rR(self.R, self.r)
+            return _poristic.PoristicConfig(self.R, self.r)
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -155,10 +155,6 @@ def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
     """Circular distance between two axis directions modulo period."""
     g = np.fmod(x - y, period)
     return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
-
-
-#: The circumconics whose condition numbers the verify report carries.
-_CIRCUMCONIC_TAGS = ("E1", "E9", "E10", "E5x", "E6x")
 
 
 class _Pass:
@@ -343,14 +339,14 @@ class Quantity:
     (mask, skips) its partial stage returns.  A row with a ``check``
     ("residual" | "spread" | "varying") is a verify row: ``tol`` is a number
     or the ``LabConfig`` field holding it, ``expected`` a spread row's closed
-    form.  ``sweep`` is the column's position in ``SWEEP_QUANTITIES``.
-    ``conics`` names the named conics ``compute`` reads."""
+    form.  ``conics`` names the named conics ``compute`` reads.  The rows
+    that are sweep columns are listed, in column order, by
+    ``SWEEP_QUANTITIES``."""
 
     name: str
     compute: Callable[[_Pass], np.ndarray]
     check: str | None = None
     expected: Callable[[_poristic.PoristicConfig], float] | None = None
-    sweep: int | None = None
     tol: float | str = "tolerance"
     partial: Callable[[_Pass], tuple] | None = None
     conics: tuple[str, ...] = ()
@@ -410,12 +406,12 @@ def _sign_free_gap(c: np.ndarray, ref: np.ndarray) -> np.ndarray:
 _ATOL = "angle_tolerance"
 
 #: Every quantity.  ``run_verify`` reports the rows with a check, in this
-#: order; ``porism-lab sweep`` offers the rows with a sweep position.
+#: order; ``porism-lab sweep`` offers the rows ``SWEEP_QUANTITIES`` names.
 QUANTITIES = (
     Quantity("circumcircle_residual", lambda p: np.abs(
         distance_batch(p.fam.triangle, np.array([p.cfg.d, 0.0])) - p.cfg.R).max(axis=1),
-        "residual", sweep=32, tol=1e-10),
-    Quantity("incircle_residual", _incircle_residual, "residual", sweep=33, tol=1e-10),
+        "residual", tol=1e-10),
+    Quantity("incircle_residual", _incircle_residual, "residual", tol=1e-10),
     Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic("I5x").c,
                                                           p.conic("I5x").c[:, :1]),
              "residual", tol=1e-10, conics=("I5x",)),
@@ -449,9 +445,9 @@ QUANTITIES = (
     Quantity("billiard_ellipse_residual", lambda p: np.abs(
         (p.billiard[2][..., 0] / p.billiard[0]) ** 2
         + (p.billiard[2][..., 1] / p.billiard[1]) ** 2 - 1.0).max(axis=1),
-        "residual", sweep=34, tol=1e-8),
+        "residual", tol=1e-8),
     Quantity("reflection_law_gap", lambda p: _billiard.reflection_law_residual_batch(
-        p.billiard[2], p.billiard[0], p.billiard[1]), "residual", sweep=35, tol=_ATOL),
+        p.billiard[2], p.billiard[0], p.billiard[1]), "residual", tol=_ATOL),
     Quantity("cb_foci_circle_gap", _cb_foci_circle_gap, "residual", conics=("E9",)),
     Quantity("e6x_e9_center_gap", lambda p: distance_batch(p.can("E6x").center,
                                                            p.can("E9").center), "residual",
@@ -467,68 +463,74 @@ QUANTITIES = (
     Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
 
     Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
-             lambda c: (3 * c.R * c.R + c.d * c.d) / (2 * c.d), sweep=28, tol=1e-10,
+             lambda c: (3 * c.R * c.R + c.d * c.d) / (2 * c.d), tol=1e-10,
              partial=lambda p: p.antiorthic[2]),
     Quantity("ratio_i5x", lambda p: p.ratio("I5x"), "spread",
-             lambda c: 1.0 / math.sqrt(2.0 * c.rho), 17, conics=("I5x",)),
-    Quantity("eta_i5x", lambda p: p.can("I5x").semi_major, "spread", lambda c: c.R, 9,
+             lambda c: 1.0 / math.sqrt(2.0 * c.rho), conics=("I5x",)),
+    Quantity("eta_i5x", lambda p: p.can("I5x").semi_major, "spread", lambda c: c.R,
              conics=("I5x",)),
     Quantity("zeta_i5x", lambda p: p.can("I5x").semi_minor, "spread",
-             lambda c: math.sqrt(c.R * c.R - c.d * c.d), 10, conics=("I5x",)),
+             lambda c: math.sqrt(c.R * c.R - c.d * c.d), conics=("I5x",)),
     Quantity("ratio_i3x", lambda p: p.ratio("I3x"), "spread",
-             lambda c: (c.R + c.d) / (c.R - c.d), 16, conics=("I3x",)),
-    Quantity("eta_i3x", lambda p: p.can("I3x").semi_major, "spread", lambda c: c.R + c.d, 7,
+             lambda c: (c.R + c.d) / (c.R - c.d), conics=("I3x",)),
+    Quantity("eta_i3x", lambda p: p.can("I3x").semi_major, "spread", lambda c: c.R + c.d,
              conics=("I3x",)),
-    Quantity("zeta_i3x", lambda p: p.can("I3x").semi_minor, "spread", lambda c: c.R - c.d, 8,
+    Quantity("zeta_i3x", lambda p: p.can("I3x").semi_minor, "spread", lambda c: c.R - c.d,
              conics=("I3x",)),
     Quantity("ratio_e1", lambda p: p.ratio("E1"), "spread",
-             lambda c: (c.R + c.d) / (c.R - c.d), 11, conics=("E1",)),
-    Quantity("eta_e1", lambda p: p.can("E1").semi_major, "spread", lambda c: c.R + c.d, 5,
+             lambda c: (c.R + c.d) / (c.R - c.d), conics=("E1",)),
+    Quantity("eta_e1", lambda p: p.can("E1").semi_major, "spread", lambda c: c.R + c.d,
              conics=("E1",)),
-    Quantity("zeta_e1", lambda p: p.can("E1").semi_minor, "spread", lambda c: c.R - c.d, 6,
+    Quantity("zeta_e1", lambda p: p.can("E1").semi_minor, "spread", lambda c: c.R - c.d,
              conics=("E1",)),
     Quantity("ratio_e10", lambda p: p.ratio("E10"), "spread",
-             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 13, conics=("E10",)),
+             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), conics=("E10",)),
     Quantity("ratio_e5x", lambda p: p.ratio("E5x"), "spread",
-             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), 14, conics=("E5x",)),
+             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), conics=("E5x",)),
     Quantity("ratio_e6x", lambda p: p.ratio("E6x"), "spread", lambda c: math.sqrt(
-        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), 15, conics=("E6x",)),
+        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), conics=("E6x",)),
     Quantity("ratio_e9", lambda p: p.ratio("E9"), "spread", lambda c: math.sqrt(
-        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), 12, conics=("E9",)),
-    Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", sweep=18, conics=("I9",)),
+        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), conics=("E9",)),
+    Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", conics=("I9",)),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
-             lambda c: math.sqrt(2.0 / c.rho), sweep=27, tol=1e-7,
+             lambda c: math.sqrt(2.0 / c.rho), tol=1e-7,
              partial=lambda p: p.x100[1]),
     # Inradius and circumradius of the normalized member vary over the
     # billiard-view family; their ratio does not.
-    Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread",
-             lambda c: c.rho, 29),
-    Quantity("perimeter", lambda p: p.fam.perimeter, "varying", sweep=0),
-    Quantity("r_billiard", lambda p: p.billiard[3], "varying", sweep=30),
-    Quantity("R_billiard", lambda p: p.billiard[4], "varying", sweep=31),
+    Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread", lambda c: c.rho),
+    Quantity("perimeter", lambda p: p.fam.perimeter, "varying"),
+    Quantity("r_billiard", lambda p: p.billiard[3], "varying"),
+    Quantity("R_billiard", lambda p: p.billiard[4], "varying"),
 
     # Sweep-only columns.
-    Quantity("omega", lambda p: p.fam.omega, sweep=1),
-    Quantity("x9_x", lambda p: p.x(9)[:, 0], sweep=2),
-    Quantity("x9_y", lambda p: p.x(9)[:, 1], sweep=3),
-    Quantity("theta", lambda p: p.can("E9").angle, sweep=4, conics=("E9",)),
-    Quantity("angle_e1", lambda p: p.can("E1").angle, sweep=19, conics=("E1",)),
-    Quantity("angle_e9", lambda p: p.can("E9").angle, sweep=20, conics=("E9",)),
-    Quantity("angle_i3x", lambda p: p.can("I3x").angle, sweep=21, conics=("I3x",)),
-    Quantity("angle_e10", lambda p: p.can("E10").angle, sweep=22, conics=("E10",)),
-    Quantity("angle_e5x", lambda p: p.can("E5x").angle, sweep=23, conics=("E5x",)),
-    Quantity("angle_e6x", lambda p: p.can("E6x").angle, sweep=24, conics=("E6x",)),
-    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], sweep=25,
-             partial=lambda p: p.x100[1]),
-    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], sweep=26,
-             partial=lambda p: p.x100[1]),
+    Quantity("omega", lambda p: p.fam.omega),
+    Quantity("x9_x", lambda p: p.x(9)[:, 0]),
+    Quantity("x9_y", lambda p: p.x(9)[:, 1]),
+    Quantity("theta", lambda p: p.can("E9").angle, conics=("E9",)),
+    Quantity("angle_e1", lambda p: p.can("E1").angle, conics=("E1",)),
+    Quantity("angle_e9", lambda p: p.can("E9").angle, conics=("E9",)),
+    Quantity("angle_i3x", lambda p: p.can("I3x").angle, conics=("I3x",)),
+    Quantity("angle_e10", lambda p: p.can("E10").angle, conics=("E10",)),
+    Quantity("angle_e5x", lambda p: p.can("E5x").angle, conics=("E5x",)),
+    Quantity("angle_e6x", lambda p: p.can("E6x").angle, conics=("E6x",)),
+    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial=lambda p: p.x100[1]),
+    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial=lambda p: p.x100[1]),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}
 _VERIFY_ROWS = tuple(q for q in QUANTITIES if q.check)
 #: Quantities exposed by ``porism-lab sweep``, in their column order.
-SWEEP_QUANTITIES = tuple(q.name for q in sorted((q for q in QUANTITIES if q.sweep is not None),
-                                                key=lambda q: q.sweep))
+SWEEP_QUANTITIES = (
+    "perimeter", "omega", "x9_x", "x9_y", "theta",
+    "eta_e1", "zeta_e1", "eta_i3x", "zeta_i3x", "eta_i5x", "zeta_i5x",
+    "ratio_e1", "ratio_e9", "ratio_e10", "ratio_e5x", "ratio_e6x", "ratio_i3x", "ratio_i5x",
+    "ratio_i9",
+    "angle_e1", "angle_e9", "angle_i3x", "angle_e10", "angle_e5x", "angle_e6x",
+    "gamma_feuerbach", "gamma_jerabek", "gamma_ratio", "antiorthic_intercept",
+    "rho_billiard", "r_billiard", "R_billiard",
+    "circumcircle_residual", "incircle_residual", "billiard_ellipse_residual",
+    "reflection_law_gap",
+)
 
 
 def run_verify(lab: LabConfig) -> VerifyResult:
@@ -539,7 +541,8 @@ def run_verify(lab: LabConfig) -> VerifyResult:
                           columns[q.name], q.check,
                           getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
                           q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
-    circum = [p.conic(tag) for tag in _CIRCUMCONIC_TAGS]
+    # The circumconics of the conic stage: its views with incidence rows.
+    circum = [c for c, _ in p.conics.values() if c.rows is not None]
     return VerifyResult(lab, reports, p.skipped(_VERIFY_ROWS),
                         max_condition_batch([c.rows for c in circum], [c.kappa for c in circum]))
 
@@ -550,7 +553,9 @@ def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
         return SweepReport(name, 0, math.nan, math.nan, math.nan, math.nan,
                            "skipped", tol, check, expected, status="fail")
     lo, hi = float(vals.min()), float(vals.max())
-    mean = sum(vals.tolist()) / len(vals)
+    # Summed left to right on every Python (``sum`` of floats is compensated
+    # from 3.12); ``+ 0.0`` makes an all -0.0 sum 0.0, as ``sum`` does.
+    mean = float(np.cumsum(vals)[-1] + 0.0) / len(vals)
     spread = (hi - lo) / abs(mean) if mean != 0.0 else math.inf
     if check == "residual":
         verdict = "invariant" if float(np.abs(vals).max()) < tol else "varying"
@@ -581,7 +586,7 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
-    p = _Pass(lab.poristic(), lab.t_samples, lab.seed)
+    p = _Pass(lab.poristic(), lab.t_samples, lab.seed, lab.perturb)
     rows = [_BY_NAME[q] for q in quantities]
     measured = p.measure(rows)
     columns = [np.where(q.partial(p)[0], measured[q.name], None).tolist() if q.partial

@@ -158,9 +158,18 @@ class TestNormalization:
             y = sim.scale * (sa * u.x + ca * u.y) + sim.translation.y
             assert distance(Point(x, y), p) < 1e-12
 
-    def test_billiard_config_rejects_mismatched_constants(self):
-        with pytest.raises(ValueError):
-            BilliardConfig(1.5, 1.0, 2.5, 1.25)
+    def test_billiard_config_derives_its_constants(self):
+        # The bits of sqrt(a**4 - a*a*b*b + b**4) and a*a - b*b.
+        for a, b, delta, c2 in [
+            (1.5, 1.0, "0x1.f3db2174e7468p+0", "0x1.4000000000000p+0"),
+            (2.0, 1.0, "0x1.cd82b446159f3p+1", "0x1.8000000000000p+1"),
+            (1.0, 1.0, "0x1.0000000000000p+0", "0x0.0p+0"),
+            (3.7e40, 2.9e-12, "0x1.7177516974f67p+269", "0x1.7177516974f66p+269"),
+            (7.3e-5, 7.2e-5, "0x1.6953b58e515dcp-28", "0x1.3edbbe4560320p-33"),
+        ]:
+            cfg = BilliardConfig(a, b)
+            assert (cfg.delta.hex(), cfg.c2.hex()) == (delta, c2), (a, b)
+            assert BilliardConfig.from_axes(a, b) == cfg
 
 
 class TestFociLocus:

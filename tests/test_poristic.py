@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from porism_lab.centers import center, side_lengths
+from porism_lab.conics import inconic_from_tangents
 from porism_lab.errors import AxisAtInfinity, InvalidRatio
 from porism_lab.geom import (
     Point,
@@ -280,16 +281,14 @@ class TestNamedConics:
 
 class TestDualRoute:
     def test_lemma_vs_implicit_matrix(self):
-        for rho in RHO_GRID:
+        # I3x from the tangent lines against its closed-form matrix, up to
+        # sign, at 24 shifted t for each rho of RHO_GRID.
+        grid = [(rho, 2 * math.pi * (k + 0.2) / 24) for rho in RHO_GRID for k in range(24)]
+        for rho, t in grid:
             cfg = config_from_rho(rho)
-            for k in range(24):
-                t = 2 * math.pi * (k + 0.2) / 24
-                from porism_lab.conics import inconic_from_tangents
-
-                m1 = inconic_from_tangents(*excentral_side_lines(cfg, t)).to_conic().m
-                m2 = i3x_implicit_matrix(cfg, t).m
-                gap = min(np.abs(m1 - m2).max(), np.abs(m1 + m2).max())
-                assert gap < 1e-9
+            m1 = inconic_from_tangents(*excentral_side_lines(cfg, t)).to_conic().m
+            m2 = i3x_implicit_matrix(cfg, t).m
+            assert min(np.abs(m1 - m2).max(), np.abs(m1 + m2).max()) < 1e-9, (rho, t)
 
     def test_implicit_matrix_canonical_axes(self):
         can = canonicalize(i3x_implicit_matrix(CFG, 5.0))

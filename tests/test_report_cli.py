@@ -89,7 +89,9 @@ class TestVerifySuite:
         (dict(r=0.6), "r = 0.6 outside (0, R/2] for R = 1.0"),
         (dict(t_samples=24.5), "t_samples must be an integer, got 24.5"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
-    ], ids=["t_samples", "R_range", "circle_pair", "t_samples_integer", "seed_integer"])
+        (dict(R=1e100, r=1e-300), "rho = 0.0 outside (0, 1/2]"),
+    ], ids=["t_samples", "R_range", "circle_pair", "t_samples_integer", "seed_integer",
+            "rho_underflow"])
     def test_invalid_config_cannot_be_constructed(self, kwargs, message):
         # Refused when built, so no caller (render_figure included) sees it.
         with pytest.raises(ConfigError) as exc:
@@ -133,6 +135,13 @@ class TestVerifySuite:
         assert [row[k] for k in ("samples", "min", "max", "mean", "spread_rel")] == [
             0, None, None, None, None]
 
+    def test_mean_is_summed_left_to_right_on_every_python(self):
+        # A compensated sum (Python's sum from 3.12) would give 2 / 4.
+        row = report._aggregate("x", np.array([1.0, 1e100, 1.0, -1e100]), "residual", 1e-9, None)
+        assert row.mean == 0.0
+        row = report._aggregate("x", np.array([-0.0, -0.0]), "residual", 1e-9, None)
+        assert math.copysign(1.0, row.mean) == 1.0
+
 
 class TestSweep:
     def test_perimeter_extrema_at_symmetric_members(self):
@@ -162,6 +171,16 @@ class TestSweep:
         none_ts = [row[0] for row in rows if row[1] is None]
         assert none_ts == [0.0, math.pi]
         assert len(skips) == 2
+
+    def test_sweep_honours_perturbation(self):
+        # Sample n // 3 = 4 is moved off the circumcircle, in the sweep as in
+        # the verify's pass.
+        lab = LabConfig(t_samples=12, perturb=1e-6)
+        _, rows, _ = run_sweep(lab, ["circumcircle_residual"])
+        q = report._BY_NAME["circumcircle_residual"]
+        column = report._Pass(lab.poristic(), 12, lab.seed, lab.perturb).measure([q])[q.name]
+        assert [row[1] for row in rows] == column.tolist()
+        assert rows[4][1] > 5e-7
 
     def test_unknown_quantity(self):
         with pytest.raises(UnknownQuantity):
