@@ -38,6 +38,7 @@ from .errors import (
     ParallelTangents,
     PassLog,
     PerspectorAtInfinity,
+    _named,
 )
 # canonicalize stays importable from this module: the benchmark's tracer
 # self-test (perfbench/test_perfbench.py) resolves it here.
@@ -248,7 +249,8 @@ def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
     """One stack of conics with prescribed centers: ``circumconic_centered``
     over the first ``n_circum`` systems (triangles ``v`` (N, 3, 2) and
     centers (N, 2)) and ``inconic_centered`` over the rest.  N may hold k
-    systems per sample; ``log`` then checks k blocks (see ``PassLog``).
+    systems per sample; ``log`` then checks k blocks (see ``PassLog``), and
+    a log that names them names the failing one.
 
     One call of each kernel covers the whole stack: the 3x4 rank filter
     for the circumconics, the tangent-line closed form for the inconics,
@@ -262,8 +264,10 @@ def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
     number from them (``geom.max_condition_batch``) with one SVD of the
     rows that can hold it."""
     circum, rows, norms = _centered_circumconic_batch(v[:n_circum], center[:n_circum], log)
-    origin = np.concatenate([circum, _centered_inconic_batch(v[n_circum:], center[n_circum:], log)],
-                            axis=1)
+    # The inconics are the blocks after the circumconics.
+    inconic_log = _named(log, log._names[n_circum // len(log.ts):])
+    origin = np.concatenate([circum, _centered_inconic_batch(v[n_circum:], center[n_circum:],
+                                                             inconic_log)], axis=1)
     conic = ConicBatch(_normalized(np.array(_shift(*origin, center[:, 0], center[:, 1]))),
                        rows, condition_estimate_batch(*norms))
     del circum, origin  # not held through the rank test

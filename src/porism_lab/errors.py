@@ -82,9 +82,12 @@ class PassLog:
     that fails raises at once, naming the lowest failing sample.  A kernel
     that stacks k systems per sample checks masks of k n entries, block
     after block: such a check raises for the first block that fails, at its
-    lowest failing sample.  ``where`` gives a log that checks only the given
+    lowest failing sample, and a log that ``_named`` gives names that block
+    ahead of the message.  ``where`` gives a log that checks only the given
     rows (stages that hold some samples only).
     """
+
+    _names: tuple[str, ...] = ()
 
     def __init__(self, ts, rows: np.ndarray | None = None):
         self.ts = np.asarray(ts, dtype=float)
@@ -99,5 +102,14 @@ class PassLog:
         if self.rows is not None:
             mask = mask & self.rows
         if mask.any():
-            t = self.ts[np.argmax(mask) % len(self.ts)]
-            raise exc_type(f"{message} at t = {float(t)!r}")
+            block, k = divmod(int(np.argmax(mask)), len(self.ts))
+            name = f"{self._names[block]}: " if self._names else ""
+            raise exc_type(f"{name}{message} at t = {float(self.ts[k])!r}")
+
+
+def _named(log: PassLog, names) -> PassLog:
+    """``log`` for a stack whose blocks are ``names``, in stack order: a
+    check that fails names its block, as ``E1: <message> at t = ...``."""
+    named = PassLog(log.ts, log.rows)
+    named._names = tuple(names)
+    return named

@@ -59,9 +59,9 @@ def _draw_circle(canvas, circle, color, width, dash=None):
                   width=width, dash=dash)
 
 
-def _mark(canvas, x, y, text, color):
-    canvas.dot(x, y, color)
-    canvas.label(x, y, text, color)
+def _mark(canvas, point, text, color):
+    canvas.dot(point.x, point.y, color)
+    canvas.label(point.x, point.y, text, color)
 
 
 def _conic(cfg, s, tag):
@@ -76,8 +76,8 @@ def _scene(lab, scale=90.0):
     canvas = SvgCanvas(scale=scale)
     _draw_circle(canvas, cfg.circumcircle, CIRCUM_PURPLE, 2.0)
     _draw_circle(canvas, cfg.incircle, INCIRCLE_GREEN, 2.0)
-    _mark(canvas, 2 * cfg.d, 0.0, "X1", INCIRCLE_GREEN)
-    _mark(canvas, cfg.d, 0.0, "X3", CIRCUM_PURPLE)
+    _mark(canvas, cfg.incircle.center, "X1", INCIRCLE_GREEN)
+    _mark(canvas, cfg.circumcircle.center, "X3", CIRCUM_PURPLE)
     return cfg, canvas
 
 
@@ -97,7 +97,7 @@ def _fig_odehnal(lab: LabConfig) -> str:
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN)
     _draw_circle(canvas, cfg.excentral_circle, ORANGE, 1.5)
     _draw_canonical(canvas, _conic(cfg, s, "I5x"), ORANGE, dash="5,4")
-    _mark(canvas, 0.0, 0.0, "X40", BLACK)
+    _mark(canvas, cfg.excentral_circle.center, "X40", BLACK)
     _draw_circle(canvas, _poristic.mittenpunkt_locus_circle(cfg), RED, 1.0, dash="3,3")
     return canvas.render(f"excentral locus and caustic, r/R={cfg.rho:g}")
 
@@ -111,7 +111,7 @@ def _fig_inconics(lab: LabConfig) -> str:
         _draw_canonical(canvas, _conic(cfg, s, "E1"), EXCENTRAL_GREEN, dash=dash)
     _draw_canonical(canvas, _conic(cfg, _poristic.sample(cfg, 0.9), "I5x"), INCIRCLE_GREEN,
                     dash="2,3")
-    _mark(canvas, 0.0, 0.0, "X40", BLACK)
+    _mark(canvas, cfg.excentral_circle.center, "X40", BLACK)
     return canvas.render(f"rigidly rotating inconics, r/R={cfg.rho:g}")
 
 
@@ -122,8 +122,7 @@ def _fig_circumX10(lab: LabConfig) -> str:
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN, width=1.0)
     _draw_canonical(canvas, _conic(cfg, s, "E10"), PINK)
     _draw_canonical(canvas, _conic(cfg, s, "E5x"), LIGHT_BLUE)
-    x10 = _centers.center(s.triangle, 10)
-    _mark(canvas, x10.x, x10.y, "X10", PINK)
+    _mark(canvas, _centers.center(s.triangle, 10), "X10", PINK)
     return canvas.render(f"equal-aspect circumconics, r/R={cfg.rho:g}")
 
 

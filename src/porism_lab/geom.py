@@ -507,18 +507,23 @@ def max_condition_batch(rows: list[np.ndarray], kappa: list[np.ndarray]) -> floa
         return float(np.max(sv[:, 0] / sv[:, -1]))
 
 
+def _conic_eval(c, x, y):
+    """[x y 1] M [x y 1]^T of the conic of coefficients c = (A, B, C, D, E,
+    F), summed as the product (v M) v; arithmetic only, for floats and
+    arrays."""
+    A, B, C, D, E, F = c
+    return ((x * A + y * B + D) * x + (x * B + y * C + E) * y) + (x * D + y * E + F)
+
+
 def conic_eval(conic: ConicMatrix, p: Point) -> float:
     """[x y 1] M [x y 1]^T under the stored normalization."""
-    v = np.array([p.x, p.y, 1.0])
-    return float(v @ conic.m @ v)
+    # The entries of the matrix at the coefficients (A, B, C, D, E, F).
+    return float(_conic_eval(conic.m.flat[[0, 1, 4, 2, 5, 8]], p.x, p.y))
 
 
 def conic_eval_batch(conic: ConicBatch, p: np.ndarray) -> np.ndarray:
-    """[x y 1] M [x y 1]^T of every conic at its point, summed as the
-    product (v M) v."""
-    A, B, C, D, E, F = conic.c
-    x, y = p[:, 0], p[:, 1]
-    return ((x * A + y * B + D) * x + (x * B + y * C + E) * y) + (x * D + y * E + F)
+    """``conic_eval`` of every conic at its point."""
+    return _conic_eval(conic.c, p[:, 0], p[:, 1])
 
 
 @dataclass(frozen=True)
@@ -768,6 +773,12 @@ def foci_batch(conic: CanonicalBatch) -> tuple[np.ndarray, np.ndarray]:
     return conic.center + step, conic.center - step
 
 
+def _area2(p1, p2, p3):
+    """Twice the signed area of the triangle p1 p2 p3, each an (x, y) pair
+    of floats or of arrays."""
+    return (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p3[0] - p1[0]) * (p2[1] - p1[1])
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices in counter-clockwise order.
@@ -780,7 +791,7 @@ class Triangle:
 
     def __post_init__(self):
         p1, p2, p3 = self.v
-        area2 = (p2.x - p1.x) * (p3.y - p1.y) - (p3.x - p1.x) * (p2.y - p1.y)
+        area2 = _area2((p1.x, p1.y), (p2.x, p2.y), (p3.x, p3.y))
         longest = max(distance(p1, p2), distance(p2, p3), distance(p3, p1))
         if abs(area2) < 2.0 * DEGENERACY_EPS * longest * longest:
             raise DegenerateTriangle(f"area {0.5 * area2:.3e} below threshold")
@@ -790,7 +801,7 @@ class Triangle:
     @property
     def signed_area(self) -> float:
         p1, p2, p3 = self.v
-        return 0.5 * ((p2.x - p1.x) * (p3.y - p1.y) - (p3.x - p1.x) * (p2.y - p1.y))
+        return 0.5 * _area2((p1.x, p1.y), (p2.x, p2.y), (p3.x, p3.y))
 
     def side_line(self, i: int) -> Line:
         """Line of the side opposite vertex i."""
@@ -801,16 +812,10 @@ class Triangle:
         return distance(p1, p2) + distance(p2, p3) + distance(p3, p1)
 
 
-def _area2_batch(v: np.ndarray) -> np.ndarray:
-    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
-    return ((p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1])
-            - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1]))
-
-
 def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
     """``Triangle`` over a vertex stack: a degenerate row raises through
     ``log`` and clockwise rows get their last two vertices swapped."""
-    area2 = _area2_batch(v)
+    area2 = _area2(*v.transpose(1, 2, 0))
     p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
     longest = np.maximum(np.maximum(distance_batch(p1, p2), distance_batch(p2, p3)),
                          distance_batch(p3, p1))
@@ -820,7 +825,7 @@ def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
 
 
 def signed_area_batch(v: np.ndarray) -> np.ndarray:
-    return 0.5 * _area2_batch(v)
+    return 0.5 * _area2(*v.transpose(1, 2, 0))
 
 
 def side_lines_batch(v: np.ndarray) -> np.ndarray:

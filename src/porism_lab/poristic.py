@@ -23,7 +23,7 @@ import numpy as np
 
 from . import centers as _centers
 from . import conics as _conics
-from .errors import AxisAtInfinity, InvalidRatio, PassLog
+from .errors import AxisAtInfinity, InvalidRatio, PassLog, _named
 from .geom import (
     CanonicalBatch,
     Circle,
@@ -334,7 +334,8 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
     ``canonicalize_batch`` call canonicalizes it.  Its centers are
     computed first, in the same order.  Each check then runs over the
     whole stack, so it raises for the first tag, in that order, that fails
-    it, at that tag's lowest failing t; the checks of
+    it, at that tag's lowest failing t, and names that tag ahead of its
+    message when the stack holds more than one; the checks of
     ``centered_conics_batch`` come before those of ``canonicalize_batch``."""
     unknown = set(tags) - set(CONIC_TAGS)
     if unknown:
@@ -344,6 +345,7 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
     v = np.concatenate([fam.excentral if _TAG_TABLE[tag][0] else fam.triangle for tag in order])
     n = len(fam.t)
     n_circum = n * sum(_TAG_TABLE[tag][1] for tag in order)
+    log = _named(log, order if len(order) > 1 else ())
     stack = _conics.centered_conics_batch(v, center, n_circum, log)
     can = canonicalize_batch(stack, log)
     out = {}

@@ -4,12 +4,17 @@
 reports one verdict row per quantity; ``run_sweep`` dumps raw per-sample
 quantities.  Both read one table, ``QUANTITIES``, and one measurement pass
 whose stages run on arrays over all t, through the ``_batch`` twins of the
-scalar kernel, and only when a requested quantity needs them.  The first
-check that fails raises its ``GeometryError`` subclass for the lowest
-failing t.  The checks run in the order the requested quantities first
-need their stages; within the conic stage, which builds every named conic
-the requested quantities declare at once, in the order of
-``poristic.named_conics_batch``.
+scalar kernel, and only when a requested quantity needs them.  The rows of
+a named conic that recur for several conics (axis ratio and semi-axes,
+value at X100, axis angle) come from one row maker per family, which
+derives each row's name, column and declared conic from the conic's tag.
+
+The first check that fails raises its ``GeometryError`` subclass for the
+lowest failing t.  The checks run in the order the requested quantities
+first need their stages; within the conic stage, which builds every named
+conic the requested quantities declare at once, in the order of
+``poristic.named_conics_batch``.  A check of a stacked stage (the conic
+stage, the hyperbola stage) names the block that fails.
 
 A quantity is "invariant" when its relative spread over the
 sweep stays below tolerance; residual-style quantities (which should be
@@ -33,7 +38,7 @@ from . import billiard as _billiard
 from . import centers as _centers
 from . import conics as _conics
 from . import poristic as _poristic
-from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, UnknownQuantity
+from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, UnknownQuantity, _named
 # canonicalize, conic_eval and foci stay importable from this module: the
 # benchmark's tracer self-test (perfbench/test_perfbench.py) resolves them here.
 from .geom import (  # noqa: F401
@@ -277,11 +282,13 @@ class _Pass:
     def hyperbolas(self):
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas, on the
         samples of X100's gate, as one stack of both systems: each check runs
-        on the Feuerbach block, then on the Jerabek one."""
+        on the Feuerbach block, then on the Jerabek one, and names the block
+        that fails."""
         x100, (has_x100, _) = self.x100
         return np.split(_conics.hyperbola_focal_length_batch(
             np.concatenate([self.fam.triangle, self.fam.excentral]),
-            np.concatenate([self.x(11), x100]), self.log.where(has_x100)), 2)
+            np.concatenate([self.x(11), x100]),
+            _named(self.log.where(has_x100), ("Feuerbach", "Jerabek"))), 2)
 
     @functools.cached_property
     def equivariance(self) -> np.ndarray:
@@ -336,10 +343,13 @@ class _Pass:
 class Quantity:
     """One quantity: ``compute`` gives its column over all t from the pass's
     stages, and ``partial``, for a column that skips samples, the gate
-    (mask, skips) its partial stage returns.  A row with a ``check``
-    ("residual" | "spread" | "varying") is a verify row: ``tol`` is a number
-    or the ``LabConfig`` field holding it, ``expected`` a spread row's closed
-    form.  ``conics`` names the named conics ``compute`` reads.  The rows
+    (mask, skips) its partial stage returns (``_x100_gate`` or
+    ``_antiorthic_gate``).  A row with a ``check`` ("residual" | "spread" |
+    "varying") is a verify row: ``tol`` is a number or the ``LabConfig``
+    field holding it, ``expected`` a spread row's closed form.  ``conics``
+    names the named conics ``compute`` reads; the row makers ``_axis_rows``,
+    ``_x100_eval_row`` and ``_angle_row`` set it from their tag, and only
+    rows that read other or several conics declare it by hand.  The rows
     that are sweep columns are listed, in column order, by
     ``SWEEP_QUANTITIES``."""
 
@@ -353,15 +363,15 @@ class Quantity:
 
 
 def _incircle_residual(p: _Pass) -> np.ndarray:
-    sides, x1 = side_lines_batch(p.fam.triangle), np.array([2 * p.cfg.d, 0.0])
-    return np.abs(np.abs(sides[..., 0] * x1[0] + sides[..., 1] * x1[1] + sides[..., 2])
+    sides, x1 = side_lines_batch(p.fam.triangle), p.cfg.incircle.center
+    return np.abs(np.abs(sides[..., 0] * x1.x + sides[..., 1] * x1.y + sides[..., 2])
                   - p.cfg.r).max(axis=1)
 
 
 def _i5x_foci_gap(p: _Pass) -> np.ndarray:
     """Foci of the stationary excentral caustic against X40 and X1."""
     f1, f2 = foci_batch(p.can("I5x"))
-    x40, x1 = np.zeros(2), np.array([2 * p.cfg.d, 0.0])
+    x40, x1 = p.cfg.excentral_circle.center.as_array(), p.cfg.incircle.center.as_array()
     return np.minimum(np.maximum(distance_batch(f1, x40), distance_batch(f2, x1)),
                       np.maximum(distance_batch(f2, x40), distance_batch(f1, x1)))
 
@@ -403,24 +413,69 @@ def _sign_free_gap(c: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(c - ref).max(axis=0), np.abs(c + ref).max(axis=0))
 
 
+def _x100_gate(p: _Pass) -> tuple:
+    """The gate of the rows that read X100: its scalene members."""
+    return p.x100[1]
+
+
+def _antiorthic_gate(p: _Pass) -> tuple:
+    """The gate of the rows that read the side-line intersections."""
+    return p.antiorthic[2]
+
+
+#: Closed forms of the axis ratio and the semi-axes of I3x and of E1.
+_BICENTRIC = (lambda c: (c.R + c.d) / (c.R - c.d), lambda c: c.R + c.d, lambda c: c.R - c.d)
+
+
+def _root_bicentric_ratio(c: _poristic.PoristicConfig) -> float:
+    """The axis ratio of E10 and of E5x: the square root of that of I3x."""
+    return math.sqrt(_BICENTRIC[0](c))
+
+
+# --- Conic-row families: each derives its rows' names, columns and declared
+# conics from the conic's tag.
+
+def _axis_rows(tag: str, *closed_forms) -> tuple[Quantity, ...]:
+    """Spread rows of conic ``tag``: ``ratio_<tag>``, its axis ratio, then
+    ``eta_<tag>`` and ``zeta_<tag>``, its semi-axes, one row per closed form
+    in ``closed_forms``, in that order.  With none, the ratio row alone,
+    with no closed form (I9)."""
+    t = tag.lower()
+    reads = {f"ratio_{t}": lambda p: p.ratio(tag), f"eta_{t}": lambda p: p.can(tag).semi_major,
+             f"zeta_{t}": lambda p: p.can(tag).semi_minor}
+    return tuple(Quantity(name, read, "spread", expected, conics=(tag,))
+                 for (name, read), expected in zip(reads.items(), closed_forms or (None,)))
+
+
+def _x100_eval_row(tag: str) -> Quantity:
+    """``<tag>_x100_eval``: conic ``tag`` evaluated at X100, on its gate."""
+    return Quantity(f"{tag.lower()}_x100_eval",
+                    lambda p: np.abs(conic_eval_batch(p.conic(tag), p.x100[0])), "residual",
+                    partial=_x100_gate, conics=(tag,))
+
+
+def _angle_row(tag: str, name: str | None = None) -> Quantity:
+    """``angle_<tag>``, or ``name``: the axis angle of conic ``tag``."""
+    return Quantity(name or f"angle_{tag.lower()}", lambda p: p.can(tag).angle, conics=(tag,))
+
+
 _ATOL = "angle_tolerance"
 
 #: Every quantity.  ``run_verify`` reports the rows with a check, in this
 #: order; ``porism-lab sweep`` offers the rows ``SWEEP_QUANTITIES`` names.
 QUANTITIES = (
-    Quantity("circumcircle_residual", lambda p: np.abs(
-        distance_batch(p.fam.triangle, np.array([p.cfg.d, 0.0])) - p.cfg.R).max(axis=1),
+    Quantity("circumcircle_residual", lambda p: np.abs(distance_batch(
+        p.fam.triangle, p.cfg.circumcircle.center.as_array()) - p.cfg.R).max(axis=1),
         "residual", tol=1e-10),
     Quantity("incircle_residual", _incircle_residual, "residual", tol=1e-10),
     Quantity("i5x_stationarity", lambda p: _sign_free_gap(p.conic("I5x").c,
                                                           p.conic("I5x").c[:, :1]),
              "residual", tol=1e-10, conics=("I5x",)),
-    Quantity("i5x_center_gap", lambda p: distance_batch(p.can("I5x").center,
-                                                        np.array([p.cfg.d, 0.0])), "residual",
+    Quantity("i5x_center_gap", lambda p: distance_batch(
+        p.can("I5x").center, p.cfg.circumcircle.center.as_array()), "residual",
              conics=("I5x",)),
     Quantity("i5x_foci_gap", _i5x_foci_gap, "residual", conics=("I5x",)),
-    Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual",
-             partial=lambda p: p.antiorthic[2]),
+    Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual", partial=_antiorthic_gate),
     Quantity("weaver_incircle_power_gap", lambda p: p.loci[2][0], "residual", tol=1e-10),
     Quantity("weaver_circumcircle_power_gap", lambda p: p.loci[2][1], "residual", tol=1e-10),
     Quantity("weaver_excentral_power_gap", lambda p: p.loci[2][2], "residual", tol=1e-10),
@@ -434,12 +489,7 @@ QUANTITIES = (
         "residual", tol=_ATOL, conics=("E9",)),
     Quantity("x9_locus_gap", lambda p: np.abs(
         distance_batch(p.x(9), p.loci[0].center.as_array()) - p.loci[0].radius), "residual"),
-    Quantity("e1_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("E1"), p.x100[0])),
-             "residual", partial=lambda p: p.x100[1], conics=("E1",)),
-    Quantity("e9_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("E9"), p.x100[0])),
-             "residual", partial=lambda p: p.x100[1], conics=("E9",)),
-    Quantity("i3x_x100_eval", lambda p: np.abs(conic_eval_batch(p.conic("I3x"), p.x100[0])),
-             "residual", partial=lambda p: p.x100[1], conics=("I3x",)),
+    *map(_x100_eval_row, ("E1", "E9", "I3x")),
     Quantity("i3x_implicit_gap", lambda p: _sign_free_gap(
         p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).c), "residual"),
     Quantity("billiard_ellipse_residual", lambda p: np.abs(
@@ -463,38 +513,20 @@ QUANTITIES = (
     Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
 
     Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
-             lambda c: (3 * c.R * c.R + c.d * c.d) / (2 * c.d), tol=1e-10,
-             partial=lambda p: p.antiorthic[2]),
-    Quantity("ratio_i5x", lambda p: p.ratio("I5x"), "spread",
-             lambda c: 1.0 / math.sqrt(2.0 * c.rho), conics=("I5x",)),
-    Quantity("eta_i5x", lambda p: p.can("I5x").semi_major, "spread", lambda c: c.R,
-             conics=("I5x",)),
-    Quantity("zeta_i5x", lambda p: p.can("I5x").semi_minor, "spread",
-             lambda c: math.sqrt(c.R * c.R - c.d * c.d), conics=("I5x",)),
-    Quantity("ratio_i3x", lambda p: p.ratio("I3x"), "spread",
-             lambda c: (c.R + c.d) / (c.R - c.d), conics=("I3x",)),
-    Quantity("eta_i3x", lambda p: p.can("I3x").semi_major, "spread", lambda c: c.R + c.d,
-             conics=("I3x",)),
-    Quantity("zeta_i3x", lambda p: p.can("I3x").semi_minor, "spread", lambda c: c.R - c.d,
-             conics=("I3x",)),
-    Quantity("ratio_e1", lambda p: p.ratio("E1"), "spread",
-             lambda c: (c.R + c.d) / (c.R - c.d), conics=("E1",)),
-    Quantity("eta_e1", lambda p: p.can("E1").semi_major, "spread", lambda c: c.R + c.d,
-             conics=("E1",)),
-    Quantity("zeta_e1", lambda p: p.can("E1").semi_minor, "spread", lambda c: c.R - c.d,
-             conics=("E1",)),
-    Quantity("ratio_e10", lambda p: p.ratio("E10"), "spread",
-             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), conics=("E10",)),
-    Quantity("ratio_e5x", lambda p: p.ratio("E5x"), "spread",
-             lambda c: math.sqrt((c.R + c.d) / (c.R - c.d)), conics=("E5x",)),
-    Quantity("ratio_e6x", lambda p: p.ratio("E6x"), "spread", lambda c: math.sqrt(
-        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d))), conics=("E6x",)),
-    Quantity("ratio_e9", lambda p: p.ratio("E9"), "spread", lambda c: math.sqrt(
-        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d))), conics=("E9",)),
-    Quantity("ratio_i9", lambda p: p.ratio("I9"), "spread", conics=("I9",)),
+             lambda c: -_poristic.antiorthic_axis(c).c, tol=1e-10, partial=_antiorthic_gate),
+    *_axis_rows("I5x", lambda c: 1.0 / math.sqrt(2.0 * c.rho), lambda c: c.R,
+                lambda c: math.sqrt(c.R * c.R - c.d * c.d)),
+    *_axis_rows("I3x", *_BICENTRIC),
+    *_axis_rows("E1", *_BICENTRIC),
+    *_axis_rows("E10", _root_bicentric_ratio),
+    *_axis_rows("E5x", _root_bicentric_ratio),
+    *_axis_rows("E6x", lambda c: math.sqrt(
+        (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d)))),
+    *_axis_rows("E9", lambda c: math.sqrt(
+        (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d)))),
+    *_axis_rows("I9"),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
-             lambda c: math.sqrt(2.0 / c.rho), tol=1e-7,
-             partial=lambda p: p.x100[1]),
+             lambda c: math.sqrt(2.0 / c.rho), tol=1e-7, partial=_x100_gate),
     # Inradius and circumradius of the normalized member vary over the
     # billiard-view family; their ratio does not.
     Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread", lambda c: c.rho),
@@ -506,15 +538,10 @@ QUANTITIES = (
     Quantity("omega", lambda p: p.fam.omega),
     Quantity("x9_x", lambda p: p.x(9)[:, 0]),
     Quantity("x9_y", lambda p: p.x(9)[:, 1]),
-    Quantity("theta", lambda p: p.can("E9").angle, conics=("E9",)),
-    Quantity("angle_e1", lambda p: p.can("E1").angle, conics=("E1",)),
-    Quantity("angle_e9", lambda p: p.can("E9").angle, conics=("E9",)),
-    Quantity("angle_i3x", lambda p: p.can("I3x").angle, conics=("I3x",)),
-    Quantity("angle_e10", lambda p: p.can("E10").angle, conics=("E10",)),
-    Quantity("angle_e5x", lambda p: p.can("E5x").angle, conics=("E5x",)),
-    Quantity("angle_e6x", lambda p: p.can("E6x").angle, conics=("E6x",)),
-    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial=lambda p: p.x100[1]),
-    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial=lambda p: p.x100[1]),
+    _angle_row("E9", "theta"),
+    *map(_angle_row, ("E1", "E9", "I3x", "E10", "E5x", "E6x")),
+    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial=_x100_gate),
+    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial=_x100_gate),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}

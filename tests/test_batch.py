@@ -3,8 +3,9 @@
 Every ``_batch`` kernel, as the measurement pass runs it, is compared with
 its scalar twin on a subgrid of the acceptance sweep; ``run_verify`` is
 compared with the committed benchmark reference; an abort raises at once,
-for the lowest failing t of its check; and the batched inconic D is checked
-against a 60-digit closed form.
+for the lowest failing t of its check, and a stacked stage names the block
+that failed; and the batched inconic D is checked against a 60-digit closed
+form.
 """
 
 import json
@@ -29,6 +30,7 @@ from porism_lab.conics import (
     _centered_circumconic,
     _centered_circumconic_batch,
     _det3,
+    centered_conics_batch,
     hyperbola_focal_length,
     inconic_from_tangents_batch,
 )
@@ -37,8 +39,11 @@ from porism_lab.errors import (
     DegenerateConic,
     GeometryError,
     IsoscelesDegeneracy,
+    NotAHyperbola,
     NotCentral,
+    ParallelTangents,
     PassLog,
+    _named,
 )
 from porism_lab.geom import (
     _KAPPA_ERROR,
@@ -237,6 +242,78 @@ def test_pass_log_check_raises_at_once_at_lowest_sample_of_its_mask():
         log.check(np.array([True, True, True, True]), DegenerateConic, "later check")
     assert str(info.value) == "failing check at t = 1.0"
     assert not reached
+
+
+# Scan configs (R, rho, n) whose verify and full sweep fail in the conic
+# stage, in its first block, E1 (tools/outcome_scan.py).
+E1_FAILURES = [
+    (531.301135117963, 0.0008721345473919408, 56,
+     "centered circumconic degenerates for this center at t = 0.1121997376282069"),
+    (443.42723656811853, 0.00030711518020094445, 8,
+     "centered circumconic degenerates for this center at t = 0.7853981633974483"),
+    (0.0035544998420920294, 0.00016270897742024518, 60,
+     "centered circumconic is not unique for this center at t = 0.0"),
+]
+
+
+@pytest.mark.parametrize("R, rho, n, message", E1_FAILURES,
+                         ids=[f"R={R:.4g}" for R, *_ in E1_FAILURES])
+def test_stacked_conic_check_names_its_block(R, rho, n, message):
+    lab = LabConfig(R=R, r=rho * R, t_samples=n)
+    for run in (lambda: run_verify(lab), lambda: report.run_sweep(lab, ["ratio_e1", "ratio_e9"])):
+        with pytest.raises(DegenerateConic) as info:
+            run()
+        assert str(info.value) == f"E1: {message}"
+    # A stack of one block keeps the message as it is.
+    with pytest.raises(DegenerateConic) as info:
+        report.run_sweep(lab, ["ratio_e1"])
+    assert str(info.value) == message
+
+
+def test_named_log_names_the_failing_block():
+    log = _named(PassLog([0.0, 0.5]), ("A", "B"))
+    log.check(np.array([[False, False], [False, False]]), NotCentral, "passing check")
+    with pytest.raises(NotCentral) as info:
+        log.check(np.array([[False, False], [False, True]]), NotCentral, "failing check")
+    assert str(info.value) == "B: failing check at t = 0.5"
+    # The inconic checks of a conic stack name the inconic blocks: a
+    # collinear triangle has parallel tangent lines.
+    v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    center = np.array([[1.0, 1.0], [0.5, 0.5]])
+    with pytest.raises(ParallelTangents) as info:
+        centered_conics_batch(v, center, 1, _named(PassLog([0.0]), ("E1", "I3x")))
+    assert str(info.value) == "I3x: tangent lines are (nearly) parallel at t = 0.0"
+
+
+def test_hyperbola_stage_names_its_block():
+    # Centered on the centroid, a circumconic is the Steiner ellipse: put it
+    # in place of X100, then of X11, and the stage names that block.
+    lab = LabConfig(t_samples=12)
+    for block in ("Jerabek", "Feuerbach"):
+        p = report._Pass(lab.poristic(), lab.t_samples, lab.seed)
+        if block == "Jerabek":
+            with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
+                p.__dict__["x100"] = p.fam.excentral.mean(axis=1), p.x100[1]
+        else:
+            p._x[11] = p.fam.triangle.mean(axis=1)
+        with pytest.raises(NotAHyperbola) as info, np.errstate(divide="ignore", invalid="ignore"):
+            p.hyperbolas
+        assert str(info.value).startswith(f"{block}: centered circumconic is an ellipse at t = ")
+
+
+@pytest.mark.parametrize("rho", RHO_GRID)
+def test_max_condition_is_the_largest_of_all_circumconic_rows(rho):
+    """On a real verify, ``max_circumconic_condition`` is, bit for bit, the
+    largest sigma_max / sigma_min of one SVD of all its circumconic
+    incidence rows."""
+    lab = LabConfig(R=1.0, r=rho, t_samples=T_SAMPLES)
+    p = report._Pass(lab.poristic(), lab.t_samples, lab.seed)
+    p.measure(report._VERIFY_ROWS)
+    rows = np.concatenate([c.rows for c, _ in p.conics.values() if c.rows is not None])
+    assert rows.shape == (5 * T_SAMPLES, 3, 4)
+    sv = singular_values_batch(rows)
+    want = np.max(sv[:, 0] / sv[:, -1])
+    assert np.float64(run_verify(lab).max_condition).tobytes() == want.tobytes()
 
 
 def test_config_level_error_names_no_sample():
