@@ -165,7 +165,7 @@ def _fig_cb_plots(lab: LabConfig) -> str:
         canvas.label(px + w / 2, y0 - 24, x_label, BLACK)
         canvas.label(px - 10, y0 + h + 8, y_label, BLACK)
 
-    # Left panel: L(t) for several rho, axes [0, 2pi] x [4.5, 6.5]-ish.
+    # Left panel: L(t) for several rho, axes [0, 2pi] x [1.5, 6.5].
     axes(x0, "t in [0, 2pi)", "L(t)/R")
     lmin, lmax = 1.5, 6.5
     colors = (TRIANGLE_BLUE, RED, EXCENTRAL_GREEN, ORANGE)

@@ -576,6 +576,12 @@ def _wrap_half_pi_batch(angle: np.ndarray) -> np.ndarray:
     return np.where(a <= -math.pi / 2, a + math.pi, np.where(a > math.pi / 2, a - math.pi, a))
 
 
+def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
+    """Circular distance between two axis directions modulo period."""
+    g = np.fmod(x - y, period)
+    return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
+
+
 def _center_solve(A, B, C, D, E, F, det2):
     """Center (cx, cy) of the quadratic block and the constant term f0 after
     translating it to the origin; arithmetic only, for floats and arrays."""
@@ -620,7 +626,8 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     sv = conic.sv
     rank3_ok = sv[2] > DEGENERACY_EPS * sv[0]
     block_scale = max(abs(A), abs(C)) + abs(B)
-    if abs(det2) < DEGENERACY_EPS * block_scale * block_scale:
+    # <=, not <: a vanishing block (A = B = C = 0) is singular too.
+    if abs(det2) <= DEGENERACY_EPS * block_scale * block_scale:
         if not rank3_ok:
             raise DegenerateConic(f"conic of rank < 3 (singular values {sv})")
         raise NotCentral("parabolic conic has no affine center")
@@ -671,7 +678,7 @@ def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
     det2 = A * C - B * B
     rank3_ok = conic.rank_test > 0
     block_scale = np.maximum(np.abs(A), np.abs(C)) + np.abs(B)
-    singular = np.abs(det2) < DEGENERACY_EPS * block_scale * block_scale
+    singular = np.abs(det2) <= DEGENERACY_EPS * block_scale * block_scale
     log.check(singular & ~rank3_ok, DegenerateConic, "conic of rank < 3")
     log.check(singular & rank3_ok, NotCentral, "parabolic conic has no affine center")
 

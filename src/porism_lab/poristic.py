@@ -23,7 +23,7 @@ import numpy as np
 
 from . import centers as _centers
 from . import conics as _conics
-from .errors import AxisAtInfinity, InvalidRatio, PassLog, _named
+from .errors import AxisAtInfinity, DegenerateTriangle, InvalidRatio, PassLog, _named
 from .geom import (
     CanonicalBatch,
     Circle,
@@ -41,9 +41,10 @@ from .geom import (
     triangle_batch,
 )
 
-# Family members within 1e-6 of t = 0 or t = pi are isosceles enough to make
-# the (s_i - s_j) trilinears unusable; sweeps skip them for X100-dependent
-# quantities.
+# A parameter radius about t = 0 and pi, where the family is isosceles.  The
+# measurement pass does not read it (X100's gate is the side-length test of
+# ``centers.scalene_batch``); the benchmark's sweep check
+# (perfbench/workloads.py) reads it to accept the skipped cells of a sweep.
 ISOSCELES_T_RADIUS = 1e-6
 
 
@@ -116,6 +117,16 @@ def _vertices(cfg: PoristicConfig, ct, st, sqrt):
     return w, p1, p2, p3
 
 
+def _scalar(core, t: float, *args):
+    """``core(*args)`` in floats; a zero denominator or the square root of a
+    negative, where the closed form cancels at t, raises
+    ``DegenerateTriangle``."""
+    try:
+        return core(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise DegenerateTriangle(f"closed form not defined at t = {t!r} ({exc})") from None
+
+
 def sample(cfg: PoristicConfig, t: float) -> FamilySample:
     """Vertices from the closed-form parametrization.
 
@@ -123,7 +134,7 @@ def sample(cfg: PoristicConfig, t: float) -> FamilySample:
     the t = 0 sample is isosceles with s2 = s3; the stored order is
     counter-clockwise.
     """
-    w, p1, p2, p3 = _vertices(cfg, math.cos(t), math.sin(t), math.sqrt)
+    w, p1, p2, p3 = _scalar(_vertices, t, cfg, math.cos(t), math.sin(t), math.sqrt)
     tri = Triangle((Point(*p3), Point(*p2), Point(*p1)))
     exc = _centers.excentral(tri)
     return FamilySample(t, tri, exc, w, tri.perimeter())
@@ -155,7 +166,7 @@ def _perimeter(cfg: PoristicConfig, ct, sqrt):
 
 
 def perimeter_closed_form(cfg: PoristicConfig, t: float) -> float:
-    return _perimeter(cfg, math.cos(t), math.sqrt)
+    return _scalar(_perimeter, t, cfg, math.cos(t), math.sqrt)
 
 
 def perimeter_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:

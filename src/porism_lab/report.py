@@ -45,6 +45,7 @@ from .geom import (  # noqa: F401
     CanonicalBatch,
     ConicBatch,
     Point,
+    _angle_gap,
     canonicalize,
     conic_eval,
     conic_eval_batch,
@@ -103,6 +104,11 @@ class LabConfig:
             raise ConfigError(f"perturb must be finite, got {self.perturb}")
         self.poristic()
 
+    @property
+    def t(self) -> np.ndarray:
+        """The uniform grid of the sweep, t = 2 pi k / t_samples."""
+        return 2 * math.pi * np.arange(self.t_samples) / self.t_samples
+
     def poristic(self) -> _poristic.PoristicConfig:
         try:
             return _poristic.PoristicConfig(self.R, self.r)
@@ -156,31 +162,26 @@ class VerifyResult:
         }
 
 
-def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
-    """Circular distance between two axis directions modulo period."""
-    g = np.fmod(x - y, period)
-    return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
-
-
 class _Pass:
-    """The measurement pass at t = 2 pi k / n, all k at once.  Its stages
-    are lazy: each runs at most once, when a quantity first needs it (``x``
-    memoizes per center).  Their checks go to ``log``, where the first one
-    that fails raises (see ``PassLog``); the conic stage runs its checks in
-    the order of ``poristic.named_conics_batch``.  A partial stage also
-    returns its gate: the mask of the samples it holds and the (mask,
-    reason) pairs that explain the others.  ``perturb`` shifts the first
-    vertex of sample n // 3 along x.
+    """The measurement pass of ``rows`` over the parameters ``t``, all at
+    once; no stage reads how ``t`` is laid out.  Its stages are lazy: each
+    runs at most once, when a row first needs it (``x`` memoizes per
+    center).  Their checks go to ``log``, where the first one that fails
+    raises (see ``PassLog``); the conic stage runs its checks in the order
+    of ``poristic.named_conics_batch``.  A partial stage also returns its
+    gate: the mask of the samples it holds and the (mask, reason) pairs
+    that explain the others.  ``perturb`` shifts the first vertex of sample
+    ``len(t) // 3`` along x.
 
-    ``measure`` declares the named conics of its rows as ``tags``; the
-    conic stage builds exactly those, and reading any other raises
+    The named conics the rows declare are the pass's ``tags``; the conic
+    stage builds exactly those, and reading any other raises
     ``LookupError``."""
 
-    def __init__(self, cfg: _poristic.PoristicConfig, n: int, seed: int, perturb: float = 0.0):
-        self.cfg, self.seed, self.perturb = cfg, seed, perturb
-        self.t = 2 * math.pi * np.arange(n) / n
-        self.log = PassLog(self.t)
-        self.tags: frozenset[str] = frozenset()
+    def __init__(self, cfg: _poristic.PoristicConfig, t: np.ndarray, rows, seed: int,
+                 perturb: float = 0.0):
+        self.cfg, self.t, self.rows, self.seed, self.perturb = cfg, t, rows, seed, perturb
+        self.log = PassLog(t)
+        self.tags = frozenset(tag for q in rows for tag in q.conics)
         self._x = {}
 
     @functools.cached_property
@@ -256,17 +257,11 @@ class _Pass:
 
     @functools.cached_property
     def x100(self):
-        """X100, partial: the family is isosceles at t = 0 and pi, excluded
-        with a fixed parameter radius.  The distance of t to the nearer one
-        is exactly |math.remainder(t, pi)|: fmod is exact, and so is pi - r
-        for r >= pi/2 (Sterbenz)."""
-        r = np.fmod(self.t, math.pi)
-        near = np.minimum(r, math.pi - r) < _poristic.ISOSCELES_T_RADIUS
-        isosceles = ~near & ~_centers.scalene_batch(self.s)
-        has_x100 = ~(near | isosceles)
+        """X100, partial: held on the members that pass the side-length test
+        of its scalar twin ``centers.center(tri, 100)``, the scalene ones."""
+        has_x100 = _centers.scalene_batch(self.s)
         x100 = _centers.center_batch(self.fam.triangle, 100, self.log.where(has_x100), self.s)
-        return x100, (has_x100, [(near, "isosceles member: X100 undefined"),
-                                 (isosceles, "X_100 is ill-conditioned on isosceles input")])
+        return x100, (has_x100, [(~has_x100, "isosceles member: X100 undefined")])
 
     @functools.cached_property
     def billiard(self):
@@ -311,25 +306,24 @@ class _Pass:
             gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * self.cfg.R))
         return gap
 
-    def measure(self, rows) -> dict[str, np.ndarray]:
-        """The columns of ``rows``, computed in their order from the stages
-        they need; the named conics they declare are the pass's ``tags``.
-        The first failing check raises; no kept value is non-finite."""
-        self.tags = frozenset(tag for q in rows for tag in q.conics)
+    def measure(self) -> dict[str, np.ndarray]:
+        """The columns of the rows, computed in their order from the stages
+        they need.  The first failing check raises; no kept value is
+        non-finite."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            columns = {q.name: q.compute(self) for q in rows}
-        for q in rows:
+            columns = {q.name: q.compute(self) for q in self.rows}
+        for q in self.rows:
             bad = ~np.isfinite(columns[q.name]) & (q.partial(self)[0] if q.partial else True)
             if bad.any():
                 t = float(self.t[np.argmax(bad)])
                 raise GeometryError(f"{q.name} is not finite at t = {t!r}")
         return columns
 
-    def skipped(self, rows) -> list[dict]:
-        """Skip log of ``rows``: per sample, the reasons of the rows' gates in
+    def skipped(self) -> list[dict]:
+        """Skip log of the rows: per sample, the reasons of the rows' gates in
         the order the rows first use them, each for the rows it explains."""
         users: dict[str, tuple[np.ndarray, list]] = {}  # reason -> (mask, row names)
-        for q in (q for q in rows if q.partial):
+        for q in (q for q in self.rows if q.partial):
             for mask, reason in q.partial(self)[1]:
                 users.setdefault(reason, (mask, []))[1].append(q.name)
         return [{"t": float(self.t[i]), "reason": f"{name}: {reason}"}
@@ -562,15 +556,15 @@ SWEEP_QUANTITIES = (
 
 def run_verify(lab: LabConfig) -> VerifyResult:
     cfg = lab.poristic()
-    p = _Pass(cfg, lab.t_samples, lab.seed, lab.perturb)
-    columns = p.measure(_VERIFY_ROWS)
+    p = _Pass(cfg, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
+    columns = p.measure()
     reports = [_aggregate(q.name, columns[q.name][q.partial(p)[0]] if q.partial else
                           columns[q.name], q.check,
                           getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
                           q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
     # The circumconics of the conic stage: its views with incidence rows.
     circum = [c for c, _ in p.conics.values() if c.rows is not None]
-    return VerifyResult(lab, reports, p.skipped(_VERIFY_ROWS),
+    return VerifyResult(lab, reports, p.skipped(),
                         max_condition_batch([c.rows for c in circum], [c.kappa for c in circum]))
 
 
@@ -613,13 +607,12 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
-    p = _Pass(lab.poristic(), lab.t_samples, lab.seed, lab.perturb)
-    rows = [_BY_NAME[q] for q in quantities]
-    measured = p.measure(rows)
+    p = _Pass(lab.poristic(), lab.t, [_BY_NAME[q] for q in quantities], lab.seed, lab.perturb)
+    measured = p.measure()
     columns = [np.where(q.partial(p)[0], measured[q.name], None).tolist() if q.partial
-               else measured[q.name].tolist() for q in rows]
+               else measured[q.name].tolist() for q in p.rows]
     table = [[t, *cells] for t, *cells in zip(p.t.tolist(), *columns)]
-    return ["t"] + list(quantities), table, p.skipped(rows)
+    return ["t"] + list(quantities), table, p.skipped()
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:

@@ -57,7 +57,6 @@ from porism_lab.geom import (
     singular_values_batch,
 )
 from porism_lab.poristic import (
-    ISOSCELES_T_RADIUS,
     config_from_rR,
     named_conic,
     sample,
@@ -78,8 +77,8 @@ def test_batched_kernels_match_scalar_oracle(rho):
     cfg = config_from_rR(R_AGREE, rho * R_AGREE)
     R = cfg.R
     # A verify runs every stage used below, under the pass's own np.errstate.
-    p = report._Pass(cfg, T_SAMPLES, 0)
-    columns = p.measure(report._VERIFY_ROWS)
+    p = report._Pass(cfg, LabConfig(t_samples=T_SAMPLES).t, report._VERIFY_ROWS, 0)
+    columns = p.measure()
     ts, fam, norm = p.t, p.fam, p.billiard[2]
     x100, (has_x100, _) = p.x100
     a9, b9, _c9 = cb_axes_normalized(cfg.rho)
@@ -101,16 +100,19 @@ def test_batched_kernels_match_scalar_oracle(rho):
         t = float(ts[i])
         s = sample(cfg, t)
         tri = s.triangle
-        scalene = abs(math.remainder(t, math.pi)) >= ISOSCELES_T_RADIUS
-        assert has_x100[i] == scalene, t
+        try:
+            want_x100 = center(tri, 100)
+        except IsoscelesDegeneracy:
+            want_x100 = None
+        assert has_x100[i] == (want_x100 is not None), t
         for j in range(3):
             close_point(fam.triangle[i, j], tri.v[j], ("vertex", t))
             close_point(fam.excentral[i, j], s.excentral.v[j], ("excentral vertex", t))
         close_length(fam.perimeter[i], s.perimeter, ("perimeter", t))
         for k in (1, 3, 9, 10, 11, 40):
             close_point(p.x(k)[i], center(tri, k), (f"X{k}", t))
-        if scalene:
-            close_point(x100[i], center(tri, 100), ("X100", t))
+        if want_x100 is not None:
+            close_point(x100[i], want_x100, ("X100", t))
         for tag in TAGS:
             conic = named_conic(cfg, t, tag, s)
             c = canonicalize(conic)
@@ -141,11 +143,11 @@ def test_batched_kernels_match_scalar_oracle(rho):
                 svd_error = 101 * 2.0 ** -53 * (ratio + 1)
                 assert abs(batch.kappa[i] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
                     tag, "kappa", t)
-        if scalene:
+        if want_x100 is not None:
             close_length(p.hyperbolas[0][i], hyperbola_focal_length(tri, center(tri, 11)),
                          ("feu", t))
-            close_length(p.hyperbolas[1][i], hyperbola_focal_length(
-                s.excentral, center(tri, 100)), ("jer", t))
+            close_length(p.hyperbolas[1][i], hyperbola_focal_length(s.excentral, want_x100),
+                         ("jer", t))
         # The normalized member has perimeter 1: its lengths are already scale-free.
         scalar_norm = normalize_sample(cfg, s)
         for j in range(3):
@@ -290,7 +292,7 @@ def test_hyperbola_stage_names_its_block():
     # in place of X100, then of X11, and the stage names that block.
     lab = LabConfig(t_samples=12)
     for block in ("Jerabek", "Feuerbach"):
-        p = report._Pass(lab.poristic(), lab.t_samples, lab.seed)
+        p = report._Pass(lab.poristic(), lab.t, (), lab.seed)
         if block == "Jerabek":
             with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
                 p.__dict__["x100"] = p.fam.excentral.mean(axis=1), p.x100[1]
@@ -307,13 +309,53 @@ def test_max_condition_is_the_largest_of_all_circumconic_rows(rho):
     largest sigma_max / sigma_min of one SVD of all its circumconic
     incidence rows."""
     lab = LabConfig(R=1.0, r=rho, t_samples=T_SAMPLES)
-    p = report._Pass(lab.poristic(), lab.t_samples, lab.seed)
-    p.measure(report._VERIFY_ROWS)
+    p = report._Pass(lab.poristic(), lab.t, report._VERIFY_ROWS, lab.seed)
+    p.measure()
     rows = np.concatenate([c.rows for c, _ in p.conics.values() if c.rows is not None])
     assert rows.shape == (5 * T_SAMPLES, 3, 4)
     sv = singular_values_batch(rows)
     want = np.max(sv[:, 0] / sv[:, -1])
     assert np.float64(run_verify(lab).max_condition).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho", (*RHO_GRID, 0.5))
+def test_a_pass_reads_its_samples_not_their_layout(rho):
+    """Over the grid reversed, shuffled and every 7th sample, a pass gives
+    at each t the verify rows and skips of the grid pass, bit for bit,
+    except two rows that are positional by design: the equivariance draws
+    are seeded per position, and I5x's stationarity is measured against the
+    pass's first sample.  In every pass X100's gate is the scalar twin's
+    decision.  The equilateral family (rho = 0.5) has no verify, as its X9
+    is stationary: there only the gates are compared."""
+    lab = LabConfig(R=1.0, r=rho, t_samples=240)
+    cfg, grid = lab.poristic(), lab.t
+    rows = () if rho == 0.5 else report._VERIFY_ROWS
+    scalene = []
+    for t in grid:
+        try:
+            center(sample(cfg, float(t)).triangle, 100)
+        except IsoscelesDegeneracy:
+            scalene.append(False)
+        else:
+            scalene.append(True)
+    full = report._Pass(cfg, grid, rows, lab.seed)
+    want = full.measure()
+    positional = {"center_equivariance_gap", "i5x_stationarity"}
+    n = len(grid)
+    for k in (np.arange(n), np.arange(n)[::-1], np.random.default_rng(7).permutation(n),
+              np.arange(0, n, 7)):
+        p = report._Pass(cfg, grid[k], rows, lab.seed)
+        got = p.measure()
+        with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
+            assert p.x100[1][0].tolist() == [scalene[i] for i in k]
+        for q in rows:
+            if q.name not in positional:
+                assert got[q.name].tobytes() == want[q.name][k].tobytes(), q.name
+        at = set(grid[k].tolist())
+        assert sorted((s["t"], s["reason"]) for s in p.skipped()) == sorted(
+            (s["t"], s["reason"]) for s in full.skipped() if s["t"] in at)
+    if rho == 0.5:
+        assert not any(scalene)
 
 
 def test_config_level_error_names_no_sample():
@@ -403,7 +445,8 @@ def test_batched_inconic_d_matches_the_exact_closed_form():
     the batched D / max(|A|, |B|, |C|) is within 1e-10 relative of the
     60-digit closed form of the same float lines."""
     mp = pytest.importorskip("mpmath").mp
-    p = report._Pass(config_from_rR(1.0, 0.005), 120, 0)
+    lab = LabConfig(R=1.0, r=0.005, t_samples=120)
+    p = report._Pass(lab.poristic(), lab.t, (), 0)
     s = p.fam.triangle - p.x(9)[:, None, :]
     lines = [line_through_batch(s[:, j], s[:, k]) for j, k in ((1, 2), (0, 2), (0, 1))]
     m = inconic_from_tangents_batch(*lines, p.log).m

@@ -108,6 +108,17 @@ class TestCanonicalize:
         with pytest.raises(DegenerateConic):
             canonicalize(ConicMatrix.from_coeffs(1, 0, 0, 0, 0, 0))  # x^2 = 0
 
+    def test_vanishing_quadratic_block_raises(self):
+        # 2x = 0: a line, of rank 2, whose quadratic block is zero.
+        with pytest.raises(DegenerateConic, match="conic of rank < 3"):
+            canonicalize(ConicMatrix.from_coeffs(0, 0, 0, 1, 0, 0))
+
+    def test_vanishing_quadratic_block_raises_in_the_batch(self):
+        stack = ConicBatch(np.array([[1.0, 0.0, 1.0, 0.0, 0.0, -1.0], [0, 0, 0, 1, 0, 0]]).T)
+        with pytest.raises(DegenerateConic) as info:
+            canonicalize_batch(stack, PassLog([0.0, 1.0]))
+        assert str(info.value) == "conic of rank < 3 at t = 1.0"
+
     def test_empty_conic(self):
         can = canonicalize(ConicMatrix.from_coeffs(1, 0, 1, 0, 0, 1))
         assert can.kind is ConicKind.EMPTY

@@ -43,12 +43,12 @@ def test_narrow_column_equals_full_column(rho):
     # the conics the row declares, equals its column in the full verify bit
     # for bit; a row reading a conic it does not declare raises here.
     cfg = lab.poristic()
-    full = report._Pass(cfg, lab.t_samples, lab.seed).measure(report._VERIFY_ROWS)
+    full = report._Pass(cfg, lab.t, report._VERIFY_ROWS, lab.seed).measure()
     for q in report._VERIFY_ROWS:
-        narrow = report._Pass(cfg, lab.t_samples, lab.seed).measure([q])[q.name]
+        narrow = report._Pass(cfg, lab.t, [q], lab.seed).measure()[q.name]
         assert narrow.tobytes() == full[q.name].tobytes(), q.name
-    p = report._Pass(cfg, lab.t_samples, lab.seed)
-    p.measure([report._BY_NAME["perimeter"]])
+    p = report._Pass(cfg, lab.t, [report._BY_NAME["perimeter"]], lab.seed)
+    p.measure()
     with pytest.raises(LookupError, match="conic E9 is read but no measured row declares it"):
         p.can("E9")
 
@@ -175,7 +175,8 @@ def test_skip_reasons_follow_the_first_use_of_their_stage(columns, at_zero):
 
 
 def test_a_stage_outlives_a_dropped_pass():
-    x = report._Pass(LabConfig().poristic(), 24, 0).x
+    lab = LabConfig(t_samples=24)
+    x = report._Pass(lab.poristic(), lab.t, (), 0).x
     assert x(9).shape == (24, 2)
 
 
@@ -184,8 +185,9 @@ def test_a_pass_is_freed_as_soon_as_it_is_dropped():
     # every pass would wait for the cycle collector with all its arrays.
     gc.disable()
     try:
-        p = report._Pass(LabConfig().poristic(), 24, 0)
-        p.measure(report._VERIFY_ROWS)
+        lab = LabConfig(t_samples=24)
+        p = report._Pass(lab.poristic(), lab.t, report._VERIFY_ROWS, 0)
+        p.measure()
         freed = weakref.ref(p)
         del p
         assert freed() is None

@@ -178,7 +178,7 @@ class TestSweep:
         lab = LabConfig(t_samples=12, perturb=1e-6)
         _, rows, _ = run_sweep(lab, ["circumcircle_residual"])
         q = report._BY_NAME["circumcircle_residual"]
-        column = report._Pass(lab.poristic(), 12, lab.seed, lab.perturb).measure([q])[q.name]
+        column = report._Pass(lab.poristic(), lab.t, [q], lab.seed, lab.perturb).measure()[q.name]
         assert [row[1] for row in rows] == column.tolist()
         assert rows[4][1] > 5e-7
 
@@ -316,6 +316,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert code in (0, 2) and "Traceback" not in err
         assert err == "" if code == 0 else err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", (
+        ["--rho", "1e-12"], ["--rho", "1e-9"], ["--R", "1e-5", "--r", "1e-13"],
+        ["--R", "1.7355213187560022e77", "--r", "3.778250150383396e66"]))
+    def test_figure_where_the_closed_form_cancels_exit_two(self, tmp_path, capsys, argv):
+        # At t = 0 the vertices' denominator R^2 - 2dR + d^2 cancels to 0, or
+        # the square root's argument to below 0.
+        assert main(["figure", "--figure", "obtuse", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: closed form not defined at t = 0.0 (")
+        assert not (tmp_path / "o").exists()
+
+    def test_every_figure_renders_or_raises_a_geometry_error(self):
+        pairs = ((1, 1e-12), (1, 1e-9), (1e-5, 1e-13),
+                 (1.7355213187560022e77, 3.778250150383396e66),
+                 (1e-100, 2e-101), (1e100, 2e99), (1, 0.5), (1, 0.2))
+        for R, r in pairs:
+            for figure_id in FIGURE_IDS:
+                try:
+                    svg = render_figure(figure_id, LabConfig(R=R, r=r))
+                except GeometryError:
+                    continue
+                root = ET.fromstring(svg)
+                assert root.tag == "{http://www.w3.org/2000/svg}svg", (R, r, figure_id)
 
     def test_unknown_figure(self, tmp_path):
         assert main(["figure", "--figure", "nope", "--out", str(tmp_path)]) == 2
