@@ -8,10 +8,10 @@ locus, and the cross-check identities between the (a, b) and rho forms of
 the shared invariants.
 
 ``normalize_sample`` and ``reflection_law_residual`` have ``_batch`` twins
-over (n, 3, 2) vertex stacks for the measurement pass.  The reflection-law
-pair calls one core, ``_reflection_gap``, with ``math`` or numpy functions;
-the similarity map of ``normalize_sample`` is written once per twin.  Only
-the triangle check stays per twin.
+over (n, 3, 2) vertex stacks for the measurement pass.  As in ``geom``,
+each pair calls one core that takes the arithmetic namespace ``xp``, the
+similarity map ``_similarity_map`` or the reflection law
+``_reflection_gap``, and only the triangle check stays per twin.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CircularBilliard, InvalidRatio, PassLog
-from .geom import Point, Triangle, triangle_batch
+from .geom import _MATH, Point, Triangle, triangle_batch
 from .poristic import (
     FamilyBatch,
     FamilySample,
@@ -112,6 +112,18 @@ def similarity_params(cfg: PoristicConfig, s: FamilySample) -> SimilarityParams:
                             x9_closed_form(cfg, s.t))
 
 
+def _similarity_map(xs, ys, angle, cx, cy, scale, xp):
+    """The vertices (xs[i], ys[i]) translated by -(cx, cy), rotated by
+    -angle and scaled by 1/scale, as (x, y) pairs."""
+    ct, st = xp.cos(-angle), xp.sin(-angle)
+    inv_l = 1.0 / scale
+    out = []
+    for x, y in zip(xs, ys):
+        dx, dy = (x - cx) * inv_l, (y - cy) * inv_l
+        out.append((ct * dx - st * dy, st * dx + ct * dy))
+    return out
+
+
 def normalize_sample(cfg: PoristicConfig, s: FamilySample) -> Triangle:
     """Map a family member onto the fixed billiard: translate by -X9(t),
     rotate by -theta(t), scale by 1/L(t).
@@ -122,25 +134,19 @@ def normalize_sample(cfg: PoristicConfig, s: FamilySample) -> Triangle:
     """
     sim = similarity_params(cfg, s)
     x9 = sim.translation
-    ct, st = math.cos(-sim.angle), math.sin(-sim.angle)
-    inv_l = 1.0 / sim.scale
-    out = []
-    for p in s.triangle.v:
-        dx, dy = (p.x - x9.x) * inv_l, (p.y - x9.y) * inv_l
-        out.append(Point(ct * dx - st * dy, st * dx + ct * dy))
-    return Triangle(tuple(out))
+    return Triangle(tuple(Point(*p) for p in _similarity_map(
+        [p.x for p in s.triangle.v], [p.y for p in s.triangle.v], sim.angle, x9.x, x9.y,
+        sim.scale, _MATH)))
 
 
 def normalize_sample_batch(cfg: PoristicConfig, fam: FamilyBatch, log: PassLog) -> np.ndarray:
     """``normalize_sample`` over a sweep: the normalized (n, 3, 2) vertex
     stack."""
-    angle = theta_closed_form_batch(cfg, fam.t)
     x9 = x9_closed_form_batch(cfg, fam.t)
-    ct, st = np.cos(-angle)[:, None], np.sin(-angle)[:, None]
-    inv_l = (1.0 / fam.perimeter)[:, None]
-    dx = (fam.triangle[..., 0] - x9[:, None, 0]) * inv_l
-    dy = (fam.triangle[..., 1] - x9[:, None, 1]) * inv_l
-    return triangle_batch(np.stack([ct * dx - st * dy, st * dx + ct * dy], axis=-1), log)
+    out = _similarity_map(fam.triangle[..., 0].T, fam.triangle[..., 1].T,
+                          theta_closed_form_batch(cfg, fam.t), x9[:, 0], x9[:, 1],
+                          fam.perimeter, np)
+    return triangle_batch(np.stack([np.stack(p, axis=-1) for p in out], axis=1), log)
 
 
 def foci_locus_check(cfg: PoristicConfig) -> tuple[Point, float]:
@@ -187,25 +193,24 @@ def billiard_cross_checks(cfg: BilliardConfig) -> list[dict]:
     return rows
 
 
-def _reflection_gap(xs, ys, a, b, hypot, atan2, maximum):
+def _reflection_gap(xs, ys, a, b, xp):
     """Worst angle between the reflected incoming and the outgoing chord over
-    the vertices (xs[i], ys[i]) on the ellipse (a, b); arithmetic only, for
-    floats and arrays."""
+    the vertices (xs[i], ys[i]) on the ellipse (a, b)."""
     worst = 0.0
     for i in range(3):
         x, y, j, k = xs[i], ys[i], (i - 1) % 3, (i + 1) % 3
         nx, ny = 2 * x / (a * a), 2 * y / (b * b)
-        nn = hypot(nx, ny)
+        nn = xp.hypot(nx, ny)
         nx, ny = nx / nn, ny / nn
         d1x, d1y = x - xs[j], y - ys[j]
-        n1 = hypot(d1x, d1y)
+        n1 = xp.hypot(d1x, d1y)
         d1x, d1y = d1x / n1, d1y / n1
         d2x, d2y = xs[k] - x, ys[k] - y
-        n2 = hypot(d2x, d2y)
+        n2 = xp.hypot(d2x, d2y)
         d2x, d2y = d2x / n2, d2y / n2
         dot = d1x * nx + d1y * ny
         rx, ry = d1x - 2 * dot * nx, d1y - 2 * dot * ny
-        worst = maximum(worst, abs(atan2(abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)))
+        worst = xp.maximum(worst, abs(xp.arctan2(abs(rx * d2y - ry * d2x), rx * d2x + ry * d2y)))
     return worst
 
 
@@ -214,13 +219,12 @@ def reflection_law_residual(tri: Triangle, a: float, b: float) -> float:
     and the outgoing chord at the vertices, for a triangle inscribed in the
     axis-aligned ellipse (a, b); the tangent comes from the implicit
     gradient."""
-    return _reflection_gap([p.x for p in tri.v], [p.y for p in tri.v], a, b,
-                           math.hypot, math.atan2, max)
+    return _reflection_gap([p.x for p in tri.v], [p.y for p in tri.v], a, b, _MATH)
 
 
 def reflection_law_residual_batch(v: np.ndarray, a: float, b: float) -> np.ndarray:
     """``reflection_law_residual`` over a (n, 3, 2) vertex stack."""
-    return _reflection_gap(v[:, :, 0].T, v[:, :, 1].T, a, b, np.hypot, np.arctan2, np.maximum)
+    return _reflection_gap(v[:, :, 0].T, v[:, :, 1].T, a, b, np)
 
 
 def three_periodic_orbit(cfg: BilliardConfig, phi0: float) -> Triangle:

@@ -7,11 +7,9 @@ every one can be cross-checked against an independent construction.
 
 The ``_batch`` functions are the array twins used by the measurement pass
 (see ``geom``): triangles are (n, 3, 2) vertex stacks, points (n, 2) arrays,
-and a failing check raises through the pass's ``PassLog``.  Both twins call
-the same cores: ``_angles`` (law of cosines), ``_trilinears`` (X1, X3, X9,
-X11, X100), ``_barycentric_sums`` and ``_excenter_weights``.  Each twin
-keeps its own checks, the isosceles gap of ``_require_scalene`` and
-``scalene_batch``, and the equilateral fallback of X11.
+and a failing check raises through the pass's ``PassLog``.  As there, a
+formula both twins evaluate is a private core that takes the arithmetic
+namespace ``xp``, and each twin keeps its checks.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from .errors import (
     UnsupportedCenter,
 )
 from .geom import (
+    _MATH,
     Line,
     Point,
     Triangle,
@@ -57,7 +56,7 @@ class SideLengths:
 
     def __post_init__(self):
         s1, s2, s3 = self.s1, self.s2, self.s3
-        if min(s1, s2, s3) <= 0.0 or s1 + s2 <= s3 or s2 + s3 <= s1 or s3 + s1 <= s2:
+        if _not_a_triangle(s1, s2, s3, _MATH):
             raise DegenerateTriangle(f"side lengths violate triangle inequality: {s1}, {s2}, {s3}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -91,6 +90,12 @@ class TrilinearTriple:
         return (self.f1, self.f2, self.f3)
 
 
+def _not_a_triangle(s1, s2, s3, xp):
+    """Whether side lengths s1, s2, s3 violate the triangle inequality."""
+    return ((xp.minimum(xp.minimum(s1, s2), s3) <= 0.0)
+            | (s1 + s2 <= s3) | (s2 + s3 <= s1) | (s3 + s1 <= s2))
+
+
 def side_lengths(t: Triangle) -> SideLengths:
     p1, p2, p3 = t.v
     return SideLengths(distance(p2, p3), distance(p1, p3), distance(p1, p2))
@@ -100,39 +105,39 @@ def side_lengths_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
     """Side lengths (n, 3) opposite each vertex."""
     p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
     s = np.stack([distance_batch(p2, p3), distance_batch(p1, p3), distance_batch(p1, p2)], axis=-1)
-    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
-    log.check((s.min(axis=1) <= 0.0) | (s1 + s2 <= s3) | (s2 + s3 <= s1) | (s3 + s1 <= s2),
-              DegenerateTriangle, "side lengths violate triangle inequality")
+    log.check(_not_a_triangle(*s.T, np), DegenerateTriangle,
+              "side lengths violate triangle inequality")
     return s
 
 
-def _angles(s1, s2, s3, acos, maximum, minimum):
+def _angles(s1, s2, s3, xp):
     """Interior angles at vertices 1, 2, 3 via the law of cosines, the cosine
-    clamped to [-1, 1]; arithmetic only, for floats and arrays."""
+    clamped to [-1, 1]."""
     def ang(a, b, c):
-        return acos(maximum(-1.0, minimum(1.0, (b * b + c * c - a * a) / (2.0 * b * c))))
+        cosine = (b * b + c * c - a * a) / (2.0 * b * c)
+        return xp.arccos(xp.maximum(-1.0, xp.minimum(1.0, cosine)))
 
     return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
 
 
 def angles(t: Triangle) -> tuple[float, float, float]:
     """Interior angles at vertices 1, 2, 3 via the law of cosines."""
-    return _angles(*side_lengths(t).as_tuple(), math.acos, max, min)
+    return _angles(*side_lengths(t).as_tuple(), _MATH)
 
 
-def _barycentric_sums(w, xs, ys, maximum):
+def _barycentric_sums(w, xs, ys, xp):
     """For weights w and vertex coordinates xs, ys: whether the weights sum
     to zero (exactly, or against their largest magnitude), their total, and
     the weighted coordinate sums (the point is the sums over the total)."""
     total = w[0] + w[1] + w[2]
-    scale = maximum(maximum(abs(w[0]), abs(w[1])), abs(w[2]))
+    scale = xp.maximum(xp.maximum(abs(w[0]), abs(w[1])), abs(w[2]))
     return ((abs(total) < 1e-14 * scale) | (total == 0), total,
             w[0] * xs[0] + w[1] * xs[1] + w[2] * xs[2],
             w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2])
 
 
 def _barycentric_point(t: Triangle, w: tuple[float, float, float]) -> Point:
-    at_infinity, total, x, y = _barycentric_sums(w, [p.x for p in t.v], [p.y for p in t.v], max)
+    at_infinity, total, x, y = _barycentric_sums(w, [p.x for p in t.v], [p.y for p in t.v], _MATH)
     if at_infinity:
         raise PointAtInfinity(f"barycentric weights sum to zero: {w}")
     return Point(x / total, y / total)
@@ -140,7 +145,7 @@ def _barycentric_point(t: Triangle, w: tuple[float, float, float]) -> Point:
 
 def _barycentric_batch(v: np.ndarray, w, log: PassLog) -> np.ndarray:
     """``_barycentric_point`` for weights w = (w1, w2, w3), each an array."""
-    at_infinity, total, x, y = _barycentric_sums(w, v[:, :, 0].T, v[:, :, 1].T, np.maximum)
+    at_infinity, total, x, y = _barycentric_sums(w, v[:, :, 0].T, v[:, :, 1].T, np)
     log.check(at_infinity, PointAtInfinity, "barycentric weights sum to zero")
     return np.stack([x / total, y / total], axis=-1)
 
@@ -180,17 +185,21 @@ def excentral_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
     return triangle_batch(np.stack(ex, axis=1), log)
 
 
+def _isosceles(s1, s2, s3, xp):
+    """Whether the smallest gap between side lengths is below
+    ``ISOSCELES_EPS`` times the perimeter."""
+    gap = xp.minimum(xp.minimum(abs(s1 - s2), abs(s2 - s3)), abs(s3 - s1))
+    return gap < ISOSCELES_EPS * (s1 + s2 + s3)
+
+
 def _require_scalene(s: tuple[float, float, float], what: str) -> None:
-    gap = min(abs(s[0] - s[1]), abs(s[1] - s[2]), abs(s[2] - s[0]))
-    if gap < ISOSCELES_EPS * (s[0] + s[1] + s[2]):
+    if _isosceles(*s, _MATH):
         raise IsoscelesDegeneracy(f"{what} is ill-conditioned on isosceles input")
 
 
 def scalene_batch(s: np.ndarray) -> np.ndarray:
     """Rows of side lengths (n, 3) on which ``_require_scalene`` passes."""
-    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
-    gap = np.minimum(np.minimum(np.abs(s1 - s2), np.abs(s2 - s3)), np.abs(s3 - s1))
-    return ~(gap < ISOSCELES_EPS * (s1 + s2 + s3))
+    return ~_isosceles(*s.T, np)
 
 
 def antiorthic_axis_of(t: Triangle) -> Line:
@@ -210,20 +219,28 @@ def antiorthic_axis_of(t: Triangle) -> Line:
 _TRILINEAR = frozenset({1, 3, 9, 11, 100})
 
 
-def _trilinears(k: int, s1, s2, s3, angles, cos):
+def _trilinears(k: int, s1, s2, s3, xp):
     """Trilinears (f1, f2, f3) of X_k for k in ``_TRILINEAR`` from the side
-    lengths; ``angles()`` gives the interior angles.  Arithmetic only, for
-    floats and arrays."""
+    lengths."""
     if k == 1:
         return 1.0, 1.0, 1.0
     if k == 9:
         return s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3
     if k == 100:
         return 1.0 / (s2 - s3), 1.0 / (s3 - s1), 1.0 / (s1 - s2)
-    A, B, C = angles()
+    A, B, C = _angles(s1, s2, s3, xp)
     if k == 3:
-        return cos(A), cos(B), cos(C)
-    return 1.0 - cos(B - C), 1.0 - cos(C - A), 1.0 - cos(A - B)  # k == 11
+        return xp.cos(A), xp.cos(B), xp.cos(C)
+    return _equilateral_fallback((1.0 - xp.cos(B - C), 1.0 - xp.cos(C - A),
+                                  1.0 - xp.cos(A - B)), xp)  # k == 11
+
+
+def _equilateral_fallback(f, xp):
+    """X11's trilinears f, or (1, 1, 1) where they vanish: on a numerically
+    equilateral triangle the triple vanishes identically, and the symmetric
+    limit is the centroid like every other center."""
+    flat = xp.maximum(xp.maximum(f[0], f[1]), f[2]) < 1e-13
+    return tuple(xp.where(flat, 1.0, x) for x in f)
 
 
 def center(t: Triangle, k: int) -> Point:
@@ -235,12 +252,7 @@ def center(t: Triangle, k: int) -> Point:
     if k == 100:
         _require_scalene(s, "X_100")
     if k in _TRILINEAR:
-        f = _trilinears(k, *s, lambda: angles(t), math.cos)
-        if k == 11 and max(f) < 1e-13:
-            # Numerically equilateral: the triple vanishes identically and
-            # the symmetric limit is the centroid like every other center.
-            f = (1.0, 1.0, 1.0)
-        return trilinear_to_point(t, f)
+        return trilinear_to_point(t, _trilinears(k, *s, _MATH))
     if k == 4:
         # Orthocenter = V1 + V2 + V3 - 2*circumcenter; avoids sec(A) blowing
         # up on right triangles.
@@ -284,9 +296,4 @@ def center_batch(v: np.ndarray, k: int, log: PassLog, s: np.ndarray | None = Non
     if k == 100:
         log.check(~scalene_batch(s), IsoscelesDegeneracy, "X_100 is ill-conditioned on isosceles input")
     sides = s.T
-    f = _trilinears(k, *sides, lambda: _angles(*sides, np.arccos, np.maximum, np.minimum), np.cos)
-    if k == 11:
-        # Numerically equilateral rows fall back to the centroid, as in ``center``.
-        flat = np.maximum(np.maximum(f[0], f[1]), f[2]) < 1e-13
-        f = [np.where(flat, 1.0, x) for x in f]
-    return _barycentric_batch(v, [x * y for x, y in zip(f, sides)], log)
+    return _barycentric_batch(v, [x * y for x, y in zip(_trilinears(k, *sides, np), sides)], log)

@@ -10,17 +10,17 @@ The ``_batch`` functions are the array twins used by the measurement pass
 (see ``geom``); a failing check raises through the pass's ``PassLog``.
 ``centered_conics_batch`` is the twin of both constructors at once: it
 builds a whole stack of circumconics and inconics with one call of each
-kernel.  Both twins call the same cores: the congruence ``_shift`` on
-coefficients, the line terms ``_cross_terms`` and ``_tangent_form``, and
-``geom._eigenvalues``.  Each twin keeps its own incidence rows, checks,
-rank tests (the SVD, or ``geom.rank_test_batch``) and its own 3x3 minors:
-``_det3`` sums them with ``math.fsum`` and is the oracle for the batched
-twin, which takes the Laplace minors that ``rank_test_batch`` decides its
-rank test from.  Their terms are products of entries that are already
-rounded, so a compensated sum would remove only the smaller summation
-error (README, "How verify and sweep measure").  The scalar twin takes the
-condition number from its SVD; the batched one estimates it from the
-filter's norms (``geom.condition_estimate_batch``) and runs no SVD.
+kernel.  As in ``geom``, a formula both twins evaluate is a private core
+that takes the arithmetic namespace ``xp``, and each twin keeps its checks,
+rank tests, raising steps and types.  Here that leaves each twin its own
+incidence rows and its own 3x3 minors: ``_det3`` sums them with
+``math.fsum`` and is the oracle for the batched twin, which takes the
+Laplace minors that ``rank_test_batch`` decides its rank test from.  Their
+terms are products of entries that are already rounded, so a compensated
+sum would remove only the smaller summation error (README, "How verify and
+sweep measure").  The scalar twin takes the condition number from its SVD;
+the batched one estimates it from the filter's norms
+(``geom.condition_estimate_batch``) and runs no SVD.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from .errors import (
     ParallelTangents,
     PassLog,
     PerspectorAtInfinity,
-    _named,
 )
 # canonicalize stays importable from this module: the benchmark's tracer
 # self-test (perfbench/test_perfbench.py) resolves it here.
 from .geom import (  # noqa: F401
+    _MATH,
     DEGENERACY_EPS,
     ConicBatch,
     ConicMatrix,
@@ -164,10 +164,12 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     return conic
 
 
-def _cross_terms(lines):
-    """d_ij = a_i b_j - a_j b_i of three lines (a_i, b_i, c_i): d12, d13, d23."""
+def _cross_terms(lines, xp):
+    """d_ij = a_i b_j - a_j b_i of three lines (a_i, b_i, c_i): d12, d13,
+    d23, and whether any two of the lines are (nearly) parallel."""
     (a1, b1, _), (a2, b2, _), (a3, b3, _) = lines
-    return a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    d12, d13, d23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    return d12, d13, d23, xp.minimum(xp.minimum(abs(d12), abs(d13)), abs(d23)) < 1e-12
 
 
 def _tangent_form(lines, d12, d13, d23):
@@ -194,8 +196,8 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
     """Coefficients of the origin-centered conic tangent to three lines, in
     closed form (``_tangent_form``)."""
     lines = [(line.a, line.b, line.c) for line in (l1, l2, l3)]
-    d12, d13, d23 = _cross_terms(lines)
-    if min(abs(d12), abs(d13), abs(d23)) < 1e-12:
+    d12, d13, d23, parallel = _cross_terms(lines, _MATH)
+    if parallel:
         raise ParallelTangents(f"tangent lines are (nearly) parallel: deltas=({d12:.2e}, {d13:.2e}, {d23:.2e})")
 
     A, B, C, D = _tangent_form(lines, d12, d13, d23)
@@ -208,9 +210,8 @@ def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
                                 log: PassLog) -> ConicBatch:
     """``inconic_from_tangents(...).to_conic()`` over stacks of lines (n, 3)."""
     lines = [line.T for line in (l1, l2, l3)]
-    d12, d13, d23 = _cross_terms(lines)
-    log.check(np.minimum(np.minimum(np.abs(d12), np.abs(d13)), np.abs(d23)) < 1e-12,
-              ParallelTangents, "tangent lines are (nearly) parallel")
+    d12, d13, d23, parallel = _cross_terms(lines, np)
+    log.check(parallel, ParallelTangents, "tangent lines are (nearly) parallel")
     A, B, C, D = _tangent_form(lines, d12, d13, d23)
     zero = np.zeros_like(A)
     return ConicBatch(_normalized(np.array([A, B, C, zero, zero, D])))
@@ -265,7 +266,7 @@ def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
     rows that can hold it."""
     circum, rows, norms = _centered_circumconic_batch(v[:n_circum], center[:n_circum], log)
     # The inconics are the blocks after the circumconics.
-    inconic_log = _named(log, log._names[n_circum // len(log.ts):])
+    inconic_log = PassLog(log.ts, log.rows, log.names[n_circum // len(log.ts):])
     origin = np.concatenate([circum, _centered_inconic_batch(v[n_circum:], center[n_circum:],
                                                              inconic_log)], axis=1)
     conic = ConicBatch(_normalized(np.array(_shift(*origin, center[:, 0], center[:, 1]))),
@@ -298,35 +299,38 @@ def brianchon_point(t: Triangle, g: BarycentricFn) -> Point:
         if abs(denom) < 1e-14 * scale:
             raise PerspectorAtInfinity(f"perspector denominator vanishes for coordinate {i + 1}")
         w.append(1.0 / denom)
-    at_infinity, total, x, y = _barycentric_sums(w, [p.x for p in t.v], [p.y for p in t.v], max)
+    at_infinity, total, x, y = _barycentric_sums(w, [p.x for p in t.v], [p.y for p in t.v], _MATH)
     if at_infinity:
         raise PerspectorAtInfinity("perspector weights sum to zero")
     return Point(x / total, y / total)
 
 
+def _focal_length(F, lam1, lam2, xp):
+    """Distance between the foci (2c) of the hyperbola
+    lam1 u^2 + lam2 v^2 + F = 0: with semi-axes a^2 = |F/lam1| and
+    b^2 = |F/lam2|, 2c = 2 sqrt(|F| (|lam1| + |lam2|) / |lam1 lam2|)."""
+    return 2.0 * xp.sqrt(abs(F) * (abs(lam1) + abs(lam2)) / abs(lam1 * lam2))
+
+
 def hyperbola_focal_length(t: Triangle, center: Point) -> float:
     """Distance between the foci (2c) of the centered circumconic, which
-    must come out a hyperbola.
-
-    Works on the center-origin coefficients directly: with semi-axes
-    a^2 = |F/lam1| and b^2 = |F/lam2|, the focal distance is
-    2c = 2 sqrt(|F| (|lam1| + |lam2|) / |lam1 lam2|).
-    """
+    must come out a hyperbola; computed from the center-origin coefficients
+    directly (``_focal_length``)."""
     A, B, C, F, _ = _centered_circumconic(t, center)
-    lam1, lam2 = _eigenvalues(A, B, C, math.hypot)
+    lam1, lam2 = _eigenvalues(A, B, C, _MATH)
     if lam1 * lam2 >= 0.0:
         kind = "ellipse" if lam1 * F < 0 else "empty conic"
         raise NotAHyperbola(f"centered circumconic is an {kind}")
-    return 2.0 * math.sqrt(abs(F) * (abs(lam1) + abs(lam2)) / abs(lam1 * lam2))
+    return _focal_length(F, lam1, lam2, _MATH)
 
 
 def hyperbola_focal_length_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
     """``hyperbola_focal_length`` over a stack, which may hold k systems per
     sample (see ``PassLog``)."""
     (A, B, C, F), _, _ = _centered_circumconic_batch(v, center, log)
-    lam1, lam2 = _eigenvalues(A, B, C, np.hypot)
+    lam1, lam2 = _eigenvalues(A, B, C, np)
     not_hyperbola = lam1 * lam2 >= 0.0
     log.check(not_hyperbola & (lam1 * F < 0), NotAHyperbola, "centered circumconic is an ellipse")
     log.check(not_hyperbola & ~(lam1 * F < 0), NotAHyperbola,
               "centered circumconic is an empty conic")
-    return 2.0 * np.sqrt(np.abs(F) * (np.abs(lam1) + np.abs(lam2)) / np.abs(lam1 * lam2))
+    return _focal_length(F, lam1, lam2, np)

@@ -82,19 +82,19 @@ class PassLog:
     that fails raises at once, naming the lowest failing sample.  A kernel
     that stacks k systems per sample checks masks of k n entries, block
     after block: such a check raises for the first block that fails, at its
-    lowest failing sample, and a log that ``_named`` gives names that block
-    ahead of the message.  ``where`` gives a log that checks only the given
-    rows (stages that hold some samples only).
+    lowest failing sample, and a log built with the blocks' ``names`` puts
+    that block's name ahead of the message, as ``E1: <message> at t = ...``.
+    ``where`` gives a log that checks only the given rows (stages that hold
+    some samples only).
     """
 
-    _names: tuple[str, ...] = ()
-
-    def __init__(self, ts, rows: np.ndarray | None = None):
+    def __init__(self, ts, rows: np.ndarray | None = None, names: tuple[str, ...] = ()):
         self.ts = np.asarray(ts, dtype=float)
         self.rows = rows
+        self.names = tuple(names)
 
     def where(self, rows: np.ndarray) -> "PassLog":
-        return PassLog(self.ts, rows if self.rows is None else self.rows & rows)
+        return PassLog(self.ts, rows if self.rows is None else self.rows & rows, self.names)
 
     def check(self, mask: np.ndarray, exc_type: type, message: str) -> None:
         """Raise ``exc_type`` if any sample in ``mask`` fails."""
@@ -103,13 +103,5 @@ class PassLog:
             mask = mask & self.rows
         if mask.any():
             block, k = divmod(int(np.argmax(mask)), len(self.ts))
-            name = f"{self._names[block]}: " if self._names else ""
+            name = f"{self.names[block]}: " if self.names else ""
             raise exc_type(f"{name}{message} at t = {float(self.ts[k])!r}")
-
-
-def _named(log: PassLog, names) -> PassLog:
-    """``log`` for a stack whose blocks are ``names``, in stack order: a
-    check that fails names its block, as ``E1: <message> at t = ...``."""
-    named = PassLog(log.ts, log.rows)
-    named._names = tuple(names)
-    return named

@@ -10,22 +10,21 @@ the measurement pass over a whole t-sweep: points are arrays of shape
 (..., 2), lines (..., 3) rows (a, b, c), triangles (n, 3, 2) vertex stacks
 and conics ``ConicBatch`` coefficient rows.
 
-A formula both twins evaluate is written once, as a private core of
-arithmetic and the functions it is passed (``math.hypot`` by the scalar
-twin, ``np.hypot`` by the batched one): here ``_center_solve`` and
-``_eigenvalues``.  Each twin keeps its own checks (where the scalar twin
-raises, the batched one makes the same check on all samples at once through
-a ``PassLog``, which raises for the lowest failing sample) and its own
-data-dependent branches.  The scalar rank tests compare singular values;
-the batched ones call ``rank_test_batch``, a certified filter that decides
-them as the SVD does from the 3x3 minors it returns, and runs the SVD only
-near the threshold.  The norms that filter computes also give every row a
-condition estimate (``condition_estimate_batch``), so the largest condition
-number of a set of stacks (``max_condition_batch``) needs the SVD only of
-the rows that can hold it.  The ``canonicalize`` twins share their names
-and their one major/transverse-axis selection; the scalar one branches
-where the batched one masks, and divides by the eigenvector norm only once
-it is known not to vanish.
+A formula both twins evaluate is written once, as a private core that
+takes one arithmetic namespace ``xp``: numpy itself from the batched twin,
+``_MATH`` from the scalar one, which binds numpy's names to the ``math``
+functions and builtins on floats.  A core takes ``xp`` and nothing
+function-valued; a twin keeps its checks (where the scalar twin raises, the
+batched one makes the same check on all samples at once through a
+``PassLog``, which raises for the lowest failing sample), its rank tests,
+the steps that can raise in floats, and its types.  The scalar rank tests
+compare singular values; the batched ones call ``rank_test_batch``, a
+certified filter that decides them as the SVD does from the 3x3 minors it
+returns, and runs the SVD only near the threshold.  The norms that filter
+computes also give every row a condition estimate
+(``condition_estimate_batch``), so the largest condition number of a set of
+stacks (``max_condition_batch``) needs the SVD only of the rows that can
+hold it.
 """
 
 from __future__ import annotations
@@ -53,6 +52,21 @@ DEGENERACY_EPS = 1e-12
 # Relative axis difference below which a conic counts as circular and its
 # canonical angle is pinned to 0.
 CIRCULAR_EPS = 1e-9
+
+
+class _MATH:
+    """The arithmetic namespace of the scalar twins: numpy's names for the
+    ``math`` functions and builtins on floats (see the module docstring).
+    A class, not an instance, because its attributes are looked up
+    faster."""
+
+    cos, sin, sqrt, hypot = math.cos, math.sin, math.sqrt, math.hypot
+    arccos, arctan2, fmod = math.acos, math.atan2, math.fmod
+    maximum, minimum = max, min
+
+    @staticmethod
+    def where(c, x, y):
+        return x if c else y
 
 
 @dataclass(frozen=True)
@@ -137,24 +151,29 @@ def line_through_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
                       p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1])
 
 
+def _line_meet(l1, l2, xp):
+    """Meet (x, y) of two lines (a, b, c) and whether they meet, that is are
+    not (nearly) parallel.  Where they do not, x and y divide by 1, not by
+    the determinant, so that no float division by zero can raise."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    det = a1 * b2 - a2 * b1
+    meets = abs(det) >= DEGENERACY_EPS
+    det = xp.where(meets, det, 1.0)
+    return (b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det, meets
+
+
 def line_intersection(l1: Line, l2: Line) -> Point:
-    det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) < DEGENERACY_EPS:
+    x, y, meets = _line_meet((l1.a, l1.b, l1.c), (l2.a, l2.b, l2.c), _MATH)
+    if not meets:
         raise ParallelLines(f"lines {l1} and {l2} are (nearly) parallel")
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l2.a * l1.c - l1.a * l2.c) / det
     return Point(x, y)
 
 
 def line_intersection_batch(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intersection points and the mask of the pairs that meet; the scalar
     twin raises ParallelLines where the mask is false."""
-    a1, b1, c1 = l1[..., 0], l1[..., 1], l1[..., 2]
-    a2, b2, c2 = l2[..., 0], l2[..., 1], l2[..., 2]
-    det = a1 * b2 - a2 * b1
-    x = (b1 * c2 - b2 * c1) / det
-    y = (a2 * c1 - a1 * c2) / det
-    return np.stack([x, y], axis=-1), np.abs(det) >= DEGENERACY_EPS
+    x, y, meets = _line_meet(np.moveaxis(l1, -1, 0), np.moveaxis(l2, -1, 0), np)
+    return np.stack([x, y], axis=-1), meets
 
 
 @dataclass(frozen=True)
@@ -561,19 +580,10 @@ class CanonicalBatch:
                               self.semi_minor[s], self.hyperbola[s])
 
 
-def _wrap_half_pi(angle: float) -> float:
+def _wrap_half_pi(angle, xp):
     """Reduce an axis direction to (-pi/2, pi/2]."""
-    a = math.fmod(angle, math.pi)
-    if a <= -math.pi / 2:
-        a += math.pi
-    elif a > math.pi / 2:
-        a -= math.pi
-    return a
-
-
-def _wrap_half_pi_batch(angle: np.ndarray) -> np.ndarray:
-    a = np.fmod(angle, math.pi)
-    return np.where(a <= -math.pi / 2, a + math.pi, np.where(a > math.pi / 2, a - math.pi, a))
+    a = xp.fmod(angle, math.pi)
+    return xp.where(a <= -math.pi / 2, a + math.pi, xp.where(a > math.pi / 2, a - math.pi, a))
 
 
 def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
@@ -600,11 +610,42 @@ def _center_solve(A, B, C, D, E, F, det2):
     return cx, cy, f0
 
 
-def _eigenvalues(A, B, C, hypot):
+def _eigenvalues(A, B, C, xp):
     """Eigenvalues lam1 <= lam2 of the symmetric block [[A, B], [B, C]]."""
     tr = A + C
-    disc = hypot(A - C, 2.0 * B)
+    disc = xp.hypot(A - C, 2.0 * B)
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
+
+
+def _eigenvector(A, B, C, lam1, xp):
+    """An eigenvector (v1x, v1y) of [[A, B], [B, C]] for lam1, its norm, and
+    whether that norm vanishes against the block (a repeated eigenvalue,
+    where any direction serves).  Either of the two algebraically
+    equivalent forms can cancel to zero; this takes the larger one."""
+    use_a = xp.hypot(lam1 - C, B) >= xp.hypot(B, lam1 - A)
+    v1x, v1y = xp.where(use_a, lam1 - C, B), xp.where(use_a, B, lam1 - A)
+    n1 = xp.hypot(v1x, v1y)
+    return v1x, v1y, n1, n1 < DEGENERACY_EPS * xp.maximum(xp.maximum(abs(A), abs(C)), abs(B))
+
+
+def _axes(f0, lam1, lam2, v1x, v1y, xp):
+    """The central conic lam1 u^2 + lam2 v^2 + f0 = 0 along the unit
+    eigenvectors v1 = (v1x, v1y) and v2 = (-v1y, v1x): whether it is an
+    ellipse and whether a hyperbola, its major (transverse) and minor
+    (conjugate) semi-axes, and the angle of its major axis, wrapped to
+    (-pi/2, pi/2] and 0 for a circle."""
+    # semi-axis^2 = -f0 / lam
+    q1 = -f0 / lam1
+    q2 = -f0 / lam2
+    ellipse = (q1 > 0) & (q2 > 0)
+    a1, a2 = xp.sqrt(abs(q1)), xp.sqrt(abs(q2))
+    # Major (transverse) axis along v1, else along v2.
+    along_v1 = xp.where(ellipse, a1 >= a2, q1 > 0)
+    major, minor = xp.where(along_v1, a1, a2), xp.where(along_v1, a2, a1)
+    angle = _wrap_half_pi(xp.arctan2(xp.where(along_v1, v1y, v1x),
+                                     xp.where(along_v1, v1x, -v1y)), xp)
+    circular = ellipse & (major - minor < CIRCULAR_EPS * major)
+    return ellipse, q1 * q2 < 0, major, minor, xp.where(circular, 0.0, angle)
 
 
 def canonicalize(conic: ConicMatrix) -> CanonicalConic:
@@ -615,10 +656,8 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     diagonal equation.  Raises NotCentral for parabolas and DegenerateConic
     when both the block and the full matrix are rank-deficient.
     """
-    m = conic.m
-    A, B, D = m[0, 0], m[0, 1], m[0, 2]
-    C, E = m[1, 1], m[1, 2]
-    F = m[2, 2]
+    # Python floats: they round as the float64 entries do, and compute faster.
+    (A, B, D), (_, C, E), (_, _, F) = conic.m.tolist()
     det2 = A * C - B * B
     # Degeneracy and centrality are judged on singular-value ratios: a plain
     # |det| threshold under max-entry normalization would misclassify thin
@@ -633,39 +672,18 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
         raise NotCentral("parabolic conic has no affine center")
 
     cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
-
-    # Closed-form symmetric 2x2 eigendecomposition.  Either of the two
-    # algebraically equivalent eigenvector forms can cancel to zero; take
-    # the larger one.
-    lam1, lam2 = _eigenvalues(A, B, C, math.hypot)
-    use_a = math.hypot(lam1 - C, B) >= math.hypot(B, lam1 - A)
-    v1x, v1y = (lam1 - C, B) if use_a else (B, lam1 - A)
-    n1 = math.hypot(v1x, v1y)
-    if n1 < DEGENERACY_EPS * max(abs(A), abs(C), abs(B)):
-        v1x, v1y = 1.0, 0.0  # repeated eigenvalue: any direction serves
-    else:
-        v1x, v1y = v1x / n1, v1y / n1
-
     if not rank3_ok:
         kind = ConicKind.DEGENERATE_LINES if det2 < 0 else ConicKind.EMPTY
         return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, kind)
 
-    # lam1 u^2 + lam2 v^2 + f0 = 0  ->  semi-axis^2 = -f0 / lam
-    q1 = -f0 / lam1
-    q2 = -f0 / lam2
-    ellipse = q1 > 0 and q2 > 0
-    hyperbola = q1 * q2 < 0
+    # Closed-form symmetric 2x2 eigendecomposition.
+    lam1, lam2 = _eigenvalues(A, B, C, _MATH)
+    v1x, v1y, n1, repeated = _eigenvector(A, B, C, lam1, _MATH)
+    v1x, v1y = (1.0, 0.0) if repeated else (v1x / n1, v1y / n1)
+    ellipse, hyperbola, major, minor, angle = _axes(f0, lam1, lam2, v1x, v1y, _MATH)
     if not (ellipse or hyperbola):
         # Both quotients negative: no real points.
         return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, ConicKind.EMPTY)
-    a1, a2 = math.sqrt(abs(q1)), math.sqrt(abs(q2))
-    # Major (transverse) axis along v1, else along v2 = (-v1y, v1x).
-    along_v1 = a1 >= a2 if ellipse else q1 > 0
-    major, minor = (a1, a2) if along_v1 else (a2, a1)
-    if ellipse and major - minor < CIRCULAR_EPS * major:
-        angle = 0.0
-    else:
-        angle = _wrap_half_pi(math.atan2(v1y, v1x) if along_v1 else math.atan2(v1x, -v1y))
     kind = ConicKind.ELLIPSE if ellipse else ConicKind.HYPERBOLA
     return CanonicalConic(Point(cx, cy), angle, major, minor, kind)
 
@@ -684,32 +702,15 @@ def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
 
     cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
 
-    lam1, lam2 = _eigenvalues(A, B, C, np.hypot)
-    use_a = np.hypot(lam1 - C, B) >= np.hypot(B, lam1 - A)
-    v1x = np.where(use_a, lam1 - C, B)
-    v1y = np.where(use_a, B, lam1 - A)
-    n1 = np.hypot(v1x, v1y)
-    repeated = n1 < DEGENERACY_EPS * np.maximum(np.maximum(np.abs(A), np.abs(C)), np.abs(B))
+    lam1, lam2 = _eigenvalues(A, B, C, np)
+    v1x, v1y, n1, repeated = _eigenvector(A, B, C, lam1, np)
     v1x = np.where(repeated, 1.0, v1x / n1)
     v1y = np.where(repeated, 0.0, v1y / n1)
-
-    q1 = -f0 / lam1
-    q2 = -f0 / lam2
-    ellipse = rank3_ok & (q1 > 0) & (q2 > 0)
-    hyperbola = rank3_ok & (q1 * q2 < 0)
-    a1, a2 = np.sqrt(np.abs(q1)), np.sqrt(np.abs(q2))
-    # Major (transverse) axis along v1, else along v2 = (-v1y, v1x).
-    along_v1 = np.where(ellipse, a1 >= a2, q1 > 0)
-    major = np.where(along_v1, a1, a2)
-    minor = np.where(along_v1, a2, a1)
-    angle = _wrap_half_pi_batch(np.arctan2(np.where(along_v1, v1y, v1x),
-                                          np.where(along_v1, v1x, -v1y)))
-    real = ellipse | hyperbola
-    circular = ellipse & (major - minor < CIRCULAR_EPS * major)
-    return CanonicalBatch(np.stack([cx, cy], axis=-1),
-                          np.where(real & ~circular, angle, 0.0),
+    ellipse, hyperbola, major, minor, angle = _axes(f0, lam1, lam2, v1x, v1y, np)
+    real = rank3_ok & (ellipse | hyperbola)
+    return CanonicalBatch(np.stack([cx, cy], axis=-1), np.where(real, angle, 0.0),
                           np.where(real, major, 0.0), np.where(real, minor, 0.0),
-                          hyperbola)
+                          rank3_ok & hyperbola)
 
 
 def conic_from_canonical(c: CanonicalConic) -> ConicMatrix:
@@ -786,6 +787,13 @@ def _area2(p1, p2, p3):
     return (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p3[0] - p1[0]) * (p2[1] - p1[1])
 
 
+def _thin(area2, d1, d2, d3, xp):
+    """Whether a triangle of twice the signed area ``area2`` and of sides
+    d1, d2, d3 has an area below 1e-12 (longest side)^2."""
+    longest = xp.maximum(xp.maximum(d1, d2), d3)
+    return abs(area2) < 2.0 * DEGENERACY_EPS * longest * longest
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices in counter-clockwise order.
@@ -799,8 +807,7 @@ class Triangle:
     def __post_init__(self):
         p1, p2, p3 = self.v
         area2 = _area2((p1.x, p1.y), (p2.x, p2.y), (p3.x, p3.y))
-        longest = max(distance(p1, p2), distance(p2, p3), distance(p3, p1))
-        if abs(area2) < 2.0 * DEGENERACY_EPS * longest * longest:
+        if _thin(area2, distance(p1, p2), distance(p2, p3), distance(p3, p1), _MATH):
             raise DegenerateTriangle(f"area {0.5 * area2:.3e} below threshold")
         if area2 < 0:
             object.__setattr__(self, "v", (p1, p3, p2))
@@ -824,10 +831,8 @@ def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
     ``log`` and clockwise rows get their last two vertices swapped."""
     area2 = _area2(*v.transpose(1, 2, 0))
     p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
-    longest = np.maximum(np.maximum(distance_batch(p1, p2), distance_batch(p2, p3)),
-                         distance_batch(p3, p1))
-    log.check(np.abs(area2) < 2.0 * DEGENERACY_EPS * longest * longest,
-              DegenerateTriangle, "triangle area below threshold")
+    log.check(_thin(area2, distance_batch(p1, p2), distance_batch(p2, p3), distance_batch(p3, p1),
+                    np), DegenerateTriangle, "triangle area below threshold")
     return np.where((area2 < 0)[:, None, None], v[:, [0, 2, 1]], v)
 
 

@@ -6,10 +6,11 @@ X40, circumcenter X3 = (d, 0), incenter X1 = (2d, 0), where
 d = sqrt(R(R - 2r)) is Euler's distance.  Formulas quoted from other frames
 are shifted into this one; each shift is noted where it happens.
 
-Each closed form is written once, as a private function of cos t and sin t
-using only arithmetic and the ``sqrt`` it is given, so the scalar API (with
-``math``) and its ``_batch`` twin over an array of t (with numpy) evaluate
-the same expression.
+Each closed form is written once, as a private core of the parameter t
+that takes the arithmetic namespace ``xp`` (see ``geom``), so the scalar
+API (with ``geom._MATH``) and its ``_batch`` twin over an array of t (with
+numpy) evaluate the same expression.  The scalar API evaluates each one,
+and builds its object, inside ``_scalar``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy as np
 
 from . import centers as _centers
 from . import conics as _conics
-from .errors import AxisAtInfinity, DegenerateTriangle, InvalidRatio, PassLog, _named
+from .errors import AxisAtInfinity, DegenerateTriangle, InvalidRatio, PassLog
 from .geom import (
+    _MATH,
     CanonicalBatch,
     Circle,
     ConicBatch,
@@ -34,7 +36,6 @@ from .geom import (
     Triangle,
     _normalized,
     _wrap_half_pi,
-    _wrap_half_pi_batch,
     canonicalize_batch,
     line_batch,
     perimeter_batch,
@@ -105,10 +106,11 @@ class FamilySample:
     perimeter: float
 
 
-def _vertices(cfg: PoristicConfig, ct, st, sqrt):
+def _vertices(cfg: PoristicConfig, t, xp):
     """omega and the vertices p1, p2, p3 as (x, y) pairs."""
     R, r, d = cfg.R, cfg.r, cfg.d
-    w = sqrt(R * R - (d * ct + r) ** 2)
+    ct, st = xp.cos(t), xp.sin(t)
+    w = xp.sqrt(R * R - (d * ct + r) ** 2)
     p1 = (ct * (d * ct + r) - w * st + d, (d * ct + r) * st + w * ct)
     p2 = (ct * (d * ct + r) + w * st + d, (d * ct + r) * st - w * ct)
     den = R * R - 2 * d * R * ct + d * d
@@ -117,12 +119,13 @@ def _vertices(cfg: PoristicConfig, ct, st, sqrt):
     return w, p1, p2, p3
 
 
-def _scalar(core, t: float, *args):
-    """``core(*args)`` in floats; a zero denominator or the square root of a
-    negative, where the closed form cancels at t, raises
-    ``DegenerateTriangle``."""
+def _scalar(build, t: float):
+    """``build()``, which evaluates a closed form in floats at t and builds
+    its object.  Where the closed form cancels, underflows or overflows at
+    t (a zero denominator, the square root of a negative, a non-finite
+    point, a zero conic matrix), ``DegenerateTriangle`` is raised instead."""
     try:
-        return core(*args)
+        return build()
     except (ZeroDivisionError, ValueError) as exc:
         raise DegenerateTriangle(f"closed form not defined at t = {t!r} ({exc})") from None
 
@@ -134,10 +137,12 @@ def sample(cfg: PoristicConfig, t: float) -> FamilySample:
     the t = 0 sample is isosceles with s2 = s3; the stored order is
     counter-clockwise.
     """
-    w, p1, p2, p3 = _scalar(_vertices, t, cfg, math.cos(t), math.sin(t), math.sqrt)
-    tri = Triangle((Point(*p3), Point(*p2), Point(*p1)))
-    exc = _centers.excentral(tri)
-    return FamilySample(t, tri, exc, w, tri.perimeter())
+    def build():
+        w, p1, p2, p3 = _vertices(cfg, t, _MATH)
+        return w, Triangle((Point(*p3), Point(*p2), Point(*p1)))
+
+    w, tri = _scalar(build, t)
+    return FamilySample(t, tri, _centers.excentral(tri), w, tri.perimeter())
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,28 +158,30 @@ class FamilyBatch:
 
 
 def sample_batch(cfg: PoristicConfig, ts: np.ndarray, log: PassLog) -> FamilyBatch:
-    w, p1, p2, p3 = _vertices(cfg, np.cos(ts), np.sin(ts), np.sqrt)
+    w, p1, p2, p3 = _vertices(cfg, ts, np)
     tri = triangle_batch(np.stack([np.stack(p, axis=-1) for p in (p3, p2, p1)], axis=1), log)
     return FamilyBatch(ts, tri, _centers.excentral_batch(tri, log), w, perimeter_batch(tri))
 
 
-def _perimeter(cfg: PoristicConfig, ct, sqrt):
+def _perimeter(cfg: PoristicConfig, t, xp):
     R, d = cfg.R, cfg.d
+    ct = xp.cos(t)
     return ((3 * R * R - 4 * d * R * ct + d * d)
-            * sqrt(3 * R * R + 2 * d * R * ct - d * d)
-            / (R * sqrt(R * R - 2 * d * R * ct + d * d)))
+            * xp.sqrt(3 * R * R + 2 * d * R * ct - d * d)
+            / (R * xp.sqrt(R * R - 2 * d * R * ct + d * d)))
 
 
 def perimeter_closed_form(cfg: PoristicConfig, t: float) -> float:
-    return _scalar(_perimeter, t, cfg, math.cos(t), math.sqrt)
+    return _scalar(lambda: _perimeter(cfg, t, _MATH), t)
 
 
 def perimeter_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
-    return _perimeter(cfg, np.cos(ts), np.sqrt)
+    return _perimeter(cfg, ts, np)
 
 
-def _x9(cfg: PoristicConfig, ct, st):
+def _x9(cfg: PoristicConfig, t, xp):
     R, r, d = cfg.R, cfg.r, cfg.d
+    ct, st = xp.cos(t), xp.sin(t)
     x = (d * (4 * d * ct * ct * (R * ct - d) - r * (3 * d * ct + R) - r * r)
          / ((4 * R + r) * (d * ct - R + r)))
     y = (4 * R * d * d * st * (R * R - (2 * R * ct - d) ** 2)
@@ -185,17 +192,20 @@ def _x9(cfg: PoristicConfig, ct, st):
 def x9_closed_form(cfg: PoristicConfig, t: float) -> Point:
     """Mittenpunkt location; source formula lives in the X3-origin frame and
     is shifted by (+d, 0) into the canonical frame."""
-    return Point(*_x9(cfg, math.cos(t), math.sin(t)))
+    return _scalar(lambda: Point(*_x9(cfg, t, _MATH)), t)
 
 
 def x9_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
-    return np.stack(_x9(cfg, np.cos(ts), np.sin(ts)), axis=-1)
+    return np.stack(_x9(cfg, ts, np), axis=-1)
 
 
-def _theta_args(cfg: PoristicConfig, ct, st):
-    """(y, x) of the atan2 that gives minus the circumbilliard axis angle."""
+def _theta(cfg: PoristicConfig, t, xp):
+    """The circumbilliard axis angle: minus the atan2 of
+    (1 - cos t)(2R cos t + R - d) over (R + d - 2R cos t) sin t, wrapped."""
     R, d = cfg.R, cfg.d
-    return (1 - ct) * (2 * R * ct + R - d), (R + d - 2 * R * ct) * st
+    ct, st = xp.cos(t), xp.sin(t)
+    return _wrap_half_pi(-xp.arctan2((1 - ct) * (2 * R * ct + R - d), (R + d - 2 * R * ct) * st),
+                         xp)
 
 
 def theta_closed_form(cfg: PoristicConfig, t: float) -> float:
@@ -206,17 +216,18 @@ def theta_closed_form(cfg: PoristicConfig, t: float) -> float:
     assembled with atan2 so the poles of tan are harmless.  Validated against
     the canonicalized circumbilliard axis over dense sweeps.
     """
-    return _wrap_half_pi(-math.atan2(*_theta_args(cfg, math.cos(t), math.sin(t))))
+    return _scalar(lambda: _theta(cfg, t, _MATH), t)
 
 
 def theta_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
-    return _wrap_half_pi_batch(-np.arctan2(*_theta_args(cfg, np.cos(ts), np.sin(ts))))
+    return _theta(cfg, ts, np)
 
 
-def _excentral_lines(cfg: PoristicConfig, ct, st, sqrt):
+def _excentral_lines(cfg: PoristicConfig, t, xp):
     """Unnormalized (a, b, c) of the three excentral side lines."""
     R, r, d = cfg.R, cfg.r, cfg.d
-    w = sqrt(R * R - (d * ct + r) ** 2)
+    ct, st = xp.cos(t), xp.sin(t)
+    w = xp.sqrt(R * R - (d * ct + r) ** 2)
     return (((d * st - w) * st - r * ct, -((d * ct + r) * st - w * ct), R * R - d * d),
             ((d * st + w) * st - r * ct, -((d * ct + r) * st + w * ct), R * R - d * d),
             (R * ct - d, R * st, -2 * d * R * ct + R * R + d * d))
@@ -225,24 +236,23 @@ def _excentral_lines(cfg: PoristicConfig, ct, st, sqrt):
 def excentral_side_lines(cfg: PoristicConfig, t: float) -> tuple[Line, Line, Line]:
     """Closed-form side lines of the excentral triangle (the external
     bisectors of the family member at t)."""
-    l1, l2, l3 = _excentral_lines(cfg, math.cos(t), math.sin(t), math.sqrt)
-    return Line(*l1), Line(*l2), Line(*l3)
+    return _scalar(lambda: tuple(Line(*abc) for abc in _excentral_lines(cfg, t, _MATH)), t)
 
 
 def excentral_side_lines_batch(cfg: PoristicConfig, ts: np.ndarray) -> tuple[np.ndarray, ...]:
     """The three lines as (n, 3) row stacks."""
-    return tuple(line_batch(*abc) for abc in _excentral_lines(cfg, np.cos(ts), np.sin(ts), np.sqrt))
+    return tuple(line_batch(*abc) for abc in _excentral_lines(cfg, ts, np))
 
 
-def _i3x_entries(cfg: PoristicConfig, ct, st):
-    """(xx, xy, yy, const) of the I3x quadratic form."""
+def _i3x_coeffs(cfg: PoristicConfig, t, xp):
+    """Coefficients (A, B, C, D, E, F) of the I3x quadratic form."""
     R, d = cfg.R, cfg.d
+    ct, st = xp.cos(t), xp.sin(t)
     q = R * R - d * d
     xx = q * q - 8 * d * R * R * (R * ct - d) * st * st
     yy = q * q - 4 * d * R * ct * ((R * ct - d) ** 2 - R * R * st * st)
     xy = 4 * d * R * st * (2 * R * ct - R - d) * (2 * R * ct + R - d)
-    const = -q * q * (R * R + d * d - 2 * d * R * ct)
-    return xx, xy, yy, const
+    return xx, 0.5 * xy, yy, 0.0, 0.0, -q * q * (R * R + d * d - 2 * d * R * ct)
 
 
 def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
@@ -252,16 +262,11 @@ def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
     the independent oracle for the tangent-line construction of the same
     conic.
     """
-    xx, xy, yy, const = _i3x_entries(cfg, math.cos(t), math.sin(t))
-    return ConicMatrix(np.array([[xx, 0.5 * xy, 0.0],
-                                 [0.5 * xy, yy, 0.0],
-                                 [0.0, 0.0, const]]))
+    return _scalar(lambda: ConicMatrix.from_coeffs(*_i3x_coeffs(cfg, t, _MATH)), t)
 
 
 def i3x_implicit_matrix_batch(cfg: PoristicConfig, ts: np.ndarray) -> ConicBatch:
-    xx, xy, yy, const = _i3x_entries(cfg, np.cos(ts), np.sin(ts))
-    zero = np.zeros_like(xx)
-    return ConicBatch(_normalized(np.array([xx, 0.5 * xy, yy, zero, zero, const])))
+    return ConicBatch(_normalized(np.array(np.broadcast_arrays(*_i3x_coeffs(cfg, ts, np)))))
 
 
 def antiorthic_axis(cfg: PoristicConfig) -> Line:
@@ -356,7 +361,7 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
     v = np.concatenate([fam.excentral if _TAG_TABLE[tag][0] else fam.triangle for tag in order])
     n = len(fam.t)
     n_circum = n * sum(_TAG_TABLE[tag][1] for tag in order)
-    log = _named(log, order if len(order) > 1 else ())
+    log = PassLog(log.ts, log.rows, order if len(order) > 1 else ())
     stack = _conics.centered_conics_batch(v, center, n_circum, log)
     can = canonicalize_batch(stack, log)
     out = {}

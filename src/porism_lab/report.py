@@ -38,7 +38,7 @@ from . import billiard as _billiard
 from . import centers as _centers
 from . import conics as _conics
 from . import poristic as _poristic
-from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, UnknownQuantity, _named
+from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, UnknownQuantity
 # canonicalize, conic_eval and foci stay importable from this module: the
 # benchmark's tracer self-test (perfbench/test_perfbench.py) resolves them here.
 from .geom import (  # noqa: F401
@@ -283,7 +283,7 @@ class _Pass:
         return np.split(_conics.hyperbola_focal_length_batch(
             np.concatenate([self.fam.triangle, self.fam.excentral]),
             np.concatenate([self.x(11), x100]),
-            _named(self.log.where(has_x100), ("Feuerbach", "Jerabek"))), 2)
+            PassLog(self.t, has_x100, ("Feuerbach", "Jerabek"))), 2)
 
     @functools.cached_property
     def equivariance(self) -> np.ndarray:

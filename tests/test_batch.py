@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porism_lab import report
 from porism_lab.billiard import (
@@ -24,11 +26,20 @@ from porism_lab.billiard import (
     reflection_law_residual_batch,
 )
 from conftest import random_triangle
-from porism_lab.centers import BATCH_CENTERS, center, center_batch
+from porism_lab.centers import (
+    BATCH_CENTERS,
+    ISOSCELES_EPS,
+    _equilateral_fallback,
+    _isosceles,
+    _not_a_triangle,
+    center,
+    center_batch,
+)
 from porism_lab.cli import main
 from porism_lab.conics import (
     _centered_circumconic,
     _centered_circumconic_batch,
+    _cross_terms,
     _det3,
     centered_conics_batch,
     hyperbola_focal_length,
@@ -43,12 +54,15 @@ from porism_lab.errors import (
     NotCentral,
     ParallelTangents,
     PassLog,
-    _named,
 )
 from porism_lab.geom import (
     _KAPPA_ERROR,
+    _MATH,
     Point,
     Triangle,
+    _axes,
+    _thin,
+    _wrap_half_pi,
     canonicalize,
     foci,
     foci_batch,
@@ -273,7 +287,7 @@ def test_stacked_conic_check_names_its_block(R, rho, n, message):
 
 
 def test_named_log_names_the_failing_block():
-    log = _named(PassLog([0.0, 0.5]), ("A", "B"))
+    log = PassLog([0.0, 0.5], names=("A", "B"))
     log.check(np.array([[False, False], [False, False]]), NotCentral, "passing check")
     with pytest.raises(NotCentral) as info:
         log.check(np.array([[False, False], [False, True]]), NotCentral, "failing check")
@@ -283,7 +297,7 @@ def test_named_log_names_the_failing_block():
     v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
     center = np.array([[1.0, 1.0], [0.5, 0.5]])
     with pytest.raises(ParallelTangents) as info:
-        centered_conics_batch(v, center, 1, _named(PassLog([0.0]), ("E1", "I3x")))
+        centered_conics_batch(v, center, 1, PassLog([0.0], names=("E1", "I3x")))
     assert str(info.value) == "I3x: tangent lines are (nearly) parallel at t = 0.0"
 
 
@@ -456,3 +470,52 @@ def test_batched_inconic_d_matches_the_exact_closed_form():
         exact = _exact_inconic_d_ratio(mp, [ln[i] for ln in lines])
         worst = max(worst, float(abs((got[i] - exact) / exact)))
     assert worst <= 1e-10, worst
+
+
+# Finite inputs only: ``min`` and ``np.minimum`` differ on NaN.  Each
+# strategy mixes in the boundaries of its core.
+_ANGLE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-10 ** 6, 10 ** 6).map(lambda k: (2 * k + 1) * math.pi / 2))
+_SIDE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 1.0 + 3 * ISOSCELES_EPS,
+                                   1.0 - 3 * ISOSCELES_EPS]))
+_ENTRY = st.one_of(st.floats(-1e150, 1e150), st.sampled_from([0.0, 1.0, -1.0, 1e-12, 2.0]))
+
+
+def _bits(x) -> list[str]:
+    """The float.hex of a float or bool, or of each item of a tuple of them;
+    a 1-element array counts as its element."""
+    if isinstance(x, tuple):
+        return [b for item in x for b in _bits(item)]
+    x = np.asarray(x).reshape(-1)[0] if isinstance(x, np.ndarray) else x
+    return [float(x).hex()]
+
+
+def _agree(core, *args):
+    """``core`` gives the same bits with ``_MATH`` on floats as with numpy on
+    1-element arrays."""
+    with np.errstate(all="ignore"):
+        batched = core(*(np.array([a]) for a in args), np)
+    assert _bits(core(*args, _MATH)) == _bits(batched), args
+
+
+@given(_ANGLE, st.tuples(_SIDE, _SIDE, _SIDE), st.tuples(_SIDE, _SIDE, _SIDE),
+       st.tuples(*[_ENTRY] * 6), st.tuples(*[_ENTRY] * 5))
+@settings(max_examples=200, deadline=None)
+def test_exact_cores_agree_across_namespaces(angle, s, f, ab, axes):
+    """The exact cores, whose arithmetic both namespaces round alike: the
+    half-pi wrap, the isosceles gap, X11's equilateral fallback, the
+    triangle-inequality, thin-triangle and parallel-tangent predicates, and
+    the conic's classification and semi-axes (its angle goes through
+    atan2, which numpy and math may round differently)."""
+    _agree(_wrap_half_pi, angle)
+    _agree(_isosceles, *s)
+    _agree(_not_a_triangle, *s)
+    _agree(lambda f1, f2, f3, xp: _equilateral_fallback((f1, f2, f3), xp), *f)
+    _agree(_thin, ab[0], *s)
+    _agree(lambda a1, b1, a2, b2, a3, b3, xp: _cross_terms(
+        [(a1, b1, 0.0), (a2, b2, 0.0), (a3, b3, 0.0)], xp), *ab)
+    f0, v1x, v1y = axes[0], axes[3], axes[4]
+    # canonicalize raises on a singular block before it divides by lam.
+    lam1, lam2 = (x if x != 0.0 else 1.0 for x in axes[1:3])
+    _agree(lambda f0, lam1, lam2, xp: _axes(f0, lam1, lam2, v1x, v1y, xp)[:4], f0, lam1, lam2)

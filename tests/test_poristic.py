@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from porism_lab.billiard import normalize_sample
 from porism_lab.centers import center, side_lengths
 from porism_lab.conics import inconic_from_tangents
-from porism_lab.errors import AxisAtInfinity, InvalidRatio
+from porism_lab.errors import AxisAtInfinity, GeometryError, InvalidRatio
 from porism_lab.geom import (
     Point,
     canonicalize,
@@ -127,6 +128,22 @@ class TestClosedForms:
                 can = canonicalize(circumconic_centered(s.triangle, center(s.triangle, 9)))
                 gap = abs(math.remainder(theta_closed_form(cfg, t) - can.angle, math.pi))
                 assert gap < 1e-8
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("rho", [0.0021, 0.2])
+    @pytest.mark.parametrize("R", [2e-82, 1e-100, 1.76e64, 1e100])
+    def test_closed_forms_at_extreme_scale_raise_only_geometry_errors(self, R, rho, t):
+        # Denominators underflow to zero near R = 1e-82 and the X9 form
+        # overflows near R = 1e64; the I3x entries scale like R^8.
+        cfg = config_from_rR(R, rho * R)
+        forms = (sample, perimeter_closed_form, x9_closed_form, theta_closed_form,
+                 excentral_side_lines, i3x_implicit_matrix,
+                 lambda cfg, t: normalize_sample(cfg, sample(cfg, t)))
+        for form in forms:
+            try:
+                form(cfg, t)
+            except GeometryError:
+                pass
 
     def test_x9_locus_circle(self):
         for rho in RHO_GRID:

@@ -1,5 +1,5 @@
-"""Outcome scan: run verify and an all-column sweep over a fixed set of
-configurations and print one JSON line per configuration.
+"""Outcome scan: run verify, an all-column sweep and the scalar API over a
+fixed set of configurations and print one JSON line per configuration.
 
     PYTHONPATH=src python3 tools/outcome_scan.py [--count N] > scan.jsonl
     python3 tools/outcome_scan.py --compare before.jsonl after.jsonl
@@ -15,8 +15,12 @@ subclass raised) and its message; for a verify report the status, verdict,
 sample count, mean and relative spread of every row and
 ``max_circumconic_condition``; and
 the SHA-256 of the report JSON and CSV, of the sweep CSV and of its skip
-log.  Any other exception is a crash: it is printed as its outcome, and the
-scan exits 1.
+log.  A third run evaluates the scalar API at each t of ``SCALAR_T``:
+``sample``, the scalar closed forms, ``normalize_sample`` and its
+reflection residual, every supported center and the canonical form of
+every named conic; it gives its outcome and the SHA-256 of the
+``float.hex`` of every value.  Any other exception is a crash: it is
+printed as its outcome, and the scan exits 1.
 
 ``--compare`` reads two scans of the same configurations.  It prints every
 difference in outcome, message, status, verdict or sample count, and every
@@ -39,6 +43,8 @@ import numpy as np
 RANDOM_CONFIGS = 155
 EXTREME_R = (1e-100, 1e30, 1e60, 1e100)
 VALUE_RTOL = 1e-13
+SCALAR_T = (0.5, 2.0, 4.0)
+RUNS = ("verify", "sweep", "scalar")
 
 
 def configs() -> list[tuple[float, float, int]]:
@@ -85,7 +91,37 @@ def scan_one(R: float, rho: float, n: int) -> dict:
         header, rows, skips = table
         sweep["csv_sha256"] = _digest(report.format_csv(header, rows))
         sweep["skips_sha256"] = _digest("".join(f"{s['t']!r} {s['reason']}\n" for s in skips))
-    return {"R": R, "rho": rho, "n": n, "verify": verify, "sweep": sweep}
+    scalar = _outcome(lambda: _scalar_values(lab.poristic()))
+    values = scalar.pop("value")
+    if values is not None:
+        scalar["values_sha256"] = _digest(" ".join(float(v).hex() for v in values))
+    return {"R": R, "rho": rho, "n": n, "verify": verify, "sweep": sweep, "scalar": scalar}
+
+
+def _scalar_values(cfg) -> list[float]:
+    """The values of the scalar API at every t of ``SCALAR_T``."""
+    from porism_lab import billiard, centers, geom, poristic
+
+    def xy(points):
+        return [c for p in points for c in (p.x, p.y)]
+
+    a9, b9, _ = billiard.cb_axes_normalized(cfg.rho)
+    values = []
+    for t in SCALAR_T:
+        s = poristic.sample(cfg, t)
+        values += [s.omega, s.perimeter, *xy(s.triangle.v + s.excentral.v)]
+        values += [poristic.perimeter_closed_form(cfg, t), *xy([poristic.x9_closed_form(cfg, t)]),
+                   poristic.theta_closed_form(cfg, t),
+                   *(c for line in poristic.excentral_side_lines(cfg, t) for c in line.as_array()),
+                   *poristic.i3x_implicit_matrix(cfg, t).m.flat]
+        tri = billiard.normalize_sample(cfg, s)
+        values += [*xy(tri.v), billiard.reflection_law_residual(tri, a9, b9)]
+        values += xy(centers.center(s.triangle, k) for k in sorted(centers.SUPPORTED_CENTERS))
+        for tag in poristic.CONIC_TAGS:
+            c = geom.canonicalize(poristic.named_conic(cfg, t, tag, s))
+            values += [c.center.x, c.center.y, c.angle, c.semi_major, c.semi_minor,
+                       list(geom.ConicKind).index(c.kind)]
+    return values
 
 
 def _close(a, b) -> bool:
@@ -101,7 +137,7 @@ def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]
     found, moved = [], []
     for x, y in zip(before, after, strict=True):
         where = f"R={x['R']!r} rho={x['rho']!r} n={x['n']}"
-        for run in ("verify", "sweep"):
+        for run in RUNS:
             a, b = x[run], y[run]
             if (a["outcome"], a["error"]) != (b["outcome"], b["error"]):
                 found.append(f"{where} {run}: {a['outcome']} {a['error']!r} -> "
@@ -138,7 +174,7 @@ def main(argv=None) -> int:
     crashed = False
     for R, rho, n in configs()[:args.count]:
         line = scan_one(R, rho, n)
-        crashed |= any(line[run]["outcome"].startswith("crash") for run in ("verify", "sweep"))
+        crashed |= any(line[run]["outcome"].startswith("crash") for run in RUNS)
         print(json.dumps(line), flush=True)
     return 1 if crashed else 0
 
