@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    porism-lab verify [--rho F | --R F --r F] [--t-samples N] [--tol F]
-                      [--angle-tol F] [--seed N] [--out DIR] [--config FILE]
+    porism-lab verify [--rho F | --R F --r F] [--t-samples N] [--seed N]
+                      [--out DIR] [--config FILE]
     porism-lab sweep  --quantities LIST [...]
     porism-lab figure --figure ID [...]
 
@@ -36,9 +36,6 @@ _OPTIONS = {
     "r": ("r", float, "inradius (with --R)"),
     "t_samples": ("t_samples", int, f"sweep grid size (default {_lab.t_samples}, at most "
                                     f"{_report.MAX_T_SAMPLES})"),
-    "tol": ("tolerance", float, f"invariance tolerance (default {_lab.tolerance:g})"),
-    "angle_tol": ("angle_tolerance", float, f"tolerance for angle and reflection checks "
-                                            f"(default {_lab.angle_tolerance:g})"),
     "seed": ("seed", int, "seed for randomized property rows"),
     "out": ("output_dir", str, f"output directory (default {_lab.output_dir})"),
 }
@@ -145,8 +142,9 @@ def _cmd_verify(lab: _report.LabConfig) -> int:
             detail += f" mean={row.mean:.12g} expected={row.expected:.12g}"
         print(f"[{marker}] {row.quantity}: {detail}")
     n_pass = sum(1 for r in result.reports if r.status == "pass")
+    n_samples = len({entry["t"] for entry in result.skipped})
     print(f"{n_pass}/{len(result.reports)} checks passed "
-          f"({len(result.skipped)} skipped samples, "
+          f"({len(result.skipped)} skipped cells at {n_samples} samples, "
           f"max circumconic condition {result.max_condition:.3e})")
     print(f"reports written to {out / 'report.json'} and {out / 'report.csv'}")
     return 0 if result.passed else 1

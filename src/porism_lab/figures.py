@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import billiard as _billiard
 from . import centers as _centers
 from . import conics as _conics
@@ -169,14 +171,11 @@ def _fig_cb_plots(lab: LabConfig) -> str:
     axes(x0, "t in [0, 2pi)", "L(t)/R")
     lmin, lmax = 1.5, 6.5
     colors = (TRIANGLE_BLUE, RED, EXCENTRAL_GREEN, ORANGE)
+    ts = 2 * math.pi * np.arange(257) / 256
     for color, rho in zip(colors, (0.05, 0.2, 0.36266, 0.49)):
-        cfg = _poristic.config_from_rho(rho)
-        pts = []
-        for k in range(257):
-            t = 2 * math.pi * k / 256
-            L = _poristic.perimeter_closed_form(cfg, t)
-            pts.append((x0 + w * t / (2 * math.pi),
-                        y0 + h * (L - lmin) / (lmax - lmin)))
+        perimeters = _poristic.perimeter_closed_form_batch(_poristic.config_from_rho(rho), ts)
+        pts = [(x0 + w * t / (2 * math.pi), y0 + h * (L - lmin) / (lmax - lmin))
+               for t, L in zip(ts.tolist(), perimeters.tolist())]
         canvas.polyline(pts, stroke=color, width=1.5)
         canvas.label(x0 + w + 4, pts[-1][1], f"rho={rho:g}", color, size=11, dx=0, dy=0)
     # Right panel: a9/L, b9/L vs rho with the sqrt(3)/9 endpoint.

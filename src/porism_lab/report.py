@@ -75,8 +75,6 @@ class LabConfig:
     R: float = 1.0
     r: float = 0.36266
     t_samples: int = 720
-    tolerance: float = 1e-9
-    angle_tolerance: float = 1e-8
     seed: int = 0
     output_dir: str = "."
     perturb: float = 0.0  # vertex perturbation injected into one sample
@@ -92,10 +90,6 @@ class LabConfig:
             raise ConfigError(f"t_samples must be >= 3, got {self.t_samples}")
         if self.t_samples > MAX_T_SAMPLES:
             raise ConfigError(f"t_samples must be <= {MAX_T_SAMPLES}, got {self.t_samples}")
-        if not 0 < self.tolerance <= 1e-3:
-            raise ConfigError(f"tolerance must be in (0, 1e-3], got {self.tolerance}")
-        if not 0 < self.angle_tolerance <= 1e-3:
-            raise ConfigError(f"angle tolerance must be in (0, 1e-3], got {self.angle_tolerance}")
         if not isinstance(self.seed, numbers.Integral):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
@@ -168,9 +162,9 @@ class _Pass:
     runs at most once, when a row first needs it (``x`` memoizes per
     center).  Their checks go to ``log``, where the first one that fails
     raises (see ``PassLog``); the conic stage runs its checks in the order
-    of ``poristic.named_conics_batch``.  A partial stage also returns its
-    gate: the mask of the samples it holds and the (mask, reason) pairs
-    that explain the others.  ``perturb`` shifts the first vertex of sample
+    of ``poristic.named_conics_batch``.  A partial stage returns, as its
+    last item, its gate: the mask of the samples it holds and the reason it
+    skips the others.  ``perturb`` shifts the first vertex of sample
     ``len(t) // 3`` along x.
 
     The named conics the rows declare are the pass's ``tags``; the conic
@@ -247,7 +241,7 @@ class _Pass:
         pts, meets = line_intersection_batch(side_lines_batch(self.fam.triangle),
                                              side_lines_batch(self.fam.excentral))
         has_axis = np.count_nonzero(meets, axis=1) >= 2
-        return pts, meets, (has_axis, [(~has_axis, "isosceles member: bisector parallel to side")])
+        return pts, meets, (has_axis, "isosceles member: bisector parallel to side")
 
     @functools.cached_property
     def i3x_tangent(self) -> np.ndarray:
@@ -261,7 +255,7 @@ class _Pass:
         of its scalar twin ``centers.center(tri, 100)``, the scalene ones."""
         has_x100 = _centers.scalene_batch(self.s)
         x100 = _centers.center_batch(self.fam.triangle, 100, self.log.where(has_x100), self.s)
-        return x100, (has_x100, [(~has_x100, "isosceles member: X100 undefined")])
+        return x100, (has_x100, "isosceles member: X100 undefined")
 
     @functools.cached_property
     def billiard(self):
@@ -306,6 +300,11 @@ class _Pass:
             gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * self.cfg.R))
         return gap
 
+    def gate(self, q: Quantity) -> tuple[np.ndarray, str | None]:
+        """The gate of row ``q``: its partial stage's, or, for a full row,
+        all samples held and no reason."""
+        return getattr(self, q.partial)[-1] if q.partial else (np.ones(len(self.t), bool), None)
+
     def measure(self) -> dict[str, np.ndarray]:
         """The columns of the rows, computed in their order from the stages
         they need.  The first failing check raises; no kept value is
@@ -313,22 +312,23 @@ class _Pass:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             columns = {q.name: q.compute(self) for q in self.rows}
         for q in self.rows:
-            bad = ~np.isfinite(columns[q.name]) & (q.partial(self)[0] if q.partial else True)
+            bad = ~np.isfinite(columns[q.name]) & self.gate(q)[0]
             if bad.any():
                 t = float(self.t[np.argmax(bad)])
                 raise GeometryError(f"{q.name} is not finite at t = {t!r}")
         return columns
 
     def skipped(self) -> list[dict]:
-        """Skip log of the rows: per sample, the reasons of the rows' gates in
-        the order the rows first use them, each for the rows it explains."""
-        users: dict[str, tuple[np.ndarray, list]] = {}  # reason -> (mask, row names)
+        """Skip log of the rows: per skipped sample, the reasons of the rows'
+        gates in the order the rows first use them, each for the rows it
+        skips there."""
+        users: dict[str, tuple[np.ndarray, list]] = {}  # reason -> (held mask, row names)
         for q in (q for q in self.rows if q.partial):
-            for mask, reason in q.partial(self)[1]:
-                users.setdefault(reason, (mask, []))[1].append(q.name)
+            held, reason = self.gate(q)
+            users.setdefault(reason, (held, []))[1].append(q.name)
         return [{"t": float(self.t[i]), "reason": f"{name}: {reason}"}
-                for i in np.flatnonzero(np.any([mask for mask, _ in users.values()], axis=0))
-                for reason, (mask, names) in users.items() if mask[i] for name in names]
+                for i in np.flatnonzero(~np.all([held for held, _ in users.values()], axis=0))
+                for reason, (held, names) in users.items() if not held[i] for name in names]
 
 
 # --- The quantity table ------------------------------------------------------
@@ -336,14 +336,14 @@ class _Pass:
 @dataclass(frozen=True)
 class Quantity:
     """One quantity: ``compute`` gives its column over all t from the pass's
-    stages, and ``partial``, for a column that skips samples, the gate
-    (mask, skips) its partial stage returns (``_x100_gate`` or
-    ``_antiorthic_gate``).  A row with a ``check`` ("residual" | "spread" |
-    "varying") is a verify row: ``tol`` is a number or the ``LabConfig``
-    field holding it, ``expected`` a spread row's closed form.  ``conics``
-    names the named conics ``compute`` reads; the row makers ``_axis_rows``,
-    ``_x100_eval_row`` and ``_angle_row`` set it from their tag, and only
-    rows that read other or several conics declare it by hand.  The rows
+    stages, and ``partial``, for a column that skips samples, names the
+    partial stage whose gate it takes (``"x100"`` or ``"antiorthic"``).  A
+    row with a ``check`` ("residual" | "spread" | "varying") is a verify
+    row: ``tol`` is its fixed tolerance, ``expected`` a spread row's closed
+    form.  ``conics`` names the named conics ``compute`` reads; the row
+    makers ``_axis_rows``, ``_x100_eval_row`` and ``_angle_row`` set it from
+    their tag, and only rows that read other or several conics declare it
+    by hand.  The rows
     that are sweep columns are listed, in column order, by
     ``SWEEP_QUANTITIES``."""
 
@@ -351,8 +351,8 @@ class Quantity:
     compute: Callable[[_Pass], np.ndarray]
     check: str | None = None
     expected: Callable[[_poristic.PoristicConfig], float] | None = None
-    tol: float | str = "tolerance"
-    partial: Callable[[_Pass], tuple] | None = None
+    tol: float = 1e-9
+    partial: str | None = None
     conics: tuple[str, ...] = ()
 
 
@@ -407,16 +407,6 @@ def _sign_free_gap(c: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(c - ref).max(axis=0), np.abs(c + ref).max(axis=0))
 
 
-def _x100_gate(p: _Pass) -> tuple:
-    """The gate of the rows that read X100: its scalene members."""
-    return p.x100[1]
-
-
-def _antiorthic_gate(p: _Pass) -> tuple:
-    """The gate of the rows that read the side-line intersections."""
-    return p.antiorthic[2]
-
-
 #: Closed forms of the axis ratio and the semi-axes of I3x and of E1.
 _BICENTRIC = (lambda c: (c.R + c.d) / (c.R - c.d), lambda c: c.R + c.d, lambda c: c.R - c.d)
 
@@ -445,7 +435,7 @@ def _x100_eval_row(tag: str) -> Quantity:
     """``<tag>_x100_eval``: conic ``tag`` evaluated at X100, on its gate."""
     return Quantity(f"{tag.lower()}_x100_eval",
                     lambda p: np.abs(conic_eval_batch(p.conic(tag), p.x100[0])), "residual",
-                    partial=_x100_gate, conics=(tag,))
+                    partial="x100", conics=(tag,))
 
 
 def _angle_row(tag: str, name: str | None = None) -> Quantity:
@@ -453,7 +443,7 @@ def _angle_row(tag: str, name: str | None = None) -> Quantity:
     return Quantity(name or f"angle_{tag.lower()}", lambda p: p.can(tag).angle, conics=(tag,))
 
 
-_ATOL = "angle_tolerance"
+_ATOL = 1e-8  # of the angle and reflection rows
 
 #: Every quantity.  ``run_verify`` reports the rows with a check, in this
 #: order; ``porism-lab sweep`` offers the rows ``SWEEP_QUANTITIES`` names.
@@ -469,7 +459,7 @@ QUANTITIES = (
         p.can("I5x").center, p.cfg.circumcircle.center.as_array()), "residual",
              conics=("I5x",)),
     Quantity("i5x_foci_gap", _i5x_foci_gap, "residual", conics=("I5x",)),
-    Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual", partial=_antiorthic_gate),
+    Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual", partial="antiorthic"),
     Quantity("weaver_incircle_power_gap", lambda p: p.loci[2][0], "residual", tol=1e-10),
     Quantity("weaver_circumcircle_power_gap", lambda p: p.loci[2][1], "residual", tol=1e-10),
     Quantity("weaver_excentral_power_gap", lambda p: p.loci[2][2], "residual", tol=1e-10),
@@ -507,7 +497,7 @@ QUANTITIES = (
     Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
 
     Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
-             lambda c: -_poristic.antiorthic_axis(c).c, tol=1e-10, partial=_antiorthic_gate),
+             lambda c: -_poristic.antiorthic_axis(c).c, tol=1e-10, partial="antiorthic"),
     *_axis_rows("I5x", lambda c: 1.0 / math.sqrt(2.0 * c.rho), lambda c: c.R,
                 lambda c: math.sqrt(c.R * c.R - c.d * c.d)),
     *_axis_rows("I3x", *_BICENTRIC),
@@ -520,7 +510,7 @@ QUANTITIES = (
         (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d)))),
     *_axis_rows("I9"),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
-             lambda c: math.sqrt(2.0 / c.rho), tol=1e-7, partial=_x100_gate),
+             lambda c: math.sqrt(2.0 / c.rho), tol=1e-7, partial="x100"),
     # Inradius and circumradius of the normalized member vary over the
     # billiard-view family; their ratio does not.
     Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread", lambda c: c.rho),
@@ -534,8 +524,8 @@ QUANTITIES = (
     Quantity("x9_y", lambda p: p.x(9)[:, 1]),
     _angle_row("E9", "theta"),
     *map(_angle_row, ("E1", "E9", "I3x", "E10", "E5x", "E6x")),
-    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial=_x100_gate),
-    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial=_x100_gate),
+    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial="x100"),
+    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial="x100"),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}
@@ -558,9 +548,7 @@ def run_verify(lab: LabConfig) -> VerifyResult:
     cfg = lab.poristic()
     p = _Pass(cfg, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
     columns = p.measure()
-    reports = [_aggregate(q.name, columns[q.name][q.partial(p)[0]] if q.partial else
-                          columns[q.name], q.check,
-                          getattr(lab, q.tol) if isinstance(q.tol, str) else q.tol,
+    reports = [_aggregate(q.name, columns[q.name][p.gate(q)[0]], q.check, q.tol,
                           q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
     # The circumconics of the conic stage: its views with incidence rows.
     circum = [c for c, _ in p.conics.values() if c.rows is not None]
@@ -609,7 +597,7 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
     p = _Pass(lab.poristic(), lab.t, [_BY_NAME[q] for q in quantities], lab.seed, lab.perturb)
     measured = p.measure()
-    columns = [np.where(q.partial(p)[0], measured[q.name], None).tolist() if q.partial
+    columns = [np.where(p.gate(q)[0], measured[q.name], None).tolist() if q.partial
                else measured[q.name].tolist() for q in p.rows]
     table = [[t, *cells] for t, *cells in zip(p.t.tolist(), *columns)]
     return ["t"] + list(quantities), table, p.skipped()

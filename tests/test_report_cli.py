@@ -75,8 +75,6 @@ class TestVerifySuite:
         with pytest.raises(ConfigError):
             run_verify(LabConfig(t_samples=2))
         with pytest.raises(ConfigError):
-            run_verify(LabConfig(tolerance=0.1))
-        with pytest.raises(ConfigError):
             run_verify(LabConfig(seed=-1))
         with pytest.raises(ConfigError):
             run_verify(LabConfig(t_samples=MAX_T_SAMPLES + 1))
@@ -107,6 +105,22 @@ class TestVerifySuite:
             run_verify(LabConfig(R=R, r=10.0 ** log_rho * R, t_samples=n))
         except GeometryError:
             pass
+
+    def test_every_row_reports_its_fixed_tolerance(self):
+        # No option sets a tolerance: each is the verify table's own number.
+        fixed = {"circumcircle_residual", "incircle_residual", "i5x_stationarity",
+                 "weaver_incircle_power_gap", "weaver_circumcircle_power_gap",
+                 "weaver_excentral_power_gap", "antiorthic_intercept"}
+        angle = {"theta_closed_gap", "reflection_law_gap", "e6x_e9_axis_gap",
+                 "e1_i3x_axis_gap", "parallel_axes_gap"}
+        want = {**dict.fromkeys(fixed, 1e-10), **dict.fromkeys(angle, 1e-8),
+                "perimeter_closed_rel_err": 1e-12, "billiard_ellipse_residual": 1e-8,
+                "gamma_ratio": 1e-7}
+        reports = run_verify(LabConfig(t_samples=24)).reports
+        assert len(reports) == 45
+        assert sum(name not in want for name in (r.quantity for r in reports)) == 30
+        assert {r.quantity: r.tolerance for r in reports} == {
+            r.quantity: want.get(r.quantity, 1e-9) for r in reports}
 
     def test_json_schema_fields(self):
         result = run_verify(LabConfig(t_samples=48))
@@ -210,6 +224,35 @@ class TestCli:
         assert (tmp_path / "report.csv").exists()
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_verify_summary_counts_skipped_cells_and_samples(self, tmp_path, capsys):
+        # The four rows that read X100 skip the isosceles members t = 0, pi.
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert "45/45 checks passed (8 skipped cells at 2 samples, " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--tol", "1e-3"], None),
+        (["--angle-tol", "1e-3"], None),
+        ([], "tol = 1e-3\n"),
+    ], ids=["tol_flag", "angle_tol_flag", "tol_config_key"])
+    def test_no_option_sets_a_tolerance(self, tmp_path, capsys, argv, config):
+        """The tolerances are the rows' own: the retired options exit 2, and
+        ratio_i9 at rho = 0.005, which no option may loosen, stays a FAIL."""
+        verify = ["verify", "--rho", "0.005", "--out", str(tmp_path / "o")]
+        if config is not None:
+            cfg_file = tmp_path / "lab.cfg"
+            cfg_file.write_text(config)
+            argv = ["--config", str(cfg_file)]
+        try:
+            code = main(verify + argv)
+        except SystemExit as exc:  # argparse refuses an unknown flag
+            code = exc.code
+        assert code == 2
+        if config is not None:
+            assert capsys.readouterr().err == "error: unknown config key 'tol'\n"
+        assert not (tmp_path / "o").exists()
+        assert main(verify) == 1
+        assert "[FAIL] ratio_i9: " in capsys.readouterr().out
 
     def test_verify_mutation_exit_one(self, tmp_path):
         code = main(["verify", "--rho", "0.36266", "--t-samples", "96",
@@ -416,8 +459,8 @@ class TestCli:
     @pytest.mark.parametrize("key", list(_OPTIONS))
     def test_config_file_key_acts_as_its_flag(self, tmp_path, key):
         by_file, by_flag = tmp_path / "by_file", tmp_path / "by_flag"
-        value = {"rho": "0.3", "R": "2", "r": "0.25", "t_samples": "16", "tol": "1e-08",
-                 "angle_tol": "1e-07", "seed": "7", "out": str(by_file)}[key]
+        value = {"rho": "0.3", "R": "2", "r": "0.25", "t_samples": "16", "seed": "7",
+                 "out": str(by_file)}[key]
         argv = {"R": ["--r", "0.5"], "r": ["--R", "1"]}.get(key, [])
         argv += [] if key == "t_samples" else ["--t-samples", "24"]
         # The "out" key is checked by where each report lands.

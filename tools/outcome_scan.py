@@ -12,7 +12,7 @@ then 155 of n = ``integers(3, 61)`` samples; then R in {1e-100, 1e30, 1e60,
 Each line gives, for ``run_verify`` and for ``run_sweep`` of every sweep
 column, the outcome ("report", or the name of the ``GeometryError``
 subclass raised) and its message; for a verify report the status, verdict,
-sample count, mean and relative spread of every row and
+sample count, check, tolerance, mean and relative spread of every row and
 ``max_circumconic_condition``; and
 the SHA-256 of the report JSON and CSV, of the sweep CSV and of its skip
 log.  A third run evaluates the scalar API at each t of ``SCALAR_T``:
@@ -23,9 +23,10 @@ every named conic; it gives its outcome and the SHA-256 of the
 printed as its outcome, and the scan exits 1.
 
 ``--compare`` reads two scans of the same configurations.  It prints every
-difference in outcome, message, status, verdict or sample count, and every
-mean of a non-residual row or ``max_circumconic_condition`` that moved by
-more than 1e-13 relative, and exits 1 if there is any.  It also lists, as
+difference in outcome, message, status, verdict, sample count, check or
+tolerance, and every mean of a non-residual row or
+``max_circumconic_condition`` that moved by more than 1e-13 relative, and
+exits 1 if there is any.  It also lists, as
 ``rounding:``, what moved within that: residual means, values within
 1e-13, and output digests.
 """
@@ -80,8 +81,8 @@ def scan_one(R: float, rho: float, n: int) -> dict:
     verify = _outcome(lambda: report.run_verify(lab))
     result = verify.pop("value")
     if result is not None:
-        verify["rows"] = [[r.quantity, r.status, r.verdict, r.samples, r.check, r.mean,
-                           r.spread_rel] for r in result.reports]
+        verify["rows"] = [[r.quantity, r.status, r.verdict, r.samples, r.check, r.tolerance,
+                           r.mean, r.spread_rel] for r in result.reports]
         verify["max_circumconic_condition"] = result.max_condition
         verify["json_sha256"] = _digest(report.verify_report_json(result))
         verify["csv_sha256"] = _digest(report.verify_report_csv(result))
@@ -145,12 +146,12 @@ def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]
             moved += [f"{where} {run} {key} differs" for key in a
                       if key.endswith("sha256") and a[key] != b.get(key)]
         for ra, rb in zip(x["verify"].get("rows", []), y["verify"].get("rows", [])):
-            if ra[:5] != rb[:5]:
-                found.append(f"{where} verify row: {ra[:5]} -> {rb[:5]}")
-            elif ra[5] != rb[5] and not (ra[5] != ra[5] and rb[5] != rb[5]):
-                close = ra[4] == "residual" or _close(ra[5], rb[5])
-                (moved if close else found).append(f"{where} {ra[0]} mean: {ra[5]!r} -> {rb[5]!r}"
-                                                   f" (spread_rel {ra[6]:.3g})")
+            if ra[:6] != rb[:6]:
+                found.append(f"{where} verify row: {ra[:6]} -> {rb[:6]}")
+            elif ra[6] != rb[6] and not (ra[6] != ra[6] and rb[6] != rb[6]):
+                close = ra[4] == "residual" or _close(ra[6], rb[6])
+                (moved if close else found).append(f"{where} {ra[0]} mean: {ra[6]!r} -> {rb[6]!r}"
+                                                   f" (spread_rel {ra[7]:.3g})")
         a, b = (s["verify"].get("max_circumconic_condition") for s in (x, y))
         if a != b:
             (moved if _close(a, b) else found).append(
