@@ -8,10 +8,9 @@ locus, and the cross-check identities between the (a, b) and rho forms of
 the shared invariants.
 
 ``normalize_sample`` and ``reflection_law_residual`` have ``_batch`` twins
-over (n, 3, 2) vertex stacks for the measurement pass.  As in ``geom``,
-each pair calls one core that takes the arithmetic namespace ``xp``, the
-similarity map ``_similarity_map`` or the reflection law
-``_reflection_gap``, and only the triangle check stays per twin.
+over (n, 3, 2) vertex stacks for the measurement pass.  Under the twin rule
+of ``geom`` their cores are the similarity map ``_similarity_map`` and the
+reflection law ``_reflection_gap``; only the triangle check stays per twin.
 """
 
 from __future__ import annotations

@@ -5,11 +5,9 @@ The registry is closed: exactly the centers the downstream family machinery
 needs, each with an explicit trilinear or constructive definition so that
 every one can be cross-checked against an independent construction.
 
-The ``_batch`` functions are the array twins used by the measurement pass
-(see ``geom``): triangles are (n, 3, 2) vertex stacks, points (n, 2) arrays,
-and a failing check raises through the pass's ``PassLog``.  As there, a
-formula both twins evaluate is a private core that takes the arithmetic
-namespace ``xp``, and each twin keeps its checks.
+The ``_batch`` functions are the array twins used by the measurement pass,
+under the twin rule of ``geom``: triangles are (n, 3, 2) vertex stacks and
+points (n, 2) arrays.
 """
 
 from __future__ import annotations

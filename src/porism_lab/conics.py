@@ -6,21 +6,16 @@ by construction: the conic is the null vector of the 3x4 incidence system.
 Inconics come from the closed-form coefficients of the origin-centered
 conic tangent to three given lines.
 
-The ``_batch`` functions are the array twins used by the measurement pass
-(see ``geom``); a failing check raises through the pass's ``PassLog``.
-``centered_conics_batch`` is the twin of both constructors at once: it
-builds a whole stack of circumconics and inconics with one call of each
-kernel.  As in ``geom``, a formula both twins evaluate is a private core
-that takes the arithmetic namespace ``xp``, and each twin keeps its checks,
-rank tests, raising steps and types.  Here that leaves each twin its own
-incidence rows and its own 3x3 minors: ``_det3`` sums them with
-``math.fsum`` and is the oracle for the batched twin, which takes the
-Laplace minors that ``rank_test_batch`` decides its rank test from.  Their
-terms are products of entries that are already rounded, so a compensated
-sum would remove only the smaller summation error (README, "How verify and
-sweep measure").  The scalar twin takes the condition number from its SVD;
-the batched one estimates it from the filter's norms
-(``geom.condition_estimate_batch``) and runs no SVD.
+The ``_batch`` functions are the array twins used by the measurement pass,
+under the twin rule of ``geom``.  ``centered_conics_batch`` is the twin of
+both constructors at once: it builds a whole stack of circumconics and
+inconics with one call of each kernel.  The rule leaves each twin its own
+incidence rows and its own 3x3 minors, which are its rank test: ``_det3``
+sums them with ``math.fsum`` and is the oracle for the batched twin, which
+takes the Laplace minors that ``rank_test_batch`` decides its rank test
+from.  Their terms are products of entries that are already rounded, so a
+compensated sum would remove only the smaller summation error (README, "How
+verify and sweep measure").
 """
 
 from __future__ import annotations
@@ -91,10 +86,9 @@ def _det3(rows: list[list[float]], skip: int) -> float:
     return math.fsum([a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g])
 
 
-def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float, float]:
+def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float]:
     """Coefficients (A, B, C, F) of A u^2 + 2B uv + C v^2 + F = 0 through the
-    vertices in the frame translated so the prescribed center is the origin,
-    plus the constraint-system condition number.
+    vertices in the frame translated so the prescribed center is the origin.
 
     Centering first makes the two vanishing-gradient constraints structural
     (no linear terms survive), which shrinks the null-space problem to a
@@ -111,13 +105,11 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     if sv[-1] < DEGENERACY_EPS * sv[0]:
         raise DegenerateConic("centered circumconic is not unique for this center")
-    cond = float(sv[0] / sv[-1])
     vec = (_det3(rows, 0), -_det3(rows, 1), _det3(rows, 2), -_det3(rows, 3))
     top = max(abs(x) for x in vec)
     if top == 0.0:
         raise DegenerateConic("centered circumconic constraints collapse")
-    A, B, C, F = (x / top for x in vec)
-    return A, B, C, F, cond
+    return tuple(x / top for x in vec)
 
 
 # Signs of the null vector's entries, each a minor of the 3x4 system.
@@ -157,8 +149,7 @@ def _shift(A, B, C, F, cx, cy):
 def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     """Unique conic through the three vertices with the given quadratic-form
     center (the null vector of three incidences in the center-origin frame)."""
-    A, B, C, F, cond = _centered_circumconic(t, center)
-    conic = ConicMatrix.from_coeffs(*_shift(A, B, C, F, center.x, center.y), cond=cond)
+    conic = ConicMatrix.from_coeffs(*_shift(*_centered_circumconic(t, center), center.x, center.y))
     if conic.sv[-1] < DEGENERACY_EPS * conic.sv[0]:
         raise DegenerateConic("centered circumconic degenerates for this center")
     return conic
@@ -316,7 +307,7 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
     """Distance between the foci (2c) of the centered circumconic, which
     must come out a hyperbola; computed from the center-origin coefficients
     directly (``_focal_length``)."""
-    A, B, C, F, _ = _centered_circumconic(t, center)
+    A, B, C, F = _centered_circumconic(t, center)
     lam1, lam2 = _eigenvalues(A, B, C, _MATH)
     if lam1 * lam2 >= 0.0:
         kind = "ellipse" if lam1 * F < 0 else "empty conic"

@@ -10,21 +10,21 @@ the measurement pass over a whole t-sweep: points are arrays of shape
 (..., 2), lines (..., 3) rows (a, b, c), triangles (n, 3, 2) vertex stacks
 and conics ``ConicBatch`` coefficient rows.
 
-A formula both twins evaluate is written once, as a private core that
-takes one arithmetic namespace ``xp``: numpy itself from the batched twin,
-``_MATH`` from the scalar one, which binds numpy's names to the ``math``
-functions and builtins on floats.  A core takes ``xp`` and nothing
-function-valued; a twin keeps its checks (where the scalar twin raises, the
-batched one makes the same check on all samples at once through a
-``PassLog``, which raises for the lowest failing sample), its rank tests,
-the steps that can raise in floats, and its types.  The scalar rank tests
-compare singular values; the batched ones call ``rank_test_batch``, a
-certified filter that decides them as the SVD does from the 3x3 minors it
-returns, and runs the SVD only near the threshold.  The norms that filter
-computes also give every row a condition estimate
-(``condition_estimate_batch``), so the largest condition number of a set of
-stacks (``max_condition_batch``) needs the SVD only of the rows that can
-hold it.
+The twin rule, which the twins of every module follow, is this.  A formula
+both twins evaluate is written once, as a private core that takes one
+arithmetic namespace ``xp``: numpy itself from the batched twin, ``_MATH``
+from the scalar one, which binds numpy's names to the ``math`` functions
+and builtins on floats.  A core takes ``xp`` and nothing function-valued; a
+twin keeps its checks (where the scalar twin raises, the batched one makes
+the same check on all samples at once through a ``PassLog``, which raises
+for the lowest failing sample), its rank tests, the steps that can raise in
+floats, and its types.  The scalar rank tests compare singular values; the
+batched ones call ``rank_test_batch``, a certified filter that decides them
+as the SVD does from the 3x3 minors it returns, and runs the SVD only near
+the threshold.  The norms that filter computes also give every row a
+condition estimate (``condition_estimate_batch``), so the largest condition
+number of a set of stacks (``max_condition_batch``) needs the SVD only of
+the rows that can hold it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -115,12 +115,9 @@ class Line:
     c: float
 
     def __post_init__(self):
-        n = math.hypot(self.a, self.b)
-        if n == 0.0:
+        if self.a == 0.0 and self.b == 0.0:
             raise ValueError("line with zero normal")
-        a, b, c = self.a / n, self.b / n, self.c / n
-        if a < 0.0 or (a == 0.0 and b < 0.0):
-            a, b, c = -a, -b, -c
+        a, b, c = _unit_line(self.a, self.b, self.c, _MATH)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -133,17 +130,22 @@ class Line:
         return np.array([self.a, self.b, self.c])
 
 
+def _unit_line(a, b, c, xp):
+    """(a, b, c) divided by hypot(a, b), with the first nonzero of (a, b)
+    made positive."""
+    n = xp.hypot(a, b)
+    a, b, c = a / n, b / n, c / n
+    sign = xp.where((a < 0.0) | ((a == 0.0) & (b < 0.0)), -1.0, 1.0)
+    return a * sign, b * sign, c * sign
+
+
 def line_through(p: Point, q: Point) -> Line:
     return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
 def line_batch(a, b, c) -> np.ndarray:
     """Rows (a, b, c) normalized like ``Line``; the coefficients broadcast."""
-    a, b, c = np.broadcast_arrays(a, b, c)
-    n = np.hypot(a, b)
-    a, b, c = a / n, b / n, c / n
-    sign = np.where((a < 0.0) | ((a == 0.0) & (b < 0.0)), -1.0, 1.0)
-    return np.stack([a * sign, b * sign, c * sign], axis=-1)
+    return np.stack(_unit_line(*np.broadcast_arrays(a, b, c), np), axis=-1)
 
 
 def line_through_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -201,16 +203,9 @@ class ConicKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ConicMatrix:
-    """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization.
-
-    ``cond`` optionally carries the condition number of the linear system the
-    matrix was solved from.  Reports do not read it: they take the batched
-    estimate of ``max_condition_batch``, and ``cond`` is the oracle the
-    batched tests compare that estimate against.
-    """
+    """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization."""
 
     m: np.ndarray
-    cond: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
@@ -229,9 +224,9 @@ class ConicMatrix:
 
     @classmethod
     def from_coeffs(cls, A: float, B: float, C: float, D: float, E: float,
-                    F: float, cond: float | None = None) -> "ConicMatrix":
+                    F: float) -> "ConicMatrix":
         """Build from A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0."""
-        return cls(np.array([[A, B, D], [B, C, E], [D, E, F]]), cond)
+        return cls(np.array([[A, B, D], [B, C, E], [D, E, F]]))
 
     @functools.cached_property
     def sv(self) -> np.ndarray:
@@ -751,33 +746,31 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return np.stack([np.cross(m[1], m[2]), np.cross(m[2], m[0]), np.cross(m[0], m[1])], axis=1)
 
 
-def foci(conic: CanonicalConic) -> tuple[Point, Point]:
-    """Foci of an ellipse or hyperbola.
+def _focal_step(major, minor, angle, hyperbola, xp):
+    """The offset (x, y) of the foci of a canonical form from its center:
+    along the major (transverse) axis by hypot(major, minor) for a
+    hyperbola and by sqrt(major^2 - minor^2) for an ellipse, and zero for
+    a circle (axes equal within tolerance), where the foci coincide."""
+    gap = major * major - minor * minor
+    tol = CIRCULAR_EPS * major
+    c = xp.where(hyperbola, xp.hypot(major, minor), xp.sqrt(xp.where(gap <= tol * tol, 0.0, gap)))
+    return c * xp.cos(angle), c * xp.sin(angle)
 
-    A circle (axes equal within tolerance) returns its center twice rather
-    than raising: the foci genuinely coincide there.
-    """
-    if conic.kind is ConicKind.ELLIPSE:
-        gap = conic.semi_major ** 2 - conic.semi_minor ** 2
-        if gap <= (CIRCULAR_EPS * conic.semi_major) ** 2:
-            return conic.center, conic.center
-        c = math.sqrt(gap)
-    elif conic.kind is ConicKind.HYPERBOLA:
-        c = math.hypot(conic.semi_major, conic.semi_minor)
-    else:
+
+def foci(conic: CanonicalConic) -> tuple[Point, Point]:
+    """Foci of an ellipse or hyperbola; a circle gives its center twice."""
+    if conic.kind not in (ConicKind.ELLIPSE, ConicKind.HYPERBOLA):
         raise DegenerateConic(f"no foci for kind {conic.kind}")
-    step = Point(c * math.cos(conic.angle), c * math.sin(conic.angle))
+    step = Point(*_focal_step(conic.semi_major, conic.semi_minor, conic.angle,
+                              conic.kind is ConicKind.HYPERBOLA, _MATH))
     return conic.center + step, conic.center - step
 
 
 def foci_batch(conic: CanonicalBatch) -> tuple[np.ndarray, np.ndarray]:
     """Foci of every canonical form; rows with zero semi-axes (where the
     scalar twin raises) give the center twice."""
-    gap = conic.semi_major ** 2 - conic.semi_minor ** 2
-    circle = gap <= (CIRCULAR_EPS * conic.semi_major) ** 2
-    c = np.where(conic.hyperbola, np.hypot(conic.semi_major, conic.semi_minor),
-                 np.sqrt(np.where(circle, 0.0, gap)))
-    step = np.stack([c * np.cos(conic.angle), c * np.sin(conic.angle)], axis=-1)
+    step = np.stack(_focal_step(conic.semi_major, conic.semi_minor, conic.angle,
+                                conic.hyperbola, np), axis=-1)
     return conic.center + step, conic.center - step
 
 

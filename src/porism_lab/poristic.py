@@ -6,11 +6,10 @@ X40, circumcenter X3 = (d, 0), incenter X1 = (2d, 0), where
 d = sqrt(R(R - 2r)) is Euler's distance.  Formulas quoted from other frames
 are shifted into this one; each shift is noted where it happens.
 
-Each closed form is written once, as a private core of the parameter t
-that takes the arithmetic namespace ``xp`` (see ``geom``), so the scalar
-API (with ``geom._MATH``) and its ``_batch`` twin over an array of t (with
-numpy) evaluate the same expression.  The scalar API evaluates each one,
-and builds its object, inside ``_scalar``.
+Each closed form is a private core of the parameter t, shared by the
+scalar API and its ``_batch`` twin over an array of t under the twin rule
+of ``geom``.  The scalar API evaluates each one, and builds its object,
+inside ``_scalar``.
 """
 
 from __future__ import annotations
@@ -180,13 +179,16 @@ def perimeter_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarr
 
 
 def _x9(cfg: PoristicConfig, t, xp):
-    R, r, d = cfg.R, cfg.r, cfg.d
+    """X9 evaluated in units of R (rho = r/R, delta = d/R), then scaled by
+    R: in user units its y numerator and denominator are of degree 5 and 4
+    in R, which over- or underflow far from R = 1."""
+    R, rho, delta = cfg.R, cfg.rho, cfg.d / cfg.R
     ct, st = xp.cos(t), xp.sin(t)
-    x = (d * (4 * d * ct * ct * (R * ct - d) - r * (3 * d * ct + R) - r * r)
-         / ((4 * R + r) * (d * ct - R + r)))
-    y = (4 * R * d * d * st * (R * R - (2 * R * ct - d) ** 2)
-         / ((R * R + d * d - 2 * d * R * ct) * (9 * R * R - d * d)))
-    return x + d, y
+    x = (delta * (4 * delta * ct * ct * (ct - delta) - rho * (3 * delta * ct + 1) - rho * rho)
+         / ((4 + rho) * (delta * ct - 1 + rho)))
+    y = (4 * delta * delta * st * (1 - (2 * ct - delta) ** 2)
+         / ((1 + delta * delta - 2 * delta * ct) * (9 - delta * delta)))
+    return (x + delta) * R, y * R
 
 
 def x9_closed_form(cfg: PoristicConfig, t: float) -> Point:
@@ -245,14 +247,18 @@ def excentral_side_lines_batch(cfg: PoristicConfig, ts: np.ndarray) -> tuple[np.
 
 
 def _i3x_coeffs(cfg: PoristicConfig, t, xp):
-    """Coefficients (A, B, C, D, E, F) of the I3x quadratic form."""
-    R, d = cfg.R, cfg.d
+    """Coefficients (A, B, C, D, E, F) of the I3x quadratic form, evaluated
+    in units of R (delta = d/R) and brought to user units by scaling the
+    constant term by R^2: in user units the quadratic part is of degree 4
+    in R and the constant term of degree 6, which over- or underflow far
+    from R = 1."""
+    R, delta = cfg.R, cfg.d / cfg.R
     ct, st = xp.cos(t), xp.sin(t)
-    q = R * R - d * d
-    xx = q * q - 8 * d * R * R * (R * ct - d) * st * st
-    yy = q * q - 4 * d * R * ct * ((R * ct - d) ** 2 - R * R * st * st)
-    xy = 4 * d * R * st * (2 * R * ct - R - d) * (2 * R * ct + R - d)
-    return xx, 0.5 * xy, yy, 0.0, 0.0, -q * q * (R * R + d * d - 2 * d * R * ct)
+    q = 1 - delta * delta
+    xx = q * q - 8 * delta * (ct - delta) * st * st
+    yy = q * q - 4 * delta * ct * ((ct - delta) ** 2 - st * st)
+    xy = 4 * delta * st * (2 * ct - 1 - delta) * (2 * ct + 1 - delta)
+    return xx, 0.5 * xy, yy, 0.0, 0.0, -q * q * (1 + delta * delta - 2 * delta * ct) * (R * R)
 
 
 def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
@@ -351,8 +357,8 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
     computed first, in the same order.  Each check then runs over the
     whole stack, so it raises for the first tag, in that order, that fails
     it, at that tag's lowest failing t, and names that tag ahead of its
-    message when the stack holds more than one; the checks of
-    ``centered_conics_batch`` come before those of ``canonicalize_batch``."""
+    message; the checks of ``centered_conics_batch`` come before those of
+    ``canonicalize_batch``."""
     unknown = set(tags) - set(CONIC_TAGS)
     if unknown:
         raise KeyError(f"unknown conic tags {sorted(unknown)}; valid: {CONIC_TAGS}")
@@ -361,7 +367,7 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
     v = np.concatenate([fam.excentral if _TAG_TABLE[tag][0] else fam.triangle for tag in order])
     n = len(fam.t)
     n_circum = n * sum(_TAG_TABLE[tag][1] for tag in order)
-    log = PassLog(log.ts, log.rows, order if len(order) > 1 else ())
+    log = PassLog(log.ts, log.rows, order)
     stack = _conics.centered_conics_batch(v, center, n_circum, log)
     can = canonicalize_batch(stack, log)
     out = {}

@@ -7,6 +7,26 @@ from porism_lab.geom import Point, Triangle
 
 
 @pytest.fixture
+def mp_math():
+    """An arithmetic namespace shaped like ``geom._MATH`` that binds mpmath's
+    functions, so that a core evaluates in mpmath at 50 digits; the test
+    skips without mpmath."""
+    mp = pytest.importorskip("mpmath").mp
+
+    class MPMath:
+        cos, sin, sqrt, hypot = mp.cos, mp.sin, mp.sqrt, mp.hypot
+        arccos, arctan2, fmod = mp.acos, mp.atan2, mp.fmod
+        maximum, minimum = max, min
+
+        @staticmethod
+        def where(c, x, y):
+            return x if c else y
+
+    with mp.workdps(50):
+        yield MPMath
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
 

@@ -71,6 +71,7 @@ from porism_lab.geom import (
     singular_values_batch,
 )
 from porism_lab.poristic import (
+    _TAG_TABLE,
     config_from_rR,
     named_conic,
     sample,
@@ -144,13 +145,20 @@ def test_batched_kernels_match_scalar_oracle(rho):
             close_length(min(max(np.abs(f1 - g1).max(), np.abs(f2 - g2).max()),
                              max(np.abs(f1 - g2).max(), np.abs(f2 - g1).max())), 0.0,
                          (tag, "foci", t), tol)
-            if conic.cond is not None:
+            on_excentral, is_circum, center_id = _TAG_TABLE[tag]
+            if is_circum:
                 # The batched stack carries its incidence rows and condition
-                # estimates; the scalar twin takes the ratio from its SVD.
+                # estimates; the oracle is the SVD of the scalar incidence
+                # rows (u^2, 2uv, v^2, 1) of the vertices about the center.
                 batch = p.conic(tag)
+                ctr = center(tri, center_id)
+                rows = np.array([[u * u, 2 * u * v, v * v, 1.0] for u, v in
+                                 ((q.x - ctr.x, q.y - ctr.y)
+                                  for q in (s.excentral if on_excentral else tri).v)])
+                oracle = np.linalg.svd(rows, compute_uv=False)
                 sv = singular_values_batch(batch.rows[i:i + 1])[0]
                 ratio = sv[0] / sv[-1]
-                close_rel(ratio, conic.cond, (tag, "cond", t))
+                close_rel(ratio, oracle[0] / oracle[-1], (tag, "cond", t))
                 # The estimate is certified here, within the relative error
                 # the candidate margin of max_condition_batch relies on: 2^-12
                 # for the estimate and 101 u (kappa + 1) for the SVD.
@@ -280,10 +288,10 @@ def test_stacked_conic_check_names_its_block(R, rho, n, message):
         with pytest.raises(DegenerateConic) as info:
             run()
         assert str(info.value) == f"E1: {message}"
-    # A stack of one block keeps the message as it is.
+    # A stack of one block names it too.
     with pytest.raises(DegenerateConic) as info:
         report.run_sweep(lab, ["ratio_e1"])
-    assert str(info.value) == message
+    assert str(info.value) == f"E1: {message}"
 
 
 def test_named_log_names_the_failing_block():

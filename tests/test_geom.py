@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from porism_lab import geom
@@ -195,6 +195,46 @@ class TestFoci:
         assert distance(f2, Point(0, 0)) < 1e-12
 
 
+class TestFociTwins:
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-math.pi / 2, math.pi / 2),
+           st.floats(1e-3, 1e3), st.floats(0.0, 2.0) | st.just(1.0), st.booleans())
+    @example(0.0, -0.0, 0.0, 2.0, 1.0, False)  # a circle
+    @example(1.0, 2.0, 0.3, 2.0, 1.0 - 1e-12, False)  # circular within tolerance
+    @example(1.0, 2.0, -0.3, 1.0, 3.0, True)  # conjugate semi-axis the larger
+    @example(1.0, 2.0, 0.3, 3.0, 0.5, True)  # transverse semi-axis the larger
+    @settings(max_examples=300)
+    def test_foci_twins_agree_bit_for_bit(self, x, y, angle, major, ratio, hyperbola):
+        minor = major * ratio if hyperbola else major * min(ratio, 1.0)
+        kind = ConicKind.HYPERBOLA if hyperbola else ConicKind.ELLIPSE
+        f1, f2 = foci(CanonicalConic(Point(x, y), angle, major, minor, kind))
+        g1, g2 = geom.foci_batch(geom.CanonicalBatch(np.array([[x, y]]), np.array([angle]),
+                                                     np.array([major]), np.array([minor]),
+                                                     np.array([hyperbola])))
+        _assert_twins_agree((f1.x, f1.y, f2.x, f2.y), np.concatenate([g1[0], g2[0]]),
+                            [(major, minor)] if hyperbola else [], angle,
+                            abs(x) + abs(y) + major + minor)
+
+
+# Nonzero floats of moderate size, so that no division of the line core
+# overflows.
+_NORMAL = st.floats(-1e6, 1e6).filter(lambda v: abs(v) >= 1e-150)
+
+
+def _assert_twins_agree(scalar, batched, hypots, angle, scale):
+    """The values of a scalar twin and of its batched twin agree bit for
+    bit where the two arithmetic namespaces agree.  Of their functions only
+    hypot can differ: ``math.hypot`` is CPython's own, ``np.hypot`` the C
+    library's, and they round about one argument pair in a thousand
+    differently.  There the twins agree to rounding, within 1e-15 of
+    ``scale``."""
+    same = (all(math.hypot(*xy) == np.hypot(*xy) for xy in hypots)
+            and math.cos(angle) == np.cos(angle) and math.sin(angle) == np.sin(angle))
+    if same:
+        assert [x.hex() for x in scalar] == [x.hex() for x in batched.tolist()]
+    else:
+        assert (np.abs(np.array(scalar) - batched) <= 1e-15 * scale).all()
+
+
 class TestLinesAndTriangles:
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=100)
@@ -205,6 +245,16 @@ class TestLinesAndTriangles:
         assert math.hypot(line.a, line.b) == pytest.approx(1, rel=1e-12)
         first = line.a if line.a != 0 else line.b
         assert first > 0
+
+    @given(_NORMAL | st.sampled_from([0.0, -0.0]), _NORMAL, st.floats(-1e6, 1e6))
+    @example(0.0, -2.0, 3.0)
+    @example(-0.0, -2.0, 3.0)
+    @example(-1.5, 0.5, -1.0)
+    @example(-1.5, -0.0, 1.0)
+    @settings(max_examples=300)
+    def test_line_twins_agree_bit_for_bit(self, a, b, c):
+        line, row = Line(a, b, c), geom.line_batch(a, b, c)
+        _assert_twins_agree((line.a, line.b, line.c), row, [(a, b)], 0.0, np.abs(row))
 
     def test_line_through_and_intersection(self):
         l1 = line_through(Point(0, 0), Point(1, 1))

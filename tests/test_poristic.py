@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from porism_lab.centers import center, side_lengths
 from porism_lab.conics import inconic_from_tangents
 from porism_lab.errors import AxisAtInfinity, GeometryError, InvalidRatio
 from porism_lab.geom import (
+    _MATH,
     Point,
+    _focal_step,
+    _unit_line,
     canonicalize,
     conic_eval,
     distance,
@@ -17,6 +21,12 @@ from porism_lab.geom import (
 )
 from porism_lab.poristic import (
     CONIC_TAGS,
+    _excentral_lines,
+    _i3x_coeffs,
+    _perimeter,
+    _theta,
+    _vertices,
+    _x9,
     FamilyAngleClass,
     antiorthic_axis,
     config_from_rR,
@@ -133,8 +143,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("rho", [0.0021, 0.2])
     @pytest.mark.parametrize("R", [2e-82, 1e-100, 1.76e64, 1e100])
     def test_closed_forms_at_extreme_scale_raise_only_geometry_errors(self, R, rho, t):
-        # Denominators underflow to zero near R = 1e-82 and the X9 form
-        # overflows near R = 1e64; the I3x entries scale like R^8.
+        # With X9 and I3x evaluated in units of R none of them raises here;
+        # one that did would have to raise a GeometryError.
         cfg = config_from_rR(R, rho * R)
         forms = (sample, perimeter_closed_form, x9_closed_form, theta_closed_form,
                  excentral_side_lines, i3x_implicit_matrix,
@@ -144,6 +154,28 @@ class TestClosedForms:
                 form(cfg, t)
             except GeometryError:
                 pass
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("rho", [0.0021, 0.2])
+    def test_x9_and_i3x_scale_with_R(self, rho, t):
+        # X9 is a length, so it is R times the R = 1 point.  The I3x conic at
+        # R is the R = 1 conic in units of R: its constant term carries R^2
+        # against its quadratic part.  Both agree to 1e-13 of their largest
+        # component at every decade of R that LabConfig accepts.
+        unit = config_from_rho(rho)
+        x9, m = x9_closed_form(unit, t).as_array(), i3x_implicit_matrix(unit, t).m
+        for k in range(-100, 101):
+            R = 10.0 ** k
+            cfg = config_from_rR(R, rho * R)
+            got = x9_closed_form(cfg, t).as_array()
+            assert np.isfinite(got).all(), R
+            assert np.abs(got - x9 * R).max() <= 1e-13 * np.abs(x9 * R).max(), R
+            scaled = m.copy()
+            scaled[2, 2] *= R * R
+            scaled /= np.abs(scaled).max()
+            got = i3x_implicit_matrix(cfg, t).m
+            assert np.isfinite(got).all(), R
+            assert np.abs(got - scaled).max() <= 1e-13, R
 
     def test_x9_locus_circle(self):
         for rho in RHO_GRID:
@@ -330,3 +362,48 @@ class TestObtuseness:
         mixed_cfg = config_from_rho(0.2)
         flags = {is_obtuse(sample(mixed_cfg, 2 * math.pi * k / 64)) for k in range(64)}
         assert flags == {True, False}
+
+
+@pytest.mark.parametrize("R", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("rho", [0.005, 0.2, 0.49])
+def test_float_cores_match_50_digits(mp_math, rho, R):
+    """Each core of the closed forms, evaluated in floats (``geom._MATH``),
+    against the same core in 50-digit mpmath on the same R and r, with d
+    from them in mpmath; and the line and focus cores of ``geom`` on float
+    inputs.  The forward error of every result (a point, a line, a conic,
+    a number) is at most 1e-12 of its largest component."""
+    mpf = pytest.importorskip("mpmath").mpf
+    cfg = config_from_rR(R, rho * R)
+    mp_R, mp_r = mpf(cfg.R), mpf(cfg.r)
+    mp_cfg = SimpleNamespace(R=mp_R, r=mp_r, d=mp_math.sqrt(mp_R * (mp_R - 2 * mp_r)),
+                             rho=mp_r / mp_R)
+
+    failed = []
+
+    def check(name, got, want):
+        got, want = _flat(got), _flat(want)
+        bound = 1e-12 * max(abs(w) for w in want)  # in mpmath, which cannot overflow
+        if not all(abs(g - w) <= bound for g, w in zip(got, want, strict=True)):
+            failed.append(name)
+
+    for t in (0.5, 2.0):
+        for core in (_vertices, _perimeter, _x9, _theta, _excentral_lines, _i3x_coeffs):
+            got, want = core(cfg, t, _MATH), core(mp_cfg, mpf(t), mp_math)
+            # _vertices gives omega and three points, _excentral_lines three lines.
+            split = core in (_vertices, _excentral_lines)
+            for i, (g, w) in enumerate(zip(got, want) if split else [(got, want)]):
+                check((core.__name__, i, t), g, w)
+        for i, abc in enumerate(_excentral_lines(cfg, t, _MATH)):
+            check(("_unit_line", i, t), _unit_line(*abc, _MATH),
+                  _unit_line(*map(mpf, abc), mp_math))
+        # The I3x axes R + d and R - d along the circumbilliard angle, as an
+        # ellipse and as a hyperbola.
+        axes = (cfg.R + cfg.d, cfg.R - cfg.d, _theta(cfg, t, _MATH))
+        for hyperbola in (False, True):
+            check(("_focal_step", hyperbola, t), _focal_step(*axes, hyperbola, _MATH),
+                  _focal_step(*map(mpf, axes), hyperbola, mp_math))
+    assert not failed
+
+
+def _flat(x):
+    return [y for item in x for y in _flat(item)] if isinstance(x, tuple) else [x]

@@ -1,0 +1,131 @@
+"""The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
+(what it calls a difference, what only moved by rounding, and its exit
+code), and the line counter ``tools/code_lines.py``."""
+
+import copy
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+
+
+def _tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+outcome_scan = _tool("outcome_scan")
+code_lines = _tool("code_lines")
+
+ROWS = [
+    # [quantity, status, verdict, samples, check, tolerance, mean, spread_rel]
+    ["circumcircle_residual", "pass", "invariant", 38, "residual", 1e-10, 2.9e-16, 8.1],
+    ["ratio_e1", "pass", "invariant", 38, "spread", 1e-9, 1.75, 1e-15],
+    ["ratio_i9", "fail", "varies", 38, "spread", 1e-9, float("nan"), float("nan")],
+]
+
+
+def _line(R=1.0):
+    return {
+        "R": R, "rho": 0.2, "n": 38,
+        "verify": {"outcome": "report", "error": None, "rows": copy.deepcopy(ROWS),
+                   "max_circumconic_condition": 12.5, "json_sha256": "a", "csv_sha256": "b"},
+        "sweep": {"outcome": "report", "error": None, "csv_sha256": "c", "skips_sha256": "d"},
+        "scalar": {"outcome": "report", "error": None, "values_sha256": "e"},
+    }
+
+
+def _scans():
+    return [_line(1.0), _line(1000.0)], [_line(1.0), _line(1000.0)]
+
+
+def test_identical_scans_give_nothing():
+    before, after = _scans()
+    assert outcome_scan.compare(before, after) == ([], [])
+
+
+@pytest.mark.parametrize("column, value", [(1, "fail"), (2, "varies"), (3, 37), (5, 1e-8)],
+                         ids=["status", "verdict", "samples", "tolerance"])
+def test_a_changed_row_field_is_a_difference(column, value):
+    before, after = _scans()
+    after[1]["verify"]["rows"][1][column] = value
+    found, _ = outcome_scan.compare(before, after)
+    assert len(found) == 1 and found[0].startswith("R=1000.0 rho=0.2 n=38 verify row:")
+
+
+@pytest.mark.parametrize("run", outcome_scan.RUNS)
+def test_a_changed_outcome_or_message_is_a_difference(run):
+    before, after = _scans()
+    after[0][run]["error"] = "DegenerateConic at t = 0.5"
+    found, _ = outcome_scan.compare(before, after)
+    assert len(found) == 1 and found[0].startswith(f"R=1.0 rho=0.2 n=38 {run}:")
+    after[0][run].update(outcome="DegenerateConic", error=None)
+    assert len(outcome_scan.compare(before, after)[0]) == 1
+
+
+def test_rounding_moves_only():
+    before, after = _scans()
+    residual, spread = after[0]["verify"]["rows"][0], after[0]["verify"]["rows"][1]
+    residual[6] *= 2.0  # a residual mean moves by any amount
+    spread[6] *= 1.0 + 5e-14  # within 1e-13
+    after[0]["verify"]["max_circumconic_condition"] *= 1.0 + 5e-14
+    after[1]["scalar"]["values_sha256"] = "f"
+    found, moved = outcome_scan.compare(before, after)
+    assert found == []
+    assert len(moved) == 4
+    assert "R=1000.0 rho=0.2 n=38 scalar values_sha256 differs" in moved
+
+
+def test_a_spread_mean_beyond_1e_13_is_a_difference():
+    before, after = _scans()
+    after[0]["verify"]["rows"][1][6] *= 1.0 + 3e-13
+    after[1]["verify"]["max_circumconic_condition"] *= 1.0 + 3e-13
+    found, moved = outcome_scan.compare(before, after)
+    assert len(found) == 2 and moved == []
+    assert "ratio_e1 mean" in found[0] and "max_circumconic_condition" in found[1]
+
+
+def test_nan_on_both_sides_is_neither():
+    before, after = _scans()
+    for scan in (before, after):
+        scan[0]["verify"]["max_circumconic_condition"] = math.nan
+    assert math.isnan(after[0]["verify"]["rows"][2][6])
+    assert outcome_scan.compare(before, after) == ([], [])
+    after[1]["verify"]["rows"][2][6] = 1.0  # NaN on one side only
+    assert len(outcome_scan.compare(before, after)[0]) == 1
+
+
+def test_compare_exit_code(tmp_path, capsys):
+    before, after = _scans()
+    paths = []
+    for name, scan in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(line) + "\n" for line in scan))
+    assert outcome_scan.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out.endswith("2 configs: 0 differences, 0 moved by rounding\n")
+    after[0]["verify"]["rows"][0][1] = "fail"
+    paths[1].write_text("".join(json.dumps(line) + "\n" for line in after))
+    assert outcome_scan.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    source = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # code, with a comment\n"
+        '    """Docstring."""\n'
+        "    y = (x +\n"
+        "         1)\n"
+        '    return """not a\n'
+        'docstring"""\n'
+        "\n"
+        'def g(): """One line."""; return 1\n'
+    )
+    assert code_lines.code_lines(source) == 6

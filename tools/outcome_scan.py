@@ -125,9 +125,14 @@ def _scalar_values(cfg) -> list[float]:
     return values
 
 
+def _same(a, b) -> bool:
+    """Equal, or NaN on both sides."""
+    return a == b or (a != a and b != b)
+
+
 def _close(a, b) -> bool:
     if a is None or b is None or not (math.isfinite(a) and math.isfinite(b)):
-        return a == b or (a != a and b != b)
+        return _same(a, b)
     return abs(a - b) <= VALUE_RTOL * max(abs(a), abs(b))
 
 
@@ -148,12 +153,12 @@ def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]
         for ra, rb in zip(x["verify"].get("rows", []), y["verify"].get("rows", [])):
             if ra[:6] != rb[:6]:
                 found.append(f"{where} verify row: {ra[:6]} -> {rb[:6]}")
-            elif ra[6] != rb[6] and not (ra[6] != ra[6] and rb[6] != rb[6]):
+            elif not _same(ra[6], rb[6]):
                 close = ra[4] == "residual" or _close(ra[6], rb[6])
                 (moved if close else found).append(f"{where} {ra[0]} mean: {ra[6]!r} -> {rb[6]!r}"
                                                    f" (spread_rel {ra[7]:.3g})")
         a, b = (s["verify"].get("max_circumconic_condition") for s in (x, y))
-        if a != b:
+        if not _same(a, b):
             (moved if _close(a, b) else found).append(
                 f"{where} max_circumconic_condition: {a!r} -> {b!r}")
     return found, moved
