@@ -118,11 +118,6 @@ def _angles(s1, s2, s3, xp):
     return ang(s1, s2, s3), ang(s2, s3, s1), ang(s3, s1, s2)
 
 
-def angles(t: Triangle) -> tuple[float, float, float]:
-    """Interior angles at vertices 1, 2, 3 via the law of cosines."""
-    return _angles(*side_lengths(t).as_tuple(), _MATH)
-
-
 def _barycentric_sums(w, xs, ys, xp):
     """For weights w and vertex coordinates xs, ys: whether the weights sum
     to zero (exactly, or against their largest magnitude), their total, and

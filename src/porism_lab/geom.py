@@ -84,11 +84,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __mul__(self, k: float) -> "Point":
-        return Point(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
 

@@ -16,6 +16,13 @@ conic the requested quantities declare at once, in the order of
 ``poristic.named_conics_batch``.  A check of a stacked stage (the conic
 stage, the hyperbola stage) names the block that fails.
 
+The pass runs at R = 1, on ``poristic.config_from_rho(rho)``: no stage,
+rank test or tolerance sees the scale, so a family gets one verdict at
+every R.  User units are applied once, to the reported values: each row's
+``dim`` is its length power, and ``run_verify`` and ``run_sweep`` multiply
+its values by ``R ** dim``.  A residual row is reported in units of R, the
+unit of its tolerance.
+
 A quantity is "invariant" when its relative spread over the
 sweep stays below tolerance; residual-style quantities (which should be
 numerically zero) pass when their maximum stays below tolerance; a few
@@ -77,7 +84,7 @@ class LabConfig:
     t_samples: int = 720
     seed: int = 0
     output_dir: str = "."
-    perturb: float = 0.0  # vertex perturbation injected into one sample
+    perturb: float = 0.0  # vertex perturbation injected into one sample, in units of R
 
     def __post_init__(self):
         """Refuse an invalid configuration, the circle pair last, with ConfigError."""
@@ -157,23 +164,23 @@ class VerifyResult:
 
 
 class _Pass:
-    """The measurement pass of ``rows`` over the parameters ``t``, all at
-    once; no stage reads how ``t`` is laid out.  Its stages are lazy: each
-    runs at most once, when a row first needs it (``x`` memoizes per
-    center).  Their checks go to ``log``, where the first one that fails
+    """The measurement pass of ``rows`` over the parameters ``t`` of the
+    family of ratio ``rho`` at R = 1, all at once; no stage reads how ``t``
+    is laid out.  Its stages are lazy: each runs at most once, when a row
+    first needs it (``x`` memoizes per center).  Their checks go to ``log``, where the first one that fails
     raises (see ``PassLog``); the conic stage runs its checks in the order
     of ``poristic.named_conics_batch``.  A partial stage returns, as its
     last item, its gate: the mask of the samples it holds and the reason it
     skips the others.  ``perturb`` shifts the first vertex of sample
-    ``len(t) // 3`` along x.
+    ``len(t) // 3`` along x, in units of R.
 
     The named conics the rows declare are the pass's ``tags``; the conic
     stage builds exactly those, and reading any other raises
     ``LookupError``."""
 
-    def __init__(self, cfg: _poristic.PoristicConfig, t: np.ndarray, rows, seed: int,
-                 perturb: float = 0.0):
-        self.cfg, self.t, self.rows, self.seed, self.perturb = cfg, t, rows, seed, perturb
+    def __init__(self, rho: float, t: np.ndarray, rows, seed: int, perturb: float = 0.0):
+        self.cfg = _poristic.config_from_rho(rho)
+        self.t, self.rows, self.seed, self.perturb = t, rows, seed, perturb
         self.log = PassLog(t)
         self.tags = frozenset(tag for q in rows for tag in q.conics)
         self._x = {}
@@ -297,7 +304,7 @@ class _Pass:
         for k in (1, 9, 10, 11):
             direct = _centers.center_batch(tri_sigma, k, self.log, s_sigma)
             mapped = apply_sigma(self.x(k)[:, None, :])[:, 0]
-            gap = np.maximum(gap, distance_batch(direct, mapped) / (scale[:, 0] * self.cfg.R))
+            gap = np.maximum(gap, distance_batch(direct, mapped) / scale[:, 0])
         return gap
 
     def gate(self, q: Quantity) -> tuple[np.ndarray, str | None]:
@@ -340,10 +347,12 @@ class Quantity:
     partial stage whose gate it takes (``"x100"`` or ``"antiorthic"``).  A
     row with a ``check`` ("residual" | "spread" | "varying") is a verify
     row: ``tol`` is its fixed tolerance, ``expected`` a spread row's closed
-    form.  ``conics`` names the named conics ``compute`` reads; the row
-    makers ``_axis_rows``, ``_x100_eval_row`` and ``_angle_row`` set it from
-    their tag, and only rows that read other or several conics declare it
-    by hand.  The rows
+    form, of the pass's R = 1 config.  ``dim`` is the row's length power, 1
+    for a length and 0 for every other row, residuals included: its
+    reported values are the R = 1 ones times ``R ** dim``.  ``conics`` names
+    the named conics ``compute`` reads; the row makers ``_axis_rows``,
+    ``_x100_eval_row`` and ``_angle_row`` set it from their tag, and only
+    rows that read other or several conics declare it by hand.  The rows
     that are sweep columns are listed, in column order, by
     ``SWEEP_QUANTITIES``."""
 
@@ -354,6 +363,7 @@ class Quantity:
     tol: float = 1e-9
     partial: str | None = None
     conics: tuple[str, ...] = ()
+    dim: int = 0
 
 
 def _incircle_residual(p: _Pass) -> np.ndarray:
@@ -416,19 +426,26 @@ def _root_bicentric_ratio(c: _poristic.PoristicConfig) -> float:
     return math.sqrt(_BICENTRIC[0](c))
 
 
+def _caustic_ratio(c: _poristic.PoristicConfig) -> float:
+    """The axis ratio of I9, the Mandart inellipse: the confocal caustic of
+    the circumbilliard (Reznik, Garcia and Koiller, 2020)."""
+    a9, b9, _c9 = _billiard.cb_axes_normalized(c.rho)
+    ac, bc = _billiard.caustic_axes(_billiard.BilliardConfig(a9, b9))
+    return ac / bc
+
+
 # --- Conic-row families: each derives its rows' names, columns and declared
 # conics from the conic's tag.
 
 def _axis_rows(tag: str, *closed_forms) -> tuple[Quantity, ...]:
     """Spread rows of conic ``tag``: ``ratio_<tag>``, its axis ratio, then
-    ``eta_<tag>`` and ``zeta_<tag>``, its semi-axes, one row per closed form
-    in ``closed_forms``, in that order.  With none, the ratio row alone,
-    with no closed form (I9)."""
+    ``eta_<tag>`` and ``zeta_<tag>``, its semi-axes, lengths of ``dim`` 1,
+    one row per closed form in ``closed_forms``, in that order."""
     t = tag.lower()
     reads = {f"ratio_{t}": lambda p: p.ratio(tag), f"eta_{t}": lambda p: p.can(tag).semi_major,
              f"zeta_{t}": lambda p: p.can(tag).semi_minor}
-    return tuple(Quantity(name, read, "spread", expected, conics=(tag,))
-                 for (name, read), expected in zip(reads.items(), closed_forms or (None,)))
+    return tuple(Quantity(name, read, "spread", expected, conics=(tag,), dim=int(i > 0))
+                 for i, ((name, read), expected) in enumerate(zip(reads.items(), closed_forms)))
 
 
 def _x100_eval_row(tag: str) -> Quantity:
@@ -497,7 +514,7 @@ QUANTITIES = (
     Quantity("center_equivariance_gap", lambda p: p.equivariance, "residual"),
 
     Quantity("antiorthic_intercept", _antiorthic_intercept, "spread",
-             lambda c: -_poristic.antiorthic_axis(c).c, tol=1e-10, partial="antiorthic"),
+             lambda c: -_poristic.antiorthic_axis(c).c, tol=1e-10, partial="antiorthic", dim=1),
     *_axis_rows("I5x", lambda c: 1.0 / math.sqrt(2.0 * c.rho), lambda c: c.R,
                 lambda c: math.sqrt(c.R * c.R - c.d * c.d)),
     *_axis_rows("I3x", *_BICENTRIC),
@@ -508,24 +525,24 @@ QUANTITIES = (
         (c.R + c.d) * (3 * c.R + c.d) / ((3 * c.R - c.d) * (c.R - c.d)))),
     *_axis_rows("E9", lambda c: math.sqrt(
         (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d)))),
-    *_axis_rows("I9"),
+    *_axis_rows("I9", _caustic_ratio),
     Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
              lambda c: math.sqrt(2.0 / c.rho), tol=1e-7, partial="x100"),
     # Inradius and circumradius of the normalized member vary over the
     # billiard-view family; their ratio does not.
     Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread", lambda c: c.rho),
-    Quantity("perimeter", lambda p: p.fam.perimeter, "varying"),
+    Quantity("perimeter", lambda p: p.fam.perimeter, "varying", dim=1),
     Quantity("r_billiard", lambda p: p.billiard[3], "varying"),
     Quantity("R_billiard", lambda p: p.billiard[4], "varying"),
 
     # Sweep-only columns.
-    Quantity("omega", lambda p: p.fam.omega),
-    Quantity("x9_x", lambda p: p.x(9)[:, 0]),
-    Quantity("x9_y", lambda p: p.x(9)[:, 1]),
+    Quantity("omega", lambda p: p.fam.omega, dim=1),
+    Quantity("x9_x", lambda p: p.x(9)[:, 0], dim=1),
+    Quantity("x9_y", lambda p: p.x(9)[:, 1], dim=1),
     _angle_row("E9", "theta"),
     *map(_angle_row, ("E1", "E9", "I3x", "E10", "E5x", "E6x")),
-    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial="x100"),
-    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial="x100"),
+    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial="x100", dim=1),
+    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial="x100", dim=1),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}
@@ -545,11 +562,12 @@ SWEEP_QUANTITIES = (
 
 
 def run_verify(lab: LabConfig) -> VerifyResult:
-    cfg = lab.poristic()
-    p = _Pass(cfg, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
+    """Every verify row, judged at R = 1 and reported in units of ``lab.R``."""
+    p = _Pass(lab.poristic().rho, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
     columns = p.measure()
     reports = [_aggregate(q.name, columns[q.name][p.gate(q)[0]], q.check, q.tol,
-                          q.expected(cfg) if q.expected else None) for q in _VERIFY_ROWS]
+                          q.expected(p.cfg) if q.expected else None, lab.R ** q.dim)
+               for q in _VERIFY_ROWS]
     # The circumconics of the conic stage: its views with incidence rows.
     circum = [c for c, _ in p.conics.values() if c.rows is not None]
     return VerifyResult(lab, reports, p.skipped(),
@@ -557,10 +575,13 @@ def run_verify(lab: LabConfig) -> VerifyResult:
 
 
 def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
-               expected: float | None) -> SweepReport:
+               expected: float | None, unit: float = 1.0) -> SweepReport:
+    """The row of ``vals``, judged as they are, with its values (not its
+    relative spread) reported times ``unit``."""
+    shown = None if expected is None else expected * unit
     if not len(vals):
         return SweepReport(name, 0, math.nan, math.nan, math.nan, math.nan,
-                           "skipped", tol, check, expected, status="fail")
+                           "skipped", tol, check, shown, status="fail")
     lo, hi = float(vals.min()), float(vals.max())
     # Summed left to right on every Python (``sum`` of floats is compensated
     # from 3.12); ``+ 0.0`` makes an all -0.0 sum 0.0, as ``sum`` does.
@@ -582,23 +603,26 @@ def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
     else:
         verdict = "invariant" if spread < tol else "varying"
         ok = verdict == "invariant"
-    return SweepReport(name, len(vals), lo, hi, mean, spread, verdict, tol, check, expected,
-                       "varying" if check == "varying" else "invariant", "pass" if ok else "fail")
+    return SweepReport(name, len(vals), lo * unit, hi * unit, mean * unit, spread, verdict, tol,
+                       check, shown, "varying" if check == "varying" else "invariant",
+                       "pass" if ok else "fail")
 
 
 # --- Raw sweeps ------------------------------------------------------------
 
 def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[list], list[dict]]:
-    """Per-sample values: returns (header, rows, skip log); a skipped cell
-    is None.  Only the stages the requested columns need run."""
+    """Per-sample values in units of ``lab.R``: returns (header, rows, skip
+    log); a skipped cell is None.  Only the stages the requested columns
+    need run."""
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
-    p = _Pass(lab.poristic(), lab.t, [_BY_NAME[q] for q in quantities], lab.seed, lab.perturb)
+    p = _Pass(lab.poristic().rho, lab.t, [_BY_NAME[q] for q in quantities], lab.seed, lab.perturb)
     measured = p.measure()
-    columns = [np.where(p.gate(q)[0], measured[q.name], None).tolist() if q.partial
-               else measured[q.name].tolist() for q in p.rows]
+    values = {q.name: measured[q.name] * lab.R ** q.dim for q in p.rows}
+    columns = [np.where(p.gate(q)[0], values[q.name], None).tolist() if q.partial
+               else values[q.name].tolist() for q in p.rows]
     table = [[t, *cells] for t, *cells in zip(p.t.tolist(), *columns)]
     return ["t"] + list(quantities), table, p.skipped()
 

@@ -10,9 +10,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from porism_lab import cli, conics, poristic, report
-from porism_lab.errors import DegenerateConic
+from porism_lab.errors import DegenerateConic, GeometryError
 from porism_lab.geom import ConicMatrix, Point, Triangle, canonicalize
 from porism_lab.report import QUANTITIES, SWEEP_QUANTITIES, LabConfig, run_sweep
 
@@ -42,12 +44,11 @@ def test_narrow_column_equals_full_column(rho):
     # A verify row on a pass built for it alone, whose conic stage holds only
     # the conics the row declares, equals its column in the full verify bit
     # for bit; a row reading a conic it does not declare raises here.
-    cfg = lab.poristic()
-    full = report._Pass(cfg, lab.t, report._VERIFY_ROWS, lab.seed).measure()
+    full = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed).measure()
     for q in report._VERIFY_ROWS:
-        narrow = report._Pass(cfg, lab.t, [q], lab.seed).measure()[q.name]
+        narrow = report._Pass(rho, lab.t, [q], lab.seed).measure()[q.name]
         assert narrow.tobytes() == full[q.name].tobytes(), q.name
-    p = report._Pass(cfg, lab.t, [report._BY_NAME["perimeter"]], lab.seed)
+    p = report._Pass(rho, lab.t, [report._BY_NAME["perimeter"]], lab.seed)
     p.measure()
     with pytest.raises(LookupError, match="conic E9 is read but no measured row declares it"):
         p.can("E9")
@@ -80,9 +81,9 @@ def test_equilateral_family_sweeps_perimeter(tmp_path, capsys):
 
 
 def test_rank_deficient_i9_aborts_only_its_own_columns(tmp_path, capsys):
-    code, err = _sweep(capsys, tmp_path, "--R", "1000", "--r", "50", "--quantities", "perimeter")
+    code, err = _sweep(capsys, tmp_path, "--R", "1", "--r", "0.002", "--quantities", "perimeter")
     assert code == 0 and err == ""
-    code = cli.main(["sweep", "--R", "1000", "--r", "50", "--quantities", "ratio_i9",
+    code = cli.main(["sweep", "--R", "1", "--r", "0.002", "--quantities", "ratio_i9",
                      "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
@@ -176,7 +177,7 @@ def test_skip_reasons_follow_the_first_use_of_their_stage(columns, at_zero):
 
 def test_a_stage_outlives_a_dropped_pass():
     lab = LabConfig(t_samples=24)
-    x = report._Pass(lab.poristic(), lab.t, (), 0).x
+    x = report._Pass(lab.r, lab.t, (), 0).x
     assert x(9).shape == (24, 2)
 
 
@@ -186,10 +187,76 @@ def test_a_pass_is_freed_as_soon_as_it_is_dropped():
     gc.disable()
     try:
         lab = LabConfig(t_samples=24)
-        p = report._Pass(lab.poristic(), lab.t, report._VERIFY_ROWS, 0)
+        p = report._Pass(lab.r, lab.t, report._VERIFY_ROWS, 0)
         p.measure()
         freed = weakref.ref(p)
         del p
         assert freed() is None
     finally:
         gc.enable()
+
+
+# --- One unit: the pass runs at R = 1 ------------------------------------------
+
+def test_lengths_are_the_rows_of_dim_one():
+    assert {q.name for q in QUANTITIES if q.dim} == {
+        "eta_i5x", "zeta_i5x", "eta_i3x", "zeta_i3x", "eta_e1", "zeta_e1",
+        "antiorthic_intercept", "perimeter", "omega", "x9_x", "x9_y",
+        "gamma_feuerbach", "gamma_jerabek"}
+    assert {q.dim for q in QUANTITIES} == {0, 1}
+
+
+def _outcome(run):
+    try:
+        return run()
+    except GeometryError as exc:
+        return exc
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, NaN to any NaN, None to None."""
+    if a is None or b is None:
+        return a is b
+    return (a != a and b != b) or float(a).hex() == float(b).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-4, 0.5, exclude_max=True), st.integers(-10, 10), st.integers(3, 24))
+@example(0.05, 10, 720)  # aborted with a zero semi-minor axis of I9 when the pass saw R
+def test_a_family_gets_one_outcome_at_every_scale(rho, log2_R, n):
+    """At R = 2^k, r = rho R, verify and a sweep of every column give the
+    R = 1 outcome: the same GeometryError, or the same verdicts, samples,
+    relative spreads, skips and ``max_circumconic_condition``, with every
+    value R ** dim times the R = 1 value, bit for bit."""
+    R = 2.0 ** log2_R
+    unit, lab = (LabConfig(R=scale, r=rho * scale, t_samples=n) for scale in (1.0, R))
+    want, got = (_outcome(lambda: report.run_verify(c)) for c in (unit, lab))
+    if isinstance(want, GeometryError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got.skipped == want.skipped and _same(got.max_condition, want.max_condition)
+        for a, b in zip(want.reports, got.reports, strict=True):
+            scale = R ** report._BY_NAME[a.quantity].dim
+            assert (b.quantity, b.status, b.verdict, b.samples) == (
+                a.quantity, a.status, a.verdict, a.samples)
+            assert _same(b.spread_rel, a.spread_rel), a.quantity
+            for key in ("min", "max", "mean", "expected"):
+                value = getattr(a, key)
+                assert _same(getattr(b, key), None if value is None else value * scale), (
+                    a.quantity, key)
+    want, got = (_outcome(lambda: run_sweep(c, list(SWEEP_QUANTITIES))) for c in (unit, lab))
+    if isinstance(want, GeometryError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert got[2] == want[2]
+    scales = [1.0] + [R ** report._BY_NAME[name].dim for name in SWEEP_QUANTITIES]
+    for a, b in zip(want[1], got[1], strict=True):
+        assert all(_same(y, None if x is None else x * k) for x, y, k in zip(a, b, scales))
+
+
+@pytest.mark.parametrize("R", [1000.0, 1024.0])
+@pytest.mark.parametrize("rho", RHO_GRID)
+def test_every_row_passes_far_from_unit_scale(R, rho):
+    result = report.run_verify(LabConfig(R=R, r=rho * R))
+    assert [r.quantity for r in result.reports if r.status != "pass"] == []
+    assert result.passed

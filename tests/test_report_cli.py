@@ -192,7 +192,7 @@ class TestSweep:
         lab = LabConfig(t_samples=12, perturb=1e-6)
         _, rows, _ = run_sweep(lab, ["circumcircle_residual"])
         q = report._BY_NAME["circumcircle_residual"]
-        column = report._Pass(lab.poristic(), lab.t, [q], lab.seed, lab.perturb).measure()[q.name]
+        column = report._Pass(lab.r, lab.t, [q], lab.seed, lab.perturb).measure()[q.name]
         assert [row[1] for row in rows] == column.tolist()
         assert rows[4][1] > 5e-7
 
@@ -313,7 +313,7 @@ class TestCli:
         assert main(["sweep", "--quantities", "bogus", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("argv, error", [
-        (["--R", "1000", "--r", "50", "--quantities", "ratio_i9"],
+        (["--R", "1", "--r", "0.002", "--quantities", "ratio_i9"],
          "error: ratio_i9: conic I9 has a zero semi-minor axis at t = "),
         (["--quantities", "bogus"], "error: unknown quantity 'bogus'; valid names: "),
     ], ids=["geometry_error", "unknown_quantity"])
