@@ -83,12 +83,17 @@ def cb_axes_normalized(rho: float) -> tuple[float, float, float]:
     """
     if not 0 < rho <= 0.5:
         raise InvalidRatio(f"rho = {rho} outside (0, 1/2]")
-    s = math.sqrt(max(0.0, 1.0 - 2.0 * rho))
+    a9, b9, s, den = _cb_axes(rho, _MATH)
+    return a9, b9, 2.0 * s ** 0.5 / den
+
+
+def _cb_axes(rho, xp):
+    """a9/L and b9/L of ``cb_axes_normalized``, with the root
+    s = sqrt(1 - 2 rho) and the denominator 2 rho + 8 that c9/L shares."""
+    s = xp.sqrt(xp.maximum(0.0, 1.0 - 2.0 * rho))
     den = 2.0 * rho + 8.0
-    a9 = math.sqrt(2.0) * math.sqrt(rho + 1.0 + s) / den
-    b9 = math.sqrt(2.0) * math.sqrt(rho + 1.0 - s) / den
-    c9 = 2.0 * s ** 0.5 / den
-    return a9, b9, c9
+    return (math.sqrt(2.0) * xp.sqrt(rho + 1.0 + s) / den,
+            math.sqrt(2.0) * xp.sqrt(rho + 1.0 - s) / den, s, den)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,11 @@ def trilinear_to_point(t: Triangle, f: TrilinearTriple | tuple[float, float, flo
     """Point whose barycentric weights are (f1 s1, f2 s2, f3 s3)."""
     if isinstance(f, TrilinearTriple):
         f = f.as_tuple()
-    s = side_lengths(t).as_tuple()
+    return _trilinear_point(t, f, side_lengths(t).as_tuple())
+
+
+def _trilinear_point(t: Triangle, f, s) -> Point:
+    """``trilinear_to_point`` given the side lengths s of t."""
     return _barycentric_point(t, (f[0] * s[0], f[1] * s[1], f[2] * s[2]))
 
 
@@ -240,22 +244,25 @@ def center(t: Triangle, k: int) -> Point:
     """Cartesian location of a supported triangle center."""
     if k not in SUPPORTED_CENTERS:
         raise UnsupportedCenter(f"center X_{k} is not in the registry {sorted(SUPPORTED_CENTERS)}")
-    s = side_lengths(t).as_tuple()
+    return _center(t, k, side_lengths(t).as_tuple())
 
+
+def _center(t: Triangle, k: int, s: tuple[float, float, float]) -> Point:
+    """``center`` given the side lengths s of t."""
     if k == 100:
         _require_scalene(s, "X_100")
     if k in _TRILINEAR:
-        return trilinear_to_point(t, _trilinears(k, *s, _MATH))
+        return _trilinear_point(t, _trilinears(k, *s, _MATH), s)
     if k == 4:
         # Orthocenter = V1 + V2 + V3 - 2*circumcenter; avoids sec(A) blowing
         # up on right triangles.
-        x3 = center(t, 3)
+        x3 = _center(t, 3, s)
         p1, p2, p3 = t.v
         return Point(p1.x + p2.x + p3.x - 2 * x3.x, p1.y + p2.y + p3.y - 2 * x3.y)
     if k == 5:
-        return midpoint(center(t, 3), center(t, 4))
+        return midpoint(_center(t, 3, s), _center(t, 4, s))
     if k == 6:
-        return trilinear_to_point(t, s)
+        return _trilinear_point(t, s, s)
     if k == 7:
         return _barycentric_point(t, (1.0 / (s[1] + s[2] - s[0]),
                                       1.0 / (s[2] + s[0] - s[1]),
@@ -263,11 +270,11 @@ def center(t: Triangle, k: int) -> Point:
     if k == 10:
         return center(medial(t), 1)
     if k == 40:
-        x1, x3 = center(t, 1), center(t, 3)
+        x1, x3 = _center(t, 1, s), _center(t, 3, s)
         return Point(2 * x3.x - x1.x, 2 * x3.y - x1.y)
     # k == 1155: intersection of line X1-X3 with the antiorthic axis.
     _require_scalene(s, "X_1155")
-    return line_intersection(line_through(center(t, 1), center(t, 3)),
+    return line_intersection(line_through(_center(t, 1, s), _center(t, 3, s)),
                              antiorthic_axis_of(t))
 
 

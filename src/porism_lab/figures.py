@@ -157,7 +157,8 @@ def _fig_cb_poristic(lab: LabConfig) -> str:
 
 def _fig_cb_plots(lab: LabConfig) -> str:
     """Two data panels: perimeter vs t for several ratios, and the
-    normalized circumbilliard semi-axes vs rho."""
+    normalized circumbilliard semi-axes vs rho.  Both plot whole-family
+    curves in units of R, so the scene ignores ``lab``."""
     canvas = SvgCanvas(scale=1.0, pad=40.0)
     x0, y0, w, h = 0.0, 0.0, 320.0, 240.0
 
@@ -172,24 +173,21 @@ def _fig_cb_plots(lab: LabConfig) -> str:
     lmin, lmax = 1.5, 6.5
     colors = (TRIANGLE_BLUE, RED, EXCENTRAL_GREEN, ORANGE)
     ts = 2 * math.pi * np.arange(257) / 256
+    xs = x0 + w * ts / (2 * math.pi)
     for color, rho in zip(colors, (0.05, 0.2, 0.36266, 0.49)):
         perimeters = _poristic.perimeter_closed_form_batch(_poristic.config_from_rho(rho), ts)
-        pts = [(x0 + w * t / (2 * math.pi), y0 + h * (L - lmin) / (lmax - lmin))
-               for t, L in zip(ts.tolist(), perimeters.tolist())]
-        canvas.polyline(pts, stroke=color, width=1.5)
-        canvas.label(x0 + w + 4, pts[-1][1], f"rho={rho:g}", color, size=11, dx=0, dy=0)
+        ys = y0 + h * (perimeters - lmin) / (lmax - lmin)
+        canvas.polyline(np.stack([xs, ys], axis=-1), stroke=color, width=1.5)
+        canvas.label(x0 + w + 4, float(ys[-1]), f"rho={rho:g}", color, size=11, dx=0, dy=0)
     # Right panel: a9/L, b9/L vs rho with the sqrt(3)/9 endpoint.
     px = x0 + w + 160.0
     axes(px, "rho in (0, 1/2]", "a9/L, b9/L")
     top = 0.3
-    a_pts, b_pts = [], []
-    for k in range(1, 257):
-        rho = 0.5 * k / 256
-        a9, b9, _ = _billiard.cb_axes_normalized(rho)
-        a_pts.append((px + w * rho / 0.5, y0 + h * a9 / top))
-        b_pts.append((px + w * rho / 0.5, y0 + h * b9 / top))
-    canvas.polyline(a_pts, stroke=RED, width=1.5)
-    canvas.polyline(b_pts, stroke=EXCENTRAL_GREEN, width=1.5)
+    rhos = 0.5 * np.arange(1, 257) / 256
+    xs = px + w * rhos / 0.5
+    a9, b9, _, _ = _billiard._cb_axes(rhos, np)
+    canvas.polyline(np.stack([xs, y0 + h * a9 / top], axis=-1), stroke=RED, width=1.5)
+    canvas.polyline(np.stack([xs, y0 + h * b9 / top], axis=-1), stroke=EXCENTRAL_GREEN, width=1.5)
     limit = math.sqrt(3.0) / 9.0
     canvas.polyline([(px, y0 + h * limit / top), (px + w, y0 + h * limit / top)],
                     stroke=TRIANGLE_BLUE, width=1.0, dash="5,4")

@@ -1,16 +1,28 @@
 """Minimal deterministic SVG 1.1 writer.
 
-Every coordinate is formatted with a fixed number of decimals so identical
-scenes serialize to identical bytes; the y-axis is flipped so mathematical
-coordinates render upright.  Circles are unfilled, dots have a radius of 3
-pixels and curves are sampled at ``_SEGMENTS`` segments per branch.
+Every coordinate is formatted with one ``%.4f``, the same string as
+``f"{v:.4f}"``, after -0.0 is normalized to 0.0, so identical scenes
+serialize to identical bytes; the y-axis is flipped so mathematical
+coordinates render upright.  A polyline takes an (n, 2) array or a list of
+pairs and formats all of its points in one call.  Circles are unfilled,
+dots have a radius of 3 pixels and curves are sampled at ``_SEGMENTS``
+segments per branch, from angle tables that ``math`` computes (numpy's
+``cos`` may differ in the last bit between CPUs), with every elementwise
+step in the order of the float formula.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _SEGMENTS = 256
+
+# cos and sin of the ellipse's sample angles 2 pi k / _SEGMENTS.
+_PHASES = [2 * math.pi * k / _SEGMENTS for k in range(_SEGMENTS + 1)]
+_COS = np.array([math.cos(ph) for ph in _PHASES])
+_SIN = np.array([math.sin(ph) for ph in _PHASES])
 
 
 def _fmt(v: float) -> str:
@@ -47,9 +59,15 @@ class SvgCanvas:
             f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def polyline(self, pts, stroke="#000000", width=1.5, dash=None, close=False):
-        for x, y in pts:
-            self._see(x, y)
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (self._pt(x, y) for x, y in pts))
+        """Open (or, with ``close``, closed) path through ``pts``, an (n, 2)
+        array or a list of (x, y) pairs."""
+        xy = np.asarray(pts, dtype=float).reshape(-1, 2)
+        self._xs.extend(xy[:, 0].tolist())
+        self._ys.extend(xy[:, 1].tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            # + 0.0 turns -0.0 into 0.0, as _fmt does.
+            flat = (xy * [self.scale, -self.scale] + 0.0).ravel().tolist()
+        coords = " ".join(["%.4f,%.4f"] * len(xy)) % tuple(flat)
         tag = "polygon" if close else "polyline"
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
@@ -90,28 +108,24 @@ class SvgCanvas:
 
 
 def ellipse_polyline(cx: float, cy: float, a: float, b: float,
-                     angle: float) -> list[tuple[float, float]]:
-    """Closed sampled outline of a rotated ellipse."""
+                     angle: float) -> np.ndarray:
+    """Closed sampled outline (_SEGMENTS + 1, 2) of a rotated ellipse."""
     ca, sa = math.cos(angle), math.sin(angle)
-    pts = []
-    for k in range(_SEGMENTS + 1):
-        ph = 2 * math.pi * k / _SEGMENTS
-        u, v = a * math.cos(ph), b * math.sin(ph)
-        pts.append((cx + ca * u - sa * v, cy + sa * u + ca * v))
-    return pts
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = a * _COS, b * _SIN
+        return np.stack([cx + ca * u - sa * v, cy + sa * u + ca * v], axis=-1)
 
 
 def hyperbola_polylines(cx: float, cy: float, a: float, b: float, angle: float,
-                        reach: float) -> list[list[tuple[float, float]]]:
-    """Both branches of a rotated hyperbola, parametrized by cosh/sinh up to
-    |u| = reach."""
+                        reach: float) -> list[np.ndarray]:
+    """Both branches (_SEGMENTS + 1, 2) of a rotated hyperbola, parametrized
+    by cosh/sinh up to |u| = reach."""
     ca, sa = math.cos(angle), math.sin(angle)
+    us = [-reach + 2 * reach * k / _SEGMENTS for k in range(_SEGMENTS + 1)]
+    cosh, sinh = np.array([math.cosh(u) for u in us]), np.array([math.sinh(u) for u in us])
     branches = []
-    for sign in (1.0, -1.0):
-        pts = []
-        for k in range(_SEGMENTS + 1):
-            u = -reach + 2 * reach * k / _SEGMENTS
-            x0, y0 = sign * a * math.cosh(u), b * math.sinh(u)
-            pts.append((cx + ca * x0 - sa * y0, cy + sa * x0 + ca * y0))
-        branches.append(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            x0, y0 = sign * a * cosh, b * sinh
+            branches.append(np.stack([cx + ca * x0 - sa * y0, cy + sa * x0 + ca * y0], axis=-1))
     return branches

@@ -1,0 +1,145 @@
+"""The SVG writer against per-point oracles: ``SvgCanvas.polyline`` formats
+each coordinate as ``_fmt`` of its scaled value, the same for an (n, 2)
+array as for a list of pairs; the array outlines equal the per-sample
+``math`` loop bit for bit; and every figure's bytes match digests pinned at
+seeded configurations (``tests/figure_digests.json``)."""
+
+import hashlib
+import importlib.util
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from porism_lab.figures import FIGURE_IDS, render_figure
+from porism_lab.report import LabConfig
+from porism_lab.svg import _SEGMENTS, SvgCanvas, ellipse_polyline, hyperbola_polylines
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = json.loads((ROOT / "tests" / "figure_digests.json").read_text())
+
+
+def _fmt(v):
+    if v == 0.0:
+        v = 0.0
+    return f"{v:.4f}"
+
+
+def _oracle_points(pts, scale):
+    """The points attribute, one ``_fmt`` per coordinate."""
+    return " ".join(f"{_fmt(x * scale)},{_fmt(-y * scale)}" for x, y in pts)
+
+
+def _points(canvas):
+    return re.search(r' points="([^"]*)"', canvas.elements[-1]).group(1)
+
+
+# Finite floats of every magnitude, and the values the format rule is about:
+# signed zeros, negatives that round to -0.0000, values on either side of a
+# .4f rounding tie, and overflow to and past infinity.
+_SPECIAL = st.sampled_from([0.0, -0.0, -1e-9, -4.9e-5, 4.9e-5, -5e-5, 5e-5, 1.00005, -2.50005,
+                            0.12345, 1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan])
+_TIE = st.integers(-10 ** 9, 10 ** 9).map(lambda k: (k + 0.5) / 10 ** 4)
+_COORD = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _SPECIAL, _TIE)
+_SCALE = st.one_of(st.sampled_from([1.0, 80.0, 90.0, 120.0]), st.floats(1e-3, 1e3))
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40), _SCALE)
+@example([(0.0, -0.0), (-0.0, 0.0), (-1e-9, 1e-9)], 1.0)
+@example([(1e300, -1e300), (math.inf, math.nan)], 120.0)
+@settings(max_examples=200, deadline=None)
+def test_polyline_matches_per_point_oracle(pts, scale):
+    canvas = SvgCanvas(scale=scale)
+    canvas.polyline(np.array(pts))
+    assert _points(canvas) == _oracle_points(pts, scale)
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
+       st.booleans(), st.sampled_from([None, "5,4"]))
+@settings(max_examples=100, deadline=None)
+def test_pairs_and_array_render_the_same_bytes(pts, close, dash):
+    as_pairs, as_array = SvgCanvas(), SvgCanvas()
+    as_pairs.polyline(pts, stroke="#202020", width=1.2, dash=dash, close=close)
+    as_array.polyline(np.array(pts), stroke="#202020", width=1.2, dash=dash, close=close)
+    assert as_array.elements == as_pairs.elements
+    assert as_array.render("t") == as_pairs.render("t")  # the same viewBox
+
+
+def _old_ellipse(cx, cy, a, b, angle):
+    ca, sa = math.cos(angle), math.sin(angle)
+    pts = []
+    for k in range(_SEGMENTS + 1):
+        ph = 2 * math.pi * k / _SEGMENTS
+        u, v = a * math.cos(ph), b * math.sin(ph)
+        pts.append((cx + ca * u - sa * v, cy + sa * u + ca * v))
+    return pts
+
+
+def _old_hyperbola(cx, cy, a, b, angle, reach):
+    ca, sa = math.cos(angle), math.sin(angle)
+    branches = []
+    for sign in (1.0, -1.0):
+        pts = []
+        for k in range(_SEGMENTS + 1):
+            u = -reach + 2 * reach * k / _SEGMENTS
+            x0, y0 = sign * a * math.cosh(u), b * math.sinh(u)
+            pts.append((cx + ca * x0 - sa * y0, cy + sa * x0 + ca * y0))
+        branches.append(pts)
+    return branches
+
+
+def _bits(pts):
+    return np.asarray(pts, dtype=float).view(np.int64).tolist()
+
+
+_LEN = st.floats(1e-100, 1e100)
+_AT = st.floats(-1e100, 1e100)
+_ANGLE = st.floats(-math.pi, math.pi)
+
+
+@given(_AT, _AT, _LEN, _LEN, _ANGLE)
+@example(0.3, -0.2, 1.2, 0.8, 0.0)
+@example(1e300, -1e300, 1e305, 1e300, 0.7)
+@settings(max_examples=100, deadline=None)
+def test_ellipse_outline_equals_math_loop(cx, cy, a, b, angle):
+    arr = ellipse_polyline(cx, cy, a, b, angle)
+    assert arr.shape == (_SEGMENTS + 1, 2)
+    assert _bits(arr) == _bits(_old_ellipse(cx, cy, a, b, angle))
+
+
+@given(_AT, _AT, _LEN, _LEN, _ANGLE, st.one_of(st.sampled_from([1.3, 1.6]), st.floats(0.0, 5.0)))
+@example(1e300, -1e300, 1e305, 1e300, 0.7, 1.6)
+@settings(max_examples=100, deadline=None)
+def test_hyperbola_outlines_equal_math_loop(cx, cy, a, b, angle, reach):
+    branches = hyperbola_polylines(cx, cy, a, b, angle, reach)
+    assert [_bits(br) for br in branches] == [_bits(br) for br in
+                                              _old_hyperbola(cx, cy, a, b, angle, reach)]
+
+
+def _figure_digests_tool():
+    spec = importlib.util.spec_from_file_location("figure_digests",
+                                                  ROOT / "tools" / "figure_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pinned_configs_come_from_their_seed():
+    tool = _figure_digests_tool()
+    pinned = [(c["R"], c["r"]) for c in PINNED["configs"]]
+    assert tool.configs(PINNED["seed"], len(pinned)) == pinned
+    assert tool.RULE == PINNED["rule"]
+
+
+@pytest.mark.parametrize("config", PINNED["configs"], ids=lambda c: f"R={c['R']:.4g}")
+def test_figure_bytes_match_pinned_digests(config):
+    lab = LabConfig(R=config["R"], r=config["r"])
+    assert set(config["digests"]) == set(FIGURE_IDS)
+    for figure_id in FIGURE_IDS:
+        svg = render_figure(figure_id, lab)
+        assert hashlib.sha256(svg.encode()).hexdigest() == config["digests"][figure_id], figure_id
