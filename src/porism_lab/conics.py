@@ -9,13 +9,14 @@ conic tangent to three given lines.
 The ``_batch`` functions are the array twins used by the measurement pass,
 under the twin rule of ``geom``.  ``centered_conics_batch`` is the twin of
 both constructors at once: it builds a whole stack of circumconics and
-inconics with one call of each kernel.  The rule leaves each twin its own
-incidence rows and its own 3x3 minors, which are its rank test: ``_det3``
-sums them with ``math.fsum`` and is the oracle for the batched twin, which
-takes the Laplace minors that ``rank_test_batch`` decides its rank test
-from.  Their terms are products of entries that are already rounded, so a
-compensated sum would remove only the smaller summation error (README, "How
-verify and sweep measure").
+inconics with one call of each kernel.  Both twins decide their rank tests
+by the certified filter of ``geom`` (``rank_test``, ``rank_test_batch``).
+The rule leaves each twin its own incidence rows and its own 3x3 minors for
+the null vector: ``_det3`` sums them with ``math.fsum`` and is the oracle
+for the batched twin, which takes the Laplace minors that
+``rank_test_batch`` decides its rank test from.  Their terms are products
+of entries that are already rounded, so a compensated sum would remove only
+the smaller summation error (README, "How verify and sweep measure").
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
 # self-test (perfbench/test_perfbench.py) resolves it here.
 from .geom import (  # noqa: F401
     _MATH,
-    DEGENERACY_EPS,
     ConicBatch,
     ConicMatrix,
     Line,
@@ -46,10 +46,12 @@ from .geom import (  # noqa: F401
     Triangle,
     _eigenvalues,
     _normalized,
+    _normalized_entries,
     canonicalize,
     condition_estimate_batch,
     line_through,
     line_through_batch,
+    rank_test,
     rank_test_batch,
 )
 
@@ -78,12 +80,19 @@ class InconicCoefficients:
         return ConicMatrix.from_coeffs(self.A, self.B, self.C, 0.0, 0.0, self.D)
 
 
-def _det3(rows: list[list[float]], skip: int) -> float:
+# The columns of the 3x4 system each minor keeps: all but column ``skip``.
+_KEPT_COLUMNS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _det3(rows, skip: int) -> float:
     """Signed 3x3 minor of a 3x4 row system with one column removed,
     accumulated with compensated summation."""
-    cols = [j for j in range(4) if j != skip]
-    (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in rows)
-    return math.fsum([a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g])
+    j, k, l = _KEPT_COLUMNS[skip]
+    r0, r1, r2 = rows
+    a, b, c = r0[j], r0[k], r0[l]
+    d, e, f = r1[j], r1[k], r1[l]
+    g, h, i = r2[j], r2[k], r2[l]
+    return math.fsum((a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g))
 
 
 def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float]:
@@ -96,14 +105,14 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     route loses far less precision than the raw five-constraint solve when
     the conic passes near a degenerate line pair.
     """
-    rows = [[u * u, 2 * u * v, v * v, 1.0]
+    rows = [(u * u, 2 * u * v, v * v, 1.0)
             for u, v in ((p.x - center.x, p.y - center.y) for p in t.v)]
+    entries = rows[0] + rows[1] + rows[2]
     # The 3x3 minors are sums of six products of three entries.
-    top = max(abs(x) for row in rows for x in row)
+    top = max(map(abs, entries))
     if not 6.0 * top * top * top < math.inf:  # false for a NaN entry too
         raise DegenerateConic("centered circumconic incidence system is not finite")
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    if sv[-1] < DEGENERACY_EPS * sv[0]:
+    if rank_test(entries, 4) < 0:
         raise DegenerateConic("centered circumconic is not unique for this center")
     vec = (_det3(rows, 0), -_det3(rows, 1), _det3(rows, 2), -_det3(rows, 3))
     top = max(abs(x) for x in vec)
@@ -150,7 +159,7 @@ def circumconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     """Unique conic through the three vertices with the given quadratic-form
     center (the null vector of three incidences in the center-origin frame)."""
     conic = ConicMatrix.from_coeffs(*_shift(*_centered_circumconic(t, center), center.x, center.y))
-    if conic.sv[-1] < DEGENERACY_EPS * conic.sv[0]:
+    if conic.rank_test < 0:
         raise DegenerateConic("centered circumconic degenerates for this center")
     return conic
 
@@ -221,9 +230,11 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
         line_through(shifted[0], shifted[2]),
         line_through(shifted[0], shifted[1]),
     ]
-    m = inconic_from_tangents(*lines).to_conic().m
-    return ConicMatrix.from_coeffs(*_shift(m[0, 0], m[0, 1], m[1, 1], m[2, 2],
-                                           center.x, center.y))
+    # Normalized as ``InconicCoefficients.to_conic`` normalizes it, without
+    # building that matrix.
+    c = inconic_from_tangents(*lines)
+    A, B, C, _, _, F = _normalized_entries((c.A, c.B, 0.0, c.B, c.C, 0.0, 0.0, 0.0, c.D))
+    return ConicMatrix.from_coeffs(*_shift(A, B, C, F, center.x, center.y))
 
 
 def _centered_inconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:

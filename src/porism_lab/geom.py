@@ -17,14 +17,14 @@ from the scalar one, which binds numpy's names to the ``math`` functions
 and builtins on floats.  A core takes ``xp`` and nothing function-valued; a
 twin keeps its checks (where the scalar twin raises, the batched one makes
 the same check on all samples at once through a ``PassLog``, which raises
-for the lowest failing sample), its rank tests, the steps that can raise in
-floats, and its types.  The scalar rank tests compare singular values; the
-batched ones call ``rank_test_batch``, a certified filter that decides them
-as the SVD does from the 3x3 minors it returns, and runs the SVD only near
-the threshold.  The norms that filter computes also give every row a
-condition estimate (``condition_estimate_batch``), so the largest condition
-number of a set of stacks (``max_condition_batch``) needs the SVD only of
-the rows that can hold it.
+for the lowest failing sample), the steps that can raise in floats, and its
+types.  Both twins decide their rank tests through one certified filter,
+``rank_test`` for one matrix and ``rank_test_batch`` for a stack, which
+decides them as the SVD does from the minors of the matrix and runs the SVD
+only near the threshold.  The norms the batched filter computes also give
+every row a condition estimate (``condition_estimate_batch``), so the
+largest condition number of a set of stacks (``max_condition_batch``) needs
+the SVD only of the rows that can hold it.
 """
 
 from __future__ import annotations
@@ -198,7 +198,9 @@ class ConicKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ConicMatrix:
-    """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization."""
+    """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization.
+    ``c`` holds its coefficients (A, B, C, D, E, F) as Python floats, read by
+    the scalar kernel; ``m`` is the read-only array of the same entries."""
 
     m: np.ndarray
 
@@ -206,27 +208,57 @@ class ConicMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"conic matrix must be 3x3, got {m.shape}")
-        top = np.abs(m).max()
-        if not math.isfinite(top):
-            raise DegenerateConic("conic matrix is not finite")
-        if top == 0.0:
-            raise ValueError("zero conic matrix")
-        if np.abs(m - m.T).max() > 1e-9 * top:
-            raise ValueError("conic matrix must be symmetric")
-        m = 0.5 * (m + m.T) / top
+        self._store(_normalized_entries(m.ravel().tolist()))
+
+    def _store(self, c: tuple) -> None:
+        """Keep the normalized coefficients ``c`` and build ``m`` from them."""
+        A, B, C, D, E, F = c
+        m = np.array([[A, B, D], [B, C, E], [D, E, F]])
         m.flags.writeable = False
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", m)
 
     @classmethod
     def from_coeffs(cls, A: float, B: float, C: float, D: float, E: float,
                     F: float) -> "ConicMatrix":
-        """Build from A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0."""
-        return cls(np.array([[A, B, D], [B, C, E], [D, E, F]]))
+        """Build from A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0, checked and
+        normalized in floats as the constructor does, without an array."""
+        A, B, C, D, E, F = map(float, (A, B, C, D, E, F))
+        conic = cls.__new__(cls)
+        conic._store(_normalized_entries((A, B, D, B, C, E, D, E, F)))
+        return conic
 
     @functools.cached_property
     def sv(self) -> np.ndarray:
-        """Singular values, largest first, computed once for all rank tests."""
+        """Singular values, largest first, computed when first read: the
+        rank tests decide through ``rank_test`` instead."""
         return np.linalg.svd(self.m, compute_uv=False)
+
+    @functools.cached_property
+    def rank_test(self) -> int:
+        """The sign of ``rank_test`` of the matrix, computed once for all the
+        rank tests made on it."""
+        A, B, C, D, E, F = self.c
+        return rank_test((A, B, D, B, C, E, D, E, F), 3)
+
+
+def _normalized_entries(m) -> tuple:
+    """The coefficients (A, B, C, D, E, F) of the matrix of nine floats
+    ``m``, row by row, after the checks of ``ConicMatrix`` (non-finite, zero,
+    symmetric within 1e-9 of the largest entry, in this order), each entry
+    taken as 0.5 (m_ij + m_ji) / max |m|: the array formula
+    0.5 (M + M^T) / top, bit for bit."""
+    # Explicit: ``max`` skips a NaN it does not meet first.
+    if not all(map(math.isfinite, m)):
+        raise DegenerateConic("conic matrix is not finite")
+    top = max(map(abs, m))
+    if top == 0.0:
+        raise ValueError("zero conic matrix")
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    if max(abs(m01 - m10), abs(m02 - m20), abs(m12 - m21)) > 1e-9 * top:
+        raise ValueError("conic matrix must be symmetric")
+    return (0.5 * (m00 + m00) / top, 0.5 * (m01 + m10) / top, 0.5 * (m11 + m11) / top,
+            0.5 * (m02 + m20) / top, 0.5 * (m12 + m21) / top, 0.5 * (m22 + m22) / top)
 
 
 #: Coefficient row (A, B, C, D, E, F) of each entry of the 3x3 matrix,
@@ -290,6 +322,8 @@ _U = 2.0 ** -53  # unit roundoff of float64
 _RANK_MARGIN = 1.0 / 32
 # Products of three entries of a matrix of Frobenius norm <= 2^100 neither
 # overflow nor lose more than _UNDERFLOW to underflow, all terms together.
+# Below 2^-100 the squares summed into D can underflow to zero for a
+# well-conditioned matrix (2^-180 I), so the filter leaves such rows open.
 _FILTER_MAX_NORM = 2.0 ** 100
 _UNDERFLOW = 2.0 ** -900
 
@@ -333,11 +367,12 @@ def rank_test_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     minors, as in Shewchuk's static filters: 3 u (|p| + |q|) per 2x2 minor
     p - q and 6 u of the absolute Laplace terms per 3x3 minor.  The SVD runs
     only on the rows that the widened bracket, with ``_RANK_MARGIN``, leaves
-    undecided: a ratio within about [1e-12/3, 3e-12], minors that cancel
-    to their rounding bound (nearly rank 1), F above ``_FILTER_MAX_NORM``,
-    or a non-finite entry.  The filter runs in passes over blocks of
-    columns (``_FILTER_ENTRIES``), which decide each column as one pass
-    would; the SVD runs once, on the open rows of every pass.
+    undecided (``_rank_decision``): a ratio within about [1e-12/3, 3e-12],
+    minors that cancel to their rounding bound (nearly rank 1), F outside
+    [2^-100, 2^100] (``_FILTER_MAX_NORM``), or a non-finite entry.  The
+    filter runs in passes over blocks of columns (``_FILTER_ENTRIES``),
+    which decide each column as one pass would; the SVD runs once, on the
+    open rows of every pass.  ``rank_test`` is its scalar twin.
     """
     k = len(x) // 3
     step = _FILTER_ENTRIES // _MINOR_INDEX[k][0].shape[1]  # columns per pass
@@ -391,11 +426,59 @@ def _filter(x: np.ndarray, k: int) -> tuple:
         x2 = np.abs(x2, out=x2)
         x2 *= np.take(abs2, pos, axis=0)
         e_D = 6.0 * _U * x2.sum(axis=(0, 1)) + _UNDERFLOW
-        in_range = F <= _FILTER_MAX_NORM
-        full = in_range & (D - e_D > DEGENERACY_EPS * (1.0 + _RANK_MARGIN) * (P + e_P) * F)
-        deficient = in_range & (3.0 * (D + e_D)
-                                < DEGENERACY_EPS * (1.0 - _RANK_MARGIN) * (P - e_P) * F)
+        full, deficient = _rank_decision(F, P, D, e_P, e_D)
     return full, deficient, minors3, F, P, D
+
+
+def _rank_decision(F, P, D, e_P, e_D):
+    """Whether the filter certifies sigma_min > 1e-12 sigma_max (full) or
+    sigma_min < 1e-12 sigma_max (deficient) from the norms (F, P, D) and
+    the rounding bounds e_P, e_D of P and D; neither outside
+    [1 / _FILTER_MAX_NORM, _FILTER_MAX_NORM], where products of entries or
+    the squares of the norms could under- or overflow.  Arithmetic only,
+    for floats and arrays."""
+    in_range = (F >= 1.0 / _FILTER_MAX_NORM) & (F <= _FILTER_MAX_NORM)
+    full = in_range & (D - e_D > DEGENERACY_EPS * (1.0 + _RANK_MARGIN) * (P + e_P) * F)
+    deficient = in_range & (3.0 * (D + e_D)
+                            < DEGENERACY_EPS * (1.0 - _RANK_MARGIN) * (P - e_P) * F)
+    return full, deficient
+
+
+# ``_MINOR_INDEX`` as tuples, for ``rank_test``: the four entry positions of
+# every 2x2 minor's products, and for every 3x3 minor its row-2 entries and
+# the positions of its row-(0, 1) minors.
+_SCALAR_MINOR_INDEX = {k: (tuple(zip(*products.tolist())),
+                           tuple(zip(row2.tolist(), pos.tolist())))
+                       for k, (products, row2, pos) in _MINOR_INDEX.items()}
+
+
+def rank_test(x, k: int) -> int:
+    """The scalar twin of ``rank_test_batch``: the sign of
+    sigma_min - 1e-12 sigma_max of one 3 x k matrix, k = 3 or 4, given as
+    its 3k entries row by row, decided by the same filter (minors, norms,
+    rounding bounds and ``_rank_decision``).  Only a matrix the filter
+    leaves open goes to the SVD.  A matrix with a non-finite entry gives 0."""
+    products, laplace = _SCALAR_MINOR_INDEX[k]
+    minors2, abs2 = [], []
+    for a, b, c, d in products:
+        p, q = x[a] * x[b], x[c] * x[d]
+        minors2.append(p - q)
+        abs2.append(abs(p) + abs(q))
+    minors3, terms = [], 0.0
+    for (r0, r1, r2), (j0, j1, j2) in laplace:
+        minors3.append(x[r0] * minors2[j0] - x[r1] * minors2[j1] + x[r2] * minors2[j2])
+        terms += abs(x[r0]) * abs2[j0] + abs(x[r1]) * abs2[j1] + abs(x[r2]) * abs2[j2]
+    # math.hypot: the norms without squares that could overflow.
+    full, deficient = _rank_decision(math.hypot(*x), math.hypot(*minors2), math.hypot(*minors3),
+                                     3.0 * _U * sum(abs2) + _UNDERFLOW,
+                                     6.0 * _U * terms + _UNDERFLOW)
+    if full or deficient:
+        return int(full) - int(deficient)
+    if not all(map(math.isfinite, x)):
+        return 0
+    s = np.linalg.svd(np.reshape(x, (3, k)), compute_uv=False)
+    low, high = float(s[-1]), DEGENERACY_EPS * float(s[0])
+    return (low > high) - (low < high)
 
 
 # A certified condition estimate is within this relative error of the exact
@@ -526,8 +609,7 @@ def _conic_eval(c, x, y):
 
 def conic_eval(conic: ConicMatrix, p: Point) -> float:
     """[x y 1] M [x y 1]^T under the stored normalization."""
-    # The entries of the matrix at the coefficients (A, B, C, D, E, F).
-    return float(_conic_eval(conic.m.flat[[0, 1, 4, 2, 5, 8]], p.x, p.y))
+    return float(_conic_eval(conic.c, p.x, p.y))
 
 
 def conic_eval_batch(conic: ConicBatch, p: np.ndarray) -> np.ndarray:
@@ -646,19 +728,17 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     diagonal equation.  Raises NotCentral for parabolas and DegenerateConic
     when both the block and the full matrix are rank-deficient.
     """
-    # Python floats: they round as the float64 entries do, and compute faster.
-    (A, B, D), (_, C, E), (_, _, F) = conic.m.tolist()
+    A, B, C, D, E, F = conic.c
     det2 = A * C - B * B
     # Degeneracy and centrality are judged on singular-value ratios: a plain
     # |det| threshold under max-entry normalization would misclassify thin
     # conics far from the origin, whose determinant is legitimately tiny.
-    sv = conic.sv
-    rank3_ok = sv[2] > DEGENERACY_EPS * sv[0]
+    rank3_ok = conic.rank_test > 0
     block_scale = max(abs(A), abs(C)) + abs(B)
     # <=, not <: a vanishing block (A = B = C = 0) is singular too.
     if abs(det2) <= DEGENERACY_EPS * block_scale * block_scale:
         if not rank3_ok:
-            raise DegenerateConic(f"conic of rank < 3 (singular values {sv})")
+            raise DegenerateConic(f"conic of rank < 3 (singular values {conic.sv})")
         raise NotCentral("parabolic conic has no affine center")
 
     cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)

@@ -565,30 +565,50 @@ def run_verify(lab: LabConfig) -> VerifyResult:
     """Every verify row, judged at R = 1 and reported in units of ``lab.R``."""
     p = _Pass(lab.poristic().rho, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
     columns = p.measure()
-    reports = [_aggregate(q.name, columns[q.name][p.gate(q)[0]], q.check, q.tol,
-                          q.expected(p.cfg) if q.expected else None, lab.R ** q.dim)
-               for q in _VERIFY_ROWS]
+    # The statistics of the rows without a partial gate, reduced as one stack.
+    full = [q.name for q in _VERIFY_ROWS if not q.partial]
+    stats = dict(zip(full, zip(*_reduce(np.array([columns[name] for name in full])))))
+    reports = []
+    for q in _VERIFY_ROWS:
+        judged = (q.check, q.tol, q.expected(p.cfg) if q.expected else None, lab.R ** q.dim)
+        reports.append(_judge(q.name, len(p.t), *stats[q.name], *judged) if q.name in stats
+                       else _aggregate(q.name, columns[q.name][p.gate(q)[0]], *judged))
     # The circumconics of the conic stage: its views with incidence rows.
     circum = [c for c, _ in p.conics.values() if c.rows is not None]
     return VerifyResult(lab, reports, p.skipped(),
                         max_condition_batch([c.rows for c in circum], [c.kappa for c in circum]))
 
 
+def _reduce(vals: np.ndarray) -> tuple:
+    """Minimum, maximum, sum and largest magnitude of ``vals`` along its last
+    axis: floats for one row, lists of floats for a stack of rows.  The sum
+    is taken left to right on every Python (``sum`` of floats is compensated
+    from 3.12); ``+ 0.0`` makes an all -0.0 sum 0.0, as ``sum`` does."""
+    return (vals.min(axis=-1).tolist(), vals.max(axis=-1).tolist(),
+            (np.cumsum(vals, axis=-1)[..., -1] + 0.0).tolist(),
+            np.abs(vals).max(axis=-1).tolist())
+
+
 def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
                expected: float | None, unit: float = 1.0) -> SweepReport:
-    """The row of ``vals``, judged as they are, with its values (not its
-    relative spread) reported times ``unit``."""
+    """The row of ``vals``, judged as they are (``_judge``)."""
+    stats = _reduce(vals) if len(vals) else (math.nan,) * 4
+    return _judge(name, len(vals), *stats, check, tol, expected, unit)
+
+
+def _judge(name: str, n: int, lo: float, hi: float, total: float, peak: float, check: str,
+           tol: float, expected: float | None, unit: float) -> SweepReport:
+    """The row of n values of minimum ``lo``, maximum ``hi``, sum ``total``
+    and largest magnitude ``peak``, with its values (not its relative
+    spread) reported times ``unit``."""
     shown = None if expected is None else expected * unit
-    if not len(vals):
+    if not n:
         return SweepReport(name, 0, math.nan, math.nan, math.nan, math.nan,
                            "skipped", tol, check, shown, status="fail")
-    lo, hi = float(vals.min()), float(vals.max())
-    # Summed left to right on every Python (``sum`` of floats is compensated
-    # from 3.12); ``+ 0.0`` makes an all -0.0 sum 0.0, as ``sum`` does.
-    mean = float(np.cumsum(vals)[-1] + 0.0) / len(vals)
+    mean = total / n
     spread = (hi - lo) / abs(mean) if mean != 0.0 else math.inf
     if check == "residual":
-        verdict = "invariant" if float(np.abs(vals).max()) < tol else "varying"
+        verdict = "invariant" if peak < tol else "varying"
         ok = verdict == "invariant"
     elif check == "varying":
         verdict = "invariant" if spread < tol else "varying"
@@ -603,7 +623,7 @@ def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
     else:
         verdict = "invariant" if spread < tol else "varying"
         ok = verdict == "invariant"
-    return SweepReport(name, len(vals), lo * unit, hi * unit, mean * unit, spread, verdict, tol,
+    return SweepReport(name, n, lo * unit, hi * unit, mean * unit, spread, verdict, tol,
                        check, shown, "varying" if check == "varying" else "invariant",
                        "pass" if ok else "fail")
 

@@ -282,6 +282,98 @@ class TestLinesAndTriangles:
             ConicMatrix.from_coeffs(1, 0, 1, 0, 0, math.inf)
 
 
+def _array_normalized(m):
+    """The array formula ``ConicMatrix`` normalized with before it went to
+    floats, kept as the oracle of its float path: its outcome, the
+    normalized matrix or the exception's type and message."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        return ValueError, f"conic matrix must be 3x3, got {m.shape}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.abs(m).max()
+        if not math.isfinite(top):
+            return DegenerateConic, "conic matrix is not finite"
+        if top == 0.0:
+            return ValueError, "zero conic matrix"
+        if np.abs(m - m.T).max() > 1e-9 * top:
+            return ValueError, "conic matrix must be symmetric"
+        return 0.5 * (m + m.T) / top
+
+
+def _outcome(build):
+    try:
+        return build().m
+    except (ValueError, DegenerateConic) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+    return got == want
+
+
+_ENTRY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                    -1e-310, 1.0, -1.0, 1.7976931348623157e308]))
+
+
+class TestConicMatrixFromFloats:
+    """``ConicMatrix`` checks and normalizes its entries as Python floats,
+    with the outcome of the array formula, bit for bit."""
+
+    @given(st.lists(_ENTRY, min_size=6, max_size=6),
+           st.lists(st.floats(-1.5e-9, 1.5e-9), min_size=3, max_size=3), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_the_array_formula_bit_for_bit(self, coeffs, skew, skewed):
+        A, B, C, D, E, F = coeffs
+        m = np.array([[A, B, D], [B, C, E], [D, E, F]])
+        assert _same(_outcome(lambda: ConicMatrix.from_coeffs(*coeffs)), _array_normalized(m))
+        if skewed:  # symmetric within about 1e-9 of the largest entry, or not
+            top = np.abs(m).max()
+            with np.errstate(over="ignore"):
+                for (i, j), s in zip(((1, 0), (2, 0), (2, 1)), skew):
+                    m[i, j] += s * top
+        want = _array_normalized(m)
+        assert _same(_outcome(lambda: ConicMatrix(m)), want)
+        assert _same(_outcome(lambda: ConicMatrix(m.tolist())), want)
+        if isinstance(want, np.ndarray):
+            conic = ConicMatrix(m)
+            assert not conic.m.flags.writeable
+            assert all(type(x) is float for x in conic.c)
+            assert np.array(conic.c).tobytes() == want.flat[[0, 1, 4, 2, 5, 8]].tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_entry_anywhere_raises(self, value):
+        for i in range(9):
+            m = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -1.0]])
+            m.flat[i] = value
+            with pytest.raises(DegenerateConic) as info:
+                ConicMatrix(m)
+            assert str(info.value) == "conic matrix is not finite"
+        for i in range(6):
+            coeffs = [1.0, 0.5, 2.0, 0.0, 0.0, -1.0]
+            coeffs[i] = value
+            with pytest.raises(DegenerateConic) as info:
+                ConicMatrix.from_coeffs(*coeffs)
+            assert str(info.value) == "conic matrix is not finite"
+
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros((3, 3)), "zero conic matrix"),
+        (-np.zeros((3, 3)), "zero conic matrix"),
+        ([[1, 0.5, 0], [0, 1, 0], [0, 0, -1.0]], "conic matrix must be symmetric"),
+        ([[1.0, 1e308, 0], [-1e308, 1, 0], [0, 0, 1.0]], "conic matrix must be symmetric"),
+        (np.zeros((2, 3)), "conic matrix must be 3x3, got (2, 3)"),
+        ([1.0] * 9, "conic matrix must be 3x3, got (9,)"),
+        (np.ones((3, 3, 1)), "conic matrix must be 3x3, got (3, 3, 1)"),
+    ])
+    def test_the_same_value_errors(self, m, message):
+        with pytest.raises(ValueError) as info:
+            ConicMatrix(m)
+        assert str(info.value) == message
+        assert _array_normalized(m) == (ValueError, message)
+
+
 def _entries(a):
     """A (n, 3, k) stack entry-major, as ``rank_test_batch`` takes it."""
     return a.reshape(len(a), -1).T
@@ -330,10 +422,13 @@ class TestRankFilter:
         outside = (rho < DEGENERACY_EPS / 3 / 1.25) | (rho > 3 * DEGENERACY_EPS * 1.25)
         assert not [i for i in np.flatnonzero(outside & ~bad) if bytes(a[i]) in sent]
 
-    @pytest.mark.parametrize("exponent", [-600, -400, -300, 300, 400, 600])
+    @pytest.mark.parametrize("exponent", [-600, -400, -300, -200, -180, 300, 400, 600])
     def test_far_from_unit_scale_the_svd_decides(self, exponent):
         # Products of entries under- or overflow here, so the rounding
-        # bounds no longer hold: such rows must be left to the SVD.
+        # bounds no longer hold: such rows must be left to the SVD.  At
+        # 2^-200 and 2^-180 the squares summed into D underflow to zero
+        # while P's do not, which the filter, deciding, took for rank
+        # deficiency.
         rng = np.random.default_rng(exponent % 1000)
         for k in (3, 4):
             a = np.ldexp(rng.normal(size=(50, 3, k)), exponent)
@@ -368,6 +463,59 @@ class TestRankFilter:
         assert can.semi_major[1] == 0.0 and can.semi_major[0] > 0.0
         stack = ConicBatch(np.array([[1.0, 0.0, 1.0, 0.0, 0.0, -1.0], [np.nan] * 6]).T)
         assert stack.rank_test.tolist() == [1, 0]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 4]),
+           st.sampled_from([-300, -200, -120, -101, -40, -7, 0, 7, 40, 101, 120, 300]))
+    @settings(max_examples=60, deadline=None)
+    def test_the_scalar_twin_decides_as_the_svd(self, seed, k, exponent):
+        # Symmetric 3x3 matrices (conics) and 3x4 systems (circumconic
+        # incidence rows) of chosen singular values: ratios log-uniform
+        # across the band, nearly rank 1, non-finite entries, and scales
+        # with |M|_F beyond 2^100 or below 2^-100.
+        rng = np.random.default_rng(seed)
+        n = 48
+        rho = 10.0 ** rng.uniform(-14, -10, n)
+        sigma = np.stack([np.ones(n), 10.0 ** rng.uniform(-1, 0, n), rho], axis=1)
+        thin = rng.random(n) < 0.2  # nearly rank 1
+        sigma[thin, 1] = 10.0 ** rng.uniform(-16, -6, thin.sum())
+        sigma[thin, 2] = sigma[thin, 1] * 10.0 ** rng.uniform(-3, 0, thin.sum())
+        if k == 3:
+            q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+            signs = rng.choice([-1.0, 1.0], (n, 3))
+            a = (q * (sigma * signs)[:, None, :]) @ np.swapaxes(q, 1, 2)
+            a = 0.5 * (a + np.swapaxes(a, 1, 2))
+        else:
+            a = _stack(rng, sigma)
+        a = np.ldexp(a, exponent)
+        bad = rng.random(n) < 0.1
+        a[bad, rng.integers(0, 3), rng.integers(0, k)] = rng.choice([np.nan, np.inf, -np.inf])
+        want = _svd_rank_test(a)
+        assert rank_test_batch(_entries(a))[0].tolist() == want.tolist()
+
+        opened = []
+        svd = np.linalg.svd
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", lambda *args, **kw: opened.append(i) or svd(*args, **kw))
+            for i in range(n):
+                assert geom.rank_test(a[i].ravel().tolist(), k) == want[i], i
+        # Away from the band, the scale limits and rank 1, no matrix goes to
+        # the SVD (the band widened as in the batched test).
+        outside = (rho < DEGENERACY_EPS / 3 / 1.25) | (rho > 3 * DEGENERACY_EPS * 1.25)
+        if abs(exponent) <= 40:
+            assert not set(np.flatnonzero(outside & ~bad & ~thin)) & set(opened)
+        assert set(np.flatnonzero(bad)).isdisjoint(opened)
+
+    def test_a_conic_shares_its_rank_test(self, monkeypatch):
+        conic = ConicMatrix.from_coeffs(1, 0, 1.2e-12, 0, 0, -1)  # undecided by the filter
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        assert conic.rank_test == 1 and conic.rank_test == 1
+        assert canonicalize(conic).kind is ConicKind.ELLIPSE
+        assert len(calls) == 1
+        conic = ConicMatrix.from_coeffs(0.25, 0, 1, 0, 0, -1)
+        assert canonicalize(conic).kind is ConicKind.ELLIPSE and conic.rank_test == 1
+        assert len(calls) == 1
 
 
 def _stack(rng, sigma):

@@ -110,13 +110,16 @@ def _counted_svd(monkeypatch) -> list:
     return calls
 
 
-def test_scalar_circumconic_shares_one_svd_with_canonicalize(monkeypatch):
+def test_scalar_circumconic_runs_no_svd(monkeypatch):
+    # The certified filter decides the rank tests of a well-conditioned
+    # member: the incidence system's, and the conic's, which canonicalize
+    # shares with circumconic_centered (ConicMatrix.rank_test).
     cfg = poristic.config_from_rR(1.0, 0.2)
     s = poristic.sample(cfg, 1.3)
     calls = _counted_svd(monkeypatch)
     conic = poristic.named_conic(cfg, 1.3, "E9", s)
     can = canonicalize(conic)
-    assert calls == [(3, 4), (3, 3)]
+    assert calls == []
     assert can.semi_major > can.semi_minor > 0
 
 
@@ -179,6 +182,19 @@ def test_a_stage_outlives_a_dropped_pass():
     lab = LabConfig(t_samples=24)
     x = report._Pass(lab.r, lab.t, (), 0).x
     assert x(9).shape == (24, 2)
+
+
+def test_measure_names_the_first_non_finite_row_and_its_t():
+    lab = LabConfig(t_samples=6)
+
+    def nan_at(i):
+        return lambda p: np.where(np.arange(len(p.t)) == i, np.nan, 1.0)
+
+    rows = [report.Quantity("fine", nan_at(-1)), report.Quantity("late", nan_at(4)),
+            report.Quantity("early", nan_at(1))]
+    with pytest.raises(GeometryError) as info:
+        report._Pass(lab.r, lab.t, rows, 0).measure()
+    assert str(info.value) == f"late is not finite at t = {float(lab.t[4])!r}"
 
 
 def test_a_pass_is_freed_as_soon_as_it_is_dropped():

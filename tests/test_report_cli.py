@@ -156,6 +156,17 @@ class TestVerifySuite:
         row = report._aggregate("x", np.array([-0.0, -0.0]), "residual", 1e-9, None)
         assert math.copysign(1.0, row.mean) == 1.0
 
+    def test_a_stack_of_rows_reduces_as_each_row(self):
+        # run_verify reduces its full rows as one stack: each row gets the
+        # statistics it gets alone, its sum taken left to right (numpy's
+        # pairwise sum gives 0.0 for the first row, left to right 1.0).
+        rows = np.array([[1e100, 1.0, -1e100, 1.0, 0.0, 0.0, 0.0, 0.0], [-0.0] * 8,
+                         [3.0, -2.0, 0.5, 7.0, -0.0, 1e-300, 2.0, -5.0]])
+        stacked = list(zip(*report._reduce(rows)))
+        assert stacked == [report._reduce(row) for row in rows]
+        assert [total for _, _, total, _ in stacked] == [1.0, 0.0, 5.5]
+        assert math.copysign(1.0, stacked[1][2]) == 1.0
+
 
 class TestSweep:
     def test_perimeter_extrema_at_symmetric_members(self):
