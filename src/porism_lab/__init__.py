@@ -4,18 +4,14 @@ elliptic-billiard 3-periodics."""
 
 from .billiard import (
     BilliardConfig,
-    SimilarityParams,
-    billiard_cross_checks,
     billiard_rho,
     caustic_axes,
     cb_axes_normalized,
     foci_locus_check,
     normalize_sample,
-    similarity_params,
 )
 from .centers import (
     SideLengths,
-    TrilinearTriple,
     center,
     excentral,
     medial,
@@ -23,7 +19,6 @@ from .centers import (
     trilinear_to_point,
 )
 from .conics import (
-    InconicCoefficients,
     brianchon_point,
     circumconic_centered,
     hyperbola_focal_length,
@@ -40,10 +35,8 @@ from .geom import (
     Triangle,
     canonicalize,
     conic_eval,
-    conic_from_canonical,
     foci,
     power_of_point,
-    tangency_residual,
 )
 from .poristic import (
     FamilyAngleClass,
@@ -67,17 +60,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilliardConfig", "CanonicalConic", "Circle", "ConicKind", "ConicMatrix",
-    "FamilyAngleClass", "FamilySample", "InconicCoefficients", "LabConfig",
-    "Line", "Point", "PoristicConfig", "SideLengths", "SimilarityParams",
-    "SweepReport", "Triangle", "TrilinearTriple", "antiorthic_axis",
-    "billiard_cross_checks", "similarity_params",
-    "billiard_rho", "brianchon_point", "canonicalize", "caustic_axes",
-    "cb_axes_normalized", "center", "circumconic_centered", "conic_eval",
-    "conic_from_canonical", "config_from_rR", "config_from_rho", "excentral",
-    "foci", "foci_locus_check", "hyperbola_focal_length", "inconic_centered",
+    "FamilyAngleClass", "FamilySample", "LabConfig", "Line", "Point",
+    "PoristicConfig", "SideLengths", "SweepReport", "Triangle",
+    "antiorthic_axis", "billiard_rho", "brianchon_point", "canonicalize",
+    "caustic_axes", "cb_axes_normalized", "center", "circumconic_centered",
+    "config_from_rR", "config_from_rho", "conic_eval", "excentral", "foci",
+    "foci_locus_check", "hyperbola_focal_length", "inconic_centered",
     "inconic_from_tangents", "is_obtuse", "medial", "named_conic",
     "normalize_sample", "obtuse_class", "perimeter_closed_form",
     "power_of_point", "run_sweep", "run_verify", "sample", "side_lengths",
-    "tangency_residual", "theta_closed_form", "trilinear_to_point",
-    "weaver_circles", "x9_closed_form",
+    "theta_closed_form", "trilinear_to_point", "weaver_circles",
+    "x9_closed_form",
 ]

@@ -3,9 +3,8 @@
 A poristic triangle of perimeter L(t), rotated by the circumbilliard axis
 angle and scaled by 1/L(t), lands on one fixed axis-aligned ellipse whose
 semi-axes depend only on rho = r/R.  This module holds that normalization,
-the rho <-> (a, b) maps, the confocal caustic, the circumbilliard foci
-locus, and the cross-check identities between the (a, b) and rho forms of
-the shared invariants.
+the rho <-> (a, b) maps, the confocal caustic and the circumbilliard foci
+locus.
 
 ``normalize_sample`` and ``reflection_law_residual`` have ``_batch`` twins
 over (n, 3, 2) vertex stacks for the measurement pass.  Under the twin rule
@@ -51,26 +50,28 @@ class BilliardConfig:
         object.__setattr__(self, "delta", math.sqrt(a ** 4 - a * a * b * b + b ** 4))
         object.__setattr__(self, "c2", a * a - b * b)
 
-    @classmethod
-    def from_axes(cls, a: float, b: float) -> "BilliardConfig":
-        return cls(a, b)
-
 
 def billiard_rho(cfg: BilliardConfig) -> float:
-    """Inradius-to-circumradius ratio of the 3-periodic family:
-    rho = 2(delta - b^2)(a^2 - delta) / c^4, with rho -> 1/2 as a -> b."""
-    if cfg.c2 == 0.0:
-        return 0.5
-    return 2 * (cfg.delta - cfg.b ** 2) * (cfg.a ** 2 - cfg.delta) / (cfg.c2 * cfg.c2)
+    """Inradius-to-circumradius ratio of the 3-periodic family,
+    rho = 2(delta - b^2)(a^2 - delta) / c^4, which is 1/2 at a = b.
+
+    With delta - b^2 = a^2 c^2 / (delta + b^2) and
+    a^2 - delta = b^2 c^2 / (a^2 + delta) it is evaluated as
+    2 a^2 b^2 / ((delta + b^2)(a^2 + delta)): sums of positive terms, with
+    no cancellation for thin or nearly circular billiards."""
+    a2, b2, delta = cfg.a * cfg.a, cfg.b * cfg.b, cfg.delta
+    return 2.0 * a2 * b2 / ((delta + b2) * (a2 + delta))
 
 
 def caustic_axes(cfg: BilliardConfig) -> tuple[float, float]:
-    """Semi-axes of the confocal caustic tangent to every 3-periodic side."""
+    """Semi-axes of the confocal caustic tangent to every 3-periodic side,
+    a (delta - b^2) / c^2 and b (a^2 - delta) / c^2, evaluated without
+    cancellation as a^3 / (delta + b^2) and b^3 / (a^2 + delta) (see
+    ``billiard_rho``)."""
     if cfg.c2 == 0.0:
         raise CircularBilliard("caustic formulas need a > b")
-    ac = cfg.a * (cfg.delta - cfg.b ** 2) / cfg.c2
-    bc = cfg.b * (cfg.a ** 2 - cfg.delta) / cfg.c2
-    return ac, bc
+    a, b, delta = cfg.a, cfg.b, cfg.delta
+    return a * a * a / (delta + b * b), b * b * b / (a * a + delta)
 
 
 def cb_axes_normalized(rho: float) -> tuple[float, float, float]:
@@ -96,26 +97,6 @@ def _cb_axes(rho, xp):
             math.sqrt(2.0) * xp.sqrt(rho + 1.0 - s) / den, s, den)
 
 
-@dataclass(frozen=True)
-class SimilarityParams:
-    """The member-dependent similarity carrying the fixed billiard onto the
-    family: dilate by ``scale`` (the perimeter), rotate by ``angle``, then
-    translate to ``translation`` (the mittenpunkt)."""
-
-    scale: float
-    angle: float
-    translation: Point
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"similarity scale must be positive, got {self.scale}")
-
-
-def similarity_params(cfg: PoristicConfig, s: FamilySample) -> SimilarityParams:
-    return SimilarityParams(s.perimeter, theta_closed_form(cfg, s.t),
-                            x9_closed_form(cfg, s.t))
-
-
 def _similarity_map(xs, ys, angle, cx, cy, scale, xp):
     """The vertices (xs[i], ys[i]) translated by -(cx, cy), rotated by
     -angle and scaled by 1/scale, as (x, y) pairs."""
@@ -136,11 +117,12 @@ def normalize_sample(cfg: PoristicConfig, s: FamilySample) -> Triangle:
     u^2/(a9/L)^2 + v^2/(b9/L)^2 = 1 and satisfies the reflection law at its
     vertices; its perimeter is 1 by construction.
     """
-    sim = similarity_params(cfg, s)
-    x9 = sim.translation
+    theta, x9 = theta_closed_form(cfg, s.t), x9_closed_form(cfg, s.t)
+    if not s.perimeter > 0:
+        raise ValueError(f"similarity scale must be positive, got {s.perimeter}")
     return Triangle(tuple(Point(*p) for p in _similarity_map(
-        [p.x for p in s.triangle.v], [p.y for p in s.triangle.v], sim.angle, x9.x, x9.y,
-        sim.scale, _MATH)))
+        [p.x for p in s.triangle.v], [p.y for p in s.triangle.v], theta, x9.x, x9.y,
+        s.perimeter, _MATH)))
 
 
 def normalize_sample_batch(cfg: PoristicConfig, fam: FamilyBatch, log: PassLog) -> np.ndarray:
@@ -165,36 +147,6 @@ def foci_locus_check(cfg: PoristicConfig) -> tuple[Point, float]:
     center = Point((R - d) * d / (3 * R + d) + d, 0.0)
     r9 = 2.0 * math.sqrt(d * R * (3 * R - d) * (R + d)) / (3 * R + d)
     return center, r9
-
-
-def billiard_cross_checks(cfg: BilliardConfig) -> list[dict]:
-    """Evaluate the (a, b)-form of each shared invariant next to its
-    rho-form; rows carry both values and the relative difference."""
-    a, b, delta = cfg.a, cfg.b, cfg.delta
-    rho = billiard_rho(cfg)
-    rows = []
-
-    def row(name, lhs, rhs):
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        rows.append({"name": name, "ab_form": lhs, "rho_form": rhs, "rel_diff": rel})
-
-    s = math.sqrt(max(0.0, 1.0 - 2.0 * rho))
-    # Aspect ratio shared by the incenter circumconic and the excentral
-    # circumcenter-centered inconic: (R + d) / (R - d).
-    ab_x3 = math.sqrt(2 * delta * (delta + a * a - b * b) - a * a * b * b) / (b * b)
-    row("exc_inconic_x3_aspect", ab_x3, (1.0 + s) / rho - 1.0)
-    row("e1_axis_ratio", math.sqrt(2 * delta * delta + 2 * (a * a - b * b) * delta - a * a * b * b) / (b * b),
-        (1.0 + s) / rho - 1.0)
-    # Excentral MacBeath inconic aspect: two symmetric (a, b) forms and the
-    # 1/sqrt(2 rho) form.
-    f1 = (b * b + delta) * math.sqrt(delta + a * a - b * b) / (2 * b * a * a)
-    f2 = (a * a + delta) * math.sqrt(delta + b * b - a * a) / (2 * a * b * b)
-    row("exc_inconic_x5_forms", f1, f2)
-    row("exc_inconic_x5_aspect", f1, 1.0 / math.sqrt(2.0 * rho))
-    # Circumbilliard aspect from the normalized axes reproduces a/b.
-    a9, b9, _ = cb_axes_normalized(rho)
-    row("cb_aspect_roundtrip", a9 / b9, a / b)
-    return rows
 
 
 def _reflection_gap(xs, ys, a, b, xp):
@@ -230,91 +182,3 @@ def reflection_law_residual_batch(v: np.ndarray, a: float, b: float) -> np.ndarr
     """``reflection_law_residual`` over a (n, 3, 2) vertex stack."""
     return _reflection_gap(v[:, :, 0].T, v[:, :, 1].T, a, b, np)
 
-
-def three_periodic_orbit(cfg: BilliardConfig, phi0: float) -> Triangle:
-    """Closed 3-bounce orbit through the boundary point at eccentric angle
-    phi0, found by bisecting the launch angle until the orbit returns to its
-    start.  Oracle tool for tangency tests, not part of the kernel API.
-
-    Position closure after three bounces has spurious roots where the
-    reflection law fails at the starting vertex, so every bracketed root is
-    bisected and the orbit whose return direction also closes is kept.
-    """
-    a, b = cfg.a, cfg.b
-
-    def boundary(phi):
-        return (a * math.cos(phi), b * math.sin(phi))
-
-    def advance(phi, alpha):
-        """One chord from boundary(phi) in direction alpha; returns the next
-        eccentric angle and the reflected direction there."""
-        x, y = boundary(phi)
-        dx, dy = math.cos(alpha), math.sin(alpha)
-        # Second intersection of the ray with the ellipse (the first root of
-        # the chord quadratic is s = 0 because (x, y) is on the boundary).
-        qa = (dx / a) ** 2 + (dy / b) ** 2
-        qb = 2 * (x * dx / (a * a) + y * dy / (b * b))
-        s = -qb / qa
-        x1, y1 = x + s * dx, y + s * dy
-        phi1 = math.atan2(y1 / b, x1 / a)
-        nx, ny = x1 / (a * a), y1 / (b * b)
-        nn = math.hypot(nx, ny)
-        nx, ny = nx / nn, ny / nn
-        dot = dx * nx + dy * ny
-        return phi1, math.atan2(dy - 2 * dot * ny, dx - 2 * dot * nx)
-
-    def run(alpha):
-        phi, ang = phi0, alpha
-        for _ in range(3):
-            phi, ang = advance(phi, ang)
-        gap = math.remainder(phi - phi0, 2 * math.pi)
-        return gap, ang
-
-    def direction_defect(alpha):
-        # Reflect the returning chord at the start point; it must reproduce
-        # the launch direction for a genuine periodic orbit.
-        _, ang_in = run(alpha)
-        x, y = boundary(phi0)
-        nx, ny = x / (a * a), y / (b * b)
-        nn = math.hypot(nx, ny)
-        nx, ny = nx / nn, ny / nn
-        dx, dy = math.cos(ang_in), math.sin(ang_in)
-        # ang_in is already the reflected outgoing direction at the return
-        # point, which coincides with the start for a closed orbit.
-        return abs(math.remainder(math.atan2(dy, dx) - alpha, 2 * math.pi))
-
-    tang = math.atan2(b * math.cos(phi0), -a * math.sin(phi0))
-    n_scan = 720
-    alphas = [tang + math.pi * (k + 0.5) / n_scan for k in range(n_scan)]
-    gaps = [run(al)[0] for al in alphas]
-    best = None
-    for i in range(n_scan - 1):
-        g0, g1 = gaps[i], gaps[i + 1]
-        if g0 == 0.0:
-            candidates = [alphas[i]]
-        elif g0 * g1 < 0 and abs(g0) + abs(g1) < math.pi:
-            lo, hi, glo = alphas[i], alphas[i + 1], g0
-            for _ in range(120):
-                mid = 0.5 * (lo + hi)
-                gm = run(mid)[0]
-                if glo * gm <= 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            candidates = [0.5 * (lo + hi)]
-        else:
-            continue
-        for alpha in candidates:
-            gap, _ = run(alpha)
-            defect = direction_defect(alpha)
-            if abs(gap) < 1e-12 and (best is None or defect < best[0]):
-                best = (defect, alpha)
-    if best is None or best[0] > 1e-6:
-        raise RuntimeError(f"no closed 3-periodic found through phi0={phi0}")
-    alpha = best[1]
-    phi, ang = phi0, alpha
-    pts = [Point(*boundary(phi0))]
-    for _ in range(2):
-        phi, ang = advance(phi, ang)
-        pts.append(Point(*boundary(phi)))
-    return Triangle(tuple(pts))

@@ -12,7 +12,6 @@ points (n, 2) arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,33 +58,6 @@ class SideLengths:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.s1, self.s2, self.s3)
-
-
-@dataclass(frozen=True)
-class TrilinearTriple:
-    """Homogeneous trilinears, stored with unit Euclidean norm and the first
-    nonzero component positive."""
-
-    f1: float
-    f2: float
-    f3: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.f1 ** 2 + self.f2 ** 2 + self.f3 ** 2)
-        if n == 0.0:
-            raise ValueError("zero trilinear triple")
-        f = [self.f1 / n, self.f2 / n, self.f3 / n]
-        for x in f:
-            if x != 0.0:
-                if x < 0.0:
-                    f = [-y for y in f]
-                break
-        object.__setattr__(self, "f1", f[0])
-        object.__setattr__(self, "f2", f[1])
-        object.__setattr__(self, "f3", f[2])
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.f1, self.f2, self.f3)
 
 
 def _not_a_triangle(s1, s2, s3, xp):
@@ -143,10 +115,8 @@ def _barycentric_batch(v: np.ndarray, w, log: PassLog) -> np.ndarray:
     return np.stack([x / total, y / total], axis=-1)
 
 
-def trilinear_to_point(t: Triangle, f: TrilinearTriple | tuple[float, float, float]) -> Point:
+def trilinear_to_point(t: Triangle, f: tuple[float, float, float]) -> Point:
     """Point whose barycentric weights are (f1 s1, f2 s2, f3 s3)."""
-    if isinstance(f, TrilinearTriple):
-        f = f.as_tuple()
     return _trilinear_point(t, f, side_lengths(t).as_tuple())
 
 

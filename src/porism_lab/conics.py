@@ -22,7 +22,6 @@ the smaller summation error (README, "How verify and sweep measure").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,23 +60,6 @@ BarycentricFn = Callable[[float, float, float], float]
 # Nothing emits it; kept because perfbench/tracer.py resolves it when it installs.
 class InconicCoefficientWarning(UserWarning):
     pass
-
-
-@dataclass(frozen=True)
-class InconicCoefficients:
-    """Origin-centered conic A x^2 + 2B xy + C y^2 + D = 0."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-
-    def __post_init__(self):
-        if max(abs(self.A), abs(self.B), abs(self.C)) == 0.0:
-            raise ValueError("quadratic part of inconic vanishes")
-
-    def to_conic(self) -> ConicMatrix:
-        return ConicMatrix.from_coeffs(self.A, self.B, self.C, 0.0, 0.0, self.D)
 
 
 # The columns of the 3x4 system each minor keeps: all but column ``skip``.
@@ -192,9 +174,10 @@ def _tangent_form(lines, d12, d13, d23):
     return A, B, C, D
 
 
-def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
-    """Coefficients of the origin-centered conic tangent to three lines, in
-    closed form (``_tangent_form``)."""
+def _inconic_coefficients(l1: Line, l2: Line, l3: Line) -> tuple[float, float, float, float]:
+    """Coefficients (A, B, C, D) of the origin-centered conic
+    A x^2 + 2B xy + C y^2 + D = 0 tangent to three lines, in closed form
+    (``_tangent_form``)."""
     lines = [(line.a, line.b, line.c) for line in (l1, l2, l3)]
     d12, d13, d23, parallel = _cross_terms(lines, _MATH)
     if parallel:
@@ -203,12 +186,19 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> InconicCoefficients:
     A, B, C, D = _tangent_form(lines, d12, d13, d23)
     if max(abs(A), abs(B), abs(C)) == 0.0:
         raise DegenerateConic("quadratic part vanishes: the tangent lines pass through the center")
-    return InconicCoefficients(A, B, C, D)
+    return A, B, C, D
+
+
+def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> ConicMatrix:
+    """The origin-centered conic tangent to three lines, normalized as every
+    ``ConicMatrix``."""
+    A, B, C, D = _inconic_coefficients(l1, l2, l3)
+    return ConicMatrix.from_coeffs(A, B, C, 0.0, 0.0, D)
 
 
 def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
                                 log: PassLog) -> ConicBatch:
-    """``inconic_from_tangents(...).to_conic()`` over stacks of lines (n, 3)."""
+    """``inconic_from_tangents`` over stacks of lines (n, 3)."""
     lines = [line.T for line in (l1, l2, l3)]
     d12, d13, d23, parallel = _cross_terms(lines, np)
     log.check(parallel, ParallelTangents, "tangent lines are (nearly) parallel")
@@ -230,10 +220,10 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
         line_through(shifted[0], shifted[2]),
         line_through(shifted[0], shifted[1]),
     ]
-    # Normalized as ``InconicCoefficients.to_conic`` normalizes it, without
+    # Normalized as ``inconic_from_tangents`` normalizes it, without
     # building that matrix.
-    c = inconic_from_tangents(*lines)
-    A, B, C, _, _, F = _normalized_entries((c.A, c.B, 0.0, c.B, c.C, 0.0, 0.0, 0.0, c.D))
+    A, B, C, D = _inconic_coefficients(*lines)
+    A, B, C, _, _, F = _normalized_entries((A, B, 0.0, B, C, 0.0, 0.0, 0.0, D))
     return ConicMatrix.from_coeffs(*_shift(A, B, C, F, center.x, center.y))
 
 

@@ -783,44 +783,6 @@ def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
                           rank3_ok & hyperbola)
 
 
-def conic_from_canonical(c: CanonicalConic) -> ConicMatrix:
-    """Rebuild the quadratic form of an ellipse or hyperbola."""
-    if c.kind not in (ConicKind.ELLIPSE, ConicKind.HYPERBOLA):
-        raise DegenerateConic(f"cannot rebuild matrix for kind {c.kind}")
-    s2 = 1.0 if c.kind is ConicKind.ELLIPSE else -1.0
-    d1 = 1.0 / (c.semi_major * c.semi_major)
-    d2 = s2 / (c.semi_minor * c.semi_minor)
-    ca, sa = math.cos(c.angle), math.sin(c.angle)
-    rot = np.array([[ca, -sa], [sa, ca]])
-    block = rot @ np.diag([d1, d2]) @ rot.T
-    ctr = np.array([c.center.x, c.center.y])
-    lin = -block @ ctr
-    const = ctr @ block @ ctr - 1.0
-    m = np.zeros((3, 3))
-    m[:2, :2] = block
-    m[:2, 2] = lin
-    m[2, :2] = lin
-    m[2, 2] = const
-    return ConicMatrix(m)
-
-
-def tangency_residual(conic: ConicMatrix, line: Line) -> float:
-    """Dual-form value L adj(M) L^T, normalized by the largest entry of
-    adj(M); zero iff the line is tangent to the conic."""
-    adj = _adjugate(conic.m)
-    top = np.abs(adj).max()
-    if top == 0.0:
-        raise DegenerateConic("adjugate vanishes: conic has rank <= 1")
-    v = line.as_array()
-    return float(v @ adj @ v) / top
-
-
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    """adj(M): column i holds the cofactors of row i, the cross product of
-    the other two rows."""
-    return np.stack([np.cross(m[1], m[2]), np.cross(m[2], m[0]), np.cross(m[0], m[1])], axis=1)
-
-
 def _focal_step(major, minor, angle, hyperbola, xp):
     """The offset (x, y) of the foci of a canonical form from its center:
     along the major (transverse) axis by hypot(major, minor) for a

@@ -9,17 +9,13 @@ import math
 import pytest
 
 from conftest import random_triangle
-from porism_lab.billiard import (
-    BilliardConfig,
-    billiard_cross_checks,
-    billiard_rho,
-    cb_axes_normalized,
-)
+from oracles import billiard_ab_forms
+from porism_lab.billiard import BilliardConfig, billiard_rho, cb_axes_normalized
 from porism_lab.centers import center, side_lengths
 from porism_lab.conics import brianchon_point, circumconic_centered
 from porism_lab.geom import Point, canonicalize, distance
 from porism_lab.poristic import config_from_rho, perimeter_closed_form, sample
-from porism_lab.report import LabConfig, run_verify
+from porism_lab.report import _BY_NAME, LabConfig, run_verify
 
 RHO_GRID = (0.05, 0.2, 0.36266, 0.49)
 T_SAMPLES = 720
@@ -191,14 +187,17 @@ def test_criterion_11_perimeter_closed_form(verify_results):
 
 
 def test_criterion_12_billiard_cross_checks():
-    rho = billiard_rho(BilliardConfig.from_axes(1.5, 1.0))
+    rho = billiard_rho(BilliardConfig(1.5, 1.0))
     assert 0.36265 <= rho <= 0.36267
     for axes in ((1.5, 1.0), (2.0, 1.0), (1.1, 1.0)):
-        rows = {r["name"]: r for r in billiard_cross_checks(BilliardConfig.from_axes(*axes))}
-        assert rows["exc_inconic_x3_aspect"]["rel_diff"] < 1e-12, axes
-        assert rows["exc_inconic_x5_forms"]["rel_diff"] < 1e-12, axes
+        cfg = BilliardConfig(*axes)
+        family = config_from_rho(billiard_rho(cfg))
+        for name, ab_form in billiard_ab_forms(cfg):
+            rho_form = _BY_NAME[name].expected(family)
+            assert abs(ab_form - rho_form) < 1e-12 * rho_form, (axes, name)
     _report("criterion 12 (billiard-side cross checks)",
-            f"rho(1.5, 1) = {rho:.6f}; dual-form identities < 1e-12 at three axis pairs")
+            f"rho(1.5, 1) = {rho:.6f}; (a, b) forms of ratio_i3x, ratio_e1 and ratio_i5x "
+            "within 1e-12 of the table's closed forms at three axis pairs")
 
 
 def test_criterion_13_brianchon_gergonne(rng):

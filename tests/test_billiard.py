@@ -2,39 +2,42 @@ import math
 
 import pytest
 
+from oracles import (
+    billiard_ab_forms,
+    conic_from_canonical,
+    tangency_residual,
+    three_periodic_orbit,
+)
 from porism_lab.billiard import (
     BilliardConfig,
-    billiard_cross_checks,
     billiard_rho,
     caustic_axes,
     cb_axes_normalized,
     foci_locus_check,
     normalize_sample,
     reflection_law_residual,
-    three_periodic_orbit,
 )
 from porism_lab.centers import center
 from porism_lab.conics import circumconic_centered
 from porism_lab.errors import CircularBilliard, InvalidRatio
-from porism_lab.geom import (
-    CanonicalConic,
-    ConicKind,
-    Point,
-    canonicalize,
-    conic_from_canonical,
-    distance,
-    foci,
-    tangency_residual,
+from porism_lab.geom import CanonicalConic, ConicKind, Point, canonicalize, distance, foci
+from porism_lab.poristic import (
+    config_from_rR,
+    config_from_rho,
+    named_conic,
+    sample,
+    theta_closed_form,
+    x9_closed_form,
 )
-from porism_lab.poristic import config_from_rR, config_from_rho, sample
+from porism_lab.report import _BY_NAME
 
-EB_15 = BilliardConfig.from_axes(1.5, 1.0)
+EB_15 = BilliardConfig(1.5, 1.0)
 RHO_GRID = (0.05, 0.2, 0.36266, 0.49)
 
 
 class TestRhoMap:
     def test_circular_limit(self):
-        assert billiard_rho(BilliardConfig.from_axes(1.0, 1.0)) == 0.5
+        assert billiard_rho(BilliardConfig(1.0, 1.0)) == 0.5
 
     def test_reference_axes(self):
         rho = billiard_rho(EB_15)
@@ -44,12 +47,12 @@ class TestRhoMap:
     def test_two_one(self):
         # Direct evaluation: delta = sqrt(13), c^4 = (a^2 - b^2)^2 = 9.
         delta = math.sqrt(13.0)
-        cfg = BilliardConfig.from_axes(2.0, 1.0)
+        cfg = BilliardConfig(2.0, 1.0)
         assert billiard_rho(cfg) == pytest.approx(2 * (delta - 1) * (4 - delta) / 9, rel=1e-14)
 
     def test_rho_aspect_round_trip(self):
         for a, b in ((1.5, 1.0), (2.0, 1.0), (1.1, 1.0)):
-            rho = billiard_rho(BilliardConfig.from_axes(a, b))
+            rho = billiard_rho(BilliardConfig(a, b))
             a9, b9, _ = cb_axes_normalized(rho)
             assert a9 / b9 == pytest.approx(a / b, rel=1e-10)
 
@@ -66,7 +69,7 @@ class TestCaustic:
 
     def test_circular_raises(self):
         with pytest.raises(CircularBilliard):
-            caustic_axes(BilliardConfig.from_axes(1.0, 1.0))
+            caustic_axes(BilliardConfig(1.0, 1.0))
 
     @pytest.mark.parametrize("phi0", (0.3, 1.1, 2.5, 4.0))
     def test_reflective_orbit_tangent_to_caustic(self, phi0):
@@ -144,18 +147,17 @@ class TestNormalization:
         tri = normalize_sample(cfg, sample(cfg, 2.2))
         assert tri.perimeter() == pytest.approx(1.0, rel=1e-12)
 
-    def test_similarity_params_reassemble_sample(self):
-        from porism_lab.billiard import similarity_params
-
+    def test_closed_forms_reassemble_sample(self):
+        # Dilating by the perimeter, rotating by theta(t) and translating to
+        # X9(t) carries the normalized member back onto the sample.
         cfg = config_from_rho(0.2)
         s = sample(cfg, 1.7)
-        sim = similarity_params(cfg, s)
-        assert sim.scale == pytest.approx(s.perimeter)
+        angle, x9 = theta_closed_form(cfg, s.t), x9_closed_form(cfg, s.t)
         tri = normalize_sample(cfg, s)
-        ca, sa = math.cos(sim.angle), math.sin(sim.angle)
+        ca, sa = math.cos(angle), math.sin(angle)
         for u, p in zip(tri.v, s.triangle.v):
-            x = sim.scale * (ca * u.x - sa * u.y) + sim.translation.x
-            y = sim.scale * (sa * u.x + ca * u.y) + sim.translation.y
+            x = s.perimeter * (ca * u.x - sa * u.y) + x9.x
+            y = s.perimeter * (sa * u.x + ca * u.y) + x9.y
             assert distance(Point(x, y), p) < 1e-12
 
     def test_billiard_config_derives_its_constants(self):
@@ -169,7 +171,6 @@ class TestNormalization:
         ]:
             cfg = BilliardConfig(a, b)
             assert (cfg.delta.hex(), cfg.c2.hex()) == (delta, c2), (a, b)
-            assert BilliardConfig.from_axes(a, b) == cfg
 
 
 class TestFociLocus:
@@ -198,25 +199,48 @@ class TestFociLocus:
 
 
 class TestCrossChecks:
+    """Each (a, b) form of ``oracles.billiard_ab_forms`` against the closed
+    form of its row in the quantity table, at the rho of the same axes."""
+
     @pytest.mark.parametrize("axes", ((1.5, 1.0), (2.0, 1.0), (1.1, 1.0)))
     def test_dual_forms_agree(self, axes):
-        rows = {r["name"]: r for r in billiard_cross_checks(BilliardConfig.from_axes(*axes))}
-        assert rows["exc_inconic_x3_aspect"]["rel_diff"] < 1e-12
-        assert rows["exc_inconic_x5_forms"]["rel_diff"] < 1e-12
-        assert rows["exc_inconic_x5_aspect"]["rel_diff"] < 1e-12
-        assert rows["e1_axis_ratio"]["rel_diff"] < 1e-12
-        assert rows["cb_aspect_roundtrip"]["rel_diff"] < 1e-10
+        cfg = BilliardConfig(*axes)
+        family = config_from_rho(billiard_rho(cfg))
+        for name, ab_form in billiard_ab_forms(cfg):
+            rho_form = _BY_NAME[name].expected(family)
+            assert abs(ab_form - rho_form) < 1e-12 * rho_form, name
 
     def test_circular_limit_forms(self):
-        rows = {r["name"]: r for r in billiard_cross_checks(BilliardConfig.from_axes(1.0, 1.0))}
-        assert rows["exc_inconic_x3_aspect"]["ab_form"] == pytest.approx(1.0, rel=1e-12)
-        assert rows["exc_inconic_x3_aspect"]["rho_form"] == pytest.approx(1.0, rel=1e-12)
+        cfg = BilliardConfig(1.0, 1.0)
+        family = config_from_rho(billiard_rho(cfg))
+        for name, ab_form in billiard_ab_forms(cfg):
+            assert ab_form == pytest.approx(1.0, rel=1e-12), name
+            assert _BY_NAME[name].expected(family) == pytest.approx(1.0, rel=1e-12), name
 
     def test_x3_aspect_equals_poristic_ratio(self):
-        # The (a, b) form evaluates to (R + d)/(R - d) of the matching
-        # circle pair.
-        rho = billiard_rho(EB_15)
-        cfg = config_from_rho(rho)
-        rows = {r["name"]: r for r in billiard_cross_checks(EB_15)}
-        assert rows["exc_inconic_x3_aspect"]["ab_form"] == pytest.approx(
-            (cfg.R + cfg.d) / (cfg.R - cfg.d), rel=1e-12)
+        # The (a, b) form is the axis ratio of the family's I3x, measured on
+        # its members.
+        cfg = config_from_rho(billiard_rho(EB_15))
+        ab_form = dict(billiard_ab_forms(EB_15))["ratio_i3x"]
+        for t in (0.4, 2.1, 4.5):
+            can = canonicalize(named_conic(cfg, t, "I3x"))
+            assert can.semi_major / can.semi_minor == pytest.approx(ab_form, rel=1e-12)
+
+
+class TestCancellationFree:
+    """``billiard_rho`` and ``caustic_axes`` against their textbook forms
+    evaluated at 60 digits, from thin billiards to nearly circular ones."""
+
+    @pytest.mark.parametrize("a", (1 + 1e-8, 1.0001, 10.0, 1e2, 1e4, 1e6, 1e8))
+    def test_against_mpmath(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        cfg = BilliardConfig(a, 1.0)
+        got = (billiard_rho(cfg), *caustic_axes(cfg))
+        with mpmath.workdps(60):
+            a2 = mpmath.mpf(a) ** 2
+            delta = mpmath.sqrt(a2 * a2 - a2 + 1)
+            c2 = a2 - 1
+            want = (2 * (delta - 1) * (a2 - delta) / (c2 * c2),
+                    mpmath.mpf(a) * (delta - 1) / c2, (a2 - delta) / c2)
+            for name, g, w in zip(("rho", "a_c", "b_c"), got, want):
+                assert abs(g - w) <= 1e-15 * w, name

@@ -7,7 +7,6 @@ from conftest import random_triangle
 from porism_lab.centers import (
     SUPPORTED_CENTERS,
     SideLengths,
-    TrilinearTriple,
     antiorthic_axis_of,
     center,
     excentral,
@@ -52,11 +51,6 @@ class TestSideLengths:
 
 
 class TestTrilinears:
-    def test_triple_normalization(self):
-        f = TrilinearTriple(-2.0, -2.0, -2.0)
-        assert f.f1 == pytest.approx(1 / math.sqrt(3))
-        assert f.f1 == f.f2 == f.f3
-
     def test_incenter_of_345(self):
         # Classic: the 3-4-5 right triangle at the origin has inradius 1 and
         # incenter (1, 1).

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import conic_from_canonical, tangency_residual
 from porism_lab import geom
 from porism_lab.conics import centered_conics_batch
 from porism_lab.errors import DegenerateConic, DegenerateTriangle, NotCentral, PassLog
@@ -22,7 +23,6 @@ from porism_lab.geom import (
     canonicalize_batch,
     conic_eval,
     condition_estimate_batch,
-    conic_from_canonical,
     distance,
     foci,
     line_intersection,
@@ -31,7 +31,6 @@ from porism_lab.geom import (
     power_of_point,
     rank_test_batch,
     singular_values_batch,
-    tangency_residual,
 )
 from porism_lab.poristic import config_from_rR, excentral_side_lines, i3x_implicit_matrix
 

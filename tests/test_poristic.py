@@ -335,7 +335,7 @@ class TestDualRoute:
         grid = [(rho, 2 * math.pi * (k + 0.2) / 24) for rho in RHO_GRID for k in range(24)]
         for rho, t in grid:
             cfg = config_from_rho(rho)
-            m1 = inconic_from_tangents(*excentral_side_lines(cfg, t)).to_conic().m
+            m1 = inconic_from_tangents(*excentral_side_lines(cfg, t)).m
             m2 = i3x_implicit_matrix(cfg, t).m
             assert min(np.abs(m1 - m2).max(), np.abs(m1 + m2).max()) < 1e-9, (rho, t)
 
