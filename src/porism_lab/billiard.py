@@ -90,11 +90,13 @@ def cb_axes_normalized(rho: float) -> tuple[float, float, float]:
 
 def _cb_axes(rho, xp):
     """a9/L and b9/L of ``cb_axes_normalized``, with the root
-    s = sqrt(1 - 2 rho) and the denominator 2 rho + 8 that c9/L shares."""
+    s = sqrt(1 - 2 rho) and the denominator 2 rho + 8 that c9/L shares.
+    b9/L's inner rho + 1 - s is taken as rho + 2 rho / (1 + s), since
+    1 - s = 2 rho / (1 + s): the difference loses all digits as rho -> 0."""
     s = xp.sqrt(xp.maximum(0.0, 1.0 - 2.0 * rho))
     den = 2.0 * rho + 8.0
     return (math.sqrt(2.0) * xp.sqrt(rho + 1.0 + s) / den,
-            math.sqrt(2.0) * xp.sqrt(rho + 1.0 - s) / den, s, den)
+            math.sqrt(2.0) * xp.sqrt(rho + 2.0 * rho / (1.0 + s)) / den, s, den)
 
 
 def _similarity_map(xs, ys, angle, cx, cy, scale, xp):

@@ -70,7 +70,7 @@ from .geom import (  # noqa: F401
 )
 
 SCHEMA_VERSION = 1
-MAX_T_SAMPLES = 10**6  # a verify holds about 3 KB per sample: at most about 3 GB
+MAX_T_SAMPLES = 10**6  # a verify peaks at about 3.4 KB per sample: at most about 3.4 GB
 # Beyond this range of R the family's loci underflow or overflow unchecked.
 _R_RANGE = (1e-100, 1e100)
 
@@ -307,35 +307,40 @@ class _Pass:
             gap = np.maximum(gap, distance_batch(direct, mapped) / scale[:, 0])
         return gap
 
-    def gate(self, q: Quantity) -> tuple[np.ndarray, str | None]:
-        """The gate of row ``q``: its partial stage's, or, for a full row,
-        all samples held and no reason."""
-        return getattr(self, q.partial)[-1] if q.partial else (np.ones(len(self.t), bool), None)
-
-    def measure(self) -> dict[str, np.ndarray]:
-        """The columns of the rows, computed in their order from the stages
-        they need.  The first failing check raises; no kept value is
-        non-finite."""
+    def measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' results, two (rows, samples) stacks in row order:
+        ``values``, computed in row order from the stages the rows need, and
+        ``held``, the samples each row's gate keeps (all, for a full row).
+        Each gate is read once, here; ``reasons`` keeps each row's skip
+        reason (None for a full row).  The first failing check raises; no
+        held value is non-finite."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            columns = {q.name: q.compute(self) for q in self.rows}
-        for q in self.rows:
-            bad = ~np.isfinite(columns[q.name]) & self.gate(q)[0]
-            if bad.any():
-                t = float(self.t[np.argmax(bad)])
-                raise GeometryError(f"{q.name} is not finite at t = {t!r}")
-        return columns
+            # Stacked after the last row: a stack made first would be held
+            # through every stage, about 0.4 KB more per sample at a verify's peak.
+            values = np.array([q.compute(self) for q in self.rows]).reshape(
+                len(self.rows), len(self.t))
+        held = np.ones(values.shape, bool)
+        self.reasons = [None] * len(self.rows)
+        for i, q in enumerate(self.rows):
+            if q.partial:
+                held[i], self.reasons[i] = getattr(self, q.partial)[-1]
+        bad = ~np.isfinite(values) & held
+        if bad.any():
+            i, k = divmod(int(np.argmax(bad)), len(self.t))
+            raise GeometryError(f"{self.rows[i].name} is not finite at t = {float(self.t[k])!r}")
+        return values, held
 
-    def skipped(self) -> list[dict]:
-        """Skip log of the rows: per skipped sample, the reasons of the rows'
-        gates in the order the rows first use them, each for the rows it
-        skips there."""
+    def skipped(self, held: np.ndarray) -> list[dict]:
+        """Skip log of ``measure``'s ``held``: per skipped sample, the reasons
+        of the rows' gates in the order the rows first use them, each for the
+        rows it skips there."""
         users: dict[str, tuple[np.ndarray, list]] = {}  # reason -> (held mask, row names)
-        for q in (q for q in self.rows if q.partial):
-            held, reason = self.gate(q)
-            users.setdefault(reason, (held, []))[1].append(q.name)
+        for q, mask, reason in zip(self.rows, held, self.reasons):
+            if reason is not None:
+                users.setdefault(reason, (mask, []))[1].append(q.name)
         return [{"t": float(self.t[i]), "reason": f"{name}: {reason}"}
-                for i in np.flatnonzero(~np.all([held for held, _ in users.values()], axis=0))
-                for reason, (held, names) in users.items() if not held[i] for name in names]
+                for i in np.flatnonzero(~held.all(axis=0))
+                for reason, (mask, names) in users.items() if not mask[i] for name in names]
 
 
 # --- The quantity table ------------------------------------------------------
@@ -564,36 +569,27 @@ SWEEP_QUANTITIES = (
 def run_verify(lab: LabConfig) -> VerifyResult:
     """Every verify row, judged at R = 1 and reported in units of ``lab.R``."""
     p = _Pass(lab.poristic().rho, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
-    columns = p.measure()
-    # The statistics of the rows without a partial gate, reduced as one stack.
-    full = [q.name for q in _VERIFY_ROWS if not q.partial]
-    stats = dict(zip(full, zip(*_reduce(np.array([columns[name] for name in full])))))
-    reports = []
-    for q in _VERIFY_ROWS:
-        judged = (q.check, q.tol, q.expected(p.cfg) if q.expected else None, lab.R ** q.dim)
-        reports.append(_judge(q.name, len(p.t), *stats[q.name], *judged) if q.name in stats
-                       else _aggregate(q.name, columns[q.name][p.gate(q)[0]], *judged))
+    values, held = p.measure()
+    reports = [_judge(q.name, *stats, q.check, q.tol, q.expected(p.cfg) if q.expected else None,
+                      lab.R ** q.dim) for q, *stats in zip(_VERIFY_ROWS, *_reduce(values, held))]
     # The circumconics of the conic stage: its views with incidence rows.
     circum = [c for c, _ in p.conics.values() if c.rows is not None]
-    return VerifyResult(lab, reports, p.skipped(),
+    return VerifyResult(lab, reports, p.skipped(held),
                         max_condition_batch([c.rows for c in circum], [c.kappa for c in circum]))
 
 
-def _reduce(vals: np.ndarray) -> tuple:
-    """Minimum, maximum, sum and largest magnitude of ``vals`` along its last
-    axis: floats for one row, lists of floats for a stack of rows.  The sum
-    is taken left to right on every Python (``sum`` of floats is compensated
-    from 3.12); ``+ 0.0`` makes an all -0.0 sum 0.0, as ``sum`` does."""
-    return (vals.min(axis=-1).tolist(), vals.max(axis=-1).tolist(),
-            (np.cumsum(vals, axis=-1)[..., -1] + 0.0).tolist(),
-            np.abs(vals).max(axis=-1).tolist())
-
-
-def _aggregate(name: str, vals: np.ndarray, check: str, tol: float,
-               expected: float | None, unit: float = 1.0) -> SweepReport:
-    """The row of ``vals``, judged as they are (``_judge``)."""
-    stats = _reduce(vals) if len(vals) else (math.nan,) * 4
-    return _judge(name, len(vals), *stats, check, tol, expected, unit)
+def _reduce(values: np.ndarray, held: np.ndarray) -> tuple[list, ...]:
+    """Per row of ``values``, over the samples ``held`` keeps: the count,
+    minimum, maximum, sum and largest magnitude, each a list over the rows.
+    The sum is taken left to right on every Python (``sum`` of floats is
+    compensated from 3.12), each cell not held adding 0.0, which moves only
+    the sign of a zero sum; ``+ 0.0`` makes every zero sum 0.0, as ``sum``
+    does."""
+    return (np.count_nonzero(held, axis=1).tolist(),
+            np.min(values, axis=1, where=held, initial=math.inf).tolist(),
+            np.max(values, axis=1, where=held, initial=-math.inf).tolist(),
+            (np.cumsum(np.where(held, values, 0.0), axis=1)[:, -1] + 0.0).tolist(),
+            np.max(np.abs(values), axis=1, where=held, initial=0.0).tolist())
 
 
 def _judge(name: str, n: int, lo: float, hi: float, total: float, peak: float, check: str,
@@ -639,12 +635,12 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
             raise UnknownQuantity(
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
     p = _Pass(lab.poristic().rho, lab.t, [_BY_NAME[q] for q in quantities], lab.seed, lab.perturb)
-    measured = p.measure()
-    values = {q.name: measured[q.name] * lab.R ** q.dim for q in p.rows}
-    columns = [np.where(p.gate(q)[0], values[q.name], None).tolist() if q.partial
-               else values[q.name].tolist() for q in p.rows]
-    table = [[t, *cells] for t, *cells in zip(p.t.tolist(), *columns)]
-    return ["t"] + list(quantities), table, p.skipped()
+    values, held = p.measure()
+    values *= np.array([lab.R ** q.dim for q in p.rows])[:, None]
+    table = np.vstack([p.t, values]).T.tolist()
+    for i, k in zip(*np.nonzero(~held)):
+        table[k][i + 1] = None
+    return ["t"] + list(quantities), table, p.skipped(held)
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:

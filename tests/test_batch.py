@@ -103,7 +103,7 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
     R = cfg.R
     # A verify runs every stage used below, under the pass's own np.errstate.
     p = report._Pass(cfg.rho, LabConfig(t_samples=T_SAMPLES).t, report._VERIFY_ROWS, 0)
-    columns = p.measure()
+    columns = dict(zip([q.name for q in report._VERIFY_ROWS], p.measure()[0]))
     ts, fam, norm = p.t, p.fam, p.billiard[2]
     x100, (has_x100, _) = p.x100
     a9, b9, _c9 = cb_axes_normalized(cfg.rho)
@@ -373,21 +373,22 @@ def test_a_pass_reads_its_samples_not_their_layout(rho):
         else:
             scalene.append(True)
     full = report._Pass(rho, grid, rows, lab.seed)
-    want = full.measure()
+    want, want_held = full.measure()
     positional = {"center_equivariance_gap", "i5x_stationarity"}
     n = len(grid)
     for k in (np.arange(n), np.arange(n)[::-1], np.random.default_rng(7).permutation(n),
               np.arange(0, n, 7)):
         p = report._Pass(rho, grid[k], rows, lab.seed)
-        got = p.measure()
+        got, held = p.measure()
         with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
             assert p.x100[1][0].tolist() == [scalene[i] for i in k]
-        for q in rows:
+        for i, q in enumerate(rows):
             if q.name not in positional:
-                assert got[q.name].tobytes() == want[q.name][k].tobytes(), q.name
+                assert got[i].tobytes() == want[i][k].tobytes(), q.name
+        assert held.tolist() == want_held[:, k].tolist()
         at = set(grid[k].tolist())
-        assert sorted((s["t"], s["reason"]) for s in p.skipped()) == sorted(
-            (s["t"], s["reason"]) for s in full.skipped() if s["t"] in at)
+        assert sorted((s["t"], s["reason"]) for s in p.skipped(held)) == sorted(
+            (s["t"], s["reason"]) for s in full.skipped(want_held) if s["t"] in at)
     if rho == 0.5:
         assert not any(scalene)
 

@@ -115,6 +115,19 @@ class TestNormalizedAxes:
             a9, b9, c9 = cb_axes_normalized(rho)
             assert c9 == pytest.approx(math.sqrt(a9 ** 2 - b9 ** 2), rel=1e-12)
 
+    @pytest.mark.parametrize("rho", (1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.49, 0.5))
+    def test_axes_to_1e_15_relative(self, rho):
+        # Against the closed forms at 50 digits: b9/L's rho + 1 - sqrt(1 - 2 rho)
+        # cancels for small rho unless it is taken without the difference.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            r = mp.mpf(rho)
+            s, den = mp.sqrt(1 - 2 * r), 2 * r + 8
+            want = (mp.sqrt(2) * mp.sqrt(r + 1 + s) / den,
+                    mp.sqrt(2) * mp.sqrt(r + 1 - s) / den, 2 * mp.sqrt(s) / den)
+            for got, exact, name in zip(cb_axes_normalized(rho), want, ("a9", "b9", "c9")):
+                assert abs(got - exact) <= 1e-15 * abs(exact), (name, got, exact)
+
     def test_invalid_rho(self):
         for rho in (0.0, -0.2, 0.51):
             with pytest.raises(InvalidRatio):

@@ -44,10 +44,11 @@ def test_narrow_column_equals_full_column(rho):
     # A verify row on a pass built for it alone, whose conic stage holds only
     # the conics the row declares, equals its column in the full verify bit
     # for bit; a row reading a conic it does not declare raises here.
-    full = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed).measure()
-    for q in report._VERIFY_ROWS:
-        narrow = report._Pass(rho, lab.t, [q], lab.seed).measure()[q.name]
-        assert narrow.tobytes() == full[q.name].tobytes(), q.name
+    full, held = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed).measure()
+    for i, q in enumerate(report._VERIFY_ROWS):
+        narrow, narrow_held = report._Pass(rho, lab.t, [q], lab.seed).measure()
+        assert narrow[0].tobytes() == full[i].tobytes(), q.name
+        assert narrow_held[0].tolist() == held[i].tolist(), q.name
     p = report._Pass(rho, lab.t, [report._BY_NAME["perimeter"]], lab.seed)
     p.measure()
     with pytest.raises(LookupError, match="conic E9 is read but no measured row declares it"):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from porism_lab import report
@@ -26,6 +26,36 @@ from porism_lab.report import (
 
 FIGURE_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "reference"
                     / "figures.json")
+
+
+def _judged(values, held=None) -> report.SweepReport:
+    """The residual row of ``values``, reduced over the samples ``held``
+    keeps (every one by default) and judged."""
+    held = np.ones(len(values), bool) if held is None else np.array(held)
+    stats = [stat[0] for stat in report._reduce(np.array([values]), held[None])]
+    return report._judge("x", *stats, "residual", 1e-9, None, 1.0)
+
+
+#: Held values: +-0.0, or magnitudes from 1e-300 to 1e300 of either sign.
+_HELD = st.one_of(st.sampled_from((0.0, -0.0)), st.builds(
+    lambda sign, m, e: sign * m * 10.0 ** e,
+    st.sampled_from((-1.0, 1.0)), st.floats(1.0, 9.99), st.integers(-300, 299)))
+
+
+@st.composite
+def _masked_stacks(draw):
+    """A (rows, n) stack of values and a random held mask over it.  A row
+    may hold nothing, or -0.0 only; a cell not held may be NaN or inf."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    values, held = np.empty((rows, n)), np.zeros((rows, n), bool)
+    for i in range(rows):
+        kind = draw(st.sampled_from(("mixed", "negative zeros", "none held")))
+        for j in range(n):
+            held[i, j] = kind != "none held" and draw(st.booleans())
+            values[i, j] = draw(
+                (st.just(-0.0) if kind == "negative zeros" else _HELD) if held[i, j]
+                else st.one_of(st.sampled_from((math.nan, math.inf, -math.inf)), _HELD))
+    return values, held
 
 
 class TestVerifySuite:
@@ -143,7 +173,8 @@ class TestVerifySuite:
         assert rows["weaver_excentral_power_gap"]["mean"] == 0.0
         assert rows["weaver_excentral_power_gap"]["spread_rel"] is None
         # A row with no samples has no statistics.
-        empty = report._aggregate("empty", np.array([]), "residual", 1e-9, None)
+        empty = _judged([math.nan, math.inf, -math.inf], [False] * 3)
+        assert (empty.samples, empty.verdict, empty.status) == (0, "skipped", "fail")
         result.reports.append(empty)
         row = json.loads(verify_report_json(result), parse_constant=strict)["reports"][-1]
         assert [row[k] for k in ("samples", "min", "max", "mean", "spread_rel")] == [
@@ -151,21 +182,29 @@ class TestVerifySuite:
 
     def test_mean_is_summed_left_to_right_on_every_python(self):
         # A compensated sum (Python's sum from 3.12) would give 2 / 4.
-        row = report._aggregate("x", np.array([1.0, 1e100, 1.0, -1e100]), "residual", 1e-9, None)
-        assert row.mean == 0.0
-        row = report._aggregate("x", np.array([-0.0, -0.0]), "residual", 1e-9, None)
-        assert math.copysign(1.0, row.mean) == 1.0
+        assert _judged([1.0, 1e100, 1.0, -1e100]).mean == 0.0
+        assert math.copysign(1.0, _judged([-0.0, -0.0]).mean) == 1.0
 
-    def test_a_stack_of_rows_reduces_as_each_row(self):
-        # run_verify reduces its full rows as one stack: each row gets the
-        # statistics it gets alone, its sum taken left to right (numpy's
-        # pairwise sum gives 0.0 for the first row, left to right 1.0).
-        rows = np.array([[1e100, 1.0, -1e100, 1.0, 0.0, 0.0, 0.0, 0.0], [-0.0] * 8,
-                         [3.0, -2.0, 0.5, 7.0, -0.0, 1e-300, 2.0, -5.0]])
-        stacked = list(zip(*report._reduce(rows)))
-        assert stacked == [report._reduce(row) for row in rows]
-        assert [total for _, _, total, _ in stacked] == [1.0, 0.0, 5.5]
-        assert math.copysign(1.0, stacked[1][2]) == 1.0
+    @given(_masked_stacks())
+    # Left to right this row sums to 1.0; numpy's pairwise sum gives 0.0.
+    @example((np.array([[1e100, 1.0, -1e100, 1.0, 0.0, 0.0, 0.0, 0.0, math.nan]]),
+              np.arange(9)[None] < 8))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_reduces_as_its_held_values_alone(self, stack):
+        # Each row of one masked reduction against numpy's 1-D reductions of
+        # the row's held values, float.hex for float.hex; min and max only up
+        # to the sign of a zero, which the two order differently (no verify
+        # row holds a -0.0).  A cell not held may be anything, NaN included.
+        values, held = stack
+        for vals, (n, lo, hi, total, peak) in zip(
+                (row[mask] for row, mask in zip(values, held)),
+                zip(*report._reduce(values, held))):
+            assert n == len(vals)
+            if n:
+                assert (lo + 0.0).hex() == (vals.min() + 0.0).item().hex()
+                assert (hi + 0.0).hex() == (vals.max() + 0.0).item().hex()
+                assert total.hex() == (np.cumsum(vals)[-1] + 0.0).item().hex()
+                assert peak.hex() == np.abs(vals).max().item().hex()
 
 
 class TestSweep:
@@ -203,7 +242,7 @@ class TestSweep:
         lab = LabConfig(t_samples=12, perturb=1e-6)
         _, rows, _ = run_sweep(lab, ["circumcircle_residual"])
         q = report._BY_NAME["circumcircle_residual"]
-        column = report._Pass(lab.r, lab.t, [q], lab.seed, lab.perturb).measure()[q.name]
+        column = report._Pass(lab.r, lab.t, [q], lab.seed, lab.perturb).measure()[0][0]
         assert [row[1] for row in rows] == column.tolist()
         assert rows[4][1] > 5e-7
 

@@ -35,7 +35,8 @@ def _line(R=1.0):
     return {
         "R": R, "rho": 0.2, "n": 38,
         "verify": {"outcome": "report", "error": None, "rows": copy.deepcopy(ROWS),
-                   "max_circumconic_condition": 12.5, "json_sha256": "a", "csv_sha256": "b"},
+                   "max_circumconic_condition": 12.5, "json_sha256": "a", "csv_sha256": "b",
+                   "skips_sha256": "g"},
         "sweep": {"outcome": "report", "error": None, "csv_sha256": "c", "skips_sha256": "d"},
         "scalar": {"outcome": "report", "error": None, "values_sha256": "e"},
     }
@@ -80,6 +81,14 @@ def test_rounding_moves_only():
     assert found == []
     assert len(moved) == 4
     assert "R=1000.0 rho=0.2 n=38 scalar values_sha256 differs" in moved
+
+
+@pytest.mark.parametrize("run", ("verify", "sweep"))
+def test_a_changed_skip_log_is_a_difference(run):
+    before, after = _scans()
+    after[1][run]["skips_sha256"] = "h"
+    assert outcome_scan.compare(before, after) == (
+        [f"R=1000.0 rho=0.2 n=38 {run} skips_sha256 differs"], [])
 
 
 def test_a_spread_mean_beyond_1e_13_is_a_difference():

@@ -14,8 +14,8 @@ column, the outcome ("report", or the name of the ``GeometryError``
 subclass raised) and its message; for a verify report the status, verdict,
 sample count, check, tolerance, mean and relative spread of every row and
 ``max_circumconic_condition``; and
-the SHA-256 of the report JSON and CSV, of the sweep CSV and of its skip
-log.  A third run evaluates the scalar API at each t of ``SCALAR_T``:
+the SHA-256 of the report JSON and CSV, of the sweep CSV, and of the skip
+log of each.  A third run evaluates the scalar API at each t of ``SCALAR_T``:
 ``sample``, the scalar closed forms, ``normalize_sample`` and its
 reflection residual, every supported center and the canonical form of
 every named conic; it gives its outcome and the SHA-256 of the
@@ -26,9 +26,9 @@ printed as its outcome, and the scan exits 1.
 difference in outcome, message, status, verdict, sample count, check or
 tolerance, and every mean of a non-residual row or
 ``max_circumconic_condition`` that moved by more than 1e-13 relative, and
-exits 1 if there is any.  It also lists, as
-``rounding:``, what moved within that: residual means, values within
-1e-13, and output digests.
+exits 1 if there is any; a changed skip log digest is a difference too.
+It also lists, as ``rounding:``, what moved within that: residual means,
+values within 1e-13, and the other output digests.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _skips_digest(skips: list[dict]) -> str:
+    return _digest("".join(f"{s['t']!r} {s['reason']}\n" for s in skips))
+
+
 def _outcome(run) -> dict:
     """The outcome of ``run()`` and what it returned, or its error."""
     from porism_lab.errors import GeometryError
@@ -86,12 +90,13 @@ def scan_one(R: float, rho: float, n: int) -> dict:
         verify["max_circumconic_condition"] = result.max_condition
         verify["json_sha256"] = _digest(report.verify_report_json(result))
         verify["csv_sha256"] = _digest(report.verify_report_csv(result))
+        verify["skips_sha256"] = _skips_digest(result.skipped)
     sweep = _outcome(lambda: report.run_sweep(lab, list(report.SWEEP_QUANTITIES)))
     table = sweep.pop("value")
     if table is not None:
         header, rows, skips = table
         sweep["csv_sha256"] = _digest(report.format_csv(header, rows))
-        sweep["skips_sha256"] = _digest("".join(f"{s['t']!r} {s['reason']}\n" for s in skips))
+        sweep["skips_sha256"] = _skips_digest(skips)
     scalar = _outcome(lambda: _scalar_values(lab.poristic()))
     values = scalar.pop("value")
     if values is not None:
@@ -148,8 +153,8 @@ def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]
             if (a["outcome"], a["error"]) != (b["outcome"], b["error"]):
                 found.append(f"{where} {run}: {a['outcome']} {a['error']!r} -> "
                              f"{b['outcome']} {b['error']!r}")
-            moved += [f"{where} {run} {key} differs" for key in a
-                      if key.endswith("sha256") and a[key] != b.get(key)]
+            for key in (k for k in a if k.endswith("sha256") and a[k] != b.get(k)):
+                (found if key == "skips_sha256" else moved).append(f"{where} {run} {key} differs")
         for ra, rb in zip(x["verify"].get("rows", []), y["verify"].get("rows", [])):
             if ra[:6] != rb[:6]:
                 found.append(f"{where} verify row: {ra[:6]} -> {rb[:6]}")
