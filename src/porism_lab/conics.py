@@ -47,7 +47,6 @@ from .geom import (  # noqa: F401
     _normalized,
     _normalized_entries,
     canonicalize,
-    condition_estimate_batch,
     line_through,
     line_through_batch,
     rank_test,
@@ -251,18 +250,18 @@ def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
     test, kept as the stack's ``rank_test`` for ``canonicalize_batch``.
     The checks run in this order, each over all its blocks: circumconic
     not unique, circumconic constraints collapse, tangent lines parallel,
-    circumconic degenerates.  The stack carries the incidence rows and
-    condition estimates of its circumconics, computed from the norms of
-    the rank filter without an SVD; a verify takes its largest condition
-    number from them (``geom.max_condition_batch``) with one SVD of the
-    rows that can hold it."""
+    circumconic degenerates.  The stack carries the incidence rows of its
+    circumconics and the norms (F, P, D) their rank filter computed; only a
+    verify estimates condition numbers from them, when it takes the largest
+    (``geom.max_condition_batch``) with one SVD of the rows that can hold
+    it."""
     circum, rows, norms = _centered_circumconic_batch(v[:n_circum], center[:n_circum], log)
     # The inconics are the blocks after the circumconics.
     inconic_log = PassLog(log.ts, log.rows, log.names[n_circum // len(log.ts):])
     origin = np.concatenate([circum, _centered_inconic_batch(v[n_circum:], center[n_circum:],
                                                              inconic_log)], axis=1)
     conic = ConicBatch(_normalized(np.array(_shift(*origin, center[:, 0], center[:, 1]))),
-                       rows, condition_estimate_batch(*norms))
+                       rows, norms)
     del circum, origin  # not held through the rank test
     log.check(conic.rank_test[:n_circum] < 0, DegenerateConic,
               "centered circumconic degenerates for this center")

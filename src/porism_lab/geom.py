@@ -23,8 +23,9 @@ types.  Both twins decide their rank tests through one certified filter,
 decides them as the SVD does from the minors of the matrix and runs the SVD
 only near the threshold.  The norms the batched filter computes also give
 every row a condition estimate (``condition_estimate_batch``), so the
-largest condition number of a set of stacks (``max_condition_batch``) needs
-the SVD only of the rows that can hold it.
+largest condition number of a stack (``max_condition_batch``, which
+estimates from those norms) needs the SVD only of the rows that can hold
+it.
 """
 
 from __future__ import annotations
@@ -279,22 +280,17 @@ class ConicBatch:
     conic.  Their makers scale each column so that its largest coefficient
     has magnitude 1 (``_normalized``): the max-entry normalization of
     ``ConicMatrix``, since the largest entry of the matrix is the largest
-    coefficient.  ``m`` derives the (n, 3, 3) matrix stack from them.
+    coefficient.
 
-    A stack whose first conics are circumconics also carries, for those,
-    the (k, 3, 4) incidence rows they were solved from and their condition
-    estimates ``kappa`` (``condition_estimate_batch`` of the norms its rank
-    filter computed, NaN where not certified); ``max_condition_batch``
-    takes the exact largest condition number from them, with an SVD of the
-    few rows that can hold it."""
+    A stack whose first k conics are circumconics also carries, for those,
+    the (k, 3, 4) incidence rows they were solved from and the norms
+    (F, P, D) their rank filter computed, each of shape (k,);
+    ``max_condition_batch`` takes the exact largest condition number from
+    them, with an SVD of the few rows that can hold it."""
 
     c: np.ndarray
     rows: np.ndarray | None = None
-    kappa: np.ndarray | None = None
-
-    @property
-    def m(self) -> np.ndarray:
-        return np.take(self.c, _MATRIX_ENTRIES, axis=0).T.reshape(-1, 3, 3)
+    norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @functools.cached_property
     def rank_test(self) -> np.ndarray:
@@ -568,12 +564,13 @@ def condition_estimate_batch(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.
     return np.where(certified, kappa, np.nan)
 
 
-def max_condition_batch(rows: list[np.ndarray], kappa: list[np.ndarray]) -> float:
+def max_condition_batch(rows: np.ndarray, norms: tuple) -> float:
     """The largest sigma_max / sigma_min, as ``singular_values_batch``
-    gives it, over the rows of (n_i, 3, k) stacks, with the estimates
-    ``kappa`` of ``condition_estimate_batch``.  One stacked SVD runs, over
-    the candidate rows only: those whose estimate is NaN or at least
-    (1 - m) kappa_max, with kappa_max the largest estimate and
+    gives it, over the rows of a (n, 3, k) stack, given the norms (F, P, D)
+    that ``rank_test_batch`` computed for it.  ``condition_estimate_batch``
+    estimates every row from the norms, once.  One stacked SVD runs, over
+    the candidate rows only: those whose estimate ``kappa`` is NaN or at
+    least (1 - m) kappa_max, with kappa_max the largest estimate and
     m = 2^-10 + 256 u kappa_max.  The result is bit for bit the maximum over
     every row: numpy's stacked SVD calls LAPACK once per matrix, so a row
     gives the same singular values in any subset.  A non-finite row has a
@@ -591,7 +588,7 @@ def max_condition_batch(rows: list[np.ndarray], kappa: list[np.ndarray]) -> floa
     so is the row of the largest ratio.  At ``LabConfig()`` a verify
     sends 26 of its 3600 circumconic rows to the SVD.
     """
-    rows, kappa = np.concatenate(rows), np.concatenate(kappa)
+    kappa = condition_estimate_batch(*norms)
     top = np.max(kappa, initial=0.0, where=np.isfinite(kappa))
     candidate = ~(kappa < (1.0 - 2.0 ** -10 - 256 * _U * top) * top)
     sv = singular_values_batch(rows[candidate])

@@ -344,11 +344,14 @@ def named_conic(cfg: PoristicConfig, t: float, tag: str,
     return _conics.inconic_centered(tri, center)
 
 
-def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
-                       log: PassLog) -> dict[str, tuple[ConicBatch, CanonicalBatch]]:
+def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray], log: PassLog
+                       ) -> tuple[ConicBatch, dict[str, tuple[ConicBatch, CanonicalBatch]]]:
     """``named_conic`` and its ``canonicalize`` for each of ``tags`` over a
-    sweep, as views of one stack; ``x(k)`` gives the reference triangle's
-    center X_k, as computed by ``centers.center_batch``.
+    sweep, as one stack; ``x(k)`` gives the reference triangle's center
+    X_k, as computed by ``centers.center_batch``.  Returns the stack, with
+    the incidence rows and rank-filter norms of its circumconics
+    (``conics.centered_conics_batch``), and per tag a view of it: that
+    tag's slice of the coefficient rows and of the canonical forms.
 
     The stack holds the circumconics, then the inconics, each in
     ``CONIC_TAGS`` order (E1, E9, E10, E3x, E5x, E6x, I9, I3x, I5x).  One
@@ -370,12 +373,8 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray],
     log = PassLog(log.ts, log.rows, order)
     stack = _conics.centered_conics_batch(v, center, n_circum, log)
     can = canonicalize_batch(stack, log)
-    out = {}
-    for i, tag in enumerate(order):
-        s = slice(i * n, (i + 1) * n)
-        extra = (stack.rows[s], stack.kappa[s]) if i * n < n_circum else ()
-        out[tag] = ConicBatch(stack.c[:, s], *extra), can[s]
-    return out
+    return stack, {tag: (ConicBatch(stack.c[:, i * n:(i + 1) * n]), can[i * n:(i + 1) * n])
+                   for i, tag in enumerate(order)}
 
 
 class FamilyAngleClass(Enum):

@@ -23,8 +23,9 @@ every R.  User units are applied once, to the reported values: each row's
 its values by ``R ** dim``.  A residual row is reported in units of R, the
 unit of its tolerance.
 
-A quantity is "invariant" when its relative spread over the
-sweep stays below tolerance; residual-style quantities (which should be
+A spread quantity passes when every sample stays within tolerance of its
+closed form, so that its relative spread over the sweep stays below twice
+the tolerance ("invariant"); residual-style quantities (which should be
 numerically zero) pass when their maximum stays below tolerance; a few
 quantities (perimeter, billiard-view inradius and circumradius) must be
 detected as varying.
@@ -206,9 +207,9 @@ class _Pass:
         return self._x[k]
 
     @functools.cached_property
-    def conics(self) -> dict[str, tuple[ConicBatch, CanonicalBatch]]:
-        """The conic stage: each declared named conic and its canonical
-        form, built as one stack."""
+    def conics(self) -> tuple[ConicBatch, dict[str, tuple[ConicBatch, CanonicalBatch]]]:
+        """The conic stage: one stack of the declared named conics, and per
+        tag its view, the conic and its canonical form."""
         return _poristic.named_conics_batch(self.fam, self.tags, self.x, self.log)
 
     def conic(self, tag: str) -> ConicBatch:
@@ -220,7 +221,7 @@ class _Pass:
     def _declared(self, tag: str) -> tuple[ConicBatch, CanonicalBatch]:
         if tag not in self.tags:
             raise LookupError(f"conic {tag} is read but no measured row declares it")
-        return self.conics[tag]
+        return self.conics[1][tag]
 
     def ratio(self, tag: str) -> np.ndarray:
         """Axis ratio of conic ``tag``; not kept, each feeds one row."""
@@ -572,10 +573,9 @@ def run_verify(lab: LabConfig) -> VerifyResult:
     values, held = p.measure()
     reports = [_judge(q.name, *stats, q.check, q.tol, q.expected(p.cfg) if q.expected else None,
                       lab.R ** q.dim) for q, *stats in zip(_VERIFY_ROWS, *_reduce(values, held))]
-    # The circumconics of the conic stage: its views with incidence rows.
-    circum = [c for c, _ in p.conics.values() if c.rows is not None]
+    stack = p.conics[0]
     return VerifyResult(lab, reports, p.skipped(held),
-                        max_condition_batch([c.rows for c in circum], [c.kappa for c in circum]))
+                        max_condition_batch(stack.rows, stack.norms))
 
 
 def _reduce(values: np.ndarray, held: np.ndarray) -> tuple[list, ...]:
@@ -609,16 +609,13 @@ def _judge(name: str, n: int, lo: float, hi: float, total: float, peak: float, c
     elif check == "varying":
         verdict = "invariant" if spread < tol else "varying"
         ok = verdict == "varying"
-    elif expected is not None:
-        # Every sample must sit within tol of the predicted constant; values
-        # within tol of one constant have spread at most 2 tol, which is the
-        # spread tolerance the verdict uses.
+    else:
+        # A spread row: every sample must sit within tol of its closed form;
+        # values within tol of one constant have spread at most 2 tol, which
+        # is the spread tolerance the verdict uses.
         verdict = "invariant" if spread < 2 * tol else "varying"
         ok = (max(abs(lo - expected), abs(hi - expected)) <= tol * max(1.0, abs(expected))
               and verdict == "invariant")
-    else:
-        verdict = "invariant" if spread < tol else "varying"
-        ok = verdict == "invariant"
     return SweepReport(name, n, lo * unit, hi * unit, mean * unit, spread, verdict, tol,
                        check, shown, "varying" if check == "varying" else "invariant",
                        "pass" if ok else "fail")

@@ -26,9 +26,7 @@ _SIN = np.array([math.sin(ph) for ph in _PHASES])
 
 
 def _fmt(v: float) -> str:
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.4f}"
+    return "%.4f" % (v + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 class SvgCanvas:

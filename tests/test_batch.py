@@ -10,6 +10,7 @@ form.
 
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porism_lab import report
+from porism_lab import geom, report
 from porism_lab.billiard import (
     cb_axes_normalized,
     normalize_sample,
@@ -64,6 +65,7 @@ from porism_lab.geom import (
     _thin,
     _wrap_half_pi,
     canonicalize,
+    condition_estimate_batch,
     foci,
     foci_batch,
     line_through_batch,
@@ -71,13 +73,14 @@ from porism_lab.geom import (
     singular_values_batch,
 )
 from porism_lab.poristic import (
+    _STACK_ORDER,
     _TAG_TABLE,
     config_from_rR,
     named_conic,
     sample,
     sample_batch,
 )
-from porism_lab.report import LabConfig, run_verify
+from porism_lab.report import SWEEP_QUANTITIES, LabConfig, run_sweep, run_verify
 
 RHO_GRID = (0.05, 0.2, 0.36266, 0.49)
 # Each R of the scalar API that the pass at R = 1 is compared with, and
@@ -109,6 +112,12 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
     a9, b9, _c9 = cb_axes_normalized(cfg.rho)
     # Off the billiard ellipse the reflection residual is of order one, not noise.
     off_ellipse = reflection_law_residual_batch(fam.triangle * R, a9, b9)
+    # The conic stack: its circumconics' incidence rows, and the condition
+    # estimates of the norms their rank filter computed, block by block in
+    # the stack's tag order.
+    stack = p.conics[0]
+    kappa = condition_estimate_batch(*stack.norms)
+    order = [tag for tag in _STACK_ORDER if tag in p.tags]
     checked = 0
 
     def close_length(got, want, what, tol=length_tol):
@@ -158,23 +167,23 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
                          (tag, "foci", t), tol)
             on_excentral, is_circum, center_id = _TAG_TABLE[tag]
             if is_circum:
-                # The batched stack carries its incidence rows and condition
-                # estimates; the oracle is the SVD of the scalar incidence
-                # rows (u^2, 2uv, v^2, 1) of the vertices about the center.
-                batch = p.conic(tag)
+                # The oracle of the stack's incidence rows and condition
+                # estimates is the SVD of the scalar incidence rows
+                # (u^2, 2uv, v^2, 1) of the vertices about the center.
+                k = order.index(tag) * len(ts) + i
                 ctr = center(tri, center_id)
                 rows = np.array([[u * u, 2 * u * v, v * v, 1.0] for u, v in
                                  (((q.x - ctr.x) / R, (q.y - ctr.y) / R)
                                   for q in (s.excentral if on_excentral else tri).v)])
                 oracle = np.linalg.svd(rows, compute_uv=False)
-                sv = singular_values_batch(batch.rows[i:i + 1])[0]
+                sv = singular_values_batch(stack.rows[k:k + 1])[0]
                 ratio = sv[0] / sv[-1]
                 close_rel(ratio, oracle[0] / oracle[-1], (tag, "cond", t))
                 # The estimate is certified here, within the relative error
                 # the candidate margin of max_condition_batch relies on: 2^-12
                 # for the estimate and 101 u (kappa + 1) for the SVD.
                 svd_error = 101 * 2.0 ** -53 * (ratio + 1)
-                assert abs(batch.kappa[i] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
+                assert abs(kappa[k] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
                     tag, "kappa", t)
         if want_x100 is not None:
             close_length(p.hyperbolas[0][i], hyperbola_focal_length(tri, center(tri, 11)),
@@ -345,11 +354,33 @@ def test_max_condition_is_the_largest_of_all_circumconic_rows(rho):
     lab = LabConfig(R=1.0, r=rho, t_samples=T_SAMPLES)
     p = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed)
     p.measure()
-    rows = np.concatenate([c.rows for c, _ in p.conics.values() if c.rows is not None])
+    rows = p.conics[0].rows
     assert rows.shape == (5 * T_SAMPLES, 3, 4)
     sv = singular_values_batch(rows)
     want = np.max(sv[:, 0] / sv[:, -1])
     assert np.float64(run_verify(lab).max_condition).tobytes() == want.tobytes()
+
+
+def test_only_a_verify_estimates_condition_numbers(monkeypatch):
+    """``geom.condition_estimate_batch``, under every name the package binds
+    it to, runs never in an all-column sweep and once in a verify, over all
+    its circumconic rows."""
+    estimate, calls = geom.condition_estimate_batch, []
+
+    def spy(F, P, D):
+        calls.append(len(F))
+        return estimate(F, P, D)
+
+    for name, module in list(sys.modules.items()):
+        if name == "porism_lab" or name.startswith("porism_lab."):
+            for attr, obj in list(vars(module).items()):
+                if obj is estimate:
+                    monkeypatch.setattr(module, attr, spy)
+    lab = LabConfig(t_samples=48)
+    run_sweep(lab, list(SWEEP_QUANTITIES))
+    assert calls == []
+    run_verify(lab)
+    assert calls == [5 * lab.t_samples]
 
 
 @pytest.mark.parametrize("rho", (*RHO_GRID, 0.5))
@@ -484,8 +515,8 @@ def test_batched_inconic_d_matches_the_exact_closed_form():
     p = report._Pass(lab.r, lab.t, (), 0)
     s = p.fam.triangle - p.x(9)[:, None, :]
     lines = [line_through_batch(s[:, j], s[:, k]) for j, k in ((1, 2), (0, 2), (0, 1))]
-    m = inconic_from_tangents_batch(*lines, p.log).m
-    got = m[:, 2, 2] / np.abs(m[:, [0, 0, 1], [0, 1, 1]]).max(axis=1)
+    A, B, C, _, _, F = inconic_from_tangents_batch(*lines, p.log).c
+    got = F / np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
     worst = 0.0
     for i in range(len(p.t)):
         exact = _exact_inconic_d_ratio(mp, [ln[i] for ln in lines])

@@ -531,12 +531,14 @@ class TestMaxCondition:
     candidate rows only."""
 
     @staticmethod
-    def _check(stacks):
-        """The filtered maximum equals the full one bitwise, and every
+    def _check(pieces):
+        """Over the one stack of ``pieces``, concatenated, and its filter
+        norms: the filtered maximum equals the full one bitwise, and every
         certified estimate is within the error the candidate margin
         relies on.  Returns the maximum and the number of rows sent to
         the SVD."""
-        kappa = [condition_estimate_batch(*rank_test_batch(_entries(a))[2]) for a in stacks]
+        rows = np.concatenate(pieces)
+        norms = rank_test_batch(_entries(rows))[2]
         sent = []
 
         def recorded(rows):
@@ -545,12 +547,12 @@ class TestMaxCondition:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geom, "singular_values_batch", recorded)
-            got = max_condition_batch(stacks, kappa)
-        sv = singular_values_batch(np.concatenate(stacks))
+            got = max_condition_batch(rows, norms)
+        sv = singular_values_batch(rows)
         ratio = sv[:, 0] / sv[:, -1]
         want = np.max(ratio)
         assert np.float64(got).tobytes() == want.tobytes(), (got, want)
-        kappa = np.concatenate(kappa)
+        kappa = condition_estimate_batch(*norms)
         est = np.isfinite(kappa)
         svd_error = 101 * 2.0 ** -53 * (ratio[est] + 1)
         assert (np.abs(kappa[est] - ratio[est])
@@ -562,7 +564,7 @@ class TestMaxCondition:
     @settings(max_examples=60, deadline=None)
     def test_random_stacks(self, seed, count, exponent):
         rng = np.random.default_rng(seed)
-        stacks = []
+        pieces = []
         for _ in range(count):
             n = int(rng.integers(1, 60))
             if rng.random() < 0.5:
@@ -572,20 +574,20 @@ class TestMaxCondition:
                 # condition numbers up to 1e11.
                 sigma = np.sort(10.0 ** rng.uniform(-11, 0, (n, 3)), axis=1)[:, ::-1]
                 a = _stack(rng, sigma)
-            stacks.append(np.ldexp(a, exponent))
-        self._check(stacks)
+            pieces.append(np.ldexp(a, exponent))
+        self._check(pieces)
 
     @pytest.mark.parametrize("sigma", [(1.0, 1.0, 1.0), (1.0, 1.0, 1e-3), (1.0, 1e-3, 1e-3),
                                        (1.0, 0.5, 1.2e-11), (1.0, 1.0, 0.9e-11)])
     def test_chosen_singular_values(self, sigma):
         # Every row has the same exact condition number, so the largest
         # computed ratio is decided by the SVD's rounding alone; the second
-        # stack is scaled row by row.
+        # half of the stack is scaled row by row.
         rng = np.random.default_rng(11)
         a = _stack(rng, np.tile(sigma, (40, 1)))
         self._check([a[:20], a[20:] * rng.uniform(0.5, 2.0, (20, 1, 1))])
 
-    def test_exact_ties_across_stacks(self):
+    def test_exact_ties_within_one_stack(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(30, 3, 4))
         assert self._check([a, a.copy(), a[:5]])[1] >= 3
@@ -594,8 +596,8 @@ class TestMaxCondition:
         rng = np.random.default_rng(13)
         a, b = rng.normal(size=(20, 3, 4)), rng.normal(size=(20, 3, 4))
         b[7, 1, 2] = np.nan
-        for stacks in ([a, b], [b, a]):
-            assert math.isnan(self._check(stacks)[0])
+        for pieces in ([a, b], [b, a]):
+            assert math.isnan(self._check(pieces)[0])
 
     def test_far_scale_rows_are_all_candidates(self):
         # Incidence rows (u^2, 2uw, w^2, 1) at R = 1e100: the norm F is

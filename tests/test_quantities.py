@@ -28,6 +28,7 @@ def test_each_name_is_one_row_and_each_sweep_name_is_listed_once():
     assert set(SWEEP_QUANTITIES) <= set(names)
     assert {q.check for q in QUANTITIES} == {None, "residual", "spread", "varying"}
     assert all(q.expected is None for q in QUANTITIES if q.check != "spread")
+    assert all(q.expected is not None for q in QUANTITIES if q.check == "spread")
 
 
 @pytest.mark.parametrize("rho", RHO_GRID)
