@@ -5,6 +5,14 @@ The registry is closed: exactly the centers the downstream family machinery
 needs, each with an explicit trilinear or constructive definition so that
 every one can be cross-checked against an independent construction.
 
+``side_lengths``, ``center`` and ``excentral`` compute each value once per
+``Triangle`` instance and keep it in the triangle's memo (``_memoized``):
+a later call on the same instance returns the kept value, bit-identical
+to what a fresh equal triangle computes, since the same function runs on
+the same floats.  Centers built from other centers (X4, X5, X40, X1155)
+read those from the memo as well.  A computation that raises is not kept:
+it raises again on every call.  Nothing is kept beyond one instance.
+
 The ``_batch`` functions are the array twins used by the measurement pass,
 under the twin rule of ``geom``: triangles are (n, 3, 2) vertex stacks and
 points (n, 2) arrays.
@@ -66,7 +74,22 @@ def _not_a_triangle(s1, s2, s3, xp):
             | (s1 + s2 <= s3) | (s2 + s3 <= s1) | (s3 + s1 <= s2))
 
 
+def _memoized(t: Triangle, key, build, *args):
+    """``build(t, *args)``, computed on first use and kept in the memo of
+    t under ``key`` (no build returns None); a build that raises keeps
+    nothing."""
+    memo = t._memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(t, *args)
+    return value
+
+
 def side_lengths(t: Triangle) -> SideLengths:
+    return _memoized(t, "side_lengths", _side_lengths)
+
+
+def _side_lengths(t: Triangle) -> SideLengths:
     p1, p2, p3 = t.v
     return SideLengths(distance(p2, p3), distance(p1, p3), distance(p1, p2))
 
@@ -143,6 +166,10 @@ def _excenter_weights(s1, s2, s3):
 
 def excentral(t: Triangle) -> Triangle:
     """Triangle of the three excenters (barycentrics (-s1 : s2 : s3) cyclic)."""
+    return _memoized(t, "excentral", _excentral)
+
+
+def _excentral(t: Triangle) -> Triangle:
     return Triangle(tuple(_barycentric_point(t, w)
                           for w in _excenter_weights(*side_lengths(t).as_tuple())))
 
@@ -214,11 +241,17 @@ def center(t: Triangle, k: int) -> Point:
     """Cartesian location of a supported triangle center."""
     if k not in SUPPORTED_CENTERS:
         raise UnsupportedCenter(f"center X_{k} is not in the registry {sorted(SUPPORTED_CENTERS)}")
-    return _center(t, k, side_lengths(t).as_tuple())
+    return _center(t, k)
 
 
-def _center(t: Triangle, k: int, s: tuple[float, float, float]) -> Point:
-    """``center`` given the side lengths s of t."""
+def _center(t: Triangle, k: int) -> Point:
+    """``center`` for a supported k, kept in the memo of t."""
+    return _memoized(t, k, _build_center, k)
+
+
+def _build_center(t: Triangle, k: int) -> Point:
+    """Compute X_k of t; the centers it is built from come from ``_center``."""
+    s = side_lengths(t).as_tuple()
     if k == 100:
         _require_scalene(s, "X_100")
     if k in _TRILINEAR:
@@ -226,11 +259,11 @@ def _center(t: Triangle, k: int, s: tuple[float, float, float]) -> Point:
     if k == 4:
         # Orthocenter = V1 + V2 + V3 - 2*circumcenter; avoids sec(A) blowing
         # up on right triangles.
-        x3 = _center(t, 3, s)
+        x3 = _center(t, 3)
         p1, p2, p3 = t.v
         return Point(p1.x + p2.x + p3.x - 2 * x3.x, p1.y + p2.y + p3.y - 2 * x3.y)
     if k == 5:
-        return midpoint(_center(t, 3, s), _center(t, 4, s))
+        return midpoint(_center(t, 3), _center(t, 4))
     if k == 6:
         return _trilinear_point(t, s, s)
     if k == 7:
@@ -238,13 +271,13 @@ def _center(t: Triangle, k: int, s: tuple[float, float, float]) -> Point:
                                       1.0 / (s[2] + s[0] - s[1]),
                                       1.0 / (s[0] + s[1] - s[2])))
     if k == 10:
-        return center(medial(t), 1)
+        return _center(medial(t), 1)
     if k == 40:
-        x1, x3 = _center(t, 1, s), _center(t, 3, s)
+        x1, x3 = _center(t, 1), _center(t, 3)
         return Point(2 * x3.x - x1.x, 2 * x3.y - x1.y)
     # k == 1155: intersection of line X1-X3 with the antiorthic axis.
     _require_scalene(s, "X_1155")
-    return line_intersection(line_through(_center(t, 1, s), _center(t, 3, s)),
+    return line_intersection(line_through(_center(t, 1), _center(t, 3)),
                              antiorthic_axis_of(t))
 
 

@@ -161,11 +161,11 @@ def _tangent_form(lines, d12, d13, d23):
     factors of D, so no coefficient depends on the lines' orientation."""
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = lines
     A = a2 * a3 * c1 * c1 * d23 - a1 * a3 * c2 * c2 * d13 + a1 * a2 * c3 * c3 * d12
-    B = 0.5 * ((a2 * b3 + a3 * b2) * c1 * c1 * d23
-               - (a1 * b3 + a3 * b1) * c2 * c2 * d13
-               + (a1 * b2 + a2 * b1) * c3 * c3 * d12)
+    B = ((a2 * b3 + a3 * b2) * c1 * c1 * d23
+         - (a1 * b3 + a3 * b1) * c2 * c2 * d13
+         + (a1 * b2 + a2 * b1) * c3 * c3 * d12) / 2
     C = b2 * b3 * c1 * c1 * d23 - b1 * b3 * c2 * c2 * d13 + b1 * b2 * c3 * c3 * d12
-    D = (0.25 / (d12 * d13 * d23)
+    D = (1 / (4 * (d12 * d13 * d23))
          * (d23 * c1 + d13 * c2 - d12 * c3)
          * (d23 * c1 - d13 * c2 - d12 * c3)
          * (d23 * c1 - d13 * c2 + d12 * c3)

@@ -106,13 +106,12 @@ def _fig_odehnal(lab: LabConfig) -> str:
 
 def _fig_inconics(lab: LabConfig) -> str:
     cfg, canvas = _scene(lab)
-    for t, dash in ((0.9, None), (2.6, "6,4")):
-        s = _poristic.sample(cfg, t)
+    first, second = _poristic.sample(cfg, 0.9), _poristic.sample(cfg, 2.6)
+    for s, dash in ((first, None), (second, "6,4")):
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
         _draw_canonical(canvas, _conic(cfg, s, "I3x"), RED, dash=dash)
         _draw_canonical(canvas, _conic(cfg, s, "E1"), EXCENTRAL_GREEN, dash=dash)
-    _draw_canonical(canvas, _conic(cfg, _poristic.sample(cfg, 0.9), "I5x"), INCIRCLE_GREEN,
-                    dash="2,3")
+    _draw_canonical(canvas, _conic(cfg, first, "I5x"), INCIRCLE_GREEN, dash="2,3")
     _mark(canvas, cfg.excentral_circle.center, "X40", BLACK)
     return canvas.render(f"rigidly rotating inconics, r/R={cfg.rho:g}")
 

@@ -827,9 +827,22 @@ class Triangle:
 
     Construction re-orders a clockwise input (swapping the last two vertices)
     and rejects triangles whose area is below 1e-12 * (longest side)^2.
+
+    Each instance carries a private memo of values derived from its
+    vertices alone, which ``centers`` fills: its side lengths, its centers
+    and its excentral triangle, each computed by the same function on the
+    same floats on first use, so a value read from the memo is bit-identical
+    to one computed afresh from an equal triangle.  The memo belongs to one
+    instance; it takes no part in equality, hashing or ``repr``, and a
+    computation that raises leaves nothing in it.
     """
 
     v: tuple[Point, Point, Point]
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Derived values by key: see the class docstring."""
+        return {}
 
     def __post_init__(self):
         p1, p2, p3 = self.v

@@ -258,7 +258,7 @@ def _i3x_coeffs(cfg: PoristicConfig, t, xp):
     xx = q * q - 8 * delta * (ct - delta) * st * st
     yy = q * q - 4 * delta * ct * ((ct - delta) ** 2 - st * st)
     xy = 4 * delta * st * (2 * ct - 1 - delta) * (2 * ct + 1 - delta)
-    return xx, 0.5 * xy, yy, 0.0, 0.0, -q * q * (1 + delta * delta - 2 * delta * ct) * (R * R)
+    return xx, xy / 2, yy, 0.0, 0.0, -q * q * (1 + delta * delta - 2 * delta * ct) * (R * R)
 
 
 def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:

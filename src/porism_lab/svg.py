@@ -13,6 +13,7 @@ step in the order of the float formula.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,17 @@ _SEGMENTS = 256
 _PHASES = [2 * math.pi * k / _SEGMENTS for k in range(_SEGMENTS + 1)]
 _COS = np.array([math.cos(ph) for ph in _PHASES])
 _SIN = np.array([math.sin(ph) for ph in _PHASES])
+
+
+@functools.lru_cache(maxsize=8)
+def _hyperbolic(reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cosh and sinh of the hyperbola's sample parameters
+    -reach + 2 reach k / _SEGMENTS, computed once per reach."""
+    us = [-reach + 2 * reach * k / _SEGMENTS for k in range(_SEGMENTS + 1)]
+    table = np.array([math.cosh(u) for u in us]), np.array([math.sinh(u) for u in us])
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _fmt(v: float) -> str:
@@ -119,8 +131,7 @@ def hyperbola_polylines(cx: float, cy: float, a: float, b: float, angle: float,
     """Both branches (_SEGMENTS + 1, 2) of a rotated hyperbola, parametrized
     by cosh/sinh up to |u| = reach."""
     ca, sa = math.cos(angle), math.sin(angle)
-    us = [-reach + 2 * reach * k / _SEGMENTS for k in range(_SEGMENTS + 1)]
-    cosh, sinh = np.array([math.cosh(u) for u in us]), np.array([math.sinh(u) for u in us])
+    cosh, sinh = _hyperbolic(reach)
     branches = []
     with np.errstate(over="ignore", invalid="ignore"):
         for sign in (1.0, -1.0):

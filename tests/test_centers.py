@@ -1,9 +1,13 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_triangle
+from porism_lab import centers
 from porism_lab.centers import (
     SUPPORTED_CENTERS,
     SideLengths,
@@ -20,7 +24,7 @@ from porism_lab.errors import (
     UnsupportedCenter,
 )
 from porism_lab.geom import Point, Triangle, distance, line_through
-from porism_lab.poristic import config_from_rR, sample, x9_closed_form
+from porism_lab.poristic import CONIC_TAGS, config_from_rR, named_conic, sample, x9_closed_form
 
 RIGHT_345 = Triangle((Point(0, 0), Point(3, 0), Point(0, 4)))
 EQUILATERAL = Triangle((Point(0, 0), Point(2, 0), Point(1, math.sqrt(3))))
@@ -246,3 +250,85 @@ class TestDerivedTriangles:
             except IsoscelesDegeneracy:
                 continue
             assert abs(axis.eval(x1155)) < 1e-9
+
+
+class TestMemo:
+    """``side_lengths``, ``center`` and ``excentral`` keep each value in the
+    memo of one ``Triangle`` instance: a kept value is bit-identical to a
+    fresh one, a failure is never kept, and the memo leaves equality and
+    hashing alone."""
+
+    KEYS = ("side_lengths", "excentral", *sorted(SUPPORTED_CENTERS))
+
+    @staticmethod
+    def outcome(t, key):
+        """The float.hex of every coordinate of ``key`` on t, or the type
+        and message of what it raised."""
+        try:
+            if key == "side_lengths":
+                values = side_lengths(t).as_tuple()
+            elif key == "excentral":
+                values = [c for p in excentral(t).v for c in (p.x, p.y)]
+            else:
+                p = center(t, key)
+                values = (p.x, p.y)
+        except Exception as exc:  # an error is an outcome to compare
+            return type(exc).__name__, str(exc)
+        return [float.hex(x) for x in values]
+
+    # An isosceles triangle (-1, 0), (1, 0), (0, h), obtuse at its apex for
+    # h < 1, with its second base vertex moved by a relative 1e-14 to 1e-2
+    # (or not at all), or three points anywhere.
+    near_isosceles = st.tuples(
+        st.floats(0.05, 5.0),
+        st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                          st.sampled_from([1.0, -1.0]), st.floats(-14.0, -2.0))),
+    ).map(lambda he: ((-1.0, 0.0), (1.0 + he[1], 0.0), (0.0, he[0])))
+    coord = st.floats(-10.0, 10.0)
+    anywhere = st.tuples(*[st.tuples(coord, coord)] * 3)
+
+    @given(st.one_of(near_isosceles, anywhere), st.permutations(KEYS))
+    @example(((-1.0, 0.0), (1.0, 0.0), (0.0, 1.7)), list(KEYS))
+    @example(((-1.0, 0.0), (1.0 + 1e-13, 0.0), (0.0, 0.3)), list(KEYS)[::-1])
+    @settings(max_examples=80, deadline=None)
+    def test_kept_values_equal_fresh_ones(self, vertices, order):
+        def fresh():
+            return Triangle(tuple(Point(x, y) for x, y in vertices))
+
+        try:
+            used = fresh()
+        except DegenerateTriangle:
+            assume(False)
+        # Every value is first computed in a random order, so a center can
+        # find the centers it is built from already kept, or not.
+        served = {key: self.outcome(used, key) for key in order}
+        for key in self.KEYS:
+            assert served[key] == self.outcome(fresh(), key) == self.outcome(used, key), key
+        # The memo takes no part in equality, hashing or repr.
+        assert used == fresh() and hash(used) == hash(fresh()) and repr(used) == repr(fresh())
+
+    @pytest.mark.parametrize("k, error", [(100, IsoscelesDegeneracy), (1155, IsoscelesDegeneracy),
+                                          (2, UnsupportedCenter)])
+    def test_a_failure_raises_on_every_call(self, k, error):
+        iso = Triangle((Point(0, 0), Point(2, 0), Point(1, 1.7)))
+        for _ in range(2):
+            with pytest.raises(error):
+                center(iso, k)
+        assert k not in iso._memo
+
+    def test_named_conics_build_each_reference_center_once(self, monkeypatch):
+        builds = collections.Counter()
+        build = centers._build_center
+
+        def counted(t, k):
+            builds[t, k] += 1
+            return build(t, k)
+
+        monkeypatch.setattr(centers, "_build_center", counted)
+        cfg = config_from_rR(1.0, 0.36266)
+        s = sample(cfg, 1.3)
+        for tag in CONIC_TAGS:
+            named_conic(cfg, s.t, tag, s)
+        assert set(builds.values()) == {1}
+        # X10 is X1 of the medial triangle, built once too.
+        assert sorted(k for t, k in builds if t == s.triangle) == [1, 3, 9, 10, 40]

@@ -143,3 +143,12 @@ def test_figure_bytes_match_pinned_digests(config):
     for figure_id in FIGURE_IDS:
         svg = render_figure(figure_id, lab)
         assert hashlib.sha256(svg.encode()).hexdigest() == config["digests"][figure_id], figure_id
+
+
+def test_figure_bytes_do_not_depend_on_call_history():
+    config = PINNED["configs"][0]
+    lab = LabConfig(R=config["R"], r=config["r"])
+    for figure_id in reversed(FIGURE_IDS):
+        for _ in range(2):
+            svg = render_figure(figure_id, lab)
+            assert hashlib.sha256(svg.encode()).hexdigest() == config["digests"][figure_id], figure_id

@@ -1,6 +1,7 @@
 """The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
 (what it calls a difference, what only moved by rounding, and its exit
-code), and the line counter ``tools/code_lines.py``."""
+code), ``tools/figure_digests.py --compare`` on synthetic digest documents,
+and the line counter ``tools/code_lines.py``."""
 
 import copy
 import importlib.util
@@ -9,7 +10,6 @@ import math
 from pathlib import Path
 
 import pytest
-
 
 
 def _tool(name):
@@ -21,6 +21,7 @@ def _tool(name):
 
 
 outcome_scan = _tool("outcome_scan")
+figure_digests = _tool("figure_digests")
 code_lines = _tool("code_lines")
 
 ROWS = [
@@ -121,6 +122,44 @@ def test_compare_exit_code(tmp_path, capsys):
     after[0]["verify"]["rows"][0][1] = "fail"
     paths[1].write_text("".join(json.dumps(line) + "\n" for line in after))
     assert outcome_scan.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+
+
+def _digest_doc():
+    return {"seed": 5, "rule": figure_digests.RULE, "configs": [
+        {"R": 1.0, "r": 0.2, "digests": {"obtuse": "a1", "inconics": "b1"}},
+        {"R": 30.0, "r": 3.0, "digests": {"obtuse": "a2", "inconics": "DegenerateConic"}},
+    ]}
+
+
+def test_figure_digests_compare(tmp_path, capsys):
+    before, after = _digest_doc(), _digest_doc()
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    paths[0].write_text(json.dumps(before))
+    paths[1].write_text(json.dumps(after))
+    argv = ["--compare", str(paths[0]), str(paths[1])]
+    assert figure_digests.main(argv) == 0
+    assert capsys.readouterr().out == "2 configs: 0 differences\n"
+    after["configs"][0]["digests"]["inconics"] = "b9"  # a digest
+    after["configs"][1]["digests"]["inconics"] = "NotCentral"  # an error
+    paths[1].write_text(json.dumps(after))
+    assert figure_digests.main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "R=1.0 r=0.2 inconics: b1 -> b9",
+        "R=30.0 r=3.0 inconics: DegenerateConic -> NotCentral",
+        "2 configs: 2 differences",
+    ]
+
+
+def test_figure_digests_compare_names_other_configs():
+    before, after = _digest_doc(), _digest_doc()
+    after["configs"][1]["R"] = 31.0
+    del after["configs"][0]["digests"]["obtuse"]
+    assert figure_digests.compare(before, after) == [
+        "R=1.0 r=0.2 obtuse: a1 -> None",
+        "R=30.0 r=3.0: config differs: R=31.0 r=3.0",
+    ]
+    after["configs"].pop()
+    assert figure_digests.compare(before, after)[0] == "config count: 2 -> 1"
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
