@@ -9,7 +9,8 @@ every one can be cross-checked against an independent construction.
 ``Triangle`` instance and keep it in the triangle's memo (``_memoized``):
 a later call on the same instance returns the kept value, bit-identical
 to what a fresh equal triangle computes, since the same function runs on
-the same floats.  Centers built from other centers (X4, X5, X40, X1155)
+the same floats.  ``side_lengths`` takes the sides the triangle measured
+at construction.  Centers built from other centers (X4, X5, X40, X1155)
 read those from the memo as well.  A computation that raises is not kept:
 it raises again on every call.  Nothing is kept beyond one instance.
 
@@ -36,7 +37,6 @@ from .geom import (
     Line,
     Point,
     Triangle,
-    distance,
     distance_batch,
     line_intersection,
     line_through,
@@ -90,8 +90,7 @@ def side_lengths(t: Triangle) -> SideLengths:
 
 
 def _side_lengths(t: Triangle) -> SideLengths:
-    p1, p2, p3 = t.v
-    return SideLengths(distance(p2, p3), distance(p1, p3), distance(p1, p2))
+    return SideLengths(*t._sides)
 
 
 def side_lengths_batch(v: np.ndarray, log: PassLog) -> np.ndarray:

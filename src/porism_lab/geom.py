@@ -30,7 +30,6 @@ it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -197,11 +196,29 @@ class ConicKind(Enum):
     EMPTY = "empty"
 
 
+class _first_read:
+    """A read-only attribute that ``fn`` computes from the instance on first
+    read and keeps in the instance's ``__dict__``, where later reads find it
+    first: ``functools.cached_property`` without the lock that its first
+    read takes on Python 3.11."""
+
+    def __init__(self, fn, name: str | None = None):
+        self.fn, self.name, self.__doc__ = fn, name or fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class ConicMatrix:
     """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization.
-    ``c`` holds its coefficients (A, B, C, D, E, F) as Python floats, read by
-    the scalar kernel; ``m`` is the read-only array of the same entries."""
+    ``c`` holds its coefficients (A, B, C, D, E, F) as Python floats, set at
+    construction and read by the scalar kernel; ``m``, the read-only array
+    of the same entries, is built from ``c`` on first read, as are ``sv``
+    and ``rank_test``, and each is kept by the instance."""
 
     m: np.ndarray
 
@@ -209,15 +226,8 @@ class ConicMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"conic matrix must be 3x3, got {m.shape}")
-        self._store(_normalized_entries(m.ravel().tolist()))
-
-    def _store(self, c: tuple) -> None:
-        """Keep the normalized coefficients ``c`` and build ``m`` from them."""
-        A, B, C, D, E, F = c
-        m = np.array([[A, B, D], [B, C, E], [D, E, F]])
-        m.flags.writeable = False
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "c", _normalized_entries(m.ravel().tolist()))
+        del self.__dict__["m"]  # the argument: m is built, normalized, from c
 
     @classmethod
     def from_coeffs(cls, A: float, B: float, C: float, D: float, E: float,
@@ -226,21 +236,34 @@ class ConicMatrix:
         normalized in floats as the constructor does, without an array."""
         A, B, C, D, E, F = map(float, (A, B, C, D, E, F))
         conic = cls.__new__(cls)
-        conic._store(_normalized_entries((A, B, D, B, C, E, D, E, F)))
+        object.__setattr__(conic, "c", _normalized_entries((A, B, D, B, C, E, D, E, F)))
         return conic
 
-    @functools.cached_property
+    @_first_read
     def sv(self) -> np.ndarray:
         """Singular values, largest first, computed when first read: the
         rank tests decide through ``rank_test`` instead."""
         return np.linalg.svd(self.m, compute_uv=False)
 
-    @functools.cached_property
+    @_first_read
     def rank_test(self) -> int:
         """The sign of ``rank_test`` of the matrix, computed once for all the
         rank tests made on it."""
         A, B, C, D, E, F = self.c
         return rank_test((A, B, D, B, C, E, D, E, F), 3)
+
+
+def _conic_array(conic: ConicMatrix) -> np.ndarray:
+    """The read-only 3x3 array of the coefficients ``c`` of ``conic``."""
+    A, B, C, D, E, F = conic.c
+    m = np.array([[A, B, D], [B, C, E], [D, E, F]])
+    m.flags.writeable = False
+    return m
+
+
+# Bound after the class statement, where the dataclass has made m a field
+# without a default.
+ConicMatrix.m = _first_read(_conic_array, "m")
 
 
 def _normalized_entries(m) -> tuple:
@@ -292,7 +315,7 @@ class ConicBatch:
     rows: np.ndarray | None = None
     norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @functools.cached_property
+    @_first_read
     def rank_test(self) -> np.ndarray:
         """The sign of ``rank_test_batch`` of the matrices, computed once
         for all the rank tests made on the stack."""
@@ -827,30 +850,33 @@ class Triangle:
 
     Construction re-orders a clockwise input (swapping the last two vertices)
     and rejects triangles whose area is below 1e-12 * (longest side)^2.
+    It measures the three sides once, for that test, and keeps them,
+    relabelled after a swap, for ``perimeter`` and ``centers.side_lengths``:
+    ``hypot`` is symmetric, so they are the bits ``distance`` gives on the
+    final vertex order.
 
-    Each instance carries a private memo of values derived from its
-    vertices alone, which ``centers`` fills: its side lengths, its centers
-    and its excentral triangle, each computed by the same function on the
-    same floats on first use, so a value read from the memo is bit-identical
-    to one computed afresh from an equal triangle.  The memo belongs to one
-    instance; it takes no part in equality, hashing or ``repr``, and a
-    computation that raises leaves nothing in it.
+    Construction also makes each instance's private memo of values derived
+    from its vertices alone, which ``centers`` fills: its side lengths, its
+    centers and its excentral triangle, each computed by the same function
+    on the same floats on first use, so a value read from the memo is
+    bit-identical to one computed afresh from an equal triangle.  The memo
+    belongs to one instance; it takes no part in equality, hashing or
+    ``repr``, and a computation that raises leaves nothing in it.
     """
 
     v: tuple[Point, Point, Point]
 
-    @functools.cached_property
-    def _memo(self) -> dict:
-        """Derived values by key: see the class docstring."""
-        return {}
-
     def __post_init__(self):
         p1, p2, p3 = self.v
         area2 = _area2((p1.x, p1.y), (p2.x, p2.y), (p3.x, p3.y))
-        if _thin(area2, distance(p1, p2), distance(p2, p3), distance(p3, p1), _MATH):
+        d12, d23, d31 = distance(p1, p2), distance(p2, p3), distance(p3, p1)
+        if _thin(area2, d12, d23, d31, _MATH):
             raise DegenerateTriangle(f"area {0.5 * area2:.3e} below threshold")
         if area2 < 0:
             object.__setattr__(self, "v", (p1, p3, p2))
+        # The sides opposite each final vertex (hypot is symmetric).
+        object.__setattr__(self, "_sides", (d23, d12, d31) if area2 < 0 else (d23, d31, d12))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def signed_area(self) -> float:
@@ -862,8 +888,8 @@ class Triangle:
         return line_through(self.v[(i + 1) % 3], self.v[(i + 2) % 3])
 
     def perimeter(self) -> float:
-        p1, p2, p3 = self.v
-        return distance(p1, p2) + distance(p2, p3) + distance(p3, p1)
+        s1, s2, s3 = self._sides
+        return s3 + s1 + s2
 
 
 def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:

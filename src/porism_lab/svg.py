@@ -43,25 +43,27 @@ def _fmt(v: float) -> str:
 
 class SvgCanvas:
     """Collects shapes in math coordinates, then renders a self-contained
-    SVG with a computed viewBox."""
+    SVG with a computed viewBox.
+
+    Each shape keeps its coordinates in draw order; ``render`` finds their
+    extents once, with the rule of builtin ``min`` and ``max`` over them in
+    draw order.  On NaN-free coordinates numpy's extremes are the same
+    values, so ``render`` takes those and scans in Python only when a
+    coordinate is NaN.  The scale is fixed at construction."""
 
     def __init__(self, scale: float = 120.0, pad: float = 0.35):
         self.scale = scale
         self.pad = pad
         self.elements: list[str] = []
-        self._xs: list[float] = []
-        self._ys: list[float] = []
-
-    def _see(self, x: float, y: float) -> None:
-        self._xs.append(x)
-        self._ys.append(y)
+        self._seen: list = []  # each shape's (x, y) points, in draw order
+        self._flip = np.array([scale, -scale])
+        self._formats: dict[int, str] = {}  # the points format by point count
 
     def _pt(self, x: float, y: float) -> tuple[float, float]:
         return x * self.scale, -y * self.scale
 
     def circle(self, cx, cy, r, stroke="#000000", width=1.5, dash=None):
-        for dx, dy in ((-r, -r), (r, r)):
-            self._see(cx + dx, cy + dy)
+        self._seen.append(((cx - r, cy - r), (cx + r, cy + r)))
         x, y = self._pt(cx, cy)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
@@ -72,12 +74,15 @@ class SvgCanvas:
         """Open (or, with ``close``, closed) path through ``pts``, an (n, 2)
         array or a list of (x, y) pairs."""
         xy = np.asarray(pts, dtype=float).reshape(-1, 2)
-        self._xs.extend(xy[:, 0].tolist())
-        self._ys.extend(xy[:, 1].tolist())
+        n = len(xy)
+        if n:
+            self._seen.append(xy)
         with np.errstate(over="ignore", invalid="ignore"):
             # + 0.0 turns -0.0 into 0.0, as _fmt does.
-            flat = (xy * [self.scale, -self.scale] + 0.0).ravel().tolist()
-        coords = " ".join(["%.4f,%.4f"] * len(xy)) % tuple(flat)
+            flat = (xy * self._flip + 0.0).ravel().tolist()
+        if n not in self._formats:
+            self._formats[n] = " ".join(["%.4f,%.4f"] * n)
+        coords = self._formats[n] % tuple(flat)
         tag = "polygon" if close else "polyline"
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
@@ -85,26 +90,29 @@ class SvgCanvas:
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def dot(self, x, y, color="#000000"):
-        self._see(x, y)
+        self._seen.append(((x, y),))
         px, py = self._pt(x, y)
         self.elements.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.0000" fill="{color}"/>')
 
     def label(self, x, y, text, color="#000000", size=14, dx=6.0, dy=-6.0):
-        self._see(x, y)
+        self._seen.append(((x, y),))
         px, py = self._pt(x, y)
         self.elements.append(
             f'<text x="{_fmt(px + dx)}" y="{_fmt(py + dy)}" font-size="{size}" '
             f'font-family="sans-serif" fill="{color}">{text}</text>')
 
     def render(self, title: str) -> str:
-        if not self._xs:
-            self._xs, self._ys = [0.0, 1.0], [0.0, 1.0]
+        xs, ys = np.concatenate(self._seen or [((0.0, 0.0), (1.0, 1.0))], dtype=float).T
+        x_lo, y_lo, x_hi, y_hi = map(float, (xs.min(), ys.min(), xs.max(), ys.max()))
+        if math.isnan(x_lo) or math.isnan(y_lo):  # numpy's extremes keep any NaN
+            xs, ys = xs.tolist(), ys.tolist()
+            x_lo, y_lo, x_hi, y_hi = min(xs), min(ys), max(xs), max(ys)
         pad = self.pad * self.scale
-        x0 = min(self._xs) * self.scale - pad
-        x1 = max(self._xs) * self.scale + pad
-        y0 = -max(self._ys) * self.scale - pad
-        y1 = -min(self._ys) * self.scale + pad
+        x0 = x_lo * self.scale - pad
+        x1 = x_hi * self.scale + pad
+        y0 = -y_hi * self.scale - pad
+        y1 = -y_lo * self.scale + pad
         w, h = x1 - x0, y1 - y0
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -332,3 +332,43 @@ class TestMemo:
         assert set(builds.values()) == {1}
         # X10 is X1 of the medial triangle, built once too.
         assert sorted(k for t, k in builds if t == s.triangle) == [1, 3, 9, 10, 40]
+
+
+class TestSidesMeasuredOnce:
+    """A triangle measures its sides once, at construction: ``side_lengths``
+    and ``perimeter`` equal, by ``float.hex``, ``distance`` on the final
+    vertex order, whether the vertices were given counter-clockwise or
+    clockwise."""
+
+    @staticmethod
+    def check(t):
+        p1, p2, p3 = t.v
+        want = (distance(p2, p3), distance(p1, p3), distance(p1, p2))
+        assert list(map(float.hex, side_lengths(t).as_tuple())) == list(map(float.hex, want))
+        perimeter = distance(p1, p2) + distance(p2, p3) + distance(p3, p1)
+        assert float.hex(t.perimeter()) == float.hex(perimeter)
+
+    @given(st.one_of(TestMemo.near_isosceles, TestMemo.anywhere), st.booleans())
+    @example(((-1.0, 0.0), (1.0, 0.0), (0.0, 1.7)), True)
+    @example(((0.1, 0.3), (1.0 + 1e-12, 0.0), (0.0, 2.0)), False)
+    @settings(max_examples=150, deadline=None)
+    def test_sides_and_perimeter_are_the_distance_formula(self, vertices, clockwise):
+        p1, p2, p3 = (Point(x, y) for x, y in vertices)
+        area2 = (p2.x - p1.x) * (p3.y - p1.y) - (p3.x - p1.x) * (p2.y - p1.y)
+        if clockwise == (area2 > 0):  # give the vertices clockwise, or not
+            p2, p3 = p3, p2
+        try:
+            t = Triangle((p1, p2, p3))
+            side_lengths(t)  # three equal vertices pass the area test, not this one
+        except DegenerateTriangle:
+            assume(False)
+        assert t.v == ((p1, p3, p2) if clockwise else (p1, p2, p3))
+        self.check(t)
+
+    def test_random_triangles_given_either_way(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            t = random_triangle(rng)
+            self.check(t)
+            self.check(Triangle(t.v[::-1]))
+

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from oracles import conic_from_canonical, tangency_residual
 from porism_lab import geom
 from porism_lab.conics import centered_conics_batch
-from porism_lab.errors import DegenerateConic, DegenerateTriangle, NotCentral, PassLog
+from porism_lab.errors import (
+    DegenerateConic,
+    DegenerateTriangle,
+    GeometryError,
+    NotCentral,
+    PassLog,
+)
 from porism_lab.geom import (
     DEGENERACY_EPS,
     CanonicalConic,
@@ -341,6 +347,32 @@ class TestConicMatrixFromFloats:
             assert not conic.m.flags.writeable
             assert all(type(x) is float for x in conic.c)
             assert np.array(conic.c).tobytes() == want.flat[[0, 1, 4, 2, 5, 8]].tobytes()
+
+    @given(st.lists(_ENTRY, min_size=6, max_size=6), st.booleans(),
+           st.permutations(["m", "rank_test", "sv", "canonicalize"]))
+    @example([1.0, 0.0, 1.0, 0.0, 0.0, -1.0], False, ["rank_test", "sv", "canonicalize", "m"])
+    @settings(max_examples=200, deadline=None)
+    def test_m_is_built_on_first_read_as_the_eager_build(self, coeffs, by_coeffs, order):
+        """``m`` is built on first read, before or after ``rank_test``,
+        ``sv`` and ``canonicalize``: read-only, kept, and bit for bit the
+        normalized matrix that construction built before."""
+        A, B, C, D, E, F = coeffs
+        want = _array_normalized(np.array([[A, B, D], [B, C, E], [D, E, F]]))
+        if not isinstance(want, np.ndarray):
+            return
+        conic = (ConicMatrix.from_coeffs(*coeffs) if by_coeffs
+                 else ConicMatrix(np.array([[A, B, D], [B, C, E], [D, E, F]])))
+        for name in order:
+            if name == "canonicalize":
+                try:
+                    canonicalize(conic)
+                except (GeometryError, ValueError):  # a huge entry can overflow
+                    pass
+            else:
+                getattr(conic, name)
+        assert conic.m is conic.m and not conic.m.flags.writeable
+        assert conic.m.tobytes() == want.tobytes()
+        assert conic.sv.tobytes() == np.linalg.svd(want, compute_uv=False).tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_entry_anywhere_raises(self, value):

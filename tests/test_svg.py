@@ -70,6 +70,59 @@ def test_pairs_and_array_render_the_same_bytes(pts, close, dash):
     assert as_array.render("t") == as_pairs.render("t")  # the same viewBox
 
 
+def _old_render(canvas, seen, title):
+    """The bytes ``render`` gave when the canvas kept every coordinate in two
+    lists, in draw order, and took the viewBox from builtin ``min`` and
+    ``max`` over them: kept as the oracle of the extents found at render."""
+    xs, ys = [x for x, _ in seen] or [0.0, 1.0], [y for _, y in seen] or [0.0, 1.0]
+    pad = canvas.pad * canvas.scale
+    x0 = min(xs) * canvas.scale - pad
+    x1 = max(xs) * canvas.scale + pad
+    y0 = -max(ys) * canvas.scale - pad
+    y1 = -min(ys) * canvas.scale + pad
+    w, h = x1 - x0, y1 - y0
+    box = " ".join(_fmt(v) for v in (x0, y0, w, h))
+    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="{box}" width="{_fmt(w)}" height="{_fmt(h)}">\n'
+            f"<title>{title}</title>\n"
+            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" height="{_fmt(h)}" '
+            'fill="#ffffff"/>\n' + "\n".join(canvas.elements) + "\n</svg>\n")
+
+
+_PAIRS = st.lists(st.tuples(_COORD, _COORD), max_size=6)
+_SHAPE = st.one_of(st.tuples(st.just("circle"), _COORD, _COORD, _COORD),
+                   st.tuples(st.sampled_from(["dot", "label"]), _COORD, _COORD),
+                   st.tuples(st.sampled_from(["pairs", "array"]), _PAIRS))
+
+
+@given(st.lists(_SHAPE, max_size=8), _SCALE, st.sampled_from([0.0, 0.35, 40.0]))
+@example([("dot", 1.0, 2.0), ("label", math.nan, -0.0)], 120.0, 0.35)
+@example([("array", [(0.0, -0.0), (math.nan, 5.0)]), ("circle", -0.0, 0.0, 0.0)], 1.0, 0.0)
+@example([("pairs", [(math.nan, math.nan)]), ("dot", 3.0, -math.inf)], 80.0, 0.35)
+@example([("pairs", []), ("circle", math.inf, 1.0, math.inf)], 120.0, 40.0)
+@example([], 120.0, 0.35)
+@settings(max_examples=300, deadline=None)
+def test_viewbox_matches_the_list_scan_oracle(shapes, scale, pad):
+    canvas, seen = SvgCanvas(scale=scale, pad=pad), []
+    for kind, *args in shapes:
+        if kind == "circle":
+            cx, cy, r = args
+            canvas.circle(cx, cy, r)
+            seen += [(cx + -r, cy + -r), (cx + r, cy + r)]
+        elif kind == "dot":
+            canvas.dot(*args)
+            seen.append(tuple(args))
+        elif kind == "label":
+            canvas.label(*args, "x")
+            seen.append(tuple(args))
+        else:
+            (pts,) = args
+            canvas.polyline(np.array(pts).reshape(-1, 2) if kind == "array" else pts)
+            seen += [tuple(p) for p in np.asarray(pts, dtype=float).reshape(-1, 2).tolist()]
+    assert canvas.render("t") == _old_render(canvas, seen, "t")
+
+
 def _old_ellipse(cx, cy, a, b, angle):
     ca, sa = math.cos(angle), math.sin(angle)
     pts = []

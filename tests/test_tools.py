@@ -1,19 +1,27 @@
 """The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
 (what it calls a difference, what only moved by rounding, and its exit
 code), ``tools/figure_digests.py --compare`` on synthetic digest documents,
-and the line counter ``tools/code_lines.py``."""
+the line counter ``tools/code_lines.py``, and the paired timer
+``tools/ab.py`` run on this tree against itself and against a changed
+copy."""
 
 import copy
 import importlib.util
 import json
 import math
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _tool(name):
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    path = ROOT / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -177,3 +185,31 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
         'def g(): """One line."""; return 1\n'
     )
     assert code_lines.code_lines(source) == 6
+
+
+def _ab(parent):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), str(parent),
+                           "--workload", "member-scalar", "--rounds", "2"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_ab_of_the_tree_against_itself():
+    run = _ab(ROOT)  # a path, so no git is needed
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == ("member-scalar: 2 rounds, seed 1, sides alternating ABBA by round; "
+                        "outputs agree on all 16 ops and the warm-up op")
+    assert lines[1].startswith("parent (") and lines[2].startswith("tree (")
+    assert lines[1].endswith(", 0 failed ops") and lines[2].endswith(", 0 failed ops")
+    assert lines[3].startswith("ratio tree/parent: median ") and lines[3].endswith(" of 2 pairs")
+
+
+def test_ab_stops_where_the_outputs_differ(tmp_path):
+    shutil.copytree(ROOT / "src" / "porism_lab", tmp_path / "src" / "porism_lab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    svg = tmp_path / "src" / "porism_lab" / "svg.py"
+    svg.write_text(svg.read_text().replace("_SEGMENTS = 256", "_SEGMENTS = 128"))
+    run = _ab(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stdout.startswith("round -1: outputs differ at [0][5]: ")
+
