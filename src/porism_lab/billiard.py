@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CircularBilliard, InvalidRatio, PassLog
-from .geom import _MATH, Point, Triangle, triangle_batch
+from .geom import _MATH, Point, Triangle, _stacked, triangle_batch
 from .poristic import (
     FamilyBatch,
     FamilySample,
@@ -127,14 +127,15 @@ def normalize_sample(cfg: PoristicConfig, s: FamilySample) -> Triangle:
         s.perimeter, _MATH)))
 
 
-def normalize_sample_batch(cfg: PoristicConfig, fam: FamilyBatch, log: PassLog) -> np.ndarray:
+def normalize_sample_batch(cfg: PoristicConfig, fam: FamilyBatch,
+                           log: PassLog) -> tuple[np.ndarray, np.ndarray]:
     """``normalize_sample`` over a sweep: the normalized (n, 3, 2) vertex
-    stack."""
+    stack and its sides, from ``triangle_batch``."""
     x9 = x9_closed_form_batch(cfg, fam.t)
     out = _similarity_map(fam.triangle[..., 0].T, fam.triangle[..., 1].T,
                           theta_closed_form_batch(cfg, fam.t), x9[:, 0], x9[:, 1],
                           fam.perimeter, np)
-    return triangle_batch(np.stack([np.stack(p, axis=-1) for p in out], axis=1), log)
+    return triangle_batch(_stacked(*out[0], *out[1], *out[2]).reshape(-1, 3, 2), log)
 
 
 def foci_locus_check(cfg: PoristicConfig) -> tuple[Point, float]:

@@ -16,7 +16,8 @@ it raises again on every call.  Nothing is kept beyond one instance.
 
 The ``_batch`` functions are the array twins used by the measurement pass,
 under the twin rule of ``geom``: triangles are (n, 3, 2) vertex stacks and
-points (n, 2) arrays.
+points (n, 2) arrays.  Like ``side_lengths``, they take the sides that
+``geom.triangle_batch`` measured with the stack.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .geom import (
     Line,
     Point,
     Triangle,
-    distance_batch,
+    _sides_batch,
+    _stacked,
     line_intersection,
     line_through,
     midpoint,
@@ -93,10 +95,10 @@ def _side_lengths(t: Triangle) -> SideLengths:
     return SideLengths(*t._sides)
 
 
-def side_lengths_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
-    """Side lengths (n, 3) opposite each vertex."""
-    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
-    s = np.stack([distance_batch(p2, p3), distance_batch(p1, p3), distance_batch(p1, p2)], axis=-1)
+def side_lengths_batch(s: np.ndarray, log: PassLog) -> np.ndarray:
+    """The side lengths (n, 3) opposite each vertex that ``triangle_batch``
+    measured, as they are, once ``log`` has checked them as ``SideLengths``
+    does: no stack is measured twice."""
     log.check(_not_a_triangle(*s.T, np), DegenerateTriangle,
               "side lengths violate triangle inequality")
     return s
@@ -134,7 +136,7 @@ def _barycentric_batch(v: np.ndarray, w, log: PassLog) -> np.ndarray:
     """``_barycentric_point`` for weights w = (w1, w2, w3), each an array."""
     at_infinity, total, x, y = _barycentric_sums(w, v[:, :, 0].T, v[:, :, 1].T, np)
     log.check(at_infinity, PointAtInfinity, "barycentric weights sum to zero")
-    return np.stack([x / total, y / total], axis=-1)
+    return _stacked(x / total, y / total)
 
 
 def trilinear_to_point(t: Triangle, f: tuple[float, float, float]) -> Point:
@@ -154,7 +156,8 @@ def medial(t: Triangle) -> Triangle:
     return Triangle((midpoint(p2, p3), midpoint(p1, p3), midpoint(p1, p2)))
 
 
-def medial_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
+def medial_batch(v: np.ndarray, log: PassLog) -> tuple[np.ndarray, np.ndarray]:
+    """``medial`` over a stack: ``triangle_batch`` of the midpoint stack."""
     return triangle_batch(0.5 * (v[:, [1, 0, 0]] + v[:, [2, 2, 1]]), log)
 
 
@@ -173,9 +176,11 @@ def _excentral(t: Triangle) -> Triangle:
                           for w in _excenter_weights(*side_lengths(t).as_tuple())))
 
 
-def excentral_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
-    ex = [_barycentric_batch(v, w, log) for w in _excenter_weights(*side_lengths_batch(v, log).T)]
-    return triangle_batch(np.stack(ex, axis=1), log)
+def excentral_batch(v: np.ndarray, s: np.ndarray, log: PassLog) -> np.ndarray:
+    """The excentral vertex stack of the stack ``v`` of sides ``s``, both
+    from ``triangle_batch``."""
+    ex = [_barycentric_batch(v, w, log) for w in _excenter_weights(*side_lengths_batch(s, log).T)]
+    return triangle_batch(np.stack(ex, axis=1), log)[0]
 
 
 def _isosceles(s1, s2, s3, xp):
@@ -286,13 +291,15 @@ BATCH_CENTERS = frozenset({1, 3, 9, 10, 11, 40, 100})
 
 def center_batch(v: np.ndarray, k: int, log: PassLog, s: np.ndarray | None = None) -> np.ndarray:
     """``center`` over a triangle stack, for k in ``BATCH_CENTERS``; ``s``
-    passes side lengths already computed for ``v``."""
+    passes the checked side lengths of ``v`` (``side_lengths_batch``),
+    which are measured and checked here when not given."""
     if k not in BATCH_CENTERS:
         raise UnsupportedCenter(f"center X_{k} has no batched form; batched: {sorted(BATCH_CENTERS)}")
     if s is None:
-        s = side_lengths_batch(v, log)
+        s = side_lengths_batch(_sides_batch(v), log)
     if k == 10:
-        return center_batch(medial_batch(v, log), 1, log)
+        mv, ms = medial_batch(v, log)
+        return center_batch(mv, 1, log, side_lengths_batch(ms, log))
     if k == 40:
         return 2 * center_batch(v, 3, log, s) - center_batch(v, 1, log, s)
     if k == 100:

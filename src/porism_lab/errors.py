@@ -97,8 +97,12 @@ class PassLog:
         return PassLog(self.ts, rows if self.rows is None else self.rows & rows, self.names)
 
     def check(self, mask: np.ndarray, exc_type: type, message: str) -> None:
-        """Raise ``exc_type`` if any sample in ``mask`` fails."""
-        mask = np.asarray(mask, dtype=bool).reshape(-1, len(self.ts))
+        """Raise ``exc_type`` if any sample in ``mask`` fails; a clean mask
+        returns at once."""
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            return
+        mask = mask.reshape(-1, len(self.ts))
         if self.rows is not None:
             mask = mask & self.rows
         if mask.any():

@@ -96,6 +96,15 @@ def distance_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
 
 
+def _stacked(*arrays) -> np.ndarray:
+    """``np.stack(arrays, axis=-1)`` of arrays of one shape, filled into one
+    new array without the stack's temporaries."""
+    out = np.empty(np.shape(arrays[0]) + (len(arrays),))
+    for i, a in enumerate(arrays):
+        out[..., i] = a
+    return out
+
+
 def midpoint(p: Point, q: Point) -> Point:
     return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
 
@@ -140,7 +149,7 @@ def line_through(p: Point, q: Point) -> Line:
 
 def line_batch(a, b, c) -> np.ndarray:
     """Rows (a, b, c) normalized like ``Line``; the coefficients broadcast."""
-    return np.stack(_unit_line(*np.broadcast_arrays(a, b, c), np), axis=-1)
+    return _stacked(*_unit_line(*np.broadcast_arrays(a, b, c), np))
 
 
 def line_through_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -170,7 +179,7 @@ def line_intersection_batch(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray,
     """Intersection points and the mask of the pairs that meet; the scalar
     twin raises ParallelLines where the mask is false."""
     x, y, meets = _line_meet(np.moveaxis(l1, -1, 0), np.moveaxis(l2, -1, 0), np)
-    return np.stack([x, y], axis=-1), meets
+    return _stacked(x, y), meets
 
 
 @dataclass(frozen=True)
@@ -798,7 +807,7 @@ def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
     v1y = np.where(repeated, 0.0, v1y / n1)
     ellipse, hyperbola, major, minor, angle = _axes(f0, lam1, lam2, v1x, v1y, np)
     real = rank3_ok & (ellipse | hyperbola)
-    return CanonicalBatch(np.stack([cx, cy], axis=-1), np.where(real, angle, 0.0),
+    return CanonicalBatch(_stacked(cx, cy), np.where(real, angle, 0.0),
                           np.where(real, major, 0.0), np.where(real, minor, 0.0),
                           rank3_ok & hyperbola)
 
@@ -826,8 +835,8 @@ def foci(conic: CanonicalConic) -> tuple[Point, Point]:
 def foci_batch(conic: CanonicalBatch) -> tuple[np.ndarray, np.ndarray]:
     """Foci of every canonical form; rows with zero semi-axes (where the
     scalar twin raises) give the center twice."""
-    step = np.stack(_focal_step(conic.semi_major, conic.semi_minor, conic.angle,
-                                conic.hyperbola, np), axis=-1)
+    step = _stacked(*_focal_step(conic.semi_major, conic.semi_minor, conic.angle,
+                                 conic.hyperbola, np))
     return conic.center + step, conic.center - step
 
 
@@ -839,9 +848,11 @@ def _area2(p1, p2, p3):
 
 def _thin(area2, d1, d2, d3, xp):
     """Whether a triangle of twice the signed area ``area2`` and of sides
-    d1, d2, d3 has an area below 1e-12 (longest side)^2."""
+    d1, d2, d3 has an area of at most 1e-12 (longest side)^2: "at most", so
+    that three coincident vertices, and a zero area whose bound underflows
+    to 0, are thin."""
     longest = xp.maximum(xp.maximum(d1, d2), d3)
-    return abs(area2) < 2.0 * DEGENERACY_EPS * longest * longest
+    return abs(area2) <= 2.0 * DEGENERACY_EPS * longest * longest
 
 
 @dataclass(frozen=True)
@@ -849,7 +860,8 @@ class Triangle:
     """Three vertices in counter-clockwise order.
 
     Construction re-orders a clockwise input (swapping the last two vertices)
-    and rejects triangles whose area is below 1e-12 * (longest side)^2.
+    and rejects triangles whose area is at most 1e-12 * (longest side)^2,
+    three coincident vertices among them.
     It measures the three sides once, for that test, and keeps them,
     relabelled after a swap, for ``perimeter`` and ``centers.side_lengths``:
     ``hypot`` is symmetric, so they are the bits ``distance`` gives on the
@@ -892,14 +904,31 @@ class Triangle:
         return s3 + s1 + s2
 
 
-def triangle_batch(v: np.ndarray, log: PassLog) -> np.ndarray:
+def _sides_batch(v: np.ndarray) -> np.ndarray:
+    """The (n, 3) side lengths opposite each vertex of a vertex stack, as
+    ``distance_batch`` gives them: the transpose of a (3, n) array, so that
+    each side's column is contiguous."""
+    s = np.empty((3, len(v)))
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.hypot(v[:, j, 0] - v[:, k, 0], v[:, j, 1] - v[:, k, 1], out=s[i])
+    return s.T
+
+
+def triangle_batch(v: np.ndarray, log: PassLog) -> tuple[np.ndarray, np.ndarray]:
     """``Triangle`` over a vertex stack: a degenerate row raises through
-    ``log`` and clockwise rows get their last two vertices swapped."""
+    ``log`` and clockwise rows get their last two vertices swapped.  Returns
+    the final vertex stack, ``v`` itself when no row is clockwise, and the
+    (n, 3) sides its thin test measured (``_sides_batch``), opposite each
+    final vertex: relabelled after a swap, as ``Triangle`` keeps them, so
+    they are the bits that measuring the final stack gives."""
     area2 = _area2(*v.transpose(1, 2, 0))
-    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
-    log.check(_thin(area2, distance_batch(p1, p2), distance_batch(p2, p3), distance_batch(p3, p1),
-                    np), DegenerateTriangle, "triangle area below threshold")
-    return np.where((area2 < 0)[:, None, None], v[:, [0, 2, 1]], v)
+    s = _sides_batch(v)
+    log.check(_thin(area2, *s.T, np), DegenerateTriangle, "triangle area below threshold")
+    clockwise = area2 < 0
+    if clockwise.any():
+        v = np.where(clockwise[:, None, None], v[:, [0, 2, 1]], v)
+        s.T[1:, clockwise] = s.T[:0:-1, clockwise]
+    return v, s
 
 
 def signed_area_batch(v: np.ndarray) -> np.ndarray:
@@ -911,6 +940,8 @@ def side_lines_batch(v: np.ndarray) -> np.ndarray:
     return line_through_batch(v[:, [1, 2, 0]], v[:, [2, 0, 1]])
 
 
-def perimeter_batch(v: np.ndarray) -> np.ndarray:
-    p1, p2, p3 = v[:, 0], v[:, 1], v[:, 2]
-    return distance_batch(p1, p2) + distance_batch(p2, p3) + distance_batch(p3, p1)
+def perimeter_batch(s: np.ndarray) -> np.ndarray:
+    """Perimeters of the (n, 3) sides that ``triangle_batch`` returns,
+    summed as ``Triangle.perimeter`` sums them."""
+    s1, s2, s3 = s.T
+    return s3 + s1 + s2

@@ -34,6 +34,7 @@ from .geom import (
     Point,
     Triangle,
     _normalized,
+    _stacked,
     _wrap_half_pi,
     canonicalize_batch,
     line_batch,
@@ -147,19 +148,28 @@ def sample(cfg: PoristicConfig, t: float) -> FamilySample:
 @dataclass(frozen=True, eq=False)
 class FamilyBatch:
     """Family members at every t of a sweep: ``FamilySample`` with arrays
-    (triangles as (n, 3, 2) vertex stacks)."""
+    (triangles as (n, 3, 2) vertex stacks), and the (n, 3) ``sides`` of
+    ``triangle``, measured once by ``triangle_batch`` and checked by
+    ``centers.side_lengths_batch``, from which the excentral triangles and
+    the perimeters are taken."""
 
     t: np.ndarray
     triangle: np.ndarray
     excentral: np.ndarray
     omega: np.ndarray
     perimeter: np.ndarray
+    sides: np.ndarray
+
+
+def _family_batch(ts: np.ndarray, v: np.ndarray, omega: np.ndarray, log: PassLog) -> FamilyBatch:
+    """The ``FamilyBatch`` of the vertex stack ``v`` at ``ts``."""
+    tri, s = triangle_batch(v, log)
+    return FamilyBatch(ts, tri, _centers.excentral_batch(tri, s, log), omega, perimeter_batch(s), s)
 
 
 def sample_batch(cfg: PoristicConfig, ts: np.ndarray, log: PassLog) -> FamilyBatch:
     w, p1, p2, p3 = _vertices(cfg, ts, np)
-    tri = triangle_batch(np.stack([np.stack(p, axis=-1) for p in (p3, p2, p1)], axis=1), log)
-    return FamilyBatch(ts, tri, _centers.excentral_batch(tri, log), w, perimeter_batch(tri))
+    return _family_batch(ts, _stacked(*p3, *p2, *p1).reshape(-1, 3, 2), w, log)
 
 
 def _perimeter(cfg: PoristicConfig, t, xp):
@@ -198,7 +208,7 @@ def x9_closed_form(cfg: PoristicConfig, t: float) -> Point:
 
 
 def x9_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
-    return np.stack(_x9(cfg, ts, np), axis=-1)
+    return _stacked(*_x9(cfg, ts, np))
 
 
 def _theta(cfg: PoristicConfig, t, xp):

@@ -54,6 +54,7 @@ from .geom import (  # noqa: F401
     ConicBatch,
     Point,
     _angle_gap,
+    _stacked,
     canonicalize,
     conic_eval,
     conic_eval_batch,
@@ -63,7 +64,6 @@ from .geom import (  # noqa: F401
     line_intersection_batch,
     line_through_batch,
     max_condition_batch,
-    perimeter_batch,
     power_of_point,
     side_lines_batch,
     signed_area_batch,
@@ -192,18 +192,23 @@ class _Pass:
         if self.perturb != 0.0:
             v = fam.triangle.copy()
             v[len(self.t) // 3, 0, 0] += self.perturb
-            tri = triangle_batch(v, self.log)
-            fam = _poristic.FamilyBatch(self.t, tri, _centers.excentral_batch(tri, self.log),
-                                        fam.omega, perimeter_batch(tri))
+            fam = _poristic._family_batch(self.t, v, fam.omega, self.log)
         return fam
 
     @functools.cached_property
     def s(self) -> np.ndarray:
-        return _centers.side_lengths_batch(self.fam.triangle, self.log)
+        """The family's side lengths, as the family stage measured and
+        checked them."""
+        return self.fam.sides
 
     def x(self, k: int) -> np.ndarray:
+        """The reference triangle's center X_k (``centers.center_batch``),
+        computed once.  X40 is 2 X3 - X1, as ``center_batch`` forms it, of
+        the X3 and X1 the pass holds (X3, then X1, computed if not yet
+        held)."""
         if k not in self._x:
-            self._x[k] = _centers.center_batch(self.fam.triangle, k, self.log, self.s)
+            self._x[k] = (2 * self.x(3) - self.x(1) if k == 40 else
+                          _centers.center_batch(self.fam.triangle, k, self.log, self.s))
         return self._x[k]
 
     @functools.cached_property
@@ -269,8 +274,8 @@ class _Pass:
     def billiard(self):
         """Billiard semi-axes, normalized members, their inradius, circumradius."""
         a9, b9, _c9 = _billiard.cb_axes_normalized(self.cfg.rho)
-        norm = _billiard.normalize_sample_batch(self.cfg, self.fam, self.log)
-        ns = _centers.side_lengths_batch(norm, self.log)
+        norm, ns = _billiard.normalize_sample_batch(self.cfg, self.fam, self.log)
+        ns = _centers.side_lengths_batch(ns, self.log)
         n_area = signed_area_batch(norm)
         return (a9, b9, norm, 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2]),
                 ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area))
@@ -296,11 +301,11 @@ class _Pass:
         ca, sa = np.cos(ang), np.sin(ang)
 
         def apply_sigma(p: np.ndarray) -> np.ndarray:
-            return np.stack([scale * (ca * p[..., 0] - sa * p[..., 1]) + tx,
-                             scale * (sa * p[..., 0] + ca * p[..., 1]) + ty], axis=-1)
+            return _stacked(scale * (ca * p[..., 0] - sa * p[..., 1]) + tx,
+                            scale * (sa * p[..., 0] + ca * p[..., 1]) + ty)
 
-        tri_sigma = triangle_batch(apply_sigma(self.fam.triangle), self.log)
-        s_sigma = _centers.side_lengths_batch(tri_sigma, self.log)
+        tri_sigma, s_sigma = triangle_batch(apply_sigma(self.fam.triangle), self.log)
+        s_sigma = _centers.side_lengths_batch(s_sigma, self.log)
         gap = np.zeros(len(self.t))
         for k in (1, 9, 10, 11):
             direct = _centers.center_batch(tri_sigma, k, self.log, s_sigma)
@@ -408,12 +413,13 @@ def _cb_foci_circle_gap(p: _Pass) -> np.ndarray:
 
 
 _PARALLEL_AXES = ("E9", "E10", "E5x", "E6x", "I3x")
+_AXIS_PAIRS = np.triu_indices(len(_PARALLEL_AXES), 1)  # every (i, j), i < j
 
 
 def _parallel_axes_gap(p: _Pass) -> np.ndarray:
-    axes = [p.can(tag).angle for tag in _PARALLEL_AXES]
-    return np.max([_angle_gap(a, b, math.pi / 2)
-                   for i, a in enumerate(axes) for b in axes[i + 1:]], axis=0)
+    axes = np.array([p.can(tag).angle for tag in _PARALLEL_AXES])
+    i, j = _AXIS_PAIRS
+    return _angle_gap(axes[i], axes[j], math.pi / 2).max(axis=0)
 
 
 def _sign_free_gap(c: np.ndarray, ref: np.ndarray) -> np.ndarray:

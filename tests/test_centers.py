@@ -21,9 +21,19 @@ from porism_lab.centers import (
 from porism_lab.errors import (
     DegenerateTriangle,
     IsoscelesDegeneracy,
+    PassLog,
     UnsupportedCenter,
 )
-from porism_lab.geom import Point, Triangle, distance, line_through
+from porism_lab.geom import (
+    Point,
+    Triangle,
+    distance,
+    distance_batch,
+    line_through,
+    perimeter_batch,
+    signed_area_batch,
+    triangle_batch,
+)
 from porism_lab.poristic import CONIC_TAGS, config_from_rR, named_conic, sample, x9_closed_form
 
 RIGHT_345 = Triangle((Point(0, 0), Point(3, 0), Point(0, 4)))
@@ -359,7 +369,7 @@ class TestSidesMeasuredOnce:
             p2, p3 = p3, p2
         try:
             t = Triangle((p1, p2, p3))
-            side_lengths(t)  # three equal vertices pass the area test, not this one
+            side_lengths(t)
         except DegenerateTriangle:
             assume(False)
         assert t.v == ((p1, p3, p2) if clockwise else (p1, p2, p3))
@@ -371,4 +381,61 @@ class TestSidesMeasuredOnce:
             t = random_triangle(rng)
             self.check(t)
             self.check(Triangle(t.v[::-1]))
+
+
+class TestBatchSidesMeasuredOnce:
+    """The batched twin of ``TestSidesMeasuredOnce``: ``triangle_batch``
+    returns the final vertex stack of ``Triangle`` of each row and its sides
+    opposite each final vertex, which with ``perimeter_batch`` equal, by
+    ``float.hex``, ``distance_batch`` on the final vertices, summed as
+    ``Triangle.perimeter`` sums; a stack with no clockwise row comes back as
+    it is.  The scalar twin measures with ``math.hypot``, which differs from
+    numpy's in the last bit for about one pair in 500, so its sides are
+    compared to within one unit in the last place."""
+
+    @staticmethod
+    def check(stack, any_clockwise):
+        v = np.array(stack)
+        tri, s = triangle_batch(v, PassLog(np.arange(len(v), dtype=float)))
+        clockwise = signed_area_batch(v) < 0
+        assert clockwise.any() == any_clockwise
+        swapped = np.where(clockwise[:, None, None], v[:, [0, 2, 1]], v)
+        assert tri.tobytes() == swapped.tobytes()
+        assert (tri is v) == (not any_clockwise)
+        hexes = np.vectorize(float.hex)
+        p1, p2, p3 = tri[:, 0], tri[:, 1], tri[:, 2]
+        d12, d23, d31 = distance_batch(p1, p2), distance_batch(p2, p3), distance_batch(p3, p1)
+        assert (hexes(s) == hexes(np.stack([d23, d31, d12], axis=-1))).all()
+        assert (hexes(perimeter_batch(s)) == hexes(d12 + d23 + d31)).all()
+        for row, final, sides in zip(stack, tri, s):
+            t = Triangle(tuple(Point(x, y) for x, y in row))
+            assert t.v == tuple(Point(x, y) for x, y in final)
+            np.testing.assert_array_max_ulp(sides, side_lengths(t).as_tuple(), 1)
+
+    @given(st.lists(st.tuples(st.one_of(TestMemo.near_isosceles, TestMemo.anywhere),
+                              st.booleans()), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_sides_and_perimeter_are_the_distance_formula(self, rows):
+        stack, any_clockwise = [], False
+        for vertices, clockwise in rows:
+            p1, p2, p3 = vertices
+            area2 = (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p3[0] - p1[0]) * (p2[1] - p1[1])
+            if clockwise == (area2 > 0):  # give the vertices clockwise, or not
+                p2, p3 = p3, p2
+            try:
+                Triangle(tuple(Point(x, y) for x, y in (p1, p2, p3)))
+                triangle_batch(np.array([(p1, p2, p3)]), PassLog([0.0]))
+            except DegenerateTriangle:
+                continue
+            stack.append((p1, p2, p3))
+            any_clockwise |= clockwise
+        assume(stack)
+        self.check(stack, any_clockwise)
+
+    def test_random_stacks_given_either_way(self):
+        rng = np.random.default_rng(28)
+        stack = [[(p.x, p.y) for p in random_triangle(rng).v] for _ in range(200)]
+        self.check(stack, False)
+        self.check([row[::-1] for row in stack], True)
+        self.check([row[::-1] if i % 3 else row for i, row in enumerate(stack)], True)
 

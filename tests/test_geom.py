@@ -276,6 +276,21 @@ class TestLinesAndTriangles:
         with pytest.raises(DegenerateTriangle):
             Triangle((Point(0, 0), Point(1, 0), Point(2, 1e-14)))
 
+    # Three coincident vertices, and a zero area whose bound (longest side)^2
+    # underflows to 0: both read 0 against a bound of 0.
+    COINCIDENT = (((0.0, 0.0),) * 3, ((1.5, -2.0),) * 3, ((0.0, 0.0), (0.0, 0.0), (0.0, 1e-200)))
+
+    @pytest.mark.parametrize("vertices", COINCIDENT)
+    def test_coincident_vertices_rejected_at_construction(self, vertices):
+        with pytest.raises(DegenerateTriangle, match="area 0.000e\\+00 below threshold"):
+            Triangle(tuple(Point(x, y) for x, y in vertices))
+
+    @pytest.mark.parametrize("vertices", COINCIDENT)
+    def test_coincident_vertices_rejected_by_the_batched_twin(self, vertices):
+        v = np.array([((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), vertices])
+        with pytest.raises(DegenerateTriangle, match="triangle area below threshold at t = 0.5$"):
+            geom.triangle_batch(v, PassLog([0.0, 0.5]))
+
     def test_conic_matrix_rejects_zero_and_asymmetric(self):
         with pytest.raises(ValueError):
             ConicMatrix(np.zeros((3, 3)))

@@ -1,6 +1,7 @@
 """The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
 (what it calls a difference, what only moved by rounding, and its exit
-code), ``tools/figure_digests.py --compare`` on synthetic digest documents,
+code), the whole scan against its pinned content (``--check``),
+``tools/figure_digests.py --compare`` on synthetic digest documents,
 the line counter ``tools/code_lines.py``, and the paired timer
 ``tools/ab.py`` run on this tree against itself and against a changed
 copy."""
@@ -130,6 +131,41 @@ def test_compare_exit_code(tmp_path, capsys):
     after[0]["verify"]["rows"][0][1] = "fail"
     paths[1].write_text("".join(json.dumps(line) + "\n" for line in after))
     assert outcome_scan.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+
+
+PINNED = ROOT / "tests" / "outcome_scan.json"
+
+
+def test_the_outcome_scan_matches_the_pinned_scan():
+    """The whole outcome scan, run on this tree, has the verdict-level
+    content that tests/outcome_scan.json pins (74 verifies pass, 25 have a
+    failing row, 60 abort).  That file is regenerated (``--pin``) only with
+    a change of outcome that is named as such."""
+    scan = [outcome_scan.scan_one(*config) for config in outcome_scan.configs()]
+    pin = json.loads(PINNED.read_text())
+    assert outcome_scan.check(pin, scan) == []
+    assert outcome_scan.pinned_text(pin) == PINNED.read_text()
+
+
+def test_pinned_content_leaves_out_what_rounding_moves():
+    before, after = _scans()
+    pin = outcome_scan.pinned(before)
+    assert pin["counts"] == {"pass": 0, "FAIL": 2, "abort": 0}
+    assert pin["rows"] == [[r[0], r[4], r[5]] for r in ROWS]
+    for line in after:
+        line["verify"]["rows"][0][6] *= 2.0
+        line["verify"]["max_circumconic_condition"] = 1.0
+        line["scalar"]["values_sha256"] = line["verify"]["json_sha256"] = "moved"
+    assert outcome_scan.check(pin, after) == []
+    after[1]["verify"]["rows"][1][3] = 37
+    after[0]["sweep"]["skips_sha256"] = "other"
+    assert outcome_scan.check(pin, after) == [
+        "R=1.0 rho=0.2 n=38 sweep: {'outcome': 'report', 'error': None, 'skips_sha256': 'd'}"
+        " -> {'outcome': 'report', 'error': None, 'skips_sha256': 'other'}",
+        f"R=1000.0 rho=0.2 n=38 verify: {pin['configs'][1]['verify']} -> "
+        f"{outcome_scan.pinned(after)['configs'][1]['verify']}"]
+    after[0]["verify"] = {"outcome": "DegenerateConic", "error": "E1: conic of rank < 3 at t = 0.0"}
+    assert outcome_scan.pinned(after)["counts"] == {"pass": 0, "FAIL": 1, "abort": 1}
 
 
 def _digest_doc():

@@ -3,6 +3,8 @@ fixed set of configurations and print one JSON line per configuration.
 
     PYTHONPATH=src python3 tools/outcome_scan.py [--count N] > scan.jsonl
     python3 tools/outcome_scan.py --compare before.jsonl after.jsonl
+    python3 tools/outcome_scan.py --check tests/outcome_scan.json scan.jsonl
+    python3 tools/outcome_scan.py --pin scan.jsonl > tests/outcome_scan.json
 
 The configurations are 155 random ones from ``default_rng(2020)``: first
 155 draws of log10 R ~ U[-3, 3], then 155 of log10 rho ~ U[-4, log10 0.5],
@@ -29,6 +31,13 @@ tolerance, and every mean of a non-residual row or
 exits 1 if there is any; a changed skip log digest is a difference too.
 It also lists, as ``rounding:``, what moved within that: residual means,
 values within 1e-13, and the other output digests.
+
+``--pin`` prints the verdict-level content of a scan (``pinned``), which
+``tests/outcome_scan.json`` pins for the whole scan and a tier-1 test
+regenerates: what ``--compare`` calls a difference, without the values
+and output digests that can move by rounding.  ``--check`` prints where a
+scan differs from a pinned file and exits 1 if it does.  The pinned file
+is regenerated only with a change of outcome that is named as such.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ EXTREME_R = (1e-100, 1e30, 1e60, 1e100)
 VALUE_RTOL = 1e-13
 SCALAR_T = (0.5, 2.0, 4.0)
 RUNS = ("verify", "sweep", "scalar")
+CLASSES = ("pass", "FAIL", "abort")  # of a verify: every row passes, a row fails, it raised
 
 
 def configs() -> list[tuple[float, float, int]]:
@@ -130,6 +140,11 @@ def _scalar_values(cfg) -> list[float]:
     return values
 
 
+def _read(path: str) -> list[dict]:
+    """The lines of a scan file."""
+    return [json.loads(line) for line in open(path)]
+
+
 def _same(a, b) -> bool:
     """Equal, or NaN on both sides."""
     return a == b or (a != a and b != b)
@@ -169,14 +184,69 @@ def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]
     return found, moved
 
 
+def pinned(scan: list[dict]) -> dict:
+    """The verdict-level content of a scan: the count of each of
+    ``CLASSES``; the (quantity, check, tolerance) of the verify rows,
+    ``rows``, which every verify report must list alike; and per config,
+    its (R, rho, n) and, of each run, the outcome, its message and the skip
+    log digest, with each verify row's (status, verdict, samples)."""
+    counts, header, configs = dict.fromkeys(CLASSES, 0), None, []
+    for line in scan:
+        entry = {key: line[key] for key in ("R", "rho", "n")}
+        for run in RUNS:
+            entry[run] = {k: line[run][k] for k in ("outcome", "error", "skips_sha256")
+                          if k in line[run]}
+        rows = line["verify"].get("rows")
+        if rows is not None:
+            header = header or [[r[0], r[4], r[5]] for r in rows]
+            if header != [[r[0], r[4], r[5]] for r in rows]:
+                raise ValueError(f"R={line['R']!r} rho={line['rho']!r}: verify rows differ")
+            entry["verify"]["rows"] = [r[1:4] for r in rows]
+        counts["abort" if rows is None else
+               "pass" if all(r[1] == "pass" for r in rows) else "FAIL"] += 1
+        configs.append(entry)
+    return {"counts": counts, "rows": header, "configs": configs}
+
+
+def pinned_text(pin: dict) -> str:
+    """``pin`` as JSON text, one config per line."""
+    configs = ",\n".join(json.dumps(c) for c in pin["configs"])
+    return (f'{{"counts": {json.dumps(pin["counts"])},\n"rows": {json.dumps(pin["rows"])},\n'
+            f'"configs": [\n{configs}\n]}}\n')
+
+
+def check(pin: dict, scan: list[dict]) -> list[str]:
+    """Where the verdict-level content of ``scan`` differs from ``pin``."""
+    fresh = pinned(scan)
+    found = [f"{key}: {pin[key]} -> {fresh[key]}" for key in ("counts", "rows")
+             if pin[key] != fresh[key]]
+    for a, b in zip(pin["configs"], fresh["configs"], strict=True):
+        where = f"R={a['R']!r} rho={a['rho']!r} n={a['n']}"
+        found += [f"{where} {run}: {a[run]} -> {b[run]}" for run in RUNS if a[run] != b[run]]
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--count", type=int, default=None, help="scan the first N configs")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two scans instead of running one")
+    parser.add_argument("--pin", metavar="SCAN", help="print the pinned content of a scan")
+    parser.add_argument("--check", nargs=2, metavar=("PINNED", "SCAN"),
+                        help="compare a scan with a pinned file")
     args = parser.parse_args(argv)
+    if args.pin:
+        print(pinned_text(pinned(_read(args.pin))), end="")
+        return 0
+    if args.check:
+        scan = _read(args.check[1])
+        found = check(json.load(open(args.check[0])), scan)
+        for line in found:
+            print(line)
+        print(f"{len(scan)} configs: {len(found)} differences from the pinned scan")
+        return 1 if found else 0
     if args.compare:
-        before, after = ([json.loads(line) for line in open(path)] for path in args.compare)
+        before, after = map(_read, args.compare)
         found, moved = compare(before, after)
         for line in found + [f"rounding: {m}" for m in moved]:
             print(line)
