@@ -10,13 +10,12 @@ The ``_batch`` functions are the array twins used by the measurement pass,
 under the twin rule of ``geom``.  ``centered_conics_batch`` is the twin of
 both constructors at once: it builds a whole stack of circumconics and
 inconics with one call of each kernel.  Both twins decide their rank tests
-by the certified filter of ``geom`` (``rank_test``, ``rank_test_batch``).
-The rule leaves each twin its own incidence rows and its own 3x3 minors for
-the null vector: ``_det3`` sums them with ``math.fsum`` and is the oracle
-for the batched twin, which takes the Laplace minors that
-``rank_test_batch`` decides its rank test from.  Their terms are products
-of entries that are already rounded, so a compensated sum would remove only
-the smaller summation error (README, "How verify and sweep measure").
+by the certified filter of ``geom`` (``rank_test``, ``rank_test_batch``),
+and both take the circumconic's null vector from the Laplace minors that
+filter decided from, by one formula, so the two give the same coefficients
+bit for bit.  Their terms are products of entries that are already
+rounded, so a compensated sum of them would remove only the smaller
+summation error (README, "How verify and sweep measure").
 """
 
 from __future__ import annotations
@@ -61,42 +60,30 @@ class InconicCoefficientWarning(UserWarning):
     pass
 
 
-# The columns of the 3x4 system each minor keeps: all but column ``skip``.
-_KEPT_COLUMNS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-
-
-def _det3(rows, skip: int) -> float:
-    """Signed 3x3 minor of a 3x4 row system with one column removed,
-    accumulated with compensated summation."""
-    j, k, l = _KEPT_COLUMNS[skip]
-    r0, r1, r2 = rows
-    a, b, c = r0[j], r0[k], r0[l]
-    d, e, f = r1[j], r1[k], r1[l]
-    g, h, i = r2[j], r2[k], r2[l]
-    return math.fsum((a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g))
-
-
 def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float]:
     """Coefficients (A, B, C, F) of A u^2 + 2B uv + C v^2 + F = 0 through the
     vertices in the frame translated so the prescribed center is the origin.
 
     Centering first makes the two vanishing-gradient constraints structural
     (no linear terms survive), which shrinks the null-space problem to a
-    3x4 system whose null vector is exactly its four signed minors.  That
+    3x4 system whose null vector is exactly its four signed minors, taken
+    from ``rank_test`` as ``_centered_circumconic_batch`` takes them.  That
     route loses far less precision than the raw five-constraint solve when
     the conic passes near a degenerate line pair.
     """
-    rows = [(u * u, 2 * u * v, v * v, 1.0)
-            for u, v in ((p.x - center.x, p.y - center.y) for p in t.v)]
-    entries = rows[0] + rows[1] + rows[2]
+    entries = []
+    for p in t.v:
+        u, v = p.x - center.x, p.y - center.y
+        entries += (u * u, 2 * u * v, v * v, 1.0)
     # The 3x3 minors are sums of six products of three entries.
     top = max(map(abs, entries))
     if not 6.0 * top * top * top < math.inf:  # false for a NaN entry too
         raise DegenerateConic("centered circumconic incidence system is not finite")
-    if rank_test(entries, 4) < 0:
+    sign, minors = rank_test(entries, 4)
+    if sign < 0:
         raise DegenerateConic("centered circumconic is not unique for this center")
-    vec = (_det3(rows, 0), -_det3(rows, 1), _det3(rows, 2), -_det3(rows, 3))
-    top = max(abs(x) for x in vec)
+    vec = (minors[3], -minors[2], minors[1], -minors[0])  # as _MINOR_SIGNS signs them
+    top = max(map(abs, vec))
     if top == 0.0:
         raise DegenerateConic("centered circumconic constraints collapse")
     return tuple(x / top for x in vec)
@@ -119,7 +106,7 @@ def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog)
     sign, minors, norms = rank_test_batch(x)
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
     # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
-    # column k is the one left out, as in ``_det3(rows, k)``.
+    # entry k is the minor without column k.
     vec = minors[::-1] * _MINOR_SIGNS
     top = np.abs(vec).max(axis=0)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")

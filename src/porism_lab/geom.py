@@ -21,7 +21,11 @@ for the lowest failing sample), the steps that can raise in floats, and its
 types.  Both twins decide their rank tests through one certified filter,
 ``rank_test`` for one matrix and ``rank_test_batch`` for a stack, which
 decides them as the SVD does from the minors of the matrix and runs the SVD
-only near the threshold.  The norms the batched filter computes also give
+only near the threshold.  Each returns the 3x3 minors it decided from, the
+same Laplace expansions in both twins: ``rank_test`` forms them with
+``_minors``, an arithmetic-only core that runs on exact numbers too, and
+``rank_test_batch`` gathers them over a stack in its own loop, the faster
+one for arrays.  The norms the batched filter computes also give
 every row a condition estimate (``condition_estimate_batch``), so the
 largest condition number of a stack (``max_condition_batch``, which
 estimates from those norms) needs the SVD only of the rows that can hold
@@ -226,8 +230,8 @@ class ConicMatrix:
     """Symmetric 3x3 quadratic form, scale fixed by max-entry normalization.
     ``c`` holds its coefficients (A, B, C, D, E, F) as Python floats, set at
     construction and read by the scalar kernel; ``m``, the read-only array
-    of the same entries, is built from ``c`` on first read, as are ``sv``
-    and ``rank_test``, and each is kept by the instance."""
+    of the same entries, is built from ``c`` on first read, as is
+    ``rank_test``, and each is kept by the instance."""
 
     m: np.ndarray
 
@@ -249,17 +253,11 @@ class ConicMatrix:
         return conic
 
     @_first_read
-    def sv(self) -> np.ndarray:
-        """Singular values, largest first, computed when first read: the
-        rank tests decide through ``rank_test`` instead."""
-        return np.linalg.svd(self.m, compute_uv=False)
-
-    @_first_read
     def rank_test(self) -> int:
         """The sign of ``rank_test`` of the matrix, computed once for all the
         rank tests made on it."""
         A, B, C, D, E, F = self.c
-        return rank_test((A, B, D, B, C, E, D, E, F), 3)
+        return rank_test((A, B, D, B, C, E, D, E, F), 3)[0]
 
 
 def _conic_array(conic: ConicMatrix) -> np.ndarray:
@@ -472,7 +470,7 @@ def _rank_decision(F, P, D, e_P, e_D):
     return full, deficient
 
 
-# ``_MINOR_INDEX`` as tuples, for ``rank_test``: the four entry positions of
+# ``_MINOR_INDEX`` as tuples, for ``_minors``: the four entry positions of
 # every 2x2 minor's products, and for every 3x3 minor its row-2 entries and
 # the positions of its row-(0, 1) minors.
 _SCALAR_MINOR_INDEX = {k: (tuple(zip(*products.tolist())),
@@ -480,33 +478,46 @@ _SCALAR_MINOR_INDEX = {k: (tuple(zip(*products.tolist())),
                        for k, (products, row2, pos) in _MINOR_INDEX.items()}
 
 
-def rank_test(x, k: int) -> int:
-    """The scalar twin of ``rank_test_batch``: the sign of
-    sigma_min - 1e-12 sigma_max of one 3 x k matrix, k = 3 or 4, given as
-    its 3k entries row by row, decided by the same filter (minors, norms,
-    rounding bounds and ``_rank_decision``).  Only a matrix the filter
-    leaves open goes to the SVD.  A matrix with a non-finite entry gives 0."""
+def _minors(x, k: int) -> tuple:
+    """The minors of one 3 x k matrix, k = 3 or 4, given as its 3k entries
+    row by row, as the filter of ``rank_test_batch`` forms them: the 2x2
+    minors p - q of ``_MINOR_INDEX`` with their absolute terms |p| + |q|;
+    the determinant, or for k = 4 the minors of columns (012, 013, 023,
+    123), each its Laplace expansion along row 2; and the sum of the
+    absolute Laplace terms of all of them.  Arithmetic only, so it runs on
+    floats and on exact numbers alike."""
     products, laplace = _SCALAR_MINOR_INDEX[k]
     minors2, abs2 = [], []
     for a, b, c, d in products:
         p, q = x[a] * x[b], x[c] * x[d]
         minors2.append(p - q)
         abs2.append(abs(p) + abs(q))
-    minors3, terms = [], 0.0
+    minors3, terms = [], 0
     for (r0, r1, r2), (j0, j1, j2) in laplace:
         minors3.append(x[r0] * minors2[j0] - x[r1] * minors2[j1] + x[r2] * minors2[j2])
         terms += abs(x[r0]) * abs2[j0] + abs(x[r1]) * abs2[j1] + abs(x[r2]) * abs2[j2]
+    return minors2, abs2, minors3, terms
+
+
+def rank_test(x, k: int) -> tuple[int, list[float]]:
+    """The scalar twin of ``rank_test_batch``: the sign of
+    sigma_min - 1e-12 sigma_max of one 3 x k matrix, k = 3 or 4, given as
+    its 3k entries row by row, and the 3x3 minors it is decided from
+    (``_minors``), decided by the same filter (minors, norms, rounding
+    bounds and ``_rank_decision``).  Only a matrix the filter leaves open
+    goes to the SVD.  A matrix with a non-finite entry gives 0."""
+    minors2, abs2, minors3, terms = _minors(x, k)
     # math.hypot: the norms without squares that could overflow.
     full, deficient = _rank_decision(math.hypot(*x), math.hypot(*minors2), math.hypot(*minors3),
                                      3.0 * _U * sum(abs2) + _UNDERFLOW,
                                      6.0 * _U * terms + _UNDERFLOW)
     if full or deficient:
-        return int(full) - int(deficient)
+        return int(full) - int(deficient), minors3
     if not all(map(math.isfinite, x)):
-        return 0
+        return 0, minors3
     s = np.linalg.svd(np.reshape(x, (3, k)), compute_uv=False)
     low, high = float(s[-1]), DEGENERACY_EPS * float(s[0])
-    return (low > high) - (low < high)
+    return (low > high) - (low < high), minors3
 
 
 # A certified condition estimate is within this relative error of the exact
@@ -767,7 +778,7 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     # <=, not <: a vanishing block (A = B = C = 0) is singular too.
     if abs(det2) <= DEGENERACY_EPS * block_scale * block_scale:
         if not rank3_ok:
-            raise DegenerateConic(f"conic of rank < 3 (singular values {conic.sv})")
+            raise DegenerateConic("conic of rank < 3")
         raise NotCentral("parabolic conic has no affine center")
 
     cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)

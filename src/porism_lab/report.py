@@ -33,7 +33,6 @@ detected as varying.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -54,6 +53,7 @@ from .geom import (  # noqa: F401
     ConicBatch,
     Point,
     _angle_gap,
+    _first_read,
     _stacked,
     canonicalize,
     conic_eval,
@@ -186,7 +186,7 @@ class _Pass:
         self.tags = frozenset(tag for q in rows for tag in q.conics)
         self._x = {}
 
-    @functools.cached_property
+    @_first_read
     def fam(self) -> _poristic.FamilyBatch:
         fam = _poristic.sample_batch(self.cfg, self.t, self.log)
         if self.perturb != 0.0:
@@ -195,23 +195,18 @@ class _Pass:
             fam = _poristic._family_batch(self.t, v, fam.omega, self.log)
         return fam
 
-    @functools.cached_property
-    def s(self) -> np.ndarray:
-        """The family's side lengths, as the family stage measured and
-        checked them."""
-        return self.fam.sides
-
     def x(self, k: int) -> np.ndarray:
         """The reference triangle's center X_k (``centers.center_batch``),
         computed once.  X40 is 2 X3 - X1, as ``center_batch`` forms it, of
         the X3 and X1 the pass holds (X3, then X1, computed if not yet
         held)."""
         if k not in self._x:
+            fam = self.fam
             self._x[k] = (2 * self.x(3) - self.x(1) if k == 40 else
-                          _centers.center_batch(self.fam.triangle, k, self.log, self.s))
+                          _centers.center_batch(fam.triangle, k, self.log, fam.sides))
         return self._x[k]
 
-    @functools.cached_property
+    @_first_read
     def conics(self) -> tuple[ConicBatch, dict[str, tuple[ConicBatch, CanonicalBatch]]]:
         """The conic stage: one stack of the declared named conics, and per
         tag its view, the conic and its canonical form."""
@@ -235,7 +230,7 @@ class _Pass:
                        f"ratio_{tag.lower()}: conic {tag} has a zero semi-minor axis")
         return can.semi_major / can.semi_minor
 
-    @functools.cached_property
+    @_first_read
     def loci(self):
         """X9 locus, antiorthic axis, and the Weaver power gaps at P0, the axis
         on the x-axis, per sample (all at infinity for d = 0)."""
@@ -248,7 +243,7 @@ class _Pass:
         gaps = [abs(power_of_point(p0, w) - power_of_point(p0, c)) for w, c in pairs]
         return locus, axis, [np.full(len(self.t), gap) for gap in gaps]
 
-    @functools.cached_property
+    @_first_read
     def antiorthic(self):
         """Side-line intersections; t = 0, pi have a bisector parallel to a side."""
         pts, meets = line_intersection_batch(side_lines_batch(self.fam.triangle),
@@ -256,21 +251,22 @@ class _Pass:
         has_axis = np.count_nonzero(meets, axis=1) >= 2
         return pts, meets, (has_axis, "isosceles member: bisector parallel to side")
 
-    @functools.cached_property
+    @_first_read
     def i3x_tangent(self) -> np.ndarray:
         """I3x from the tangent-line coefficients of the excentral sides."""
         return _conics.inconic_from_tangents_batch(
             *_poristic.excentral_side_lines_batch(self.cfg, self.t), self.log).c
 
-    @functools.cached_property
+    @_first_read
     def x100(self):
         """X100, partial: held on the members that pass the side-length test
         of its scalar twin ``centers.center(tri, 100)``, the scalene ones."""
-        has_x100 = _centers.scalene_batch(self.s)
-        x100 = _centers.center_batch(self.fam.triangle, 100, self.log.where(has_x100), self.s)
+        fam = self.fam
+        has_x100 = _centers.scalene_batch(fam.sides)
+        x100 = _centers.center_batch(fam.triangle, 100, self.log.where(has_x100), fam.sides)
         return x100, (has_x100, "isosceles member: X100 undefined")
 
-    @functools.cached_property
+    @_first_read
     def billiard(self):
         """Billiard semi-axes, normalized members, their inradius, circumradius."""
         a9, b9, _c9 = _billiard.cb_axes_normalized(self.cfg.rho)
@@ -280,7 +276,7 @@ class _Pass:
         return (a9, b9, norm, 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2]),
                 ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area))
 
-    @functools.cached_property
+    @_first_read
     def hyperbolas(self):
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas, on the
         samples of X100's gate, as one stack of both systems: each check runs
@@ -292,7 +288,7 @@ class _Pass:
             np.concatenate([self.x(11), x100]),
             PassLog(self.t, has_x100, ("Feuerbach", "Jerabek"))), 2)
 
-    @functools.cached_property
+    @_first_read
     def equivariance(self) -> np.ndarray:
         """Similarity equivariance of the center registry (seeded transform)."""
         sigmas = np.random.default_rng(self.seed).uniform(  # rows (angle, scale, tx, ty)

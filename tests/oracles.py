@@ -8,6 +8,9 @@ package against.  No command of the package runs them.
 - ``conic_from_canonical`` rebuilds a conic matrix from its canonical form,
   and ``tangency_residual`` tests a line against a conic through the dual
   conic.
+- ``fsum_circumconic`` solves the centered circumconic with each 3x3 minor
+  summed by ``math.fsum`` (``_det3``), the reference for the Laplace minors
+  that both twins of ``conics`` take from their rank filter.
 """
 
 from __future__ import annotations
@@ -163,3 +166,28 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     """adj(M): column i holds the cofactors of row i, the cross product of
     the other two rows."""
     return np.stack([np.cross(m[1], m[2]), np.cross(m[2], m[0]), np.cross(m[0], m[1])], axis=1)
+
+
+# The columns of the 3x4 system each minor keeps: all but column ``skip``.
+_KEPT_COLUMNS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _det3(rows, skip: int) -> float:
+    """Signed 3x3 minor of a 3x4 row system with one column removed,
+    accumulated with compensated summation."""
+    j, k, l = _KEPT_COLUMNS[skip]
+    r0, r1, r2 = rows
+    a, b, c = r0[j], r0[k], r0[l]
+    d, e, f = r1[j], r1[k], r1[l]
+    g, h, i = r2[j], r2[k], r2[l]
+    return math.fsum((a * e * i, -a * f * h, -b * d * i, b * f * g, c * d * h, -c * e * g))
+
+
+def fsum_circumconic(t: Triangle, center: Point) -> tuple[float, float, float, float]:
+    """(A, B, C, F) of ``conics._centered_circumconic`` from the same float
+    incidence rows, with each minor summed by ``math.fsum``; no checks."""
+    rows = [(u * u, 2 * u * v, v * v, 1.0)
+            for u, v in ((p.x - center.x, p.y - center.y) for p in t.v)]
+    vec = (_det3(rows, 0), -_det3(rows, 1), _det3(rows, 2), -_det3(rows, 3))
+    top = max(abs(x) for x in vec)
+    return tuple(x / top for x in vec)

@@ -27,6 +27,7 @@ from porism_lab.billiard import (
     reflection_law_residual_batch,
 )
 from conftest import random_triangle
+from oracles import _det3, fsum_circumconic
 from porism_lab.centers import (
     BATCH_CENTERS,
     ISOSCELES_EPS,
@@ -41,14 +42,15 @@ from porism_lab.conics import (
     _centered_circumconic,
     _centered_circumconic_batch,
     _cross_terms,
-    _det3,
     centered_conics_batch,
+    circumconic_centered,
     hyperbola_focal_length,
     inconic_from_tangents_batch,
 )
 from porism_lab.errors import (
     AxisAtInfinity,
     DegenerateConic,
+    DegenerateTriangle,
     GeometryError,
     IsoscelesDegeneracy,
     NotAHyperbola,
@@ -75,6 +77,7 @@ from porism_lab.geom import (
 from porism_lab.poristic import (
     _STACK_ORDER,
     _TAG_TABLE,
+    config_from_rho,
     config_from_rR,
     named_conic,
     sample,
@@ -430,14 +433,82 @@ def test_config_level_error_names_no_sample():
     assert str(info.value) == "equilateral family: X9 is stationary"
 
 
-def test_filter_minors_match_the_scalar_minors():
-    rows = np.random.default_rng(7).normal(size=(50, 3, 4))
-    _, minors, _ = rank_test_batch(rows.reshape(50, 12).T)
+@pytest.mark.parametrize("k", [3, 4])
+def test_filter_minors_match_the_scalar_minors(k):
+    """The batched filter's minors are the scalar filter's, bit for bit,
+    non-finite rows included, and within rounding of the fsum minors of
+    ``tests/oracles.py``."""
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(50, 3, k))
+    bad = np.arange(50) % 10 == 3
+    rows[bad, rng.integers(0, 3, bad.sum()), rng.integers(0, k, bad.sum())] = (
+        rng.choice([np.nan, np.inf, -np.inf], bad.sum()))
+    _, minors, _ = rank_test_batch(rows.reshape(50, 3 * k).T)
     for i in range(50):
-        for skip in range(4):
-            want = _det3(rows[i].tolist(), skip)
-            # Filter minor k keeps columns (012, 013, 023, 123)[k].
-            assert abs(minors[3 - skip, i] - want) <= 4e-16 * np.abs(rows[i]).max() ** 3
+        scalar = geom.rank_test(rows[i].ravel().tolist(), k)[1]
+        assert [x.hex() for x in scalar] == [float(x).hex() for x in minors[:, i]], i
+        if bad[i]:
+            continue
+        # A 3x3 matrix is the 3x4 system with a zero column 3 left out.
+        system = rows[i].tolist() if k == 4 else [row + [0.0] for row in rows[i].tolist()]
+        for j in range(len(minors)):
+            # Filter minor j keeps columns (012, 013, 023, 123)[j].
+            want = _det3(system, 3 - j)
+            assert abs(minors[j, i] - want) <= 4e-16 * np.abs(rows[i]).max() ** 3
+
+
+class TestCircumconicTwins:
+    """``circumconic_centered`` equals the batched column of
+    ``centered_conics_batch``, and ``_centered_circumconic`` (which
+    ``hyperbola_focal_length`` reads) equals ``_centered_circumconic_batch``,
+    by ``float.hex``, for the same triangles and centers: both take the null
+    vector from the same rank-filter minors.  Where one twin raises, the
+    other raises the same message."""
+
+    @staticmethod
+    def _check(tris, centers):
+        v = np.array([[(p.x, p.y) for p in tri.v] for tri in tris])
+        centers = np.asarray(centers, dtype=float)
+        log = PassLog(np.arange(len(tris), dtype=float))
+        stack = centered_conics_batch(v, centers, len(tris), log).c
+        coeffs = _centered_circumconic_batch(v, centers, log)[0]
+        for i, tri in enumerate(tris):
+            center = Point(*map(float, centers[i]))
+            assert [x.hex() for x in circumconic_centered(tri, center).c] == [
+                float(x).hex() for x in stack[:, i]], i
+            assert [x.hex() for x in _centered_circumconic(tri, center)] == [
+                float(x).hex() for x in coeffs[:, i]], i
+
+    @given(st.floats(-3.0, math.log10(0.5)), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_family_members(self, log_rho, seed):
+        """E1, E9, E10 on the family's triangles and E5x, E6x on its excentral
+        triangles, at 24 random t."""
+        ts = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, 24)
+        log = PassLog(ts)
+        fam = sample_batch(config_from_rho(10.0 ** log_rho), ts, log)
+        for v, k in ((fam.triangle, 1), (fam.triangle, 9), (fam.triangle, 10),
+                     (fam.excentral, 3), (fam.excentral, 9)):
+            tris = [Triangle(tuple(Point(*map(float, p)) for p in row)) for row in v]
+            self._check(tris, center_batch(fam.triangle, k, log))
+
+    coord = st.floats(-10.0, 10.0)
+
+    @given(st.tuples(*[st.tuples(coord, coord)] * 3), st.tuples(coord, coord))
+    @settings(max_examples=300, deadline=None)
+    def test_random_triangles_and_centers(self, vertices, center):
+        try:
+            tri = Triangle(tuple(Point(*p) for p in vertices))
+        except DegenerateTriangle:
+            return
+        try:
+            circumconic_centered(tri, Point(*center))
+        except DegenerateConic as exc:
+            with pytest.raises(DegenerateConic) as info:
+                self._check([tri], [center])
+            assert str(info.value) == f"{exc} at t = 0.0"
+            return
+        self._check([tri], [center])
 
 
 def _exact_circumconic(mp, rows):
@@ -455,15 +526,16 @@ def _exact_circumconic(mp, rows):
 
 
 def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
-    """The batched (A, B, C, F) of the five verified circumconics and the two
-    circumhyperbolas, against an 80-digit null vector of the same float rows:
-    at each rho, its worst error is at most twice that of the scalar route,
-    whose minors sum the rounded products with math.fsum."""
+    """The (A, B, C, F) of both twins, for the five verified circumconics
+    and the two circumhyperbolas, against an 80-digit null vector of the
+    same float rows: at each rho, the worst error of each is at most twice
+    that of the fsum route of ``tests/oracles.py``, whose minors sum the
+    rounded products with math.fsum."""
     mp = pytest.importorskip("mpmath").mp
     ts = 2 * math.pi * (np.arange(24) + 0.5) / 24
     log = PassLog(ts)
     for rho in (0.005, 0.05, 0.2):
-        worst = {"batched": 0.0, "scalar": 0.0}
+        worst = {"batched": 0.0, "scalar": 0.0, "fsum": 0.0}
         fam = sample_batch(config_from_rR(1.0, rho), ts, log)
         systems = [(fam.triangle, center_batch(fam.triangle, k, log)) for k in (1, 9, 10, 11)]
         systems += [(fam.excentral, center_batch(fam.triangle, k, log)) for k in (3, 9)]
@@ -473,10 +545,13 @@ def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
             for i in range(len(ts)):
                 exact = _exact_circumconic(mp, rows[i])
                 tri = Triangle(tuple(Point(*map(float, p)) for p in v[i]))
-                scalar = _centered_circumconic(tri, Point(*map(float, c[i])))[:4]
-                for name, got in (("batched", batched[:, i]), ("scalar", scalar)):
+                center = Point(*map(float, c[i]))
+                for name, got in (("batched", batched[:, i]),
+                                  ("scalar", _centered_circumconic(tri, center)),
+                                  ("fsum", fsum_circumconic(tri, center))):
                     worst[name] = max(worst[name], *(abs(g - e) for g, e in zip(got, exact)))
-        assert 0.0 < worst["batched"] <= 2.0 * worst["scalar"], (rho, worst)
+        assert 0.0 < worst["batched"] <= 2.0 * worst["fsum"], (rho, worst)
+        assert 0.0 < worst["scalar"] <= 2.0 * worst["fsum"], (rho, worst)
 
 
 def test_verify_emits_no_warning():

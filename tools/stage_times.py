@@ -4,10 +4,10 @@ measurement pass of ``report.run_verify``, each stage forced in turn.
     PYTHONPATH=src python3 tools/stage_times.py [--rho F] [--t-samples N] [--runs K] [--json]
 
 Each run builds a fresh pass of every verify row at R = 1 and forces its
-stages in pass order: ``fam`` (the family, its excentral triangles and
-perimeters), ``s`` (the side lengths), ``centers`` (X1, X3, X9, X10, X11
-and X40, in that order), ``conics`` (the named conic stack and its
-canonical forms), ``loci``, ``antiorthic``, ``i3x_tangent``, ``x100``,
+stages in pass order: ``fam`` (the family, its side lengths, excentral
+triangles and perimeters), ``centers`` (X1, X3, X9, X10, X11 and X40, in
+that order), ``conics`` (the named conic stack and its canonical forms),
+``loci``, ``antiorthic``, ``i3x_tangent``, ``x100``,
 ``billiard``, ``hyperbolas`` and ``equivariance``; then ``rows``, the
 rows' values from those stages with their reduction to counts, extremes
 and sums, and ``max_condition``, the largest circumconic condition number
@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-STAGES = ("fam", "s", "centers", "conics", "loci", "antiorthic", "i3x_tangent", "x100",
+STAGES = ("fam", "centers", "conics", "loci", "antiorthic", "i3x_tangent", "x100",
           "billiard", "hyperbolas", "equivariance", "rows", "max_condition")
 CENTERS = (1, 3, 9, 10, 11, 40)
 
