@@ -5,29 +5,30 @@ The registry is closed: exactly the centers the downstream family machinery
 needs, each with an explicit trilinear or constructive definition so that
 every one can be cross-checked against an independent construction.
 
-``side_lengths``, ``center`` and ``excentral`` compute each value once per
-``Triangle`` instance and keep it in the triangle's memo (``_memoized``):
-a later call on the same instance returns the kept value, bit-identical
-to what a fresh equal triangle computes, since the same function runs on
-the same floats.  ``side_lengths`` takes the sides the triangle measured
-at construction.  Centers built from other centers (X4, X5, X40, X1155)
-read those from the memo as well.  A computation that raises is not kept:
-it raises again on every call.  Nothing is kept beyond one instance.
+What a triangle is is decided once, in ``geom``: ``Triangle`` and
+``triangle_batch`` reject thin triangles and sides that fail the triangle
+inequality at construction, so nothing here checks a triangle again.
+``side_lengths`` returns the ``SideLengths`` a triangle measured and
+checked at construction.  ``center`` and ``excentral`` compute each value
+once per ``Triangle`` instance and keep it in the triangle's memo
+(``_memoized``): a later call on the same instance returns the kept value,
+bit-identical to what a fresh equal triangle computes, since the same
+function runs on the same floats.  Centers built from other centers (X4,
+X5, X40, X1155) read those from the memo as well.  A computation that
+raises is not kept: it raises again on every call.  Nothing is kept beyond
+one instance.
 
 The ``_batch`` functions are the array twins used by the measurement pass,
 under the twin rule of ``geom``: triangles are (n, 3, 2) vertex stacks and
 points (n, 2) arrays.  Like ``side_lengths``, they take the sides that
-``geom.triangle_batch`` measured with the stack.
+``geom.triangle_batch`` measured and checked with the stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
-    DegenerateTriangle,
     IsoscelesDegeneracy,
     PassLog,
     PointAtInfinity,
@@ -37,8 +38,8 @@ from .geom import (
     _MATH,
     Line,
     Point,
+    SideLengths,
     Triangle,
-    _sides_batch,
     _stacked,
     line_intersection,
     line_through,
@@ -53,29 +54,6 @@ SUPPORTED_CENTERS = frozenset({1, 3, 4, 5, 6, 7, 9, 10, 11, 40, 100, 1155})
 ISOSCELES_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class SideLengths:
-    """Side lengths opposite vertices 1, 2, 3."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        s1, s2, s3 = self.s1, self.s2, self.s3
-        if _not_a_triangle(s1, s2, s3, _MATH):
-            raise DegenerateTriangle(f"side lengths violate triangle inequality: {s1}, {s2}, {s3}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.s1, self.s2, self.s3)
-
-
-def _not_a_triangle(s1, s2, s3, xp):
-    """Whether side lengths s1, s2, s3 violate the triangle inequality."""
-    return ((xp.minimum(xp.minimum(s1, s2), s3) <= 0.0)
-            | (s1 + s2 <= s3) | (s2 + s3 <= s1) | (s3 + s1 <= s2))
-
-
 def _memoized(t: Triangle, key, build, *args):
     """``build(t, *args)``, computed on first use and kept in the memo of
     t under ``key`` (no build returns None); a build that raises keeps
@@ -88,20 +66,9 @@ def _memoized(t: Triangle, key, build, *args):
 
 
 def side_lengths(t: Triangle) -> SideLengths:
-    return _memoized(t, "side_lengths", _side_lengths)
-
-
-def _side_lengths(t: Triangle) -> SideLengths:
-    return SideLengths(*t._sides)
-
-
-def side_lengths_batch(s: np.ndarray, log: PassLog) -> np.ndarray:
-    """The side lengths (n, 3) opposite each vertex that ``triangle_batch``
-    measured, as they are, once ``log`` has checked them as ``SideLengths``
-    does: no stack is measured twice."""
-    log.check(_not_a_triangle(*s.T, np), DegenerateTriangle,
-              "side lengths violate triangle inequality")
-    return s
+    """The sides of t opposite vertices 1, 2, 3, as measured and checked
+    when t was constructed."""
+    return t._sides
 
 
 def _angles(s1, s2, s3, xp):
@@ -179,7 +146,7 @@ def _excentral(t: Triangle) -> Triangle:
 def excentral_batch(v: np.ndarray, s: np.ndarray, log: PassLog) -> np.ndarray:
     """The excentral vertex stack of the stack ``v`` of sides ``s``, both
     from ``triangle_batch``."""
-    ex = [_barycentric_batch(v, w, log) for w in _excenter_weights(*side_lengths_batch(s, log).T)]
+    ex = [_barycentric_batch(v, w, log) for w in _excenter_weights(*s.T)]
     return triangle_batch(np.stack(ex, axis=1), log)[0]
 
 
@@ -286,22 +253,18 @@ def _build_center(t: Triangle, k: int) -> Point:
 
 
 #: Centers with a batched twin: the ones the measurement pass needs.
-BATCH_CENTERS = frozenset({1, 3, 9, 10, 11, 40, 100})
+BATCH_CENTERS = frozenset({1, 3, 9, 10, 11, 100})
 
 
-def center_batch(v: np.ndarray, k: int, log: PassLog, s: np.ndarray | None = None) -> np.ndarray:
-    """``center`` over a triangle stack, for k in ``BATCH_CENTERS``; ``s``
-    passes the checked side lengths of ``v`` (``side_lengths_batch``),
-    which are measured and checked here when not given."""
+def center_batch(v: np.ndarray, k: int, log: PassLog, s: np.ndarray) -> np.ndarray:
+    """``center`` over a triangle stack, for k in ``BATCH_CENTERS``: ``v``
+    and its side lengths ``s`` are the stack and the sides that
+    ``triangle_batch`` returned, and checked, for it."""
     if k not in BATCH_CENTERS:
         raise UnsupportedCenter(f"center X_{k} has no batched form; batched: {sorted(BATCH_CENTERS)}")
-    if s is None:
-        s = side_lengths_batch(_sides_batch(v), log)
     if k == 10:
         mv, ms = medial_batch(v, log)
-        return center_batch(mv, 1, log, side_lengths_batch(ms, log))
-    if k == 40:
-        return 2 * center_batch(v, 3, log, s) - center_batch(v, 1, log, s)
+        return center_batch(mv, 1, log, ms)
     if k == 100:
         log.check(~scalene_batch(s), IsoscelesDegeneracy, "X_100 is ill-conditioned on isosceles input")
     sides = s.T

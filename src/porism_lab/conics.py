@@ -37,6 +37,7 @@ from .errors import (
 # self-test (perfbench/test_perfbench.py) resolves it here.
 from .geom import (  # noqa: F401
     _MATH,
+    DEGENERACY_EPS,
     ConicBatch,
     ConicMatrix,
     Line,
@@ -137,7 +138,7 @@ def _cross_terms(lines, xp):
     d23, and whether any two of the lines are (nearly) parallel."""
     (a1, b1, _), (a2, b2, _), (a3, b3, _) = lines
     d12, d13, d23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
-    return d12, d13, d23, xp.minimum(xp.minimum(abs(d12), abs(d13)), abs(d23)) < 1e-12
+    return d12, d13, d23, xp.minimum(xp.minimum(abs(d12), abs(d13)), abs(d23)) < DEGENERACY_EPS
 
 
 def _tangent_form(lines, d12, d13, d23):

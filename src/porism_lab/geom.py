@@ -866,25 +866,52 @@ def _thin(area2, d1, d2, d3, xp):
     return abs(area2) <= 2.0 * DEGENERACY_EPS * longest * longest
 
 
+def _not_a_triangle(s1, s2, s3, xp):
+    """Whether side lengths s1, s2, s3 violate the triangle inequality."""
+    return ((xp.minimum(xp.minimum(s1, s2), s3) <= 0.0)
+            | (s1 + s2 <= s3) | (s2 + s3 <= s1) | (s3 + s1 <= s2))
+
+
+@dataclass(frozen=True)
+class SideLengths:
+    """Side lengths opposite vertices 1, 2, 3."""
+
+    s1: float
+    s2: float
+    s3: float
+
+    def __post_init__(self):
+        s1, s2, s3 = self.s1, self.s2, self.s3
+        if _not_a_triangle(s1, s2, s3, _MATH):
+            raise DegenerateTriangle(f"side lengths violate triangle inequality: {s1}, {s2}, {s3}")
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.s1, self.s2, self.s3)
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Three vertices in counter-clockwise order.
 
-    Construction re-orders a clockwise input (swapping the last two vertices)
-    and rejects triangles whose area is at most 1e-12 * (longest side)^2,
-    three coincident vertices among them.
-    It measures the three sides once, for that test, and keeps them,
-    relabelled after a swap, for ``perimeter`` and ``centers.side_lengths``:
-    ``hypot`` is symmetric, so they are the bits ``distance`` gives on the
-    final vertex order.
+    Construction decides, once for the whole package, what a triangle is.
+    It re-orders a clockwise input (swapping the last two vertices),
+    rejects a thin triangle, one whose area is at most
+    1e-12 * (longest side)^2 (three coincident vertices among them), and
+    then one whose measured sides fail the triangle inequality, as
+    ``SideLengths`` does: a nearly flat triangle can have an area above the
+    threshold and yet sides that round to s1 + s2 <= s3.  It measures the
+    three sides once, for both tests, and keeps them, relabelled after a
+    swap, as the ``SideLengths`` that ``centers.side_lengths`` returns and
+    ``perimeter`` sums: ``hypot`` is symmetric, so they are the bits
+    ``distance`` gives on the final vertex order.
 
     Construction also makes each instance's private memo of values derived
-    from its vertices alone, which ``centers`` fills: its side lengths, its
-    centers and its excentral triangle, each computed by the same function
-    on the same floats on first use, so a value read from the memo is
-    bit-identical to one computed afresh from an equal triangle.  The memo
-    belongs to one instance; it takes no part in equality, hashing or
-    ``repr``, and a computation that raises leaves nothing in it.
+    from its vertices alone, which ``centers`` fills: its centers and its
+    excentral triangle, each computed by the same function on the same
+    floats on first use, so a value read from the memo is bit-identical to
+    one computed afresh from an equal triangle.  The memo belongs to one
+    instance; it takes no part in equality, hashing or ``repr``, and a
+    computation that raises leaves nothing in it.
     """
 
     v: tuple[Point, Point, Point]
@@ -897,8 +924,10 @@ class Triangle:
             raise DegenerateTriangle(f"area {0.5 * area2:.3e} below threshold")
         if area2 < 0:
             object.__setattr__(self, "v", (p1, p3, p2))
-        # The sides opposite each final vertex (hypot is symmetric).
-        object.__setattr__(self, "_sides", (d23, d12, d31) if area2 < 0 else (d23, d31, d12))
+        # The sides opposite each final vertex (hypot is symmetric), which
+        # raise if they fail the triangle inequality.
+        sides = (d23, d12, d31) if area2 < 0 else (d23, d31, d12)
+        object.__setattr__(self, "_sides", SideLengths(*sides))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -911,8 +940,8 @@ class Triangle:
         return line_through(self.v[(i + 1) % 3], self.v[(i + 2) % 3])
 
     def perimeter(self) -> float:
-        s1, s2, s3 = self._sides
-        return s3 + s1 + s2
+        s = self._sides
+        return s.s3 + s.s1 + s.s2
 
 
 def _sides_batch(v: np.ndarray) -> np.ndarray:
@@ -926,15 +955,19 @@ def _sides_batch(v: np.ndarray) -> np.ndarray:
 
 
 def triangle_batch(v: np.ndarray, log: PassLog) -> tuple[np.ndarray, np.ndarray]:
-    """``Triangle`` over a vertex stack: a degenerate row raises through
-    ``log`` and clockwise rows get their last two vertices swapped.  Returns
-    the final vertex stack, ``v`` itself when no row is clockwise, and the
-    (n, 3) sides its thin test measured (``_sides_batch``), opposite each
-    final vertex: relabelled after a swap, as ``Triangle`` keeps them, so
-    they are the bits that measuring the final stack gives."""
+    """``Triangle`` over a vertex stack: a row that ``Triangle`` rejects
+    raises through ``log``, by the same two checks in the same order (thin,
+    then the triangle inequality of the measured sides), and clockwise rows
+    get their last two vertices swapped.  Returns the final vertex stack,
+    ``v`` itself when no row is clockwise, and the (n, 3) sides both checks
+    read (``_sides_batch``), opposite each final vertex: relabelled after a
+    swap, as ``Triangle`` keeps them, so they are the bits that measuring
+    the final stack gives."""
     area2 = _area2(*v.transpose(1, 2, 0))
     s = _sides_batch(v)
     log.check(_thin(area2, *s.T, np), DegenerateTriangle, "triangle area below threshold")
+    log.check(_not_a_triangle(*s.T, np), DegenerateTriangle,
+              "side lengths violate triangle inequality")
     clockwise = area2 < 0
     if clockwise.any():
         v = np.where(clockwise[:, None, None], v[:, [0, 2, 1]], v)

@@ -149,9 +149,9 @@ def sample(cfg: PoristicConfig, t: float) -> FamilySample:
 class FamilyBatch:
     """Family members at every t of a sweep: ``FamilySample`` with arrays
     (triangles as (n, 3, 2) vertex stacks), and the (n, 3) ``sides`` of
-    ``triangle``, measured once by ``triangle_batch`` and checked by
-    ``centers.side_lengths_batch``, from which the excentral triangles and
-    the perimeters are taken."""
+    ``triangle``, measured and checked once by ``triangle_batch``, from
+    which the excentral triangles, the perimeters and the centers are
+    taken."""
 
     t: np.ndarray
     triangle: np.ndarray
@@ -358,10 +358,11 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray], l
                        ) -> tuple[ConicBatch, dict[str, tuple[ConicBatch, CanonicalBatch]]]:
     """``named_conic`` and its ``canonicalize`` for each of ``tags`` over a
     sweep, as one stack; ``x(k)`` gives the reference triangle's center
-    X_k, as computed by ``centers.center_batch``.  Returns the stack, with
-    the incidence rows and rank-filter norms of its circumconics
-    (``conics.centered_conics_batch``), and per tag a view of it: that
-    tag's slice of the coefficient rows and of the canonical forms.
+    X_k, as computed by ``centers.center_batch`` (X40, which E3x and I3x
+    read, as 2 X3 - X1).  Returns the stack, with the incidence rows and
+    rank-filter norms of its circumconics (``conics.centered_conics_batch``),
+    and per tag a view of it: that tag's slice of the coefficient rows and
+    of the canonical forms.
 
     The stack holds the circumconics, then the inconics, each in
     ``CONIC_TAGS`` order (E1, E9, E10, E3x, E5x, E6x, I9, I3x, I5x).  One

@@ -197,8 +197,8 @@ class _Pass:
 
     def x(self, k: int) -> np.ndarray:
         """The reference triangle's center X_k (``centers.center_batch``),
-        computed once.  X40 is 2 X3 - X1, as ``center_batch`` forms it, of
-        the X3 and X1 the pass holds (X3, then X1, computed if not yet
+        computed once.  X40 is 2 X3 - X1, as ``centers.center`` forms it,
+        of the X3 and X1 the pass holds (X3, then X1, computed if not yet
         held)."""
         if k not in self._x:
             fam = self.fam
@@ -271,7 +271,6 @@ class _Pass:
         """Billiard semi-axes, normalized members, their inradius, circumradius."""
         a9, b9, _c9 = _billiard.cb_axes_normalized(self.cfg.rho)
         norm, ns = _billiard.normalize_sample_batch(self.cfg, self.fam, self.log)
-        ns = _centers.side_lengths_batch(ns, self.log)
         n_area = signed_area_batch(norm)
         return (a9, b9, norm, 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2]),
                 ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area))
@@ -301,7 +300,6 @@ class _Pass:
                             scale * (sa * p[..., 0] + ca * p[..., 1]) + ty)
 
         tri_sigma, s_sigma = triangle_batch(apply_sigma(self.fam.triangle), self.log)
-        s_sigma = _centers.side_lengths_batch(s_sigma, self.log)
         gap = np.zeros(len(self.t))
         for k in (1, 9, 10, 11):
             direct = _centers.center_batch(tri_sigma, k, self.log, s_sigma)

@@ -33,7 +33,6 @@ from porism_lab.centers import (
     ISOSCELES_EPS,
     _equilateral_fallback,
     _isosceles,
-    _not_a_triangle,
     center,
     center_batch,
 )
@@ -64,6 +63,7 @@ from porism_lab.geom import (
     Point,
     Triangle,
     _axes,
+    _not_a_triangle,
     _thin,
     _wrap_half_pi,
     canonicalize,
@@ -73,6 +73,7 @@ from porism_lab.geom import (
     line_through_batch,
     rank_test_batch,
     singular_values_batch,
+    triangle_batch,
 )
 from porism_lab.poristic import (
     _STACK_ORDER,
@@ -223,18 +224,18 @@ def test_verify_rows_match_benchmark_reference(rho):
 def test_center_batch_matches_center_on_random_triangles(rng):
     tris = [random_triangle(rng) for _ in range(40)]
     tris.append(Triangle((Point(0.0, 0.0), Point(2.0, 0.0), Point(1.0, math.sqrt(3.0)))))
-    v = np.array([[[p.x, p.y] for p in tri.v] for tri in tris])
     log = PassLog(np.arange(len(tris), dtype=float))
+    v, s = triangle_batch(np.array([[[p.x, p.y] for p in tri.v] for tri in tris]), log)
     scale = 10.0  # coordinates lie within [-9, 9]
     for k in sorted(BATCH_CENTERS - {100}):
-        got = center_batch(v, k, log)
+        got = center_batch(v, k, log, s)
         for i, tri in enumerate(tris):
             want = center(tri, k)
             assert max(abs(got[i, 0] - want.x), abs(got[i, 1] - want.y)) <= 1e-12 * scale, (k, i)
     # X100 is undefined on the equilateral row: the pass computes it on the
     # scalene rows only, under its np.errstate.
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = center_batch(v, 100, log.where(np.arange(len(tris)) < 40))
+        got = center_batch(v, 100, log.where(np.arange(len(tris)) < 40), s)
     for i, tri in enumerate(tris[:40]):
         want = center(tri, 100)
         dx, dy = abs(got[i, 0] - want.x), abs(got[i, 1] - want.y)
@@ -242,7 +243,7 @@ def test_center_batch_matches_center_on_random_triangles(rng):
     with pytest.raises(IsoscelesDegeneracy):
         center(tris[-1], 100)
     with pytest.raises(IsoscelesDegeneracy, match="X_100 is ill-conditioned on isosceles input"):
-        center_batch(v, 100, log)
+        center_batch(v, 100, log, s)
 
 
 def _first_zero_i9_minor(cfg, n):
@@ -490,7 +491,7 @@ class TestCircumconicTwins:
         for v, k in ((fam.triangle, 1), (fam.triangle, 9), (fam.triangle, 10),
                      (fam.excentral, 3), (fam.excentral, 9)):
             tris = [Triangle(tuple(Point(*map(float, p)) for p in row)) for row in v]
-            self._check(tris, center_batch(fam.triangle, k, log))
+            self._check(tris, center_batch(fam.triangle, k, log, fam.sides))
 
     coord = st.floats(-10.0, 10.0)
 
@@ -537,9 +538,9 @@ def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
     for rho in (0.005, 0.05, 0.2):
         worst = {"batched": 0.0, "scalar": 0.0, "fsum": 0.0}
         fam = sample_batch(config_from_rR(1.0, rho), ts, log)
-        systems = [(fam.triangle, center_batch(fam.triangle, k, log)) for k in (1, 9, 10, 11)]
-        systems += [(fam.excentral, center_batch(fam.triangle, k, log)) for k in (3, 9)]
-        systems.append((fam.excentral, center_batch(fam.triangle, 100, log)))
+        x = {k: center_batch(fam.triangle, k, log, fam.sides) for k in (1, 3, 9, 10, 11, 100)}
+        systems = [(fam.triangle, x[k]) for k in (1, 9, 10, 11)]
+        systems += [(fam.excentral, x[k]) for k in (3, 9, 100)]
         for v, c in systems:
             batched, rows, _ = _centered_circumconic_batch(v, c, log)
             for i in range(len(ts)):

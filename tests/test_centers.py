@@ -263,10 +263,11 @@ class TestDerivedTriangles:
 
 
 class TestMemo:
-    """``side_lengths``, ``center`` and ``excentral`` keep each value in the
-    memo of one ``Triangle`` instance: a kept value is bit-identical to a
-    fresh one, a failure is never kept, and the memo leaves equality and
-    hashing alone."""
+    """``center`` and ``excentral`` keep each value in the memo of one
+    ``Triangle`` instance, and ``side_lengths`` returns the sides it
+    measured at construction: a kept value is bit-identical to a fresh one,
+    a failure is never kept, and the memo leaves equality and hashing
+    alone."""
 
     KEYS = ("side_lengths", "excentral", *sorted(SUPPORTED_CENTERS))
 
@@ -369,7 +370,6 @@ class TestSidesMeasuredOnce:
             p2, p3 = p3, p2
         try:
             t = Triangle((p1, p2, p3))
-            side_lengths(t)
         except DegenerateTriangle:
             assume(False)
         assert t.v == ((p1, p3, p2) if clockwise else (p1, p2, p3))
@@ -410,15 +410,13 @@ class TestBatchSidesMeasuredOnce:
         for row, final, sides in zip(stack, tri, s):
             t = Triangle(tuple(Point(x, y) for x, y in row))
             assert t.v == tuple(Point(x, y) for x, y in final)
-            # The sides ``side_lengths`` returns, without its check of the
-            # triangle inequality, so that a nearly flat row is compared too.
-            np.testing.assert_array_max_ulp(sides, t._sides, 1)
+            np.testing.assert_array_max_ulp(sides, side_lengths(t).as_tuple(), 1)
 
     @given(st.lists(st.tuples(st.one_of(TestMemo.near_isosceles, TestMemo.anywhere),
                               st.booleans()), min_size=1, max_size=8))
-    # Area above the threshold, but the rounded sides fail the triangle
-    # inequality of ``side_lengths`` (5.000000000000001 = 1.0 +
-    # 4.000000000000001); the stack measures them all the same.
+    # Area above the thin threshold, but the rounded sides fail the triangle
+    # inequality (5.000000000000001 = 1.0 + 4.000000000000001): both twins
+    # reject the first row, so only the second reaches the stack.
     @example([(((0.0, 4.0), (0.0, 5.0), (1e-07, 0.0)), False),
               (((-1.0, 0.0), (1.0, 0.0), (0.0, 1.7)), True)])
     @settings(max_examples=150, deadline=None)

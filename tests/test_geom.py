@@ -294,6 +294,26 @@ class TestLinesAndTriangles:
         with pytest.raises(DegenerateTriangle, match="triangle area below threshold at t = 0.5$"):
             geom.triangle_batch(v, PassLog([0.0, 0.5]))
 
+    # Its area is above the thin threshold (relative area about 4e-9), but
+    # its measured sides round to 5.000000000000001 = 1.0 + 4.000000000000001,
+    # so they fail the triangle inequality.
+    NEARLY_FLAT = ((0.0, 4.0), (0.0, 5.0), (1e-7, 0.0))
+
+    def test_nearly_flat_triangle_rejected_at_construction(self):
+        with pytest.raises(DegenerateTriangle, match="^side lengths violate triangle "
+                           r"inequality: 5\.000000000000001, 1\.0, 4\.000000000000001$"):
+            Triangle(tuple(Point(x, y) for x, y in self.NEARLY_FLAT))
+
+    def test_nearly_flat_triangle_rejected_by_the_batched_twin(self):
+        v = np.array([((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), self.NEARLY_FLAT])
+        with pytest.raises(DegenerateTriangle,
+                           match="^side lengths violate triangle inequality at t = 0.5$"):
+            geom.triangle_batch(v, PassLog([0.0, 0.5]))
+        # The thin test runs first, over the whole stack, as in ``Triangle``.
+        v = np.array([self.NEARLY_FLAT, self.COINCIDENT[0]])
+        with pytest.raises(DegenerateTriangle, match="^triangle area below threshold at t = 0.5$"):
+            geom.triangle_batch(v, PassLog([0.0, 0.5]))
+
     def test_conic_matrix_rejects_zero_and_asymmetric(self):
         with pytest.raises(ValueError):
             ConicMatrix(np.zeros((3, 3)))
