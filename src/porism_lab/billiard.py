@@ -26,9 +26,7 @@ from .poristic import (
     FamilySample,
     PoristicConfig,
     theta_closed_form,
-    theta_closed_form_batch,
     x9_closed_form,
-    x9_closed_form_batch,
 )
 
 
@@ -127,14 +125,15 @@ def normalize_sample(cfg: PoristicConfig, s: FamilySample) -> Triangle:
         s.perimeter, _MATH)))
 
 
-def normalize_sample_batch(cfg: PoristicConfig, fam: FamilyBatch,
+def normalize_sample_batch(fam: FamilyBatch, x9: np.ndarray, theta: np.ndarray,
                            log: PassLog) -> tuple[np.ndarray, np.ndarray]:
-    """``normalize_sample`` over a sweep: the normalized (n, 3, 2) vertex
-    stack and its sides, from ``triangle_batch``."""
-    x9 = x9_closed_form_batch(cfg, fam.t)
+    """``normalize_sample`` over a sweep, given the closed forms it reads at
+    each t, X9 (``x9_closed_form_batch``) and theta
+    (``theta_closed_form_batch``), which the measurement pass computes once
+    for this and for its rows: the normalized (n, 3, 2) vertex stack and
+    its sides, from ``triangle_batch``."""
     out = _similarity_map(fam.triangle[..., 0].T, fam.triangle[..., 1].T,
-                          theta_closed_form_batch(cfg, fam.t), x9[:, 0], x9[:, 1],
-                          fam.perimeter, np)
+                          theta, x9[:, 0], x9[:, 1], fam.perimeter, np)
     return triangle_batch(_stacked(*out[0], *out[1], *out[2]).reshape(-1, 3, 2), log)
 
 

@@ -43,14 +43,17 @@ from .geom import (  # noqa: F401
     Line,
     Point,
     Triangle,
+    _column_top,
     _eigenvalues,
     _normalized,
     _normalized_entries,
+    _stacked,
     canonicalize,
     line_through,
     line_through_batch,
+    max_condition_batch,
     rank_test,
-    rank_test_batch,
+    rank_test_blocks,
 )
 
 BarycentricFn = Callable[[float, float, float], float]
@@ -94,24 +97,63 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
 _MINOR_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
-def _centered_circumconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog):
-    """``_centered_circumconic`` over a stack of N systems (N may hold k
-    systems per sample, see ``PassLog``): the (4, N) rows (A, B, C, F), the
-    (N, 3, 4) incidence rows and the norms (F, P, D) their rank filter
-    computed.  The filter takes the incidence rows entry-major as they are
-    built: row 4 r + j of ``x`` holds entry (r, j) of every system."""
-    u = v[:, :, 0].T - center[:, 0]
-    w = v[:, :, 1].T - center[:, 1]
-    x = np.empty((12, len(center)))
-    x[0::4], x[1::4], x[2::4], x[3::4] = u * u, 2 * u * w, w * w, 1.0
-    sign, minors, norms = rank_test_batch(x)
+def _offsets(systems) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y offsets (u, w) of the vertices from the centers of the
+    ``systems``, each a (3, N) array over all of them in order: a system
+    block is a pair of triangles (n, 3, 2) and centers (n, 2), N the sum of
+    their n.  Each block is written into the result, so that no stack of
+    the blocks' triangles or centers is made."""
+    n = sum(len(center) for _, center in systems)
+    u, w = np.empty((3, n)), np.empty((3, n))
+    i = 0
+    for v, center in systems:
+        j = i + len(center)
+        np.subtract(v[:, :, 0].T, center[:, 0], out=u[:, i:j])
+        np.subtract(v[:, :, 1].T, center[:, 1], out=w[:, i:j])
+        i = j
+    return u, w
+
+
+def _entries(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The incidence rows (u^2, 2uw, w^2, 1) of ``_centered_circumconic``
+    of the systems of vertex offsets ``u``, ``w`` (3, m), entry-major as
+    ``rank_test_batch`` takes them: row 4 r + j of the (12, m) result holds
+    entry (r, j) of every system, each written into it as it is computed."""
+    x = np.empty((12, u.shape[1]))
+    np.multiply(u, u, out=x[0::4])
+    np.multiply(2, u, out=x[1::4])
+    x[1::4] *= w
+    np.multiply(w, w, out=x[2::4])
+    x[3::4] = 1.0
+    return x
+
+
+def _centered_circumconic_batch(systems, log: PassLog,
+                                condition: bool = False) -> tuple[np.ndarray, float | None]:
+    """``_centered_circumconic`` over the system blocks ``systems`` (see
+    ``_offsets``), N systems in all (N may hold k systems per sample, see
+    ``PassLog``): the (4, N) rows (A, B, C, F), and with ``condition`` the
+    largest condition number of the systems (``geom.max_condition_batch``),
+    else None.  The kernel holds only the vertex offsets from the centers:
+    the filter makes each pass's block of incidence rows from them
+    (``geom.rank_test_blocks``), and the largest condition number gathers
+    from them only its SVD candidates, while the filter's norms are held.
+    The null vector is then formed in the filter's minors, in place."""
+    u, w = _offsets(systems)
+    sign, minors, norms = rank_test_blocks(4, u.shape[1],
+                                           lambda i, j: _entries(u[:, i:j], w[:, i:j]))
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
+    kappa_max = (max_condition_batch(norms, lambda rows: _entries(u[:, rows], w[:, rows]))
+                 if condition else None)
+    del u, w, norms
     # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
     # entry k is the minor without column k.
-    vec = minors[::-1] * _MINOR_SIGNS
-    top = np.abs(vec).max(axis=0)
+    minors *= _MINOR_SIGNS[::-1]
+    vec = minors[::-1]
+    top = _column_top(vec)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
-    return vec / top, x.T.reshape(-1, 3, 4), norms
+    vec /= top
+    return vec, kappa_max
 
 
 def _shift(A, B, C, F, cx, cy):
@@ -186,12 +228,20 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> ConicMatrix:
 def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
                                 log: PassLog) -> ConicBatch:
     """``inconic_from_tangents`` over stacks of lines (n, 3)."""
-    lines = [line.T for line in (l1, l2, l3)]
+    c = np.zeros((6, len(l1)))
+    _tangent_rows((l1, l2, l3), log, (c[0], c[1], c[2], c[5]))
+    return ConicBatch(_normalized(c))
+
+
+def _tangent_rows(lines, log: PassLog, out) -> None:
+    """The closed form (A, B, C, D) of ``_tangent_form`` of three stacks of
+    lines (n, 3), after the parallel-tangents check, written into the four
+    rows ``out``."""
+    lines = [line.T for line in lines]
     d12, d13, d23, parallel = _cross_terms(lines, np)
     log.check(parallel, ParallelTangents, "tangent lines are (nearly) parallel")
-    A, B, C, D = _tangent_form(lines, d12, d13, d23)
-    zero = np.zeros_like(A)
-    return ConicBatch(_normalized(np.array([A, B, C, zero, zero, D])))
+    for row, value in zip(out, _tangent_form(lines, d12, d13, d23)):
+        row[...] = value
 
 
 def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
@@ -214,21 +264,25 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     return ConicMatrix.from_coeffs(*_shift(A, B, C, F, center.x, center.y))
 
 
-def _centered_inconic_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
-    """The (4, N) rows (A, B, C, F) of ``inconic_centered`` over a stack, in
-    the frame of each center, normalized as ``inconic_from_tangents_batch``
-    normalizes them."""
-    s = v - center[:, None, :]
-    return inconic_from_tangents_batch(line_through_batch(s[:, 1], s[:, 2]),
-                                       line_through_batch(s[:, 0], s[:, 2]),
-                                       line_through_batch(s[:, 0], s[:, 1]), log).c[[0, 1, 2, 5]]
+def _centered_inconic_batch(systems, log: PassLog) -> np.ndarray:
+    """The (4, N) rows (A, B, C, F) of ``inconic_centered`` over the system
+    blocks ``systems`` (see ``_offsets``), in the frame of each center,
+    normalized as ``inconic_from_tangents_batch`` normalizes them: its
+    largest magnitude is that of these four, since its D and E are zero."""
+    s = _stacked(*(offset.T for offset in _offsets(systems)))  # (N, 3, 2)
+    lines = (line_through_batch(s[:, 1], s[:, 2]), line_through_batch(s[:, 0], s[:, 2]),
+             line_through_batch(s[:, 0], s[:, 1]))
+    del s
+    rows = np.empty((4, len(lines[0])))
+    _tangent_rows(lines, log, rows)
+    return _normalized(rows)
 
 
-def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
-                          log: PassLog) -> ConicBatch:
+def centered_conics_batch(circum, inconic, log: PassLog, condition: bool = False) -> ConicBatch:
     """One stack of conics with prescribed centers: ``circumconic_centered``
-    over the first ``n_circum`` systems (triangles ``v`` (N, 3, 2) and
-    centers (N, 2)) and ``inconic_centered`` over the rest.  N may hold k
+    over the system blocks ``circum`` and ``inconic_centered`` over the
+    blocks ``inconic`` after them, each block a pair of triangles
+    (n, 3, 2) and centers (n, 2) (``_offsets``).  The stack may hold k
     systems per sample; ``log`` then checks k blocks (see ``PassLog``), and
     a log that names them names the failing one.
 
@@ -238,19 +292,23 @@ def centered_conics_batch(v: np.ndarray, center: np.ndarray, n_circum: int,
     test, kept as the stack's ``rank_test`` for ``canonicalize_batch``.
     The checks run in this order, each over all its blocks: circumconic
     not unique, circumconic constraints collapse, tangent lines parallel,
-    circumconic degenerates.  The stack carries the incidence rows of its
-    circumconics and the norms (F, P, D) their rank filter computed; only a
-    verify estimates condition numbers from them, when it takes the largest
-    (``geom.max_condition_batch``) with one SVD of the rows that can hold
-    it."""
-    circum, rows, norms = _centered_circumconic_batch(v[:n_circum], center[:n_circum], log)
+    circumconic degenerates.  With ``condition`` (a verify), the stack
+    carries the largest condition number of its circumconics' incidence
+    systems (``ConicBatch.max_condition``), which the circumconic kernel
+    takes while it holds their entries.  No stack of the blocks'
+    triangles or centers is made: each kernel reads the blocks, and each
+    block's coefficients are shifted straight into the stack's rows, which
+    are then normalized in place."""
+    circum_rows, kappa_max = _centered_circumconic_batch(circum, log, condition)
+    n_circum = circum_rows.shape[1]
     # The inconics are the blocks after the circumconics.
     inconic_log = PassLog(log.ts, log.rows, log.names[n_circum // len(log.ts):])
-    origin = np.concatenate([circum, _centered_inconic_batch(v[n_circum:], center[n_circum:],
-                                                             inconic_log)], axis=1)
-    conic = ConicBatch(_normalized(np.array(_shift(*origin, center[:, 0], center[:, 1]))),
-                       rows, norms)
-    del circum, origin  # not held through the rank test
+    inconic_rows = _centered_inconic_batch(inconic, inconic_log)
+    c = np.empty((6, n_circum + inconic_rows.shape[1]))
+    _shift_into(c[:, :n_circum], circum_rows, circum)
+    _shift_into(c[:, n_circum:], inconic_rows, inconic)
+    del circum_rows, inconic_rows
+    conic = ConicBatch(_normalized(c), kappa_max)
     log.check(conic.rank_test[:n_circum] < 0, DegenerateConic,
               "centered circumconic degenerates for this center")
     return conic
@@ -291,6 +349,18 @@ def _focal_length(F, lam1, lam2, xp):
     return 2.0 * xp.sqrt(abs(F) * (abs(lam1) + abs(lam2)) / abs(lam1 * lam2))
 
 
+def _shift_into(out: np.ndarray, origin: np.ndarray, systems) -> None:
+    """``_shift`` of the (4, N) rows (A, B, C, F) about the centers of the
+    system blocks ``systems``, block by block, written into the (6, N) rows
+    ``out``."""
+    i = 0
+    for _, center in systems:
+        j = i + len(center)
+        for row, value in zip(out[:, i:j], _shift(*origin[:, i:j], center[:, 0], center[:, 1])):
+            row[...] = value
+        i = j
+
+
 def hyperbola_focal_length(t: Triangle, center: Point) -> float:
     """Distance between the foci (2c) of the centered circumconic, which
     must come out a hyperbola; computed from the center-origin coefficients
@@ -303,10 +373,11 @@ def hyperbola_focal_length(t: Triangle, center: Point) -> float:
     return _focal_length(F, lam1, lam2, _MATH)
 
 
-def hyperbola_focal_length_batch(v: np.ndarray, center: np.ndarray, log: PassLog) -> np.ndarray:
-    """``hyperbola_focal_length`` over a stack, which may hold k systems per
-    sample (see ``PassLog``)."""
-    (A, B, C, F), _, _ = _centered_circumconic_batch(v, center, log)
+def hyperbola_focal_length_batch(systems, log: PassLog) -> np.ndarray:
+    """``hyperbola_focal_length`` over the system blocks ``systems``, pairs
+    of triangles (n, 3, 2) and centers (n, 2) (``_offsets``), which may
+    hold k systems per sample (see ``PassLog``)."""
+    (A, B, C, F), _ = _centered_circumconic_batch(systems, log)
     lam1, lam2 = _eigenvalues(A, B, C, np)
     not_hyperbola = lam1 * lam2 >= 0.0
     log.check(not_hyperbola & (lam1 * F < 0), NotAHyperbola, "centered circumconic is an ellipse")

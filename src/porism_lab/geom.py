@@ -25,11 +25,12 @@ only near the threshold.  Each returns the 3x3 minors it decided from, the
 same Laplace expansions in both twins: ``rank_test`` forms them with
 ``_minors``, an arithmetic-only core that runs on exact numbers too, and
 ``rank_test_batch`` gathers them over a stack in its own loop, the faster
-one for arrays.  The norms the batched filter computes also give
-every row a condition estimate (``condition_estimate_batch``), so the
-largest condition number of a stack (``max_condition_batch``, which
-estimates from those norms) needs the SVD only of the rows that can hold
-it.
+one for arrays, a block of matrices at a time (``rank_test_blocks``, which
+also takes a stack whose entries are made block by block).  The norms the
+batched filter computes also give every row a condition estimate
+(``condition_estimate_batch``), so the largest condition number of a stack
+(``max_condition_batch``, which estimates from those norms) needs the SVD
+only of the rows that can hold it.
 """
 
 from __future__ import annotations
@@ -157,8 +158,10 @@ def line_batch(a, b, c) -> np.ndarray:
 
 
 def line_through_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return line_batch(p[..., 1] - q[..., 1], q[..., 0] - p[..., 0],
-                      p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1])
+    """``line_batch`` of the lines through p and q, whose coefficients have
+    one shape already, so that nothing is broadcast."""
+    return _stacked(*_unit_line(p[..., 1] - q[..., 1], q[..., 0] - p[..., 0],
+                                p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1], np))
 
 
 def _line_meet(l1, l2, xp):
@@ -299,8 +302,19 @@ _MATRIX_ENTRIES = np.array([0, 1, 3, 1, 2, 4, 3, 4, 5])
 
 def _normalized(c: np.ndarray) -> np.ndarray:
     """Coefficient rows (k, n) with each column divided by its largest
-    magnitude."""
-    return c / np.abs(c).max(axis=0)
+    magnitude, in place: ``c`` itself is returned."""
+    c /= _column_top(c)
+    return c
+
+
+def _column_top(c: np.ndarray) -> np.ndarray:
+    """The largest magnitude in each column of the rows (k, n) ``c``, NaN
+    where the column holds a NaN, taken row by row without a (k, n)
+    temporary."""
+    top = np.abs(c[0])
+    for row in c[1:]:
+        np.maximum(top, np.abs(row), out=top)
+    return top
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,21 +326,28 @@ class ConicBatch:
     ``ConicMatrix``, since the largest entry of the matrix is the largest
     coefficient.
 
-    A stack whose first k conics are circumconics also carries, for those,
-    the (k, 3, 4) incidence rows they were solved from and the norms
-    (F, P, D) their rank filter computed, each of shape (k,);
-    ``max_condition_batch`` takes the exact largest condition number from
-    them, with an SVD of the few rows that can hold it."""
+    A stack that ``conics.centered_conics_batch`` built for a verify also
+    carries ``max_condition``, the largest condition number of the
+    incidence systems its circumconics were solved from
+    (``max_condition_batch``), and None otherwise.  It was taken while that
+    kernel held the systems' entries and their rank filter's norms, which
+    the kernel drops before it returns: the stack keeps only its (6, n)
+    coefficient rows, its ``max_condition`` and, once a rank test has read
+    it, the (n,) int8 sign of ``rank_test``, for as long as it is held."""
 
     c: np.ndarray
-    rows: np.ndarray | None = None
-    norms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    max_condition: float | None = None
 
     @_first_read
     def rank_test(self) -> np.ndarray:
         """The sign of ``rank_test_batch`` of the matrices, computed once
-        for all the rank tests made on the stack."""
-        return rank_test_batch(np.take(self.c, _MATRIX_ENTRIES, axis=0))[0]
+        for all the rank tests made on the stack.  The filter gathers each
+        pass's block of matrix entries from ``c`` and keeps only the sign:
+        it holds neither the (9, n) entries of the whole stack nor its
+        minors or norms."""
+        return rank_test_blocks(3, self.c.shape[1],
+                                lambda i, j: np.take(self.c[:, i:j], _MATRIX_ENTRIES, axis=0),
+                                keep=False)[0]
 
 
 def singular_values_batch(a: np.ndarray) -> np.ndarray:
@@ -396,29 +417,65 @@ def rank_test_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     undecided (``_rank_decision``): a ratio within about [1e-12/3, 3e-12],
     minors that cancel to their rounding bound (nearly rank 1), F outside
     [2^-100, 2^100] (``_FILTER_MAX_NORM``), or a non-finite entry.  The
-    filter runs in passes over blocks of columns (``_FILTER_ENTRIES``),
+    filter runs in passes over blocks of columns (``rank_test_blocks``),
     which decide each column as one pass would; the SVD runs once, on the
     open rows of every pass.  ``rank_test`` is its scalar twin.
     """
-    k = len(x) // 3
-    step = _FILTER_ENTRIES // _MINOR_INDEX[k][0].shape[1]  # columns per pass
-    passes = [_filter(np.ascontiguousarray(x[:, i:i + step]), k)
-              for i in range(0, max(x.shape[1], 1), step)]
-    full, deficient, minors3, F, P, D = (np.concatenate(part, axis=-1) for part in zip(*passes))
-    sign = full.astype(np.int8) - deficient
-    open_rows = ~(full | deficient)
-    if open_rows.any():
-        sv = singular_values_batch(x[:, open_rows].T.reshape(-1, 3, k))
-        sign[open_rows] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
-                           - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
-    return sign, minors3, (F, P, D)
+    sign, minors3, norms = rank_test_blocks(len(x) // 3, x.shape[1],
+                                            lambda i, j: np.ascontiguousarray(x[:, i:j]))
+    return sign, minors3, tuple(norms)
 
 
 # Entries per 2x2-minor temporary of one pass of the filter, which splits a
 # long stack into passes over as many columns, so that its temporaries stay
-# small.  Of 2^13 to 2^15, 2^14 gave the fastest 720-sample verify; one pass
-# per stack made it about 10% slower.
+# small: about 0.7 KB per column of a 3x4 stack, 0.6 MB per pass at most.
+# A pass costs about 85 us besides its columns (Xeon, Python 3.11, numpy
+# 2.4), so 2^13 would add nine passes to a 720-sample verify; one pass per
+# stack made the verify about 10% slower.
 _FILTER_ENTRIES = 2 ** 14
+
+
+def _blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """The (start, stop) of the fewest blocks of at most ``most`` of n
+    columns, as equal in size as they can be: a short last block would
+    cost a block's overhead, a long one its temporaries."""
+    count = -(-n // most)
+    return [(n * b // count, n * (b + 1) // count) for b in range(count)]
+
+
+def rank_test_blocks(k: int, n: int, entries, keep: bool = True) -> tuple:
+    """``rank_test_batch`` of a stack of n 3 x k matrices whose entries are
+    made a block at a time, never all at once: ``entries(i, j)`` gives the
+    contiguous entry-major (3k, j - i) entries of matrices i to j, each
+    block one pass of the filter (``_blocks``: at most
+    ``_FILTER_ENTRIES`` entries per 2x2-minor temporary).
+    Returns the int8 sign, the 3x3 minors and the (3, n) norms (F, P, D),
+    each pass's written into them as it ends, or with ``keep`` false the
+    sign and two Nones; then one SVD decides the matrices that no pass
+    decided."""
+    sign = np.empty(n, np.int8)
+    minors3 = np.empty((len(_MINOR_INDEX[k][1]), n)) if keep else None
+    norms = np.empty((3, n)) if keep else None
+    open_at, open_entries = [], []
+    for i, j in _blocks(n, _FILTER_ENTRIES // _MINOR_INDEX[k][0].shape[1]):
+        x = entries(i, j)
+        full, deficient, m3, F, P, D = _filter(x, k)
+        s = sign[i:j]
+        s[...] = full
+        s -= deficient
+        if keep:
+            minors3[:, i:j] = m3
+            for row, norm in zip(norms, (F, P, D)):
+                row[i:j] = norm
+        undecided = ~(full | deficient)
+        if undecided.any():
+            open_at.append(i + np.flatnonzero(undecided))
+            open_entries.append(x[:, undecided])
+    if open_at:
+        sv = singular_values_batch(np.concatenate(open_entries, axis=1).T.reshape(-1, 3, k))
+        sign[np.concatenate(open_at)] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
+                                         - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
+    return sign, minors3, norms
 
 
 def _filter(x: np.ndarray, k: int) -> tuple:
@@ -575,7 +632,27 @@ def condition_estimate_batch(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.
     random stacks with chosen singular values (clustered, nearly rank 1,
     up to kappa = 1e11), against 60-digit mpmath, the error stays within
     0.09 beta.
+
+    The rows are estimated in blocks of at most ``_COLUMN_BLOCK``
+    (``_blocks``), each written into the result, so that the temporaries
+    of the error bound stay small.
     """
+    kappa = np.empty(len(F))
+    for i, j in _blocks(len(F), _COLUMN_BLOCK):
+        kappa[i:j] = _condition_estimate(F[i:j], P[i:j], D[i:j])
+    return kappa
+
+
+# Most columns per block of the column-blocked kernels (``canonicalize_batch``,
+# ``condition_estimate_batch``), whose temporaries take about 0.15 KB per
+# column: at 2^11 a 720-sample verify's canonical forms took about 30%
+# longer (a block costs about 150 us besides its columns on a Xeon, Python
+# 3.11, numpy 2.4), and 2^12 or 2^13 made no difference to a verify's time.
+_COLUMN_BLOCK = 2 ** 12
+
+
+def _condition_estimate(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``condition_estimate_batch`` of one block of rows."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = P / (F * F)
         y = D / (F * F * F)
@@ -584,6 +661,7 @@ def condition_estimate_batch(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.
         r = np.sqrt(np.maximum(t, 0.0))
         cos3 = np.clip((2.0 - 9.0 * b + 27.0 * c) / (2.0 * t * r), -1.0, 1.0)
         lam1 = (1.0 + np.where(r > 0.0, 2.0 * r * np.cos(np.arccos(cos3) / 3.0), 0.0)) / 3.0
+        del t, r, cos3  # each temporary dropped once read for the last time
         p = c / lam1
         s = (b - p) / lam1
         root = np.sqrt(np.maximum(s * s - 4.0 * p, 0.0))
@@ -591,28 +669,40 @@ def condition_estimate_batch(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.
 
         e_x = 24.0 * _U / x + 55.0 * _U
         e_y = 19.0 * _U / y + 59.0 * _U
+        del x, y, c
         g1 = (3.0 * lam1 - 2.0) * lam1 + b
         g2 = 6.0 * lam1 - 2.0
         h1 = np.minimum(np.minimum(_CUBIC_ERROR / np.maximum(g1, 0.0),
                                    np.sqrt(2.0 * _CUBIC_ERROR / np.maximum(g2, 0.0))),
                         np.cbrt(_CUBIC_ERROR))
+        del b, g1, g2
         e_1 = h1 / lam1
         d_p = e_y + e_1 + 2.0 * _U
         d_s = 1.5 * e_x + 0.5 * e_y + 1.5 * e_1 + 3.0 * _U
+        del h1, e_x, e_y
         W = s * s * (2.0 * d_s + d_p + d_s * d_s + 6.0 * _U)
         e_3 = d_p + d_s + np.minimum(np.sqrt(W), W / root) / s
+        del W, p, s, root, d_p, d_s
         beta = 0.5 * (e_1 + e_3) + 4.0 * _U
         certified = ((beta <= _KAPPA_ERROR) & (F >= 1.0 / _FILTER_MAX_NORM)
                      & (F <= _FILTER_MAX_NORM))
     return np.where(certified, kappa, np.nan)
 
 
-def max_condition_batch(rows: np.ndarray, norms: tuple) -> float:
+def max_condition_batch(norms, entries) -> float:
     """The largest sigma_max / sigma_min, as ``singular_values_batch``
-    gives it, over the rows of a (n, 3, k) stack, given the norms (F, P, D)
-    that ``rank_test_batch`` computed for it.  ``condition_estimate_batch``
-    estimates every row from the norms, once.  One stacked SVD runs, over
-    the candidate rows only: those whose estimate ``kappa`` is NaN or at
+    gives it, over a stack of n 3 x k matrices, given the norms (F, P, D)
+    that ``rank_test_batch`` computed for them and ``entries(rows)``, the
+    entry-major (3k, m) entries of the m matrices that the mask ``rows``
+    selects (``lambda rows: x[:, rows]`` for the array ``x`` that
+    ``rank_test_batch`` took).  ``condition_estimate_batch`` estimates
+    every row from the norms, once.  One stacked SVD runs, over the
+    candidate rows only: no other row's entries are gathered.  For a
+    verify, ``conics._centered_circumconic_batch`` calls it while it holds
+    the norms and what the entries are made from, and keeps only the
+    result.
+
+    The candidates are the rows whose estimate ``kappa`` is NaN or at
     least (1 - m) kappa_max, with kappa_max the largest estimate and
     m = 2^-10 + 256 u kappa_max.  The result is bit for bit the maximum over
     every row: numpy's stacked SVD calls LAPACK once per matrix, so a row
@@ -634,7 +724,8 @@ def max_condition_batch(rows: np.ndarray, norms: tuple) -> float:
     kappa = condition_estimate_batch(*norms)
     top = np.max(kappa, initial=0.0, where=np.isfinite(kappa))
     candidate = ~(kappa < (1.0 - 2.0 ** -10 - 256 * _U * top) * top)
-    sv = singular_values_batch(rows[candidate])
+    x = entries(candidate)
+    sv = singular_values_batch(x.T.reshape(-1, 3, len(x) // 3))
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.max(sv[:, 0] / sv[:, -1]))
 
@@ -734,9 +825,11 @@ def _eigenvector(A, B, C, lam1, xp):
     whether that norm vanishes against the block (a repeated eigenvalue,
     where any direction serves).  Either of the two algebraically
     equivalent forms can cancel to zero; this takes the larger one."""
-    use_a = xp.hypot(lam1 - C, B) >= xp.hypot(B, lam1 - A)
+    n_a, n_b = xp.hypot(lam1 - C, B), xp.hypot(B, lam1 - A)
+    use_a = n_a >= n_b
     v1x, v1y = xp.where(use_a, lam1 - C, B), xp.where(use_a, B, lam1 - A)
-    n1 = xp.hypot(v1x, v1y)
+    # The norm of the form taken: the same hypot of the same two numbers.
+    n1 = xp.where(use_a, n_a, n_b)
     return v1x, v1y, n1, n1 < DEGENERACY_EPS * xp.maximum(xp.maximum(abs(A), abs(C)), abs(B))
 
 
@@ -801,26 +894,44 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
 def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
     """``canonicalize`` over a stack: the same rank test (decided by
     ``rank_test_batch``), center solve and refinement step, and closed-form
-    2x2 eigendecomposition."""
-    A, B, C, D, E, F = conic.c
-    det2 = A * C - B * B
+    2x2 eigendecomposition.  The checks run over the whole stack; the rest
+    runs in blocks of at most ``_COLUMN_BLOCK`` conics (``_blocks``), each
+    written into the result, so that its temporaries stay small."""
+    A, B, C = conic.c[:3]
     rank3_ok = conic.rank_test > 0
+    det2 = A * C - B * B
     block_scale = np.maximum(np.abs(A), np.abs(C)) + np.abs(B)
     singular = np.abs(det2) <= DEGENERACY_EPS * block_scale * block_scale
+    del det2, block_scale
     log.check(singular & ~rank3_ok, DegenerateConic, "conic of rank < 3")
     log.check(singular & rank3_ok, NotCentral, "parabolic conic has no affine center")
 
-    cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
+    n = len(A)
+    can = CanonicalBatch(np.empty((n, 2)), np.empty(n), np.empty(n), np.empty(n),
+                         np.empty(n, bool))
+    for i, j in _blocks(n, _COLUMN_BLOCK):
+        _canonical_block(conic.c[:, i:j], rank3_ok[i:j], can[i:j])
+    return can
 
+
+def _canonical_block(c: np.ndarray, rank3_ok: np.ndarray, out: CanonicalBatch) -> None:
+    """``canonicalize_batch`` of the conics of coefficient rows ``c``, after
+    its checks, written into ``out``."""
+    A, B, C, D, E, F = c
+    cx, cy, f0 = _center_solve(A, B, C, D, E, F, A * C - B * B)
+    out.center[:, 0], out.center[:, 1] = cx, cy
+    del cx, cy
     lam1, lam2 = _eigenvalues(A, B, C, np)
     v1x, v1y, n1, repeated = _eigenvector(A, B, C, lam1, np)
     v1x = np.where(repeated, 1.0, v1x / n1)
     v1y = np.where(repeated, 0.0, v1y / n1)
+    del n1, repeated
     ellipse, hyperbola, major, minor, angle = _axes(f0, lam1, lam2, v1x, v1y, np)
     real = rank3_ok & (ellipse | hyperbola)
-    return CanonicalBatch(_stacked(cx, cy), np.where(real, angle, 0.0),
-                          np.where(real, major, 0.0), np.where(real, minor, 0.0),
-                          rank3_ok & hyperbola)
+    out.angle[...] = np.where(real, angle, 0.0)
+    out.semi_major[...] = np.where(real, major, 0.0)
+    out.semi_minor[...] = np.where(real, minor, 0.0)
+    out.hyperbola[...] = rank3_ok & hyperbola
 
 
 def _focal_step(major, minor, angle, hyperbola, xp):

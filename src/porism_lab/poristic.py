@@ -354,15 +354,19 @@ def named_conic(cfg: PoristicConfig, t: float, tag: str,
     return _conics.inconic_centered(tri, center)
 
 
-def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray], log: PassLog
+def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray], log: PassLog,
+                       condition: bool = False
                        ) -> tuple[ConicBatch, dict[str, tuple[ConicBatch, CanonicalBatch]]]:
     """``named_conic`` and its ``canonicalize`` for each of ``tags`` over a
     sweep, as one stack; ``x(k)`` gives the reference triangle's center
     X_k, as computed by ``centers.center_batch`` (X40, which E3x and I3x
-    read, as 2 X3 - X1).  Returns the stack, with the incidence rows and
-    rank-filter norms of its circumconics (``conics.centered_conics_batch``),
-    and per tag a view of it: that tag's slice of the coefficient rows and
-    of the canonical forms.
+    read, as 2 X3 - X1).  Returns the stack, which with ``condition`` holds
+    the largest condition number of its circumconics' incidence systems
+    (``conics.centered_conics_batch``), and per tag a view of it: that
+    tag's slice of the coefficient rows and of the canonical forms.  Each
+    tag's system block is the family's triangles, or excentral triangles,
+    and that tag's centers, as the pass holds them: no stack of the
+    systems' triangles or centers is made.
 
     The stack holds the circumconics, then the inconics, each in
     ``CONIC_TAGS`` order (E1, E9, E10, E3x, E5x, E6x, I9, I3x, I5x).  One
@@ -377,12 +381,12 @@ def named_conics_batch(fam: FamilyBatch, tags, x: Callable[[int], np.ndarray], l
     if unknown:
         raise KeyError(f"unknown conic tags {sorted(unknown)}; valid: {CONIC_TAGS}")
     order = [tag for tag in _STACK_ORDER if tag in tags]
-    center = np.concatenate([x(_TAG_TABLE[tag][2]) for tag in order])
-    v = np.concatenate([fam.excentral if _TAG_TABLE[tag][0] else fam.triangle for tag in order])
-    n = len(fam.t)
-    n_circum = n * sum(_TAG_TABLE[tag][1] for tag in order)
+    centers = [x(_TAG_TABLE[tag][2]) for tag in order]
+    systems = [(fam.excentral if _TAG_TABLE[tag][0] else fam.triangle, center)
+               for tag, center in zip(order, centers)]
+    n, circum = len(fam.t), sum(_TAG_TABLE[tag][1] for tag in order)
     log = PassLog(log.ts, log.rows, order)
-    stack = _conics.centered_conics_batch(v, center, n_circum, log)
+    stack = _conics.centered_conics_batch(systems[:circum], systems[circum:], log, condition)
     can = canonicalize_batch(stack, log)
     return stack, {tag: (ConicBatch(stack.c[:, i * n:(i + 1) * n]), can[i * n:(i + 1) * n])
                    for i, tag in enumerate(order)}

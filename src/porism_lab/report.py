@@ -33,11 +33,12 @@ detected as varying.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,9 @@ from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, Unknow
 # benchmark's tracer self-test (perfbench/test_perfbench.py) resolves them here.
 from .geom import (  # noqa: F401
     CanonicalBatch,
+    Circle,
     ConicBatch,
+    Line,
     Point,
     _angle_gap,
     _first_read,
@@ -63,7 +66,6 @@ from .geom import (  # noqa: F401
     foci_batch,
     line_intersection_batch,
     line_through_batch,
-    max_condition_batch,
     power_of_point,
     side_lines_batch,
     signed_area_batch,
@@ -71,7 +73,9 @@ from .geom import (  # noqa: F401
 )
 
 SCHEMA_VERSION = 1
-MAX_T_SAMPLES = 10**6  # a verify peaks at about 3.4 KB per sample: at most about 3.4 GB
+# A verify's resident memory grows by about 2.1 KB per sample (measured at
+# 100,000 samples; README): at most about 2.1 GB.
+MAX_T_SAMPLES = 10**6
 # Beyond this range of R the family's loci underflow or overflow unchecked.
 _R_RANGE = (1e-100, 1e100)
 
@@ -164,24 +168,80 @@ class VerifyResult:
         }
 
 
+class Loci(NamedTuple):
+    """The pass's stationary loci: the X9 locus, the antiorthic axis and
+    the Weaver power gaps at its point P0 on the x-axis (incircle,
+    circumcircle, excentral circle), each a column over the samples."""
+
+    mittenpunkt: Circle
+    axis: Line
+    weaver_gaps: list[np.ndarray]
+
+
+class Antiorthic(NamedTuple):
+    """Meets of the reference and excentral side lines, the mask of the
+    pairs that meet, and the stage's gate."""
+
+    points: np.ndarray
+    meets: np.ndarray
+    gate: tuple[np.ndarray, str]
+
+
+class X100(NamedTuple):
+    """X100 on the samples its gate keeps (NaN elsewhere), and the gate."""
+
+    point: np.ndarray
+    gate: tuple[np.ndarray, str]
+
+
+class Billiard(NamedTuple):
+    """Circumbilliard semi-axes in units of the perimeter, the normalized
+    members, and their inradius and circumradius."""
+
+    a9: float
+    b9: float
+    members: np.ndarray
+    inradius: np.ndarray
+    circumradius: np.ndarray
+
+
+class Hyperbolas(NamedTuple):
+    """Focal lengths of the Feuerbach and Jerabek circumhyperbolas."""
+
+    feuerbach: np.ndarray
+    jerabek: np.ndarray
+
+
+class ClosedForms(NamedTuple):
+    """X9 and the circumbilliard axis angle theta at every t, in closed form."""
+
+    x9: np.ndarray
+    theta: np.ndarray
+
+
 class _Pass:
     """The measurement pass of ``rows`` over the parameters ``t`` of the
     family of ratio ``rho`` at R = 1, all at once; no stage reads how ``t``
     is laid out.  Its stages are lazy: each runs at most once, when a row
-    first needs it (``x`` memoizes per center).  Their checks go to ``log``, where the first one that fails
-    raises (see ``PassLog``); the conic stage runs its checks in the order
-    of ``poristic.named_conics_batch``.  A partial stage returns, as its
-    last item, its gate: the mask of the samples it holds and the reason it
+    first needs it (``x`` memoizes per center), and returns a named tuple
+    or an array.  Their checks go to ``log``, where the first one that
+    fails raises (see ``PassLog``); the conic stage runs its checks in the
+    order of ``poristic.named_conics_batch``.  A partial stage's result
+    has a ``gate``: the mask of the samples it holds and the reason it
     skips the others.  ``perturb`` shifts the first vertex of sample
     ``len(t) // 3`` along x, in units of R.
 
     The named conics the rows declare are the pass's ``tags``; the conic
     stage builds exactly those, and reading any other raises
-    ``LookupError``."""
+    ``LookupError``.  A pass with ``condition`` (a verify's) also takes the
+    largest condition number of the stack's circumconic systems, as
+    ``max_condition``; it is None otherwise."""
 
-    def __init__(self, rho: float, t: np.ndarray, rows, seed: int, perturb: float = 0.0):
+    def __init__(self, rho: float, t: np.ndarray, rows, seed: int, perturb: float = 0.0,
+                 condition: bool = False):
         self.cfg = _poristic.config_from_rho(rho)
         self.t, self.rows, self.seed, self.perturb = t, rows, seed, perturb
+        self.condition, self.max_condition = condition, None
         self.log = PassLog(t)
         self.tags = frozenset(tag for q in rows for tag in q.conics)
         self._x = {}
@@ -207,10 +267,14 @@ class _Pass:
         return self._x[k]
 
     @_first_read
-    def conics(self) -> tuple[ConicBatch, dict[str, tuple[ConicBatch, CanonicalBatch]]]:
-        """The conic stage: one stack of the declared named conics, and per
-        tag its view, the conic and its canonical form."""
-        return _poristic.named_conics_batch(self.fam, self.tags, self.x, self.log)
+    def conics(self) -> dict[str, tuple[ConicBatch, CanonicalBatch]]:
+        """The conic stage: one stack of the declared named conics, as each
+        tag's view, the conic and its canonical form.  The stack's
+        ``max_condition`` (a verify's) is kept as the pass's."""
+        stack, views = _poristic.named_conics_batch(self.fam, self.tags, self.x, self.log,
+                                                    self.condition)
+        self.max_condition = stack.max_condition
+        return views
 
     def conic(self, tag: str) -> ConicBatch:
         return self._declared(tag)[0]
@@ -221,7 +285,7 @@ class _Pass:
     def _declared(self, tag: str) -> tuple[ConicBatch, CanonicalBatch]:
         if tag not in self.tags:
             raise LookupError(f"conic {tag} is read but no measured row declares it")
-        return self.conics[1][tag]
+        return self.conics[tag]
 
     def ratio(self, tag: str) -> np.ndarray:
         """Axis ratio of conic ``tag``; not kept, each feeds one row."""
@@ -231,7 +295,7 @@ class _Pass:
         return can.semi_major / can.semi_minor
 
     @_first_read
-    def loci(self):
+    def loci(self) -> Loci:
         """X9 locus, antiorthic axis, and the Weaver power gaps at P0, the axis
         on the x-axis, per sample (all at infinity for d = 0)."""
         cfg = self.cfg
@@ -241,15 +305,20 @@ class _Pass:
         p0 = Point(-axis.c / axis.a, 0.0)
         pairs = ((w_inc, cfg.incircle), (w_circ, cfg.circumcircle), (w_circ, cfg.excentral_circle))
         gaps = [abs(power_of_point(p0, w) - power_of_point(p0, c)) for w, c in pairs]
-        return locus, axis, [np.full(len(self.t), gap) for gap in gaps]
+        return Loci(locus, axis, [np.full(len(self.t), gap) for gap in gaps])
 
     @_first_read
-    def antiorthic(self):
+    def side_lines(self) -> np.ndarray:
+        """Lines of the family's sides (``side_lines_batch``), built once
+        for the incircle row and the antiorthic stage."""
+        return side_lines_batch(self.fam.triangle)
+
+    @_first_read
+    def antiorthic(self) -> Antiorthic:
         """Side-line intersections; t = 0, pi have a bisector parallel to a side."""
-        pts, meets = line_intersection_batch(side_lines_batch(self.fam.triangle),
-                                             side_lines_batch(self.fam.excentral))
+        pts, meets = line_intersection_batch(self.side_lines, side_lines_batch(self.fam.excentral))
         has_axis = np.count_nonzero(meets, axis=1) >= 2
-        return pts, meets, (has_axis, "isosceles member: bisector parallel to side")
+        return Antiorthic(pts, meets, (has_axis, "isosceles member: bisector parallel to side"))
 
     @_first_read
     def i3x_tangent(self) -> np.ndarray:
@@ -258,34 +327,40 @@ class _Pass:
             *_poristic.excentral_side_lines_batch(self.cfg, self.t), self.log).c
 
     @_first_read
-    def x100(self):
+    def x100(self) -> X100:
         """X100, partial: held on the members that pass the side-length test
         of its scalar twin ``centers.center(tri, 100)``, the scalene ones."""
         fam = self.fam
         has_x100 = _centers.scalene_batch(fam.sides)
         x100 = _centers.center_batch(fam.triangle, 100, self.log.where(has_x100), fam.sides)
-        return x100, (has_x100, "isosceles member: X100 undefined")
+        return X100(x100, (has_x100, "isosceles member: X100 undefined"))
 
     @_first_read
-    def billiard(self):
+    def closed(self) -> ClosedForms:
+        """X9 and theta in closed form, computed once for the billiard stage
+        and the rows that compare them."""
+        return ClosedForms(_poristic.x9_closed_form_batch(self.cfg, self.t),
+                           _poristic.theta_closed_form_batch(self.cfg, self.t))
+
+    @_first_read
+    def billiard(self) -> Billiard:
         """Billiard semi-axes, normalized members, their inradius, circumradius."""
         a9, b9, _c9 = _billiard.cb_axes_normalized(self.cfg.rho)
-        norm, ns = _billiard.normalize_sample_batch(self.cfg, self.fam, self.log)
+        norm, ns = _billiard.normalize_sample_batch(self.fam, *self.closed, self.log)
         n_area = signed_area_batch(norm)
-        return (a9, b9, norm, 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2]),
-                ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area))
+        return Billiard(a9, b9, norm, 2.0 * n_area / (ns[:, 0] + ns[:, 1] + ns[:, 2]),
+                        ns[:, 0] * ns[:, 1] * ns[:, 2] / (4.0 * n_area))
 
     @_first_read
-    def hyperbolas(self):
+    def hyperbolas(self) -> Hyperbolas:
         """Focal lengths of the Feuerbach and Jerabek circumhyperbolas, on the
         samples of X100's gate, as one stack of both systems: each check runs
         on the Feuerbach block, then on the Jerabek one, and names the block
         that fails."""
-        x100, (has_x100, _) = self.x100
-        return np.split(_conics.hyperbola_focal_length_batch(
-            np.concatenate([self.fam.triangle, self.fam.excentral]),
-            np.concatenate([self.x(11), x100]),
-            PassLog(self.t, has_x100, ("Feuerbach", "Jerabek"))), 2)
+        x100 = self.x100
+        return Hyperbolas(*np.split(_conics.hyperbola_focal_length_batch(
+            [(self.fam.triangle, self.x(11)), (self.fam.excentral, x100.point)],
+            PassLog(self.t, x100.gate[0], ("Feuerbach", "Jerabek"))), 2))
 
     @_first_read
     def equivariance(self) -> np.ndarray:
@@ -313,17 +388,31 @@ class _Pass:
         ``held``, the samples each row's gate keeps (all, for a full row).
         Each gate is read once, here; ``reasons`` keeps each row's skip
         reason (None for a full row).  The first failing check raises; no
-        held value is non-finite."""
+        held value is non-finite.
+
+        A stage's result is kept while rows read it.  The conic stage, the
+        largest (its stack's coefficient rows and canonical forms, about
+        0.8 KB per sample for a verify's eight conics), is dropped after the
+        last row that declares a conic, so the stages that later rows first
+        need (for a verify, the hyperbola stage), the stacking of the values
+        and the verify's reduction run without it; a later read of it would
+        build it again.  The other stages are kept until the pass is
+        dropped.  The values are stacked after the last row: a stack made
+        first would be held through every stage."""
+        last_conic_row = max((i for i, q in enumerate(self.rows) if q.conics), default=-1)
+        columns = []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Stacked after the last row: a stack made first would be held
-            # through every stage, about 0.4 KB more per sample at a verify's peak.
-            values = np.array([q.compute(self) for q in self.rows]).reshape(
-                len(self.rows), len(self.t))
+            for i, q in enumerate(self.rows):
+                columns.append(q.compute(self))
+                if i == last_conic_row:
+                    self.__dict__.pop("conics", None)
+        values = np.array(columns).reshape(len(self.rows), len(self.t))
+        del columns
         held = np.ones(values.shape, bool)
         self.reasons = [None] * len(self.rows)
         for i, q in enumerate(self.rows):
             if q.partial:
-                held[i], self.reasons[i] = getattr(self, q.partial)[-1]
+                held[i], self.reasons[i] = getattr(self, q.partial).gate
         bad = ~np.isfinite(values) & held
         if bad.any():
             i, k = divmod(int(np.argmax(bad)), len(self.t))
@@ -372,7 +461,7 @@ class Quantity:
 
 
 def _incircle_residual(p: _Pass) -> np.ndarray:
-    sides, x1 = side_lines_batch(p.fam.triangle), p.cfg.incircle.center
+    sides, x1 = p.side_lines, p.cfg.incircle.center
     return np.abs(np.abs(sides[..., 0] * x1.x + sides[..., 1] * x1.y + sides[..., 2])
                   - p.cfg.r).max(axis=1)
 
@@ -386,7 +475,7 @@ def _i5x_foci_gap(p: _Pass) -> np.ndarray:
 
 
 def _antiorthic_axis_gap(p: _Pass) -> np.ndarray:
-    axis = p.loci[1]
+    axis = p.loci.axis
     pts, meets, _ = p.antiorthic
     return np.where(meets, np.abs(axis.a * pts[..., 0] + axis.b * pts[..., 1] + axis.c),
                     0.0).max(axis=1)
@@ -407,13 +496,16 @@ def _cb_foci_circle_gap(p: _Pass) -> np.ndarray:
 
 
 _PARALLEL_AXES = ("E9", "E10", "E5x", "E6x", "I3x")
-_AXIS_PAIRS = np.triu_indices(len(_PARALLEL_AXES), 1)  # every (i, j), i < j
 
 
 def _parallel_axes_gap(p: _Pass) -> np.ndarray:
-    axes = np.array([p.can(tag).angle for tag in _PARALLEL_AXES])
-    i, j = _AXIS_PAIRS
-    return _angle_gap(axes[i], axes[j], math.pi / 2).max(axis=0)
+    """The largest axis gap over every pair of ``_PARALLEL_AXES``, taken
+    pair by pair, so that no (pairs, samples) stack is made."""
+    axes = [p.can(tag).angle for tag in _PARALLEL_AXES]
+    gap = np.zeros(len(p.t))
+    for a, b in itertools.combinations(axes, 2):
+        np.maximum(gap, _angle_gap(a, b, math.pi / 2), out=gap)
+    return gap
 
 
 def _sign_free_gap(c: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -457,7 +549,7 @@ def _axis_rows(tag: str, *closed_forms) -> tuple[Quantity, ...]:
 def _x100_eval_row(tag: str) -> Quantity:
     """``<tag>_x100_eval``: conic ``tag`` evaluated at X100, on its gate."""
     return Quantity(f"{tag.lower()}_x100_eval",
-                    lambda p: np.abs(conic_eval_batch(p.conic(tag), p.x100[0])), "residual",
+                    lambda p: np.abs(conic_eval_batch(p.conic(tag), p.x100.point)), "residual",
                     partial="x100", conics=(tag,))
 
 
@@ -483,28 +575,29 @@ QUANTITIES = (
              conics=("I5x",)),
     Quantity("i5x_foci_gap", _i5x_foci_gap, "residual", conics=("I5x",)),
     Quantity("antiorthic_axis_gap", _antiorthic_axis_gap, "residual", partial="antiorthic"),
-    Quantity("weaver_incircle_power_gap", lambda p: p.loci[2][0], "residual", tol=1e-10),
-    Quantity("weaver_circumcircle_power_gap", lambda p: p.loci[2][1], "residual", tol=1e-10),
-    Quantity("weaver_excentral_power_gap", lambda p: p.loci[2][2], "residual", tol=1e-10),
+    Quantity("weaver_incircle_power_gap", lambda p: p.loci.weaver_gaps[0], "residual",
+             tol=1e-10),
+    Quantity("weaver_circumcircle_power_gap", lambda p: p.loci.weaver_gaps[1], "residual",
+             tol=1e-10),
+    Quantity("weaver_excentral_power_gap", lambda p: p.loci.weaver_gaps[2], "residual",
+             tol=1e-10),
     Quantity("perimeter_closed_rel_err", lambda p: np.abs(
         _poristic.perimeter_closed_form_batch(p.cfg, p.t) - p.fam.perimeter) / p.fam.perimeter,
         "residual", tol=1e-12),
-    Quantity("x9_closed_gap", lambda p: distance_batch(
-        _poristic.x9_closed_form_batch(p.cfg, p.t), p.x(9)), "residual"),
-    Quantity("theta_closed_gap", lambda p: _angle_gap(
-        _poristic.theta_closed_form_batch(p.cfg, p.t), p.can("E9").angle, math.pi),
-        "residual", tol=_ATOL, conics=("E9",)),
-    Quantity("x9_locus_gap", lambda p: np.abs(
-        distance_batch(p.x(9), p.loci[0].center.as_array()) - p.loci[0].radius), "residual"),
+    Quantity("x9_closed_gap", lambda p: distance_batch(p.closed.x9, p.x(9)), "residual"),
+    Quantity("theta_closed_gap", lambda p: _angle_gap(p.closed.theta, p.can("E9").angle, math.pi),
+             "residual", tol=_ATOL, conics=("E9",)),
+    Quantity("x9_locus_gap", lambda p: np.abs(distance_batch(
+        p.x(9), p.loci.mittenpunkt.center.as_array()) - p.loci.mittenpunkt.radius), "residual"),
     *map(_x100_eval_row, ("E1", "E9", "I3x")),
     Quantity("i3x_implicit_gap", lambda p: _sign_free_gap(
         p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).c), "residual"),
     Quantity("billiard_ellipse_residual", lambda p: np.abs(
-        (p.billiard[2][..., 0] / p.billiard[0]) ** 2
-        + (p.billiard[2][..., 1] / p.billiard[1]) ** 2 - 1.0).max(axis=1),
+        (p.billiard.members[..., 0] / p.billiard.a9) ** 2
+        + (p.billiard.members[..., 1] / p.billiard.b9) ** 2 - 1.0).max(axis=1),
         "residual", tol=1e-8),
     Quantity("reflection_law_gap", lambda p: _billiard.reflection_law_residual_batch(
-        p.billiard[2], p.billiard[0], p.billiard[1]), "residual", tol=_ATOL),
+        p.billiard.members, p.billiard.a9, p.billiard.b9), "residual", tol=_ATOL),
     Quantity("cb_foci_circle_gap", _cb_foci_circle_gap, "residual", conics=("E9",)),
     Quantity("e6x_e9_center_gap", lambda p: distance_batch(p.can("E6x").center,
                                                            p.can("E9").center), "residual",
@@ -532,14 +625,15 @@ QUANTITIES = (
     *_axis_rows("E9", lambda c: math.sqrt(
         (c.R + c.d) * (3 * c.R - c.d) / ((c.R - c.d) * (3 * c.R + c.d)))),
     *_axis_rows("I9", _caustic_ratio),
-    Quantity("gamma_ratio", lambda p: p.hyperbolas[1] / p.hyperbolas[0], "spread",
+    Quantity("gamma_ratio", lambda p: p.hyperbolas.jerabek / p.hyperbolas.feuerbach, "spread",
              lambda c: math.sqrt(2.0 / c.rho), tol=1e-7, partial="x100"),
     # Inradius and circumradius of the normalized member vary over the
     # billiard-view family; their ratio does not.
-    Quantity("rho_billiard", lambda p: p.billiard[3] / p.billiard[4], "spread", lambda c: c.rho),
+    Quantity("rho_billiard", lambda p: p.billiard.inradius / p.billiard.circumradius, "spread",
+             lambda c: c.rho),
     Quantity("perimeter", lambda p: p.fam.perimeter, "varying", dim=1),
-    Quantity("r_billiard", lambda p: p.billiard[3], "varying"),
-    Quantity("R_billiard", lambda p: p.billiard[4], "varying"),
+    Quantity("r_billiard", lambda p: p.billiard.inradius, "varying"),
+    Quantity("R_billiard", lambda p: p.billiard.circumradius, "varying"),
 
     # Sweep-only columns.
     Quantity("omega", lambda p: p.fam.omega, dim=1),
@@ -547,8 +641,8 @@ QUANTITIES = (
     Quantity("x9_y", lambda p: p.x(9)[:, 1], dim=1),
     _angle_row("E9", "theta"),
     *map(_angle_row, ("E1", "E9", "I3x", "E10", "E5x", "E6x")),
-    Quantity("gamma_feuerbach", lambda p: p.hyperbolas[0], partial="x100", dim=1),
-    Quantity("gamma_jerabek", lambda p: p.hyperbolas[1], partial="x100", dim=1),
+    Quantity("gamma_feuerbach", lambda p: p.hyperbolas.feuerbach, partial="x100", dim=1),
+    Quantity("gamma_jerabek", lambda p: p.hyperbolas.jerabek, partial="x100", dim=1),
 )
 
 _BY_NAME = {q.name: q for q in QUANTITIES}
@@ -569,13 +663,11 @@ SWEEP_QUANTITIES = (
 
 def run_verify(lab: LabConfig) -> VerifyResult:
     """Every verify row, judged at R = 1 and reported in units of ``lab.R``."""
-    p = _Pass(lab.poristic().rho, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb)
+    p = _Pass(lab.poristic().rho, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb, condition=True)
     values, held = p.measure()
     reports = [_judge(q.name, *stats, q.check, q.tol, q.expected(p.cfg) if q.expected else None,
                       lab.R ** q.dim) for q, *stats in zip(_VERIFY_ROWS, *_reduce(values, held))]
-    stack = p.conics[0]
-    return VerifyResult(lab, reports, p.skipped(held),
-                        max_condition_batch(stack.rows, stack.norms))
+    return VerifyResult(lab, reports, p.skipped(held), p.max_condition)
 
 
 def _reduce(values: np.ndarray, held: np.ndarray) -> tuple[list, ...]:
@@ -584,12 +676,15 @@ def _reduce(values: np.ndarray, held: np.ndarray) -> tuple[list, ...]:
     The sum is taken left to right on every Python (``sum`` of floats is
     compensated from 3.12), each cell not held adding 0.0, which moves only
     the sign of a zero sum; ``+ 0.0`` makes every zero sum 0.0, as ``sum``
-    does."""
-    return (np.count_nonzero(held, axis=1).tolist(),
-            np.min(values, axis=1, where=held, initial=math.inf).tolist(),
-            np.max(values, axis=1, where=held, initial=-math.inf).tolist(),
-            (np.cumsum(np.where(held, values, 0.0), axis=1)[:, -1] + 0.0).tolist(),
-            np.max(np.abs(values), axis=1, where=held, initial=0.0).tolist())
+    does.  It is one running sum, in place, in one copy of ``values``.  The
+    largest magnitude is the larger of the maximum and minus the minimum,
+    and 0.0 for a row that holds nothing."""
+    lo = np.min(values, axis=1, where=held, initial=math.inf).tolist()
+    hi = np.max(values, axis=1, where=held, initial=-math.inf).tolist()
+    total = np.where(held, values, 0.0)
+    np.cumsum(total, axis=1, out=total)
+    return (np.count_nonzero(held, axis=1).tolist(), lo, hi, (total[:, -1] + 0.0).tolist(),
+            [max(0.0, h, -low) for low, h in zip(lo, hi)])
 
 
 def _judge(name: str, n: int, lo: float, hi: float, total: float, peak: float, check: str,

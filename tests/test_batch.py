@@ -11,6 +11,7 @@ form.
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -41,6 +42,8 @@ from porism_lab.conics import (
     _centered_circumconic,
     _centered_circumconic_batch,
     _cross_terms,
+    _entries,
+    _offsets,
     centered_conics_batch,
     circumconic_centered,
     hyperbola_focal_length,
@@ -111,17 +114,21 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
     # A verify runs every stage used below, under the pass's own np.errstate.
     p = report._Pass(cfg.rho, LabConfig(t_samples=T_SAMPLES).t, report._VERIFY_ROWS, 0)
     columns = dict(zip([q.name for q in report._VERIFY_ROWS], p.measure()[0]))
-    ts, fam, norm = p.t, p.fam, p.billiard[2]
+    ts, fam, norm = p.t, p.fam, p.billiard.members
     x100, (has_x100, _) = p.x100
     a9, b9, _c9 = cb_axes_normalized(cfg.rho)
     # Off the billiard ellipse the reflection residual is of order one, not noise.
     off_ellipse = reflection_law_residual_batch(fam.triangle * R, a9, b9)
-    # The conic stack: its circumconics' incidence rows, and the condition
-    # estimates of the norms their rank filter computed, block by block in
-    # the stack's tag order.
-    stack = p.conics[0]
-    kappa = condition_estimate_batch(*stack.norms)
-    order = [tag for tag in _STACK_ORDER if tag in p.tags]
+    # Each circumconic's incidence rows, as the conic stack builds them from
+    # the pass's triangles and centers, and the condition estimates of the
+    # norms their rank filter computes.
+    entries, kappa = {}, {}
+    for tag in TAGS:
+        on_excentral, is_circum, center_id = _TAG_TABLE[tag]
+        if is_circum:
+            entries[tag] = _entries(*_offsets(
+                [(fam.excentral if on_excentral else fam.triangle, p.x(center_id))]))
+            kappa[tag] = condition_estimate_batch(*rank_test_batch(entries[tag])[2])
     checked = 0
 
     def close_length(got, want, what, tol=length_tol):
@@ -174,25 +181,24 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
                 # The oracle of the stack's incidence rows and condition
                 # estimates is the SVD of the scalar incidence rows
                 # (u^2, 2uv, v^2, 1) of the vertices about the center.
-                k = order.index(tag) * len(ts) + i
                 ctr = center(tri, center_id)
                 rows = np.array([[u * u, 2 * u * v, v * v, 1.0] for u, v in
                                  (((q.x - ctr.x) / R, (q.y - ctr.y) / R)
                                   for q in (s.excentral if on_excentral else tri).v)])
                 oracle = np.linalg.svd(rows, compute_uv=False)
-                sv = singular_values_batch(stack.rows[k:k + 1])[0]
+                sv = singular_values_batch(entries[tag][:, i].reshape(1, 3, 4))[0]
                 ratio = sv[0] / sv[-1]
                 close_rel(ratio, oracle[0] / oracle[-1], (tag, "cond", t))
                 # The estimate is certified here, within the relative error
                 # the candidate margin of max_condition_batch relies on: 2^-12
                 # for the estimate and 101 u (kappa + 1) for the SVD.
                 svd_error = 101 * 2.0 ** -53 * (ratio + 1)
-                assert abs(kappa[k] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
+                assert abs(kappa[tag][i] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
                     tag, "kappa", t)
         if want_x100 is not None:
-            close_length(p.hyperbolas[0][i], hyperbola_focal_length(tri, center(tri, 11)),
-                         ("feu", t))
-            close_length(p.hyperbolas[1][i], hyperbola_focal_length(s.excentral, want_x100),
+            close_length(p.hyperbolas.feuerbach[i],
+                         hyperbola_focal_length(tri, center(tri, 11)), ("feu", t))
+            close_length(p.hyperbolas.jerabek[i], hyperbola_focal_length(s.excentral, want_x100),
                          ("jer", t))
         # The normalized member has perimeter 1: its lengths are already scale-free.
         scalar_norm = normalize_sample(cfg, s)
@@ -315,7 +321,7 @@ def test_degenerate_circumconic_check_names_its_block():
     v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]] * 2)
     center = np.array([[1.0, 1.0], [1.5, 0.0]])
     with pytest.raises(DegenerateConic) as info:
-        centered_conics_batch(v, center, 2, PassLog([0.0], names=("E1", "E9")))
+        centered_conics_batch([(v, center)], [], PassLog([0.0], names=("E1", "E9")))
     assert str(info.value) == "E9: centered circumconic degenerates for this center at t = 0.0"
 
 
@@ -330,7 +336,8 @@ def test_named_log_names_the_failing_block():
     v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
     center = np.array([[1.0, 1.0], [0.5, 0.5]])
     with pytest.raises(ParallelTangents) as info:
-        centered_conics_batch(v, center, 1, PassLog([0.0], names=("E1", "I3x")))
+        centered_conics_batch([(v[:1], center[:1])], [(v[1:], center[1:])],
+                              PassLog([0.0], names=("E1", "I3x")))
     assert str(info.value) == "I3x: tangent lines are (nearly) parallel at t = 0.0"
 
 
@@ -342,7 +349,7 @@ def test_hyperbola_stage_names_its_block():
         p = report._Pass(lab.r, lab.t, (), lab.seed)
         if block == "Jerabek":
             with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
-                p.__dict__["x100"] = p.fam.excentral.mean(axis=1), p.x100[1]
+                p.__dict__["x100"] = p.x100._replace(point=p.fam.excentral.mean(axis=1))
         else:
             p._x[11] = p.fam.triangle.mean(axis=1)
         with pytest.raises(NotAHyperbola) as info, np.errstate(divide="ignore", invalid="ignore"):
@@ -357,8 +364,10 @@ def test_max_condition_is_the_largest_of_all_circumconic_rows(rho):
     incidence rows."""
     lab = LabConfig(R=1.0, r=rho, t_samples=T_SAMPLES)
     p = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed)
-    p.measure()
-    rows = p.conics[0].rows
+    order = [tag for tag in _STACK_ORDER if tag in p.tags and _TAG_TABLE[tag][1]]
+    systems = [(p.fam.excentral if _TAG_TABLE[tag][0] else p.fam.triangle,
+                p.x(_TAG_TABLE[tag][2])) for tag in order]
+    rows = _entries(*_offsets(systems)).T.reshape(-1, 3, 4)
     assert rows.shape == (5 * T_SAMPLES, 3, 4)
     sv = singular_values_batch(rows)
     want = np.max(sv[:, 0] / sv[:, -1])
@@ -416,7 +425,7 @@ def test_a_pass_reads_its_samples_not_their_layout(rho):
         p = report._Pass(rho, grid[k], rows, lab.seed)
         got, held = p.measure()
         with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
-            assert p.x100[1][0].tolist() == [scalene[i] for i in k]
+            assert p.x100.gate[0].tolist() == [scalene[i] for i in k]
         for i, q in enumerate(rows):
             if q.name not in positional:
                 assert got[i].tobytes() == want[i][k].tobytes(), q.name
@@ -471,8 +480,8 @@ class TestCircumconicTwins:
         v = np.array([[(p.x, p.y) for p in tri.v] for tri in tris])
         centers = np.asarray(centers, dtype=float)
         log = PassLog(np.arange(len(tris), dtype=float))
-        stack = centered_conics_batch(v, centers, len(tris), log).c
-        coeffs = _centered_circumconic_batch(v, centers, log)[0]
+        stack = centered_conics_batch([(v, centers)], [], log).c
+        coeffs = _centered_circumconic_batch([(v, centers)], log)[0]
         for i, tri in enumerate(tris):
             center = Point(*map(float, centers[i]))
             assert [x.hex() for x in circumconic_centered(tri, center).c] == [
@@ -542,7 +551,8 @@ def test_batched_circumconics_are_as_accurate_as_the_scalar_fsum_route():
         systems = [(fam.triangle, x[k]) for k in (1, 9, 10, 11)]
         systems += [(fam.excentral, x[k]) for k in (3, 9, 100)]
         for v, c in systems:
-            batched, rows, _ = _centered_circumconic_batch(v, c, log)
+            batched, _ = _centered_circumconic_batch([(v, c)], log)
+            rows = _entries(*_offsets([(v, c)])).T.reshape(-1, 3, 4)
             for i in range(len(ts)):
                 exact = _exact_circumconic(mp, rows[i])
                 tri = Triangle(tuple(Point(*map(float, p)) for p in v[i]))
@@ -562,6 +572,25 @@ def test_verify_emits_no_warning():
         warnings.simplefilter("always")
         run_verify(LabConfig(R=1.0, r=0.005))
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("t_samples", [720, 2880])
+def test_a_verify_peaks_below_2_2_kb_per_sample(t_samples):
+    """The traced peak of a verify (rho 0.2, R 1) stays within 2.2 KB
+    (2.2 KiB) per sample: the pass keeps each stage's result only while
+    rows read it and bounds its kernels' temporaries.  A pass that kept
+    the conic stage through the hyperbola stage, or the stack's incidence
+    rows and their norms, peaks at about 3.2 KB per sample."""
+    lab = LabConfig(R=1.0, r=0.2, t_samples=t_samples)
+    run_verify(lab)  # warm-up: first-call allocations are not the pass's
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run_verify(lab)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak / 1024 / t_samples <= 2.2, peak / 1024 / t_samples
 
 
 def _exact_inconic_d_ratio(mp, lines):

@@ -525,7 +525,7 @@ class TestRankFilter:
         # flag it, and canonicalize_batch sees it as not of full rank.
         v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]] * 3)
         center = np.array([[1.0, 1.0], [np.nan, np.nan], [1.2, 0.9]])
-        conic = centered_conics_batch(v, center, 3, PassLog(np.arange(3.0)))
+        conic = centered_conics_batch([(v, center)], [], PassLog(np.arange(3.0)))
         assert conic.rank_test.tolist() == [1, 0, 1]
         can = canonicalize_batch(conic, PassLog(np.arange(3.0)))
         assert can.semi_major[1] == 0.0 and can.semi_major[0] > 0.0
@@ -630,7 +630,8 @@ class TestMaxCondition:
         relies on.  Returns the maximum and the number of rows sent to
         the SVD."""
         rows = np.concatenate(pieces)
-        norms = rank_test_batch(_entries(rows))[2]
+        x = _entries(rows)
+        norms = rank_test_batch(x)[2]
         sent = []
 
         def recorded(rows):
@@ -639,7 +640,7 @@ class TestMaxCondition:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geom, "singular_values_batch", recorded)
-            got = max_condition_batch(rows, norms)
+            got = max_condition_batch(norms, lambda rows: x[:, rows])
         sv = singular_values_batch(rows)
         ratio = sv[:, 0] / sv[:, -1]
         want = np.max(ratio)

@@ -214,6 +214,35 @@ def test_a_pass_is_freed_as_soon_as_it_is_dropped():
         gc.enable()
 
 
+def test_measure_keeps_the_conic_stage_only_while_rows_read_it():
+    """The conic stage is built by the first row that declares a conic and
+    dropped after the last one, before the hyperbola stage runs; a
+    verify's pass keeps the stack's condition number, a sweep's takes
+    none.  A later read builds the stage again, the same."""
+    lab = LabConfig(t_samples=24)
+    rows = report._VERIFY_ROWS
+    last = max(i for i, q in enumerate(rows) if q.conics)
+    first_hyperbola = min(i for i, q in enumerate(rows) if q.name == "gamma_ratio")
+    assert last < first_hyperbola
+    seen = []
+
+    class Spy(report._Pass):
+        @property
+        def hyperbolas(self):
+            seen.append("conics" in self.__dict__)
+            return report._Pass.hyperbolas.__get__(self)
+
+    p = Spy(lab.r, lab.t, rows, 0, condition=True)
+    p.measure()
+    assert seen and not any(seen) and "conics" not in p.__dict__
+    assert p.max_condition == report.run_verify(lab).max_condition > 1.0
+    angle = p.can("E9").angle  # built again
+    q = report._Pass(lab.r, lab.t, rows, 0)
+    q.measure()
+    assert q.max_condition is None
+    assert q.can("E9").angle.tobytes() == angle.tobytes()
+
+
 # --- One unit: the pass runs at R = 1 ------------------------------------------
 
 def test_lengths_are_the_rows_of_dim_one():

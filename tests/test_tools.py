@@ -2,9 +2,9 @@
 (what it calls a difference, what only moved by rounding, and its exit
 code), the whole scan against its pinned content (``--check``),
 ``tools/figure_digests.py --compare`` on synthetic digest documents,
-the line counter ``tools/code_lines.py``, and the paired timer
+the line counter ``tools/code_lines.py``, the paired timer
 ``tools/ab.py`` run on this tree against itself and against a changed
-copy."""
+copy, and the stage table ``tools/stage_times.py`` in both its modes."""
 
 import copy
 import importlib.util
@@ -32,6 +32,7 @@ def _tool(name):
 outcome_scan = _tool("outcome_scan")
 figure_digests = _tool("figure_digests")
 code_lines = _tool("code_lines")
+stage_times = _tool("stage_times")
 
 ROWS = [
     # [quantity, status, verdict, samples, check, tolerance, mean, spread_rel]
@@ -249,3 +250,41 @@ def test_ab_stops_where_the_outputs_differ(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert run.stdout.startswith("round -1: outputs differ at [0][5]: ")
 
+
+
+_SHORT = ["--t-samples", "12", "--runs", "1"]
+
+
+def test_stage_times_prints_every_stage_and_the_total(capsys):
+    assert stage_times.main(_SHORT) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [*stage_times.STAGES, "total"]
+    assert all(line.split()[2] == "ms" and float(line.split()[1]) >= 0.0 for line in lines)
+
+
+def test_stage_times_memory_prints_each_stage_peak_and_kept(capsys):
+    assert stage_times.main([*_SHORT, "--memory"]) == 0
+    head, *rows, verify = capsys.readouterr().out.splitlines()
+    assert head.split()[:3] == ["stage", "peak", "kept"]
+    assert [row.split()[0] for row in rows] == list(stage_times.STAGES)
+    peaks = {row.split()[0]: float(row.split()[1]) for row in rows}
+    # Every stage allocates; the conic stack is the largest of the stages.
+    assert min(peaks.values()) > 0.0 and max(peaks, key=peaks.get) == "conics"
+    assert verify.startswith("run_verify ") and verify.endswith(" KiB per sample")
+
+
+@pytest.mark.parametrize("memory", [False, True], ids=["time", "memory"])
+def test_stage_times_json(capsys, memory):
+    assert stage_times.main([*_SHORT, "--json"] + ["--memory"] * memory) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["t_samples"], out["runs"]) == (12, 1)
+    if memory:
+        assert list(out["peak_kib"]) == list(out["kept_kib"]) == list(stage_times.STAGES)
+        # The rows drop the conic stage after its last row.
+        assert out["kept_kib"]["rows"] < 0.0
+        assert out["verify_peak_kib"] > 0.0
+        # The per-sample figure is rounded to 1e-4, the total to 0.1 KiB.
+        assert abs(out["verify_peak_kib_per_sample"] - out["verify_peak_kib"] / 12) <= 0.01
+    else:
+        assert list(out["median_ms"]) == list(stage_times.STAGES)
+        assert out["total_ms"] >= max(out["median_ms"].values())

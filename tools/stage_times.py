@@ -1,22 +1,35 @@
-"""Where a verify's time goes: the median time of each stage of the
-measurement pass of ``report.run_verify``, each stage forced in turn.
+"""Where a verify's time and memory go: the median time, or the traced
+memory, of each stage of the measurement pass of ``report.run_verify``,
+each stage forced in turn.
 
-    PYTHONPATH=src python3 tools/stage_times.py [--rho F] [--t-samples N] [--runs K] [--json]
+    PYTHONPATH=src python3 tools/stage_times.py [--rho F] [--t-samples N] [--runs K]
+                                                [--memory] [--json]
 
-Each run builds a fresh pass of every verify row at R = 1 and forces its
+Each run builds a fresh verify pass (every verify row, at R = 1, taking the
+largest circumconic condition number as ``run_verify`` does) and forces its
 stages in pass order: ``fam`` (the family, its side lengths, excentral
 triangles and perimeters), ``centers`` (X1, X3, X9, X10, X11 and X40, in
-that order), ``conics`` (the named conic stack and its canonical forms),
-``loci``, ``antiorthic``, ``i3x_tangent``, ``x100``,
-``billiard``, ``hyperbolas`` and ``equivariance``; then ``rows``, the
-rows' values from those stages with their reduction to counts, extremes
-and sums, and ``max_condition``, the largest circumconic condition number
-(``geom.max_condition_batch``).  A stage forced after the stages it reads
-is timed without them.  The stages run under the floating-point error
-state of ``_Pass.measure``.  The tool prints the median milliseconds of each
-stage over ``--runs`` runs, after one unrecorded warm-up run, and their
-total; ``--json`` prints the same as one JSON object.  The package is
-imported from the path, so ``PYTHONPATH`` picks the tree that is timed.
+that order), ``side_lines``, ``conics`` (the named conic stack, the largest
+circumconic condition number and the canonical forms), ``loci``,
+``antiorthic``, ``i3x_tangent``, ``x100``, ``closed`` (the X9 and theta
+closed forms), ``billiard``, ``hyperbolas`` and ``equivariance``; then
+``rows``, the rows' values from those stages with their reduction to
+counts, extremes and sums.  A stage forced after the stages it reads is
+measured without them.  The stages run under the floating-point error
+state of ``_Pass.measure``.
+
+By default the tool prints the median milliseconds of each stage over
+``--runs`` runs, after one unrecorded warm-up run, and their total.  With
+``--memory`` it traces the runs with ``tracemalloc`` instead and prints,
+per stage, the median traced peak above the memory held at the stage's
+entry and the median memory the stage keeps when it returns, in KiB
+(1024 bytes); then the traced peak of one whole ``run_verify`` of the same
+configuration, in KiB and in KiB per sample.  Stages forced in turn hold
+every earlier stage's result, while ``run_verify`` drops the conic stage
+after its last row, so the largest stage peak plus its entry is an upper
+bound of the verify's peak, not that peak.  ``--json`` prints the same as
+one JSON object.  The package is imported from the path, so
+``PYTHONPATH`` picks the tree that is measured.
 """
 
 from __future__ import annotations
@@ -26,31 +39,53 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
-STAGES = ("fam", "centers", "conics", "loci", "antiorthic", "i3x_tangent", "x100",
-          "billiard", "hyperbolas", "equivariance", "rows", "max_condition")
+STAGES = ("fam", "centers", "side_lines", "conics", "loci", "antiorthic", "i3x_tangent",
+          "x100", "closed", "billiard", "hyperbolas", "equivariance", "rows")
 CENTERS = (1, 3, 9, 10, 11, 40)
+KIB = 1024
 
 
-def one_run(rho: float, n: int) -> dict[str, float]:
-    """Seconds per stage of one verify pass at ratio ``rho`` over ``n`` samples."""
-    from porism_lab import geom, report
+def one_run(rho: float, n: int, memory: bool = False) -> dict[str, tuple[float, ...]]:
+    """Per stage of one verify pass at ratio ``rho`` over ``n`` samples:
+    its seconds, or with ``memory`` its traced peak above its entry and
+    the bytes it keeps (tracing must be on)."""
+    from porism_lab import report
 
-    p = report._Pass(rho, report.LabConfig(t_samples=n).t, report._VERIFY_ROWS, 0)
-    force = {stage: (lambda stage=stage: getattr(p, stage)) for stage in STAGES[:-2]}
+    p = report._Pass(rho, report.LabConfig(t_samples=n).t, report._VERIFY_ROWS, 0,
+                     condition=True)
+    force = {stage: (lambda stage=stage: getattr(p, stage)) for stage in STAGES[:-1]}
     force["centers"] = lambda: [p.x(k) for k in CENTERS]
     force["rows"] = lambda: report._reduce(*p.measure())
-    force["max_condition"] = lambda: geom.max_condition_batch(p.conics[0].rows,
-                                                              p.conics[0].norms)
-    times = {}
+    out = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as the pass runs
         for stage in STAGES:
-            start = time.perf_counter()
-            force[stage]()
-            times[stage] = time.perf_counter() - start
-    return times
+            if memory:
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                force[stage]()
+                now, peak = tracemalloc.get_traced_memory()
+                out[stage] = (peak - entry, now - entry)
+            else:
+                start = time.perf_counter()
+                force[stage]()
+                out[stage] = (time.perf_counter() - start,)
+    return out
+
+
+def verify_peak(rho: float, n: int) -> int:
+    """The traced peak, in bytes above the memory held before it, of one
+    ``run_verify`` at ratio ``rho`` over ``n`` samples (tracing must be on)."""
+    from porism_lab import report
+
+    lab = report.LabConfig(R=1.0, r=rho, t_samples=n)
+    entry = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    report.run_verify(lab)
+    return tracemalloc.get_traced_memory()[1] - entry
 
 
 def main(argv=None) -> int:
@@ -58,15 +93,39 @@ def main(argv=None) -> int:
     parser.add_argument("--rho", type=float, default=0.36266)
     parser.add_argument("--t-samples", type=int, default=720)
     parser.add_argument("--runs", type=int, default=30)
+    parser.add_argument("--memory", action="store_true",
+                        help="trace memory per stage instead of timing it")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
+    head = {"rho": args.rho, "t_samples": args.t_samples, "runs": args.runs}
     one_run(args.rho, args.t_samples)  # warm-up
+    if args.memory:
+        tracemalloc.start()
+        try:
+            runs = [one_run(args.rho, args.t_samples, memory=True) for _ in range(args.runs)]
+            verify = verify_peak(args.rho, args.t_samples)
+        finally:
+            tracemalloc.stop()
+        peak, kept = ({stage: statistics.median(r[stage][i] for r in runs) / KIB
+                       for stage in STAGES} for i in (0, 1))
+        per_sample = verify / KIB / args.t_samples
+        if args.json:
+            print(json.dumps({**head, "peak_kib": {k: round(v, 1) for k, v in peak.items()},
+                              "kept_kib": {k: round(v, 1) for k, v in kept.items()},
+                              "verify_peak_kib": round(verify / KIB, 1),
+                              "verify_peak_kib_per_sample": round(per_sample, 4)}))
+            return 0
+        print(f"{'stage':14s} {'peak':>10s} {'kept':>10s}  (KiB above the stage's entry)")
+        for stage in STAGES:
+            print(f"{stage:14s} {peak[stage]:10.1f} {kept[stage]:10.1f}")
+        print(f"{'run_verify':14s} {verify / KIB:10.1f} KiB traced peak, "
+              f"{per_sample:.3f} KiB per sample")
+        return 0
     runs = [one_run(args.rho, args.t_samples) for _ in range(args.runs)]
-    ms = {stage: 1e3 * statistics.median(r[stage] for r in runs) for stage in STAGES}
-    total = 1e3 * statistics.median(sum(r.values()) for r in runs)
+    ms = {stage: 1e3 * statistics.median(r[stage][0] for r in runs) for stage in STAGES}
+    total = 1e3 * statistics.median(sum(t for (t,) in r.values()) for r in runs)
     if args.json:
-        print(json.dumps({"rho": args.rho, "t_samples": args.t_samples, "runs": args.runs,
-                          "median_ms": {k: round(v, 4) for k, v in ms.items()},
+        print(json.dumps({**head, "median_ms": {k: round(v, 4) for k, v in ms.items()},
                           "total_ms": round(total, 4)}))
         return 0
     for stage, value in ms.items():
