@@ -134,17 +134,18 @@ def _centered_circumconic_batch(systems, log: PassLog,
     ``_offsets``), N systems in all (N may hold k systems per sample, see
     ``PassLog``): the (4, N) rows (A, B, C, F), and with ``condition`` the
     largest condition number of the systems (``geom.max_condition_batch``),
-    else None.  The kernel holds only the vertex offsets from the centers:
-    the filter makes each pass's block of incidence rows from them
-    (``geom.rank_test_blocks``), and the largest condition number gathers
-    from them only its SVD candidates, while the filter's norms are held.
+    else None, as for no system.  The kernel holds only the vertex offsets
+    from the centers: the filter makes each pass's block of incidence rows
+    from them (``geom.rank_test_blocks``), and the largest condition number
+    gathers from them only its SVD candidates, while the filter's norms are
+    held.
     The null vector is then formed in the filter's minors, in place."""
     u, w = _offsets(systems)
     sign, minors, norms = rank_test_blocks(4, u.shape[1],
                                            lambda i, j: _entries(u[:, i:j], w[:, i:j]))
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
     kappa_max = (max_condition_batch(norms, lambda rows: _entries(u[:, rows], w[:, rows]))
-                 if condition else None)
+                 if condition and u.shape[1] else None)
     del u, w, norms
     # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
     # entry k is the minor without column k.

@@ -167,9 +167,15 @@ def _family_batch(ts: np.ndarray, v: np.ndarray, omega: np.ndarray, log: PassLog
     return FamilyBatch(ts, tri, _centers.excentral_batch(tri, s, log), omega, perimeter_batch(s), s)
 
 
-def sample_batch(cfg: PoristicConfig, ts: np.ndarray, log: PassLog) -> FamilyBatch:
+def _vertex_stack(cfg: PoristicConfig, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The new (n, 3, 2) vertex stack of the members at ``ts``, in
+    ``sample``'s vertex order, and their omega."""
     w, p1, p2, p3 = _vertices(cfg, ts, np)
-    return _family_batch(ts, _stacked(*p3, *p2, *p1).reshape(-1, 3, 2), w, log)
+    return _stacked(*p3, *p2, *p1).reshape(-1, 3, 2), w
+
+
+def sample_batch(cfg: PoristicConfig, ts: np.ndarray, log: PassLog) -> FamilyBatch:
+    return _family_batch(ts, *_vertex_stack(cfg, ts), log)
 
 
 def _perimeter(cfg: PoristicConfig, t, xp):

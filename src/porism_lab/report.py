@@ -10,18 +10,19 @@ value at X100, axis angle) come from one row maker per family, which
 derives each row's name, column and declared conic from the conic's tag.
 
 The first check that fails raises its ``GeometryError`` subclass for the
-lowest failing t.  The checks run in the order the requested quantities
-first need their stages; within the conic stage, which builds every named
-conic the requested quantities declare at once, in the order of
-``poristic.named_conics_batch``.  A check of a stacked stage (the conic
+lowest failing t.  The family's checks run first, when ``_family`` builds
+the stack the pass measures; the pass's run in the order the requested
+quantities first need their stages; within the conic stage, which builds
+every named conic the requested quantities declare at once, in the order
+of ``poristic.named_conics_batch``.  A check of a stacked stage (the conic
 stage, the hyperbola stage) names the block that fails.
 
-The pass runs at R = 1, on ``poristic.config_from_rho(rho)``: no stage,
-rank test or tolerance sees the scale, so a family gets one verdict at
-every R.  User units are applied once, to the reported values: each row's
-``dim`` is its length power, and ``run_verify`` and ``run_sweep`` multiply
-its values by ``R ** dim``.  A residual row is reported in units of R, the
-unit of its tolerance.
+The pass runs at R = 1, on the ``poristic.config_from_rho(rho)`` that
+``_family`` gives it: no stage, rank test or tolerance sees the scale, so
+a family gets one verdict at every R.  User units are applied once, to the
+reported values: each row's ``dim`` is its length power, and
+``run_verify`` and ``run_sweep`` multiply its values by ``R ** dim``.  A
+residual row is reported in units of R, the unit of its tolerance.
 
 A spread quantity passes when every sample stays within tolerance of its
 closed form, so that its relative spread over the sweep stays below twice
@@ -220,40 +221,32 @@ class ClosedForms(NamedTuple):
 
 
 class _Pass:
-    """The measurement pass of ``rows`` over the parameters ``t`` of the
-    family of ratio ``rho`` at R = 1, all at once; no stage reads how ``t``
-    is laid out.  Its stages are lazy: each runs at most once, when a row
-    first needs it (``x`` memoizes per center), and returns a named tuple
-    or an array.  Their checks go to ``log``, where the first one that
-    fails raises (see ``PassLog``); the conic stage runs its checks in the
-    order of ``poristic.named_conics_batch``.  A partial stage's result
-    has a ``gate``: the mask of the samples it holds and the reason it
-    skips the others.  ``perturb`` shifts the first vertex of sample
-    ``len(t) // 3`` along x, in units of R.
+    """The measurement pass of ``rows`` over the family stack ``fam``, a
+    ``poristic.FamilyBatch``, against the R = 1 config ``cfg``, all at once;
+    the pass's ``t`` is ``fam.t``, and no stage reads how it is laid out or
+    how the stack was made (``_family`` samples it).  Its stages are lazy:
+    each runs at most once, when a row first needs it (``x`` memoizes per
+    center), and returns a named tuple or an array.  Their checks go to
+    ``log``, where the first one that fails raises (see ``PassLog``); the
+    conic stage runs its checks in the order of
+    ``poristic.named_conics_batch``.  A partial stage's result has a
+    ``gate``: the mask of the samples it holds and the reason it skips the
+    others.
 
     The named conics the rows declare are the pass's ``tags``; the conic
     stage builds exactly those, and reading any other raises
     ``LookupError``.  A pass with ``condition`` (a verify's) also takes the
     largest condition number of the stack's circumconic systems, as
-    ``max_condition``; it is None otherwise."""
+    ``max_condition``; it is None otherwise, and when no row declares a
+    circumconic."""
 
-    def __init__(self, rho: float, t: np.ndarray, rows, seed: int, perturb: float = 0.0,
-                 condition: bool = False):
-        self.cfg = _poristic.config_from_rho(rho)
-        self.t, self.rows, self.seed, self.perturb = t, rows, seed, perturb
+    def __init__(self, cfg: _poristic.PoristicConfig, fam: _poristic.FamilyBatch, rows,
+                 seed: int, condition: bool = False):
+        self.cfg, self.fam, self.t, self.rows, self.seed = cfg, fam, fam.t, rows, seed
         self.condition, self.max_condition = condition, None
-        self.log = PassLog(t)
+        self.log = PassLog(self.t)
         self.tags = frozenset(tag for q in rows for tag in q.conics)
         self._x = {}
-
-    @_first_read
-    def fam(self) -> _poristic.FamilyBatch:
-        fam = _poristic.sample_batch(self.cfg, self.t, self.log)
-        if self.perturb != 0.0:
-            v = fam.triangle.copy()
-            v[len(self.t) // 3, 0, 0] += self.perturb
-            fam = _poristic._family_batch(self.t, v, fam.omega, self.log)
-        return fam
 
     def x(self, k: int) -> np.ndarray:
         """The reference triangle's center X_k (``centers.center_batch``),
@@ -261,9 +254,8 @@ class _Pass:
         of the X3 and X1 the pass holds (X3, then X1, computed if not yet
         held)."""
         if k not in self._x:
-            fam = self.fam
             self._x[k] = (2 * self.x(3) - self.x(1) if k == 40 else
-                          _centers.center_batch(fam.triangle, k, self.log, fam.sides))
+                          _centers.center_batch(self.fam.triangle, k, self.log, self.fam.sides))
         return self._x[k]
 
     @_first_read
@@ -661,9 +653,25 @@ SWEEP_QUANTITIES = (
 )
 
 
+def _family(lab: LabConfig) -> tuple[_poristic.PoristicConfig, _poristic.FamilyBatch]:
+    """The R = 1 config of ``lab``'s family and its members on ``lab.t``,
+    the stack a pass of ``run_verify`` or ``run_sweep`` measures.  With
+    ``lab.perturb`` set, the first vertex of sample ``len(t) // 3`` is
+    shifted along x, in units of R, in the vertex stack, before the
+    family's one build checks it; a clockwise swap never moves vertex 0.
+    It runs under the floating-point error state of ``_Pass.measure``."""
+    cfg, t = _poristic.config_from_rho(lab.poristic().rho), lab.t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v, omega = _poristic._vertex_stack(cfg, t)
+        if lab.perturb != 0.0:
+            v[len(t) // 3, 0, 0] += lab.perturb
+        return cfg, _poristic._family_batch(t, v, omega, PassLog(t))
+
+
 def run_verify(lab: LabConfig) -> VerifyResult:
-    """Every verify row, judged at R = 1 and reported in units of ``lab.R``."""
-    p = _Pass(lab.poristic().rho, lab.t, _VERIFY_ROWS, lab.seed, lab.perturb, condition=True)
+    """Every verify row, judged at R = 1 and reported in units of ``lab.R``,
+    measured by one pass over ``_family(lab)``."""
+    p = _Pass(*_family(lab), _VERIFY_ROWS, lab.seed, condition=True)
     values, held = p.measure()
     reports = [_judge(q.name, *stats, q.check, q.tol, q.expected(p.cfg) if q.expected else None,
                       lab.R ** q.dim) for q, *stats in zip(_VERIFY_ROWS, *_reduce(values, held))]
@@ -719,14 +727,14 @@ def _judge(name: str, n: int, lo: float, hi: float, total: float, peak: float, c
 # --- Raw sweeps ------------------------------------------------------------
 
 def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[list], list[dict]]:
-    """Per-sample values in units of ``lab.R``: returns (header, rows, skip
-    log); a skipped cell is None.  Only the stages the requested columns
-    need run."""
+    """Per-sample values in units of ``lab.R``, measured by one pass over
+    ``_family(lab)``: returns (header, rows, skip log); a skipped cell is
+    None.  Only the stages the requested columns need run."""
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
                 f"unknown quantity {q!r}; valid names: {', '.join(SWEEP_QUANTITIES)}")
-    p = _Pass(lab.poristic().rho, lab.t, [_BY_NAME[q] for q in quantities], lab.seed, lab.perturb)
+    p = _Pass(*_family(lab), [_BY_NAME[q] for q in quantities], lab.seed)
     values, held = p.measure()
     values *= np.array([lab.R ** q.dim for q in p.rows])[:, None]
     table = np.vstack([p.t, values]).T.tolist()

@@ -13,6 +13,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,7 @@ from porism_lab.geom import (
 from porism_lab.poristic import (
     _STACK_ORDER,
     _TAG_TABLE,
+    FamilyBatch,
     config_from_rho,
     config_from_rR,
     named_conic,
@@ -112,7 +114,8 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
     length_tol = R_AGREE[R_user]
     R = cfg.R
     # A verify runs every stage used below, under the pass's own np.errstate.
-    p = report._Pass(cfg.rho, LabConfig(t_samples=T_SAMPLES).t, report._VERIFY_ROWS, 0)
+    p = report._Pass(*report._family(LabConfig(R=cfg.R, r=cfg.r, t_samples=T_SAMPLES)),
+                     report._VERIFY_ROWS, 0)
     columns = dict(zip([q.name for q in report._VERIFY_ROWS], p.measure()[0]))
     ts, fam, norm = p.t, p.fam, p.billiard.members
     x100, (has_x100, _) = p.x100
@@ -346,7 +349,7 @@ def test_hyperbola_stage_names_its_block():
     # in place of X100, then of X11, and the stage names that block.
     lab = LabConfig(t_samples=12)
     for block in ("Jerabek", "Feuerbach"):
-        p = report._Pass(lab.r, lab.t, (), lab.seed)
+        p = report._Pass(*report._family(lab), (), lab.seed)
         if block == "Jerabek":
             with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
                 p.__dict__["x100"] = p.x100._replace(point=p.fam.excentral.mean(axis=1))
@@ -363,7 +366,7 @@ def test_max_condition_is_the_largest_of_all_circumconic_rows(rho):
     largest sigma_max / sigma_min of one SVD of all its circumconic
     incidence rows."""
     lab = LabConfig(R=1.0, r=rho, t_samples=T_SAMPLES)
-    p = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed)
+    p = report._Pass(*report._family(lab), report._VERIFY_ROWS, lab.seed)
     order = [tag for tag in _STACK_ORDER if tag in p.tags and _TAG_TABLE[tag][1]]
     systems = [(p.fam.excentral if _TAG_TABLE[tag][0] else p.fam.triangle,
                 p.x(_TAG_TABLE[tag][2])) for tag in order]
@@ -398,11 +401,11 @@ def test_only_a_verify_estimates_condition_numbers(monkeypatch):
 
 @pytest.mark.parametrize("rho", (*RHO_GRID, 0.5))
 def test_a_pass_reads_its_samples_not_their_layout(rho):
-    """Over the grid reversed, shuffled and every 7th sample, a pass gives
-    at each t the verify rows and skips of the grid pass, bit for bit,
-    except two rows that are positional by design: the equivariance draws
-    are seeded per position, and I5x's stationarity is measured against the
-    pass's first sample.  In every pass X100's gate is the scalar twin's
+    """Over the grid's family stack reversed, shuffled and every 7th
+    member, a pass gives at each t the verify rows and skips of the grid
+    pass, bit for bit, except two rows that are positional by design: the
+    equivariance draws are seeded per position, and I5x's stationarity is
+    measured against the pass's first sample.  In every pass X100's gate is the scalar twin's
     decision.  The equilateral family (rho = 0.5) has no verify, as its X9
     is stationary: there only the gates are compared."""
     lab = LabConfig(R=1.0, r=rho, t_samples=240)
@@ -416,13 +419,15 @@ def test_a_pass_reads_its_samples_not_their_layout(rho):
             scalene.append(False)
         else:
             scalene.append(True)
-    full = report._Pass(rho, grid, rows, lab.seed)
+    pass_cfg, fam = report._family(lab)
+    full = report._Pass(pass_cfg, fam, rows, lab.seed)
     want, want_held = full.measure()
     positional = {"center_equivariance_gap", "i5x_stationarity"}
     n = len(grid)
     for k in (np.arange(n), np.arange(n)[::-1], np.random.default_rng(7).permutation(n),
               np.arange(0, n, 7)):
-        p = report._Pass(rho, grid[k], rows, lab.seed)
+        members = FamilyBatch(*(getattr(fam, f.name)[k] for f in fields(FamilyBatch)))
+        p = report._Pass(pass_cfg, members, rows, lab.seed)
         got, held = p.measure()
         with np.errstate(divide="ignore", invalid="ignore"):  # as the pass reads X100
             assert p.x100.gate[0].tolist() == [scalene[i] for i in k]
@@ -617,7 +622,7 @@ def test_batched_inconic_d_matches_the_exact_closed_form():
     60-digit closed form of the same float lines."""
     mp = pytest.importorskip("mpmath").mp
     lab = LabConfig(R=1.0, r=0.005, t_samples=120)
-    p = report._Pass(lab.r, lab.t, (), 0)
+    p = report._Pass(*report._family(lab), (), 0)
     s = p.fam.triangle - p.x(9)[:, None, :]
     lines = [line_through_batch(s[:, j], s[:, k]) for j, k in ((1, 2), (0, 2), (0, 1))]
     A, B, C, _, _, F = inconic_from_tangents_batch(*lines, p.log).c

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from porism_lab import cli, conics, poristic, report
-from porism_lab.errors import DegenerateConic, GeometryError
+from porism_lab.errors import DegenerateConic, GeometryError, PassLog
 from porism_lab.geom import ConicMatrix, Point, Triangle, canonicalize
 from porism_lab.report import QUANTITIES, SWEEP_QUANTITIES, LabConfig, run_sweep
 
@@ -45,12 +45,13 @@ def test_narrow_column_equals_full_column(rho):
     # A verify row on a pass built for it alone, whose conic stage holds only
     # the conics the row declares, equals its column in the full verify bit
     # for bit; a row reading a conic it does not declare raises here.
-    full, held = report._Pass(rho, lab.t, report._VERIFY_ROWS, lab.seed).measure()
+    family = report._family(lab)
+    full, held = report._Pass(*family, report._VERIFY_ROWS, lab.seed).measure()
     for i, q in enumerate(report._VERIFY_ROWS):
-        narrow, narrow_held = report._Pass(rho, lab.t, [q], lab.seed).measure()
+        narrow, narrow_held = report._Pass(*family, [q], lab.seed).measure()
         assert narrow[0].tobytes() == full[i].tobytes(), q.name
         assert narrow_held[0].tolist() == held[i].tolist(), q.name
-    p = report._Pass(rho, lab.t, [report._BY_NAME["perimeter"]], lab.seed)
+    p = report._Pass(*family, [report._BY_NAME["perimeter"]], lab.seed)
     p.measure()
     with pytest.raises(LookupError, match="conic E9 is read but no measured row declares it"):
         p.can("E9")
@@ -182,7 +183,7 @@ def test_skip_reasons_follow_the_first_use_of_their_stage(columns, at_zero):
 
 def test_a_stage_outlives_a_dropped_pass():
     lab = LabConfig(t_samples=24)
-    x = report._Pass(lab.r, lab.t, (), 0).x
+    x = report._Pass(*report._family(lab), (), 0).x
     assert x(9).shape == (24, 2)
 
 
@@ -195,7 +196,7 @@ def test_measure_names_the_first_non_finite_row_and_its_t():
     rows = [report.Quantity("fine", nan_at(-1)), report.Quantity("late", nan_at(4)),
             report.Quantity("early", nan_at(1))]
     with pytest.raises(GeometryError) as info:
-        report._Pass(lab.r, lab.t, rows, 0).measure()
+        report._Pass(*report._family(lab), rows, 0).measure()
     assert str(info.value) == f"late is not finite at t = {float(lab.t[4])!r}"
 
 
@@ -205,7 +206,7 @@ def test_a_pass_is_freed_as_soon_as_it_is_dropped():
     gc.disable()
     try:
         lab = LabConfig(t_samples=24)
-        p = report._Pass(lab.r, lab.t, report._VERIFY_ROWS, 0)
+        p = report._Pass(*report._family(lab), report._VERIFY_ROWS, 0)
         p.measure()
         freed = weakref.ref(p)
         del p
@@ -232,15 +233,67 @@ def test_measure_keeps_the_conic_stage_only_while_rows_read_it():
             seen.append("conics" in self.__dict__)
             return report._Pass.hyperbolas.__get__(self)
 
-    p = Spy(lab.r, lab.t, rows, 0, condition=True)
+    p = Spy(*report._family(lab), rows, 0, condition=True)
     p.measure()
     assert seen and not any(seen) and "conics" not in p.__dict__
     assert p.max_condition == report.run_verify(lab).max_condition > 1.0
     angle = p.can("E9").angle  # built again
-    q = report._Pass(lab.r, lab.t, rows, 0)
+    q = report._Pass(*report._family(lab), rows, 0)
     q.measure()
     assert q.max_condition is None
     assert q.can("E9").angle.tobytes() == angle.tobytes()
+
+
+# --- The pass measures the stack it is given ----------------------------------
+
+def test_a_stack_perturbed_by_hand_measures_as_the_perturbed_run(monkeypatch):
+    """``_family`` applies ``perturb`` before the family's one build: the
+    unperturbed stack with vertex 0 of sample ``len(t) // 3`` shifted by
+    hand, then built again, gives the same values, gates, skips and
+    condition number, bit for bit.  A perturbed verify builds one family."""
+    lab = LabConfig(t_samples=96, perturb=1e-6)
+    cfg, fam = report._family(LabConfig(t_samples=96))
+    v = fam.triangle.copy()
+    v[len(fam.t) // 3, 0, 0] += lab.perturb
+    by_hand = poristic._family_batch(fam.t, v, fam.omega, PassLog(fam.t))
+    got = report._Pass(cfg, by_hand, report._VERIFY_ROWS, lab.seed, condition=True)
+    want = report._Pass(*report._family(lab), report._VERIFY_ROWS, lab.seed, condition=True)
+    (values, held), (want_values, want_held) = got.measure(), want.measure()
+    assert values.tobytes() == want_values.tobytes()
+    assert held.tolist() == want_held.tolist()
+    assert got.skipped(held) == want.skipped(want_held)
+    assert got.max_condition == want.max_condition
+    builds = []
+    build = poristic._family_batch
+    monkeypatch.setattr(poristic, "_family_batch", lambda *a: builds.append(1) or build(*a))
+    assert not report.run_verify(lab).passed
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("rho", RHO_GRID)
+def test_every_verify_row_measures_a_non_poristic_stack(rho):
+    """The family with each vertex jittered by about 1e-3 is a stack of
+    valid triangles off the porism.  A pass of each verify row alone, as a
+    verify builds it, measures it to ``(values, held)`` or raises a
+    ``GeometryError``, never another exception, and has a condition
+    number only if the row declares a circumconic; the circumcircle row
+    sees the jitter."""
+    lab = LabConfig(r=rho, t_samples=48)
+    cfg, fam = report._family(lab)
+    v = fam.triangle + np.random.default_rng(23).normal(0.0, 1e-3, fam.triangle.shape)
+    stack = poristic._family_batch(fam.t, v, fam.omega, PassLog(fam.t))
+    measured = {}
+    for q in report._VERIFY_ROWS:
+        p = report._Pass(cfg, stack, [q], lab.seed, condition=True)
+        try:
+            values, held = p.measure()
+        except GeometryError:
+            continue
+        assert values.shape == held.shape == (1, lab.t_samples), q.name
+        circum = any(poristic._TAG_TABLE[tag][1] for tag in q.conics)
+        assert (p.max_condition is not None) == circum, q.name
+        measured[q.name] = values[0]
+    assert measured["circumcircle_residual"].min() > 1e-5
 
 
 # --- One unit: the pass runs at R = 1 ------------------------------------------

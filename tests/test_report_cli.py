@@ -237,12 +237,12 @@ class TestSweep:
         assert len(skips) == 2
 
     def test_sweep_honours_perturbation(self):
-        # Sample n // 3 = 4 is moved off the circumcircle, in the sweep as in
-        # the verify's pass.
+        # Sample n // 3 = 4 is moved off the circumcircle by ``_family``, in
+        # the sweep's stack as in the verify's.
         lab = LabConfig(t_samples=12, perturb=1e-6)
         _, rows, _ = run_sweep(lab, ["circumcircle_residual"])
         q = report._BY_NAME["circumcircle_residual"]
-        column = report._Pass(lab.r, lab.t, [q], lab.seed, lab.perturb).measure()[0][0]
+        column = report._Pass(*report._family(lab), [q], lab.seed).measure()[0][0]
         assert [row[1] for row in rows] == column.tolist()
         assert rows[4][1] > 5e-7
 
@@ -328,6 +328,7 @@ class TestCli:
             raise AssertionError("validation must reject the grid before a pass allocates it")
 
         monkeypatch.setattr(report, "_Pass", forbidden)
+        monkeypatch.setattr(report, "_family", forbidden)
         assert main(["sweep", "--quantities", "perimeter", "--t-samples",
                      str(MAX_T_SAMPLES + 1), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (f"error: t_samples must be <= {MAX_T_SAMPLES}, "

@@ -7,8 +7,9 @@ each stage forced in turn.
 
 Each run builds a fresh verify pass (every verify row, at R = 1, taking the
 largest circumconic condition number as ``run_verify`` does) and forces its
-stages in pass order: ``fam`` (the family, its side lengths, excentral
-triangles and perimeters), ``centers`` (X1, X3, X9, X10, X11 and X40, in
+stages in pass order: ``fam`` (the family builder ``report._family``: the
+family, its side lengths, excentral triangles and perimeters, from which
+the pass is made), ``centers`` (X1, X3, X9, X10, X11 and X40, in
 that order), ``side_lines``, ``conics`` (the named conic stack, the largest
 circumconic condition number and the canonical forms), ``loci``,
 ``antiorthic``, ``i3x_tangent``, ``x100``, ``closed`` (the X9 and theta
@@ -55,9 +56,15 @@ def one_run(rho: float, n: int, memory: bool = False) -> dict[str, tuple[float, 
     the bytes it keeps (tracing must be on)."""
     from porism_lab import report
 
-    p = report._Pass(rho, report.LabConfig(t_samples=n).t, report._VERIFY_ROWS, 0,
-                     condition=True)
-    force = {stage: (lambda stage=stage: getattr(p, stage)) for stage in STAGES[:-1]}
+    lab = report.LabConfig(R=1.0, r=rho, t_samples=n)
+    p = None
+
+    def family():
+        nonlocal p
+        p = report._Pass(*report._family(lab), report._VERIFY_ROWS, 0, condition=True)
+
+    force = {stage: (lambda stage=stage: getattr(p, stage)) for stage in STAGES[1:-1]}
+    force["fam"] = family
     force["centers"] = lambda: [p.x(k) for k in CENTERS]
     force["rows"] = lambda: report._reduce(*p.measure())
     out = {}
