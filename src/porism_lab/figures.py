@@ -3,10 +3,16 @@ the family at a fixed configuration.
 
 Every scene but ``cb-plots`` starts from ``_scene``: the circumcircle, the
 incircle and the X1, X3 marks.  Conics are drawn at a fixed stroke width of
-1.5; only their color, dash and hyperbola reach vary."""
+1.5; only their color, dash and hyperbola reach vary.  A conic whose
+canonical form is neither an ellipse nor a hyperbola is not drawn: the
+figure raises ``DegenerateConic`` naming it, so no file misses an outline.
+
+``cb-plots`` plots whole-family curves in units of R and reads nothing of
+its configuration, so its SVG is built once per process and then reused."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +21,7 @@ from . import billiard as _billiard
 from . import centers as _centers
 from . import conics as _conics
 from . import poristic as _poristic
-from .errors import UnknownFigure
+from .errors import DegenerateConic, UnknownFigure
 from .geom import ConicKind, canonicalize, foci
 from .report import LabConfig
 from .svg import SvgCanvas, ellipse_polyline, hyperbola_polylines
@@ -45,13 +51,17 @@ def _draw_triangle(canvas, tri, color, width=1.8, dash=None):
                     dash=dash, close=True)
 
 
-def _draw_canonical(canvas, canon, color, dash=None, reach=1.6):
+def _draw_canonical(canvas, canon, name, color, dash=None, reach=1.6):
+    """Draw the canonical form ``canon`` of the conic ``name``; raise
+    ``DegenerateConic`` if it is neither an ellipse nor a hyperbola."""
     shape = (canon.center.x, canon.center.y, canon.semi_major, canon.semi_minor, canon.angle)
-    branches = []
     if canon.kind is ConicKind.ELLIPSE:
         branches = [ellipse_polyline(*shape)]
     elif canon.kind is ConicKind.HYPERBOLA:
         branches = hyperbola_polylines(*shape, reach)
+    else:
+        raise DegenerateConic(f"{name}: canonical form is {canon.kind.value}; "
+                              "the figure cannot draw it")
     for branch in branches:
         canvas.polyline(branch, stroke=color, width=1.5, dash=dash)
 
@@ -66,9 +76,12 @@ def _mark(canvas, point, text, color):
     canvas.label(point.x, point.y, text, color)
 
 
-def _conic(cfg, s, tag):
-    """Canonical form of the named conic ``tag`` of the member s."""
-    return canonicalize(_poristic.named_conic(cfg, s.t, tag, s))
+def _draw_conic(canvas, cfg, s, tag, color, dash=None):
+    """Draw the named conic ``tag`` of the member s; return its canonical
+    form."""
+    canon = canonicalize(_poristic.named_conic(cfg, s.t, tag, s))
+    _draw_canonical(canvas, canon, tag, color, dash)
+    return canon
 
 
 def _scene(lab, scale=90.0):
@@ -98,7 +111,7 @@ def _fig_odehnal(lab: LabConfig) -> str:
     _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE)
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN)
     _draw_circle(canvas, cfg.excentral_circle, ORANGE, 1.5)
-    _draw_canonical(canvas, _conic(cfg, s, "I5x"), ORANGE, dash="5,4")
+    _draw_conic(canvas, cfg, s, "I5x", ORANGE, dash="5,4")
     _mark(canvas, cfg.excentral_circle.center, "X40", BLACK)
     _draw_circle(canvas, _poristic.mittenpunkt_locus_circle(cfg), RED, 1.0, dash="3,3")
     return canvas.render(f"excentral locus and caustic, r/R={cfg.rho:g}")
@@ -109,9 +122,9 @@ def _fig_inconics(lab: LabConfig) -> str:
     first, second = _poristic.sample(cfg, 0.9), _poristic.sample(cfg, 2.6)
     for s, dash in ((first, None), (second, "6,4")):
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
-        _draw_canonical(canvas, _conic(cfg, s, "I3x"), RED, dash=dash)
-        _draw_canonical(canvas, _conic(cfg, s, "E1"), EXCENTRAL_GREEN, dash=dash)
-    _draw_canonical(canvas, _conic(cfg, first, "I5x"), INCIRCLE_GREEN, dash="2,3")
+        _draw_conic(canvas, cfg, s, "I3x", RED, dash=dash)
+        _draw_conic(canvas, cfg, s, "E1", EXCENTRAL_GREEN, dash=dash)
+    _draw_conic(canvas, cfg, first, "I5x", INCIRCLE_GREEN, dash="2,3")
     _mark(canvas, cfg.excentral_circle.center, "X40", BLACK)
     return canvas.render(f"rigidly rotating inconics, r/R={cfg.rho:g}")
 
@@ -121,8 +134,8 @@ def _fig_circumX10(lab: LabConfig) -> str:
     s = _poristic.sample(cfg, 1.2)
     _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE)
     _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN, width=1.0)
-    _draw_canonical(canvas, _conic(cfg, s, "E10"), PINK)
-    _draw_canonical(canvas, _conic(cfg, s, "E5x"), LIGHT_BLUE)
+    _draw_conic(canvas, cfg, s, "E10", PINK)
+    _draw_conic(canvas, cfg, s, "E5x", LIGHT_BLUE)
     _mark(canvas, _centers.center(s.triangle, 10), "X10", PINK)
     return canvas.render(f"equal-aspect circumconics, r/R={cfg.rho:g}")
 
@@ -135,8 +148,7 @@ def _fig_cb_focus_locus(lab: LabConfig) -> str:
     for t, dash in ((0.8, None), (2.3, "6,4")):
         s = _poristic.sample(cfg, t)
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
-        cb = _conic(cfg, s, "E9")
-        _draw_canonical(canvas, cb, BLACK, dash=dash)
+        cb = _draw_conic(canvas, cfg, s, "E9", BLACK, dash=dash)
         for f in foci(cb):
             canvas.dot(f.x, f.y, "#00a0a0")
     return canvas.render(f"circumbilliard focus locus, r/R={cfg.rho:g}")
@@ -149,15 +161,22 @@ def _fig_cb_poristic(lab: LabConfig) -> str:
         s = _poristic.sample(cfg, t)
         _draw_triangle(canvas, s.triangle, TRIANGLE_BLUE, dash=dash)
         _draw_triangle(canvas, s.excentral, EXCENTRAL_GREEN, width=1.0, dash=dash)
-        _draw_canonical(canvas, _conic(cfg, s, "E9"), BLACK, dash=dash)
-        _draw_canonical(canvas, _conic(cfg, s, "I3x"), RED, dash=dash)
+        _draw_conic(canvas, cfg, s, "E9", BLACK, dash=dash)
+        _draw_conic(canvas, cfg, s, "I3x", RED, dash=dash)
     return canvas.render(f"circumbilliards and excentral inconic, r/R={cfg.rho:g}")
 
 
 def _fig_cb_plots(lab: LabConfig) -> str:
+    """The ``cb-plots`` scene, the same for every ``lab``."""
+    return _cb_plots()
+
+
+@functools.cache
+def _cb_plots() -> str:
     """Two data panels: perimeter vs t for several ratios, and the
     normalized circumbilliard semi-axes vs rho.  Both plot whole-family
-    curves in units of R, so the scene ignores ``lab``."""
+    curves in units of R, so the scene reads no configuration and is built
+    once per process."""
     canvas = SvgCanvas(scale=1.0, pad=40.0)
     x0, y0, w, h = 0.0, 0.0, 320.0, 240.0
 
@@ -203,8 +222,8 @@ def _fig_circumhyps(lab: LabConfig) -> str:
     x100 = _centers.center(s.triangle, 100)
     feu = canonicalize(_conics.circumconic_centered(s.triangle, x11))
     jer = canonicalize(_conics.circumconic_centered(s.excentral, x100))
-    _draw_canonical(canvas, feu, TRIANGLE_BLUE, dash="5,4", reach=1.3)
-    _draw_canonical(canvas, jer, EXCENTRAL_GREEN, dash="5,4", reach=1.3)
+    _draw_canonical(canvas, feu, "Feuerbach", TRIANGLE_BLUE, dash="5,4", reach=1.3)
+    _draw_canonical(canvas, jer, "Jerabek", EXCENTRAL_GREEN, dash="5,4", reach=1.3)
     for canon, color in ((feu, TRIANGLE_BLUE), (jer, EXCENTRAL_GREEN)):
         f1, f2 = foci(canon)
         canvas.dot(f1.x, f1.y, color)

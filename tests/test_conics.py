@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triangle
@@ -12,6 +12,7 @@ from oracles import tangency_residual
 from porism_lab.centers import center, excentral, side_lengths
 from porism_lab.conics import (
     brianchon_point,
+    centered_conics_batch,
     circumconic_centered,
     hyperbola_focal_length,
     inconic_centered,
@@ -21,6 +22,7 @@ from porism_lab.errors import (
     DegenerateConic,
     NotAHyperbola,
     ParallelTangents,
+    PassLog,
     PerspectorAtInfinity,
 )
 from porism_lab.geom import (
@@ -29,6 +31,7 @@ from porism_lab.geom import (
     Point,
     Triangle,
     canonicalize,
+    canonicalize_batch,
     conic_eval,
     distance,
     line_through,
@@ -231,6 +234,45 @@ class TestInconicCentered:
         conic = inconic_centered(RIGHT_345, Point(1.4, 2.5))
         for i in range(3):
             assert abs(tangency_residual(conic, RIGHT_345.side_line(i))) < 1e-10
+
+
+#: Width of the bands left out of the region rule, in normalized
+#: barycentrics: |(1 - 2u)(1 - 2v)(1 - 2w)| below it (the midlines, where the
+#: conic turns into a parabola) and min(|u|, |v|, |w|) below it (the side
+#: lines, where both conics degenerate into line pairs).  Fixed, not fitted:
+#: it is nine orders of magnitude above the kernel's 1e-12 classification
+#: thresholds, so outside it no decision is left to rounding.
+REGION_BAND = 1e-3
+
+
+class TestRegionRule:
+    """PAPER.md: an inconic, like a circumconic, is an ellipse if its center
+    is interior to the four ellipse regions of the midline arrangement, and a
+    hyperbola otherwise.  For the center's normalized barycentrics (u, v, w)
+    that reads: an ellipse iff (1 - 2u)(1 - 2v)(1 - 2w) > 0.  Both twins'
+    classification is held to it outside ``REGION_BAND``."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-2.0, 3.0), st.floats(-2.0, 3.0))
+    @example(0, 1 / 3, 1 / 3)       # centroid, in the medial triangle: ellipse
+    @example(1, 0.8, 0.8)           # u, v > 1/2, an outer ellipse region
+    @example(2, 0.6, 0.3)           # in the triangle, off the medial one: hyperbola
+    @example(3, 2.0, -0.5)          # beyond vertex A: hyperbola
+    @settings(max_examples=300, deadline=None)
+    def test_ellipse_iff_the_midline_product_is_positive(self, seed, u, v):
+        w = 1.0 - u - v
+        product = (1 - 2 * u) * (1 - 2 * v) * (1 - 2 * w)
+        assume(abs(product) >= REGION_BAND and min(abs(u), abs(v), abs(w)) >= REGION_BAND)
+        t = random_triangle(np.random.default_rng(seed))
+        (ax, ay), (bx, by), (cx, cy) = ((p.x, p.y) for p in t.v)
+        c = Point(u * ax + v * bx + w * cx, u * ay + v * by + w * cy)
+        ellipse = product > 0
+        for build in (circumconic_centered, inconic_centered):
+            assert (canonicalize(build(t, c)).kind is ConicKind.ELLIPSE) == ellipse, build
+
+        system = [(np.array([[[ax, ay], [bx, by], [cx, cy]]]), np.array([[c.x, c.y]]))]
+        log = PassLog([0.0])
+        can = canonicalize_batch(centered_conics_batch(system, system, log), log)
+        assert list(~can.hyperbola & (can.semi_major > 0)) == [ellipse, ellipse]
 
 
 class TestBrianchon:

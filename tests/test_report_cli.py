@@ -421,6 +421,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: closed form not defined at t = 0.0 (")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("figure_id, argv, tag", (
+        ("odehnal", ["--R", "1e-6", "--r", "2e-7"], "I5x"),
+        ("cb-poristic", ["--R", "1e6", "--r", "362660"], "I3x")))
+    def test_figure_refuses_a_conic_it_cannot_draw(self, tmp_path, capsys, figure_id, argv, tag):
+        # The scalar canonical form calls the conic empty at these scales, so
+        # the figure has no outline for it and writes no file.
+        out = tmp_path / "o"
+        assert main(["figure", "--figure", figure_id, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tag}: canonical form is empty; the figure cannot draw it\n")
+        assert not out.exists()
+
     def test_every_figure_renders_or_raises_a_geometry_error(self):
         pairs = ((1, 1e-12), (1, 1e-9), (1e-5, 1e-13),
                  (1.7355213187560022e77, 3.778250150383396e66),

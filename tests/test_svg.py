@@ -2,7 +2,8 @@
 each coordinate as ``_fmt`` of its scaled value, the same for an (n, 2)
 array as for a list of pairs; the array outlines equal the per-sample
 ``math`` loop bit for bit; and every figure's bytes match digests pinned at
-seeded configurations (``tests/figure_digests.json``)."""
+seeded configurations (``tests/figure_digests.json``), ``cb-plots`` the
+same scene at every configuration."""
 
 import hashlib
 import importlib.util
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from porism_lab.figures import FIGURE_IDS, render_figure
+from porism_lab.figures import FIGURE_IDS, _cb_plots, render_figure
 from porism_lab.report import LabConfig
 from porism_lab.svg import _SEGMENTS, SvgCanvas, ellipse_polyline, hyperbola_polylines
 
@@ -205,3 +206,15 @@ def test_figure_bytes_do_not_depend_on_call_history():
         for _ in range(2):
             svg = render_figure(figure_id, lab)
             assert hashlib.sha256(svg.encode()).hexdigest() == config["digests"][figure_id], figure_id
+
+
+def test_cb_plots_is_one_scene():
+    # Built once per process: every render is the uncached builder's output,
+    # at the pinned configs, at both ends of the R range, and at ratios
+    # where other figures raise.
+    scene = _cb_plots.__wrapped__()
+    labs = [LabConfig(), *(LabConfig(R=c["R"], r=c["r"]) for c in PINNED["configs"]),
+            LabConfig(R=1e-100, r=2e-101), LabConfig(R=1e100, r=2e99),
+            LabConfig(r=0.5), LabConfig(r=1e-9)]
+    for lab in labs:
+        assert render_figure("cb-plots", lab) == scene, lab

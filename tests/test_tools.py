@@ -4,7 +4,7 @@ code), the whole scan against its pinned content (``--check``),
 ``tools/figure_digests.py --compare`` on synthetic digest documents,
 the line counter ``tools/code_lines.py``, the paired timer
 ``tools/ab.py`` run on this tree against itself and against a changed
-copy, and the stage table ``tools/stage_times.py`` in both its modes."""
+copy, and the stage table ``tools/stage_times.py`` in its three modes."""
 
 import copy
 import importlib.util
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from porism_lab.figures import FIGURE_IDS
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -288,3 +290,21 @@ def test_stage_times_json(capsys, memory):
     else:
         assert list(out["median_ms"]) == list(stage_times.STAGES)
         assert out["total_ms"] >= max(out["median_ms"].values())
+
+
+def test_stage_times_member_prints_every_part_and_each_figure(capsys):
+    assert stage_times.main(["--member", "--runs", "1"]) == 0
+    *lines, raised = capsys.readouterr().out.splitlines()
+    figures = [f"figure:{i}" for i in FIGURE_IDS]
+    assert [line.split()[0] for line in lines] == [*stage_times.MEMBER_PARTS, *figures, "op"]
+    assert all(line.split()[2] == "ms" and float(line.split()[1]) >= 0.0 for line in lines)
+    assert raised == "0 ops raised and are left out"
+
+
+def test_stage_times_member_json(capsys):
+    assert stage_times.main(["--member", "--runs", "1", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["runs"], out["seed"], out["raised"]) == (1, stage_times.MEMBER_SEED, 0)
+    assert list(out["median_ms"]) == [*stage_times.MEMBER_PARTS,
+                                      *(f"figure:{i}" for i in FIGURE_IDS)]
+    assert out["op_ms"] > 0.0 and out["op_mean_ms"] > 0.0

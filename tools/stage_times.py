@@ -1,9 +1,11 @@
 """Where a verify's time and memory go: the median time, or the traced
 memory, of each stage of the measurement pass of ``report.run_verify``,
-each stage forced in turn.
+each stage forced in turn; with ``--member``, where a ``member-scalar``
+benchmark op's time goes.
 
     PYTHONPATH=src python3 tools/stage_times.py [--rho F] [--t-samples N] [--runs K]
                                                 [--memory] [--json]
+    PYTHONPATH=src python3 tools/stage_times.py --member [--runs K] [--json]
 
 Each run builds a fresh verify pass (every verify row, at R = 1, taking the
 largest circumconic condition number as ``run_verify`` does) and forces its
@@ -31,16 +33,32 @@ after its last row, so the largest stage peak plus its entry is an upper
 bound of the verify's peak, not that peak.  ``--json`` prints the same as
 one JSON object.  The package is imported from the path, so
 ``PYTHONPATH`` picks the tree that is measured.
+
+With ``--member`` the tool runs ``--runs`` seeded rounds of the
+``member-scalar`` workload (``perfbench/workloads.py``: one member per
+figure id, drawn from seed ``MEMBER_SEED``), after one unrecorded warm-up
+round, and times each part of each op as the op runs it: ``sample`` (the
+``LabConfig``, its family and the member), ``conics`` (the nine named
+conics with ``canonicalize``), ``centers`` (every supported center),
+``billiard`` (the normalized member, the billiard's semi-axes and the
+reflection-law residual), and the op's figure.  It prints the median
+milliseconds of each of the first four parts over all ops, of each figure
+over the ops that render it (``figure:<id>``), and of the op totals
+(``op``, with their mean).  An op that raises is left out of every median
+and counted on the last line.  The warm-up renders every figure once, so
+the ``cb-plots`` row is the cost of a render after its scene is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +66,9 @@ STAGES = ("fam", "centers", "side_lines", "conics", "loci", "antiorthic", "i3x_t
           "x100", "closed", "billiard", "hyperbolas", "equivariance", "rows")
 CENTERS = (1, 3, 9, 10, 11, 40)
 KIB = 1024
+MEMBER_PARTS = ("sample", "conics", "centers", "billiard")
+MEMBER_SEED = 0
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def one_run(rho: float, n: int, memory: bool = False) -> dict[str, tuple[float, ...]]:
@@ -95,6 +116,71 @@ def verify_peak(rho: float, n: int) -> int:
     return tracemalloc.get_traced_memory()[1] - entry
 
 
+def member_op(spec) -> dict[str, float]:
+    """Seconds of each part of the ``member-scalar`` op of ``spec``
+    ``(R, rho, t, figure_id)``, run in the op's order; the figure's part is
+    named ``figure:<id>``."""
+    from porism_lab import billiard, centers, figures, poristic, report
+    from porism_lab.geom import canonicalize
+
+    R, rho, t, figure_id = spec
+    out = {}
+    clock = time.perf_counter()
+
+    def lap(part):
+        nonlocal clock
+        now = time.perf_counter()
+        out[part] = now - clock
+        clock = now
+
+    lab = report.LabConfig(R=R, r=rho * R)
+    cfg = lab.poristic()
+    s = poristic.sample(cfg, t)
+    lap("sample")
+    for tag in poristic.CONIC_TAGS:
+        canonicalize(poristic.named_conic(cfg, t, tag, s))
+    lap("conics")
+    for k in sorted(centers.SUPPORTED_CENTERS):
+        centers.center(s.triangle, k)
+    lap("centers")
+    tri = billiard.normalize_sample(cfg, s)
+    a9, b9, _ = billiard.cb_axes_normalized(cfg.rho)
+    billiard.reflection_law_residual(tri, a9, b9)
+    lap("billiard")
+    figures.render_figure(figure_id, lab)
+    lap(f"figure:{figure_id}")
+    return out
+
+
+def member_times(runs: int) -> tuple[dict[str, float], list[float], int]:
+    """Median milliseconds of each part of the ``member-scalar`` ops of
+    ``runs`` seeded rounds, the op totals in milliseconds, and the number of
+    ops that raised (left out)."""
+    from porism_lab.errors import GeometryError
+
+    spec = importlib.util.spec_from_file_location("member_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng(MEMBER_SEED)
+    ids = workloads.figures.FIGURE_IDS
+    parts = {part: [] for part in (*MEMBER_PARTS, *(f"figure:{i}" for i in ids))}
+    totals, raised = [], 0
+    for round_index in range(runs + 1):
+        for op in workloads.member_round(rng):
+            try:
+                times = member_op(op)
+            except GeometryError:
+                raised += round_index > 0
+                continue
+            if round_index == 0:  # the warm-up round
+                continue
+            for part, seconds in times.items():
+                parts[part].append(seconds)
+            totals.append(1e3 * sum(times.values()))
+    ms = {part: 1e3 * statistics.median(v) if v else float("nan") for part, v in parts.items()}
+    return ms, totals, raised
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rho", type=float, default=0.36266)
@@ -103,7 +189,25 @@ def main(argv=None) -> int:
     parser.add_argument("--memory", action="store_true",
                         help="trace memory per stage instead of timing it")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
+    parser.add_argument("--member", action="store_true",
+                        help="time the parts of member-scalar benchmark ops instead")
     args = parser.parse_args(argv)
+    if args.member:
+        if args.memory:
+            parser.error("--member times; it has no --memory table")
+        ms, totals, raised = member_times(args.runs)
+        op, mean = statistics.median(totals), statistics.fmean(totals)
+        if args.json:
+            print(json.dumps({"runs": args.runs, "seed": MEMBER_SEED,
+                              "median_ms": {k: round(v, 4) for k, v in ms.items()},
+                              "op_ms": round(op, 4), "op_mean_ms": round(mean, 4),
+                              "raised": raised}))
+            return 0
+        for part, value in ms.items():
+            print(f"{part:22s} {value:8.3f} ms")
+        print(f"{'op':22s} {op:8.3f} ms (median of the op totals; mean {mean:.3f} ms)")
+        print(f"{raised} ops raised and are left out")
+        return 0
     head = {"rho": args.rho, "t_samples": args.t_samples, "runs": args.runs}
     one_run(args.rho, args.t_samples)  # warm-up
     if args.memory:
