@@ -1,12 +1,15 @@
 """The SVG writer against per-point oracles: ``SvgCanvas.polyline`` formats
 each coordinate as ``_fmt`` of its scaled value, the same for an (n, 2)
 array as for a list of pairs; the array outlines equal the per-sample
-``math`` loop bit for bit; and every figure's bytes match digests pinned at
-seeded configurations (``tests/figure_digests.json``), ``cb-plots`` the
-same scene at every configuration."""
+``math`` loop bit for bit; and a figure's bytes do not depend on what was
+rendered before it, ``cb-plots`` being the same scene at every
+configuration.  The bytes of every figure at every configuration of the
+outcome scan are pinned in ``tests/outcome_scan.json`` (``tests/test_tools.py``);
+at every 16th of those configurations and the four extreme R, the
+``figure`` command writes the pinned bytes or refuses with the pinned
+message."""
 
 import hashlib
-import importlib.util
 import json
 import math
 import re
@@ -17,12 +20,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from porism_lab.cli import main
 from porism_lab.figures import FIGURE_IDS, _cb_plots, render_figure
 from porism_lab.report import LabConfig
 from porism_lab.svg import _SEGMENTS, SvgCanvas, ellipse_polyline, hyperbola_polylines
 
 ROOT = Path(__file__).resolve().parent.parent
-PINNED = json.loads((ROOT / "tests" / "figure_digests.json").read_text())
+SCANNED = json.loads((ROOT / "tests" / "outcome_scan.json").read_text())["configs"]
+
+
+def _lab(config):
+    return LabConfig(R=config["R"], r=config["rho"] * config["R"])
 
 
 def _fmt(v):
@@ -175,46 +183,38 @@ def test_hyperbola_outlines_equal_math_loop(cx, cy, a, b, angle, reach):
                                               _old_hyperbola(cx, cy, a, b, angle, reach)]
 
 
-def _figure_digests_tool():
-    spec = importlib.util.spec_from_file_location("figure_digests",
-                                                  ROOT / "tools" / "figure_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_pinned_configs_come_from_their_seed():
-    tool = _figure_digests_tool()
-    pinned = [(c["R"], c["r"]) for c in PINNED["configs"]]
-    assert tool.configs(PINNED["seed"], len(pinned)) == pinned
-    assert tool.RULE == PINNED["rule"]
-
-
-@pytest.mark.parametrize("config", PINNED["configs"], ids=lambda c: f"R={c['R']:.4g}")
-def test_figure_bytes_match_pinned_digests(config):
-    lab = LabConfig(R=config["R"], r=config["r"])
-    assert set(config["digests"]) == set(FIGURE_IDS)
+@pytest.mark.parametrize("config", SCANNED[::16] + SCANNED[-4:], ids=lambda c: f"R={c['R']:.4g}")
+def test_figure_bytes_match_pinned_digests(config, tmp_path, capsys):
+    # Through the command, at the scan's own LabConfig: each figure writes an
+    # SVG with the pinned digest, or exits 2 with the pinned GeometryError
+    # message and writes no file.
+    argv = ["--R", repr(config["R"]), "--r", repr(config["rho"] * config["R"]),
+            "--t-samples", str(config["n"]), "--out", str(tmp_path)]
     for figure_id in FIGURE_IDS:
-        svg = render_figure(figure_id, lab)
-        assert hashlib.sha256(svg.encode()).hexdigest() == config["digests"][figure_id], figure_id
+        run, path = config[f"figure:{figure_id}"], tmp_path / f"{figure_id}.svg"
+        code = main(["figure", "--figure", figure_id, *argv])
+        err = capsys.readouterr().err
+        if run["outcome"] == "report":
+            assert code == 0, (figure_id, err)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == run["svg_sha256"], figure_id
+        else:
+            assert (code, err, path.exists()) == (2, f"error: {run['error']}\n", False), figure_id
 
 
 def test_figure_bytes_do_not_depend_on_call_history():
-    config = PINNED["configs"][0]
-    lab = LabConfig(R=config["R"], r=config["r"])
+    config = SCANNED[0]  # every figure renders there
     for figure_id in reversed(FIGURE_IDS):
         for _ in range(2):
-            svg = render_figure(figure_id, lab)
-            assert hashlib.sha256(svg.encode()).hexdigest() == config["digests"][figure_id], figure_id
+            svg = render_figure(figure_id, _lab(config))
+            assert (hashlib.sha256(svg.encode()).hexdigest()
+                    == config[f"figure:{figure_id}"]["svg_sha256"]), figure_id
 
 
 def test_cb_plots_is_one_scene():
     # Built once per process: every render is the uncached builder's output,
-    # at the pinned configs, at both ends of the R range, and at ratios
-    # where other figures raise.
+    # at the scanned configs (both ends of the R range among them), and at
+    # ratios where other figures raise.
     scene = _cb_plots.__wrapped__()
-    labs = [LabConfig(), *(LabConfig(R=c["R"], r=c["r"]) for c in PINNED["configs"]),
-            LabConfig(R=1e-100, r=2e-101), LabConfig(R=1e100, r=2e99),
-            LabConfig(r=0.5), LabConfig(r=1e-9)]
+    labs = [LabConfig(), *map(_lab, SCANNED), LabConfig(r=0.5), LabConfig(r=1e-9)]
     for lab in labs:
         assert render_figure("cb-plots", lab) == scene, lab

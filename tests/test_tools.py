@@ -1,10 +1,9 @@
 """The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
 (what it calls a difference, what only moved by rounding, and its exit
-code), the whole scan against its pinned content (``--check``),
-``tools/figure_digests.py --compare`` on synthetic digest documents,
-the line counter ``tools/code_lines.py``, the paired timer
-``tools/ab.py`` run on this tree against itself and against a changed
-copy, and the stage table ``tools/stage_times.py`` in its three modes."""
+code), the whole scan against its pinned content (``--check``), the line
+counter ``tools/code_lines.py``, the paired timer ``tools/ab.py`` run on
+this tree against itself and against a changed copy, and the stage table
+``tools/stage_times.py`` in its three modes."""
 
 import copy
 import importlib.util
@@ -32,7 +31,6 @@ def _tool(name):
 
 
 outcome_scan = _tool("outcome_scan")
-figure_digests = _tool("figure_digests")
 code_lines = _tool("code_lines")
 stage_times = _tool("stage_times")
 
@@ -52,6 +50,8 @@ def _line(R=1.0):
                    "skips_sha256": "g"},
         "sweep": {"outcome": "report", "error": None, "csv_sha256": "c", "skips_sha256": "d"},
         "scalar": {"outcome": "report", "error": None, "values_sha256": "e"},
+        "figure:obtuse": {"outcome": "report", "error": None, "svg_sha256": "s"},
+        "figure:inconics": {"outcome": "DegenerateConic", "error": "I3x: canonical form is empty"},
     }
 
 
@@ -73,7 +73,7 @@ def test_a_changed_row_field_is_a_difference(column, value):
     assert len(found) == 1 and found[0].startswith("R=1000.0 rho=0.2 n=38 verify row:")
 
 
-@pytest.mark.parametrize("run", outcome_scan.RUNS)
+@pytest.mark.parametrize("run", ["verify", "sweep", "scalar", "figure:obtuse", "figure:inconics"])
 def test_a_changed_outcome_or_message_is_a_difference(run):
     before, after = _scans()
     after[0][run]["error"] = "DegenerateConic at t = 0.5"
@@ -102,6 +102,20 @@ def test_a_changed_skip_log_is_a_difference(run):
     after[1][run]["skips_sha256"] = "h"
     assert outcome_scan.compare(before, after) == (
         [f"R=1000.0 rho=0.2 n=38 {run} skips_sha256 differs"], [])
+
+
+def test_a_changed_figure_is_a_difference_never_rounding():
+    # Figure bytes are compared exactly, under --compare and under --check;
+    # a figure run on one side only is a difference too.
+    before, after = _scans()
+    after[1]["figure:obtuse"]["svg_sha256"] = "t"
+    where = "R=1000.0 rho=0.2 n=38 figure:obtuse"
+    assert outcome_scan.compare(before, after) == ([f"{where} svg_sha256 differs"], [])
+    assert outcome_scan.check(outcome_scan.pinned(before), after) == [
+        f"{where}: {before[1]['figure:obtuse']} -> {after[1]['figure:obtuse']}"]
+    del after[0]["figure:inconics"]
+    assert len(outcome_scan.compare(before, after)[0]) == 2
+    assert len(outcome_scan.check(outcome_scan.pinned(before), after)) == 2
 
 
 def test_a_spread_mean_beyond_1e_13_is_a_difference():
@@ -142,8 +156,11 @@ PINNED = ROOT / "tests" / "outcome_scan.json"
 def test_the_outcome_scan_matches_the_pinned_scan():
     """The whole outcome scan, run on this tree, has the verdict-level
     content that tests/outcome_scan.json pins (74 verifies pass, 25 have a
-    failing row, 60 abort).  That file is regenerated (``--pin``) only with
-    a change of outcome that is named as such."""
+    failing row, 60 abort) and the same bytes of every figure: 1,213 SVGs
+    and 59 refusals.  That file is regenerated (``--pin``) only with a
+    change of outcome or figure bytes that is named as such.  It was made
+    with numpy 2.4.6 on x86-64; a numpy or libm whose sin or cos rounds
+    differently can move figure digests (README, "Layout")."""
     scan = [outcome_scan.scan_one(*config) for config in outcome_scan.configs()]
     pin = json.loads(PINNED.read_text())
     assert outcome_scan.check(pin, scan) == []
@@ -169,44 +186,6 @@ def test_pinned_content_leaves_out_what_rounding_moves():
         f"{outcome_scan.pinned(after)['configs'][1]['verify']}"]
     after[0]["verify"] = {"outcome": "DegenerateConic", "error": "E1: conic of rank < 3 at t = 0.0"}
     assert outcome_scan.pinned(after)["counts"] == {"pass": 0, "FAIL": 1, "abort": 1}
-
-
-def _digest_doc():
-    return {"seed": 5, "rule": figure_digests.RULE, "configs": [
-        {"R": 1.0, "r": 0.2, "digests": {"obtuse": "a1", "inconics": "b1"}},
-        {"R": 30.0, "r": 3.0, "digests": {"obtuse": "a2", "inconics": "DegenerateConic"}},
-    ]}
-
-
-def test_figure_digests_compare(tmp_path, capsys):
-    before, after = _digest_doc(), _digest_doc()
-    paths = [tmp_path / "before.json", tmp_path / "after.json"]
-    paths[0].write_text(json.dumps(before))
-    paths[1].write_text(json.dumps(after))
-    argv = ["--compare", str(paths[0]), str(paths[1])]
-    assert figure_digests.main(argv) == 0
-    assert capsys.readouterr().out == "2 configs: 0 differences\n"
-    after["configs"][0]["digests"]["inconics"] = "b9"  # a digest
-    after["configs"][1]["digests"]["inconics"] = "NotCentral"  # an error
-    paths[1].write_text(json.dumps(after))
-    assert figure_digests.main(argv) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "R=1.0 r=0.2 inconics: b1 -> b9",
-        "R=30.0 r=3.0 inconics: DegenerateConic -> NotCentral",
-        "2 configs: 2 differences",
-    ]
-
-
-def test_figure_digests_compare_names_other_configs():
-    before, after = _digest_doc(), _digest_doc()
-    after["configs"][1]["R"] = 31.0
-    del after["configs"][0]["digests"]["obtuse"]
-    assert figure_digests.compare(before, after) == [
-        "R=1.0 r=0.2 obtuse: a1 -> None",
-        "R=30.0 r=3.0: config differs: R=31.0 r=3.0",
-    ]
-    after["configs"].pop()
-    assert figure_digests.compare(before, after)[0] == "config count: 2 -> 1"
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():

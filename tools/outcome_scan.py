@@ -1,5 +1,6 @@
-"""Outcome scan: run verify, an all-column sweep and the scalar API over a
-fixed set of configurations and print one JSON line per configuration.
+"""Outcome scan: run verify, an all-column sweep, the scalar API and every
+figure over a fixed set of configurations and print one JSON line per
+configuration.
 
     PYTHONPATH=src python3 tools/outcome_scan.py [--count N] > scan.jsonl
     python3 tools/outcome_scan.py --compare before.jsonl after.jsonl
@@ -11,33 +12,38 @@ The configurations are 155 random ones from ``default_rng(2020)``: first
 then 155 of n = ``integers(3, 61)`` samples; then R in {1e-100, 1e30, 1e60,
 1e100} at rho = 0.2 with 180 samples.  ``--count N`` scans the first N.
 
-Each line gives, for ``run_verify`` and for ``run_sweep`` of every sweep
-column, the outcome ("report", or the name of the ``GeometryError``
-subclass raised) and its message; for a verify report the status, verdict,
-sample count, check, tolerance, mean and relative spread of every row and
-``max_circumconic_condition``; and
-the SHA-256 of the report JSON and CSV, of the sweep CSV, and of the skip
-log of each.  A third run evaluates the scalar API at each t of ``SCALAR_T``:
-``sample``, the scalar closed forms, ``normalize_sample`` and its
-reflection residual, every supported center and the canonical form of
-every named conic; it gives its outcome and the SHA-256 of the
-``float.hex`` of every value.  Any other exception is a crash: it is
-printed as its outcome, and the scan exits 1.
+Each line holds, besides R, rho and n, one run per command, keyed by its
+name: ``verify``, ``sweep``, ``scalar`` and ``figure:<id>`` for every id of
+``figures.FIGURE_IDS``.  Each run gives its outcome ("report", or the name
+of the ``GeometryError`` subclass raised) and its message.  For a verify
+report it gives the status, verdict, sample count, check, tolerance, mean
+and relative spread of every row and ``max_circumconic_condition``, and
+the SHA-256 of the report JSON and CSV and of the skip log.  The sweep, of
+every sweep column, gives the SHA-256 of its CSV and of its skip log.  The
+scalar run evaluates the scalar API at each t of ``SCALAR_T``: ``sample``,
+the scalar closed forms, ``normalize_sample`` and its reflection residual,
+every supported center and the canonical form of every named conic; it
+gives the SHA-256 of the ``float.hex`` of every value.  A figure run
+renders the figure at the configuration's ``LabConfig`` and gives the
+SHA-256 of the SVG text.  Any other exception is a crash: it is printed as
+its outcome, and the scan exits 1.  The runs of a line are read from its
+keys, so ``--compare``, ``--pin`` and ``--check`` do not import the package.
 
 ``--compare`` reads two scans of the same configurations.  It prints every
 difference in outcome, message, status, verdict, sample count, check or
-tolerance, and every mean of a non-residual row or
-``max_circumconic_condition`` that moved by more than 1e-13 relative, and
-exits 1 if there is any; a changed skip log digest is a difference too.
-It also lists, as ``rounding:``, what moved within that: residual means,
-values within 1e-13, and the other output digests.
+tolerance, every changed skip log or SVG digest, and every mean of a
+non-residual row or ``max_circumconic_condition`` that moved by more than
+1e-13 relative, and exits 1 if there is any.  It also lists, as
+``rounding:``, what moved within that: residual means, values within
+1e-13, and the other output digests.
 
 ``--pin`` prints the verdict-level content of a scan (``pinned``), which
 ``tests/outcome_scan.json`` pins for the whole scan and a tier-1 test
 regenerates: what ``--compare`` calls a difference, without the values
 and output digests that can move by rounding.  ``--check`` prints where a
 scan differs from a pinned file and exits 1 if it does.  The pinned file
-is regenerated only with a change of outcome that is named as such.
+is regenerated only with a change of outcome or figure bytes that is
+named as such.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ RANDOM_CONFIGS = 155
 EXTREME_R = (1e-100, 1e30, 1e60, 1e100)
 VALUE_RTOL = 1e-13
 SCALAR_T = (0.5, 2.0, 4.0)
-RUNS = ("verify", "sweep", "scalar")
+STRICT = ("skips_sha256", "svg_sha256")  # digests that no rounding may move
 CLASSES = ("pass", "FAIL", "abort")  # of a verify: every row passes, a row fails, it raised
 
 
@@ -88,8 +94,14 @@ def _outcome(run) -> dict:
         return {"outcome": f"crash: {type(exc).__name__}", "error": str(exc), "value": None}
 
 
+def _runs(line: dict) -> list[str]:
+    """The names of the runs of a scan line or pinned config."""
+    return [key for key in line if key not in ("R", "rho", "n")]
+
+
 def scan_one(R: float, rho: float, n: int) -> dict:
     from porism_lab import report
+    from porism_lab.figures import FIGURE_IDS, render_figure
 
     lab = report.LabConfig(R=R, r=rho * R, t_samples=n)
     verify = _outcome(lambda: report.run_verify(lab))
@@ -111,7 +123,13 @@ def scan_one(R: float, rho: float, n: int) -> dict:
     values = scalar.pop("value")
     if values is not None:
         scalar["values_sha256"] = _digest(" ".join(float(v).hex() for v in values))
-    return {"R": R, "rho": rho, "n": n, "verify": verify, "sweep": sweep, "scalar": scalar}
+    line = {"R": R, "rho": rho, "n": n, "verify": verify, "sweep": sweep, "scalar": scalar}
+    for figure_id in FIGURE_IDS:
+        figure = line[f"figure:{figure_id}"] = _outcome(lambda: render_figure(figure_id, lab))
+        svg = figure.pop("value")
+        if svg is not None:
+            figure["svg_sha256"] = _digest(svg)
+    return line
 
 
 def _scalar_values(cfg) -> list[float]:
@@ -163,13 +181,13 @@ def compare(before: list[dict], after: list[dict]) -> tuple[list[str], list[str]
     found, moved = [], []
     for x, y in zip(before, after, strict=True):
         where = f"R={x['R']!r} rho={x['rho']!r} n={x['n']}"
-        for run in RUNS:
-            a, b = x[run], y[run]
-            if (a["outcome"], a["error"]) != (b["outcome"], b["error"]):
-                found.append(f"{where} {run}: {a['outcome']} {a['error']!r} -> "
-                             f"{b['outcome']} {b['error']!r}")
+        for run in dict.fromkeys(_runs(x) + _runs(y)):
+            a, b = x.get(run, {}), y.get(run, {})
+            if (a.get("outcome"), a.get("error")) != (b.get("outcome"), b.get("error")):
+                found.append(f"{where} {run}: {a.get('outcome')} {a.get('error')!r} -> "
+                             f"{b.get('outcome')} {b.get('error')!r}")
             for key in (k for k in a if k.endswith("sha256") and a[k] != b.get(k)):
-                (found if key == "skips_sha256" else moved).append(f"{where} {run} {key} differs")
+                (found if key in STRICT else moved).append(f"{where} {run} {key} differs")
         for ra, rb in zip(x["verify"].get("rows", []), y["verify"].get("rows", [])):
             if ra[:6] != rb[:6]:
                 found.append(f"{where} verify row: {ra[:6]} -> {rb[:6]}")
@@ -188,13 +206,14 @@ def pinned(scan: list[dict]) -> dict:
     """The verdict-level content of a scan: the count of each of
     ``CLASSES``; the (quantity, check, tolerance) of the verify rows,
     ``rows``, which every verify report must list alike; and per config,
-    its (R, rho, n) and, of each run, the outcome, its message and the skip
-    log digest, with each verify row's (status, verdict, samples)."""
+    its (R, rho, n) and, of each run, the outcome, its message and the
+    digests of ``STRICT``, with each verify row's (status, verdict,
+    samples)."""
     counts, header, configs = dict.fromkeys(CLASSES, 0), None, []
     for line in scan:
         entry = {key: line[key] for key in ("R", "rho", "n")}
-        for run in RUNS:
-            entry[run] = {k: line[run][k] for k in ("outcome", "error", "skips_sha256")
+        for run in _runs(line):
+            entry[run] = {k: line[run][k] for k in ("outcome", "error", *STRICT)
                           if k in line[run]}
         rows = line["verify"].get("rows")
         if rows is not None:
@@ -222,7 +241,8 @@ def check(pin: dict, scan: list[dict]) -> list[str]:
              if pin[key] != fresh[key]]
     for a, b in zip(pin["configs"], fresh["configs"], strict=True):
         where = f"R={a['R']!r} rho={a['rho']!r} n={a['n']}"
-        found += [f"{where} {run}: {a[run]} -> {b[run]}" for run in RUNS if a[run] != b[run]]
+        found += [f"{where} {run}: {a.get(run)} -> {b.get(run)}"
+                  for run in dict.fromkeys(_runs(a) + _runs(b)) if a.get(run) != b.get(run)]
     return found
 
 
@@ -255,7 +275,7 @@ def main(argv=None) -> int:
     crashed = False
     for R, rho, n in configs()[:args.count]:
         line = scan_one(R, rho, n)
-        crashed |= any(line[run]["outcome"].startswith("crash") for run in RUNS)
+        crashed |= any(line[run]["outcome"].startswith("crash") for run in _runs(line))
         print(json.dumps(line), flush=True)
     return 1 if crashed else 0
 

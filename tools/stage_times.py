@@ -37,16 +37,19 @@ one JSON object.  The package is imported from the path, so
 With ``--member`` the tool runs ``--runs`` seeded rounds of the
 ``member-scalar`` workload (``perfbench/workloads.py``: one member per
 figure id, drawn from seed ``MEMBER_SEED``), after one unrecorded warm-up
-round, and times each part of each op as the op runs it: ``sample`` (the
-``LabConfig``, its family and the member), ``conics`` (the nine named
+round.  Each op is the benchmark's own ``member_call``, timed by a lap
+clock: the first call of the function that begins a part
+(``MEMBER_STARTS``) ends the part before it.  The parts are ``sample``
+(the ``LabConfig``, its family and the member), ``conics`` (the nine named
 conics with ``canonicalize``), ``centers`` (every supported center),
 ``billiard`` (the normalized member, the billiard's semi-axes and the
 reflection-law residual), and the op's figure.  It prints the median
 milliseconds of each of the first four parts over all ops, of each figure
 over the ops that render it (``figure:<id>``), and of the op totals
-(``op``, with their mean).  An op that raises is left out of every median
-and counted on the last line.  The warm-up renders every figure once, so
-the ``cb-plots`` row is the cost of a render after its scene is built.
+(``op``, with their mean).  An op that raises a ``GeometryError`` is left
+out of every median and counted on the last line.  The warm-up renders
+every figure once, so the ``cb-plots`` row is the cost of a render after
+its scene is built.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -116,64 +120,70 @@ def verify_peak(rho: float, n: int) -> int:
     return tracemalloc.get_traced_memory()[1] - entry
 
 
-def member_op(spec) -> dict[str, float]:
-    """Seconds of each part of the ``member-scalar`` op of ``spec``
-    ``(R, rho, t, figure_id)``, run in the op's order; the figure's part is
-    named ``figure:<id>``."""
-    from porism_lab import billiard, centers, figures, poristic, report
-    from porism_lab.geom import canonicalize
+#: The call of ``workloads.member_call`` with which each part of a
+#: ``member-scalar`` op after ``sample`` begins, by module; the figure's
+#: part runs to the op's end.
+MEMBER_STARTS = {"poristic": ("named_conic", "conics"), "centers": ("center", "centers"),
+                 "billiard": ("normalize_sample", "billiard"),
+                 "figures": ("render_figure", "figure")}
 
-    R, rho, t, figure_id = spec
-    out = {}
-    clock = time.perf_counter()
 
-    def lap(part):
-        nonlocal clock
-        now = time.perf_counter()
-        out[part] = now - clock
-        clock = now
+class Laps:
+    """The clock of an op: the running part and the seconds of each part
+    that has ended."""
 
-    lab = report.LabConfig(R=R, r=rho * R)
-    cfg = lab.poristic()
-    s = poristic.sample(cfg, t)
-    lap("sample")
-    for tag in poristic.CONIC_TAGS:
-        canonicalize(poristic.named_conic(cfg, t, tag, s))
-    lap("conics")
-    for k in sorted(centers.SUPPORTED_CENTERS):
-        centers.center(s.triangle, k)
-    lap("centers")
-    tri = billiard.normalize_sample(cfg, s)
-    a9, b9, _ = billiard.cb_axes_normalized(cfg.rho)
-    billiard.reflection_law_residual(tri, a9, b9)
-    lap("billiard")
-    figures.render_figure(figure_id, lab)
-    lap(f"figure:{figure_id}")
-    return out
+    def start(self) -> None:
+        self.part, self.seconds, self.clock = "sample", {}, time.perf_counter()
+
+    def begin(self, part: str) -> None:
+        if part != self.part:
+            now = time.perf_counter()
+            self.seconds[self.part] = now - self.clock
+            self.part, self.clock = part, now
 
 
 def member_times(runs: int) -> tuple[dict[str, float], list[float], int]:
     """Median milliseconds of each part of the ``member-scalar`` ops of
     ``runs`` seeded rounds, the op totals in milliseconds, and the number of
-    ops that raised (left out)."""
+    ops that raised (left out).  Each op is the benchmark's own
+    ``workloads.member_call``, whose modules are replaced, in this tool's
+    copy of ``perfbench/workloads.py``, by copies in which the calls of
+    ``MEMBER_STARTS`` begin their part on the op's ``Laps``."""
     from porism_lab.errors import GeometryError
 
     spec = importlib.util.spec_from_file_location("member_workloads", WORKLOADS)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    laps = Laps()
+
+    def lapped(function, part):
+        def call(*args):
+            laps.begin(part)
+            return function(*args)
+        return call
+
+    for module, (name, part) in MEMBER_STARTS.items():
+        real = getattr(workloads, module)
+        setattr(workloads, module,
+                types.SimpleNamespace(**{**vars(real), name: lapped(getattr(real, name), part)}))
     rng = np.random.default_rng(MEMBER_SEED)
     ids = workloads.figures.FIGURE_IDS
     parts = {part: [] for part in (*MEMBER_PARTS, *(f"figure:{i}" for i in ids))}
     totals, raised = [], 0
     for round_index in range(runs + 1):
         for op in workloads.member_round(rng):
-            try:
-                times = member_op(op)
-            except GeometryError:
+            laps.start()
+            raw = workloads.member_call(op)
+            laps.begin("end")
+            if isinstance(raw, GeometryError):
                 raised += round_index > 0
                 continue
+            if isinstance(raw, Exception):
+                raise raw
             if round_index == 0:  # the warm-up round
                 continue
+            times = laps.seconds
+            times[f"figure:{op[3]}"] = times.pop("figure")
             for part, seconds in times.items():
                 parts[part].append(seconds)
             totals.append(1e3 * sum(times.values()))
