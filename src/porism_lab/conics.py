@@ -138,11 +138,14 @@ def _centered_circumconic_batch(systems, log: PassLog,
     from the centers: the filter makes each pass's block of incidence rows
     from them (``geom.rank_test_blocks``), and the largest condition number
     gathers from them only its SVD candidates, while the filter's norms are
-    held.
+    held.  Without ``condition`` no norm is kept, so the filter's
+    determinant tier decides first and only the systems it leaves open form
+    their second compound.
     The null vector is then formed in the filter's minors, in place."""
     u, w = _offsets(systems)
     sign, minors, norms = rank_test_blocks(4, u.shape[1],
-                                           lambda i, j: _entries(u[:, i:j], w[:, i:j]))
+                                           lambda i, j: _entries(u[:, i:j], w[:, i:j]),
+                                           norms=condition)
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
     kappa_max = (max_condition_batch(norms, lambda rows: _entries(u[:, rows], w[:, rows]))
                  if condition and u.shape[1] else None)

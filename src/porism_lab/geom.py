@@ -23,11 +23,17 @@ types.  Both twins decide their rank tests through one certified filter,
 decides them as the SVD does from the minors of the matrix and runs the SVD
 only near the threshold.  Each returns the 3x3 minors it decided from, the
 same Laplace expansions in both twins: ``rank_test`` forms them with
-``_minors``, an arithmetic-only core that runs on exact numbers too, and
+``_laplace``, an arithmetic-only core that runs on exact numbers too, and
 ``rank_test_batch`` gathers them over a stack in its own loop, the faster
 one for arrays, a block of matrices at a time (``rank_test_blocks``, which
-also takes a stack whose entries are made block by block).  The norms the
-batched filter computes also give every row a condition estimate
+also takes a stack whose entries are made block by block).  The filter has
+two tiers, each decided by one core for both twins.  The determinant tier
+(``_certified_full``) certifies full rank from |det| and the Frobenius norm
+alone, which need only the 2x2 minors of rows 0 and 1; only a matrix it
+leaves open forms the other 2x2 minors, the second compound, for the full
+filter (``_rank_decision``), and then, if still open, the SVD.  The scalar
+twin and every stack whose norms no caller keeps take the tier first.  The
+norms the full filter computes also give every row a condition estimate
 (``condition_estimate_batch``), so the largest condition number of a stack
 (``max_condition_batch``, which estimates from those norms) needs the SVD
 only of the rows that can hold it.
@@ -344,10 +350,10 @@ class ConicBatch:
         for all the rank tests made on the stack.  The filter gathers each
         pass's block of matrix entries from ``c`` and keeps only the sign:
         it holds neither the (9, n) entries of the whole stack nor its
-        minors or norms."""
+        norms."""
         return rank_test_blocks(3, self.c.shape[1],
                                 lambda i, j: np.take(self.c[:, i:j], _MATRIX_ENTRIES, axis=0),
-                                keep=False)[0]
+                                norms=False)[0]
 
 
 def singular_values_batch(a: np.ndarray) -> np.ndarray:
@@ -373,6 +379,7 @@ _RANK_MARGIN = 1.0 / 32
 # well-conditioned matrix (2^-180 I), so the filter leaves such rows open.
 _FILTER_MAX_NORM = 2.0 ** 100
 _UNDERFLOW = 2.0 ** -900
+_SQRT3 = math.sqrt(3.0)
 
 
 def _minor_index(k: int):
@@ -419,7 +426,10 @@ def rank_test_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     [2^-100, 2^100] (``_FILTER_MAX_NORM``), or a non-finite entry.  The
     filter runs in passes over blocks of columns (``rank_test_blocks``),
     which decide each column as one pass would; the SVD runs once, on the
-    open rows of every pass.  ``rank_test`` is its scalar twin.
+    open rows of every pass.  Every row's norms are returned, so every row
+    forms its second compound: the determinant tier that
+    ``rank_test_blocks`` puts first for a caller that keeps no norms does
+    not run here.  ``rank_test`` is its scalar twin.
     """
     sign, minors3, norms = rank_test_blocks(len(x) // 3, x.shape[1],
                                             lambda i, j: np.ascontiguousarray(x[:, i:j]))
@@ -443,45 +453,61 @@ def _blocks(n: int, most: int) -> list[tuple[int, int]]:
     return [(n * b // count, n * (b + 1) // count) for b in range(count)]
 
 
-def rank_test_blocks(k: int, n: int, entries, keep: bool = True) -> tuple:
+def rank_test_blocks(k: int, n: int, entries, norms: bool = True) -> tuple:
     """``rank_test_batch`` of a stack of n 3 x k matrices whose entries are
     made a block at a time, never all at once: ``entries(i, j)`` gives the
     contiguous entry-major (3k, j - i) entries of matrices i to j, each
     block one pass of the filter (``_blocks``: at most
     ``_FILTER_ENTRIES`` entries per 2x2-minor temporary).
     Returns the int8 sign, the 3x3 minors and the (3, n) norms (F, P, D),
-    each pass's written into them as it ends, or with ``keep`` false the
-    sign and two Nones; then one SVD decides the matrices that no pass
-    decided."""
+    or None without ``norms``, each pass's written into them as it ends;
+    then one SVD decides the matrices that no pass decided.
+
+    Without ``norms`` each pass runs the determinant tier first
+    (``_filter`` with ``tier``): it forms only the row-(0, 1) 2x2 minors
+    that the 3x3 minors are expanded from, and certifies full rank where
+    ``_certified_full`` does.  Only the columns it leaves open, non-finite
+    ones among them, go on to the full filter, and those the filter leaves
+    open to the SVD.  The minors are the same bits either way."""
     sign = np.empty(n, np.int8)
-    minors3 = np.empty((len(_MINOR_INDEX[k][1]), n)) if keep else None
-    norms = np.empty((3, n)) if keep else None
+    minors3 = np.empty((len(_MINOR_INDEX[k][1]), n))
+    kept = np.empty((3, n)) if norms else None
     open_at, open_entries = [], []
     for i, j in _blocks(n, _FILTER_ENTRIES // _MINOR_INDEX[k][0].shape[1]):
-        x = entries(i, j)
+        x, cols = entries(i, j), np.arange(i, j)
+        if not norms:
+            full, _, minors3[:, i:j], _, _, _ = _filter(x, k, tier=True)
+            sign[i:j] = full
+            if full.all():
+                continue
+            x, cols = x[:, ~full], cols[~full]
         full, deficient, m3, F, P, D = _filter(x, k)
-        s = sign[i:j]
-        s[...] = full
-        s -= deficient
-        if keep:
+        sign[cols] = full.astype(np.int8) - deficient
+        if norms:
             minors3[:, i:j] = m3
-            for row, norm in zip(norms, (F, P, D)):
-                row[i:j] = norm
+            kept[:, i:j] = F, P, D
         undecided = ~(full | deficient)
         if undecided.any():
-            open_at.append(i + np.flatnonzero(undecided))
+            open_at.append(cols[undecided])
             open_entries.append(x[:, undecided])
     if open_at:
         sv = singular_values_batch(np.concatenate(open_entries, axis=1).T.reshape(-1, 3, k))
         sign[np.concatenate(open_at)] = ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
                                          - (sv[:, -1] < DEGENERACY_EPS * sv[:, 0]))
-    return sign, minors3, norms
+    return sign, minors3, kept
 
 
-def _filter(x: np.ndarray, k: int) -> tuple:
+def _filter(x: np.ndarray, k: int, tier: bool = False) -> tuple:
     """The filter of ``rank_test_batch`` on the columns of ``x``: its full-rank
-    and rank-deficient decisions, 3x3 minors and norms (F, P, D)."""
+    and rank-deficient decisions, 3x3 minors and norms (F, P, D).  With
+    ``tier`` it is the determinant tier of ``rank_test_blocks``: it forms
+    only the row-(0, 1) 2x2 minors (the first third of ``_MINOR_INDEX``'s
+    products), which the 3x3 minors are expanded from, and decides full
+    rank where ``_certified_full`` does, rank deficiency nowhere, and P
+    not at all."""
     products, row2, pos = _MINOR_INDEX[k]
+    if tier:
+        products = products[:, :products.shape[1] // 3]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are left open
         # Gathers by np.take, of a contiguous x, a few times faster here than
         # indexing with an array; products and absolute values in place, each temporary
@@ -502,15 +528,33 @@ def _filter(x: np.ndarray, k: int) -> tuple:
         minors3 = laplace[:, 0] - laplace[:, 1] + laplace[:, 2]
         del laplace
         F = np.sqrt(np.einsum("ij,ij->j", x, x))
-        P = np.sqrt(np.einsum("ij,ij->j", minors2, minors2))
+        P = None if tier else np.sqrt(np.einsum("ij,ij->j", minors2, minors2))
         D = np.sqrt(np.einsum("ij,ij->j", minors3, minors3))
         del minors2
         e_P = 3.0 * _U * abs2.sum(axis=0) + _UNDERFLOW
         x2 = np.abs(x2, out=x2)
         x2 *= np.take(abs2, pos, axis=0)
         e_D = 6.0 * _U * x2.sum(axis=(0, 1)) + _UNDERFLOW
+        if tier:
+            return _certified_full(F, D, e_D), False, minors3, F, P, D
         full, deficient = _rank_decision(F, P, D, e_P, e_D)
     return full, deficient, minors3, F, P, D
+
+
+def _certified_full(F, D, e_D):
+    """Whether the determinant tier certifies sigma_min > 1e-12 sigma_max
+    from the Frobenius norm F, the norm D of the 3x3 minors and its
+    rounding bound e_D alone, before any other 2x2 minor is formed.  By
+    Maclaurin's inequality the norm P of the 2x2 minors is at most
+    F^2 / sqrt 3, so the filter's bracket gives
+    sigma_3 / sigma_1 >= D / (P F) >= sqrt 3 D / F^3.  The margin and the
+    range of F are ``_rank_decision``'s, whose margin also covers the
+    rounding of sqrt 3 and of F^3 (a few u).  The tier never certifies
+    rank deficiency; it leaves open the rows whose sigma_2 / sigma_1 is
+    small, where sqrt 3 P falls well below F^2.  Arithmetic only, for
+    floats and arrays."""
+    in_range = (F >= 1.0 / _FILTER_MAX_NORM) & (F <= _FILTER_MAX_NORM)
+    return in_range & (_SQRT3 * (D - e_D) > DEGENERACY_EPS * (1.0 + _RANK_MARGIN) * F * F * F)
 
 
 def _rank_decision(F, P, D, e_P, e_D):
@@ -527,28 +571,36 @@ def _rank_decision(F, P, D, e_P, e_D):
     return full, deficient
 
 
-# ``_MINOR_INDEX`` as tuples, for ``_minors``: the four entry positions of
-# every 2x2 minor's products, and for every 3x3 minor its row-2 entries and
-# the positions of its row-(0, 1) minors.
-_SCALAR_MINOR_INDEX = {k: (tuple(zip(*products.tolist())),
+# ``_MINOR_INDEX`` as tuples, for ``_laplace`` and ``rank_test``: the four
+# entry positions of the products of every row-(0, 1) 2x2 minor and of
+# every other one, and for every 3x3 minor its row-2 entries and the
+# positions of its row-(0, 1) minors.
+_SCALAR_MINOR_INDEX = {k: (tuple(zip(*products[:, :products.shape[1] // 3].tolist())),
+                           tuple(zip(*products[:, products.shape[1] // 3:].tolist())),
                            tuple(zip(row2.tolist(), pos.tolist())))
                        for k, (products, row2, pos) in _MINOR_INDEX.items()}
 
 
-def _minors(x, k: int) -> tuple:
-    """The minors of one 3 x k matrix, k = 3 or 4, given as its 3k entries
-    row by row, as the filter of ``rank_test_batch`` forms them: the 2x2
-    minors p - q of ``_MINOR_INDEX`` with their absolute terms |p| + |q|;
-    the determinant, or for k = 4 the minors of columns (012, 013, 023,
-    123), each its Laplace expansion along row 2; and the sum of the
-    absolute Laplace terms of all of them.  Arithmetic only, so it runs on
-    floats and on exact numbers alike."""
-    products, laplace = _SCALAR_MINOR_INDEX[k]
+def _scalar_products(x, products) -> tuple[list, list]:
+    """The 2x2 minors p - q of the entries ``x`` at the positions
+    ``products``, and their absolute terms |p| + |q|."""
     minors2, abs2 = [], []
     for a, b, c, d in products:
         p, q = x[a] * x[b], x[c] * x[d]
         minors2.append(p - q)
         abs2.append(abs(p) + abs(q))
+    return minors2, abs2
+
+
+def _laplace(x, k: int) -> tuple:
+    """What the determinant tier of ``rank_test`` forms of one 3 x k
+    matrix, k = 3 or 4, given as its 3k entries row by row: the row-(0, 1)
+    2x2 minors with their absolute terms; the determinant, or for k = 4 the
+    minors of columns (012, 013, 023, 123), each its Laplace expansion
+    along row 2; and the sum of the absolute Laplace terms of all of them.
+    Arithmetic only, so it runs on floats and on exact numbers alike."""
+    top, _, laplace = _SCALAR_MINOR_INDEX[k]
+    minors2, abs2 = _scalar_products(x, top)
     minors3, terms = [], 0
     for (r0, r1, r2), (j0, j1, j2) in laplace:
         minors3.append(x[r0] * minors2[j0] - x[r1] * minors2[j1] + x[r2] * minors2[j2])
@@ -560,14 +612,20 @@ def rank_test(x, k: int) -> tuple[int, list[float]]:
     """The scalar twin of ``rank_test_batch``: the sign of
     sigma_min - 1e-12 sigma_max of one 3 x k matrix, k = 3 or 4, given as
     its 3k entries row by row, and the 3x3 minors it is decided from
-    (``_minors``), decided by the same filter (minors, norms, rounding
-    bounds and ``_rank_decision``).  Only a matrix the filter leaves open
-    goes to the SVD.  A matrix with a non-finite entry gives 0."""
-    minors2, abs2, minors3, terms = _minors(x, k)
+    (``_laplace``).  The determinant tier of ``rank_test_blocks`` comes
+    first (``_certified_full``, from F, D and e_D); only a matrix it leaves
+    open forms the other 2x2 minors, those of rows (0, 2) and (1, 2), for
+    the full filter (the norm P, its rounding bound and
+    ``_rank_decision``), and only a matrix that leaves open too goes to the
+    SVD.  A matrix with a non-finite entry gives 0."""
+    minors2, abs2, minors3, terms = _laplace(x, k)
     # math.hypot: the norms without squares that could overflow.
-    full, deficient = _rank_decision(math.hypot(*x), math.hypot(*minors2), math.hypot(*minors3),
-                                     3.0 * _U * sum(abs2) + _UNDERFLOW,
-                                     6.0 * _U * terms + _UNDERFLOW)
+    F, D, e_D = math.hypot(*x), math.hypot(*minors3), 6.0 * _U * terms + _UNDERFLOW
+    if _certified_full(F, D, e_D):
+        return 1, minors3
+    more2, more_abs = _scalar_products(x, _SCALAR_MINOR_INDEX[k][1])
+    full, deficient = _rank_decision(F, math.hypot(*minors2, *more2), D,
+                                     3.0 * _U * sum(abs2 + more_abs) + _UNDERFLOW, e_D)
     if full or deficient:
         return int(full) - int(deficient), minors3
     if not all(map(math.isfinite, x)):

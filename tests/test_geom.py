@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import conic_from_canonical, tangency_residual
 from porism_lab import geom
-from porism_lab.conics import centered_conics_batch
+from porism_lab.conics import centered_conics_batch, circumconic_centered
 from porism_lab.errors import (
     DegenerateConic,
     DegenerateTriangle,
@@ -539,14 +539,24 @@ class TestRankFilter:
         # Symmetric 3x3 matrices (conics) and 3x4 systems (circumconic
         # incidence rows) of chosen singular values: ratios log-uniform
         # across the band, nearly rank 1, non-finite entries, and scales
-        # with |M|_F beyond 2^100 or below 2^-100.
+        # with |M|_F beyond 2^100 or below 2^-100.  Two kinds test the
+        # determinant tier: "tight" rows, sigma_1 = sigma_2 with a ratio
+        # within a factor 3 of 1e-12, where F^2 / (sqrt 3 P) is near its
+        # least value 2 / sqrt 3 and the tier's bound is tightest; and
+        # "flat" rows of full rank, sigma_2 / sigma_1 at most 10^-6.5, where
+        # F^2 / (sqrt 3 P) is large and the tier must leave the row open.
         rng = np.random.default_rng(seed)
         n = 48
         rho = 10.0 ** rng.uniform(-14, -10, n)
         sigma = np.stack([np.ones(n), 10.0 ** rng.uniform(-1, 0, n), rho], axis=1)
-        thin = rng.random(n) < 0.2  # nearly rank 1
+        kind = rng.choice(4, n, p=[0.5, 0.2, 0.15, 0.15])
+        thin, tight, flat = kind == 1, kind == 2, kind == 3  # thin: nearly rank 1
         sigma[thin, 1] = 10.0 ** rng.uniform(-16, -6, thin.sum())
         sigma[thin, 2] = sigma[thin, 1] * 10.0 ** rng.uniform(-3, 0, thin.sum())
+        sigma[tight, 1] = 1.0
+        sigma[tight, 2] = rho[tight] = 10.0 ** rng.uniform(-12.5, -11.5, tight.sum())
+        sigma[flat, 1] = 10.0 ** rng.uniform(-9, -6.5, flat.sum())
+        sigma[flat, 2] = rho[flat] = sigma[flat, 1] * 10.0 ** rng.uniform(-3, 0, flat.sum())
         if k == 3:
             q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
             signs = rng.choice([-1.0, 1.0], (n, 3))
@@ -558,25 +568,47 @@ class TestRankFilter:
         bad = rng.random(n) < 0.1
         a[bad, rng.integers(0, 3), rng.integers(0, k)] = rng.choice([np.nan, np.inf, -np.inf])
         want = _svd_rank_test(a)
-        assert rank_test_batch(_entries(a))[0].tolist() == want.tolist()
+        x = _entries(a)
+        full = rank_test_batch(x)
+        assert full[0].tolist() == want.tolist()
+        # The batched twin with its determinant tier first, as a stack that
+        # keeps no norms is decided: the same signs and minors.
+        tiered = geom.rank_test_blocks(k, n, lambda i, j: np.ascontiguousarray(x[:, i:j]),
+                                       norms=False)
+        assert tiered[0].tolist() == want.tolist()
+        assert tiered[1].tobytes() == full[1].tobytes() and tiered[2] is None
+        assert not geom._filter(np.ascontiguousarray(x), k, tier=True)[0][flat].any()
 
-        opened = []
-        svd = np.linalg.svd
+        opened, filtered = [], []
+        svd, decision = np.linalg.svd, geom._rank_decision
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "svd", lambda *args, **kw: opened.append(i) or svd(*args, **kw))
+            mp.setattr(geom, "_rank_decision", lambda *args: filtered.append(i) or decision(*args))
             for i in range(n):
                 assert geom.rank_test(a[i].ravel().tolist(), k)[0] == want[i], i
+        assert set(np.flatnonzero(flat)) <= set(filtered)
         # Away from the band, the scale limits and rank 1, no matrix goes to
         # the SVD (the band widened as in the batched test).
         outside = (rho < DEGENERACY_EPS / 3 / 1.25) | (rho > 3 * DEGENERACY_EPS * 1.25)
         if abs(exponent) <= 40:
-            assert not set(np.flatnonzero(outside & ~bad & ~thin)) & set(opened)
+            assert not set(np.flatnonzero(outside & ~bad & ~thin & ~flat)) & set(opened)
         assert set(np.flatnonzero(bad)).isdisjoint(opened)
+        if k == 3:
+            # A conic stack and a conic, each against the SVD of its own
+            # matrices: a non-finite entry below the diagonal is not one of
+            # the conic's coefficients, and ``ConicMatrix`` normalizes.
+            c = a[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]].T
+            stack = c[geom._MATRIX_ENTRIES].T.reshape(n, 3, 3)
+            assert ConicBatch(c).rank_test.tolist() == _svd_rank_test(stack).tolist()
+            for column in c.T[np.isfinite(c).all(axis=0)]:
+                conic = ConicMatrix.from_coeffs(*column)
+                assert conic.rank_test == _svd_rank_test(conic.m[None])[0]
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_the_minors_are_exact_on_exact_numbers(self, k):
-        """``_minors`` is arithmetic only: on ``Fraction`` entries it gives
-        every 2x2 and 3x3 minor exactly, against the Leibniz formula."""
+        """``_laplace`` and ``_scalar_products``, which form the scalar
+        filter's minors, are arithmetic only: on ``Fraction`` entries they
+        give every 2x2 and 3x3 minor exactly, against the Leibniz formula."""
         rng = random.Random(18 + k)
 
         def det(m):
@@ -588,13 +620,41 @@ class TestRankFilter:
             x = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
                  for _ in range(3 * k)]
             m = [x[r * k:(r + 1) * k] for r in range(3)]
-            minors2, abs2, minors3, terms = geom._minors(x, k)
+            minors2, abs2, minors3, terms = geom._laplace(x, k)
+            more2, more_abs = geom._scalar_products(x, geom._SCALAR_MINOR_INDEX[k][1])
+            minors2, abs2 = minors2 + more2, abs2 + more_abs
             assert minors2 == [det([[m[r][i], m[r][j]], [m[s][i], m[s][j]]])
                                for r, s in ((0, 1), (0, 2), (1, 2))
                                for i, j in itertools.combinations(range(k), 2)]
             assert minors3 == [det([[row[c] for c in cols] for row in m])
                                for cols in itertools.combinations(range(k), 3)]
             assert all(type(v) is Fraction for v in (*minors2, *abs2, *minors3, terms))
+
+    def test_a_well_conditioned_conic_forms_no_second_compound(self, monkeypatch):
+        """The determinant tier decides the rank tests of a well-conditioned
+        circumconic, its 3x4 incidence system's and its conic's, scalar and
+        batched, and of a conic stack, from |det| and |M|_F alone: the
+        full filter, which forms every 2x2 minor, never runs, nor its
+        decision."""
+        def second_compound(*args):
+            raise AssertionError("the full filter ran")
+
+        tiered = geom._filter
+        monkeypatch.setattr(geom, "_filter", lambda x, k, tier=False: (
+            tiered(x, k, tier=True) if tier else second_compound()))
+        monkeypatch.setattr(geom, "_rank_decision", second_compound)
+        tri = Triangle((Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0)))
+        conic = circumconic_centered(tri, Point(1.0, 1.0))
+        assert conic.rank_test == 1
+        assert canonicalize(conic).kind is ConicKind.ELLIPSE
+        assert geom.rank_test([0.25, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0], 3)[0] == 1
+        v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]] * 2)
+        center = np.array([[1.0, 1.0], [1.2, 0.9]])
+        stack = centered_conics_batch([(v, center)], [], PassLog(np.arange(2.0)))
+        assert stack.rank_test.tolist() == [1, 1]
+        assert stack.c[:, 0].tobytes() == np.array(conic.c).tobytes()
+        ellipse = ConicBatch(np.array([[0.25, 0.0, 1.0, 0.0, 0.0, -1.0]] * 3).T)
+        assert ellipse.rank_test.tolist() == [1, 1, 1]
 
     def test_a_conic_shares_its_rank_test(self, monkeypatch):
         conic = ConicMatrix.from_coeffs(1, 0, 1.2e-12, 0, 0, -1)  # undecided by the filter

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from porism_lab.figures import FIGURE_IDS
@@ -273,11 +274,36 @@ def test_stage_times_json(capsys, memory):
 
 def test_stage_times_member_prints_every_part_and_each_figure(capsys):
     assert stage_times.main(["--member", "--runs", "1"]) == 0
-    *lines, raised = capsys.readouterr().out.splitlines()
+    *lines, ranks, raised = capsys.readouterr().out.splitlines()
     figures = [f"figure:{i}" for i in FIGURE_IDS]
     assert [line.split()[0] for line in lines] == [*stage_times.MEMBER_PARTS, *figures, "op"]
     assert all(line.split()[2] == "ms" and float(line.split()[1]) >= 0.0 for line in lines)
+    head, counts = ranks.split(": ")
+    assert head == "rank tests per op (median)"
+    assert [count.split(" ", 1)[1] for count in counts.split(", ")] == [
+        "by the tier", "by the full filter", "by the SVD"]
     assert raised == "0 ops raised and are left out"
+
+
+def test_rank_counts_count_each_decision_once():
+    """``RankCounts`` counts every rank test once, by what decided it, and
+    puts the package's decisions back."""
+    from porism_lab import geom
+
+    counts, before = stage_times.RankCounts(), (geom._certified_full, geom._rank_decision)
+    counts.install(geom)
+    try:
+        geom.ConicMatrix.from_coeffs(1, 0, 1, 0, 0, -1).rank_test  # the tier
+        geom.ConicMatrix.from_coeffs(1, 0, 1e-13, 0, 0, -1).rank_test  # the filter: deficient
+        geom.ConicMatrix.from_coeffs(1, 0, 1.2e-12, 0, 0, -1).rank_test  # the SVD
+        assert counts.take() == (1, 1, 1)
+        x = np.array([[1.0, 0, 0, 0, 1, 0, 0, 0, 1], [1.0, 0, 0, 0, 1e-13, 0, 0, 0, 1]]).T
+        geom.rank_test_blocks(3, 2, lambda i, j: x[:, i:j], norms=False)
+        geom.rank_test_batch(x)  # norms kept: no tier
+        assert counts.take() == (1, 3, 0)
+    finally:
+        counts.restore()
+    assert (geom._certified_full, geom._rank_decision) == before
 
 
 def test_stage_times_member_json(capsys):
@@ -287,3 +313,6 @@ def test_stage_times_member_json(capsys):
     assert list(out["median_ms"]) == [*stage_times.MEMBER_PARTS,
                                       *(f"figure:{i}" for i in FIGURE_IDS)]
     assert out["op_ms"] > 0.0 and out["op_mean_ms"] > 0.0
+    assert list(out["rank_tests"]) == list(stage_times.RankCounts.KINDS)
+    # Every member op's conics are well conditioned: the tier decides.
+    assert out["rank_tests"]["tier"] > 0

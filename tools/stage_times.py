@@ -49,7 +49,10 @@ over the ops that render it (``figure:<id>``), and of the op totals
 (``op``, with their mean).  An op that raises a ``GeometryError`` is left
 out of every median and counted on the last line.  The warm-up renders
 every figure once, so the ``cb-plots`` row is the cost of a render after
-its scene is built.
+its scene is built.  Before that line it prints the median number of rank
+tests per op (``RankCounts``, counted in a second, untimed pass over the
+timed ops) that the determinant tier decided, that the full filter
+decided, and that both left open to the SVD.
 """
 
 from __future__ import annotations
@@ -120,6 +123,46 @@ def verify_peak(rho: float, n: int) -> int:
     return tracemalloc.get_traced_memory()[1] - entry
 
 
+class RankCounts:
+    """The rank tests decided so far, scalar and batched, by what decided
+    them: ``tier`` the determinant tier (``geom._certified_full``),
+    ``filter`` the full filter (``geom._rank_decision``), and ``svd`` the
+    matrices both left open, which the SVD decides (or which hold a
+    non-finite entry).  A matrix of a stack counts as one test.  While
+    installed, it counts through the two decisions of the package's
+    ``geom`` module, which it rebinds."""
+
+    KINDS = ("tier", "filter", "svd")
+
+    def __init__(self):
+        self.tier = self.filter = self.svd = 0
+
+    def install(self, geom) -> None:
+        certified, decision = geom._certified_full, geom._rank_decision
+        self.restore = lambda: vars(geom).update(_certified_full=certified,
+                                                 _rank_decision=decision)
+
+        def counted_tier(F, D, e_D):
+            full = certified(F, D, e_D)
+            self.tier += int(np.count_nonzero(full))
+            return full
+
+        def counted_decision(*args):
+            full, deficient = decision(*args)
+            decided = int(np.count_nonzero(full | deficient))
+            self.filter += decided
+            self.svd += int(np.size(full)) - decided
+            return full, deficient
+
+        geom._certified_full, geom._rank_decision = counted_tier, counted_decision
+
+    def take(self) -> tuple[int, int, int]:
+        """The counts by kind since the last take, which it resets."""
+        counts = self.tier, self.filter, self.svd
+        self.tier = self.filter = self.svd = 0
+        return counts
+
+
 #: The call of ``workloads.member_call`` with which each part of a
 #: ``member-scalar`` op after ``sample`` begins, by module; the figure's
 #: part runs to the op's end.
@@ -142,13 +185,15 @@ class Laps:
             self.part, self.clock = part, now
 
 
-def member_times(runs: int) -> tuple[dict[str, float], list[float], int]:
+def member_times(runs: int) -> tuple[dict[str, float], list[float], int, dict[str, float]]:
     """Median milliseconds of each part of the ``member-scalar`` ops of
-    ``runs`` seeded rounds, the op totals in milliseconds, and the number of
-    ops that raised (left out).  Each op is the benchmark's own
+    ``runs`` seeded rounds, the op totals in milliseconds, the number of
+    ops that raised (left out), and the median number of rank tests per op
+    of each kind of ``RankCounts``.  Each op is the benchmark's own
     ``workloads.member_call``, whose modules are replaced, in this tool's
     copy of ``perfbench/workloads.py``, by copies in which the calls of
     ``MEMBER_STARTS`` begin their part on the op's ``Laps``."""
+    from porism_lab import geom
     from porism_lab.errors import GeometryError
 
     spec = importlib.util.spec_from_file_location("member_workloads", WORKLOADS)
@@ -169,7 +214,7 @@ def member_times(runs: int) -> tuple[dict[str, float], list[float], int]:
     rng = np.random.default_rng(MEMBER_SEED)
     ids = workloads.figures.FIGURE_IDS
     parts = {part: [] for part in (*MEMBER_PARTS, *(f"figure:{i}" for i in ids))}
-    totals, raised = [], 0
+    totals, raised, timed = [], 0, []
     for round_index in range(runs + 1):
         for op in workloads.member_round(rng):
             laps.start()
@@ -187,8 +232,21 @@ def member_times(runs: int) -> tuple[dict[str, float], list[float], int]:
             for part, seconds in times.items():
                 parts[part].append(seconds)
             totals.append(1e3 * sum(times.values()))
+            timed.append(op)
     ms = {part: 1e3 * statistics.median(v) if v else float("nan") for part, v in parts.items()}
-    return ms, totals, raised
+    # The rank tests are counted in a second, untimed pass over the timed
+    # ops, so that the counting adds nothing to their times.
+    counts, ranks = RankCounts(), []
+    counts.install(geom)
+    try:
+        for op in timed:
+            workloads.member_call(op)
+            ranks.append(counts.take())
+    finally:
+        counts.restore()
+    tests = {kind: statistics.median(op[i] for op in ranks) if ranks else float("nan")
+             for i, kind in enumerate(RankCounts.KINDS)}
+    return ms, totals, raised, tests
 
 
 def main(argv=None) -> int:
@@ -205,17 +263,20 @@ def main(argv=None) -> int:
     if args.member:
         if args.memory:
             parser.error("--member times; it has no --memory table")
-        ms, totals, raised = member_times(args.runs)
+        ms, totals, raised, tests = member_times(args.runs)
         op, mean = statistics.median(totals), statistics.fmean(totals)
         if args.json:
             print(json.dumps({"runs": args.runs, "seed": MEMBER_SEED,
                               "median_ms": {k: round(v, 4) for k, v in ms.items()},
                               "op_ms": round(op, 4), "op_mean_ms": round(mean, 4),
-                              "raised": raised}))
+                              "rank_tests": tests, "raised": raised}))
             return 0
         for part, value in ms.items():
             print(f"{part:22s} {value:8.3f} ms")
         print(f"{'op':22s} {op:8.3f} ms (median of the op totals; mean {mean:.3f} ms)")
+        print("rank tests per op (median): " + ", ".join(
+            f"{tests[kind]:g} {name}" for kind, name in
+            zip(RankCounts.KINDS, ("by the tier", "by the full filter", "by the SVD"))))
         print(f"{raised} ops raised and are left out")
         return 0
     head = {"rho": args.rho, "t_samples": args.t_samples, "runs": args.runs}
