@@ -10,12 +10,13 @@ The ``_batch`` functions are the array twins used by the measurement pass,
 under the twin rule of ``geom``.  ``centered_conics_batch`` is the twin of
 both constructors at once: it builds a whole stack of circumconics and
 inconics with one call of each kernel.  Both twins decide their rank tests
-by the certified filter of ``geom`` (``rank_test``, ``rank_test_batch``),
+by the certified filter of ``rank`` (``rank_test``, ``rank_test_batch``),
 and both take the circumconic's null vector from the Laplace minors that
-filter decided from, by one formula, so the two give the same coefficients
-bit for bit.  Their terms are products of entries that are already
-rounded, so a compensated sum of them would remove only the smaller
-summation error (README, "How verify and sweep measure").
+filter decided from, by one formula (``rank.null_vector``), so the two
+give the same coefficients bit for bit.  Their terms are products of
+entries that are already rounded, so a compensated sum of them would
+remove only the smaller summation error (README, "How verify and sweep
+measure").
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
 # self-test (perfbench/test_perfbench.py) resolves it here.
 from .geom import (  # noqa: F401
     _MATH,
-    DEGENERACY_EPS,
     ConicBatch,
     ConicMatrix,
     Line,
@@ -51,10 +51,8 @@ from .geom import (  # noqa: F401
     canonicalize,
     line_through,
     line_through_batch,
-    max_condition_batch,
-    rank_test,
-    rank_test_blocks,
 )
+from .rank import DEGENERACY_EPS, null_vector, rank_test, rank_test_batch
 
 BarycentricFn = Callable[[float, float, float], float]
 
@@ -70,10 +68,11 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
 
     Centering first makes the two vanishing-gradient constraints structural
     (no linear terms survive), which shrinks the null-space problem to a
-    3x4 system whose null vector is exactly its four signed minors, taken
-    from ``rank_test`` as ``_centered_circumconic_batch`` takes them.  That
-    route loses far less precision than the raw five-constraint solve when
-    the conic passes near a degenerate line pair.
+    3x4 system whose null vector is exactly its four signed minors
+    (``null_vector`` of the minors ``rank_test`` decided from), as
+    ``_centered_circumconic_batch`` takes them.  That route loses far less
+    precision than the raw five-constraint solve when the conic passes near
+    a degenerate line pair.
     """
     entries = []
     for p in t.v:
@@ -86,15 +85,11 @@ def _centered_circumconic(t: Triangle, center: Point) -> tuple[float, float, flo
     sign, minors = rank_test(entries, 4)
     if sign < 0:
         raise DegenerateConic("centered circumconic is not unique for this center")
-    vec = (minors[3], -minors[2], minors[1], -minors[0])  # as _MINOR_SIGNS signs them
+    vec = null_vector(minors)
     top = max(map(abs, vec))
     if top == 0.0:
         raise DegenerateConic("centered circumconic constraints collapse")
     return tuple(x / top for x in vec)
-
-
-# Signs of the null vector's entries, each a minor of the 3x4 system.
-_MINOR_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 def _offsets(systems) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +112,9 @@ def _offsets(systems) -> tuple[np.ndarray, np.ndarray]:
 def _entries(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The incidence rows (u^2, 2uw, w^2, 1) of ``_centered_circumconic``
     of the systems of vertex offsets ``u``, ``w`` (3, m), entry-major as
-    ``rank_test_batch`` takes them: row 4 r + j of the (12, m) result holds
-    entry (r, j) of every system, each written into it as it is computed."""
+    ``rank.rank_test_batch`` takes them: row 4 r + j of the (12, m) result
+    holds entry (r, j) of every system, each written into it as it is
+    computed."""
     x = np.empty((12, u.shape[1]))
     np.multiply(u, u, out=x[0::4])
     np.multiply(2, u, out=x[1::4])
@@ -133,27 +129,18 @@ def _centered_circumconic_batch(systems, log: PassLog,
     """``_centered_circumconic`` over the system blocks ``systems`` (see
     ``_offsets``), N systems in all (N may hold k systems per sample, see
     ``PassLog``): the (4, N) rows (A, B, C, F), and with ``condition`` the
-    largest condition number of the systems (``geom.max_condition_batch``),
-    else None, as for no system.  The kernel holds only the vertex offsets
-    from the centers: the filter makes each pass's block of incidence rows
-    from them (``geom.rank_test_blocks``), and the largest condition number
-    gathers from them only its SVD candidates, while the filter's norms are
-    held.  Without ``condition`` no norm is kept, so the filter's
-    determinant tier decides first and only the systems it leaves open form
-    their second compound.
-    The null vector is then formed in the filter's minors, in place."""
+    largest condition number of the systems, else None, as for no system
+    (``rank.rank_test_batch``).  The kernel holds only the vertex offsets
+    from the centers, from which the filter makes each pass's block of
+    incidence rows, and the largest condition number its SVD candidates'."""
     u, w = _offsets(systems)
-    sign, minors, norms = rank_test_blocks(4, u.shape[1],
-                                           lambda i, j: _entries(u[:, i:j], w[:, i:j]),
-                                           norms=condition)
+    sign, minors, kappa_max = rank_test_batch(4, u.shape[1],
+                                              lambda cols: _entries(u[:, cols], w[:, cols]),
+                                              condition)
     log.check(sign < 0, DegenerateConic, "centered circumconic is not unique for this center")
-    kappa_max = (max_condition_batch(norms, lambda rows: _entries(u[:, rows], w[:, rows]))
-                 if condition and u.shape[1] else None)
-    del u, w, norms
-    # Minor k of the filter keeps columns (012, 013, 023, 123)[k]; reversed,
-    # entry k is the minor without column k.
-    minors *= _MINOR_SIGNS[::-1]
-    vec = minors[::-1]
+    del u, w
+    vec = np.array(null_vector(minors))
+    del minors
     top = _column_top(vec)
     log.check(top == 0.0, DegenerateConic, "centered circumconic constraints collapse")
     vec /= top

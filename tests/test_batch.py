@@ -10,7 +10,6 @@ form.
 
 import json
 import math
-import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porism_lab import geom, report
+from porism_lab import rank, report
 from porism_lab.billiard import (
     cb_axes_normalized,
     normalize_sample,
@@ -62,7 +61,6 @@ from porism_lab.errors import (
     PassLog,
 )
 from porism_lab.geom import (
-    _KAPPA_ERROR,
     _MATH,
     Point,
     Triangle,
@@ -71,12 +69,9 @@ from porism_lab.geom import (
     _thin,
     _wrap_half_pi,
     canonicalize,
-    condition_estimate_batch,
     foci,
     foci_batch,
     line_through_batch,
-    rank_test_batch,
-    singular_values_batch,
     triangle_batch,
 )
 from porism_lab.poristic import (
@@ -89,6 +84,7 @@ from porism_lab.poristic import (
     sample,
     sample_batch,
 )
+from porism_lab.rank import _KAPPA_ERROR, rank_test_batch, singular_values_batch
 from porism_lab.report import SWEEP_QUANTITIES, LabConfig, run_sweep, run_verify
 
 RHO_GRID = (0.05, 0.2, 0.36266, 0.49)
@@ -131,7 +127,7 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
         if is_circum:
             entries[tag] = _entries(*_offsets(
                 [(fam.excentral if on_excentral else fam.triangle, p.x(center_id))]))
-            kappa[tag] = condition_estimate_batch(*rank_test_batch(entries[tag])[2])
+            kappa[tag] = rank._condition_estimate(*rank._filter(entries[tag], 4)[3:])
     checked = 0
 
     def close_length(got, want, what, tol=length_tol):
@@ -193,7 +189,7 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
                 ratio = sv[0] / sv[-1]
                 close_rel(ratio, oracle[0] / oracle[-1], (tag, "cond", t))
                 # The estimate is certified here, within the relative error
-                # the candidate margin of max_condition_batch relies on: 2^-12
+                # the candidate margin of rank._max_condition relies on: 2^-12
                 # for the estimate and 101 u (kappa + 1) for the SVD.
                 svd_error = 101 * 2.0 ** -53 * (ratio + 1)
                 assert abs(kappa[tag][i] - ratio) <= (_KAPPA_ERROR + svd_error) * ratio, (
@@ -378,20 +374,15 @@ def test_max_condition_is_the_largest_of_all_circumconic_rows(rho):
 
 
 def test_only_a_verify_estimates_condition_numbers(monkeypatch):
-    """``geom.condition_estimate_batch``, under every name the package binds
-    it to, runs never in an all-column sweep and once in a verify, over all
-    its circumconic rows."""
-    estimate, calls = geom.condition_estimate_batch, []
+    """``rank._condition_estimate`` runs never in an all-column sweep and
+    once in a verify, over all its circumconic rows."""
+    estimate, calls = rank._condition_estimate, []
 
     def spy(F, P, D):
         calls.append(len(F))
         return estimate(F, P, D)
 
-    for name, module in list(sys.modules.items()):
-        if name == "porism_lab" or name.startswith("porism_lab."):
-            for attr, obj in list(vars(module).items()):
-                if obj is estimate:
-                    monkeypatch.setattr(module, attr, spy)
+    monkeypatch.setattr(rank, "_condition_estimate", spy)
     lab = LabConfig(t_samples=48)
     run_sweep(lab, list(SWEEP_QUANTITIES))
     assert calls == []
@@ -458,9 +449,10 @@ def test_filter_minors_match_the_scalar_minors(k):
     bad = np.arange(50) % 10 == 3
     rows[bad, rng.integers(0, 3, bad.sum()), rng.integers(0, k, bad.sum())] = (
         rng.choice([np.nan, np.inf, -np.inf], bad.sum()))
-    _, minors, _ = rank_test_batch(rows.reshape(50, 3 * k).T)
+    stack = rows.reshape(50, 3 * k).T
+    _, minors, _ = rank_test_batch(k, 50, lambda cols: np.ascontiguousarray(stack[:, cols]))
     for i in range(50):
-        scalar = geom.rank_test(rows[i].ravel().tolist(), k)[1]
+        scalar = rank.rank_test(rows[i].ravel().tolist(), k)[1]
         assert [x.hex() for x in scalar] == [float(x).hex() for x in minors[:, i]], i
         if bad[i]:
             continue

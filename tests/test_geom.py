@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import conic_from_canonical, tangency_residual
-from porism_lab import geom
+from porism_lab import geom, rank
 from porism_lab.conics import centered_conics_batch, circumconic_centered
 from porism_lab.errors import (
     DegenerateConic,
@@ -31,17 +31,14 @@ from porism_lab.geom import (
     canonicalize,
     canonicalize_batch,
     conic_eval,
-    condition_estimate_batch,
     distance,
     foci,
     line_intersection,
     line_through,
-    max_condition_batch,
     power_of_point,
-    rank_test_batch,
-    singular_values_batch,
 )
 from porism_lab.poristic import config_from_rR, excentral_side_lines, i3x_implicit_matrix
+from porism_lab.rank import rank_test_batch, singular_values_batch
 
 UNIT_CIRCLE = ConicMatrix.from_coeffs(1, 0, 1, 0, 0, -1)
 
@@ -294,6 +291,19 @@ class TestLinesAndTriangles:
         with pytest.raises(DegenerateTriangle, match="triangle area below threshold at t = 0.5$"):
             geom.triangle_batch(v, PassLog([0.0, 0.5]))
 
+    # Both products of its doubled area overflow, which is inf - inf = NaN;
+    # its sides are finite and pass the triangle inequality.
+    OVERFLOWING = ((9e307, 0.0), (9e307 + 2.0 ** 1020, 2.0 ** 1020),
+                   (9e307 + 2.0 ** 1020, 2.0 ** 1021))
+
+    def test_an_area_that_overflows_is_thin_in_both_twins(self):
+        with pytest.raises(DegenerateTriangle, match="^area nan below threshold$"):
+            Triangle(tuple(Point(x, y) for x, y in self.OVERFLOWING))
+        v = np.array([((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), self.OVERFLOWING])
+        with (pytest.raises(DegenerateTriangle, match="^triangle area below threshold at t = 0.5$"),
+              np.errstate(over="ignore", invalid="ignore")):  # as the pass runs
+            geom.triangle_batch(v, PassLog([0.0, 0.5]))
+
     # Its area is above the thin threshold (relative area about 4e-9), but
     # its measured sides round to 5.000000000000001 = 1.0 + 4.000000000000001,
     # so they fail the triangle inequality.
@@ -447,6 +457,18 @@ def _entries(a):
     return a.reshape(len(a), -1).T
 
 
+def _batch(x, condition=False):
+    """``rank_test_batch`` of the entry-major (3k, n) stack ``x``."""
+    return rank_test_batch(len(x) // 3, x.shape[1], lambda cols: np.ascontiguousarray(x[:, cols]),
+                           condition)
+
+
+def _kappa(x):
+    """The condition estimate of every matrix of the entry-major stack
+    ``x``, from the norms of the full filter."""
+    return rank._condition_estimate(*rank._filter(np.ascontiguousarray(x), len(x) // 3)[3:])
+
+
 def _svd_rank_test(a):
     sv = singular_values_batch(a)
     return ((sv[:, -1] > DEGENERACY_EPS * sv[:, 0]).astype(np.int8)
@@ -455,7 +477,9 @@ def _svd_rank_test(a):
 
 class TestRankFilter:
     """``rank_test_batch`` decides sigma_min > 1e-12 sigma_max as the stacked
-    SVD does, and runs the SVD only near the threshold."""
+    SVD does, with its determinant tier first or, as a stack whose largest
+    condition number is asked for, the full filter on every matrix, and
+    runs the SVD only near the threshold."""
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 4]), st.integers(-40, 40))
     @settings(max_examples=60, deadline=None)
@@ -473,22 +497,25 @@ class TestRankFilter:
         bad = rng.random(n) < 0.1
         a[bad, rng.integers(0, 3), rng.integers(0, k)] = rng.choice([np.nan, np.inf, -np.inf])
         want = _svd_rank_test(a)
-
-        sent = []
-
-        def recorded(rows):
-            sent.extend(bytes(row) for row in rows)
-            return singular_values_batch(rows)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geom, "singular_values_batch", recorded)
-            got = rank_test_batch(_entries(a))[0]
-        assert got.tolist() == want.tolist()
         assert not want[bad].any()
         # The band [1e-12/3, 3e-12], widened by the decision margin and the
         # rounding bounds (at most a quarter for these matrices).
         outside = (rho < DEGENERACY_EPS / 3 / 1.25) | (rho > 3 * DEGENERACY_EPS * 1.25)
-        assert not [i for i in np.flatnonzero(outside & ~bad) if bytes(a[i]) in sent]
+        for condition in (False, True):
+            calls = []
+
+            def recorded(rows):
+                calls.append(rows)
+                return singular_values_batch(rows)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rank, "singular_values_batch", recorded)
+                got = _batch(_entries(a), condition)[0]
+            assert got.tolist() == want.tolist()
+            # The last SVD of a stack whose condition is asked for is that of
+            # its condition candidates.
+            sent = {bytes(row) for rows in calls[:len(calls) - condition] for row in rows}
+            assert not [i for i in np.flatnonzero(outside & ~bad) if bytes(a[i]) in sent]
 
     @pytest.mark.parametrize("exponent", [-600, -400, -300, -200, -180, 300, 400, 600])
     def test_far_from_unit_scale_the_svd_decides(self, exponent):
@@ -504,21 +531,31 @@ class TestRankFilter:
             a[10:20, 0, 0] *= 2.0 ** 300  # one entry far above the others
             with np.errstate(over="ignore"):
                 want = _svd_rank_test(a)
-            assert rank_test_batch(_entries(a))[0].tolist() == want.tolist()
+            for condition in (False, True):
+                assert _batch(_entries(a), condition)[0].tolist() == want.tolist()
 
-    def test_a_long_stack_gives_what_its_pieces_give(self):
+    def test_a_long_stack_gives_what_its_pieces_give(self, monkeypatch):
         # The filter runs a long stack in several passes: the split changes
-        # no decision, minor or norm.
+        # no decision, minor or norm (as the condition estimate reads them),
+        # nor the largest condition number.
+        estimate, norms = rank._condition_estimate, []
+        monkeypatch.setattr(rank, "_condition_estimate",
+                            lambda *fpd: norms.append(np.stack(fpd)) or estimate(*fpd))
         rng = np.random.default_rng(5)
-        for k in (3, 4):
+        for k, condition in itertools.product((3, 4), (False, True)):
             x = _entries(rng.normal(size=(5000, 3, k)))
-            whole = rank_test_batch(x)
-            pieces = [rank_test_batch(x[:, i:i + 500]) for i in range(0, 5000, 500)]
+            whole = _batch(x, condition)
+            cut = len(norms)
+            pieces = [_batch(x[:, i:i + 500], condition) for i in range(0, 5000, 500)]
             assert np.concatenate([p[0] for p in pieces]).tobytes() == whole[0].tobytes()
             assert np.concatenate([p[1] for p in pieces], axis=1).tobytes() == whole[1].tobytes()
-            for j in range(3):
-                assert (np.concatenate([p[2][j] for p in pieces]).tobytes()
-                        == whole[2][j].tobytes())
+            if condition:
+                assert whole[2] == max(p[2] for p in pieces)
+                assert (np.concatenate(norms[cut:], axis=1).tobytes()
+                        == np.concatenate(norms[:cut], axis=1).tobytes())
+            else:
+                assert whole[2] is None and not norms
+            norms.clear()
 
     def test_non_finite_rows_keep_their_outcome(self):
         # A row outside a partial stage is NaN: the circumconic check does not
@@ -569,23 +606,22 @@ class TestRankFilter:
         a[bad, rng.integers(0, 3), rng.integers(0, k)] = rng.choice([np.nan, np.inf, -np.inf])
         want = _svd_rank_test(a)
         x = _entries(a)
-        full = rank_test_batch(x)
+        full = _batch(x, condition=True)
         assert full[0].tolist() == want.tolist()
-        # The batched twin with its determinant tier first, as a stack that
-        # keeps no norms is decided: the same signs and minors.
-        tiered = geom.rank_test_blocks(k, n, lambda i, j: np.ascontiguousarray(x[:, i:j]),
-                                       norms=False)
+        # The batched twin with its determinant tier first, as a stack whose
+        # condition no caller asks for is decided: the same signs and minors.
+        tiered = _batch(x)
         assert tiered[0].tolist() == want.tolist()
         assert tiered[1].tobytes() == full[1].tobytes() and tiered[2] is None
-        assert not geom._filter(np.ascontiguousarray(x), k, tier=True)[0][flat].any()
+        assert not rank._filter(np.ascontiguousarray(x), k, tier=True)[0][flat].any()
 
         opened, filtered = [], []
-        svd, decision = np.linalg.svd, geom._rank_decision
+        svd, decision = np.linalg.svd, rank._rank_decision
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "svd", lambda *args, **kw: opened.append(i) or svd(*args, **kw))
-            mp.setattr(geom, "_rank_decision", lambda *args: filtered.append(i) or decision(*args))
+            mp.setattr(rank, "_rank_decision", lambda *args: filtered.append(i) or decision(*args))
             for i in range(n):
-                assert geom.rank_test(a[i].ravel().tolist(), k)[0] == want[i], i
+                assert rank.rank_test(a[i].ravel().tolist(), k)[0] == want[i], i
         assert set(np.flatnonzero(flat)) <= set(filtered)
         # Away from the band, the scale limits and rank 1, no matrix goes to
         # the SVD (the band widened as in the batched test).
@@ -620,8 +656,8 @@ class TestRankFilter:
             x = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
                  for _ in range(3 * k)]
             m = [x[r * k:(r + 1) * k] for r in range(3)]
-            minors2, abs2, minors3, terms = geom._laplace(x, k)
-            more2, more_abs = geom._scalar_products(x, geom._SCALAR_MINOR_INDEX[k][1])
+            minors2, abs2, minors3, terms = rank._laplace(x, k)
+            more2, more_abs = rank._scalar_products(x, rank._SCALAR_MINOR_INDEX[k][1])
             minors2, abs2 = minors2 + more2, abs2 + more_abs
             assert minors2 == [det([[m[r][i], m[r][j]], [m[s][i], m[s][j]]])
                                for r, s in ((0, 1), (0, 2), (1, 2))
@@ -629,6 +665,24 @@ class TestRankFilter:
             assert minors3 == [det([[row[c] for c in cols] for row in m])
                                for cols in itertools.combinations(range(k), 3)]
             assert all(type(v) is Fraction for v in (*minors2, *abs2, *minors3, terms))
+
+    @given(st.lists(st.fractions(-100, 100, max_denominator=1000), min_size=8, max_size=8))
+    @example([Fraction(0), Fraction(0), Fraction(4), Fraction(0), Fraction(0), Fraction(3),
+              Fraction(1), Fraction(1)])
+    def test_the_null_vector_is_exact_on_exact_numbers(self, xs):
+        """``null_vector`` of the minors that ``_laplace`` forms of a
+        circumconic's 3x4 incidence system, the rows (u^2, 2uv, v^2, 1) of
+        ``Fraction`` vertices about a ``Fraction`` center, satisfies all
+        three incidences exactly."""
+        *vertices, cx, cy = xs
+        entries = []
+        for x, y in zip(vertices[0::2], vertices[1::2]):
+            u, v = x - cx, y - cy
+            entries += (u * u, 2 * u * v, v * v, Fraction(1))
+        vec = rank.null_vector(rank._laplace(entries, 4)[2])
+        assert all(type(c) is Fraction for c in vec)
+        for r in range(3):
+            assert sum(e * c for e, c in zip(entries[4 * r:4 * r + 4], vec)) == 0, r
 
     def test_a_well_conditioned_conic_forms_no_second_compound(self, monkeypatch):
         """The determinant tier decides the rank tests of a well-conditioned
@@ -639,15 +693,15 @@ class TestRankFilter:
         def second_compound(*args):
             raise AssertionError("the full filter ran")
 
-        tiered = geom._filter
-        monkeypatch.setattr(geom, "_filter", lambda x, k, tier=False: (
+        tiered = rank._filter
+        monkeypatch.setattr(rank, "_filter", lambda x, k, tier=False: (
             tiered(x, k, tier=True) if tier else second_compound()))
-        monkeypatch.setattr(geom, "_rank_decision", second_compound)
+        monkeypatch.setattr(rank, "_rank_decision", second_compound)
         tri = Triangle((Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0)))
         conic = circumconic_centered(tri, Point(1.0, 1.0))
         assert conic.rank_test == 1
         assert canonicalize(conic).kind is ConicKind.ELLIPSE
-        assert geom.rank_test([0.25, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0], 3)[0] == 1
+        assert rank.rank_test([0.25, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0], 3)[0] == 1
         v = np.array([[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]] * 2)
         center = np.array([[1.0, 1.0], [1.2, 0.9]])
         stack = centered_conics_batch([(v, center)], [], PassLog(np.arange(2.0)))
@@ -678,20 +732,20 @@ def _stack(rng, sigma):
 
 
 class TestMaxCondition:
-    """``max_condition_batch`` gives, bit for bit, the largest
-    sigma_max / sigma_min of the full stacked SVD, from an SVD of its
-    candidate rows only."""
+    """``rank_test_batch`` with ``condition`` gives, bit for bit, the
+    largest sigma_max / sigma_min of the full stacked SVD, from an SVD of
+    its candidate rows only."""
 
     @staticmethod
     def _check(pieces):
-        """Over the one stack of ``pieces``, concatenated, and its filter
-        norms: the filtered maximum equals the full one bitwise, and every
-        certified estimate is within the error the candidate margin
-        relies on.  Returns the maximum and the number of rows sent to
-        the SVD."""
+        """Over the one stack of ``pieces``, concatenated: the filtered
+        maximum equals the full one bitwise, and every certified estimate
+        is within the error the candidate margin relies on.  Returns the
+        maximum and the number of rows sent to the SVD of the candidates,
+        the last SVD the filter runs (an SVD of the rows no pass decided
+        may come before it)."""
         rows = np.concatenate(pieces)
         x = _entries(rows)
-        norms = rank_test_batch(x)[2]
         sent = []
 
         def recorded(rows):
@@ -699,19 +753,19 @@ class TestMaxCondition:
             return singular_values_batch(rows)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geom, "singular_values_batch", recorded)
-            got = max_condition_batch(norms, lambda rows: x[:, rows])
+            mp.setattr(rank, "singular_values_batch", recorded)
+            got = _batch(x, condition=True)[2]
         sv = singular_values_batch(rows)
         ratio = sv[:, 0] / sv[:, -1]
         want = np.max(ratio)
         assert np.float64(got).tobytes() == want.tobytes(), (got, want)
-        kappa = condition_estimate_batch(*norms)
+        kappa = _kappa(x)
         est = np.isfinite(kappa)
         svd_error = 101 * 2.0 ** -53 * (ratio[est] + 1)
         assert (np.abs(kappa[est] - ratio[est])
-                <= (geom._KAPPA_ERROR + svd_error) * ratio[est]).all()
-        assert len(sent) == 1
-        return got, sent[0]
+                <= (rank._KAPPA_ERROR + svd_error) * ratio[est]).all()
+        assert len(sent) in (1, 2)
+        return got, sent[-1]
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(-40, 40))
     @settings(max_examples=60, deadline=None)
@@ -759,6 +813,6 @@ class TestMaxCondition:
         u, w = 1e100 * rng.uniform(-1.0, 1.0, (2, 25, 3))
         far = np.stack([u * u, 2 * u * w, w * w, np.ones_like(u)], axis=-1)
         near = rng.normal(size=(25, 3, 4))
-        assert np.abs(far).max(axis=(1, 2)).min() > geom._FILTER_MAX_NORM  # F exceeds it too
-        assert np.isnan(condition_estimate_batch(*rank_test_batch(_entries(far))[2])).all()
+        assert np.abs(far).max(axis=(1, 2)).min() > rank._FILTER_MAX_NORM  # F exceeds it too
+        assert np.isnan(_kappa(_entries(far))).all()
         assert self._check([near, far])[1] >= 25

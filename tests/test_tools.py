@@ -1,9 +1,9 @@
 """The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
 (what it calls a difference, what only moved by rounding, and its exit
 code), the whole scan against its pinned content (``--check``), the line
-counter ``tools/code_lines.py``, the paired timer ``tools/ab.py`` run on
-this tree against itself and against a changed copy, and the stage table
-``tools/stage_times.py`` in its three modes."""
+and token counter ``tools/code_lines.py``, the paired timer
+``tools/ab.py`` run on this tree against itself and against a changed
+copy, and the stage table ``tools/stage_times.py`` in its three modes."""
 
 import copy
 import importlib.util
@@ -206,6 +206,20 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
     assert code_lines.code_lines(source) == 6
 
 
+def test_code_lines_print_the_parser_tokens_beside_the_lines(tmp_path, capsys):
+    # def f ( ) : NEWLINE INDENT "Doc" NEWLINE return ( 1 + 2 ) NEWLINE
+    # DEDENT ENDMARKER: the comment, the NL inside the parentheses and the
+    # blank line's NL are not parsed.
+    source = 'def f():\n    """Doc."""\n    return (1 +  # c\n            2)\n\n'
+    assert code_lines.parser_tokens(source) == 18
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"     3     18 {tmp_path / 'a.py'}", f"     1      5 {tmp_path / 'b.py'}",
+        "     4     23 total"]
+
+
 def _ab(parent):
     return subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), str(parent),
                            "--workload", "member-scalar", "--rounds", "2"],
@@ -288,22 +302,23 @@ def test_stage_times_member_prints_every_part_and_each_figure(capsys):
 def test_rank_counts_count_each_decision_once():
     """``RankCounts`` counts every rank test once, by what decided it, and
     puts the package's decisions back."""
-    from porism_lab import geom
+    from porism_lab import rank
+    from porism_lab.geom import ConicMatrix
 
-    counts, before = stage_times.RankCounts(), (geom._certified_full, geom._rank_decision)
-    counts.install(geom)
+    counts, before = stage_times.RankCounts(), (rank._certified_full, rank._rank_decision)
+    counts.install(rank)
     try:
-        geom.ConicMatrix.from_coeffs(1, 0, 1, 0, 0, -1).rank_test  # the tier
-        geom.ConicMatrix.from_coeffs(1, 0, 1e-13, 0, 0, -1).rank_test  # the filter: deficient
-        geom.ConicMatrix.from_coeffs(1, 0, 1.2e-12, 0, 0, -1).rank_test  # the SVD
+        ConicMatrix.from_coeffs(1, 0, 1, 0, 0, -1).rank_test  # the tier
+        ConicMatrix.from_coeffs(1, 0, 1e-13, 0, 0, -1).rank_test  # the filter: deficient
+        ConicMatrix.from_coeffs(1, 0, 1.2e-12, 0, 0, -1).rank_test  # the SVD
         assert counts.take() == (1, 1, 1)
         x = np.array([[1.0, 0, 0, 0, 1, 0, 0, 0, 1], [1.0, 0, 0, 0, 1e-13, 0, 0, 0, 1]]).T
-        geom.rank_test_blocks(3, 2, lambda i, j: x[:, i:j], norms=False)
-        geom.rank_test_batch(x)  # norms kept: no tier
+        rank.rank_test_batch(3, 2, lambda cols: x[:, cols])
+        rank.rank_test_batch(3, 2, lambda cols: x[:, cols], condition=True)  # no tier
         assert counts.take() == (1, 3, 0)
     finally:
         counts.restore()
-    assert (geom._certified_full, geom._rank_decision) == before
+    assert (rank._certified_full, rank._rank_decision) == before
 
 
 def test_stage_times_member_json(capsys):

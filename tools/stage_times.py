@@ -125,21 +125,21 @@ def verify_peak(rho: float, n: int) -> int:
 
 class RankCounts:
     """The rank tests decided so far, scalar and batched, by what decided
-    them: ``tier`` the determinant tier (``geom._certified_full``),
-    ``filter`` the full filter (``geom._rank_decision``), and ``svd`` the
+    them: ``tier`` the determinant tier (``rank._certified_full``),
+    ``filter`` the full filter (``rank._rank_decision``), and ``svd`` the
     matrices both left open, which the SVD decides (or which hold a
     non-finite entry).  A matrix of a stack counts as one test.  While
     installed, it counts through the two decisions of the package's
-    ``geom`` module, which it rebinds."""
+    ``rank`` module, which it rebinds."""
 
     KINDS = ("tier", "filter", "svd")
 
     def __init__(self):
         self.tier = self.filter = self.svd = 0
 
-    def install(self, geom) -> None:
-        certified, decision = geom._certified_full, geom._rank_decision
-        self.restore = lambda: vars(geom).update(_certified_full=certified,
+    def install(self, rank) -> None:
+        certified, decision = rank._certified_full, rank._rank_decision
+        self.restore = lambda: vars(rank).update(_certified_full=certified,
                                                  _rank_decision=decision)
 
         def counted_tier(F, D, e_D):
@@ -154,7 +154,7 @@ class RankCounts:
             self.svd += int(np.size(full)) - decided
             return full, deficient
 
-        geom._certified_full, geom._rank_decision = counted_tier, counted_decision
+        rank._certified_full, rank._rank_decision = counted_tier, counted_decision
 
     def take(self) -> tuple[int, int, int]:
         """The counts by kind since the last take, which it resets."""
@@ -193,7 +193,7 @@ def member_times(runs: int) -> tuple[dict[str, float], list[float], int, dict[st
     ``workloads.member_call``, whose modules are replaced, in this tool's
     copy of ``perfbench/workloads.py``, by copies in which the calls of
     ``MEMBER_STARTS`` begin their part on the op's ``Laps``."""
-    from porism_lab import geom
+    from porism_lab import rank
     from porism_lab.errors import GeometryError
 
     spec = importlib.util.spec_from_file_location("member_workloads", WORKLOADS)
@@ -237,7 +237,7 @@ def member_times(runs: int) -> tuple[dict[str, float], list[float], int, dict[st
     # The rank tests are counted in a second, untimed pass over the timed
     # ops, so that the counting adds nothing to their times.
     counts, ranks = RankCounts(), []
-    counts.install(geom)
+    counts.install(rank)
     try:
         for op in timed:
             workloads.member_call(op)
