@@ -36,7 +36,8 @@ _OPTIONS = {
     "r": ("r", float, "inradius (with --R)"),
     "t_samples": ("t_samples", int, f"sweep grid size (default {_lab.t_samples}, at most "
                                     f"{_report.MAX_T_SAMPLES})"),
-    "seed": ("seed", int, "seed for randomized property rows"),
+    "seed": ("seed", int, "seed of verify's center_equivariance_gap row, its only random "
+                          "draw (sweep and figure accept it and draw nothing at random)"),
     "out": ("output_dir", str, f"output directory (default {_lab.output_dir})"),
 }
 #: The parsed arguments a LabConfig is built from (the hidden

@@ -401,6 +401,16 @@ def _angle_gap(x: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
     return np.abs(np.where(g > period / 2, g - period, np.where(g < -period / 2, g + period, g)))
 
 
+def _singular_block(A, B, C, xp):
+    """The determinant det2 = AC - B^2 of the quadratic block [[A, B], [B, C]]
+    and whether the block is singular: |det2| at most 1e-12 (max(|A|, |C|)
+    + |B|)^2, "at most" so that a vanishing block (A = B = C = 0) is
+    singular too.  Where it is, the conic has no center to solve for."""
+    det2 = A * C - B * B
+    scale = xp.maximum(abs(A), abs(C)) + abs(B)
+    return det2, abs(det2) <= DEGENERACY_EPS * scale * scale
+
+
 def _center_solve(A, B, C, D, E, F, det2):
     """Center (cx, cy) of the quadratic block and the constant term f0 after
     translating it to the origin; arithmetic only, for floats and arrays."""
@@ -427,16 +437,19 @@ def _eigenvalues(A, B, C, xp):
 
 
 def _eigenvector(A, B, C, lam1, xp):
-    """An eigenvector (v1x, v1y) of [[A, B], [B, C]] for lam1, its norm, and
-    whether that norm vanishes against the block (a repeated eigenvalue,
-    where any direction serves).  Either of the two algebraically
-    equivalent forms can cancel to zero; this takes the larger one."""
+    """A unit eigenvector (v1x, v1y) of [[A, B], [B, C]] for lam1.  Either
+    of the two algebraically equivalent forms can cancel to zero; this
+    takes the larger one.  Where its norm vanishes against the block (a
+    repeated eigenvalue, where any direction serves) it is (1, 0), and the
+    norm divided by is 1, so that no twin divides by a zero norm."""
     n_a, n_b = xp.hypot(lam1 - C, B), xp.hypot(B, lam1 - A)
     use_a = n_a >= n_b
-    v1x, v1y = xp.where(use_a, lam1 - C, B), xp.where(use_a, B, lam1 - A)
     # The norm of the form taken: the same hypot of the same two numbers.
     n1 = xp.where(use_a, n_a, n_b)
-    return v1x, v1y, n1, n1 < DEGENERACY_EPS * xp.maximum(xp.maximum(abs(A), abs(C)), abs(B))
+    repeated = n1 < DEGENERACY_EPS * xp.maximum(xp.maximum(abs(A), abs(C)), abs(B))
+    n1 = xp.where(repeated, 1.0, n1)
+    return (xp.where(repeated, 1.0, xp.where(use_a, lam1 - C, B) / n1),
+            xp.where(repeated, 0.0, xp.where(use_a, B, lam1 - A) / n1))
 
 
 def _axes(f0, lam1, lam2, v1x, v1y, xp):
@@ -448,15 +461,29 @@ def _axes(f0, lam1, lam2, v1x, v1y, xp):
     # semi-axis^2 = -f0 / lam
     q1 = -f0 / lam1
     q2 = -f0 / lam2
-    ellipse = (q1 > 0) & (q2 > 0)
+    ellipse, hyperbola = (q1 > 0) & (q2 > 0), q1 * q2 < 0
     a1, a2 = xp.sqrt(abs(q1)), xp.sqrt(abs(q2))
     # Major (transverse) axis along v1, else along v2.
     along_v1 = xp.where(ellipse, a1 >= a2, q1 > 0)
     major, minor = xp.where(along_v1, a1, a2), xp.where(along_v1, a2, a1)
+    del q1, q2, a1, a2  # before the angle's temporaries
     angle = _wrap_half_pi(xp.arctan2(xp.where(along_v1, v1y, v1x),
                                      xp.where(along_v1, v1x, -v1y)), xp)
     circular = ellipse & (major - minor < CIRCULAR_EPS * major)
-    return ellipse, q1 * q2 < 0, major, minor, xp.where(circular, 0.0, angle)
+    return ellipse, hyperbola, major, minor, xp.where(circular, 0.0, angle)
+
+
+def _canonical(A, B, C, D, E, F, det2, xp):
+    """The canonical form of the conic of coefficients (A, B, C, D, E, F)
+    whose quadratic block, of determinant det2, is not singular
+    (``_singular_block``), which both twins of ``canonicalize`` read: its
+    center (cx, cy) from the center solve and its refinement step, then
+    ``_axes`` of the conic translated there, along the closed-form
+    eigendecomposition of the block."""
+    cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
+    lam1, lam2 = _eigenvalues(A, B, C, xp)
+    v1x, v1y = _eigenvector(A, B, C, lam1, xp)
+    return (cx, cy) + _axes(f0, lam1, lam2, v1x, v1y, xp)
 
 
 def canonicalize(conic: ConicMatrix) -> CanonicalConic:
@@ -468,76 +495,54 @@ def canonicalize(conic: ConicMatrix) -> CanonicalConic:
     when both the block and the full matrix are rank-deficient.
     """
     A, B, C, D, E, F = conic.c
-    det2 = A * C - B * B
+    det2, singular = _singular_block(A, B, C, _MATH)
     # Degeneracy and centrality are judged on singular-value ratios: a plain
     # |det| threshold under max-entry normalization would misclassify thin
     # conics far from the origin, whose determinant is legitimately tiny.
     rank3_ok = conic.rank_test > 0
-    block_scale = max(abs(A), abs(C)) + abs(B)
-    # <=, not <: a vanishing block (A = B = C = 0) is singular too.
-    if abs(det2) <= DEGENERACY_EPS * block_scale * block_scale:
+    # Before the center solve, which divides by det2.
+    if singular:
         if not rank3_ok:
             raise DegenerateConic("conic of rank < 3")
         raise NotCentral("parabolic conic has no affine center")
-
-    cx, cy, f0 = _center_solve(A, B, C, D, E, F, det2)
-    if not rank3_ok:
-        kind = ConicKind.DEGENERATE_LINES if det2 < 0 else ConicKind.EMPTY
-        return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, kind)
-
-    # Closed-form symmetric 2x2 eigendecomposition.
-    lam1, lam2 = _eigenvalues(A, B, C, _MATH)
-    v1x, v1y, n1, repeated = _eigenvector(A, B, C, lam1, _MATH)
-    v1x, v1y = (1.0, 0.0) if repeated else (v1x / n1, v1y / n1)
-    ellipse, hyperbola, major, minor, angle = _axes(f0, lam1, lam2, v1x, v1y, _MATH)
-    if not (ellipse or hyperbola):
-        # Both quotients negative: no real points.
-        return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, ConicKind.EMPTY)
-    kind = ConicKind.ELLIPSE if ellipse else ConicKind.HYPERBOLA
-    return CanonicalConic(Point(cx, cy), angle, major, minor, kind)
+    cx, cy, ellipse, hyperbola, major, minor, angle = _canonical(A, B, C, D, E, F, det2, _MATH)
+    if rank3_ok and (ellipse or hyperbola):
+        kind = ConicKind.ELLIPSE if ellipse else ConicKind.HYPERBOLA
+        return CanonicalConic(Point(cx, cy), angle, major, minor, kind)
+    # A line pair or a point, or both quotients negative: no real points.
+    kind = ConicKind.DEGENERATE_LINES if not rank3_ok and det2 < 0 else ConicKind.EMPTY
+    return CanonicalConic(Point(cx, cy), 0.0, 0.0, 0.0, kind)
 
 
 def canonicalize_batch(conic: ConicBatch, log: PassLog) -> CanonicalBatch:
     """``canonicalize`` over a stack: the same rank test (decided by
-    ``rank_test_batch``), center solve and refinement step, and closed-form
-    2x2 eigendecomposition.  The checks run over the whole stack; the rest
-    runs in blocks of at most ``_COLUMN_BLOCK`` conics (``_blocks``), each
+    ``rank_test_batch``), singular-block test and canonical form
+    (``_canonical``).  The checks run over the whole stack; the rest runs
+    in blocks of at most ``_COLUMN_BLOCK`` conics (``_blocks``), each
     written into the result, so that its temporaries stay small."""
-    A, B, C = conic.c[:3]
     rank3_ok = conic.rank_test > 0
-    det2 = A * C - B * B
-    block_scale = np.maximum(np.abs(A), np.abs(C)) + np.abs(B)
-    singular = np.abs(det2) <= DEGENERACY_EPS * block_scale * block_scale
-    del det2, block_scale
+    singular = _singular_block(*conic.c[:3], np)[1]
     log.check(singular & ~rank3_ok, DegenerateConic, "conic of rank < 3")
     log.check(singular & rank3_ok, NotCentral, "parabolic conic has no affine center")
+    del singular
 
-    n = len(A)
+    n = conic.c.shape[1]
     can = CanonicalBatch(np.empty((n, 2)), np.empty(n), np.empty(n), np.empty(n),
                          np.empty(n, bool))
     for i, j in _blocks(n, _COLUMN_BLOCK):
-        _canonical_block(conic.c[:, i:j], rank3_ok[i:j], can[i:j])
+        # det2 is made again for each block: cheaper than keeping the stack's.
+        A, B, C, D, E, F = conic.c[:, i:j]
+        cx, cy, ellipse, hyperbola, major, minor, angle = _canonical(
+            A, B, C, D, E, F, _singular_block(A, B, C, np)[0], np)
+        out, ok = can[i:j], rank3_ok[i:j]
+        out.center[:, 0], out.center[:, 1] = cx, cy
+        real = ok & (ellipse | hyperbola)
+        out.angle[...] = np.where(real, angle, 0.0)
+        out.semi_major[...] = np.where(real, major, 0.0)
+        out.semi_minor[...] = np.where(real, minor, 0.0)
+        out.hyperbola[...] = ok & hyperbola
+        del cx, cy, ellipse, hyperbola, major, minor, angle, real  # before the next block's
     return can
-
-
-def _canonical_block(c: np.ndarray, rank3_ok: np.ndarray, out: CanonicalBatch) -> None:
-    """``canonicalize_batch`` of the conics of coefficient rows ``c``, after
-    its checks, written into ``out``."""
-    A, B, C, D, E, F = c
-    cx, cy, f0 = _center_solve(A, B, C, D, E, F, A * C - B * B)
-    out.center[:, 0], out.center[:, 1] = cx, cy
-    del cx, cy
-    lam1, lam2 = _eigenvalues(A, B, C, np)
-    v1x, v1y, n1, repeated = _eigenvector(A, B, C, lam1, np)
-    v1x = np.where(repeated, 1.0, v1x / n1)
-    v1y = np.where(repeated, 0.0, v1y / n1)
-    del n1, repeated
-    ellipse, hyperbola, major, minor, angle = _axes(f0, lam1, lam2, v1x, v1y, np)
-    real = rank3_ok & (ellipse | hyperbola)
-    out.angle[...] = np.where(real, angle, 0.0)
-    out.semi_major[...] = np.where(real, major, 0.0)
-    out.semi_minor[...] = np.where(real, minor, 0.0)
-    out.hyperbola[...] = rank3_ok & hyperbola
 
 
 def _focal_step(major, minor, angle, hyperbola, xp):

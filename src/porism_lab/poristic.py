@@ -291,13 +291,20 @@ def i3x_implicit_matrix_batch(cfg: PoristicConfig, ts: np.ndarray) -> ConicBatch
     return ConicBatch(_normalized(np.array(np.broadcast_arrays(*_i3x_coeffs(cfg, ts, np)))))
 
 
+def _not_equilateral(cfg: PoristicConfig, what: str) -> None:
+    """Raise AxisAtInfinity("equilateral family: <what>") if the family is
+    equilateral (d < 1e-12 R): its antiorthic axis is at infinity and its
+    X9 stationary, so neither has a line or circle to return."""
+    if cfg.d < 1e-12 * cfg.R:
+        raise AxisAtInfinity(f"equilateral family: {what}")
+
+
 def antiorthic_axis(cfg: PoristicConfig) -> Line:
     """Stationary antiorthic axis: the vertical line
     x = (3R^2 + d^2) / (2d) in the canonical frame (the familiar
     (3R^2 - d^2)/(2d) value is the same line seen from the X3 origin)."""
+    _not_equilateral(cfg, "antiorthic axis at infinity")
     R, d = cfg.R, cfg.d
-    if d < 1e-12 * R:
-        raise AxisAtInfinity("equilateral family: antiorthic axis at infinity")
     return Line(1.0, 0.0, -(3 * R * R + d * d) / (2 * d))
 
 
@@ -305,9 +312,8 @@ def weaver_circles(cfg: PoristicConfig) -> tuple[Circle, Circle]:
     """The two equal-power circles, both centered at (d - R, 0): the first
     shares its power against the antiorthic axis with the incircle, the
     second with the circumcircle (and with the excentral circle)."""
+    _not_equilateral(cfg, "antiorthic axis at infinity")
     R, d = cfg.R, cfg.d
-    if d < 1e-12 * R:
-        raise AxisAtInfinity("equilateral family: antiorthic axis at infinity")
     center = Point(d - R, 0.0)
     r_inc = ((d + R) / (2 * R)) * math.sqrt((3 * R - d) * (4 * R * R - R * d - d * d) / d)
     r_circ = math.sqrt((3 * R - d) * (d + R) * R / d)
@@ -317,9 +323,8 @@ def weaver_circles(cfg: PoristicConfig) -> tuple[Circle, Circle]:
 def mittenpunkt_locus_circle(cfg: PoristicConfig) -> Circle:
     """Circle traced by X9: center (d(3R^2 + d^2)/(9R^2 - d^2) + d, 0),
     radius 4Rd^2/(9R^2 - d^2)."""
+    _not_equilateral(cfg, "X9 is stationary")
     R, d = cfg.R, cfg.d
-    if d < 1e-12 * R:
-        raise AxisAtInfinity("equilateral family: X9 is stationary")
     den = 9 * R * R - d * d
     return Circle(Point(d * (3 * R * R + d * d) / den + d, 0.0), 4 * R * d * d / den)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,10 @@ from porism_lab.poristic import config_from_rR, excentral_side_lines, i3x_implic
 from porism_lab.rank import rank_test_batch, singular_values_batch
 
 UNIT_CIRCLE = ConicMatrix.from_coeffs(1, 0, 1, 0, 0, -1)
+# A coefficient of a normalized row: 0 or of magnitude in [1e-30, 1], so
+# that where the quadratic block is not singular, neither the center nor
+# the product of the squared semi-axes overflows.
+_COEFF = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) >= 1e-30 else 0.0)
 
 
 class TestConicEval:
@@ -127,6 +132,50 @@ class TestCanonicalize:
     def test_empty_conic(self):
         can = canonicalize(ConicMatrix.from_coeffs(1, 0, 1, 0, 0, 1))
         assert can.kind is ConicKind.EMPTY
+
+    def test_circle_in_the_batch_without_a_warning(self):
+        """A stack that holds the unit circle, whose eigenvector norm is 0,
+        canonicalizes outside any errstate with no floating-point warning,
+        to the semi-axes (1, 1) that the scalar twin gives."""
+        stack = ConicBatch(np.array([[1.0, 0.0, 1.0, 0.0, 0.0, -1.0],
+                                     [0.25, 0.0, 1.0, 0.0, 0.0, -1.0]]).T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            can = canonicalize_batch(stack, PassLog([0.0, 1.0]))
+        assert (can.semi_major[0], can.semi_minor[0], can.angle[0]) == (1.0, 1.0, 0.0)
+        want = canonicalize(UNIT_CIRCLE)
+        assert (want.semi_major, want.semi_minor, want.angle) == (1.0, 1.0, 0.0)
+
+    @given(st.one_of(st.tuples(*[st.integers(-2, 2)] * 6), st.tuples(*[_COEFF] * 6)))
+    @example((1, 0, 1, 0, 0, -1))  # a circle
+    @example((1, 0, 0, 0, -1, 0))  # a parabola
+    @example((0, 1, 0, 0, 0, 0))  # a line pair
+    @example((1, 0, 1, 0, 0, 1))  # empty
+    @settings(max_examples=400, deadline=None)
+    def test_twins_decide_alike(self, coeffs):
+        """On a normalized coefficient row, both twins raise the same class,
+        or make the same decisions (``hyperbola``, and zero semi-axes where
+        the scalar kind is neither ellipse nor hyperbola) and give values
+        within 1e-14 of the largest component, the angle modulo pi."""
+        if not any(coeffs):
+            return
+        conic = ConicMatrix.from_coeffs(*coeffs)
+        stack = ConicBatch(np.array(conic.c)[:, None])
+        try:
+            want = canonicalize(conic)
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                canonicalize_batch(stack, PassLog([0.0]))
+            return
+        got = canonicalize_batch(stack, PassLog([0.0]))[0]
+        assert got.hyperbola == (want.kind is ConicKind.HYPERBOLA)
+        if want.kind not in (ConicKind.ELLIPSE, ConicKind.HYPERBOLA):
+            assert got.semi_major == got.semi_minor == 0.0
+        values = (want.center.x, want.center.y, want.semi_major, want.semi_minor, want.angle)
+        bound = 1e-14 * max(map(abs, values))
+        assert abs(math.remainder(got.angle - want.angle, math.pi)) <= bound
+        for g, w in zip((*got.center, got.semi_major, got.semi_minor), values):
+            assert abs(g - w) <= bound, (g, w)
 
 
 class TestTangency:

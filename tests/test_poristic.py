@@ -10,8 +10,11 @@ from porism_lab.conics import inconic_from_tangents
 from porism_lab.errors import AxisAtInfinity, GeometryError, InvalidRatio
 from porism_lab.geom import (
     _MATH,
+    ConicMatrix,
     Point,
+    _canonical,
     _focal_step,
+    _singular_block,
     _unit_line,
     canonicalize,
     conic_eval,
@@ -369,9 +372,10 @@ class TestObtuseness:
 def test_float_cores_match_50_digits(mp_math, rho, R):
     """Each core of the closed forms, evaluated in floats (``geom._MATH``),
     against the same core in 50-digit mpmath on the same R and r, with d
-    from them in mpmath; and the line and focus cores of ``geom`` on float
-    inputs.  The forward error of every result (a point, a line, a conic,
-    a number) is at most 1e-12 of its largest component."""
+    from them in mpmath; the line and focus cores of ``geom`` on float
+    inputs; and the canonical-form core of ``geom`` on the I3x coefficients
+    of each side.  The forward error of every result (a point, a line, a
+    conic, a number) is at most 1e-12 of its largest component."""
     mpf = pytest.importorskip("mpmath").mpf
     cfg = config_from_rR(R, rho * R)
     mp_R, mp_r = mpf(cfg.R), mpf(cfg.r)
@@ -402,6 +406,19 @@ def test_float_cores_match_50_digits(mp_math, rho, R):
         for hyperbola in (False, True):
             check(("_focal_step", hyperbola, t), _focal_step(*axes, hyperbola, _MATH),
                   _focal_step(*map(mpf, axes), hyperbola, mp_math))
+        # The canonical form of I3x, its coefficients normalized as
+        # ConicMatrix normalizes them, where its float block is not singular
+        # (at R = 1e100 it underflows to det2 = 0).  Not at rho = 0.005,
+        # where it reads 3.3e-12: I3x's axis ratio of about 400 puts it on
+        # the eps q^2 floor of the float conic (ROADMAP item 11).
+        coeffs = ConicMatrix.from_coeffs(*_i3x_coeffs(cfg, t, _MATH)).c
+        det2, singular = _singular_block(*coeffs[:3], _MATH)
+        if not singular and rho != 0.005:
+            exact = _i3x_coeffs(mp_cfg, mpf(t), mp_math)
+            top = max(map(abs, exact))
+            exact = [c / top for c in exact]
+            check(("_canonical", t), _canonical(*coeffs, det2, _MATH),
+                  _canonical(*exact, _singular_block(*exact[:3], mp_math)[0], mp_math))
     assert not failed
 
 

@@ -1,9 +1,10 @@
 """The tools: ``tools/outcome_scan.py --compare`` on synthetic scan lines
 (what it calls a difference, what only moved by rounding, and its exit
-code), the whole scan against its pinned content (``--check``), the line
-and token counter ``tools/code_lines.py``, the paired timer
-``tools/ab.py`` run on this tree against itself and against a changed
-copy, and the stage table ``tools/stage_times.py`` in its three modes."""
+code), ``--compare`` and ``--check`` under ``-X dev``, the whole scan
+against its pinned content (``--check``), the line and token counter
+``tools/code_lines.py``, the paired timer ``tools/ab.py`` run on this
+tree against itself and against a changed copy, and the stage table
+``tools/stage_times.py`` in its three modes."""
 
 import copy
 import importlib.util
@@ -149,6 +150,19 @@ def test_compare_exit_code(tmp_path, capsys):
     after[0]["verify"]["rows"][0][1] = "fail"
     paths[1].write_text("".join(json.dumps(line) + "\n" for line in after))
     assert outcome_scan.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+
+
+def test_compare_and_check_close_the_files_they_read(tmp_path):
+    """``--compare`` and ``--check`` under ``python -X dev``, which warns of
+    every file left open, print no ResourceWarning."""
+    scan, pin = tmp_path / "scan.jsonl", tmp_path / "pin.json"
+    scan.write_text("".join(json.dumps(line) + "\n" for line in _scans()[0]))
+    pin.write_text(outcome_scan.pinned_text(outcome_scan.pinned(_scans()[0])))
+    for args in (["--compare", scan, scan], ["--check", pin, scan]):
+        run = subprocess.run([sys.executable, "-X", "dev", str(ROOT / "tools" / "outcome_scan.py"),
+                              *map(str, args)], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "ResourceWarning" not in run.stderr, run.stderr
 
 
 PINNED = ROOT / "tests" / "outcome_scan.json"

@@ -53,6 +53,7 @@ import hashlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -160,7 +161,7 @@ def _scalar_values(cfg) -> list[float]:
 
 def _read(path: str) -> list[dict]:
     """The lines of a scan file."""
-    return [json.loads(line) for line in open(path)]
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 def _same(a, b) -> bool:
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
         return 0
     if args.check:
         scan = _read(args.check[1])
-        found = check(json.load(open(args.check[0])), scan)
+        found = check(json.loads(Path(args.check[0]).read_text()), scan)
         for line in found:
             print(line)
         print(f"{len(scan)} configs: {len(found)} differences from the pinned scan")
