@@ -54,7 +54,16 @@ class _MATH:
 
     cos, sin, sqrt, hypot = math.cos, math.sin, math.sqrt, math.hypot
     arccos, arctan2, fmod = math.acos, math.atan2, math.fmod
-    maximum, minimum = max, min
+
+    # The objects builtin max and min return for two floats, NaN and signed
+    # zeros included, at a fraction of their call's cost.
+    @staticmethod
+    def maximum(x, y):
+        return y if y > x else x
+
+    @staticmethod
+    def minimum(x, y):
+        return y if y < x else x
 
     @staticmethod
     def where(c, x, y):
@@ -461,7 +470,9 @@ def _axes(f0, lam1, lam2, v1x, v1y, xp):
     # semi-axis^2 = -f0 / lam
     q1 = -f0 / lam1
     q2 = -f0 / lam2
-    ellipse, hyperbola = (q1 > 0) & (q2 > 0), q1 * q2 < 0
+    # Signs, not the product q1 q2, which overflows or underflows.
+    ellipse = (q1 > 0) & (q2 > 0)
+    hyperbola = ((q1 > 0) & (q2 < 0)) | ((q1 < 0) & (q2 > 0))
     a1, a2 = xp.sqrt(abs(q1)), xp.sqrt(abs(q2))
     # Major (transverse) axis along v1, else along v2.
     along_v1 = xp.where(ellipse, a1 >= a2, q1 > 0)

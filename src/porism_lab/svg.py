@@ -1,14 +1,29 @@
 """Minimal deterministic SVG 1.1 writer.
 
-Every coordinate is formatted with one ``%.4f``, the same string as
-``f"{v:.4f}"``, after -0.0 is normalized to 0.0, so identical scenes
-serialize to identical bytes; the y-axis is flipped so mathematical
-coordinates render upright.  A polyline takes an (n, 2) array or a list of
-pairs and formats all of its points in one call.  Circles are unfilled,
-dots have a radius of 3 pixels and curves are sampled at ``_SEGMENTS``
-segments per branch, from angle tables that ``math`` computes (numpy's
-``cos`` may differ in the last bit between CPUs), with every elementwise
-step in the order of the float formula.
+Every coordinate prints as ``%.4f``, the same string as ``f"{v:.4f}"``,
+after -0.0 is normalized to 0.0, so identical scenes serialize to identical
+bytes; the y-axis is flipped so mathematical coordinates render upright.
+Circles are unfilled, dots have a radius of 3 pixels and curves are sampled
+at ``_SEGMENTS`` segments per branch, from angle tables that ``math``
+computes (numpy's ``cos`` may differ in the last bit between CPUs), with
+every elementwise step in the order of the float formula.
+
+A polyline takes an (n, 2) array or a list of pairs and keeps its pixel
+coordinates; ``render`` prints the coordinates of every polyline of the
+canvas in one numpy pass.  ``%.4f`` rounds the exact binary value v times
+10^4 to an integer k, half to even, and prints k / 10^4.  Let p be the
+float product v * 1e4.  Where every |p| < 10^12 - 1/2 (so k has at most
+twelve digits; a NaN or an infinity fails) and no p is a half-integer,
+k = rint(|p|): below 2^52 every half-integer is a float and rounding is
+monotonic, so a p that is not a half-integer lies strictly between the
+same two neighbouring half-integers as the exact product, whose nearest
+integer is then p's.  (An exact product that is a half-integer is a
+float, so p is that tie.)  The test p - floor(p) == 0.5 finds every
+half-integer p, whose difference is the float 0.5 itself.  The digits of
+k are gathered from three tables of 4-byte groups (``_groups``) into one
+fixed-width record per number, whose NULs are then dropped.  A canvas
+with any other coordinate, or a tie, prints each polyline with ``%``
+instead, one call per polyline.
 """
 
 from __future__ import annotations
@@ -41,6 +56,56 @@ def _fmt(v: float) -> str:
     return "%.4f" % (v + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
+# One printed number: an optional "-", the integer part's high and low four
+# digits, "." and four fraction digits, then "," or " " or, after the last
+# number of a polyline, _END; absent characters are NUL.
+_RECORD = np.dtype([("sign", "u1"), ("high", "u4"), ("low", "u4"), ("dot", "u1"),
+                    ("frac", "u4"), ("sep", "u1")])
+_END = ord(";")
+_LIMIT = 1e12 - 0.5
+
+
+@functools.cache
+def _groups() -> np.ndarray:
+    """The 4-byte digit groups of 0..9999, as uint32 rows: the low group of
+    an integer part below 10^4 (leading zeros NUL, the units digit kept),
+    the zero-padded group, and the high group (leading zeros NUL, all NUL
+    for 0)."""
+    i = np.arange(10 ** 4, dtype=np.uint16)[:, None]
+    digits = (i // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+    low = np.where(i < np.array([1000, 100, 10, 0], dtype=np.uint16), 0, digits)
+    high = np.where(i < np.array([1000, 100, 10, 1], dtype=np.uint16), 0, digits)
+    groups = np.stack([low, digits, high]).view(np.uint32)[..., 0]
+    groups.flags.writeable = False
+    return groups
+
+
+def _exact_points(flats: list[np.ndarray]) -> list[str] | None:
+    """The points attribute of each flat coordinate array, every ``%.4f``
+    printed in one pass (see the module docstring), or None where the pass
+    does not apply."""
+    v = np.concatenate(flats)
+    with np.errstate(over="ignore"):
+        p = v * 1e4
+    if not (abs(p) < _LIMIT).all() or (p - np.floor(p) == 0.5).any():
+        return None
+    whole, frac = np.divmod(np.rint(abs(p)).astype(np.int64), 10 ** 4)
+    high, low = np.divmod(whole, 10 ** 4)
+    groups = _groups()
+    rec = np.empty(len(v), _RECORD)
+    rec["sign"] = (v < 0) * ord("-")
+    rec["high"] = groups[2, high]
+    rec["low"] = groups[np.minimum(high, 1), low]
+    rec["dot"] = ord(".")
+    rec["frac"] = groups[1, frac]
+    sep = rec["sep"]
+    sep[0::2], sep[1::2] = ord(","), ord(" ")
+    sizes = np.array([len(flat) for flat in flats])
+    sep[np.cumsum(sizes)[sizes > 0] - 1] = _END
+    texts = iter(rec.tobytes().translate(None, b"\0").decode().split(chr(_END)))
+    return [next(texts) if len(flat) else "" for flat in flats]
+
+
 class SvgCanvas:
     """Collects shapes in math coordinates, then renders a self-contained
     SVG with a computed viewBox.
@@ -54,10 +119,10 @@ class SvgCanvas:
     def __init__(self, scale: float = 120.0, pad: float = 0.35):
         self.scale = scale
         self.pad = pad
-        self.elements: list[str] = []
+        self._elements: list[str] = []  # a polyline's lacks its tag and points
+        self._polylines: list = []  # each polyline's element index, tag and flat coordinates
         self._seen: list = []  # each shape's (x, y) points, in draw order
         self._flip = np.array([scale, -scale])
-        self._formats: dict[int, str] = {}  # the points format by point count
 
     def _pt(self, x: float, y: float) -> tuple[float, float]:
         return x * self.scale, -y * self.scale
@@ -66,7 +131,7 @@ class SvgCanvas:
         self._seen.append(((cx - r, cy - r), (cx + r, cy + r)))
         x, y = self._pt(cx, cy)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self.elements.append(
+        self._elements.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * self.scale)}" '
             f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
 
@@ -74,31 +139,36 @@ class SvgCanvas:
         """Open (or, with ``close``, closed) path through ``pts``, an (n, 2)
         array or a list of (x, y) pairs."""
         xy = np.asarray(pts, dtype=float).reshape(-1, 2)
-        n = len(xy)
-        if n:
+        if len(xy):
             self._seen.append(xy)
         with np.errstate(over="ignore", invalid="ignore"):
             # + 0.0 turns -0.0 into 0.0, as _fmt does.
-            flat = (xy * self._flip + 0.0).ravel().tolist()
-        if n not in self._formats:
-            self._formats[n] = " ".join(["%.4f,%.4f"] * n)
-        coords = self._formats[n] % tuple(flat)
+            flat = (xy * self._flip + 0.0).ravel()
         tag = "polygon" if close else "polyline"
+        self._polylines.append((len(self._elements), tag, flat))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self.elements.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"{dash_attr}/>')
+        self._elements.append(
+            f'" fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"{dash_attr}/>')
+
+    def _points(self) -> list[str]:
+        """Each polyline's points attribute, in draw order."""
+        flats = [flat for _, _, flat in self._polylines]
+        texts = _exact_points(flats) if flats else []
+        if texts is None:
+            texts = [" ".join(["%.4f,%.4f"] * (len(flat) // 2)) % tuple(flat.tolist())
+                     for flat in flats]
+        return texts
 
     def dot(self, x, y, color="#000000"):
         self._seen.append(((x, y),))
         px, py = self._pt(x, y)
-        self.elements.append(
+        self._elements.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.0000" fill="{color}"/>')
 
     def label(self, x, y, text, color="#000000", size=14, dx=6.0, dy=-6.0):
         self._seen.append(((x, y),))
         px, py = self._pt(x, y)
-        self.elements.append(
+        self._elements.append(
             f'<text x="{_fmt(px + dx)}" y="{_fmt(py + dy)}" font-size="{size}" '
             f'font-family="sans-serif" fill="{color}">{text}</text>')
 
@@ -122,7 +192,10 @@ class SvgCanvas:
             f"<title>{title}</title>\n"
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="#ffffff"/>\n'
         )
-        return head + "\n".join(self.elements) + "\n</svg>\n"
+        elements = self._elements.copy()
+        for (i, tag, _), points in zip(self._polylines, self._points()):
+            elements[i] = f'<{tag} points="{points}{elements[i]}'
+        return head + "\n".join(elements) + "\n</svg>\n"
 
 
 def ellipse_polyline(cx: float, cy: float, a: float, b: float,

@@ -146,6 +146,18 @@ class TestCanonicalize:
         want = canonicalize(UNIT_CIRCLE)
         assert (want.semi_major, want.semi_minor, want.angle) == (1.0, 1.0, 0.0)
 
+    def test_huge_semi_axes_in_the_batch_without_a_warning(self):
+        """A normalized row whose squared semi-axes are near 1e200, where
+        their product overflows, canonicalizes outside any errstate with no
+        floating-point warning and decides as the scalar twin does."""
+        conic = ConicMatrix.from_coeffs(0.0, 1.6e-99, 0.0, 1.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = canonicalize_batch(ConicBatch(np.array(conic.c)[:, None]), PassLog([0.0]))[0]
+        want = canonicalize(conic)
+        assert got.hyperbola == (want.kind is ConicKind.HYPERBOLA)
+        assert got.semi_major == got.semi_minor == want.semi_major == want.semi_minor == 0.0
+
     @given(st.one_of(st.tuples(*[st.integers(-2, 2)] * 6), st.tuples(*[_COEFF] * 6)))
     @example((1, 0, 1, 0, 0, -1))  # a circle
     @example((1, 0, 0, 0, -1, 0))  # a parabola
@@ -267,6 +279,19 @@ class TestFociTwins:
         _assert_twins_agree((f1.x, f1.y, f2.x, f2.y), np.concatenate([g1[0], g2[0]]),
                             [(major, minor)] if hyperbola else [], angle,
                             abs(x) + abs(y) + major + minor)
+
+
+@given(st.floats() | st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf]),
+       st.floats() | st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf]))
+@example(0.0, -0.0)
+@example(-0.0, 0.0)
+@example(math.nan, 1.0)
+@example(1.0, math.nan)
+def test_scalar_extremes_are_the_builtins(x, y):
+    """The scalar namespace's maximum and minimum return the very object
+    builtin max and min return, for NaN and signed zeros too."""
+    assert geom._MATH.maximum(x, y) is max(x, y)
+    assert geom._MATH.minimum(x, y) is min(x, y)
 
 
 # Nonzero floats of moderate size, so that no division of the line core

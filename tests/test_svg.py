@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from porism_lab.cli import main
+from porism_lab.errors import GeometryError
 from porism_lab.figures import FIGURE_IDS, _cb_plots, render_figure
 from porism_lab.report import LabConfig
 from porism_lab.svg import _SEGMENTS, SvgCanvas, ellipse_polyline, hyperbola_polylines
@@ -45,7 +46,8 @@ def _oracle_points(pts, scale):
 
 
 def _points(canvas):
-    return re.search(r' points="([^"]*)"', canvas.elements[-1]).group(1)
+    """The points attribute of each polyline of the rendered canvas."""
+    return re.findall(r' points="([^"]*)"', canvas.render("t"))
 
 
 # Finite floats of every magnitude, and the values the format rule is about:
@@ -65,7 +67,7 @@ _SCALE = st.one_of(st.sampled_from([1.0, 80.0, 90.0, 120.0]), st.floats(1e-3, 1e
 def test_polyline_matches_per_point_oracle(pts, scale):
     canvas = SvgCanvas(scale=scale)
     canvas.polyline(np.array(pts))
-    assert _points(canvas) == _oracle_points(pts, scale)
+    assert _points(canvas) == [_oracle_points(pts, scale)]
 
 
 @given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
@@ -75,14 +77,15 @@ def test_pairs_and_array_render_the_same_bytes(pts, close, dash):
     as_pairs, as_array = SvgCanvas(), SvgCanvas()
     as_pairs.polyline(pts, stroke="#202020", width=1.2, dash=dash, close=close)
     as_array.polyline(np.array(pts), stroke="#202020", width=1.2, dash=dash, close=close)
-    assert as_array.elements == as_pairs.elements
-    assert as_array.render("t") == as_pairs.render("t")  # the same viewBox
+    assert as_array.render("t") == as_pairs.render("t")
 
 
 def _old_render(canvas, seen, title):
     """The bytes ``render`` gave when the canvas kept every coordinate in two
     lists, in draw order, and took the viewBox from builtin ``min`` and
-    ``max`` over them: kept as the oracle of the extents found at render."""
+    ``max`` over them: kept as the oracle of the extents found at render,
+    with the elements read from the rendered text after its four head lines."""
+    elements = canvas.render(title).split("\n", 4)[4]
     xs, ys = [x for x, _ in seen] or [0.0, 1.0], [y for _, y in seen] or [0.0, 1.0]
     pad = canvas.pad * canvas.scale
     x0 = min(xs) * canvas.scale - pad
@@ -96,7 +99,69 @@ def _old_render(canvas, seen, title):
             f'viewBox="{box}" width="{_fmt(w)}" height="{_fmt(h)}">\n'
             f"<title>{title}</title>\n"
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            'fill="#ffffff"/>\n' + "\n".join(canvas.elements) + "\n</svg>\n")
+            'fill="#ffffff"/>\n' + elements)
+
+
+# The canvases of several polylines.  Values below 1e4, at scales up to
+# 1e3, print through the exact pass unless one is a tie; ties where the
+# scale is 1 and values on both sides of 1e8 send the whole canvas to the
+# ``%`` path, as does a NaN or infinite coordinate in one polyline.
+_SMALL = st.one_of(st.floats(-1e4, 1e4), st.sampled_from(
+    [0.0, -0.0, -1e-9, -4.9e-5, 5e-5, 0.03125 + 1e-12, 1.00005, 9999.99996]))
+_FINITE = st.one_of(_SMALL, st.floats(-2e8, 2e8), _TIE, st.sampled_from(
+    [0.03125, -0.03125, 99999999.99994, 99999999.99995, np.nextafter(1e8, 0), 1e8, -1e8,
+     1.5e8]))
+_LINES = st.one_of(*(st.lists(st.lists(st.tuples(c, c), max_size=6), min_size=1, max_size=5)
+                     for c in (_SMALL, _FINITE)))
+
+
+@given(_LINES, st.sampled_from([None, (math.nan, 0.0), (1.0, -math.inf)]), st.integers(0, 4),
+       _SCALE)
+@example([[(1.0, -2.0)], [], [(0.5, 99999999.99994), (-4.9e-5, 3.0)]], None, 0, 1.0)
+@example([[(0.03125, 1.0)], [(2.0, 3.0)]], None, 0, 1.0)  # a tie: the % path
+@example([[(1.0, 2.0)], [(3.0, 4.0)]], (math.nan, 0.0), 1, 120.0)
+@example([[], []], None, 0, 90.0)
+@settings(max_examples=200, deadline=None)
+def test_canvas_of_polylines_matches_per_point_oracle(lines, bad, at, scale):
+    if bad is not None:
+        lines = [*lines[:at], [bad], *lines[at:]]
+    canvas = SvgCanvas(scale=scale)
+    for pts in lines:
+        canvas.polyline(np.array(pts).reshape(-1, 2))
+    assert _points(canvas) == [_oracle_points(pts, scale) for pts in lines]
+
+
+def _scan_labs():
+    """``LabConfig()`` and the pinned scan's configurations with R in
+    [1e-3, 1e3]."""
+    return [LabConfig(), *(_lab(c) for c in SCANNED if 1e-3 <= c["R"] <= 1e3)]
+
+
+def test_figures_print_through_the_exact_pass(monkeypatch):
+    # The % path prints the same bytes, so only a spy sees a figure that
+    # falls back to it.
+    from porism_lab import svg
+
+    exact, passes = svg._exact_points, []
+
+    def spy(flats):
+        texts = exact(flats)
+        passes.append(texts is not None)
+        return texts
+
+    monkeypatch.setattr(svg, "_exact_points", spy)
+    for lab in _scan_labs():
+        for figure_id in FIGURE_IDS:
+            passes.clear()
+            try:
+                render_figure(figure_id, lab)
+            except GeometryError:
+                continue
+            cached = figure_id == "cb-plots" and not passes
+            assert cached or passes == [True], (figure_id, lab)
+    passes.clear()
+    _cb_plots.__wrapped__()
+    assert passes == [True]
 
 
 _PAIRS = st.lists(st.tuples(_COORD, _COORD), max_size=6)

@@ -13,6 +13,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +305,8 @@ def test_stage_times_member_prints_every_part_and_each_figure(capsys):
     assert stage_times.main(["--member", "--runs", "1"]) == 0
     *lines, ranks, raised = capsys.readouterr().out.splitlines()
     figures = [f"figure:{i}" for i in FIGURE_IDS]
-    assert [line.split()[0] for line in lines] == [*stage_times.MEMBER_PARTS, *figures, "op"]
+    assert [line.split()[0] for line in lines] == [*stage_times.MEMBER_PARTS, *figures, "svg",
+                                                   "op"]
     assert all(line.split()[2] == "ms" and float(line.split()[1]) >= 0.0 for line in lines)
     head, counts = ranks.split(": ")
     assert head == "rank tests per op (median)"
@@ -335,12 +337,39 @@ def test_rank_counts_count_each_decision_once():
     assert (rank._certified_full, rank._rank_decision) == before
 
 
+def test_svg_time_sums_each_canvas_call_once():
+    """``SvgTime`` sums the time of every timed ``SvgCanvas`` call, and puts
+    the class's methods back."""
+    from porism_lab import svg
+
+    before = {name: vars(svg.SvgCanvas)[name] for name in stage_times.SvgTime.METHODS}
+    clock, canvas = stage_times.SvgTime(), svg.SvgCanvas()
+    clock.install(svg)
+    try:
+        start = time.perf_counter()
+        canvas.polyline([(0.0, 0.0), (1.0, 1.0)])
+        canvas.circle(0.0, 0.0, 1.0)
+        canvas.dot(0.5, 0.5)
+        canvas.label(0.5, 0.5, "P")
+        canvas.render("t")
+        outside = time.perf_counter() - start
+        inside = clock.take()
+        assert 0.0 < inside <= outside
+        assert clock.take() == 0.0
+    finally:
+        clock.restore()
+    assert {name: vars(svg.SvgCanvas)[name] for name in stage_times.SvgTime.METHODS} == before
+
+
 def test_stage_times_member_json(capsys):
     assert stage_times.main(["--member", "--runs", "1", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["runs"], out["seed"], out["raised"]) == (1, stage_times.MEMBER_SEED, 0)
     assert list(out["median_ms"]) == [*stage_times.MEMBER_PARTS,
-                                      *(f"figure:{i}" for i in FIGURE_IDS)]
+                                      *(f"figure:{i}" for i in FIGURE_IDS), "svg"]
+    # The time inside the canvas is a share of its figure's.
+    assert 0.0 < out["median_ms"]["svg"] < max(out["median_ms"][f"figure:{i}"]
+                                               for i in FIGURE_IDS)
     assert out["op_ms"] > 0.0 and out["op_mean_ms"] > 0.0
     assert list(out["rank_tests"]) == list(stage_times.RankCounts.KINDS)
     # Every member op's conics are well conditioned: the tier decides.

@@ -45,9 +45,11 @@ conics with ``canonicalize``), ``centers`` (every supported center),
 ``billiard`` (the normalized member, the billiard's semi-axes and the
 reflection-law residual), and the op's figure.  It prints the median
 milliseconds of each of the first four parts over all ops, of each figure
-over the ops that render it (``figure:<id>``), and of the op totals
-(``op``, with their mean).  An op that raises a ``GeometryError`` is left
-out of every median and counted on the last line.  The warm-up renders
+over the ops that render it (``figure:<id>``), of the time each op spends
+inside the ``SvgCanvas`` methods (``svg``, a share of its figure's;
+``SvgTime``), and of the op totals (``op``, with their mean).  An op that
+raises a ``GeometryError`` is left out of every median and counted on the
+last line.  The warm-up renders
 every figure once, so the ``cb-plots`` row is the cost of a render after
 its scene is built.  Before that line it prints the median number of rank
 tests per op (``RankCounts``, counted in a second, untimed pass over the
@@ -163,6 +165,41 @@ class RankCounts:
         return counts
 
 
+class SvgTime:
+    """Seconds spent inside the ``SvgCanvas`` methods of ``METHODS``,
+    summed since the last take.  While installed, it times them through
+    wrappers on the class of the package's ``svg`` module."""
+
+    METHODS = ("polyline", "circle", "dot", "label", "render")
+
+    def __init__(self):
+        self.seconds = 0.0
+
+    def install(self, svg) -> None:
+        self.canvas = svg.SvgCanvas
+        self.methods = {name: vars(self.canvas)[name] for name in self.METHODS}
+        for name, method in self.methods.items():
+            setattr(self.canvas, name, self._timed(method))
+
+    def _timed(self, method):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - start
+        return call
+
+    def restore(self) -> None:
+        for name, method in self.methods.items():
+            setattr(self.canvas, name, method)
+
+    def take(self) -> float:
+        """The seconds since the last take, which it resets."""
+        seconds, self.seconds = self.seconds, 0.0
+        return seconds
+
+
 #: The call of ``workloads.member_call`` with which each part of a
 #: ``member-scalar`` op after ``sample`` begins, by module; the figure's
 #: part runs to the op's end.
@@ -189,11 +226,12 @@ def member_times(runs: int) -> tuple[dict[str, float], list[float], int, dict[st
     """Median milliseconds of each part of the ``member-scalar`` ops of
     ``runs`` seeded rounds, the op totals in milliseconds, the number of
     ops that raised (left out), and the median number of rank tests per op
-    of each kind of ``RankCounts``.  Each op is the benchmark's own
+    of each kind of ``RankCounts``.  The ``svg`` part, summed by
+    ``SvgTime``, is a share of the figure's.  Each op is the benchmark's own
     ``workloads.member_call``, whose modules are replaced, in this tool's
     copy of ``perfbench/workloads.py``, by copies in which the calls of
     ``MEMBER_STARTS`` begin their part on the op's ``Laps``."""
-    from porism_lab import rank
+    from porism_lab import rank, svg
     from porism_lab.errors import GeometryError
 
     spec = importlib.util.spec_from_file_location("member_workloads", WORKLOADS)
@@ -213,26 +251,33 @@ def member_times(runs: int) -> tuple[dict[str, float], list[float], int, dict[st
                 types.SimpleNamespace(**{**vars(real), name: lapped(getattr(real, name), part)}))
     rng = np.random.default_rng(MEMBER_SEED)
     ids = workloads.figures.FIGURE_IDS
-    parts = {part: [] for part in (*MEMBER_PARTS, *(f"figure:{i}" for i in ids))}
+    parts = {part: [] for part in (*MEMBER_PARTS, *(f"figure:{i}" for i in ids), "svg")}
     totals, raised, timed = [], 0, []
-    for round_index in range(runs + 1):
-        for op in workloads.member_round(rng):
-            laps.start()
-            raw = workloads.member_call(op)
-            laps.begin("end")
-            if isinstance(raw, GeometryError):
-                raised += round_index > 0
-                continue
-            if isinstance(raw, Exception):
-                raise raw
-            if round_index == 0:  # the warm-up round
-                continue
-            times = laps.seconds
-            times[f"figure:{op[3]}"] = times.pop("figure")
-            for part, seconds in times.items():
-                parts[part].append(seconds)
-            totals.append(1e3 * sum(times.values()))
-            timed.append(op)
+    canvas = SvgTime()
+    canvas.install(svg)
+    try:
+        for round_index in range(runs + 1):
+            for op in workloads.member_round(rng):
+                canvas.take()
+                laps.start()
+                raw = workloads.member_call(op)
+                laps.begin("end")
+                if isinstance(raw, GeometryError):
+                    raised += round_index > 0
+                    continue
+                if isinstance(raw, Exception):
+                    raise raw
+                if round_index == 0:  # the warm-up round
+                    continue
+                times = laps.seconds
+                times[f"figure:{op[3]}"] = times.pop("figure")
+                for part, seconds in times.items():
+                    parts[part].append(seconds)
+                parts["svg"].append(canvas.take())
+                totals.append(1e3 * sum(times.values()))
+                timed.append(op)
+    finally:
+        canvas.restore()
     ms = {part: 1e3 * statistics.median(v) if v else float("nan") for part, v in parts.items()}
     # The rank tests are counted in a second, untimed pass over the timed
     # ops, so that the counting adds nothing to their times.
