@@ -153,20 +153,24 @@ def _cmd_verify(lab: _report.LabConfig) -> int:
 
 def _cmd_sweep(lab: _report.LabConfig, quantities_arg: str) -> int:
     names = [q for q in (s.strip() for s in quantities_arg.split(",")) if q]
+    if names:
+        header, table, held, skips = _report.sweep_arrays(lab, names)
+        text = _report.format_csv(header, table, held)
+    else:
+        text, skips = _report.format_csv(["t"], []), []
     out = Path(lab.output_dir)
-    if not names:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.csv").write_text("t\n")
-        print(f"empty quantity list: header-only CSV at {out / 'sweep.csv'}")
-        return 0
-    header, rows, skips = _report.run_sweep(lab, names)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(_report.format_csv(header, rows))
+    (out / "sweep.csv").write_text(text)
+    log = out / "sweep_skips.txt"
     if skips:
-        lines = [f"t={entry['t']:.17g}: {entry['reason']}" for entry in skips]
-        (out / "sweep_skips.txt").write_text("\n".join(lines) + "\n")
-    print(f"{len(rows)} rows x {len(names)} quantities -> {out / 'sweep.csv'}"
-          + (f" ({len(skips)} skipped cells)" if skips else ""))
+        log.write_text("".join(f"t={entry['t']:.17g}: {entry['reason']}\n" for entry in skips))
+    else:
+        log.unlink(missing_ok=True)  # an earlier sweep's log names cells this CSV lacks
+    if not names:
+        print(f"empty quantity list: header-only CSV at {out / 'sweep.csv'}")
+    else:
+        print(f"{len(table)} rows x {len(names)} quantities -> {out / 'sweep.csv'}"
+              + (f" ({len(skips)} skipped cells)" if skips else ""))
     return 0
 
 

@@ -46,6 +46,7 @@ import numpy as np
 from . import billiard as _billiard
 from . import centers as _centers
 from . import conics as _conics
+from . import digits as _digits
 from . import poristic as _poristic
 from .errors import ConfigError, DegenerateConic, GeometryError, PassLog, UnknownQuantity
 # canonicalize, conic_eval and foci stay importable from this module: the
@@ -730,6 +731,16 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
     """Per-sample values in units of ``lab.R``, measured by one pass over
     ``_family(lab)``: returns (header, rows, skip log); a skipped cell is
     None.  Only the stages the requested columns need run."""
+    header, table, held, skips = sweep_arrays(lab, quantities)
+    rows = table.tolist()
+    for k, i in zip(*np.nonzero(~held)):
+        rows[k][i] = None
+    return header, rows, skips
+
+
+def sweep_arrays(lab: LabConfig, quantities: list[str]) -> tuple:
+    """``run_sweep`` as arrays: (header, table, held, skip log), the table
+    (samples, 1 + columns) with t first and ``held`` false at its skips."""
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
@@ -737,25 +748,41 @@ def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[li
     p = _Pass(*_family(lab), [_BY_NAME[q] for q in quantities], lab.seed)
     values, held = p.measure()
     values *= np.array([lab.R ** q.dim for q in p.rows])[:, None]
-    table = np.vstack([p.t, values]).T.tolist()
-    for i, k in zip(*np.nonzero(~held)):
-        table[k][i + 1] = None
-    return ["t"] + list(quantities), table, p.skipped(held)
+    table = np.empty((len(p.t), len(quantities) + 1))
+    table[:, 0] = p.t
+    table[:, 1:] = values.T
+    held_table = np.ones(table.shape, bool)
+    held_table[:, 1:] = held.T
+    return ["t"] + list(quantities), table, held_table, p.skipped(held)
 
 
-def format_csv(header: list[str], rows: list[list]) -> str:
-    """CSV text: a str cell as it is, None (a skip) as an empty field, and
-    every number with 17 significant digits.  A row of numbers only is
-    formatted with one format string."""
-    numeric = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    for row in rows:
-        try:
-            lines.append(numeric % tuple(row))
-        except TypeError:  # a None or str cell
-            lines.append(",".join([v if isinstance(v, str) else "" if v is None else "%.17g" % v
-                                   for v in row]))
-    return "\n".join(lines) + "\n"
+def format_csv(header: list[str], rows, held: np.ndarray | None = None) -> str:
+    """CSV text: the header, then a line per row, every number with 17
+    significant digits, ``'%.17g'``.  ``rows`` is a list of rows, in which a
+    str cell prints as it is and None (a skip) as an empty field; or a 2-D
+    float array, whose cells where ``held`` is False are skips.
+    ``digits.csv_cells`` prints the numbers in one pass, byte for byte as
+    ``%``."""
+    if isinstance(rows, np.ndarray):
+        ends = np.zeros(rows.shape, bool)
+        ends[:, -1:] = True
+        cells = (rows.ravel(), ends.ravel(), None if held is None else ~held.ravel(),
+                 itertools.repeat(""))
+    else:
+        cells = _cells(rows)
+    return "".join([",".join(header) + "\n", *_digits.csv_cells(*cells)])
+
+
+def _cells(rows: list[list]) -> tuple:
+    """The cells of list ``rows`` in order, an empty row as one empty cell:
+    their numbers as a float array, the mask of each row's last cell, the
+    mask of the other cells, and their texts (a str as it is, None as '')."""
+    cells = list(itertools.chain.from_iterable(row or [""] for row in rows))
+    given = [c is None or isinstance(c, str) for c in cells]
+    ends = np.zeros(len(cells), bool)
+    ends[np.cumsum([len(row) or 1 for row in rows], dtype=np.intp) - 1] = True
+    return (np.array([0.0 if g else c for c, g in zip(cells, given)], float), ends,
+            np.array(given, bool), [c or "" for c, g in zip(cells, given) if g])
 
 
 def verify_report_csv(result: VerifyResult) -> str:

@@ -12,18 +12,20 @@ A polyline takes an (n, 2) array or a list of pairs and keeps its pixel
 coordinates; ``render`` prints the coordinates of every polyline of the
 canvas in one numpy pass.  ``%.4f`` rounds the exact binary value v times
 10^4 to an integer k, half to even, and prints k / 10^4.  Let p be the
-float product v * 1e4.  Where every |p| < 10^12 - 1/2 (so k has at most
-twelve digits; a NaN or an infinity fails) and no p is a half-integer,
-k = rint(|p|): below 2^52 every half-integer is a float and rounding is
-monotonic, so a p that is not a half-integer lies strictly between the
-same two neighbouring half-integers as the exact product, whose nearest
-integer is then p's.  (An exact product that is a half-integer is a
-float, so p is that tie.)  The test p - floor(p) == 0.5 finds every
-half-integer p, whose difference is the float 0.5 itself.  The digits of
-k are gathered from three tables of 4-byte groups (``_groups``) into one
-fixed-width record per number, whose NULs are then dropped.  A canvas
-with any other coordinate, or a tie, prints each polyline with ``%``
-instead, one call per polyline.
+float product |v| * 1e4.  Where every |v| < 99999999.9999 (``_LIMIT``; a
+NaN or an infinity fails), p < 10^12 - 1/2, so k has at most twelve
+digits, and where no p is a half-integer, k = rint(p): below 2^52 every
+half-integer is a float and rounding is monotonic, so a p that is not a
+half-integer lies strictly between the same two neighbouring
+half-integers as the exact product, whose nearest integer is then p's.
+(An exact product that is a half-integer is a float, so p is that tie.)
+The test p - floor(p) == 0.5 finds every half-integer p, whose
+difference is the float 0.5 itself.  The digits of k are gathered from
+three of the 4-byte group tables of ``digits.groups`` into one
+fixed-width record per number, whose NULs are then dropped, and the text
+is split per polyline at a terminator written after its last number.  A
+canvas with any other coordinate, or a tie, prints each polyline with
+``%`` instead, one call per polyline.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import functools
 import math
 
 import numpy as np
+
+from .digits import groups
 
 _SEGMENTS = 256
 
@@ -61,23 +65,8 @@ def _fmt(v: float) -> str:
 # number of a polyline, _END; absent characters are NUL.
 _RECORD = np.dtype([("sign", "u1"), ("high", "u4"), ("low", "u4"), ("dot", "u1"),
                     ("frac", "u4"), ("sep", "u1")])
-_END = ord(";")
-_LIMIT = 1e12 - 0.5
-
-
-@functools.cache
-def _groups() -> np.ndarray:
-    """The 4-byte digit groups of 0..9999, as uint32 rows: the low group of
-    an integer part below 10^4 (leading zeros NUL, the units digit kept),
-    the zero-padded group, and the high group (leading zeros NUL, all NUL
-    for 0)."""
-    i = np.arange(10 ** 4, dtype=np.uint16)[:, None]
-    digits = (i // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
-    low = np.where(i < np.array([1000, 100, 10, 0], dtype=np.uint16), 0, digits)
-    high = np.where(i < np.array([1000, 100, 10, 1], dtype=np.uint16), 0, digits)
-    groups = np.stack([low, digits, high]).view(np.uint32)[..., 0]
-    groups.flags.writeable = False
-    return groups
+_END = ";"
+_LIMIT = 99999999.9999  # |v| below it keeps |v * 1e4| below 10^12 - 1/2
 
 
 def _exact_points(flats: list[np.ndarray]) -> list[str] | None:
@@ -85,24 +74,32 @@ def _exact_points(flats: list[np.ndarray]) -> list[str] | None:
     printed in one pass (see the module docstring), or None where the pass
     does not apply."""
     v = np.concatenate(flats)
-    with np.errstate(over="ignore"):
-        p = v * 1e4
-    if not (abs(p) < _LIMIT).all() or (p - np.floor(p) == 0.5).any():
+    p = abs(v)
+    if not (p < _LIMIT).all():
         return None
-    whole, frac = np.divmod(np.rint(abs(p)).astype(np.int64), 10 ** 4)
+    p *= 1e4
+    k = np.rint(p)
+    if (p - np.floor(p) == 0.5).any():
+        return None
+    whole, frac = np.divmod(k.astype(np.intp), 10 ** 4)
     high, low = np.divmod(whole, 10 ** 4)
-    groups = _groups()
+    table = groups()
     rec = np.empty(len(v), _RECORD)
-    rec["sign"] = (v < 0) * ord("-")
-    rec["high"] = groups[2, high]
-    rec["low"] = groups[np.minimum(high, 1), low]
+    rec["sign"] = (v < 0) * np.uint8(ord("-"))
+    rec["high"] = table[3].take(high)
+    # Below 10^4 the low group keeps its units digit, else it is zero-padded.
+    rec["low"] = table.ravel().take(low + (high > 0) * 10 ** 4)
     rec["dot"] = ord(".")
-    rec["frac"] = groups[1, frac]
+    rec["frac"] = table[1].take(frac)
     sep = rec["sep"]
     sep[0::2], sep[1::2] = ord(","), ord(" ")
-    sizes = np.array([len(flat) for flat in flats])
-    sep[np.cumsum(sizes)[sizes > 0] - 1] = _END
-    texts = iter(rec.tobytes().translate(None, b"\0").decode().split(chr(_END)))
+    last, ends = -1, []
+    for flat in flats:
+        if len(flat):
+            last += len(flat)
+            ends.append(last)
+    sep[ends] = ord(_END)
+    texts = iter(rec.tobytes().translate(None, b"\0").decode().split(_END))
     return [next(texts) if len(flat) else "" for flat in flats]
 
 

@@ -355,6 +355,19 @@ class TestCli:
         assert len(lines) == 9
         assert (tmp_path / "sweep_skips.txt").exists()
 
+    def test_two_sweeps_into_one_directory_keep_no_stale_skip_log(self, tmp_path):
+        out = ["--t-samples", "8", "--out", str(tmp_path)]
+        log = tmp_path / "sweep_skips.txt"
+        for quantities, logged in [("gamma_ratio", True), ("perimeter", False),
+                                   ("gamma_ratio", True), ("", False)]:
+            assert main(["sweep", "--quantities", quantities, *out]) == 0
+            assert log.exists() == logged
+        assert main(["sweep", "--quantities", "perimeter,gamma_ratio", *out]) == 0
+        lab = LabConfig(t_samples=8)
+        header, rows, skips = run_sweep(lab, ["perimeter", "gamma_ratio"])
+        assert (tmp_path / "sweep.csv").read_text() == format_csv(header, rows)
+        assert log.read_text().splitlines() == [f"t={s['t']:.17g}: {s['reason']}" for s in skips]
+
     def test_sweep_empty_quantities(self, tmp_path):
         code = main(["sweep", "--quantities", "", "--out", str(tmp_path)])
         assert code == 0
