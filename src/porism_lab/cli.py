@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import figures as _figures
 from . import report as _report
 from .errors import GeometryError
@@ -154,10 +156,10 @@ def _cmd_verify(lab: _report.LabConfig) -> int:
 def _cmd_sweep(lab: _report.LabConfig, quantities_arg: str) -> int:
     names = [q for q in (s.strip() for s in quantities_arg.split(",")) if q]
     if names:
-        header, table, held, skips = _report.sweep_arrays(lab, names)
+        header, table, held, skips = _report.run_sweep(lab, names)
         text = _report.format_csv(header, table, held)
     else:
-        text, skips = _report.format_csv(["t"], []), []
+        text, skips = _report.format_csv(["t"], np.empty((0, 1))), []
     out = Path(lab.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(text)

@@ -45,7 +45,8 @@ the leading digit; the other 16 digits, zero-padded before the point and
 trailing-NUL after it, with the point inserted after X of them (the
 digits after it shifted up a byte); the 17th byte of that zone, the
 exponent and the separator.  The per-exponent parts come from one small
-table (``_layout``).
+table (``_layout``).  A skipped cell's record is all NUL, so that only its
+separator prints: an empty field.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-_FILL = "\x01"  # marks a cell whose text ``%`` or the caller gives
+_FILL = "\x01"  # marks a cell that ``%`` prints
 _BLOCK = 1 << 13  # cells printed at a time, so a table's temporaries stay small
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's factor for 53-bit doubles
 _NEAR = 0.5 - 2.0 ** -44
@@ -201,28 +202,23 @@ def _records(v: np.ndarray, n: np.ndarray, x: np.ndarray, ok: np.ndarray) -> np.
     return rec
 
 
-def csv_cells(values: np.ndarray, ends: np.ndarray, given: np.ndarray | None = None,
-              texts=()) -> Iterator[str]:
-    """The CSV text of the flat float array ``values``, a block of cells at
-    a time: each cell ``'%.17g' % cell``, except the cells the boolean
-    array ``given`` marks, which print the items of ``texts`` in order;
-    each followed by a newline where ``ends`` marks the last cell of a row,
-    by "," otherwise."""
-    texts = iter(texts)
+def csv_cells(values: np.ndarray, ends: np.ndarray, skip: np.ndarray | None = None
+              ) -> Iterator[str]:
+    """The CSV text of the flat float64 array ``values``, a block of cells
+    at a time: each cell ``'%.17g' % cell``, or nothing where the bool
+    array ``skip`` is True; each followed by a newline where ``ends`` marks
+    the last cell of a row, by "," otherwise."""
     for start in range(0, len(values), _BLOCK):
         v = values[start:start + _BLOCK]
-        chosen = None if given is None else given[start:start + _BLOCK]
-        if chosen is not None:
-            v = np.where(chosen, 0.0, v)
         n, x, ok = _round17(v)
-        if chosen is not None:
-            ok &= ~chosen  # a zero now, printed as N = 0 at X = 0 but marked
         rec = _records(v, n, x, ok)
+        if skip is not None:
+            cut = skip[start:start + _BLOCK]
+            rec[cut] = 0  # only the separator prints
+            ok |= cut
         rec[:, 3] |= _layout()[1].take(ends[start:start + _BLOCK])
         text = rec.tobytes().translate(None, b"\0").decode()
-        marked = np.flatnonzero(~ok).tolist()
+        marked = v[~ok].tolist()
         if marked:
-            fills = [next(texts) if chosen is not None and chosen[i] else "%.17g" % v[i]
-                     for i in marked]
-            text = text.replace(_FILL, "%s") % tuple(fills)
+            text = text.replace(_FILL, "%s") % tuple("%.17g" % c for c in marked)
         yield text

@@ -1,9 +1,11 @@
 """Sweep and verification harness.
 
 ``run_verify`` evaluates every family invariant over a dense t-sweep and
-reports one verdict row per quantity; ``run_sweep`` dumps raw per-sample
-quantities.  Both read one table, ``QUANTITIES``, and one measurement pass
-whose stages run on arrays over all t, through the ``_batch`` twins of the
+reports one verdict row per quantity; ``run_sweep`` returns raw
+per-sample quantities as one float table and the mask of the cells it
+holds, which ``format_csv`` prints, a skipped cell as an empty field.
+Both read one table, ``QUANTITIES``, and one measurement pass whose
+stages run on arrays over all t, through the ``_batch`` twins of the
 scalar kernel, and only when a requested quantity needs them.  The rows of
 a named conic that recur for several conics (axis ratio and semi-axes,
 value at X100, axis angle) come from one row maker per family, which
@@ -727,20 +729,13 @@ def _judge(name: str, n: int, lo: float, hi: float, total: float, peak: float, c
 
 # --- Raw sweeps ------------------------------------------------------------
 
-def run_sweep(lab: LabConfig, quantities: list[str]) -> tuple[list[str], list[list], list[dict]]:
+def run_sweep(lab: LabConfig, quantities: list[str]
+              ) -> tuple[list[str], np.ndarray, np.ndarray, list[dict]]:
     """Per-sample values in units of ``lab.R``, measured by one pass over
-    ``_family(lab)``: returns (header, rows, skip log); a skipped cell is
-    None.  Only the stages the requested columns need run."""
-    header, table, held, skips = sweep_arrays(lab, quantities)
-    rows = table.tolist()
-    for k, i in zip(*np.nonzero(~held)):
-        rows[k][i] = None
-    return header, rows, skips
-
-
-def sweep_arrays(lab: LabConfig, quantities: list[str]) -> tuple:
-    """``run_sweep`` as arrays: (header, table, held, skip log), the table
-    (samples, 1 + columns) with t first and ``held`` false at its skips."""
+    ``_family(lab)``: returns (header, table, held, skip log), the float
+    table (samples, 1 + columns) with t first and the bool mask ``held``
+    of its shape false at the skipped cells.  Only the stages the
+    requested columns need run."""
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             raise UnknownQuantity(
@@ -756,39 +751,30 @@ def sweep_arrays(lab: LabConfig, quantities: list[str]) -> tuple:
     return ["t"] + list(quantities), table, held_table, p.skipped(held)
 
 
-def format_csv(header: list[str], rows, held: np.ndarray | None = None) -> str:
-    """CSV text: the header, then a line per row, every number with 17
-    significant digits, ``'%.17g'``.  ``rows`` is a list of rows, in which a
-    str cell prints as it is and None (a skip) as an empty field; or a 2-D
-    float array, whose cells where ``held`` is False are skips.
-    ``digits.csv_cells`` prints the numbers in one pass, byte for byte as
-    ``%``."""
-    if isinstance(rows, np.ndarray):
-        ends = np.zeros(rows.shape, bool)
-        ends[:, -1:] = True
-        cells = (rows.ravel(), ends.ravel(), None if held is None else ~held.ravel(),
-                 itertools.repeat(""))
-    else:
-        cells = _cells(rows)
-    return "".join([",".join(header) + "\n", *_digits.csv_cells(*cells)])
-
-
-def _cells(rows: list[list]) -> tuple:
-    """The cells of list ``rows`` in order, an empty row as one empty cell:
-    their numbers as a float array, the mask of each row's last cell, the
-    mask of the other cells, and their texts (a str as it is, None as '')."""
-    cells = list(itertools.chain.from_iterable(row or [""] for row in rows))
-    given = [c is None or isinstance(c, str) for c in cells]
-    ends = np.zeros(len(cells), bool)
-    ends[np.cumsum([len(row) or 1 for row in rows], dtype=np.intp) - 1] = True
-    return (np.array([0.0 if g else c for c, g in zip(cells, given)], float), ends,
-            np.array(given, bool), [c or "" for c, g in zip(cells, given) if g])
+def format_csv(header: list[str], table, held: np.ndarray | None = None) -> str:
+    """CSV text: the header, then a line per row of the 2-D ``table``,
+    each cell ``'%.17g' % float(cell)``, or an empty field where the bool
+    mask ``held`` is False.  ``digits.csv_cells`` prints the cells in one
+    pass, byte for byte as ``%``; a table of no columns prints an empty
+    line per row."""
+    table = np.asarray(table, dtype=float)
+    head = ",".join(header) + "\n"
+    if not table.shape[1]:  # no cell to end a row with
+        return head + "\n" * len(table)
+    ends = np.zeros(table.shape, bool)
+    ends[:, -1] = True
+    skip = None if held is None else ~held.ravel()
+    return "".join([head, *_digits.csv_cells(table.ravel(), ends.ravel(), skip)])
 
 
 def verify_report_csv(result: VerifyResult) -> str:
+    """The verify rows as CSV: a str cell as it is, None as an empty field,
+    a number as ``'%.17g'``."""
     header = ["quantity", "samples", "min", "max", "mean", "spread_rel",
               "tolerance", "check", "expected", "verdict", "expected_verdict", "status"]
-    return format_csv(header, [[getattr(r, k) for k in header] for r in result.reports])
+    rows = [header, *([getattr(r, k) for k in header] for r in result.reports)]
+    return "".join(",".join(c if isinstance(c, str) else "" if c is None else "%.17g" % c
+                            for c in row) + "\n" for row in rows)
 
 
 def _finite_or_none(value):

@@ -4,8 +4,9 @@ patterns; the values its rules are about (17-digit ties, near-ties where
 the exponent's power of ten has a tail, the neighbours of powers of ten,
 where the rounding reaches the next power or ``log10`` misjudges the
 exponent, and the edges of fixed notation); zeros, subnormals, infinities
-and NaN; and tables of str and None cells with 0 rows, 1 row or 1 column,
-of rows of several lengths, and of more cells than one block."""
+and NaN; and tables with a ``held`` mask whose cells not held print as
+empty fields: of 0 to 5 columns and any rows, of dtypes other than
+float64, of more cells than one block, and every column of a sweep."""
 
 import math
 import struct
@@ -15,15 +16,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from porism_lab import digits, report
 from porism_lab.report import LabConfig, format_csv
 
 
 def _oracle(header, rows):
-    """The CSV text, every cell by ``%``."""
-    return "".join(",".join(v if isinstance(v, str) else "" if v is None else "%.17g" % v
-                            for v in row) + "\n" for row in [header, *rows])
+    """The CSV text, every cell by ``%``, a None cell as an empty field."""
+    return "".join([",".join(header) + "\n", *(
+        ",".join("" if v is None else "%.17g" % v for v in row) + "\n" for row in rows)])
+
+
+def _rows(values, held):
+    """The rows of the table ``values``, None where ``held`` is False."""
+    return [[v if h else None for v, h in zip(row, mask)]
+            for row, mask in zip(values.tolist(), held.tolist())]
 
 
 def _column(values):
@@ -105,57 +113,68 @@ def test_zeros_subnormals_and_non_finite_values():
     assert _column([-0.0, 0.0, -math.inf, -math.nan]) == ["-0", "0", "-inf", "%.17g" % -math.nan]
 
 
-@pytest.mark.parametrize("rows", [
-    [],
-    [[1.5]],
-    [[1.0 / 3.0], [None], ["x"], [-0.0]],
-    [[0.1, None, "a", 2, True, -1e-300, math.nan, math.inf, 1e-5]],
-    [[0.5, 1.0], [], [2.0], [None, None, None], ["", "s"]],
-], ids=["no_rows", "one_cell", "one_column", "one_row", "rows_of_several_lengths"])
-def test_format_csv_of_str_and_none_cells(rows):
-    header = ["t", "q"]
-    assert format_csv(header, rows) == _oracle(header, rows)
+@st.composite
+def _tables(draw):
+    """A float64 table of 0 to 5 columns, every float possible in a cell,
+    and a random ``held`` mask of its shape."""
+    shape = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(), fill=st.nothing()))
+    return values, draw(hnp.arrays(bool, shape))
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (6, 1)])
-def test_format_csv_of_arrays_with_skips(shape):
-    rng = np.random.default_rng(shape[0])
-    values = 10.0 ** rng.uniform(-32, 19, shape) * rng.choice([-1.0, 1.0], shape)
-    held = rng.random(shape) < 0.7
-    rows = [[v if h else None for v, h in zip(row, mask)] for row, mask in zip(values.tolist(), held)]
-    header = ["t", "q", "r"][:shape[1]]
-    assert format_csv(header, values, held) == _oracle(header, rows)
+@given(_tables())
+@example((np.array([[-0.0, 5e-324, math.nan], [math.inf, -math.inf, 1e-310]]),
+          np.array([[True, True, False], [True, True, True]])))
+@settings(max_examples=200, deadline=None)
+def test_format_csv_of_any_float_table(table):
+    values, held = table
+    header = [f"c{i}" for i in range(values.shape[1])]
+    assert format_csv(header, values, held) == _oracle(header, _rows(values, held))
     assert format_csv(header, values) == _oracle(header, values.tolist())
 
 
-@given(st.lists(st.one_of(st.floats(), st.none(), st.sampled_from(["", "x", "1.50"])),
-                min_size=0, max_size=40), st.integers(1, 5))
-@settings(max_examples=100, deadline=None)
-def test_format_csv_of_any_list_table(cells, width):
-    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
-    assert format_csv(["a"], rows) == _oracle(["a"], rows)
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32, np.int64])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (6, 1)])
+def test_format_csv_of_arrays_with_skips(shape, dtype):
+    # A table that is not float64 prints as '%.17g' prints each cell, which
+    # is its nearest double.
+    rng = np.random.default_rng(shape[0])
+    if dtype == np.int64:
+        values = rng.integers(-2 ** 62, 2 ** 62, shape)
+    else:
+        values = (10.0 ** rng.uniform(-32, 19, shape) * rng.choice([-1.0, 1.0], shape)
+                  ).astype(dtype) / 3
+    held = rng.random(shape) < 0.7
+    header = ["t", "q", "r"][:shape[1]]
+    assert format_csv(header, values, held) == _oracle(header, _rows(values, held))
+    assert format_csv(header, values) == _oracle(header, values.tolist())
+
+
+def test_format_csv_of_a_long_double():
+    assert format_csv(["a"], np.array([[0.1]], np.longdouble)) == "a\n0.10000000000000001\n"
 
 
 def test_tables_larger_than_a_block(monkeypatch):
-    # Fallback cells, skips and row ends fall on both sides of a block edge.
+    # 45 cells in blocks of 7: rows end at cells 14 and 34, the first and
+    # the last cell of a block, and skips and '%' cells (NaN, infinities, a
+    # 17-digit tie, 1e17 and a value below 1e-28) lie on both sides of
+    # block edges.
     monkeypatch.setattr(digits, "_BLOCK", 7)
     rng = np.random.default_rng(39)
-    rows = (10.0 ** rng.uniform(-35, 20, (9, 5))).tolist()
-    rows[1][1:4] = [None, math.nan, 1234567890123456.25]
-    rows[2][0], rows[5][4] = "s", math.inf
-    assert format_csv(["h"], rows) == _oracle(["h"], rows)
-    values = np.array([[np.nan if v is None or isinstance(v, str) else v for v in row]
-                       for row in rows])
-    held = np.array([[v is not None and not isinstance(v, str) for v in row] for row in rows])
-    assert format_csv(["h"], values, held) == _oracle(["h"], [
-        [v if h else None for v, h in zip(row, mask)] for row, mask in zip(rows, held)])
+    values = 10.0 ** rng.uniform(-35, 20, (9, 5))
+    flat = values.reshape(-1)
+    flat[[6, 7, 13, 20, 21, 27, 28]] = [math.nan, 1234567890123456.25, math.inf, -1e-300,
+                                        1e17, -math.inf, math.nan]
+    held = np.ones(values.shape, bool)
+    held.reshape(-1)[[6, 14, 20, 22, 34, 35]] = False
+    header = ["a", "b", "c", "d", "e"]
+    assert format_csv(header, values, held) == _oracle(header, _rows(values, held))
+    assert format_csv(header, values) == _oracle(header, values.tolist())
 
 
 @pytest.mark.parametrize("rho, n", [(0.2, 24), (0.36266, 180), (0.0047559, 48)])
-def test_sweep_arrays_print_as_the_list_table(rho, n):
-    lab = LabConfig(r=rho, t_samples=n)
-    names = list(report.SWEEP_QUANTITIES)
-    header, rows, skips = report.run_sweep(lab, names)
-    text = format_csv(*report.sweep_arrays(lab, names)[:3])
-    assert text == format_csv(header, rows) == _oracle(header, rows)
-    assert any(v is None for row in rows for v in row) == bool(skips)
+def test_sweep_tables_print_as_percent(rho, n):
+    header, values, held, skips = report.run_sweep(LabConfig(r=rho, t_samples=n),
+                                                   list(report.SWEEP_QUANTITIES))
+    assert format_csv(header, values, held) == _oracle(header, _rows(values, held))
+    assert np.count_nonzero(~held) == len(skips)

@@ -34,13 +34,14 @@ def test_each_name_is_one_row_and_each_sweep_name_is_listed_once():
 @pytest.mark.parametrize("rho", RHO_GRID)
 def test_narrow_column_equals_full_column(rho):
     lab = LabConfig(R=1.0, r=rho, t_samples=60, seed=5)
-    header, rows, skips = run_sweep(lab, list(SWEEP_QUANTITIES))
+    header, table, held, skips = run_sweep(lab, list(SWEEP_QUANTITIES))
     assert header == ["t", *SWEEP_QUANTITIES]
     assert skips and not [s for s in skips if s["reason"].endswith("not computed")]
     for j, name in enumerate(SWEEP_QUANTITIES, start=1):
-        narrow_header, narrow_rows, narrow_skips = run_sweep(lab, [name])
+        narrow_header, narrow_table, narrow_held, narrow_skips = run_sweep(lab, [name])
         assert narrow_header == ["t", name]
-        assert narrow_rows == [[row[0], row[j]] for row in rows], name
+        assert narrow_table.tobytes() == table[:, [0, j]].tobytes(), name
+        assert narrow_held.tolist() == held[:, [0, j]].tolist(), name
         assert narrow_skips == [s for s in skips if s["reason"].startswith(f"{name}: ")], name
     # A verify row on a pass built for it alone, whose conic stage holds only
     # the conics the row declares, equals its column in the full verify bit
@@ -64,10 +65,10 @@ def test_perimeter_sweep_builds_no_conic_and_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     monkeypatch.setattr(poristic, "named_conics_batch", forbidden)
     lab = LabConfig(t_samples=36)
-    _, rows, skips = run_sweep(lab, ["perimeter"])
+    _, table, held, skips = run_sweep(lab, ["perimeter"])
     cfg = lab.poristic()
-    assert skips == []
-    for t, perimeter in rows:
+    assert skips == [] and held.all()
+    for t, perimeter in table.tolist():
         assert perimeter == pytest.approx(poristic.perimeter_closed_form(cfg, t), rel=1e-12)
 
 
@@ -177,7 +178,7 @@ def test_cli_parser_is_built_once(tmp_path, capsys):
 ])
 def test_skip_reasons_follow_the_first_use_of_their_stage(columns, at_zero):
     # Every member of the equilateral family is isosceles: both gates skip.
-    _, _, skips = run_sweep(LabConfig(R=1.0, r=0.5, t_samples=4), columns)
+    *_, skips = run_sweep(LabConfig(R=1.0, r=0.5, t_samples=4), columns)
     assert [s["reason"].split(":")[0] for s in skips if s["t"] == 0.0] == at_zero
 
 
@@ -348,10 +349,11 @@ def test_a_family_gets_one_outcome_at_every_scale(rho, log2_R, n):
     if isinstance(want, GeometryError):
         assert (type(got), str(got)) == (type(want), str(want))
         return
-    assert got[2] == want[2]
+    assert got[3] == want[3]
+    assert got[2].tolist() == want[2].tolist()
     scales = [1.0] + [R ** report._BY_NAME[name].dim for name in SWEEP_QUANTITIES]
-    for a, b in zip(want[1], got[1], strict=True):
-        assert all(_same(y, None if x is None else x * k) for x, y, k in zip(a, b, scales))
+    for a, b, held in zip(want[1].tolist(), got[1].tolist(), want[2].tolist(), strict=True):
+        assert all(_same(y, x * k) for x, y, k, h in zip(a, b, scales, held) if h)
 
 
 @pytest.mark.parametrize("R", [1000.0, 1024.0])

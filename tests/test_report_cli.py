@@ -95,6 +95,26 @@ class TestVerifySuite:
         assert verify_report_json(a) == verify_report_json(b)
         assert verify_report_csv(a) == verify_report_csv(b)
 
+    def test_report_csv_reads_back(self):
+        # Every number parses back to the report's float bit for bit, NaN
+        # reads as "nan", None as an empty field and a str as it is.
+        empty = report.SweepReport("x", 0, math.nan, math.nan, math.nan, math.inf, "skipped",
+                                   1e-9, "residual", None, status="fail")
+        for result in (run_verify(LabConfig(t_samples=24)),
+                       report.VerifyResult(LabConfig(), [empty], [], 0.0)):
+            header, *lines = verify_report_csv(result).split("\n")[:-1]
+            keys = header.split(",")
+            assert keys[0] == "quantity" and len(keys) == 12
+            for line, row in zip(lines, result.reports, strict=True):
+                for key, cell in zip(keys, line.split(","), strict=True):
+                    value = getattr(row, key)
+                    if value is None or isinstance(value, str):
+                        assert cell == (value or ""), key
+                    elif math.isnan(value):
+                        assert cell == "nan", key
+                    else:
+                        assert float(cell).hex() == float(value).hex(), key
+
     def test_perturbation_flips_verdicts(self):
         result = run_verify(LabConfig(t_samples=96, perturb=1e-6))
         assert not result.passed
@@ -210,10 +230,10 @@ class TestVerifySuite:
 class TestSweep:
     def test_perimeter_extrema_at_symmetric_members(self):
         lab = LabConfig(t_samples=720)
-        header, rows, _ = run_sweep(lab, ["perimeter"])
-        assert header == ["t", "perimeter"]
-        assert len(rows) == 720
-        values = {row[0]: row[1] for row in rows}
+        header, table, held, _ = run_sweep(lab, ["perimeter"])
+        assert header == ["t", "perimeter"] and held.all()
+        assert table.shape == (720, 2)
+        values = dict(table.tolist())
         # Dense-scan oracle: extrema of the closed form over the same grid.
         cfg = lab.poristic()
         closed = {t: perimeter_closed_form(cfg, t) for t in values}
@@ -225,44 +245,49 @@ class TestSweep:
     def test_constant_ratio_column(self):
         lab = LabConfig(t_samples=60)
         cfg = lab.poristic()
-        _, rows, _ = run_sweep(lab, ["ratio_i3x"])
+        _, table, held, _ = run_sweep(lab, ["ratio_i3x"])
         expected = (cfg.R + cfg.d) / (cfg.R - cfg.d)
-        for row in rows:
-            assert row[1] == pytest.approx(expected, rel=1e-9)
+        assert held.all()
+        assert table[:, 1].tolist() == pytest.approx([expected] * 60, rel=1e-9)
 
-    def test_skipped_cells_are_none_with_log(self):
-        _, rows, skips = run_sweep(LabConfig(t_samples=8), ["gamma_ratio"])
-        none_ts = [row[0] for row in rows if row[1] is None]
-        assert none_ts == [0.0, math.pi]
-        assert len(skips) == 2
+    def test_skipped_cells_are_not_held_with_log(self):
+        _, table, held, skips = run_sweep(LabConfig(t_samples=8), ["gamma_ratio"])
+        assert held[:, 0].all()
+        assert table[~held[:, 1], 0].tolist() == [0.0, math.pi]
+        assert [s["t"] for s in skips] == [0.0, math.pi]
 
     def test_sweep_honours_perturbation(self):
         # Sample n // 3 = 4 is moved off the circumcircle by ``_family``, in
         # the sweep's stack as in the verify's.
         lab = LabConfig(t_samples=12, perturb=1e-6)
-        _, rows, _ = run_sweep(lab, ["circumcircle_residual"])
+        _, table, _, _ = run_sweep(lab, ["circumcircle_residual"])
         q = report._BY_NAME["circumcircle_residual"]
         column = report._Pass(*report._family(lab), [q], lab.seed).measure()[0][0]
-        assert [row[1] for row in rows] == column.tolist()
-        assert rows[4][1] > 5e-7
+        assert table[:, 1].tolist() == column.tolist()
+        assert table[4, 1] > 5e-7
 
     def test_unknown_quantity(self):
         with pytest.raises(UnknownQuantity):
             run_sweep(LabConfig(t_samples=8), ["nope"])
 
     def test_csv_formatting(self):
-        text = format_csv(["t", "q"], [[0.5, 1.0 / 3.0], [1.0, None]])
+        text = format_csv(["t", "q"], np.array([[0.5, 1.0 / 3.0], [1.0, 2.0]]),
+                          np.array([[True, True], [True, False]]))
         lines = text.splitlines()
         assert lines[0] == "t,q"
         assert lines[1] == "0.5,0.33333333333333331"
         assert lines[2] == "1,"
 
     def test_csv_cells_equal_the_format_spec_form(self):
-        header, rows, _ = run_sweep(LabConfig(r=0.2, t_samples=24), ["perimeter", "gamma_ratio"])
-        rows += [[-0.0, 1e-320], [math.inf, -math.inf], [math.nan, 2.0 ** 60]]
-        want = "".join(",".join("" if v is None else f"{v:.17g}" for v in row) + "\n"
-                       for row in rows)
-        assert format_csv(header, rows) == "t,perimeter,gamma_ratio\n" + want
+        header, table, held, _ = run_sweep(LabConfig(r=0.2, t_samples=24),
+                                           ["perimeter", "gamma_ratio"])
+        table = np.vstack([table, [[-0.0, 1e-320, 1e-5], [math.inf, -math.inf, 1e17],
+                                   [math.nan, 2.0 ** 60, 5e-324]]])
+        held = np.vstack([held, np.ones((3, 3), bool)])
+        want = "".join(",".join(f"{v:.17g}" if h else "" for v, h in zip(row, mask)) + "\n"
+                       for row, mask in zip(table.tolist(), held.tolist()))
+        assert not held.all()
+        assert format_csv(header, table, held) == "t,perimeter,gamma_ratio\n" + want
 
 
 class TestCli:
@@ -364,8 +389,8 @@ class TestCli:
             assert log.exists() == logged
         assert main(["sweep", "--quantities", "perimeter,gamma_ratio", *out]) == 0
         lab = LabConfig(t_samples=8)
-        header, rows, skips = run_sweep(lab, ["perimeter", "gamma_ratio"])
-        assert (tmp_path / "sweep.csv").read_text() == format_csv(header, rows)
+        header, table, held, skips = run_sweep(lab, ["perimeter", "gamma_ratio"])
+        assert (tmp_path / "sweep.csv").read_text() == format_csv(header, table, held)
         assert log.read_text().splitlines() == [f"t={s['t']:.17g}: {s['reason']}" for s in skips]
 
     def test_sweep_empty_quantities(self, tmp_path):

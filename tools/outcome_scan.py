@@ -115,10 +115,10 @@ def scan_one(R: float, rho: float, n: int) -> dict:
         verify["csv_sha256"] = _digest(report.verify_report_csv(result))
         verify["skips_sha256"] = _skips_digest(result.skipped)
     sweep = _outcome(lambda: report.run_sweep(lab, list(report.SWEEP_QUANTITIES)))
-    table = sweep.pop("value")
-    if table is not None:
-        header, rows, skips = table
-        sweep["csv_sha256"] = _digest(report.format_csv(header, rows))
+    swept = sweep.pop("value")
+    if swept is not None:
+        header, table, held, skips = swept
+        sweep["csv_sha256"] = _digest(report.format_csv(header, table, held))
         sweep["skips_sha256"] = _skips_digest(skips)
     scalar = _outcome(lambda: _scalar_values(lab.poristic()))
     values = scalar.pop("value")
