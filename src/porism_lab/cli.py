@@ -31,7 +31,7 @@ _lab = _report.LabConfig  # its class attributes are the field defaults
 
 #: The options every command takes: config-file key -> (the LabConfig field
 #: it sets, its type, its help).  Its flag is "--" + key with "_" as "-";
-#: ``rho`` sets R and r.
+#: ``rho`` sets R and r, and ``out`` is the command's output directory.
 _OPTIONS = {
     "rho": ("rho", float, "inradius/circumradius ratio in (0, 1/2]"),
     "R": ("R", float, "circumradius in [{:g}, {:g}] (with --r)".format(*_report._R_RANGE)),
@@ -40,11 +40,11 @@ _OPTIONS = {
                                     f"{_report.MAX_T_SAMPLES})"),
     "seed": ("seed", int, "seed of verify's center_equivariance_gap row, its only random "
                           "draw (sweep and figure accept it and draw nothing at random)"),
-    "out": ("output_dir", str, f"output directory (default {_lab.output_dir})"),
+    "out": ("out", str, "output directory (default .)"),
 }
-#: The parsed arguments a LabConfig is built from (the hidden
+#: The parsed arguments a run is configured from (the hidden
 #: --inject-perturbation sets ``perturb``).
-_DESTS = {f.name for f in dataclasses.fields(_report.LabConfig)} | {"rho"}
+_DESTS = {f.name for f in dataclasses.fields(_report.LabConfig)} | {"rho", "out"}
 
 
 @functools.cache
@@ -100,9 +100,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_config(args) -> _report.LabConfig:
-    """The LabConfig of the values given by flag or config file; a flag
-    wins over the file, and what neither gives keeps LabConfig's default."""
+def _resolve_config(args) -> tuple[_report.LabConfig, Path]:
+    """The LabConfig and the output directory of the values given by flag
+    or config file; a flag wins over the file, and what neither gives keeps
+    its default (LabConfig's, and the working directory)."""
     given: dict = {}
     if args.config:
         for key, val in _read_config_file(args.config).items():
@@ -119,6 +120,7 @@ def _resolve_config(args) -> _report.LabConfig:
     if "R" in flags or "r" in flags:
         given.pop("rho", None)
     given.update(flags)
+    out = Path(given.pop("out", "."))
 
     rho = given.pop("rho", None)
     if rho is not None:
@@ -129,12 +131,11 @@ def _resolve_config(args) -> _report.LabConfig:
         given.update(R=1.0, r=rho)
     elif ("R" in given) != ("r" in given):
         raise _report.ConfigError("--R and --r must be given together")
-    return _report.LabConfig(**given)
+    return _report.LabConfig(**given), out
 
 
-def _cmd_verify(lab: _report.LabConfig) -> int:
+def _cmd_verify(lab: _report.LabConfig, out: Path) -> int:
     result = _report.run_verify(lab)
-    out = Path(lab.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(_report.verify_report_json(result))
     (out / "report.csv").write_text(_report.verify_report_csv(result))
@@ -153,14 +154,13 @@ def _cmd_verify(lab: _report.LabConfig) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_sweep(lab: _report.LabConfig, quantities_arg: str) -> int:
+def _cmd_sweep(lab: _report.LabConfig, out: Path, quantities_arg: str) -> int:
     names = [q for q in (s.strip() for s in quantities_arg.split(",")) if q]
     if names:
         header, table, held, skips = _report.run_sweep(lab, names)
         text = _report.format_csv(header, table, held)
     else:
         text, skips = _report.format_csv(["t"], np.empty((0, 1))), []
-    out = Path(lab.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(text)
     log = out / "sweep_skips.txt"
@@ -176,9 +176,8 @@ def _cmd_sweep(lab: _report.LabConfig, quantities_arg: str) -> int:
     return 0
 
 
-def _cmd_figure(lab: _report.LabConfig, figure_id: str) -> int:
+def _cmd_figure(lab: _report.LabConfig, out: Path, figure_id: str) -> int:
     svg = _figures.render_figure(figure_id, lab)
-    out = Path(lab.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{figure_id}.svg"
     path.write_text(svg)
@@ -190,12 +189,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        lab = _resolve_config(args)
+        lab, out = _resolve_config(args)
         if args.command == "verify":
-            return _cmd_verify(lab)
+            return _cmd_verify(lab, out)
         if args.command == "sweep":
-            return _cmd_sweep(lab, args.quantities)
-        return _cmd_figure(lab, args.figure)
+            return _cmd_sweep(lab, out, args.quantities)
+        return _cmd_figure(lab, out, args.figure)
     except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

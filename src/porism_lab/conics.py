@@ -216,25 +216,6 @@ def inconic_from_tangents(l1: Line, l2: Line, l3: Line) -> ConicMatrix:
     return ConicMatrix.from_coeffs(A, B, C, 0.0, 0.0, D)
 
 
-def inconic_from_tangents_batch(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
-                                log: PassLog) -> ConicBatch:
-    """``inconic_from_tangents`` over stacks of lines (n, 3)."""
-    c = np.zeros((6, len(l1)))
-    _tangent_rows((l1, l2, l3), log, (c[0], c[1], c[2], c[5]))
-    return ConicBatch(_normalized(c))
-
-
-def _tangent_rows(lines, log: PassLog, out) -> None:
-    """The closed form (A, B, C, D) of ``_tangent_form`` of three stacks of
-    lines (n, 3), after the parallel-tangents check, written into the four
-    rows ``out``."""
-    lines = [line.T for line in lines]
-    d12, d13, d23, parallel = _cross_terms(lines, np)
-    log.check(parallel, ParallelTangents, "tangent lines are (nearly) parallel")
-    for row, value in zip(out, _tangent_form(lines, d12, d13, d23)):
-        row[...] = value
-
-
 def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
     """Conic with the given center tangent to the three side lines.
 
@@ -258,14 +239,18 @@ def inconic_centered(t: Triangle, center: Point) -> ConicMatrix:
 def _centered_inconic_batch(systems, log: PassLog) -> np.ndarray:
     """The (4, N) rows (A, B, C, F) of ``inconic_centered`` over the system
     blocks ``systems`` (see ``_offsets``), in the frame of each center,
-    normalized as ``inconic_from_tangents_batch`` normalizes them: its
-    largest magnitude is that of these four, since its D and E are zero."""
+    normalized as ``inconic_from_tangents`` normalizes them: its largest
+    magnitude is that of these four, since its D and E are zero."""
     s = _stacked(*(offset.T for offset in _offsets(systems)))  # (N, 3, 2)
-    lines = (line_through_batch(s[:, 1], s[:, 2]), line_through_batch(s[:, 0], s[:, 2]),
-             line_through_batch(s[:, 0], s[:, 1]))
+    lines = [line.T for line in (line_through_batch(s[:, 1], s[:, 2]),
+                                 line_through_batch(s[:, 0], s[:, 2]),
+                                 line_through_batch(s[:, 0], s[:, 1]))]
     del s
-    rows = np.empty((4, len(lines[0])))
-    _tangent_rows(lines, log, rows)
+    d12, d13, d23, parallel = _cross_terms(lines, np)
+    log.check(parallel, ParallelTangents, "tangent lines are (nearly) parallel")
+    rows = np.empty((4, len(d12)))
+    for row, value in zip(rows, _tangent_form(lines, d12, d13, d23)):
+        row[...] = value
     return _normalized(rows)
 
 

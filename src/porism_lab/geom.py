@@ -148,14 +148,8 @@ def line_through(p: Point, q: Point) -> Line:
     return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
-def line_batch(a, b, c) -> np.ndarray:
-    """Rows (a, b, c) normalized like ``Line``; the coefficients broadcast."""
-    return _stacked(*_unit_line(*np.broadcast_arrays(a, b, c), np))
-
-
 def line_through_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``line_batch`` of the lines through p and q, whose coefficients have
-    one shape already, so that nothing is broadcast."""
+    """Rows (a, b, c), normalized like ``Line``, of the lines through p and q."""
     return _stacked(*_unit_line(p[..., 1] - q[..., 1], q[..., 0] - p[..., 0],
                                 p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1], np))
 

@@ -37,7 +37,6 @@ from .geom import (
     _stacked,
     _wrap_half_pi,
     canonicalize_batch,
-    line_batch,
     perimeter_batch,
     triangle_batch,
 )
@@ -257,11 +256,6 @@ def excentral_side_lines(cfg: PoristicConfig, t: float) -> tuple[Line, Line, Lin
     return _scalar(lambda: tuple(Line(*abc) for abc in _excentral_lines(cfg, t, _MATH)), t)
 
 
-def excentral_side_lines_batch(cfg: PoristicConfig, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The three lines as (n, 3) row stacks."""
-    return tuple(line_batch(*abc) for abc in _excentral_lines(cfg, ts, np))
-
-
 def _i3x_coeffs(cfg: PoristicConfig, t, xp):
     """Coefficients (A, B, C, D, E, F) of the I3x quadratic form, evaluated
     in units of R (delta = d/R) and brought to user units by scaling the
@@ -281,8 +275,8 @@ def i3x_implicit_matrix(cfg: PoristicConfig, t: float) -> ConicMatrix:
     """Closed-form quadratic form of the excentral inconic centered on X40.
 
     Its canonical semi-axes are R + d and R - d for every t; the matrix is
-    the independent oracle for the tangent-line construction of the same
-    conic.
+    the independent oracle for the I3x that the measurement pass builds
+    (``named_conics_batch``, verify's ``i3x_implicit_gap``).
     """
     return _scalar(lambda: ConicMatrix.from_coeffs(*_i3x_coeffs(cfg, t, _MATH)), t)
 

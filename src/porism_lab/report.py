@@ -92,7 +92,6 @@ class LabConfig:
     r: float = 0.36266
     t_samples: int = 720
     seed: int = 0
-    output_dir: str = "."
     perturb: float = 0.0  # vertex perturbation injected into one sample, in units of R
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ class LabConfig:
             raise ConfigError(str(exc)) from exc
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "output_dir"}
+        return asdict(self)
 
 
 @dataclass
@@ -314,12 +313,6 @@ class _Pass:
         pts, meets = line_intersection_batch(self.side_lines, side_lines_batch(self.fam.excentral))
         has_axis = np.count_nonzero(meets, axis=1) >= 2
         return Antiorthic(pts, meets, (has_axis, "isosceles member: bisector parallel to side"))
-
-    @_first_read
-    def i3x_tangent(self) -> np.ndarray:
-        """I3x from the tangent-line coefficients of the excentral sides."""
-        return _conics.inconic_from_tangents_batch(
-            *_poristic.excentral_side_lines_batch(self.cfg, self.t), self.log).c
 
     @_first_read
     def x100(self) -> X100:
@@ -586,7 +579,8 @@ QUANTITIES = (
         p.x(9), p.loci.mittenpunkt.center.as_array()) - p.loci.mittenpunkt.radius), "residual"),
     *map(_x100_eval_row, ("E1", "E9", "I3x")),
     Quantity("i3x_implicit_gap", lambda p: _sign_free_gap(
-        p.i3x_tangent, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).c), "residual"),
+        p.conic("I3x").c, _poristic.i3x_implicit_matrix_batch(p.cfg, p.t).c), "residual",
+             conics=("I3x",)),
     Quantity("billiard_ellipse_residual", lambda p: np.abs(
         (p.billiard.members[..., 0] / p.billiard.a9) ** 2
         + (p.billiard.members[..., 1] / p.billiard.b9) ** 2 - 1.0).max(axis=1),

@@ -71,7 +71,7 @@ def test_criterion_03_excentral_inconic_axes(verify_results):
             assert abs(rows[name].max - expected) < 1e-9
         assert rows["i3x_implicit_gap"].max < 1e-9
     _report("criterion 3 (excentral inconic)",
-            "semi-axes (R+d, R-d) for all t; tangent-line matrix matches the implicit form < 1e-9")
+            "semi-axes (R+d, R-d) for all t; the pass's I3x matches the implicit form < 1e-9")
 
 
 def test_criterion_04_incenter_circumconic(verify_results):

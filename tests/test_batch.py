@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porism_lab import rank, report
+from porism_lab import conics, rank, report
 from porism_lab.billiard import (
     cb_axes_normalized,
     normalize_sample,
@@ -41,13 +41,13 @@ from porism_lab.cli import main
 from porism_lab.conics import (
     _centered_circumconic,
     _centered_circumconic_batch,
+    _centered_inconic_batch,
     _cross_terms,
     _entries,
     _offsets,
     centered_conics_batch,
     circumconic_centered,
     hyperbola_focal_length,
-    inconic_from_tangents_batch,
 )
 from porism_lab.errors import (
     AxisAtInfinity,
@@ -390,6 +390,22 @@ def test_only_a_verify_estimates_condition_numbers(monkeypatch):
     assert calls == [5 * lab.t_samples]
 
 
+def test_a_verify_builds_its_inconics_once(monkeypatch):
+    """``conics._tangent_form`` runs once in a verify, over the conic
+    stack's three inconics (I9, I3x and I5x): ``i3x_implicit_gap`` reads
+    the stack's I3x and builds no second one."""
+    form, calls = conics._tangent_form, []
+
+    def spy(lines, d12, d13, d23):
+        calls.append(len(d12))
+        return form(lines, d12, d13, d23)
+
+    monkeypatch.setattr(conics, "_tangent_form", spy)
+    lab = LabConfig(t_samples=48)
+    run_verify(lab)
+    assert calls == [3 * lab.t_samples]
+
+
 @pytest.mark.parametrize("rho", (*RHO_GRID, 0.5))
 def test_a_pass_reads_its_samples_not_their_layout(rho):
     """Over the grid's family stack reversed, shuffled and every 7th
@@ -617,7 +633,7 @@ def test_batched_inconic_d_matches_the_exact_closed_form():
     p = report._Pass(*report._family(lab), (), 0)
     s = p.fam.triangle - p.x(9)[:, None, :]
     lines = [line_through_batch(s[:, j], s[:, k]) for j, k in ((1, 2), (0, 2), (0, 1))]
-    A, B, C, _, _, F = inconic_from_tangents_batch(*lines, p.log).c
+    A, B, C, F = _centered_inconic_batch([(p.fam.triangle, p.x(9))], p.log)
     got = F / np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
     worst = 0.0
     for i in range(len(p.t)):

@@ -332,7 +332,7 @@ class TestLinesAndTriangles:
     @example(-1.5, -0.0, 1.0)
     @settings(max_examples=300)
     def test_line_twins_agree_bit_for_bit(self, a, b, c):
-        line, row = Line(a, b, c), geom.line_batch(a, b, c)
+        line, row = Line(a, b, c), np.array(geom._unit_line(*np.broadcast_arrays(a, b, c), np))
         _assert_twins_agree((line.a, line.b, line.c), row, [(a, b)], 0.0, np.abs(row))
 
     def test_line_through_and_intersection(self):

@@ -334,8 +334,9 @@ class TestNamedConics:
 class TestDualRoute:
     def test_lemma_vs_implicit_matrix(self):
         # I3x from the tangent lines against its closed-form matrix, up to
-        # sign, at 24 shifted t for each rho of RHO_GRID.
-        grid = [(rho, 2 * math.pi * (k + 0.2) / 24) for rho in RHO_GRID for k in range(24)]
+        # sign, at 24 shifted t for each rho of RHO_GRID and three small rho.
+        grid = [(rho, 2 * math.pi * (k + 0.2) / 24)
+                for rho in (*RHO_GRID, 1e-2, 1e-3, 1e-4) for k in range(24)]
         for rho, t in grid:
             cfg = config_from_rho(rho)
             m1 = inconic_from_tangents(*excentral_side_lines(cfg, t)).m

@@ -120,6 +120,7 @@ class TestVerifySuite:
         assert not result.passed
         rows = {r.quantity: r for r in result.reports}
         assert rows["circumcircle_residual"].status == "fail"
+        assert rows["i3x_implicit_gap"].status == "fail"
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

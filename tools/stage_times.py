@@ -14,8 +14,8 @@ family, its side lengths, excentral triangles and perimeters, from which
 the pass is made), ``centers`` (X1, X3, X9, X10, X11 and X40, in
 that order), ``side_lines``, ``conics`` (the named conic stack, the largest
 circumconic condition number and the canonical forms), ``loci``,
-``antiorthic``, ``i3x_tangent``, ``x100``, ``closed`` (the X9 and theta
-closed forms), ``billiard``, ``hyperbolas`` and ``equivariance``; then
+``antiorthic``, ``x100``, ``closed`` (the X9 and theta closed forms),
+``billiard``, ``hyperbolas`` and ``equivariance``; then
 ``rows``, the rows' values from those stages with their reduction to
 counts, extremes and sums.  A stage forced after the stages it reads is
 measured without them.  The stages run under the floating-point error
@@ -71,8 +71,8 @@ from pathlib import Path
 
 import numpy as np
 
-STAGES = ("fam", "centers", "side_lines", "conics", "loci", "antiorthic", "i3x_tangent",
-          "x100", "closed", "billiard", "hyperbolas", "equivariance", "rows")
+STAGES = ("fam", "centers", "side_lines", "conics", "loci", "antiorthic", "x100", "closed",
+          "billiard", "hyperbolas", "equivariance", "rows")
 CENTERS = (1, 3, 9, 10, 11, 40)
 KIB = 1024
 MEMBER_PARTS = ("sample", "conics", "centers", "billiard")
