@@ -319,11 +319,13 @@ class ConicBatch:
     A stack that ``conics.centered_conics_batch`` built for a verify also
     carries ``max_condition``, the largest condition number of the
     incidence systems its circumconics were solved from
-    (``rank.rank_test_batch`` with ``condition``), and None otherwise.  It
+    (``rank.rank_test_batch`` with ``condition``, which decides the systems
+    as any stack's, determinant tier first, and estimates their condition
+    from the norms its passes form on the way), and None otherwise.  It
     was taken while that kernel held what the systems' entries are made
-    from: the stack keeps only its (6, n)
-    coefficient rows, its ``max_condition`` and, once a rank test has read
-    it, the (n,) int8 sign of ``rank_test``, for as long as it is held."""
+    from: the stack keeps only its (6, n) coefficient rows, its
+    ``max_condition`` and, once a rank test has read it, the (n,) int8
+    sign of ``rank_test``, for as long as it is held."""
 
     c: np.ndarray
     max_condition: float | None = None

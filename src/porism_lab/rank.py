@@ -18,11 +18,12 @@ the Frobenius norm alone, which need only the 2x2 minors of rows 0 and 1;
 only a matrix it leaves open forms the other 2x2 minors, the second
 compound, for the full filter (``_rank_decision``), and then, if still
 open, the SVD.  A stack whose largest condition number is asked for
-(``rank_test_batch`` with ``condition``) runs the full filter on every
-matrix instead: its norms give every matrix a condition estimate
-(``_condition_estimate``), so that the largest condition number needs the
-SVD only of the matrices that can hold it.  The norms never leave this
-module.
+(``rank_test_batch`` with ``condition``) is decided on the same path, and
+besides forms the norm P of every matrix's 2x2 minors from the tier's own
+(``_compound_norm``): with the tier's norms F and D it gives every matrix
+a condition estimate (``_condition_estimate``), so that the largest
+condition number needs the SVD only of the matrices that can hold it.
+The norms never leave this module.
 
 It imports only ``math``, ``itertools`` and numpy: ``geom`` and ``conics``
 import from it, never the reverse.
@@ -141,14 +142,16 @@ def rank_test_batch(k: int, n: int, entries, condition: bool = False) -> tuple:
     minors that cancel to their rounding bound (nearly rank 1), F outside
     [2^-100, 2^100] (``_FILTER_MAX_NORM``), or a non-finite entry.
 
-    Without ``condition`` each pass runs the determinant tier first
-    (``_filter`` with ``tier``): it forms only the row-(0, 1) 2x2 minors
-    that the 3x3 minors are expanded from, and certifies full rank where
-    ``_certified_full`` does.  Only the columns it leaves open, non-finite
-    ones among them, go on to the full filter, and those the filter leaves
-    open to the SVD.  With ``condition`` every column runs the full filter,
-    whose norms are kept for the condition estimate.  The signs and minors
-    are the same bits either way.  ``rank_test`` is the scalar twin."""
+    Each pass runs the determinant tier first (``_filter`` with ``tier``):
+    it forms only the row-(0, 1) 2x2 minors that the 3x3 minors are
+    expanded from, and certifies full rank where ``_certified_full`` does.
+    Only the columns it leaves open, non-finite ones among them, go on to
+    the full filter, and those the filter leaves open to the SVD.  With
+    ``condition`` the pass also forms the other 2x2 minors of every column,
+    but no rounding bound of them, for the norm P that the condition
+    estimate reads with the tier's F and D (``_compound_norm``).  The
+    decisions take one path, so the signs and minors are the same bits
+    either way.  ``rank_test`` is the scalar twin."""
     norms = np.empty((3, n)) if condition else None
     sign, minors3 = _passes(k, n, entries, norms)
     return sign, minors3, _max_condition(k, norms, entries) if condition and n else None
@@ -156,25 +159,25 @@ def rank_test_batch(k: int, n: int, entries, condition: bool = False) -> tuple:
 
 def _passes(k: int, n: int, entries, norms: np.ndarray | None) -> tuple:
     """The signs and minors of ``rank_test_batch``, pass by pass, and then
-    the SVD of the matrices no pass decided.  Without ``norms`` each pass
-    takes the determinant tier first; with them, the full filter writes
-    every column's (F, P, D) into them."""
+    the SVD of the matrices no pass decided.  Every pass takes the
+    determinant tier first, and only the columns it leaves open go on to
+    the full filter; with ``norms`` the tier's pass also writes every
+    column's (F, P, D) into them, P from the tier's own row-(0, 1) minors
+    (``_compound_norm``)."""
     sign = np.empty(n, np.int8)
     minors3 = np.empty((len(_MINOR_INDEX[k][1]), n))
     open_at, open_entries = [], []
     for i, j in _blocks(n, _FILTER_ENTRIES // _MINOR_INDEX[k][0].shape[1]):
-        x, cols = entries(slice(i, j)), np.arange(i, j)
-        if norms is None:
-            full, _, minors3[:, i:j], _, _, _ = _filter(x, k, tier=True)
-            sign[i:j] = full
-            if full.all():
-                continue
-            x, cols = x[:, ~full], cols[~full]
-        full, deficient, m3, F, P, D = _filter(x, k)
-        sign[cols] = full.astype(np.int8) - deficient
+        x = entries(slice(i, j))
+        full, minors2, minors3[:, i:j], F, D = _filter(x, k, tier=True)
         if norms is not None:
-            minors3[:, i:j] = m3
-            norms[:, i:j] = F, P, D
+            norms[:, i:j] = F, _compound_norm(x, k, minors2), D
+        sign[i:j] = full
+        if full.all():
+            continue
+        cols, x = i + np.flatnonzero(~full), x[:, ~full]
+        full, deficient = _filter(x, k)
+        sign[cols] = full.astype(np.int8) - deficient
         undecided = ~(full | deficient)
         if undecided.any():
             open_at.append(cols[undecided])
@@ -186,27 +189,37 @@ def _passes(k: int, n: int, entries, norms: np.ndarray | None) -> tuple:
     return sign, minors3
 
 
+def _products(x: np.ndarray, products: np.ndarray) -> tuple:
+    """The products p = a[r, i] a[s, j] and q = a[r, j] a[s, i] of the 2x2
+    minors p - q at the entry positions ``products`` (columns of
+    ``_MINOR_INDEX``'s first array) of every column of ``x``.  Gathered by
+    np.take, of a contiguous x, a few times faster here than indexing with
+    an array, and multiplied in place."""
+    p = np.take(x, products[0], axis=0)
+    p *= np.take(x, products[1], axis=0)
+    q = np.take(x, products[2], axis=0)
+    q *= np.take(x, products[3], axis=0)
+    return p, q
+
+
 def _filter(x: np.ndarray, k: int, tier: bool = False) -> tuple:
-    """The filter of ``rank_test_batch`` on the columns of ``x``: its full-rank
-    and rank-deficient decisions, 3x3 minors and norms (F, P, D).  With
+    """The full filter of ``rank_test_batch`` on the columns of ``x``: its
+    full-rank and rank-deficient decisions (``_rank_decision``).  With
     ``tier`` it is the determinant tier of ``rank_test_batch``: it forms
     only the row-(0, 1) 2x2 minors (the first third of ``_MINOR_INDEX``'s
-    products), which the 3x3 minors are expanded from, and decides full
-    rank where ``_certified_full`` does, rank deficiency nowhere, and P
-    not at all."""
+    products), which the 3x3 minors are expanded from, and no rounding
+    bound of P, and returns its full-rank decisions (``_certified_full``;
+    it decides rank deficiency nowhere), those 2x2 minors, the 3x3 minors
+    and the norms F and D."""
     products, row2, pos = _MINOR_INDEX[k]
     if tier:
         products = products[:, :products.shape[1] // 3]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are left open
-        # Gathers by np.take, of a contiguous x, a few times faster here than
-        # indexing with an array; products and absolute values in place, each temporary
-        # dropped once used: fresh temporaries take about half the time at
-        # n = 720, and the peak memory of a stack of several systems per
-        # sample grows with each one kept.
-        p = np.take(x, products[0], axis=0)
-        p *= np.take(x, products[1], axis=0)
-        q = np.take(x, products[2], axis=0)
-        q *= np.take(x, products[3], axis=0)
+        # Absolute values in place, each temporary dropped once used: fresh
+        # temporaries take about half the time at n = 720, and the peak
+        # memory of a stack of several systems per sample grows with each
+        # one kept.
+        p, q = _products(x, products)
         minors2 = p - q
         abs2 = np.abs(p, out=p)
         abs2 += np.abs(q, out=q)
@@ -217,17 +230,30 @@ def _filter(x: np.ndarray, k: int, tier: bool = False) -> tuple:
         minors3 = laplace[:, 0] - laplace[:, 1] + laplace[:, 2]
         del laplace
         F = np.sqrt(np.einsum("ij,ij->j", x, x))
-        P = None if tier else np.sqrt(np.einsum("ij,ij->j", minors2, minors2))
         D = np.sqrt(np.einsum("ij,ij->j", minors3, minors3))
-        del minors2
-        e_P = 3.0 * _U * abs2.sum(axis=0) + _UNDERFLOW
         x2 = np.abs(x2, out=x2)
         x2 *= np.take(abs2, pos, axis=0)
         e_D = 6.0 * _U * x2.sum(axis=(0, 1)) + _UNDERFLOW
         if tier:
-            return _certified_full(F, D, e_D), False, minors3, F, P, D
-        full, deficient = _rank_decision(F, P, D, e_P, e_D)
-    return full, deficient, minors3, F, P, D
+            return _certified_full(F, D, e_D), minors2, minors3, F, D
+        P = np.sqrt(np.einsum("ij,ij->j", minors2, minors2))
+        e_P = 3.0 * _U * abs2.sum(axis=0) + _UNDERFLOW
+        return _rank_decision(F, P, D, e_P, e_D)
+
+
+def _compound_norm(x: np.ndarray, k: int, top: np.ndarray) -> np.ndarray:
+    """The norm P of the 2x2 minors (the second compound) of the columns of
+    ``x``, given their row-(0, 1) minors ``top`` from the determinant tier:
+    it forms only the products of the row-(0, 2) and row-(1, 2) minors and
+    their differences, with no absolute terms, rounding bound or 3x3
+    minor.  The squares of ``top`` and of the others are summed apart, so
+    P can differ from the full filter's in its last bits, within the bound
+    ``_condition_estimate`` assumes: copying all of them into one array
+    first, for the full filter's bits, made a verify slower."""
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows get no estimate
+        p, q = _products(x, _MINOR_INDEX[k][0][:, len(top):])
+        p -= q
+        return np.sqrt(np.einsum("ij,ij->j", top, top) + np.einsum("ij,ij->j", p, p))
 
 
 def _certified_full(F, D, e_D):
@@ -344,10 +370,10 @@ _CUBIC_ERROR = 64 * _U
 def _max_condition(k: int, norms: np.ndarray, entries) -> float:
     """The largest sigma_max / sigma_min, as ``singular_values_batch``
     gives it, over a stack of n > 0 3 x k matrices, given the (3, n) norms
-    (F, P, D) that the full filter computed for them and the ``entries``
-    of ``rank_test_batch``.  ``_condition_estimate`` estimates every row
-    from the norms, in blocks of at most ``_COLUMN_BLOCK`` rows, so that
-    the temporaries of its error bound stay small.  One stacked SVD runs,
+    (F, P, D) that the passes of ``rank_test_batch`` computed for them
+    (``_passes``) and its ``entries``.  ``_condition_estimate`` estimates
+    every row from the norms, in blocks of at most ``_COLUMN_BLOCK`` rows,
+    so that the temporaries of its error bound stay small.  One stacked SVD runs,
     over the candidate rows only: no other row's entries are made.
 
     The candidates are the rows whose estimate ``kappa`` is NaN or at
@@ -381,10 +407,12 @@ def _max_condition(k: int, norms: np.ndarray, entries) -> float:
 
 def _condition_estimate(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """An estimate of sigma_max / sigma_min for every row, from the norms
-    (F, P, D) that the full filter computes for a stack of 3 x k matrices,
-    and without an SVD.  It is NaN where it is not certified to lie within
-    ``_KAPPA_ERROR`` = 2^-12 (relative) of the exact condition number of
-    the floating-point matrix, which includes every non-finite row.
+    (F, P, D) of a stack of 3 x k matrices, and without an SVD: F and D as
+    the determinant tier forms them, P from the tier's row-(0, 1) 2x2
+    minors and the others (``_compound_norm``).  It is NaN where it is not
+    certified to lie within ``_KAPPA_ERROR`` = 2^-12 (relative) of the
+    exact condition number of the floating-point matrix, which includes
+    every non-finite row.
 
     By Cauchy-Binet, F^2, P^2 and D^2 are the elementary symmetric functions
     of sigma_1^2 >= sigma_2^2 >= sigma_3^2, the roots of
@@ -400,6 +428,10 @@ def _condition_estimate(F: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarr
     Error bound, to first order in u = 2^-53.  The filter's rounding bounds
     give |P - P_exact| <= 12 u F^2 and |D - D_exact| <= 9.3 u F^3 (the
     absolute Laplace terms of the 3x3 minors sum to at most (4/3)^1.5 F^3).
+    The bound on P holds whatever order its squares are summed in: they
+    are nonnegative, so the rounding of a sum of m of them is at most
+    (m - 1) u of it, relative, in every order (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 4.2).
     So x^2 and y^2 carry relative errors e_x <= 24u/x + 55u and
     e_y <= 19u/y + 59u:
 

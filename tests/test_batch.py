@@ -127,7 +127,9 @@ def test_batched_kernels_match_scalar_oracle(rho, R_user):
         if is_circum:
             entries[tag] = _entries(*_offsets(
                 [(fam.excentral if on_excentral else fam.triangle, p.x(center_id))]))
-            kappa[tag] = rank._condition_estimate(*rank._filter(entries[tag], 4)[3:])
+            _, minors2, _, F, D = rank._filter(entries[tag], 4, tier=True)
+            kappa[tag] = rank._condition_estimate(
+                F, rank._compound_norm(entries[tag], 4, minors2), D)
     checked = 0
 
     def close_length(got, want, what, tol=length_tol):

@@ -539,8 +539,12 @@ def _batch(x, condition=False):
 
 def _kappa(x):
     """The condition estimate of every matrix of the entry-major stack
-    ``x``, from the norms of the full filter."""
-    return rank._condition_estimate(*rank._filter(np.ascontiguousarray(x), len(x) // 3)[3:])
+    ``x``, from the norms ``rank_test_batch`` with ``condition`` takes it
+    from: F and D of the determinant tier, and P of its row-(0, 1) minors
+    and the others (``rank._compound_norm``)."""
+    x, k = np.ascontiguousarray(x), len(x) // 3
+    _, minors2, _, F, D = rank._filter(x, k, tier=True)
+    return rank._condition_estimate(F, rank._compound_norm(x, k, minors2), D)
 
 
 def _svd_rank_test(a):
@@ -551,9 +555,9 @@ def _svd_rank_test(a):
 
 class TestRankFilter:
     """``rank_test_batch`` decides sigma_min > 1e-12 sigma_max as the stacked
-    SVD does, with its determinant tier first or, as a stack whose largest
-    condition number is asked for, the full filter on every matrix, and
-    runs the SVD only near the threshold."""
+    SVD does, with its determinant tier first, whether or not the stack's
+    largest condition number is asked for, and runs the SVD only near the
+    threshold."""
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 4]), st.integers(-40, 40))
     @settings(max_examples=60, deadline=None)
@@ -715,6 +719,56 @@ class TestRankFilter:
                 assert conic.rank_test == _svd_rank_test(conic.m[None])[0]
 
     @pytest.mark.parametrize("k", [3, 4])
+    def test_one_decision_path_with_and_without_condition(self, k):
+        """Over a stack of several passes holding non-finite, nearly rank-1,
+        tier-open and threshold columns, ``rank_test_batch`` with
+        ``condition`` gives the signs and minors it gives without, byte for
+        byte, and as its largest condition number the largest SVD ratio
+        over every row.  In both modes every pass runs the determinant tier,
+        and the full filter sees exactly the columns the tier left open."""
+        rng = np.random.default_rng(41 + k)
+        per_pass = rank._FILTER_ENTRIES // rank._MINOR_INDEX[k][0].shape[1]
+        n = 3 * per_pass + 7
+        sigma = np.stack([np.ones(n), 10.0 ** rng.uniform(-1, 0, n),
+                          10.0 ** rng.uniform(-2, -1, n)], axis=1)
+        kind = rng.choice(4, n, p=[0.85, 0.05, 0.05, 0.05])
+        thin, open_, tight = kind == 1, kind == 2, kind == 3
+        sigma[thin, 1:] = 1e-9, 1e-10  # nearly rank 1
+        sigma[open_, 1:] = 1e-7, 1e-8  # full rank, but sigma2 sigma3 below the tier's reach
+        sigma[tight, 2] = 10.0 ** rng.uniform(-12.2, -11.8, tight.sum())  # at the threshold
+        a = _stack(rng, sigma, k)
+        bad = rng.random(n) < 0.02
+        a[bad, 1, rng.integers(0, k)] = np.nan
+        x = _entries(a)
+        calls = []
+
+        def spy(x, k, tier=False):
+            out = tiered(x, k, tier)
+            calls.append((tier, x.copy(), out[0]))
+            return out
+
+        tiered = rank._filter
+        runs = {}
+        for condition in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rank, "_filter", spy)
+                runs[condition] = _batch(x, condition)
+            tier = [(x, full) for is_tier, x, full in calls if is_tier]
+            assert len(tier) == 4 and not any(full.all() for _, full in tier)
+            assert [is_tier for is_tier, _, _ in calls] == [True, False] * 4
+            assert ([x.tobytes() for is_tier, x, _ in calls if not is_tier]
+                    == [x[:, ~full].tobytes() for x, full in tier])
+            calls.clear()
+        assert runs[True][0].tobytes() == runs[False][0].tobytes()
+        assert runs[True][0].tolist() == _svd_rank_test(a).tolist()
+        assert runs[True][1].tobytes() == runs[False][1].tobytes()
+        assert runs[False][2] is None and np.isnan(runs[True][2])
+        finite = _entries(a[~bad])
+        sv = singular_values_batch(a[~bad])
+        assert _batch(finite, True)[2] == np.max(sv[:, 0] / sv[:, -1])
+        assert _batch(finite, True)[1].tobytes() == _batch(finite)[1].tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4])
     def test_the_minors_are_exact_on_exact_numbers(self, k):
         """``_laplace`` and ``_scalar_products``, which form the scalar
         filter's minors, are arithmetic only: on ``Fraction`` entries they
@@ -797,11 +851,11 @@ class TestRankFilter:
         assert len(calls) == 1
 
 
-def _stack(rng, sigma):
-    """Rows U diag(sigma) [I 0] Q with random orthogonal U, Q: matrices of
+def _stack(rng, sigma, k=4):
+    """3 x k matrices U diag(sigma) [I 0] Q with random orthogonal U, Q, of
     the chosen singular values, one row of ``sigma`` (n, 3) each."""
     u = np.linalg.qr(rng.normal(size=(len(sigma), 3, 3)))[0]
-    q = np.linalg.qr(rng.normal(size=(len(sigma), 4, 4)))[0]
+    q = np.linalg.qr(rng.normal(size=(len(sigma), k, k)))[0]
     return (u * sigma[:, None, :]) @ q[:, :3, :]
 
 

@@ -268,15 +268,29 @@ _SHORT = ["--t-samples", "12", "--runs", "1"]
 
 def test_stage_times_prints_every_stage_and_the_total(capsys):
     assert stage_times.main(_SHORT) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, ranks = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == [*stage_times.STAGES, "total"]
     assert all(line.split()[2] == "ms" and float(line.split()[1]) >= 0.0 for line in lines)
+    assert ranks == stage_times.rank_line("per pass", stage_times.rank_tests(0.36266, 12))
+
+
+def test_stage_times_counts_the_verify_pass_rank_tests():
+    """Every rank test of a verify pass counts once, by what decided it.
+    At 12 samples the pass makes 180: the conic stack's 60 circumconic
+    systems, whose largest condition number is asked for, and its 96
+    conics, all decided by the determinant tier, and the hyperbola stage's
+    24 systems, of which the tier leaves four open: two that the full
+    filter decides and two non-finite ones, left to the SVD."""
+    tests = stage_times.rank_tests(0.36266, 12)
+    assert list(tests) == list(stage_times.RankCounts.KINDS)
+    assert tests == {"tier": 176, "filter": 2, "svd": 2}
 
 
 def test_stage_times_memory_prints_each_stage_peak_and_kept(capsys):
     assert stage_times.main([*_SHORT, "--memory"]) == 0
-    head, *rows, verify = capsys.readouterr().out.splitlines()
+    head, *rows, verify, ranks = capsys.readouterr().out.splitlines()
     assert head.split()[:3] == ["stage", "peak", "kept"]
+    assert ranks.startswith("rank tests per pass: ") and ranks.endswith(" by the SVD")
     assert [row.split()[0] for row in rows] == list(stage_times.STAGES)
     peaks = {row.split()[0]: float(row.split()[1]) for row in rows}
     # Every stage allocates; the conic stack is the largest of the stages.
@@ -289,6 +303,7 @@ def test_stage_times_json(capsys, memory):
     assert stage_times.main([*_SHORT, "--json"] + ["--memory"] * memory) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["t_samples"], out["runs"]) == (12, 1)
+    assert out["rank_tests"] == stage_times.rank_tests(0.36266, 12)
     if memory:
         assert list(out["peak_kib"]) == list(out["kept_kib"]) == list(stage_times.STAGES)
         # The rows drop the conic stage after its last row.
@@ -330,8 +345,8 @@ def test_rank_counts_count_each_decision_once():
         assert counts.take() == (1, 1, 1)
         x = np.array([[1.0, 0, 0, 0, 1, 0, 0, 0, 1], [1.0, 0, 0, 0, 1e-13, 0, 0, 0, 1]]).T
         rank.rank_test_batch(3, 2, lambda cols: x[:, cols])
-        rank.rank_test_batch(3, 2, lambda cols: x[:, cols], condition=True)  # no tier
-        assert counts.take() == (1, 3, 0)
+        rank.rank_test_batch(3, 2, lambda cols: x[:, cols], condition=True)  # the same path
+        assert counts.take() == (2, 2, 0)
     finally:
         counts.restore()
     assert (rank._certified_full, rank._rank_decision) == before

@@ -30,8 +30,11 @@ entry and the median memory the stage keeps when it returns, in KiB
 configuration, in KiB and in KiB per sample.  Stages forced in turn hold
 every earlier stage's result, while ``run_verify`` drops the conic stage
 after its last row, so the largest stage peak plus its entry is an upper
-bound of the verify's peak, not that peak.  ``--json`` prints the same as
-one JSON object.  The package is imported from the path, so
+bound of the verify's peak, not that peak.  Either table ends with the
+pass's rank tests (``rank_tests``, counted in the warm-up run) that the
+determinant tier decided, that the full filter decided, and that both
+left open to the SVD.  ``--json`` prints the same
+as one JSON object.  The package is imported from the path, so
 ``PYTHONPATH`` picks the tree that is measured.
 
 With ``--member`` the tool runs ``--runs`` seeded rounds of the
@@ -123,6 +126,29 @@ def verify_peak(rho: float, n: int) -> int:
     tracemalloc.reset_peak()
     report.run_verify(lab)
     return tracemalloc.get_traced_memory()[1] - entry
+
+
+def rank_tests(rho: float, n: int) -> dict[str, int]:
+    """The rank tests of one verify pass at ratio ``rho`` over ``n``
+    samples, every stage forced as ``one_run`` forces it, by what decided
+    them (``RankCounts``).  ``main`` counts its unrecorded warm-up run, so
+    that the counting adds nothing to the timed or traced runs."""
+    from porism_lab import rank
+
+    counts = RankCounts()
+    counts.install(rank)
+    try:
+        one_run(rho, n)
+    finally:
+        counts.restore()
+    return dict(zip(RankCounts.KINDS, counts.take()))
+
+
+def rank_line(head: str, tests: dict) -> str:
+    """The printed line of rank tests by what decided them."""
+    return f"rank tests {head}: " + ", ".join(
+        f"{tests[kind]:g} {name}" for kind, name in
+        zip(RankCounts.KINDS, ("by the tier", "by the full filter", "by the SVD")))
 
 
 class RankCounts:
@@ -319,13 +345,11 @@ def main(argv=None) -> int:
         for part, value in ms.items():
             print(f"{part:22s} {value:8.3f} ms")
         print(f"{'op':22s} {op:8.3f} ms (median of the op totals; mean {mean:.3f} ms)")
-        print("rank tests per op (median): " + ", ".join(
-            f"{tests[kind]:g} {name}" for kind, name in
-            zip(RankCounts.KINDS, ("by the tier", "by the full filter", "by the SVD"))))
+        print(rank_line("per op (median)", tests))
         print(f"{raised} ops raised and are left out")
         return 0
     head = {"rho": args.rho, "t_samples": args.t_samples, "runs": args.runs}
-    one_run(args.rho, args.t_samples)  # warm-up
+    tests = rank_tests(args.rho, args.t_samples)  # the warm-up run
     if args.memory:
         tracemalloc.start()
         try:
@@ -340,24 +364,27 @@ def main(argv=None) -> int:
             print(json.dumps({**head, "peak_kib": {k: round(v, 1) for k, v in peak.items()},
                               "kept_kib": {k: round(v, 1) for k, v in kept.items()},
                               "verify_peak_kib": round(verify / KIB, 1),
-                              "verify_peak_kib_per_sample": round(per_sample, 4)}))
+                              "verify_peak_kib_per_sample": round(per_sample, 4),
+                              "rank_tests": tests}))
             return 0
         print(f"{'stage':14s} {'peak':>10s} {'kept':>10s}  (KiB above the stage's entry)")
         for stage in STAGES:
             print(f"{stage:14s} {peak[stage]:10.1f} {kept[stage]:10.1f}")
         print(f"{'run_verify':14s} {verify / KIB:10.1f} KiB traced peak, "
               f"{per_sample:.3f} KiB per sample")
+        print(rank_line("per pass", tests))
         return 0
     runs = [one_run(args.rho, args.t_samples) for _ in range(args.runs)]
     ms = {stage: 1e3 * statistics.median(r[stage][0] for r in runs) for stage in STAGES}
     total = 1e3 * statistics.median(sum(t for (t,) in r.values()) for r in runs)
     if args.json:
         print(json.dumps({**head, "median_ms": {k: round(v, 4) for k, v in ms.items()},
-                          "total_ms": round(total, 4)}))
+                          "total_ms": round(total, 4), "rank_tests": tests}))
         return 0
     for stage, value in ms.items():
         print(f"{stage:14s} {value:8.3f} ms")
     print(f"{'total':14s} {total:8.3f} ms (median of the run totals)")
+    print(rank_line("per pass", tests))
     return 0
 
 
