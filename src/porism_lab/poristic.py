@@ -218,11 +218,16 @@ def x9_closed_form_batch(cfg: PoristicConfig, ts: np.ndarray) -> np.ndarray:
 
 def _theta(cfg: PoristicConfig, t, xp):
     """The circumbilliard axis angle: minus the atan2 of
-    (1 - cos t)(2R cos t + R - d) over (R + d - 2R cos t) sin t, wrapped."""
+    (1 - cos t)(2R cos t + R - d) over (R + d - 2R cos t) sin t, wrapped.
+    Their common factor 2 sin(t/2) is cancelled, so it is no 0/0 at t = 0,
+    and both take the sign of the second, so the atan2 lies in
+    [-pi/2, pi/2] and the wrap never moves a small angle by pi; the axis
+    is the same."""
     R, d = cfg.R, cfg.d
-    ct, st = xp.cos(t), xp.sin(t)
-    return _wrap_half_pi(-xp.arctan2((1 - ct) * (2 * R * ct + R - d), (R + d - 2 * R * ct) * st),
-                         xp)
+    ct = xp.cos(t)
+    y = xp.sin(t / 2) * (2 * R * ct + R - d)
+    x = (R + d - 2 * R * ct) * xp.cos(t / 2)
+    return _wrap_half_pi(-xp.arctan2(xp.where(x < 0, -y, y), abs(x)), xp)
 
 
 def theta_closed_form(cfg: PoristicConfig, t: float) -> float:

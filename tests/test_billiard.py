@@ -147,6 +147,17 @@ class TestNormalization:
                 worst = max(worst, abs((p.x / a9) ** 2 + (p.y / b9) ** 2 - 1))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("t", [1.05376e-6, 1e-7])
+    def test_members_near_the_isosceles_one_land_on_the_billiard(self, t):
+        # Near t = 0 the axis angle's atan2 arguments both vanish; with
+        # their common factor cancelled the image is as accurate there as
+        # anywhere (an ellipse residual of about 1e-13, not 1e-9).
+        cfg = config_from_rR(0.327416, 0.327416 * 0.0522942)
+        a9, b9, _ = cb_axes_normalized(cfg.rho)
+        tri = normalize_sample(cfg, sample(cfg, t))
+        assert max(abs((p.x / a9) ** 2 + (p.y / b9) ** 2 - 1) for p in tri.v) < 1e-12
+        assert reflection_law_residual(tri, a9, b9) < 1e-12
+
     def test_reflection_law(self):
         cfg = config_from_rho(0.2)
         a9, b9, _ = cb_axes_normalized(0.2)

@@ -376,7 +376,8 @@ def test_float_cores_match_50_digits(mp_math, rho, R):
     from them in mpmath; the line and focus cores of ``geom`` on float
     inputs; and the canonical-form core of ``geom`` on the I3x coefficients
     of each side.  The forward error of every result (a point, a line, a
-    conic, a number) is at most 1e-12 of its largest component."""
+    conic, a number) is at most 1e-12 of its largest component, the axis
+    angle's next to t = 0 as well."""
     mpf = pytest.importorskip("mpmath").mpf
     cfg = config_from_rR(R, rho * R)
     mp_R, mp_r = mpf(cfg.R), mpf(cfg.r)
@@ -420,6 +421,10 @@ def test_float_cores_match_50_digits(mp_math, rho, R):
             exact = [c / top for c in exact]
             check(("_canonical", t), _canonical(*coeffs, det2, _MATH),
                   _canonical(*exact, _singular_block(*exact[:3], mp_math)[0], mp_math))
+    # The axis angle next to the isosceles member, where both atan2
+    # arguments vanish with t.
+    for t in (1e-6, 1e-7):
+        check(("_theta", t), _theta(cfg, t, _MATH), _theta(mp_cfg, mpf(t), mp_math))
     assert not failed
 
 

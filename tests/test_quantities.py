@@ -6,6 +6,7 @@ build what it does not need, and may abort only on the stages it runs.
 """
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from porism_lab import cli, conics, poristic, report
+from porism_lab import cli, conics, geom, poristic, report
 from porism_lab.errors import DegenerateConic, GeometryError, PassLog
 from porism_lab.geom import ConicMatrix, Point, Triangle, canonicalize
 from porism_lab.report import QUANTITIES, SWEEP_QUANTITIES, LabConfig, run_sweep
@@ -125,6 +126,25 @@ def test_scalar_circumconic_runs_no_svd(monkeypatch):
     can = canonicalize(conic)
     assert calls == []
     assert can.semi_major > can.semi_minor > 0
+
+
+def test_a_default_verify_builds_four_triangle_stacks(monkeypatch):
+    # The family, its excentral triangles, the billiard image and the
+    # similarity image of the equivariance check; X10 is read from its
+    # barycentric weights, with no medial stack of its own.
+    calls = []
+    build = geom.triangle_batch
+
+    def counted(v, log):
+        calls.append(v.shape)
+        return build(v, log)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("porism_lab")
+                and getattr(module, "triangle_batch", None) is build):
+            monkeypatch.setattr(module, "triangle_batch", counted)
+    report.run_verify(LabConfig())
+    assert calls == [(720, 3, 2)] * 4
 
 
 def test_verify_runs_the_svd_only_for_the_reported_condition_numbers(monkeypatch):
