@@ -1,6 +1,11 @@
 """Figure generation: each id renders one deterministic SVG scene built from
 the family at a fixed configuration.
 
+Figures draw the R = 1 family, as the pass measures it: ``_scene`` takes
+the ``poristic.config_from_rho(rho)`` that ``report._family`` gives the
+pass, so a figure's SVG depends on its id and rho = r / R alone, and
+``render_figure`` at any R gives the R = 1 picture.
+
 Every scene but ``cb-plots`` starts from ``_scene``: the circumcircle, the
 incircle and the X1, X3 marks.  Conics are drawn at a fixed stroke width of
 1.5; only their color, dash and hyperbola reach vary.  A conic whose
@@ -85,9 +90,9 @@ def _draw_conic(canvas, cfg, s, tag, color, dash=None):
 
 
 def _scene(lab, scale=90.0):
-    """The family's configuration and a canvas holding its circumcircle,
-    incircle, X1 and X3."""
-    cfg = lab.poristic()
+    """The R = 1 config of ``lab``'s family and a canvas holding its
+    circumcircle, incircle, X1 and X3."""
+    cfg = _poristic.config_from_rho(lab.poristic().rho)
     canvas = SvgCanvas(scale=scale)
     _draw_circle(canvas, cfg.circumcircle, CIRCUM_PURPLE, 2.0)
     _draw_circle(canvas, cfg.incircle, INCIRCLE_GREEN, 2.0)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from porism_lab import report
+from porism_lab import figures, report
 from porism_lab.cli import _OPTIONS, main
 from porism_lab.errors import ConfigError, GeometryError, UnknownQuantity
 from porism_lab.figures import FIGURE_IDS, render_figure
+from porism_lab.geom import CanonicalConic, ConicKind, Point
 from porism_lab.poristic import perimeter_closed_form
 from porism_lab.report import (
     MAX_T_SAMPLES,
@@ -441,35 +442,57 @@ class TestCli:
         svg = render_figure(figure_id, LabConfig())
         assert hashlib.sha256(svg.encode()).hexdigest() == reference[figure_id]
 
-    @pytest.mark.parametrize("R", (1e30, 1e60, 1e100))
+    @pytest.mark.parametrize("R", (1e-100, 1e-6, 1e6, 1e100))
     @pytest.mark.parametrize("figure_id", FIGURE_IDS)
-    def test_figures_at_extreme_scale_exit_cleanly(self, tmp_path, capsys, figure_id, R):
-        code = main(["figure", "--figure", figure_id, "--R", repr(R), "--r", repr(0.2 * R),
-                     "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code in (0, 2) and "Traceback" not in err
-        assert err == "" if code == 0 else err.startswith("error: ")
+    def test_figures_do_not_depend_on_R(self, tmp_path, capsys, figure_id, R):
+        # A figure draws the R = 1 family: at any R it exits, prints and
+        # writes exactly what it does at R = 1 with the same rho, and it
+        # exits 0 with an SVG or 2 with an error line, never a traceback.
+        for rho in (0.05, 0.2, 0.36266):
+            unit = LabConfig(R=R, r=rho * R).poristic().rho
+            runs = []
+            for name, argv in (("R", ["--R", repr(R), "--r", repr(rho * R)]),
+                               ("unit", ["--R", "1", "--r", repr(unit)])):
+                out = tmp_path / f"{rho}-{name}"
+                code = main(["figure", "--figure", figure_id, *argv, "--out", str(out)])
+                svg = out / f"{figure_id}.svg"
+                runs.append((code, capsys.readouterr().err,
+                             svg.read_bytes() if svg.exists() else None))
+            assert runs[0] == runs[1], (rho, runs[0][:2], runs[1][:2])
+            code, err, svg = runs[0]
+            assert code in (0, 2) and "Traceback" not in err, (rho, err)
+            assert (err == "" and svg is not None if code == 0
+                    else err.startswith("error: ") and svg is None), (rho, err)
 
-    @pytest.mark.parametrize("argv", (
-        ["--rho", "1e-12"], ["--rho", "1e-9"], ["--R", "1e-5", "--r", "1e-13"],
-        ["--R", "1.7355213187560022e77", "--r", "3.778250150383396e66"]))
-    def test_figure_where_the_closed_form_cancels_exit_two(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, message", (
+        (["--rho", "1e-12"], "closed form not defined at t = 0.0 ("),
+        (["--rho", "1e-9"], "closed form not defined at t = 0.0 ("),
+        (["--R", "1e-5", "--r", "1e-13"], "area 0.000e+00 below threshold"),
+        (["--R", "1.7355213187560022e77", "--r", "3.778250150383396e66"],
+         "closed form not defined at t = 0.0 (")))
+    def test_figure_where_the_closed_form_cancels_exit_two(self, tmp_path, capsys, argv,
+                                                           message):
         # At t = 0 the vertices' denominator R^2 - 2dR + d^2 cancels to 0, or
-        # the square root's argument to below 0.
+        # the square root's argument to below 0; at rho = 1e-8 the member's
+        # area rounds to 0 first.
         assert main(["figure", "--figure", "obtuse", *argv, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: closed form not defined at t = 0.0 (")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("figure_id, argv, tag", (
-        ("odehnal", ["--R", "1e-6", "--r", "2e-7"], "I5x"),
-        ("cb-poristic", ["--R", "1e6", "--r", "362660"], "I3x")))
-    def test_figure_refuses_a_conic_it_cannot_draw(self, tmp_path, capsys, figure_id, argv, tag):
-        # The scalar canonical form calls the conic empty at these scales, so
-        # the figure has no outline for it and writes no file.
+    @pytest.mark.parametrize("figure_id, tag, kind", (
+        ("odehnal", "I5x", ConicKind.EMPTY),
+        ("cb-poristic", "E9", ConicKind.DEGENERATE_LINES),
+        ("circumhyps", "Feuerbach", ConicKind.EMPTY)))
+    def test_figure_refuses_a_conic_it_cannot_draw(self, tmp_path, capsys, monkeypatch,
+                                                   figure_id, tag, kind):
+        # A conic whose canonical form is neither an ellipse nor a hyperbola
+        # has no outline, so the figure names it and writes no file.
+        monkeypatch.setattr(figures, "canonicalize",
+                            lambda conic: CanonicalConic(Point(0.0, 0.0), 0.0, 0.0, 0.0, kind))
         out = tmp_path / "o"
-        assert main(["figure", "--figure", figure_id, *argv, "--out", str(out)]) == 2
+        assert main(["figure", "--figure", figure_id, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {tag}: canonical form is empty; the figure cannot draw it\n")
+            f"error: {tag}: canonical form is {kind.value}; the figure cannot draw it\n")
         assert not out.exists()
 
     def test_every_figure_renders_or_raises_a_geometry_error(self):

@@ -172,8 +172,8 @@ PINNED = ROOT / "tests" / "outcome_scan.json"
 def test_the_outcome_scan_matches_the_pinned_scan():
     """The whole outcome scan, run on this tree, has the verdict-level
     content that tests/outcome_scan.json pins (74 verifies pass, 25 have a
-    failing row, 60 abort) and the same bytes of every figure: 1,213 SVGs
-    and 59 refusals.  That file is regenerated (``--pin``) only with a
+    failing row, 60 abort) and the same bytes of every figure: 1,272 SVGs
+    and no refusal.  That file is regenerated (``--pin``) only with a
     change of outcome or figure bytes that is named as such.  It was made
     with numpy 2.4.6 on x86-64; a numpy or libm whose sin or cos rounds
     differently can move figure digests (README, "Layout")."""
